@@ -1,8 +1,17 @@
 // §III-B and §III-F worked examples plus conditional-metric edge cases.
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
+#include <string>
+
+#include "audit/report_io.h"
+#include "audit/source.h"
+#include "base/string_util.h"
+#include "data/csv.h"
 #include "metrics/conditional_metrics.h"
 #include "metrics/group_metrics.h"
+#include "stats/rng.h"
 
 namespace fairlaw::metrics {
 namespace {
@@ -176,6 +185,101 @@ TEST(ConditionalMetricsTest, RenderMentionsStrata) {
   std::string text = RenderConditionalReport(report);
   EXPECT_NE(text.find("young"), std::string::npos);
   EXPECT_NE(text.find("VIOLATED"), std::string::npos);
+}
+
+// ---- Pinned output: exact report text, error strings, audit JSON ----
+
+std::string ReadGoldenFile(const std::string& name) {
+  std::ifstream in(std::string(FAIRLAW_TEST_GOLDEN_DIR) + "/" + name);
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
+
+/// Evaluates the conditional metric called `name`. `parameter` is the
+/// gap tolerance of conditional statistical parity.
+Result<ConditionalReport> EvaluateConditionalNamed(
+    const std::string& name, const MetricInput& input,
+    const std::vector<std::string>& strata, double parameter,
+    size_t min_stratum_size) {
+  if (name == "conditional_statistical_parity") {
+    return ConditionalStatisticalParity(input, strata, parameter,
+                                        min_stratum_size);
+  }
+  if (name == "conditional_demographic_disparity") {
+    return ConditionalDemographicDisparity(input, strata, min_stratum_size);
+  }
+  return Status::NotFound("no conditional metric named '" + name + "'");
+}
+
+std::string ErrorOf(const Result<ConditionalReport>& report) {
+  return report.ok() ? "OK" : report.status().ToString();
+}
+
+TEST(PinnedOutputTest, RenderConditionalReportForBothMetrics) {
+  CspExample example = MakeCspExample(1);
+  // A single-group stratum (skipped only where the inner metric compares
+  // groups) and a stratum below the minimum size.
+  AddRows(&example.input, &example.strata, "male", "solo", 1, 4);
+  AddRows(&example.input, &example.strata, "male", "tiny", 1, 1);
+  AddRows(&example.input, &example.strata, "female", "tiny", 0, 1);
+  std::string text;
+  for (const char* name :
+       {"conditional_statistical_parity", "conditional_demographic_disparity"}) {
+    text += RenderConditionalReport(
+        EvaluateConditionalNamed(name, example.input, example.strata, 0.05,
+                                 /*min_stratum_size=*/3)
+            .ValueOrDie());
+  }
+  EXPECT_EQ(text, ReadGoldenFile("conditional_reports.txt"));
+}
+
+TEST(PinnedOutputTest, ConditionalErrorMessages) {
+  CspExample example = MakeCspExample(3);
+  std::vector<std::string> short_strata = example.strata;
+  short_strata.pop_back();
+  for (const char* name :
+       {"conditional_statistical_parity", "conditional_demographic_disparity"}) {
+    EXPECT_EQ(ErrorOf(EvaluateConditionalNamed(name, example.input,
+                                               short_strata, 0.0, 1)),
+              "invalid argument: conditional metric: strata/input size "
+              "mismatch");
+    EXPECT_EQ(ErrorOf(EvaluateConditionalNamed(name, example.input,
+                                               example.strata, 0.0, 100)),
+              "invalid argument: " + std::string(name) +
+                  ": no stratum was large enough to evaluate");
+  }
+}
+
+TEST(PinnedOutputTest, AuditResultJson) {
+  // Seeded rows: three groups, two strata columns, labels and a score.
+  stats::Rng rng(20240501);
+  std::string csv = "group,region,tier,pred,label,score\n";
+  for (int i = 0; i < 240; ++i) {
+    const uint64_t group = rng.UniformInt(3);
+    const double score = rng.Uniform();
+    const int label = rng.Bernoulli(0.3 + 0.4 * score) ? 1 : 0;
+    const int pred = score > 0.4 + 0.1 * static_cast<double>(group) ? 1 : 0;
+    csv += "g" + std::to_string(group) + "," +
+           (rng.Bernoulli(0.5) ? "north" : "south") + "," +
+           (rng.Bernoulli(0.3) ? "senior" : "junior") + "," +
+           std::to_string(pred) + "," + std::to_string(label) + "," +
+           FormatDouble(score, 4) + "\n";
+  }
+  data::Table table = data::ReadCsvString(csv).ValueOrDie();
+  audit::AuditConfig config;
+  config.protected_column = "group";
+  config.prediction_column = "pred";
+  config.label_column = "label";
+  config.strata_columns = {"region", "tier"};
+  config.score_column = "score";
+  config.calibration_bins = 4;
+  config.audit_score_distribution = true;
+  audit::AuditResult result =
+      audit::Auditor::Run(audit::AuditSource::FromTable(table), config)
+          .ValueOrDie();
+  EXPECT_EQ(audit::AuditResultToJson(result).ValueOrDie() + "\n",
+            ReadGoldenFile("audit_result.json"));
 }
 
 }  // namespace

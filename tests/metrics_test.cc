@@ -3,6 +3,11 @@
 // metric reaches the paper's verdict.
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
+#include <string>
+#include <tuple>
+
 #include "metrics/group_metrics.h"
 
 namespace fairlaw::metrics {
@@ -301,6 +306,119 @@ TEST(RenderReportTest, MentionsVerdictAndGroups) {
   EXPECT_NE(text.find("VIOLATED"), std::string::npos);
   EXPECT_NE(text.find("female"), std::string::npos);
   EXPECT_NE(text.find("male"), std::string::npos);
+}
+
+// ---- Pinned output: exact report text and error strings ----
+
+std::string ReadGoldenFile(const std::string& name) {
+  std::ifstream in(std::string(FAIRLAW_TEST_GOLDEN_DIR) + "/" + name);
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
+
+/// Evaluates the group metric called `name` on `input`. `parameter` is
+/// the gap tolerance, or the ratio threshold for disparate_impact_ratio.
+Result<MetricReport> EvaluateNamed(const std::string& name,
+                                   const MetricInput& input,
+                                   double parameter) {
+  if (name == "demographic_parity") return DemographicParity(input, parameter);
+  if (name == "demographic_disparity") return DemographicDisparity(input);
+  if (name == "disparate_impact_ratio") {
+    return DisparateImpactRatio(input, parameter);
+  }
+  if (name == "equal_opportunity") return EqualOpportunity(input, parameter);
+  if (name == "equalized_odds") return EqualizedOdds(input, parameter);
+  if (name == "predictive_parity") return PredictiveParity(input, parameter);
+  if (name == "accuracy_equality") return AccuracyEquality(input, parameter);
+  return Status::NotFound("no metric named '" + name + "'");
+}
+
+const char* const kPinnedMetrics[] = {
+    "demographic_parity", "demographic_disparity", "disparate_impact_ratio",
+    "equal_opportunity",  "equalized_odds",        "predictive_parity",
+    "accuracy_equality",
+};
+
+/// Three labelled groups with every confusion-matrix cell non-empty.
+MetricInput PinnedInput() {
+  MetricInput input;
+  for (const auto& [group, tp, fp, fn, tn] :
+       {std::tuple<const char*, int, int, int, int>{"a", 4, 1, 2, 3},
+        {"b", 2, 1, 2, 3},
+        {"c", 3, 1, 1, 1}}) {
+    AddRows(&input, group, 1, 1, tp);
+    AddRows(&input, group, 1, 0, fp);
+    AddRows(&input, group, 0, 1, fn);
+    AddRows(&input, group, 0, 0, tn);
+  }
+  return input;
+}
+
+std::string ErrorOf(const Result<MetricReport>& report) {
+  return report.ok() ? "OK" : report.status().ToString();
+}
+
+TEST(PinnedOutputTest, RenderReportForEveryMetric) {
+  const MetricInput input = PinnedInput();
+  std::string text;
+  for (const char* name : kPinnedMetrics) {
+    const double parameter =
+        std::string(name) == "disparate_impact_ratio" ? 0.8 : 0.05;
+    text += RenderReport(EvaluateNamed(name, input, parameter).ValueOrDie());
+  }
+  // Passing verdicts render their own detail lines.
+  text += RenderReport(
+      EvaluateNamed("disparate_impact_ratio", input, 0.5).ValueOrDie());
+  text += RenderReport(
+      EvaluateNamed("demographic_disparity", HiringExample(8), 0.0)
+          .ValueOrDie());
+  EXPECT_EQ(text, ReadGoldenFile("metric_reports.txt"));
+}
+
+TEST(PinnedOutputTest, ErrorMessages) {
+  const MetricInput input = PinnedInput();
+  EXPECT_EQ(ErrorOf(EvaluateNamed("demographic_parity", input, -0.1)),
+            "invalid argument: fairness metric: tolerance must be >= 0");
+  EXPECT_EQ(ErrorOf(EvaluateNamed("disparate_impact_ratio", input, 0.0)),
+            "invalid argument: disparate_impact: threshold must lie in (0,1]");
+  EXPECT_EQ(ErrorOf(EvaluateNamed("disparate_impact_ratio", input, 1.5)),
+            "invalid argument: disparate_impact: threshold must lie in (0,1]");
+
+  MetricInput one_group;
+  AddRows(&one_group, "only", 1, 1, 4);
+  EXPECT_EQ(ErrorOf(EvaluateNamed("demographic_parity", one_group, 0.0)),
+            "invalid argument: fairness metric: need at least 2 protected "
+            "groups, got 1");
+  EXPECT_EQ(ErrorOf(EvaluateNamed("demographic_parity", MetricInput{}, 0.0)),
+            "invalid argument: MetricInput: empty input");
+  EXPECT_EQ(ErrorOf(EvaluateNamed("equal_opportunity", HiringExample(5), 0.0)),
+            "invalid argument: MetricInput: this metric requires labels for "
+            "every row");
+
+  MetricInput no_positives = input;
+  AddRows(&no_positives, "d", 0, 0, 3);
+  EXPECT_EQ(ErrorOf(EvaluateNamed("equal_opportunity", no_positives, 0.0)),
+            "invalid argument: equal_opportunity: group 'd' has no actual "
+            "positives; TPR undefined");
+  MetricInput no_negatives = input;
+  AddRows(&no_negatives, "d", 1, 1, 3);
+  EXPECT_EQ(ErrorOf(EvaluateNamed("equalized_odds", no_negatives, 0.0)),
+            "invalid argument: equalized_odds: group 'd' lacks actual "
+            "positives or negatives");
+  MetricInput no_predictions = input;
+  AddRows(&no_predictions, "d", 0, 1, 3);
+  EXPECT_EQ(ErrorOf(EvaluateNamed("predictive_parity", no_predictions, 0.0)),
+            "invalid argument: predictive_parity: group 'd' has no positive "
+            "predictions; PPV undefined");
+
+  MetricInput nobody_selected;
+  AddRows(&nobody_selected, "a", 0, -1, 5);
+  AddRows(&nobody_selected, "b", 0, -1, 5);
+  EXPECT_EQ(
+      ErrorOf(EvaluateNamed("disparate_impact_ratio", nobody_selected, 0.8)),
+      "failed precondition: disparate_impact_ratio: no group has a positive "
+      "selection rate; the ratio is undefined");
 }
 
 }  // namespace
