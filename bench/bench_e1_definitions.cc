@@ -11,13 +11,10 @@
 
 namespace {
 
-using fairlaw::metrics::ConditionalDemographicDisparity;
 using fairlaw::metrics::ConditionalReport;
-using fairlaw::metrics::ConditionalStatisticalParity;
-using fairlaw::metrics::DemographicDisparity;
-using fairlaw::metrics::DemographicParity;
-using fairlaw::metrics::EqualizedOdds;
-using fairlaw::metrics::EqualOpportunity;
+using fairlaw::metrics::Evaluate;
+using fairlaw::metrics::EvaluateConditional;
+using fairlaw::metrics::MetricId;
 using fairlaw::metrics::MetricInput;
 using fairlaw::metrics::MetricReport;
 
@@ -46,7 +43,7 @@ void ExampleA() {
     AddRows(&input, "female", 1, -1, hired);
     AddRows(&input, "female", 0, -1, 10 - hired);
     PrintRow(std::to_string(hired) + " females hired",
-             DemographicParity(input).ValueOrDie());
+             Evaluate(MetricId::kDemographicParity, input, 0.0).ValueOrDie());
   }
 }
 
@@ -73,7 +70,9 @@ void ExampleB() {
     add("female", "old", 1, 2);
     add("female", "old", 0, 3);
     ConditionalReport report =
-        ConditionalStatisticalParity(input, strata).ValueOrDie();
+        EvaluateConditional(MetricId::kDemographicParity, input, strata, 0.0,
+                            /*min_stratum_size=*/1)
+            .ValueOrDie();
     std::printf("  %d young females hired: worst stratum gap=%6.3f -> %s\n",
                 hired, report.max_gap,
                 report.satisfied ? "FAIR" : "BIASED");
@@ -92,7 +91,7 @@ void ExampleC() {
     AddRows(&input, "female", 0, 1, 6 - hired);
     AddRows(&input, "female", 0, 0, 4);
     PrintRow(std::to_string(hired) + " good females hired",
-             EqualOpportunity(input).ValueOrDie());
+             Evaluate(MetricId::kEqualOpportunity, input, 0.0).ValueOrDie());
   }
 }
 
@@ -114,7 +113,8 @@ void ExampleD() {
     AddRows(&input, "female", 0, 1, 3 - c.good_hired);
     AddRows(&input, "female", 1, 0, c.bad_hired);
     AddRows(&input, "female", 0, 0, 3 - c.bad_hired);
-    PrintRow(c.label, EqualizedOdds(input).ValueOrDie());
+    PrintRow(c.label,
+             Evaluate(MetricId::kEqualizedOdds, input, 0.0).ValueOrDie());
   }
 }
 
@@ -124,7 +124,8 @@ void ExampleE() {
     MetricInput input;
     AddRows(&input, "female", 1, -1, hired);
     AddRows(&input, "female", 0, -1, 10 - hired);
-    MetricReport report = DemographicDisparity(input).ValueOrDie();
+    MetricReport report =
+        Evaluate(MetricId::kDemographicDisparity, input, 0.0).ValueOrDie();
     std::printf("  %d hired / %d rejected -> %s\n", hired, 10 - hired,
                 report.satisfied ? "FAIR" : "UNFAIR");
   }
@@ -147,11 +148,14 @@ void ExampleF() {
     input.predictions.push_back(0);
     strata.push_back("job5");
   }
-  MetricReport plain = DemographicDisparity(input).ValueOrDie();
+  MetricReport plain =
+      Evaluate(MetricId::kDemographicDisparity, input, 0.0).ValueOrDie();
   std::printf("  unconditional demographic disparity -> %s\n",
               plain.satisfied ? "FAIR" : "UNFAIR");
   ConditionalReport conditional =
-      ConditionalDemographicDisparity(input, strata).ValueOrDie();
+      EvaluateConditional(MetricId::kDemographicDisparity, input, strata, 0.0,
+                          /*min_stratum_size=*/1)
+          .ValueOrDie();
   for (const auto& stratum : conditional.strata) {
     std::printf("  conditioned on %s -> %s\n", stratum.stratum.c_str(),
                 stratum.report.satisfied ? "FAIR" : "UNFAIR");

@@ -15,7 +15,8 @@
 
 namespace {
 
-using fairlaw::metrics::DemographicParity;
+using fairlaw::metrics::Evaluate;
+using fairlaw::metrics::MetricId;
 using fairlaw::metrics::MetricInput;
 using fairlaw::stats::Rng;
 namespace ml = fairlaw::ml;
@@ -64,7 +65,9 @@ PolicyOutcome Evaluate(const Materialized& data,
   input.groups = data.genders;
   input.predictions = decisions;
   PolicyOutcome outcome;
-  outcome.dp_gap = DemographicParity(input).ValueOrDie().max_gap;
+  outcome.dp_gap = Evaluate(MetricId::kDemographicParity, input, 0.0)
+                       .ValueOrDie()
+                       .max_gap;
   outcome.accuracy_vs_merit =
       ml::Accuracy(data.merit, decisions).ValueOrDie();
   return outcome;

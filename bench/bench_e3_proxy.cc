@@ -17,7 +17,8 @@
 
 namespace {
 
-using fairlaw::metrics::DemographicParity;
+using fairlaw::metrics::Evaluate;
+using fairlaw::metrics::MetricId;
 using fairlaw::metrics::MetricInput;
 using fairlaw::stats::Rng;
 namespace audit = fairlaw::audit;
@@ -32,7 +33,9 @@ double DpGapOfModel(const ml::Classifier& model,
   MetricInput input;
   input.groups = genders;
   input.predictions = model.PredictBatch(features).ValueOrDie();
-  return DemographicParity(input).ValueOrDie().max_gap;
+  return Evaluate(MetricId::kDemographicParity, input, 0.0)
+      .ValueOrDie()
+      .max_gap;
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <string>
 
 #include "audit/auditor.h"
+#include "audit/source.h"
 #include "audit/subgroup.h"
 #include "data/column.h"
 #include "obs/obs.h"
@@ -36,7 +37,9 @@ void Part1() {
     config.protected_column = attribute;
     config.prediction_column = "promoted";
     audit::AuditResult result =
-        audit::RunAudit(scenario.table, config).ValueOrDie();
+        audit::Auditor::Run(audit::AuditSource::FromTable(scenario.table),
+                            config)
+            .ValueOrDie();
     std::printf("marginal audit on %-7s: dp_gap=%.4f -> %s\n",
                 attribute,
                 result.Find("demographic_parity").ValueOrDie()->max_gap,

@@ -55,9 +55,16 @@ void Row(const Prepared& data, const std::string& mitigator,
   input.groups = data.groups;
   input.predictions = decisions;
   input.labels = data.merit;  // evaluate against unbiased merit
-  double dp = metrics::DemographicParity(input).ValueOrDie().max_gap;
-  double eo = metrics::EqualOpportunity(input).ValueOrDie().max_gap;
-  double di = metrics::DisparateImpactRatio(input).ValueOrDie().min_ratio;
+  using metrics::MetricId;
+  double dp = metrics::Evaluate(MetricId::kDemographicParity, input, 0.0)
+                  .ValueOrDie()
+                  .max_gap;
+  double eo = metrics::Evaluate(MetricId::kEqualOpportunity, input, 0.0)
+                  .ValueOrDie()
+                  .max_gap;
+  double di = metrics::Evaluate(MetricId::kDisparateImpactRatio, input, 0.8)
+                  .ValueOrDie()
+                  .min_ratio;
   double accuracy = ml::Accuracy(data.merit, decisions).ValueOrDie();
   std::printf("  %-18s acc=%.4f dp_gap=%.4f eo_gap=%.4f di_ratio=%.4f\n",
               mitigator.c_str(), accuracy, dp, eo, di);

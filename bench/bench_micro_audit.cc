@@ -6,7 +6,7 @@
 //   * with any --benchmark_* flag: the usual google-benchmark suite
 //     (audit cost vs chunk size on an in-memory table).
 //   * otherwise: a JSON harness that (1) streams generated CSVs of
-//     --rows and --big-rows rows through RunAuditCsv and records the
+//     --rows and --big-rows rows through AuditSource::FromCsv and records the
 //     peak-RSS growth between them — the count-metric path buffers
 //     O(window * chunk) rows, so a 10x bigger file must not grow the
 //     peak by more than a bounded slack; (2) measures streaming rows/sec
@@ -28,8 +28,9 @@
 #include <vector>
 
 #include "audit/auditor.h"
+#include "audit/source.h"
+#include "base/json_writer.h"
 #include "base/string_util.h"
-#include "core/json.h"
 #include "data/csv.h"
 #include "data/table.h"
 #include "obs/obs.h"
@@ -133,7 +134,9 @@ void BM_AuditChunkRows(benchmark::State& state) {
   audit::AuditConfig config = CountConfig();
   config.chunk_rows = static_cast<size_t>(state.range(0));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(audit::RunAudit(table, config).ValueOrDie());
+    benchmark::DoNotOptimize(
+        audit::Auditor::Run(audit::AuditSource::FromTable(table), config)
+            .ValueOrDie());
   }
 }
 BENCHMARK(BM_AuditChunkRows)->Arg(0)->Arg(4096)->Arg(65536);
@@ -173,12 +176,15 @@ int RunHarness(const HarnessConfig& config) {
   const audit::AuditConfig count_config = CountConfig();
   const int64_t small_ns = BestOfNs(1, [&] {
     benchmark::DoNotOptimize(
-        audit::RunAuditCsv(small_csv, count_config).ValueOrDie());
+        audit::Auditor::Run(audit::AuditSource::FromCsv(small_csv),
+                            count_config)
+            .ValueOrDie());
   });
   const double rss_after_small_mb = PeakRssMb();
   const int64_t big_ns = BestOfNs(1, [&] {
     benchmark::DoNotOptimize(
-        audit::RunAuditCsv(big_csv, count_config).ValueOrDie());
+        audit::Auditor::Run(audit::AuditSource::FromCsv(big_csv), count_config)
+            .ValueOrDie());
   });
   const double rss_after_big_mb = PeakRssMb();
   const double rss_growth_mb = rss_after_big_mb - rss_after_small_mb;
@@ -187,7 +193,9 @@ int RunHarness(const HarnessConfig& config) {
   // Throughput: best-of-reps streaming audit of the small file.
   const int64_t stream_ns = BestOfNs(config.reps, [&] {
     benchmark::DoNotOptimize(
-        audit::RunAuditCsv(small_csv, count_config).ValueOrDie());
+        audit::Auditor::Run(audit::AuditSource::FromCsv(small_csv),
+                            count_config)
+            .ValueOrDie());
   });
   const double rows_per_sec = static_cast<double>(config.rows) /
                               (static_cast<double>(stream_ns) / 1e9);
@@ -204,11 +212,15 @@ int RunHarness(const HarnessConfig& config) {
   parallel_config.num_threads = config.threads;
   const int64_t serial_ns = BestOfNs(config.reps, [&] {
     benchmark::DoNotOptimize(
-        audit::RunAudit(small_table, serial_config).ValueOrDie());
+        audit::Auditor::Run(audit::AuditSource::FromTable(small_table),
+                            serial_config)
+            .ValueOrDie());
   });
   const int64_t parallel_ns = BestOfNs(config.reps, [&] {
     benchmark::DoNotOptimize(
-        audit::RunAudit(small_table, parallel_config).ValueOrDie());
+        audit::Auditor::Run(audit::AuditSource::FromTable(small_table),
+                            parallel_config)
+            .ValueOrDie());
   });
   const double thread_scaling = static_cast<double>(serial_ns) /
                                 static_cast<double>(parallel_ns);
@@ -219,7 +231,9 @@ int RunHarness(const HarnessConfig& config) {
   data::Table full_table = LoadOrDie(full_csv);
   const audit::AuditConfig full_config = FullConfig();
   const std::string reference =
-      audit::RunAudit(full_table, full_config).ValueOrDie().Render();
+      audit::Auditor::Run(audit::AuditSource::FromTable(full_table),
+                          full_config)
+          .ValueOrDie().Render();
   bool chunk_identical = true;
   for (size_t chunk_rows : {size_t{1000}, size_t{65536}}) {
     for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
@@ -227,7 +241,9 @@ int RunHarness(const HarnessConfig& config) {
       variant.chunk_rows = chunk_rows;
       variant.num_threads = threads;
       const std::string render =
-          audit::RunAudit(full_table, variant).ValueOrDie().Render();
+          audit::Auditor::Run(audit::AuditSource::FromTable(full_table),
+                              variant)
+              .ValueOrDie().Render();
       chunk_identical = chunk_identical && render == reference;
     }
   }
@@ -235,7 +251,9 @@ int RunHarness(const HarnessConfig& config) {
   streaming_config.chunk_rows = 4096;
   streaming_config.num_threads = 2;
   const std::string streamed =
-      audit::RunAuditCsv(full_csv, streaming_config).ValueOrDie().Render();
+      audit::Auditor::Run(audit::AuditSource::FromCsv(full_csv),
+                          streaming_config)
+          .ValueOrDie().Render();
   const bool streaming_identical = streamed == reference;
 
   std::remove(small_csv.c_str());

@@ -26,9 +26,9 @@
 #include <string>
 #include <string_view>
 
+#include "base/json_writer.h"
 #include "base/simd.h"
 #include "base/string_util.h"
-#include "core/json.h"
 #include "data/bitmap.h"
 #include "obs/obs.h"
 #include "stats/distance.h"

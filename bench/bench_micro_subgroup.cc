@@ -19,8 +19,8 @@
 #include <string_view>
 
 #include "audit/subgroup.h"
+#include "base/json_writer.h"
 #include "base/string_util.h"
-#include "core/json.h"
 #include "data/column.h"
 #include "obs/obs.h"
 #include "stats/rng.h"

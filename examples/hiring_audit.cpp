@@ -6,6 +6,7 @@
 #include <span>
 
 #include "audit/auditor.h"
+#include "audit/source.h"
 #include "metrics/counterfactual_fairness.h"
 #include "mitigation/reweighing.h"
 #include "ml/logistic_regression.h"
@@ -36,7 +37,7 @@ fairlaw::Result<audit::AuditResult> AuditModel(
   config.prediction_column = "pred";
   config.label_column = "merit";  // audit against gender-blind merit
   config.tolerance = 0.05;
-  return audit::RunAudit(table, config);
+  return audit::Auditor::Run(audit::AuditSource::FromTable(table), config);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 
 #include "audit/auditor.h"
 #include "audit/sampling_adequacy.h"
+#include "audit/source.h"
 #include "audit/subgroup.h"
 #include "simulation/scenarios.h"
 
@@ -30,7 +31,9 @@ int main() {
     config.protected_column = attribute;
     config.prediction_column = "promoted";
     audit::AuditResult result =
-        audit::RunAudit(scenario.table, config).ValueOrDie();
+        audit::Auditor::Run(audit::AuditSource::FromTable(scenario.table),
+                            config)
+            .ValueOrDie();
     const auto* dp = result.Find("demographic_parity").ValueOrDie();
     std::printf("  %-7s: dp_gap=%.4f -> %s\n", attribute,
                 dp->max_gap, dp->satisfied ? "looks fair" : "VIOLATED");

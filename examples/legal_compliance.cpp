@@ -5,6 +5,7 @@
 #include <cstdio>
 
 #include "audit/auditor.h"
+#include "audit/source.h"
 #include "legal/checklist.h"
 #include "legal/four_fifths.h"
 #include "legal/report.h"
@@ -54,7 +55,8 @@ int main() {
   inputs.protected_attribute = "sex";
   inputs.sector = "employment";
   inputs.audit =
-      audit::RunAudit(table, config).ValueOrDie().ToLegalFindings();
+      audit::Auditor::Run(audit::AuditSource::FromTable(table), config)
+          .ValueOrDie().ToLegalFindings();
   inputs.four_fifths =
       legal::FourFifthsTest(
           audit::MetricInputFromTable(table, "gender", "pred", "")

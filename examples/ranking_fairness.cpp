@@ -6,7 +6,7 @@
 #include <algorithm>
 #include <cstdio>
 
-#include "core/json.h"
+#include "base/json_writer.h"
 #include "metrics/ranking_metrics.h"
 #include "stats/rng.h"
 

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "audit/partials.h"
-#include "audit/source.h"
 #include "base/string_util.h"
 
 namespace fairlaw::audit {
@@ -174,27 +173,6 @@ Result<const metrics::MetricReport*> AuditResult::Find(
   }
   return Status::NotFound("audit has no metric named '" + std::string(name) +
                           "'");
-}
-
-Result<AuditResult> RunAudit(const data::Table& table,
-                             const AuditConfig& config) {
-  return Auditor::Run(AuditSource::FromTable(table), config);
-}
-
-Result<AuditResult> RunAudit(const data::ChunkedTable& table,
-                             const AuditConfig& config) {
-  return Auditor::Run(AuditSource::FromChunked(table), config);
-}
-
-Result<AuditResult> RunAuditCsv(const std::string& path,
-                                const AuditConfig& config) {
-  return Auditor::Run(AuditSource::FromCsv(path), config);
-}
-
-Result<AuditResult> RunAuditCsv(const std::string& path,
-                                const AuditConfig& config,
-                                const data::CsvOptions& csv_options) {
-  return Auditor::Run(AuditSource::FromCsv(path, csv_options), config);
 }
 
 }  // namespace fairlaw::audit

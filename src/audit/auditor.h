@@ -7,8 +7,6 @@
 #include <vector>
 
 #include "base/result.h"
-#include "data/chunked.h"
-#include "data/csv.h"
 #include "data/table.h"
 #include "legal/report.h"
 #include "metrics/calibration_metric.h"
@@ -71,7 +69,7 @@ struct AuditConfig {
   /// Checks the configuration before any data is touched: required
   /// column names set (and no empty strata/score names), tolerance and
   /// di_threshold in range, calibration_bins > 0, score_column only
-  /// alongside label_column. RunAudit calls this first, so a bad config
+  /// alongside label_column. Auditor::Run calls this first, so a bad config
   /// fails with one config-shaped error instead of a column-lookup
   /// error half way through extraction.
   FAIRLAW_NODISCARD Status Validate() const;
@@ -140,34 +138,6 @@ FAIRLAW_NODISCARD Result<metrics::MetricInput> MetricInputFromTableMulti(
 /// with '|').
 FAIRLAW_NODISCARD Result<std::vector<std::string>> StrataFromTable(
     const data::Table& table, const std::vector<std::string>& strata_columns);
-
-/// DEPRECATED shims over the unified entry point — prefer
-/// `Auditor::Run(AuditSource::FromTable(table), config)` and friends
-/// (audit/source.h). Each forwards to the same morsel-driven engine, so
-/// behaviour and byte-for-byte output are unchanged; the free functions
-/// remain only so existing call sites migrate mechanically.
-///
-/// Runs the configured metric suite over `table`. Metrics that need
-/// labels are skipped when `label_column` is empty; conditional metrics
-/// are skipped when `strata_columns` is empty. The result is
-/// byte-identical for every chunk size and thread count.
-FAIRLAW_NODISCARD Result<AuditResult> RunAudit(const data::Table& table,
-                             const AuditConfig& config);
-
-/// DEPRECATED: use Auditor::Run(AuditSource::FromChunked(table), config).
-FAIRLAW_NODISCARD Result<AuditResult> RunAudit(const data::ChunkedTable& table,
-                             const AuditConfig& config);
-
-/// DEPRECATED: use Auditor::Run(AuditSource::FromCsv(path), config).
-/// Out-of-core audit: streams `path` through data::CsvChunkReader with a
-/// bounded in-flight window; peak memory is O(window * chunk) +
-/// O(groups) for the count metrics, and the result is byte-identical to
-/// loading the whole file and calling RunAudit.
-FAIRLAW_NODISCARD Result<AuditResult> RunAuditCsv(const std::string& path,
-                                const AuditConfig& config);
-FAIRLAW_NODISCARD Result<AuditResult> RunAuditCsv(const std::string& path,
-                                const AuditConfig& config,
-                                const data::CsvOptions& csv_options);
 
 }  // namespace fairlaw::audit
 

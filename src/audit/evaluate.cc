@@ -181,6 +181,15 @@ class ResultAggregator {
       calibration_ FAIRLAW_GUARDED_BY(mu_);
 };
 
+/// The evaluator parameter a table row takes from the audit config: the
+/// ratio threshold for ratio rules, the gap tolerance otherwise.
+double ParameterFor(const metrics::MetricSpec& spec,
+                    const AuditConfig& config) {
+  return spec.rule == metrics::VerdictRule::kRatioAtLeastThreshold
+             ? config.di_threshold
+             : config.tolerance;
+}
+
 }  // namespace
 
 Result<AuditResult> EvaluateMetrics(const EvaluateInputs& inputs,
@@ -205,40 +214,12 @@ Result<AuditResult> EvaluateMetrics(const EvaluateInputs& inputs,
         ++seq;
       };
 
-  add_metric("demographic_parity", [&] {
-    return metrics::DemographicParityFromStats(
-        metrics::GroupStatsFromCounts(counts, /*with_labels=*/false),
-        config.tolerance);
-  });
-  add_metric("demographic_disparity", [&] {
-    return metrics::DemographicDisparityFromStats(
-        metrics::GroupStatsFromCounts(counts, /*with_labels=*/false));
-  });
-  add_metric("disparate_impact_ratio", [&] {
-    return metrics::DisparateImpactRatioFromStats(
-        metrics::GroupStatsFromCounts(counts, /*with_labels=*/false),
-        config.di_threshold);
-  });
-  if (inputs.has_labels) {
-    add_metric("equal_opportunity", [&] {
-      return metrics::EqualOpportunityFromStats(
-          metrics::GroupStatsFromCounts(counts, /*with_labels=*/true),
-          config.tolerance);
-    });
-    add_metric("equalized_odds", [&] {
-      return metrics::EqualizedOddsFromStats(
-          metrics::GroupStatsFromCounts(counts, /*with_labels=*/true),
-          config.tolerance);
-    });
-    add_metric("predictive_parity", [&] {
-      return metrics::PredictiveParityFromStats(
-          metrics::GroupStatsFromCounts(counts, /*with_labels=*/true),
-          config.tolerance);
-    });
-    add_metric("accuracy_equality", [&] {
-      return metrics::AccuracyEqualityFromStats(
-          metrics::GroupStatsFromCounts(counts, /*with_labels=*/true),
-          config.tolerance);
+  for (const metrics::MetricSpec& spec : metrics::MetricTable()) {
+    if (spec.requires_labels && !inputs.has_labels) continue;
+    add_metric(spec.name, [&counts, &config, &spec] {
+      return metrics::Evaluate(
+          spec.id, metrics::GroupStatsFromCounts(counts, spec.requires_labels),
+          ParameterFor(spec, config));
     });
   }
   if (inputs.score_series != nullptr && !config.score_column.empty()) {
@@ -263,14 +244,14 @@ Result<AuditResult> EvaluateMetrics(const EvaluateInputs& inputs,
           });
           ++seq;
         };
-    add_conditional("conditional_statistical_parity", [&] {
-      return metrics::ConditionalStatisticalParityFromCounts(
-          *inputs.strata_counts, config.tolerance, config.min_stratum_size);
-    });
-    add_conditional("conditional_demographic_disparity", [&] {
-      return metrics::ConditionalDemographicDisparityFromCounts(
-          *inputs.strata_counts, config.min_stratum_size);
-    });
+    for (const metrics::MetricSpec& spec : metrics::MetricTable()) {
+      if (spec.conditional_name.empty()) continue;
+      add_conditional(spec.conditional_name, [&inputs, &config, &spec] {
+        return metrics::EvaluateConditional(spec.id, *inputs.strata_counts,
+                                            ParameterFor(spec, config),
+                                            config.min_stratum_size);
+      });
+    }
   }
 
   if (config.num_threads == 1) {

@@ -36,7 +36,8 @@ Result<ManipulationAuditReport> AuditManipulation(
 
   FAIRLAW_ASSIGN_OR_RETURN(
       metrics::MetricReport dp,
-      metrics::DemographicParity(outcomes, options.outcome_tolerance));
+      metrics::Evaluate(metrics::MetricId::kDemographicParity, outcomes,
+                        options.outcome_tolerance));
   report.outcome_gap = dp.max_gap;
   report.outcome_says_fair = dp.satisfied;
   report.masking_suspected =

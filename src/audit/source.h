@@ -65,9 +65,7 @@ class AuditSource {
 
 /// The one audit entry point. Validates `config`, dispatches on the
 /// source shape, and runs the morsel-driven engine (tables, CSV
-/// streams) or the windowed evaluator (serve windows). The legacy
-/// RunAudit/RunAuditCsv free functions in auditor.h are thin shims over
-/// this.
+/// streams) or the windowed evaluator (serve windows).
 class Auditor {
  public:
   FAIRLAW_NODISCARD static Result<AuditResult> Run(const AuditSource& source,

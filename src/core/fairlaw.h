@@ -17,7 +17,6 @@
 #include "causal/graph_analysis.h"  // IWYU pragma: export
 #include "causal/scm.h"             // IWYU pragma: export
 #include "core/json.h"              // IWYU pragma: export
-#include "core/registry.h"          // IWYU pragma: export
 #include "core/suite.h"             // IWYU pragma: export
 #include "core/version.h"           // IWYU pragma: export
 #include "data/csv.h"               // IWYU pragma: export
@@ -48,7 +47,6 @@
 #include "mitigation/reweighing.h"            // IWYU pragma: export
 #include "mitigation/sampling.h"              // IWYU pragma: export
 #include "mitigation/threshold_optimizer.h"   // IWYU pragma: export
-#include "ml/calibration.h"                   // IWYU pragma: export
 #include "ml/cross_validation.h"              // IWYU pragma: export
 #include "ml/decision_tree.h"                 // IWYU pragma: export
 #include "ml/feature_importance.h"            // IWYU pragma: export
@@ -64,6 +62,7 @@
 #include "simulation/feedback_loop.h"         // IWYU pragma: export
 #include "simulation/scenarios.h"             // IWYU pragma: export
 #include "stats/bootstrap.h"                  // IWYU pragma: export
+#include "stats/calibration.h"                // IWYU pragma: export
 #include "stats/distance.h"                   // IWYU pragma: export
 #include "stats/hypothesis.h"                 // IWYU pragma: export
 #include "stats/mmd.h"                        // IWYU pragma: export

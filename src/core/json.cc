@@ -4,6 +4,7 @@
 #include "audit/report_io.h"
 #include "audit/sampling_adequacy.h"
 #include "audit/subgroup.h"
+#include "base/json_writer.h"
 #include "legal/four_fifths.h"
 #include "metrics/conditional_metrics.h"
 #include "metrics/fairness_metric.h"

@@ -3,11 +3,6 @@
 
 #include <string>
 
-// The streaming JsonWriter moved to base/json_writer.h (rank 0) so the
-// audit report envelope and the serve daemon can emit JSON without
-// depending on core; re-exported here so existing call sites keep one
-// include.
-#include "base/json_writer.h"  // IWYU pragma: export
 #include "base/result.h"
 #include "core/suite.h"
 #include "metrics/fairness_metric.h"

@@ -1,5 +1,6 @@
 #include "core/suite.h"
 
+#include "audit/source.h"
 #include "base/string_util.h"
 #include "metrics/fairness_metric.h"
 #include "obs/obs.h"
@@ -70,7 +71,9 @@ Result<SuiteReport> RunFairnessSuite(const data::Table& table,
                                      const SuiteConfig& config) {
   obs::TraceSpan span("fairness_suite");
   SuiteReport report;
-  FAIRLAW_ASSIGN_OR_RETURN(report.audit, audit::RunAudit(table, config.audit));
+  FAIRLAW_ASSIGN_OR_RETURN(
+      report.audit,
+      audit::Auditor::Run(audit::AuditSource::FromTable(table), config.audit));
   report.all_clear = report.audit.all_satisfied;
 
   if (!config.proxy_candidates.empty()) {

@@ -1,134 +1,23 @@
 #include "metrics/conditional_metrics.h"
 
 #include <algorithm>
-#include <map>
 
 #include "base/string_util.h"
-#include "metrics/group_metrics.h"
-#include "stats/mergeable.h"
 
 namespace fairlaw::metrics {
-namespace {
 
-/// Partitions input rows by stratum value (first-seen order preserved).
-Result<std::vector<std::pair<std::string, std::vector<size_t>>>>
-PartitionByStratum(const MetricInput& input,
-                   const std::vector<std::string>& strata) {
-  if (strata.size() != input.size()) {
-    return Status::Invalid("conditional metric: strata/input size mismatch");
+Result<ConditionalReport> EvaluateConditional(
+    MetricId inner, const stats::StratifiedCountsAccumulator& counts,
+    double parameter, size_t min_stratum_size) {
+  const MetricSpec& spec = MetricTable()[static_cast<size_t>(inner)];
+  if (spec.conditional_name.empty()) {
+    return Status::Invalid(std::string(spec.name) +
+                           ": has no conditional form");
   }
-  std::vector<std::pair<std::string, std::vector<size_t>>> partitions;
-  std::map<std::string, size_t> index_of;
-  for (size_t i = 0; i < strata.size(); ++i) {
-    auto [it, inserted] = index_of.try_emplace(strata[i], partitions.size());
-    if (inserted) partitions.push_back({strata[i], {}});
-    partitions[it->second].second.push_back(i);
-  }
-  return partitions;
-}
-
-MetricInput Subset(const MetricInput& input, const std::vector<size_t>& rows) {
-  MetricInput out;
-  out.groups.reserve(rows.size());
-  out.predictions.reserve(rows.size());
-  if (!input.labels.empty()) out.labels.reserve(rows.size());
-  for (size_t row : rows) {
-    out.groups.push_back(input.groups[row]);
-    out.predictions.push_back(input.predictions[row]);
-    if (!input.labels.empty()) out.labels.push_back(input.labels[row]);
-  }
-  return out;
-}
-
-size_t CountDistinctGroups(const MetricInput& input) {
-  std::vector<std::string> groups = input.groups;
-  std::sort(groups.begin(), groups.end());
-  groups.erase(std::unique(groups.begin(), groups.end()), groups.end());
-  return groups.size();
-}
-
-}  // namespace
-
-Result<ConditionalReport> ConditionalStatisticalParity(
-    const MetricInput& input, const std::vector<std::string>& strata,
-    double tolerance, size_t min_stratum_size) {
-  FAIRLAW_RETURN_NOT_OK(input.Validate(/*require_labels=*/false));
-  FAIRLAW_ASSIGN_OR_RETURN(auto partitions, PartitionByStratum(input, strata));
-
   ConditionalReport report;
-  report.metric_name = "conditional_statistical_parity";
-  report.tolerance = tolerance;
+  report.metric_name = std::string(spec.conditional_name);
   report.satisfied = true;
   std::string skipped;
-  size_t evaluated = 0;
-  for (const auto& [stratum, rows] : partitions) {
-    MetricInput slice = Subset(input, rows);
-    if (rows.size() < min_stratum_size || CountDistinctGroups(slice) < 2) {
-      if (!skipped.empty()) skipped += ", ";
-      skipped += stratum;
-      continue;
-    }
-    FAIRLAW_ASSIGN_OR_RETURN(MetricReport inner,
-                             DemographicParity(slice, tolerance));
-    inner.metric_name = "demographic_parity[" + stratum + "]";
-    report.max_gap = std::max(report.max_gap, inner.max_gap);
-    report.satisfied = report.satisfied && inner.satisfied;
-    report.strata.push_back(StratumReport{stratum, std::move(inner)});
-    ++evaluated;
-  }
-  if (evaluated == 0) {
-    return Status::Invalid("conditional_statistical_parity: no stratum was "
-                           "large enough to evaluate");
-  }
-  if (!skipped.empty()) {
-    report.detail = "skipped strata (too small or single-group): " + skipped;
-  }
-  return report;
-}
-
-Result<ConditionalReport> ConditionalDemographicDisparity(
-    const MetricInput& input, const std::vector<std::string>& strata,
-    size_t min_stratum_size) {
-  FAIRLAW_RETURN_NOT_OK(input.Validate(/*require_labels=*/false));
-  FAIRLAW_ASSIGN_OR_RETURN(auto partitions, PartitionByStratum(input, strata));
-
-  ConditionalReport report;
-  report.metric_name = "conditional_demographic_disparity";
-  report.tolerance = 0.0;
-  report.satisfied = true;
-  std::string skipped;
-  size_t evaluated = 0;
-  for (const auto& [stratum, rows] : partitions) {
-    if (rows.size() < min_stratum_size) {
-      if (!skipped.empty()) skipped += ", ";
-      skipped += stratum;
-      continue;
-    }
-    MetricInput slice = Subset(input, rows);
-    FAIRLAW_ASSIGN_OR_RETURN(MetricReport inner, DemographicDisparity(slice));
-    inner.metric_name = "demographic_disparity[" + stratum + "]";
-    report.max_gap = std::max(report.max_gap, inner.max_gap);
-    report.satisfied = report.satisfied && inner.satisfied;
-    report.strata.push_back(StratumReport{stratum, std::move(inner)});
-    ++evaluated;
-  }
-  if (evaluated == 0) {
-    return Status::Invalid("conditional_demographic_disparity: no stratum "
-                           "was large enough to evaluate");
-  }
-  if (!skipped.empty()) report.detail = "skipped strata: " + skipped;
-  return report;
-}
-
-Result<ConditionalReport> ConditionalStatisticalParityFromCounts(
-    const stats::StratifiedCountsAccumulator& counts, double tolerance,
-    size_t min_stratum_size) {
-  ConditionalReport report;
-  report.metric_name = "conditional_statistical_parity";
-  report.tolerance = tolerance;
-  report.satisfied = true;
-  std::string skipped;
-  size_t evaluated = 0;
   for (size_t s = 0; s < counts.num_strata(); ++s) {
     const std::string& stratum = counts.keys()[s];
     const stats::GroupCountsAccumulator& tallies = counts.stratum(s);
@@ -137,68 +26,56 @@ Result<ConditionalReport> ConditionalStatisticalParityFromCounts(
       stratum_rows += tallies.counts(g).count;
     }
     if (static_cast<size_t>(stratum_rows) < min_stratum_size ||
-        tallies.num_keys() < 2) {
+        (spec.compares_groups() && tallies.num_keys() < 2)) {
       if (!skipped.empty()) skipped += ", ";
       skipped += stratum;
       continue;
     }
+    // Stratum tallies carry no labels, so Evaluate refuses a row that
+    // requires them.
     FAIRLAW_ASSIGN_OR_RETURN(
-        MetricReport inner,
-        DemographicParityFromStats(
-            GroupStatsFromCounts(tallies, /*with_labels=*/false), tolerance));
-    inner.metric_name = "demographic_parity[" + stratum + "]";
-    report.max_gap = std::max(report.max_gap, inner.max_gap);
-    report.satisfied = report.satisfied && inner.satisfied;
-    report.strata.push_back(StratumReport{stratum, std::move(inner)});
-    ++evaluated;
+        MetricReport stratum_report,
+        Evaluate(inner, GroupStatsFromCounts(tallies, /*with_labels=*/false),
+                 parameter));
+    stratum_report.metric_name =
+        std::string(spec.name) + "[" + stratum + "]";
+    report.max_gap = std::max(report.max_gap, stratum_report.max_gap);
+    report.satisfied = report.satisfied && stratum_report.satisfied;
+    report.strata.push_back(StratumReport{stratum, std::move(stratum_report)});
   }
-  if (evaluated == 0) {
-    return Status::Invalid("conditional_statistical_parity: no stratum was "
-                           "large enough to evaluate");
+  if (report.strata.empty()) {
+    return Status::Invalid(report.metric_name +
+                           ": no stratum was large enough to evaluate");
   }
+  // The inner row's reported parameter: the tolerance for a gap rule, 0
+  // for the every-rate-above-half rule.
+  report.tolerance = report.strata.front().report.tolerance;
   if (!skipped.empty()) {
-    report.detail = "skipped strata (too small or single-group): " + skipped;
+    report.detail = std::string(spec.compares_groups()
+                                    ? "skipped strata (too small or "
+                                      "single-group): "
+                                    : "skipped strata: ") +
+                    skipped;
   }
   return report;
 }
 
-Result<ConditionalReport> ConditionalDemographicDisparityFromCounts(
-    const stats::StratifiedCountsAccumulator& counts,
+Result<ConditionalReport> EvaluateConditional(
+    MetricId inner, const MetricInput& input,
+    const std::vector<std::string>& strata, double parameter,
     size_t min_stratum_size) {
-  ConditionalReport report;
-  report.metric_name = "conditional_demographic_disparity";
-  report.tolerance = 0.0;
-  report.satisfied = true;
-  std::string skipped;
-  size_t evaluated = 0;
-  for (size_t s = 0; s < counts.num_strata(); ++s) {
-    const std::string& stratum = counts.keys()[s];
-    const stats::GroupCountsAccumulator& tallies = counts.stratum(s);
-    int64_t stratum_rows = 0;
-    for (size_t g = 0; g < tallies.num_keys(); ++g) {
-      stratum_rows += tallies.counts(g).count;
-    }
-    if (static_cast<size_t>(stratum_rows) < min_stratum_size) {
-      if (!skipped.empty()) skipped += ", ";
-      skipped += stratum;
-      continue;
-    }
-    FAIRLAW_ASSIGN_OR_RETURN(
-        MetricReport inner,
-        DemographicDisparityFromStats(
-            GroupStatsFromCounts(tallies, /*with_labels=*/false)));
-    inner.metric_name = "demographic_disparity[" + stratum + "]";
-    report.max_gap = std::max(report.max_gap, inner.max_gap);
-    report.satisfied = report.satisfied && inner.satisfied;
-    report.strata.push_back(StratumReport{stratum, std::move(inner)});
-    ++evaluated;
+  FAIRLAW_RETURN_NOT_OK(input.Validate(/*require_labels=*/false));
+  if (strata.size() != input.size()) {
+    return Status::Invalid("conditional metric: strata/input size mismatch");
   }
-  if (evaluated == 0) {
-    return Status::Invalid("conditional_demographic_disparity: no stratum "
-                           "was large enough to evaluate");
+  stats::StratifiedCountsAccumulator counts;
+  for (size_t i = 0; i < strata.size(); ++i) {
+    stats::GroupCounts row;
+    row.count = 1;
+    row.positive_predictions = input.predictions[i];
+    counts.Stratum(strata[i])->Add(input.groups[i], row);
   }
-  if (!skipped.empty()) report.detail = "skipped strata: " + skipped;
-  return report;
+  return EvaluateConditional(inner, counts, parameter, min_stratum_size);
 }
 
 std::string RenderConditionalReport(const ConditionalReport& report) {

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "metrics/fairness_metric.h"
+#include "metrics/group_metrics.h"
 #include "stats/mergeable.h"
 
 namespace fairlaw::metrics {
@@ -26,34 +27,26 @@ struct ConditionalReport {
   std::string detail;
 };
 
-/// §III-B Conditional statistical parity: demographic parity within every
-/// stratum of the legitimate factor S. `strata[i]` is the S-value of row
-/// i. Strata with fewer than `min_stratum_size` rows or fewer than two
-/// groups are skipped (reported in detail) rather than failing the whole
-/// audit — tiny strata say nothing reliable (§IV-F).
-FAIRLAW_NODISCARD Result<ConditionalReport> ConditionalStatisticalParity(
-    const MetricInput& input, const std::vector<std::string>& strata,
-    double tolerance = 0.0, size_t min_stratum_size = 1);
+/// A group metric applied within every stratum of a legitimate factor
+/// S. The demographic_parity row gives §III-B conditional statistical
+/// parity; the demographic_disparity row gives §III-F conditional
+/// demographic disparity; rows with an empty conditional_name are
+/// refused. `counts` holds per-stratum, per-group tallies merged in chunk
+/// order (strata and groups both in global first-seen row order).
+/// `parameter` means what it means for the inner row. Strata with fewer
+/// than `min_stratum_size` rows, or a single group when the inner metric
+/// compares groups, are skipped (reported in detail) rather than failing
+/// the whole audit — tiny strata say nothing reliable (§IV-F).
+FAIRLAW_NODISCARD Result<ConditionalReport> EvaluateConditional(
+    MetricId inner, const stats::StratifiedCountsAccumulator& counts,
+    double parameter, size_t min_stratum_size);
 
-/// §III-F Conditional demographic disparity: demographic disparity
-/// (selection rate > 1/2 for every group) within every stratum.
-FAIRLAW_NODISCARD Result<ConditionalReport> ConditionalDemographicDisparity(
-    const MetricInput& input, const std::vector<std::string>& strata,
-    size_t min_stratum_size = 1);
-
-// Chunk-merged forms for the morsel-driven audit engine: the
-// StratifiedCountsAccumulator holds per-stratum, per-group tallies merged
-// in chunk order (strata and groups both in global first-seen row order),
-// and these produce reports identical to the row-wise forms above on the
-// concatenated input.
-
-FAIRLAW_NODISCARD Result<ConditionalReport> ConditionalStatisticalParityFromCounts(
-    const stats::StratifiedCountsAccumulator& counts, double tolerance = 0.0,
-    size_t min_stratum_size = 1);
-
-FAIRLAW_NODISCARD Result<ConditionalReport> ConditionalDemographicDisparityFromCounts(
-    const stats::StratifiedCountsAccumulator& counts,
-    size_t min_stratum_size = 1);
+/// Row-wise adapter: `strata[i]` is the S-value of row i. Validates
+/// `input`, tallies its rows by stratum and group, and evaluates them.
+FAIRLAW_NODISCARD Result<ConditionalReport> EvaluateConditional(
+    MetricId inner, const MetricInput& input,
+    const std::vector<std::string>& strata, double parameter,
+    size_t min_stratum_size);
 
 /// Renders a ConditionalReport as a human-readable block.
 std::string RenderConditionalReport(const ConditionalReport& report);

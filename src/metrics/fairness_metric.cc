@@ -70,15 +70,6 @@ Result<std::vector<GroupStats>> ComputeGroupStats(const MetricInput& input,
   FAIRLAW_RETURN_NOT_OK(input.Validate(with_labels));
   FAIRLAW_ASSIGN_OR_RETURN(GroupPartition partition,
                            GroupPartition::Build(input));
-  return ComputeGroupStats(partition, with_labels);
-}
-
-Result<std::vector<GroupStats>> ComputeGroupStats(
-    const GroupPartition& partition, bool with_labels) {
-  if (with_labels && !partition.has_labels) {
-    return Status::Invalid("ComputeGroupStats: this metric requires labels "
-                           "for every row");
-  }
   // The whole-table pass is the one-chunk case of the morsel path:
   // accumulate this partition's popcounts, then derive rates from the
   // integer tallies. Sharing the derivation with the chunked engine is

@@ -57,16 +57,17 @@ struct MetricReport {
   /// 1.0 when all rates are equal; 0 when some group has rate 0 while
   /// another does not.
   double min_ratio = 1.0;
-  /// Gap tolerance the verdict used.
+  /// Parameter the verdict used: the gap tolerance, or the ratio
+  /// threshold for a ratio rule (see metrics::VerdictRule).
   double tolerance = 0.0;
-  /// True when max_gap <= tolerance.
+  /// The verdict under the metric's rule.
   bool satisfied = false;
   /// Human-readable summary (one line per group plus the verdict).
   std::string detail;
 };
 
-/// Bitmap partition of a MetricInput, built once and shared by every
-/// group metric of an audit run (the audit::Auditor caches one per run).
+/// Bitmap partition of a MetricInput. The audit engine builds one per
+/// chunk and folds its popcounts with AccumulateGroupCounts.
 ///
 /// Group membership, predictions, and labels are packed into
 /// data::Bitmap, so each per-group statistic is a fused word-wise
@@ -76,8 +77,7 @@ struct MetricReport {
 ///   positive_preds     = |group & predictions|
 ///   true_positives     = |group & predictions & labels|
 ///   false_positives    = |group & predictions & ~labels|
-/// Groups appear in first-seen row order, matching the serial
-/// ComputeGroupStats, so reports built either way are identical.
+/// Groups appear in first-seen row order.
 struct GroupPartition {
   std::vector<std::string> group_names;      // first-seen order
   std::vector<data::Bitmap> group_bitmaps;   // aligned with group_names
@@ -91,15 +91,12 @@ struct GroupPartition {
   FAIRLAW_NODISCARD static Result<GroupPartition> Build(const MetricInput& input);
 };
 
-/// Computes per-group statistics. `with_labels` toggles the Y-conditional
-/// fields; when true the input must carry labels.
-FAIRLAW_NODISCARD Result<std::vector<GroupStats>> ComputeGroupStats(const MetricInput& input,
-                                                  bool with_labels);
-
-/// Same statistics from a prebuilt partition via the fused popcount
-/// kernels; `with_labels` requires partition.has_labels.
+/// Computes per-group statistics: validates `input`, builds its
+/// partition and derives the rates from its tallies. `with_labels`
+/// toggles the Y-conditional fields; when true the input must carry
+/// labels.
 FAIRLAW_NODISCARD Result<std::vector<GroupStats>> ComputeGroupStats(
-    const GroupPartition& partition, bool with_labels);
+    const MetricInput& input, bool with_labels);
 
 /// Folds one partition's fused popcounts into `accumulator` — the morsel
 /// side of the chunked audit. Call once per chunk partition (in any

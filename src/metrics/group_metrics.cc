@@ -1,314 +1,222 @@
 #include "metrics/group_metrics.h"
 
 #include <algorithm>
+#include <array>
+#include <string>
 
 #include "base/string_util.h"
 
 namespace fairlaw::metrics {
 namespace {
 
-Status CheckTolerance(double tolerance) {
-  if (tolerance < 0.0) {
-    return Status::Invalid("fairness metric: tolerance must be >= 0");
+constexpr Rate kSelectionRate[] = {Rate::kSelection};
+constexpr Rate kTprRate[] = {Rate::kTpr};
+constexpr Rate kTprFprRates[] = {Rate::kTpr, Rate::kFpr};
+constexpr Rate kPpvRate[] = {Rate::kPpv};
+constexpr Rate kAccuracyRate[] = {Rate::kAccuracy};
+
+constexpr std::array<MetricSpec, 7> kTable = {{
+    {MetricId::kDemographicParity, "demographic_parity", "III-A", false,
+     kSelectionRate, VerdictRule::kGapWithinTolerance, {},
+     "conditional_statistical_parity"},
+    {MetricId::kDemographicDisparity, "demographic_disparity", "III-E", false,
+     kSelectionRate, VerdictRule::kEveryRateAboveHalf, {},
+     "conditional_demographic_disparity"},
+    {MetricId::kDisparateImpactRatio, "disparate_impact_ratio", "IV-A", false,
+     kSelectionRate, VerdictRule::kRatioAtLeastThreshold,
+     // 0/0 is undefined; a silent ratio of 1.0 would report a clean
+     // screen for a selection process that admitted nobody.
+     {[](const GroupStats& gs) { return gs.selection_rate > 0.0; },
+      /*every_group=*/false,
+      "no group has a positive selection rate; the ratio is undefined"},
+     ""},
+    {MetricId::kEqualOpportunity, "equal_opportunity", "III-C", true,
+     kTprRate, VerdictRule::kGapWithinTolerance,
+     {[](const GroupStats& gs) { return gs.actual_positives > 0; },
+      /*every_group=*/true, "has no actual positives; TPR undefined"},
+     ""},
+    {MetricId::kEqualizedOdds, "equalized_odds", "III-D", true, kTprFprRates,
+     VerdictRule::kGapWithinTolerance,
+     {[](const GroupStats& gs) {
+        return gs.actual_positives > 0 && gs.actual_negatives > 0;
+      },
+      /*every_group=*/true, "lacks actual positives or negatives"},
+     ""},
+    {MetricId::kPredictiveParity, "predictive_parity", "III (companion)",
+     true, kPpvRate, VerdictRule::kGapWithinTolerance,
+     {[](const GroupStats& gs) { return gs.positive_predictions > 0; },
+      /*every_group=*/true, "has no positive predictions; PPV undefined"},
+     ""},
+    {MetricId::kAccuracyEquality, "accuracy_equality", "III (companion)",
+     true, kAccuracyRate, VerdictRule::kGapWithinTolerance, {}, ""},
+}};
+
+std::string_view RateName(Rate rate) {
+  switch (rate) {
+    case Rate::kSelection:
+      return "selection-rate";
+    case Rate::kTpr:
+      return "tpr";
+    case Rate::kFpr:
+      return "fpr";
+    case Rate::kPpv:
+      return "ppv";
+    case Rate::kAccuracy:
+      return "accuracy";
+  }
+  return "";
+}
+
+double RateOf(const GroupStats& gs, Rate rate) {
+  switch (rate) {
+    case Rate::kSelection:
+      return gs.selection_rate;
+    case Rate::kTpr:
+      return gs.tpr;
+    case Rate::kFpr:
+      return gs.fpr;
+    case Rate::kPpv:
+      return gs.ppv;
+    case Rate::kAccuracy: {
+      // accuracy = (TP + TN) / n, with TN = actual_negatives - FP.
+      const double correct = static_cast<double>(
+          gs.true_positives + (gs.actual_negatives - gs.false_positives));
+      return gs.count > 0 ? correct / static_cast<double>(gs.count) : 0.0;
+    }
+  }
+  return 0.0;
+}
+
+Status CheckParameter(VerdictRule rule, double parameter) {
+  switch (rule) {
+    case VerdictRule::kGapWithinTolerance:
+      if (parameter < 0.0) {
+        return Status::Invalid("fairness metric: tolerance must be >= 0");
+      }
+      break;
+    case VerdictRule::kRatioAtLeastThreshold:
+      if (parameter <= 0.0 || parameter > 1.0) {
+        return Status::Invalid("disparate_impact: threshold must lie in (0,1]");
+      }
+      break;
+    case VerdictRule::kEveryRateAboveHalf:
+      break;
   }
   return Status::OK();
 }
 
-Status CheckMultipleGroups(const std::vector<GroupStats>& stats) {
-  if (stats.size() < 2) {
+/// Checks everything a row needs of its groups before any rate is read.
+Status CheckGroups(const MetricSpec& spec,
+                   const std::vector<GroupStats>& stats) {
+  if (spec.compares_groups() && stats.size() < 2) {
     return Status::Invalid("fairness metric: need at least 2 protected "
                            "groups, got " + std::to_string(stats.size()));
   }
+  if (spec.requires_labels) {
+    for (const GroupStats& gs : stats) {
+      // Statistics computed with labels split every row into an actual
+      // positive or negative; without them every rate reads 0.
+      if (gs.actual_positives + gs.actual_negatives != gs.count) {
+        return Status::Invalid(std::string(spec.name) +
+                               ": requires labels; group '" + gs.group +
+                               "' has none");
+      }
+    }
+  }
+  const GroupPrecondition& pre = spec.precondition;
+  if (pre.holds == nullptr) return Status::OK();
+  if (pre.every_group) {
+    for (const GroupStats& gs : stats) {
+      if (!pre.holds(gs)) {
+        return Status::Invalid(std::string(spec.name) + ": group '" +
+                               gs.group + "' " + std::string(pre.error));
+      }
+    }
+    return Status::OK();
+  }
+  if (std::none_of(stats.begin(), stats.end(), pre.holds)) {
+    return Status::FailedPrecondition(std::string(spec.name) + ": " +
+                                      std::string(pre.error));
+  }
   return Status::OK();
-}
-
-/// Validates the row-wise input (label-requiring metrics demand labels up
-/// front so the error message names the missing piece) and builds the
-/// bitmap partition the metric bodies run on.
-Result<GroupPartition> PartitionInput(const MetricInput& input,
-                                      bool require_labels) {
-  FAIRLAW_RETURN_NOT_OK(input.Validate(require_labels));
-  return GroupPartition::Build(input);
 }
 
 }  // namespace
 
-Result<MetricReport> DemographicParity(const MetricInput& input,
-                                       double tolerance) {
-  FAIRLAW_ASSIGN_OR_RETURN(GroupPartition partition,
-                           PartitionInput(input, /*require_labels=*/false));
-  return DemographicParity(partition, tolerance);
+std::span<const MetricSpec> MetricTable() { return kTable; }
+
+Result<MetricReport> Evaluate(MetricId id, std::vector<GroupStats> stats,
+                              double parameter) {
+  const MetricSpec& spec = kTable[static_cast<size_t>(id)];
+  FAIRLAW_RETURN_NOT_OK(CheckParameter(spec.rule, parameter));
+  FAIRLAW_RETURN_NOT_OK(CheckGroups(spec, stats));
+
+  MetricReport report;
+  report.metric_name = std::string(spec.name);
+  report.tolerance = parameter;
+  std::vector<std::vector<double>> rates(spec.rates.size());
+  for (size_t r = 0; r < spec.rates.size(); ++r) {
+    rates[r].reserve(stats.size());
+    for (const GroupStats& gs : stats) {
+      rates[r].push_back(RateOf(gs, spec.rates[r]));
+    }
+  }
+  for (const std::vector<double>& rate : rates) {
+    report.max_gap = std::max(report.max_gap, MaxGap(rate));
+    report.min_ratio = std::min(report.min_ratio, MinRatio(rate));
+  }
+
+  switch (spec.rule) {
+    case VerdictRule::kGapWithinTolerance:
+      report.satisfied = report.max_gap <= parameter;
+      if (rates.size() > 1) {
+        for (size_t r = 0; r < rates.size(); ++r) {
+          if (r > 0) report.detail += " ";
+          report.detail += std::string(RateName(spec.rates[r])) + "_gap=" +
+                           FormatDouble(MaxGap(rates[r]), 4);
+        }
+      }
+      break;
+    case VerdictRule::kRatioAtLeastThreshold:
+      report.satisfied = report.min_ratio >= parameter;
+      report.detail = std::string(RateName(spec.rates[0])) + " ratio " +
+                      FormatDouble(report.min_ratio, 4) +
+                      (report.satisfied ? " passes" : " fails") + " the " +
+                      FormatDouble(parameter, 2) + " threshold";
+      break;
+    case VerdictRule::kEveryRateAboveHalf: {
+      // P(R=+|A=a) > P(R=-|A=a)  <=>  rate > 1/2.
+      report.tolerance = 0.0;
+      report.satisfied = true;
+      report.max_gap = 0.0;
+      std::string failing;
+      for (size_t g = 0; g < stats.size(); ++g) {
+        if (rates[0][g] > 0.5) continue;
+        report.satisfied = false;
+        report.max_gap = std::max(report.max_gap, 0.5 - rates[0][g]);
+        if (!failing.empty()) failing += ", ";
+        failing += stats[g].group;
+      }
+      if (!report.satisfied) {
+        report.detail =
+            "groups with more rejections than acceptances: " + failing;
+      }
+      break;
+    }
+  }
+  report.groups = std::move(stats);
+  return report;
 }
 
-Result<MetricReport> DemographicParity(const GroupPartition& partition,
-                                       double tolerance) {
-  FAIRLAW_RETURN_NOT_OK(CheckTolerance(tolerance));
+Result<MetricReport> Evaluate(MetricId id, const MetricInput& input,
+                              double parameter) {
+  // ComputeGroupStats validates first, demanding labels when the row
+  // requires them, so the error names the missing piece.
   FAIRLAW_ASSIGN_OR_RETURN(
       std::vector<GroupStats> stats,
-      ComputeGroupStats(partition, /*with_labels=*/false));
-  return DemographicParityFromStats(std::move(stats), tolerance);
-}
-
-Result<MetricReport> DemographicParityFromStats(std::vector<GroupStats> stats,
-                                                double tolerance) {
-  FAIRLAW_RETURN_NOT_OK(CheckTolerance(tolerance));
-  FAIRLAW_RETURN_NOT_OK(CheckMultipleGroups(stats));
-  std::vector<double> rates;
-  rates.reserve(stats.size());
-  for (const GroupStats& gs : stats) rates.push_back(gs.selection_rate);
-  MetricReport report;
-  report.metric_name = "demographic_parity";
-  report.groups = std::move(stats);
-  report.max_gap = MaxGap(rates);
-  report.min_ratio = MinRatio(rates);
-  report.tolerance = tolerance;
-  report.satisfied = report.max_gap <= tolerance;
-  return report;
-}
-
-Result<MetricReport> EqualOpportunity(const MetricInput& input,
-                                      double tolerance) {
-  FAIRLAW_ASSIGN_OR_RETURN(GroupPartition partition,
-                           PartitionInput(input, /*require_labels=*/true));
-  return EqualOpportunity(partition, tolerance);
-}
-
-Result<MetricReport> EqualOpportunity(const GroupPartition& partition,
-                                      double tolerance) {
-  FAIRLAW_RETURN_NOT_OK(CheckTolerance(tolerance));
-  FAIRLAW_ASSIGN_OR_RETURN(std::vector<GroupStats> stats,
-                           ComputeGroupStats(partition, /*with_labels=*/true));
-  return EqualOpportunityFromStats(std::move(stats), tolerance);
-}
-
-Result<MetricReport> EqualOpportunityFromStats(std::vector<GroupStats> stats,
-                                               double tolerance) {
-  FAIRLAW_RETURN_NOT_OK(CheckTolerance(tolerance));
-  FAIRLAW_RETURN_NOT_OK(CheckMultipleGroups(stats));
-  for (const GroupStats& gs : stats) {
-    if (gs.actual_positives == 0) {
-      return Status::Invalid("equal_opportunity: group '" + gs.group +
-                             "' has no actual positives; TPR undefined");
-    }
-  }
-  std::vector<double> rates;
-  rates.reserve(stats.size());
-  for (const GroupStats& gs : stats) rates.push_back(gs.tpr);
-  MetricReport report;
-  report.metric_name = "equal_opportunity";
-  report.groups = std::move(stats);
-  report.max_gap = MaxGap(rates);
-  report.min_ratio = MinRatio(rates);
-  report.tolerance = tolerance;
-  report.satisfied = report.max_gap <= tolerance;
-  return report;
-}
-
-Result<MetricReport> EqualizedOdds(const MetricInput& input,
-                                   double tolerance) {
-  FAIRLAW_ASSIGN_OR_RETURN(GroupPartition partition,
-                           PartitionInput(input, /*require_labels=*/true));
-  return EqualizedOdds(partition, tolerance);
-}
-
-Result<MetricReport> EqualizedOdds(const GroupPartition& partition,
-                                   double tolerance) {
-  FAIRLAW_RETURN_NOT_OK(CheckTolerance(tolerance));
-  FAIRLAW_ASSIGN_OR_RETURN(std::vector<GroupStats> stats,
-                           ComputeGroupStats(partition, /*with_labels=*/true));
-  return EqualizedOddsFromStats(std::move(stats), tolerance);
-}
-
-Result<MetricReport> EqualizedOddsFromStats(std::vector<GroupStats> stats,
-                                            double tolerance) {
-  FAIRLAW_RETURN_NOT_OK(CheckTolerance(tolerance));
-  FAIRLAW_RETURN_NOT_OK(CheckMultipleGroups(stats));
-  for (const GroupStats& gs : stats) {
-    if (gs.actual_positives == 0 || gs.actual_negatives == 0) {
-      return Status::Invalid("equalized_odds: group '" + gs.group +
-                             "' lacks actual positives or negatives");
-    }
-  }
-  std::vector<double> tprs;
-  std::vector<double> fprs;
-  for (const GroupStats& gs : stats) {
-    tprs.push_back(gs.tpr);
-    fprs.push_back(gs.fpr);
-  }
-  const double tpr_gap = MaxGap(tprs);
-  const double fpr_gap = MaxGap(fprs);
-  MetricReport report;
-  report.metric_name = "equalized_odds";
-  report.groups = std::move(stats);
-  report.max_gap = std::max(tpr_gap, fpr_gap);
-  report.min_ratio = std::min(MinRatio(tprs), MinRatio(fprs));
-  report.tolerance = tolerance;
-  report.satisfied = report.max_gap <= tolerance;
-  report.detail = "tpr_gap=" + FormatDouble(tpr_gap, 4) +
-                  " fpr_gap=" + FormatDouble(fpr_gap, 4);
-  return report;
-}
-
-Result<MetricReport> DemographicDisparity(const MetricInput& input) {
-  FAIRLAW_ASSIGN_OR_RETURN(GroupPartition partition,
-                           PartitionInput(input, /*require_labels=*/false));
-  return DemographicDisparity(partition);
-}
-
-Result<MetricReport> DemographicDisparity(const GroupPartition& partition) {
-  FAIRLAW_ASSIGN_OR_RETURN(
-      std::vector<GroupStats> stats,
-      ComputeGroupStats(partition, /*with_labels=*/false));
-  return DemographicDisparityFromStats(std::move(stats));
-}
-
-Result<MetricReport> DemographicDisparityFromStats(
-    std::vector<GroupStats> stats) {
-  MetricReport report;
-  report.metric_name = "demographic_disparity";
-  report.tolerance = 0.0;
-  report.satisfied = true;
-  double worst_shortfall = 0.0;
-  std::string failing;
-  for (const GroupStats& gs : stats) {
-    // P(R=+|A=a) > P(R=-|A=a)  <=>  selection rate > 1/2.
-    if (gs.selection_rate <= 0.5) {
-      report.satisfied = false;
-      worst_shortfall = std::max(worst_shortfall, 0.5 - gs.selection_rate);
-      if (!failing.empty()) failing += ", ";
-      failing += gs.group;
-    }
-  }
-  report.max_gap = worst_shortfall;
-  std::vector<double> rates;
-  for (const GroupStats& gs : stats) rates.push_back(gs.selection_rate);
-  report.min_ratio = MinRatio(rates);
-  report.groups = std::move(stats);
-  if (!report.satisfied) {
-    report.detail = "groups with more rejections than acceptances: " + failing;
-  }
-  return report;
-}
-
-Result<MetricReport> DisparateImpactRatio(const MetricInput& input,
-                                          double threshold) {
-  FAIRLAW_ASSIGN_OR_RETURN(GroupPartition partition,
-                           PartitionInput(input, /*require_labels=*/false));
-  return DisparateImpactRatio(partition, threshold);
-}
-
-Result<MetricReport> DisparateImpactRatio(const GroupPartition& partition,
-                                          double threshold) {
-  if (threshold <= 0.0 || threshold > 1.0) {
-    return Status::Invalid("disparate_impact: threshold must lie in (0,1]");
-  }
-  FAIRLAW_ASSIGN_OR_RETURN(
-      std::vector<GroupStats> stats,
-      ComputeGroupStats(partition, /*with_labels=*/false));
-  return DisparateImpactRatioFromStats(std::move(stats), threshold);
-}
-
-Result<MetricReport> DisparateImpactRatioFromStats(
-    std::vector<GroupStats> stats, double threshold) {
-  if (threshold <= 0.0 || threshold > 1.0) {
-    return Status::Invalid("disparate_impact: threshold must lie in (0,1]");
-  }
-  FAIRLAW_RETURN_NOT_OK(CheckMultipleGroups(stats));
-  std::vector<double> rates;
-  rates.reserve(stats.size());
-  for (const GroupStats& gs : stats) rates.push_back(gs.selection_rate);
-  if (*std::max_element(rates.begin(), rates.end()) <= 0.0) {
-    // 0/0 is undefined; a silent ratio of 1.0 would report a clean screen
-    // for a selection process that admitted nobody.
-    return Status::FailedPrecondition(
-        "disparate_impact_ratio: no group has a positive selection rate; "
-        "the ratio is undefined");
-  }
-  MetricReport report;
-  report.metric_name = "disparate_impact_ratio";
-  report.groups = std::move(stats);
-  report.max_gap = MaxGap(rates);
-  report.min_ratio = MinRatio(rates);
-  report.tolerance = threshold;
-  report.satisfied = report.min_ratio >= threshold;
-  report.detail = "selection-rate ratio " + FormatDouble(report.min_ratio, 4) +
-                  (report.satisfied ? " passes" : " fails") + " the " +
-                  FormatDouble(threshold, 2) + " threshold";
-  return report;
-}
-
-Result<MetricReport> PredictiveParity(const MetricInput& input,
-                                      double tolerance) {
-  FAIRLAW_ASSIGN_OR_RETURN(GroupPartition partition,
-                           PartitionInput(input, /*require_labels=*/true));
-  return PredictiveParity(partition, tolerance);
-}
-
-Result<MetricReport> PredictiveParity(const GroupPartition& partition,
-                                      double tolerance) {
-  FAIRLAW_RETURN_NOT_OK(CheckTolerance(tolerance));
-  FAIRLAW_ASSIGN_OR_RETURN(std::vector<GroupStats> stats,
-                           ComputeGroupStats(partition, /*with_labels=*/true));
-  return PredictiveParityFromStats(std::move(stats), tolerance);
-}
-
-Result<MetricReport> PredictiveParityFromStats(std::vector<GroupStats> stats,
-                                               double tolerance) {
-  FAIRLAW_RETURN_NOT_OK(CheckTolerance(tolerance));
-  FAIRLAW_RETURN_NOT_OK(CheckMultipleGroups(stats));
-  for (const GroupStats& gs : stats) {
-    if (gs.positive_predictions == 0) {
-      return Status::Invalid("predictive_parity: group '" + gs.group +
-                             "' has no positive predictions; PPV undefined");
-    }
-  }
-  std::vector<double> rates;
-  for (const GroupStats& gs : stats) rates.push_back(gs.ppv);
-  MetricReport report;
-  report.metric_name = "predictive_parity";
-  report.groups = std::move(stats);
-  report.max_gap = MaxGap(rates);
-  report.min_ratio = MinRatio(rates);
-  report.tolerance = tolerance;
-  report.satisfied = report.max_gap <= tolerance;
-  return report;
-}
-
-Result<MetricReport> AccuracyEquality(const MetricInput& input,
-                                      double tolerance) {
-  FAIRLAW_ASSIGN_OR_RETURN(GroupPartition partition,
-                           PartitionInput(input, /*require_labels=*/true));
-  return AccuracyEquality(partition, tolerance);
-}
-
-Result<MetricReport> AccuracyEquality(const GroupPartition& partition,
-                                      double tolerance) {
-  FAIRLAW_RETURN_NOT_OK(CheckTolerance(tolerance));
-  FAIRLAW_ASSIGN_OR_RETURN(std::vector<GroupStats> stats,
-                           ComputeGroupStats(partition, /*with_labels=*/true));
-  return AccuracyEqualityFromStats(std::move(stats), tolerance);
-}
-
-Result<MetricReport> AccuracyEqualityFromStats(std::vector<GroupStats> stats,
-                                               double tolerance) {
-  FAIRLAW_RETURN_NOT_OK(CheckTolerance(tolerance));
-  FAIRLAW_RETURN_NOT_OK(CheckMultipleGroups(stats));
-  std::vector<double> rates;
-  for (const GroupStats& gs : stats) {
-    // accuracy = (TP + TN) / n, with TN = actual_negatives - FP.
-    double correct = static_cast<double>(
-        gs.true_positives + (gs.actual_negatives - gs.false_positives));
-    rates.push_back(gs.count > 0 ? correct / static_cast<double>(gs.count)
-                                 : 0.0);
-  }
-  MetricReport report;
-  report.metric_name = "accuracy_equality";
-  report.groups = std::move(stats);
-  report.max_gap = MaxGap(rates);
-  report.min_ratio = MinRatio(rates);
-  report.tolerance = tolerance;
-  report.satisfied = report.max_gap <= tolerance;
-  return report;
+      ComputeGroupStats(input,
+                        kTable[static_cast<size_t>(id)].requires_labels));
+  return Evaluate(id, std::move(stats), parameter);
 }
 
 }  // namespace fairlaw::metrics

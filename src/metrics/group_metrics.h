@@ -1,91 +1,112 @@
 #ifndef FAIRLAW_METRICS_GROUP_METRICS_H_
 #define FAIRLAW_METRICS_GROUP_METRICS_H_
 
+#include <span>
+#include <string_view>
+#include <vector>
+
 #include "metrics/fairness_metric.h"
 
 namespace fairlaw::metrics {
 
 // The group fairness definitions of §III of the paper, plus the standard
-// companions used by US disparate-impact practice. All of them take a
-// gap `tolerance`: the report is satisfied when the largest pairwise gap
-// of the constrained rate is <= tolerance (the paper's equalities, made
-// testable on finite samples).
-//
-// Every metric has three forms: the MetricInput overload (convenient,
-// builds a partition internally), a GroupPartition overload that runs
-// on a prebuilt bitmap partition, and a FromStats core that evaluates
-// the definition on already-computed per-group statistics. An audit
-// evaluating several metrics over the same rows builds one
-// GroupPartition and passes it to each, so the strings are grouped once
-// per run instead of once per metric; the chunked audit engine derives
-// one std::vector<GroupStats> from chunk-merged integer tallies
-// (GroupStatsFromCounts) and feeds the FromStats cores. All forms
-// produce identical reports — the first two route through the third.
+// companions used by US disparate-impact practice, as one table. Each
+// row says which per-group rate the definition constrains, how the
+// verdict is reached, and what every group must have for that rate to be
+// defined. One evaluator runs any row over per-group statistics; the
+// audit engine feeds it chunk-merged tallies (GroupStatsFromCounts), and
+// the MetricInput adapter feeds it the statistics of a row-wise input.
 
-/// §III-A Demographic parity: P(R=+ | A=a) equal across groups
-/// (equal-outcome family). Labels not required.
-FAIRLAW_NODISCARD Result<MetricReport> DemographicParity(const MetricInput& input,
-                                       double tolerance = 0.0);
-FAIRLAW_NODISCARD Result<MetricReport> DemographicParity(const GroupPartition& partition,
-                                       double tolerance = 0.0);
-FAIRLAW_NODISCARD Result<MetricReport> DemographicParityFromStats(
-    std::vector<GroupStats> stats, double tolerance = 0.0);
+/// The seven group metrics, in table (and audit report) order.
+enum class MetricId {
+  kDemographicParity,
+  kDemographicDisparity,
+  kDisparateImpactRatio,
+  kEqualOpportunity,
+  kEqualizedOdds,
+  kPredictiveParity,
+  kAccuracyEquality,
+};
 
-/// §III-C Equal opportunity: P(R=+ | Y=+, A=a) equal across groups
-/// (equal-treatment family). Requires labels.
-FAIRLAW_NODISCARD Result<MetricReport> EqualOpportunity(const MetricInput& input,
-                                      double tolerance = 0.0);
-FAIRLAW_NODISCARD Result<MetricReport> EqualOpportunity(const GroupPartition& partition,
-                                      double tolerance = 0.0);
-FAIRLAW_NODISCARD Result<MetricReport> EqualOpportunityFromStats(
-    std::vector<GroupStats> stats, double tolerance = 0.0);
+/// A per-group rate a definition constrains.
+enum class Rate {
+  kSelection,  // P(R=+ | A=a)
+  kTpr,        // P(R=+ | Y=+, A=a)
+  kFpr,        // P(R=+ | Y=-, A=a)
+  kPpv,        // P(Y=+ | R=+, A=a)
+  kAccuracy,   // P(R=Y | A=a)
+};
 
-/// §III-D Equalized odds: both TPR and FPR equal across groups. The
-/// reported gap is the worse of the two. Requires labels.
-FAIRLAW_NODISCARD Result<MetricReport> EqualizedOdds(const MetricInput& input,
-                                   double tolerance = 0.0);
-FAIRLAW_NODISCARD Result<MetricReport> EqualizedOdds(const GroupPartition& partition,
-                                   double tolerance = 0.0);
-FAIRLAW_NODISCARD Result<MetricReport> EqualizedOddsFromStats(
-    std::vector<GroupStats> stats, double tolerance = 0.0);
+/// How a row turns its rates into a verdict, and what the evaluator's
+/// `parameter` means for it.
+enum class VerdictRule {
+  /// Satisfied when the largest pairwise gap of every constrained rate
+  /// is <= parameter, a gap tolerance >= 0 (the paper's equalities, made
+  /// testable on finite samples).
+  kGapWithinTolerance,
+  /// Satisfied when the smallest pairwise rate ratio is >= parameter, a
+  /// threshold in (0,1] (0.8 for the EEOC four-fifths rule).
+  kRatioAtLeastThreshold,
+  /// Satisfied when every group's rate exceeds 1/2; max_gap carries the
+  /// largest shortfall below 1/2. The parameter is ignored.
+  kEveryRateAboveHalf,
+};
 
-/// §III-E Demographic disparity: for every group a,
-/// P(R=+ | A=a) > P(R=- | A=a), i.e. the selection rate exceeds 1/2.
-/// The report is satisfied when every group passes; max_gap carries the
-/// largest shortfall below 1/2 (0 when satisfied). Labels not required.
-FAIRLAW_NODISCARD Result<MetricReport> DemographicDisparity(const MetricInput& input);
-FAIRLAW_NODISCARD Result<MetricReport> DemographicDisparity(const GroupPartition& partition);
-FAIRLAW_NODISCARD Result<MetricReport> DemographicDisparityFromStats(
-    std::vector<GroupStats> stats);
+/// What the groups must satisfy before the constrained rate is defined.
+struct GroupPrecondition {
+  /// Null when the rate is defined for any group.
+  bool (*holds)(const GroupStats& group) = nullptr;
+  /// True: every group must satisfy `holds`, and the error names the
+  /// first group that does not. False: at least one group must.
+  bool every_group = true;
+  /// Error text after "<name>: group '<group>' " (every_group) or after
+  /// "<name>: " (otherwise).
+  std::string_view error;
+};
 
-/// Disparate-impact ratio: min over groups of selection rate divided by
-/// the highest group selection rate. `threshold` is the legal cut-off
-/// (0.8 for the EEOC four-fifths rule); satisfied when the ratio >=
-/// threshold. Labels not required.
-FAIRLAW_NODISCARD Result<MetricReport> DisparateImpactRatio(const MetricInput& input,
-                                          double threshold = 0.8);
-FAIRLAW_NODISCARD Result<MetricReport> DisparateImpactRatio(const GroupPartition& partition,
-                                          double threshold = 0.8);
-FAIRLAW_NODISCARD Result<MetricReport> DisparateImpactRatioFromStats(
-    std::vector<GroupStats> stats, double threshold = 0.8);
+/// One row of the metric table.
+struct MetricSpec {
+  MetricId id;
+  std::string_view name;           // canonical report name
+  std::string_view paper_section;  // §III anchor, e.g. "III-A"
+  bool requires_labels = false;
+  std::span<const Rate> rates;     // the rate or rates constrained
+  VerdictRule rule = VerdictRule::kGapWithinTolerance;
+  GroupPrecondition precondition;
+  /// Name of the same definition applied within every stratum of a
+  /// legitimate factor (conditional_metrics.h); empty when the row has
+  /// no conditional form.
+  std::string_view conditional_name;
 
-/// Predictive parity: P(Y=+ | R=+, A=a) (precision / PPV) equal across
-/// groups. Requires labels.
-FAIRLAW_NODISCARD Result<MetricReport> PredictiveParity(const MetricInput& input,
-                                      double tolerance = 0.0);
-FAIRLAW_NODISCARD Result<MetricReport> PredictiveParity(const GroupPartition& partition,
-                                      double tolerance = 0.0);
-FAIRLAW_NODISCARD Result<MetricReport> PredictiveParityFromStats(
-    std::vector<GroupStats> stats, double tolerance = 0.0);
+  /// Gap and ratio rules compare groups, so they need at least two.
+  bool compares_groups() const {
+    return rule != VerdictRule::kEveryRateAboveHalf;
+  }
+};
 
-/// Overall accuracy equality: P(R=Y | A=a) equal across groups. Requires
-/// labels.
-FAIRLAW_NODISCARD Result<MetricReport> AccuracyEquality(const MetricInput& input,
-                                      double tolerance = 0.0);
-FAIRLAW_NODISCARD Result<MetricReport> AccuracyEquality(const GroupPartition& partition,
-                                      double tolerance = 0.0);
-FAIRLAW_NODISCARD Result<MetricReport> AccuracyEqualityFromStats(
-    std::vector<GroupStats> stats, double tolerance = 0.0);
+/// The seven rows, indexed by MetricId:
+///   demographic_parity      §III-A  selection rate, gap
+///   demographic_disparity   §III-E  selection rate > 1/2 in every group
+///   disparate_impact_ratio  §IV-A   selection rate, ratio
+///   equal_opportunity       §III-C  TPR, gap (labels)
+///   equalized_odds          §III-D  TPR and FPR, gap (labels)
+///   predictive_parity       §III    PPV, gap (labels)
+///   accuracy_equality       §III    accuracy, gap (labels)
+std::span<const MetricSpec> MetricTable();
+
+/// Evaluates metric `id` on per-group statistics (groups in report
+/// order). `parameter` is the gap tolerance or the ratio threshold, per
+/// the row's VerdictRule. A row that requires labels refuses statistics
+/// computed without them.
+FAIRLAW_NODISCARD Result<MetricReport> Evaluate(MetricId id,
+                                                std::vector<GroupStats> stats,
+                                                double parameter);
+
+/// Row-wise adapter: validates `input` (demanding labels when the row
+/// requires them), computes its group statistics and evaluates them.
+FAIRLAW_NODISCARD Result<MetricReport> Evaluate(MetricId id,
+                                                const MetricInput& input,
+                                                double parameter);
 
 }  // namespace fairlaw::metrics
 

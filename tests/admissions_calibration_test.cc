@@ -1,8 +1,9 @@
-// Admissions scenario + calibration-within-groups wired into RunAudit.
+// Admissions scenario + calibration-within-groups wired into Auditor::Run.
 #include <gtest/gtest.h>
 
 #include "audit/auditor.h"
 #include "audit/proxy.h"
+#include "audit/source.h"
 #include "causal/graph_analysis.h"
 #include "simulation/scenarios.h"
 
@@ -25,13 +26,15 @@ TEST(AdmissionsScenarioTest, StructuralChannelsPresent) {
   config.protected_column = "first_gen";
   config.prediction_column = "admitted";
   audit::AuditResult result =
-      audit::RunAudit(scenario.table, config).ValueOrDie();
+      audit::Auditor::Run(audit::AuditSource::FromTable(scenario.table), config)
+          .ValueOrDie();
   EXPECT_GT(result.Find("demographic_parity").ValueOrDie()->max_gap, 0.1);
 
   // ...while merit is blind to first-gen status.
   config.prediction_column = "merit";
   audit::AuditResult merit =
-      audit::RunAudit(scenario.table, config).ValueOrDie();
+      audit::Auditor::Run(audit::AuditSource::FromTable(scenario.table), config)
+          .ValueOrDie();
   EXPECT_LT(merit.Find("demographic_parity").ValueOrDie()->max_gap, 0.05);
 
   // test_score and legacy are structural descendants of first_gen; gpa
@@ -109,7 +112,9 @@ TEST(CalibrationInAuditTest, MiscalibratedGroupFlagsTheAudit) {
   config.label_column = "label";
   config.score_column = "score";
   config.calibration_tolerance = 0.05;
-  audit::AuditResult result = audit::RunAudit(table, config).ValueOrDie();
+  audit::AuditResult result =
+      audit::Auditor::Run(audit::AuditSource::FromTable(table), config)
+          .ValueOrDie();
   ASSERT_TRUE(result.calibration.has_value());
   EXPECT_FALSE(result.calibration->satisfied);
   EXPECT_GT(result.calibration->max_ece, 0.08);
@@ -132,7 +137,9 @@ TEST(CalibrationInAuditTest, WellCalibratedPasses) {
   config.label_column = "label";
   config.score_column = "score";
   config.calibration_tolerance = 0.06;
-  audit::AuditResult result = audit::RunAudit(table, config).ValueOrDie();
+  audit::AuditResult result =
+      audit::Auditor::Run(audit::AuditSource::FromTable(table), config)
+          .ValueOrDie();
   ASSERT_TRUE(result.calibration.has_value());
   EXPECT_TRUE(result.calibration->satisfied);
 }
@@ -143,7 +150,8 @@ TEST(CalibrationInAuditTest, ScoreColumnRequiresLabels) {
   config.protected_column = "g";
   config.prediction_column = "pred";
   config.score_column = "score";  // no label column
-  EXPECT_FALSE(audit::RunAudit(table, config).ok());
+  EXPECT_FALSE(
+      audit::Auditor::Run(audit::AuditSource::FromTable(table), config).ok());
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <string>
 
 #include "audit/auditor.h"
+#include "audit/source.h"
 #include "data/csv.h"
 #include "data/table.h"
 
@@ -42,19 +43,23 @@ AuditConfig MakeConfig(size_t num_threads) {
 TEST(AuditorParallelTest, RenderIsByteIdenticalAcrossThreadCounts) {
   const data::Table table = MakeTable();
   const std::string serial =
-      RunAudit(table, MakeConfig(1)).ValueOrDie().Render();
+      Auditor::Run(AuditSource::FromTable(table), MakeConfig(1))
+          .ValueOrDie().Render();
   EXPECT_FALSE(serial.empty());
   for (const size_t threads : {2u, 8u, 0u}) {
     const std::string parallel =
-        RunAudit(table, MakeConfig(threads)).ValueOrDie().Render();
+        Auditor::Run(AuditSource::FromTable(table), MakeConfig(threads))
+            .ValueOrDie().Render();
     EXPECT_EQ(parallel, serial) << "threads=" << threads;
   }
 }
 
 TEST(AuditorParallelTest, ReportOrderMatchesSerialRun) {
   const data::Table table = MakeTable();
-  const AuditResult serial = RunAudit(table, MakeConfig(1)).ValueOrDie();
-  const AuditResult parallel = RunAudit(table, MakeConfig(8)).ValueOrDie();
+  const AuditResult serial =
+      Auditor::Run(AuditSource::FromTable(table), MakeConfig(1)).ValueOrDie();
+  const AuditResult parallel =
+      Auditor::Run(AuditSource::FromTable(table), MakeConfig(8)).ValueOrDie();
   ASSERT_EQ(parallel.reports.size(), serial.reports.size());
   for (size_t i = 0; i < serial.reports.size(); ++i) {
     EXPECT_EQ(parallel.reports[i].metric_name, serial.reports[i].metric_name)
@@ -78,9 +83,9 @@ TEST(AuditorParallelTest, ErrorsMatchSerialRun) {
   config.prediction_column = "pred";
 
   config.num_threads = 1;
-  const auto serial = RunAudit(table, config);
+  const auto serial = Auditor::Run(AuditSource::FromTable(table), config);
   config.num_threads = 8;
-  const auto parallel = RunAudit(table, config);
+  const auto parallel = Auditor::Run(AuditSource::FromTable(table), config);
   ASSERT_EQ(serial.ok(), parallel.ok());
   if (!serial.ok()) {
     EXPECT_EQ(parallel.status().ToString(), serial.status().ToString());
@@ -89,7 +94,7 @@ TEST(AuditorParallelTest, ErrorsMatchSerialRun) {
 
 TEST(AuditorParallelTest, ThreadCountZeroUsesHardwareConcurrency) {
   const data::Table table = MakeTable();
-  EXPECT_TRUE(RunAudit(table, MakeConfig(0)).ok());
+  EXPECT_TRUE(Auditor::Run(AuditSource::FromTable(table), MakeConfig(0)).ok());
 }
 
 }  // namespace

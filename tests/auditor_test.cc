@@ -3,6 +3,7 @@
 #include <string_view>
 
 #include "audit/auditor.h"
+#include "audit/source.h"
 #include "data/csv.h"
 
 namespace fairlaw::audit {
@@ -62,7 +63,8 @@ TEST(RunAuditTest, FullSuiteOnBiasedData) {
   config.label_column = "label";
   config.strata_columns = {"dept"};
   config.tolerance = 0.05;
-  AuditResult result = RunAudit(table, config).ValueOrDie();
+  AuditResult result =
+      Auditor::Run(AuditSource::FromTable(table), config).ValueOrDie();
   EXPECT_FALSE(result.all_satisfied);
   // All seven group metrics plus two conditional reports.
   EXPECT_EQ(result.reports.size(), 7u);
@@ -83,7 +85,8 @@ TEST(RunAuditTest, LabelMetricsSkippedWithoutLabels) {
   AuditConfig config;
   config.protected_column = "gender";
   config.prediction_column = "pred";
-  AuditResult result = RunAudit(table, config).ValueOrDie();
+  AuditResult result =
+      Auditor::Run(AuditSource::FromTable(table), config).ValueOrDie();
   EXPECT_EQ(result.reports.size(), 3u);  // DP, DD, DI only
   EXPECT_TRUE(result.conditional_reports.empty());
 }
@@ -96,7 +99,8 @@ TEST(RunAuditTest, FairDataPasses) {
   AuditConfig config;
   config.protected_column = "g";
   config.prediction_column = "pred";
-  AuditResult result = RunAudit(table, config).ValueOrDie();
+  AuditResult result =
+      Auditor::Run(AuditSource::FromTable(table), config).ValueOrDie();
   // DP/DI pass; demographic disparity fails at exactly 0.5 selection
   // (strict inequality) so the overall verdict reflects that nuance.
   EXPECT_TRUE(result.Find("demographic_parity").ValueOrDie()->satisfied);
@@ -110,7 +114,8 @@ TEST(RunAuditTest, RenderContainsAllMetrics) {
   config.protected_column = "gender";
   config.prediction_column = "pred";
   config.label_column = "label";
-  AuditResult result = RunAudit(table, config).ValueOrDie();
+  AuditResult result =
+      Auditor::Run(AuditSource::FromTable(table), config).ValueOrDie();
   std::string text = result.Render();
   EXPECT_NE(text.find("demographic_parity"), std::string::npos);
   EXPECT_NE(text.find("equalized_odds"), std::string::npos);
@@ -123,7 +128,7 @@ TEST(RunAuditTest, NullsInProtectedColumnRejected) {
   AuditConfig config;
   config.protected_column = "g";
   config.prediction_column = "pred";
-  EXPECT_FALSE(RunAudit(table, config).ok());
+  EXPECT_FALSE(Auditor::Run(AuditSource::FromTable(table), config).ok());
 }
 
 TEST(MetricInputMultiTest, CombinesProtectedColumns) {
@@ -209,7 +214,7 @@ TEST(AuditConfigTest, RunAuditRejectsInvalidConfig) {
   config.protected_column = "gender";
   config.prediction_column = "pred";
   config.tolerance = 2.0;
-  EXPECT_FALSE(RunAudit(table, config).ok());
+  EXPECT_FALSE(Auditor::Run(AuditSource::FromTable(table), config).ok());
 }
 
 // Score table with a deliberate per-group score shift: male scores
@@ -247,7 +252,8 @@ TEST(ScoreDistributionTest, DriftDetectedAndReported) {
   data::Table table = ScoredTable(/*shifted=*/true);
   AuditConfig config = ScoreDistConfig();
   config.score_distribution_tolerance = 0.1;
-  AuditResult result = RunAudit(table, config).ValueOrDie();
+  AuditResult result =
+      Auditor::Run(AuditSource::FromTable(table), config).ValueOrDie();
   ASSERT_TRUE(result.score_distribution.has_value());
   const ScoreDistributionReport& report = *result.score_distribution;
   ASSERT_EQ(report.groups.size(), 2u);
@@ -268,7 +274,8 @@ TEST(ScoreDistributionTest, MatchedDistributionsSatisfied) {
   data::Table table = ScoredTable(/*shifted=*/false);
   AuditConfig config = ScoreDistConfig();
   config.score_distribution_tolerance = 0.05;
-  AuditResult result = RunAudit(table, config).ValueOrDie();
+  AuditResult result =
+      Auditor::Run(AuditSource::FromTable(table), config).ValueOrDie();
   ASSERT_TRUE(result.score_distribution.has_value());
   EXPECT_TRUE(result.score_distribution->satisfied);
   EXPECT_NEAR(result.score_distribution->max_ks, 0.0, 1e-12);
@@ -280,8 +287,10 @@ TEST(ScoreDistributionTest, BinnedPathAgreesWithExact) {
   AuditConfig exact_config = ScoreDistConfig();
   AuditConfig binned_config = ScoreDistConfig();
   binned_config.score_distribution_bins = 128;
-  const AuditResult exact = RunAudit(table, exact_config).ValueOrDie();
-  const AuditResult binned = RunAudit(table, binned_config).ValueOrDie();
+  const AuditResult exact =
+      Auditor::Run(AuditSource::FromTable(table), exact_config).ValueOrDie();
+  const AuditResult binned =
+      Auditor::Run(AuditSource::FromTable(table), binned_config).ValueOrDie();
   ASSERT_TRUE(exact.score_distribution.has_value());
   ASSERT_TRUE(binned.score_distribution.has_value());
   EXPECT_NEAR(binned.score_distribution->max_ks,
@@ -293,9 +302,11 @@ TEST(ScoreDistributionTest, BinnedPathAgreesWithExact) {
 TEST(ScoreDistributionTest, ThreadCountDoesNotChangeReport) {
   data::Table table = ScoredTable(/*shifted=*/true);
   AuditConfig config = ScoreDistConfig();
-  AuditResult serial = RunAudit(table, config).ValueOrDie();
+  AuditResult serial =
+      Auditor::Run(AuditSource::FromTable(table), config).ValueOrDie();
   config.num_threads = 4;
-  AuditResult parallel = RunAudit(table, config).ValueOrDie();
+  AuditResult parallel =
+      Auditor::Run(AuditSource::FromTable(table), config).ValueOrDie();
   EXPECT_EQ(serial.Render(), parallel.Render());
 }
 
@@ -303,7 +314,8 @@ TEST(ScoreDistributionTest, OffByDefaultAndValidated) {
   data::Table table = ScoredTable(/*shifted=*/true);
   AuditConfig config = ScoreDistConfig();
   config.audit_score_distribution = false;
-  AuditResult result = RunAudit(table, config).ValueOrDie();
+  AuditResult result =
+      Auditor::Run(AuditSource::FromTable(table), config).ValueOrDie();
   EXPECT_FALSE(result.score_distribution.has_value());
 
   // The drift audit needs a score column.
@@ -324,7 +336,8 @@ TEST(AuditResultFindTest, AcceptsStringView) {
   AuditConfig config;
   config.protected_column = "gender";
   config.prediction_column = "pred";
-  AuditResult result = RunAudit(table, config).ValueOrDie();
+  AuditResult result =
+      Auditor::Run(AuditSource::FromTable(table), config).ValueOrDie();
   const std::string_view name = "demographic_parity";
   EXPECT_TRUE(result.Find(name).ok());
   EXPECT_FALSE(result.Find("no_such_metric").ok());

@@ -1,12 +1,10 @@
 #include <gtest/gtest.h>
 
-#include "ml/calibration.h"
+#include "stats/calibration.h"
 #include "stats/rng.h"
 
-namespace fairlaw::ml {
+namespace fairlaw::stats {
 namespace {
-
-using fairlaw::stats::Rng;
 
 TEST(ReliabilityDiagramTest, BinsCoverUnitInterval) {
   std::vector<int> labels = {0, 1, 0, 1};
@@ -77,4 +75,4 @@ TEST(CalibrationTest, Validation) {
 }
 
 }  // namespace
-}  // namespace fairlaw::ml
+}  // namespace fairlaw::stats

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "audit/auditor.h"
+#include "audit/source.h"
 #include "data/csv.h"
 #include "legal/checklist.h"
 #include "legal/report.h"
@@ -140,7 +141,9 @@ TEST(ComplianceReportTest, FullRender) {
   inputs.jurisdiction = Jurisdiction::kUs;
   inputs.protected_attribute = "sex";
   inputs.sector = "employment";
-  inputs.audit = audit::RunAudit(table, config).ValueOrDie().ToLegalFindings();
+  inputs.audit =
+      audit::Auditor::Run(audit::AuditSource::FromTable(table), config)
+          .ValueOrDie().ToLegalFindings();
   inputs.four_fifths =
       FourFifthsTest(audit::MetricInputFromTable(table, "sex", "pred", "")
                          .ValueOrDie())

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "audit/auditor.h"
+#include "audit/source.h"
 #include "base/string_util.h"
 #include "audit/subgroup.h"
 #include "data/bitmap.h"
@@ -247,14 +248,17 @@ TEST(ChunkedAuditTest, ByteIdenticalAcrossChunkSizesAndThreads) {
   Table table = data::ReadCsvString(MakeAuditCsv(300, 23)).ValueOrDie();
   const AuditConfig reference_config = FullAuditConfig();
   const std::string reference =
-      audit::RunAudit(table, reference_config).ValueOrDie().Render();
+      audit::Auditor::Run(audit::AuditSource::FromTable(table),
+                          reference_config)
+          .ValueOrDie().Render();
   for (size_t chunk_rows : {size_t{1}, size_t{7}, size_t{64}, size_t{1000}}) {
     for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
       AuditConfig config = FullAuditConfig();
       config.chunk_rows = chunk_rows;
       config.num_threads = threads;
       const std::string render =
-          audit::RunAudit(table, config).ValueOrDie().Render();
+          audit::Auditor::Run(audit::AuditSource::FromTable(table), config)
+              .ValueOrDie().Render();
       EXPECT_EQ(render, reference)
           << "chunk_rows=" << chunk_rows << " threads=" << threads;
     }
@@ -270,14 +274,17 @@ TEST(ChunkedAuditTest, StreamingCsvMatchesInMemoryAudit) {
   }
   Table table = data::ReadCsvFile(path).ValueOrDie();
   const std::string reference =
-      audit::RunAudit(table, FullAuditConfig()).ValueOrDie().Render();
+      audit::Auditor::Run(audit::AuditSource::FromTable(table),
+                          FullAuditConfig())
+          .ValueOrDie().Render();
   for (size_t chunk_rows : {size_t{9}, size_t{64}, size_t{100000}}) {
     for (size_t threads : {size_t{1}, size_t{3}}) {
       AuditConfig config = FullAuditConfig();
       config.chunk_rows = chunk_rows;
       config.num_threads = threads;
       const std::string streamed =
-          audit::RunAuditCsv(path, config).ValueOrDie().Render();
+          audit::Auditor::Run(audit::AuditSource::FromCsv(path), config)
+              .ValueOrDie().Render();
       EXPECT_EQ(streamed, reference)
           << "chunk_rows=" << chunk_rows << " threads=" << threads;
     }
@@ -297,22 +304,28 @@ TEST(ChunkedAuditTest, ErrorsMatchContiguousPathForEveryChunkSize) {
   config.protected_column = "g";
   config.prediction_column = "p";
   const std::string reference =
-      audit::RunAudit(table, config).status().message();
+      audit::Auditor::Run(audit::AuditSource::FromTable(table), config)
+          .status().message();
   ASSERT_FALSE(reference.empty());
   for (size_t chunk_rows : {size_t{3}, size_t{8}, size_t{21}}) {
     AuditConfig chunked = config;
     chunked.chunk_rows = chunk_rows;
-    EXPECT_EQ(audit::RunAudit(table, chunked).status().message(), reference)
+    EXPECT_EQ(
+        audit::Auditor::Run(audit::AuditSource::FromTable(table), chunked)
+            .status().message(), reference)
         << "chunk_rows=" << chunk_rows;
   }
   // Empty input: the zero-chunk path reports the same error as the
   // contiguous extractor.
   Table empty = data::ReadCsvString("g,p\n").ValueOrDie();
   const std::string empty_reference =
-      audit::RunAudit(empty, config).status().message();
+      audit::Auditor::Run(audit::AuditSource::FromTable(empty), config)
+          .status().message();
   AuditConfig chunked = config;
   chunked.chunk_rows = 4;
-  EXPECT_EQ(audit::RunAudit(empty, chunked).status().message(),
+  EXPECT_EQ(
+      audit::Auditor::Run(audit::AuditSource::FromTable(empty), chunked)
+          .status().message(),
             empty_reference);
 }
 

@@ -60,7 +60,8 @@ CspExample MakeCspExample(int young_females_hired) {
 TEST(PaperExampleB, ThreeYoungFemalesHiredIsFair) {
   CspExample example = MakeCspExample(3);
   ConditionalReport report =
-      ConditionalStatisticalParity(example.input, example.strata)
+      EvaluateConditional(MetricId::kDemographicParity, example.input,
+                          example.strata, 0.0, 1)
           .ValueOrDie();
   EXPECT_TRUE(report.satisfied);
   EXPECT_NEAR(report.max_gap, 0.0, 1e-12);
@@ -70,7 +71,8 @@ TEST(PaperExampleB, ThreeYoungFemalesHiredIsFair) {
 TEST(PaperExampleB, FewerYoungFemalesHiredIsUnfair) {
   CspExample example = MakeCspExample(1);
   ConditionalReport report =
-      ConditionalStatisticalParity(example.input, example.strata)
+      EvaluateConditional(MetricId::kDemographicParity, example.input,
+                          example.strata, 0.0, 1)
           .ValueOrDie();
   EXPECT_FALSE(report.satisfied);
   // Young stratum gap: 0.5 - 1/6.
@@ -103,10 +105,12 @@ TEST(PaperExampleB, MarginalParityCanHideStratumDisparity) {
   AddRows(&input, &strata, "female", "s2", 1, 4);
   AddRows(&input, &strata, "female", "s2", 0, 6);
 
-  MetricReport marginal = DemographicParity(input).ValueOrDie();
+  MetricReport marginal =
+      Evaluate(MetricId::kDemographicParity, input, 0.0).ValueOrDie();
   EXPECT_TRUE(marginal.satisfied);  // marginals hide it
   ConditionalReport conditional =
-      ConditionalStatisticalParity(input, strata).ValueOrDie();
+      EvaluateConditional(MetricId::kDemographicParity, input, strata, 0.0, 1)
+          .ValueOrDie();
   EXPECT_FALSE(conditional.satisfied);
   EXPECT_NEAR(conditional.max_gap, 0.2, 1e-12);
 }
@@ -124,10 +128,13 @@ TEST(PaperExampleF, PerJobVerdictsMatchPaper) {
   AddRows(&input, &strata, "female", "job5", 0, 60);
 
   // Plain demographic disparity: 40 hires vs 60 rejections -> unfair.
-  EXPECT_FALSE(DemographicDisparity(input).ValueOrDie().satisfied);
+  EXPECT_FALSE(Evaluate(MetricId::kDemographicDisparity, input, 0.0)
+                   .ValueOrDie().satisfied);
 
   ConditionalReport report =
-      ConditionalDemographicDisparity(input, strata).ValueOrDie();
+      EvaluateConditional(MetricId::kDemographicDisparity, input, strata, 0.0,
+                          /*min_stratum_size=*/1)
+          .ValueOrDie();
   EXPECT_FALSE(report.satisfied);  // job5 still fails
   ASSERT_EQ(report.strata.size(), 5u);
   for (const StratumReport& sr : report.strata) {
@@ -150,8 +157,8 @@ TEST(ConditionalMetricsTest, SmallStrataAreSkippedNotFailed) {
   AddRows(&input, &strata, "male", "tiny", 1, 2);
   AddRows(&input, &strata, "female", "tiny", 0, 2);
   ConditionalReport report =
-      ConditionalStatisticalParity(input, strata, 0.0,
-                                   /*min_stratum_size=*/10)
+      EvaluateConditional(MetricId::kDemographicParity, input, strata, 0.0,
+                          /*min_stratum_size=*/10)
           .ValueOrDie();
   EXPECT_TRUE(report.satisfied);
   EXPECT_EQ(report.strata.size(), 1u);
@@ -163,8 +170,8 @@ TEST(ConditionalMetricsTest, AllStrataSkippedIsAnError) {
   std::vector<std::string> strata;
   AddRows(&input, &strata, "male", "s", 1, 2);
   AddRows(&input, &strata, "female", "s", 1, 2);
-  EXPECT_FALSE(ConditionalStatisticalParity(input, strata, 0.0,
-                                            /*min_stratum_size=*/100)
+  EXPECT_FALSE(EvaluateConditional(MetricId::kDemographicParity, input, strata,
+                                   0.0, /*min_stratum_size=*/100)
                    .ok());
 }
 
@@ -173,14 +180,19 @@ TEST(ConditionalMetricsTest, StrataLengthMismatchRejected) {
   std::vector<std::string> strata;
   AddRows(&input, &strata, "male", "s", 1, 4);
   strata.pop_back();
-  EXPECT_FALSE(ConditionalStatisticalParity(input, strata).ok());
-  EXPECT_FALSE(ConditionalDemographicDisparity(input, strata).ok());
+  EXPECT_FALSE(EvaluateConditional(MetricId::kDemographicParity, input, strata,
+                                   0.0, 1)
+                   .ok());
+  EXPECT_FALSE(EvaluateConditional(MetricId::kDemographicDisparity, input,
+                                   strata, 0.0, 1)
+                   .ok());
 }
 
 TEST(ConditionalMetricsTest, RenderMentionsStrata) {
   CspExample example = MakeCspExample(1);
   ConditionalReport report =
-      ConditionalStatisticalParity(example.input, example.strata)
+      EvaluateConditional(MetricId::kDemographicParity, example.input,
+                          example.strata, 0.0, 1)
           .ValueOrDie();
   std::string text = RenderConditionalReport(report);
   EXPECT_NE(text.find("young"), std::string::npos);
@@ -202,12 +214,11 @@ Result<ConditionalReport> EvaluateConditionalNamed(
     const std::string& name, const MetricInput& input,
     const std::vector<std::string>& strata, double parameter,
     size_t min_stratum_size) {
-  if (name == "conditional_statistical_parity") {
-    return ConditionalStatisticalParity(input, strata, parameter,
-                                        min_stratum_size);
-  }
-  if (name == "conditional_demographic_disparity") {
-    return ConditionalDemographicDisparity(input, strata, min_stratum_size);
+  for (const MetricSpec& spec : MetricTable()) {
+    if (spec.conditional_name == name) {
+      return EvaluateConditional(spec.id, input, strata, parameter,
+                                 min_stratum_size);
+    }
   }
   return Status::NotFound("no conditional metric named '" + name + "'");
 }

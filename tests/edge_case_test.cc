@@ -59,7 +59,8 @@ TEST(EdgeCaseTest, FourFifthsSingleMemberGroupStaysFinite) {
 
 TEST(EdgeCaseTest, DisparateImpactRejectsAllZeroSelectionRates) {
   Result<metrics::MetricReport> report =
-      metrics::DisparateImpactRatio(TwoGroupInput(0, 15, 0, 5));
+      metrics::Evaluate(metrics::MetricId::kDisparateImpactRatio,
+                        TwoGroupInput(0, 15, 0, 5), 0.8);
   ASSERT_FALSE(report.ok());
   EXPECT_TRUE(report.status().IsFailedPrecondition())
       << report.status().ToString();
@@ -67,8 +68,12 @@ TEST(EdgeCaseTest, DisparateImpactRejectsAllZeroSelectionRates) {
 
 TEST(EdgeCaseTest, MetricsRejectEmptyInput) {
   metrics::MetricInput empty;
-  EXPECT_FALSE(metrics::DemographicParity(empty, 0.1).ok());
-  EXPECT_FALSE(metrics::DisparateImpactRatio(empty).ok());
+  EXPECT_FALSE(
+      metrics::Evaluate(metrics::MetricId::kDemographicParity, empty, 0.1)
+          .ok());
+  EXPECT_FALSE(
+      metrics::Evaluate(metrics::MetricId::kDisparateImpactRatio, empty, 0.8)
+          .ok());
   EXPECT_FALSE(legal::FourFifthsTest(empty).ok());
 }
 
@@ -80,7 +85,7 @@ TEST(EdgeCaseTest, EqualOpportunityRejectsGroupWithoutPositives) {
     input.labels.push_back(input.groups[i] == "a" ? 1 : 0);
   }
   Result<metrics::MetricReport> report =
-      metrics::EqualOpportunity(input, 0.1);
+      metrics::Evaluate(metrics::MetricId::kEqualOpportunity, input, 0.1);
   ASSERT_FALSE(report.ok());
   EXPECT_TRUE(report.status().IsInvalid());
 }
@@ -91,7 +96,7 @@ TEST(EdgeCaseTest, PredictiveParityRejectsGroupWithoutPredictions) {
     input.labels.push_back(static_cast<int>(i % 2));
   }
   Result<metrics::MetricReport> report =
-      metrics::PredictiveParity(input, 0.1);
+      metrics::Evaluate(metrics::MetricId::kPredictiveParity, input, 0.1);
   ASSERT_FALSE(report.ok());
   EXPECT_TRUE(report.status().IsInvalid());
 }
@@ -104,8 +109,9 @@ TEST(EdgeCaseTest, ConditionalParityRejectsWhenNoStratumIsEvaluable) {
     strata.push_back("s" + std::to_string(i));
   }
   Result<metrics::ConditionalReport> report =
-      metrics::ConditionalStatisticalParity(input, strata, 0.1,
-                                            /*min_stratum_size=*/5);
+      metrics::EvaluateConditional(metrics::MetricId::kDemographicParity,
+                                   input, strata, 0.1,
+                                   /*min_stratum_size=*/5);
   ASSERT_FALSE(report.ok());
   EXPECT_TRUE(report.status().IsInvalid());
 }

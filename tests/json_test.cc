@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "base/json_writer.h"
 #include "core/json.h"
 #include "data/csv.h"
 #include "metrics/group_metrics.h"
@@ -58,7 +59,8 @@ TEST(MetricReportJsonTest, RoundTripKeyFields) {
     input.predictions.push_back(i % 5 < 2 ? 1 : 0);  // both groups at 0.4
   }
   metrics::MetricReport report =
-      metrics::DemographicParity(input, 0.1).ValueOrDie();
+      metrics::Evaluate(metrics::MetricId::kDemographicParity, input, 0.1)
+          .ValueOrDie();
   std::string json = MetricReportToJson(report).ValueOrDie();
   EXPECT_NE(json.find("\"metric\":\"demographic_parity\""),
             std::string::npos);

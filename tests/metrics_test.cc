@@ -36,7 +36,9 @@ MetricInput HiringExample(int females_hired) {
 }
 
 TEST(PaperExampleA, FiveFemalesHiredIsFair) {
-  MetricReport report = DemographicParity(HiringExample(5)).ValueOrDie();
+  MetricReport report =
+      Evaluate(MetricId::kDemographicParity, HiringExample(5), 0.0)
+          .ValueOrDie();
   EXPECT_TRUE(report.satisfied);
   EXPECT_DOUBLE_EQ(report.max_gap, 0.0);
   // Both groups at exactly 50%.
@@ -46,13 +48,17 @@ TEST(PaperExampleA, FiveFemalesHiredIsFair) {
 }
 
 TEST(PaperExampleA, FewerThanFiveIsBiasedAgainstFemales) {
-  MetricReport report = DemographicParity(HiringExample(3)).ValueOrDie();
+  MetricReport report =
+      Evaluate(MetricId::kDemographicParity, HiringExample(3), 0.0)
+          .ValueOrDie();
   EXPECT_FALSE(report.satisfied);
   EXPECT_NEAR(report.max_gap, 0.2, 1e-12);  // 0.5 vs 0.3
 }
 
 TEST(PaperExampleA, MoreThanFiveIsBiasedAgainstMales) {
-  MetricReport report = DemographicParity(HiringExample(8)).ValueOrDie();
+  MetricReport report =
+      Evaluate(MetricId::kDemographicParity, HiringExample(8), 0.0)
+          .ValueOrDie();
   EXPECT_FALSE(report.satisfied);
   EXPECT_NEAR(report.max_gap, 0.3, 1e-12);  // 0.8 vs 0.5
 }
@@ -76,7 +82,8 @@ MetricInput EqualOpportunityExample(int good_females_hired) {
 
 TEST(PaperExampleC, ThreeGoodFemalesHiredIsFair) {
   MetricReport report =
-      EqualOpportunity(EqualOpportunityExample(3)).ValueOrDie();
+      Evaluate(MetricId::kEqualOpportunity, EqualOpportunityExample(3), 0.0)
+          .ValueOrDie();
   EXPECT_TRUE(report.satisfied);
   EXPECT_DOUBLE_EQ(report.max_gap, 0.0);
   for (const GroupStats& gs : report.groups) {
@@ -86,7 +93,8 @@ TEST(PaperExampleC, ThreeGoodFemalesHiredIsFair) {
 
 TEST(PaperExampleC, FewerIsBiasedAgainstFemales) {
   MetricReport report =
-      EqualOpportunity(EqualOpportunityExample(1)).ValueOrDie();
+      Evaluate(MetricId::kEqualOpportunity, EqualOpportunityExample(1), 0.0)
+          .ValueOrDie();
   EXPECT_FALSE(report.satisfied);
   // Female TPR 1/6 vs male 1/2.
   EXPECT_NEAR(report.max_gap, 0.5 - 1.0 / 6.0, 1e-12);
@@ -94,7 +102,8 @@ TEST(PaperExampleC, FewerIsBiasedAgainstFemales) {
 
 TEST(PaperExampleC, MoreIsBiasedAgainstMales) {
   MetricReport report =
-      EqualOpportunity(EqualOpportunityExample(6)).ValueOrDie();
+      Evaluate(MetricId::kEqualOpportunity, EqualOpportunityExample(6), 0.0)
+          .ValueOrDie();
   EXPECT_FALSE(report.satisfied);
   EXPECT_NEAR(report.max_gap, 0.5, 1e-12);  // 1.0 vs 0.5
 }
@@ -117,7 +126,8 @@ MetricInput EqualizedOddsExample(int good_females_hired,
 
 TEST(PaperExampleD, PerfectSeparationIsFair) {
   MetricReport report =
-      EqualizedOdds(EqualizedOddsExample(3, 0)).ValueOrDie();
+      Evaluate(MetricId::kEqualizedOdds, EqualizedOddsExample(3, 0), 0.0)
+          .ValueOrDie();
   EXPECT_TRUE(report.satisfied);
   EXPECT_DOUBLE_EQ(report.max_gap, 0.0);
 }
@@ -125,14 +135,16 @@ TEST(PaperExampleD, PerfectSeparationIsFair) {
 TEST(PaperExampleD, WrongPositivesViolate) {
   // Hiring a bad-match female breaks FPR equality even with TPR equal.
   MetricReport report =
-      EqualizedOdds(EqualizedOddsExample(3, 1)).ValueOrDie();
+      Evaluate(MetricId::kEqualizedOdds, EqualizedOddsExample(3, 1), 0.0)
+          .ValueOrDie();
   EXPECT_FALSE(report.satisfied);
   EXPECT_NEAR(report.max_gap, 1.0 / 3.0, 1e-12);
 }
 
 TEST(PaperExampleD, MissedPositivesViolate) {
   MetricReport report =
-      EqualizedOdds(EqualizedOddsExample(2, 0)).ValueOrDie();
+      Evaluate(MetricId::kEqualizedOdds, EqualizedOddsExample(2, 0), 0.0)
+          .ValueOrDie();
   EXPECT_FALSE(report.satisfied);
   EXPECT_NEAR(report.max_gap, 1.0 / 3.0, 1e-12);
 }
@@ -141,8 +153,10 @@ TEST(PaperExampleD, EqualOpportunityIsWeakerThanEqualizedOdds) {
   // TPR equal but FPR broken: EO passes, EOdds fails — the paper's
   // "more restrictive" claim.
   MetricInput input = EqualizedOddsExample(3, 1);
-  EXPECT_TRUE(EqualOpportunity(input).ValueOrDie().satisfied);
-  EXPECT_FALSE(EqualizedOdds(input).ValueOrDie().satisfied);
+  EXPECT_TRUE(Evaluate(MetricId::kEqualOpportunity, input, 0.0)
+                  .ValueOrDie().satisfied);
+  EXPECT_FALSE(Evaluate(MetricId::kEqualizedOdds, input, 0.0)
+                   .ValueOrDie().satisfied);
 }
 
 // ---- §III-E demographic disparity: 10 females; fair iff more hired
@@ -152,7 +166,8 @@ TEST(PaperExampleE, MoreHiredThanRejectedIsFair) {
   MetricInput input;
   AddRows(&input, "female", 1, -1, 6);
   AddRows(&input, "female", 0, -1, 4);
-  MetricReport report = DemographicDisparity(input).ValueOrDie();
+  MetricReport report =
+      Evaluate(MetricId::kDemographicDisparity, input, 0.0).ValueOrDie();
   EXPECT_TRUE(report.satisfied);
 }
 
@@ -160,7 +175,8 @@ TEST(PaperExampleE, MoreThanFiveRejectedIsUnfair) {
   MetricInput input;
   AddRows(&input, "female", 1, -1, 4);
   AddRows(&input, "female", 0, -1, 6);
-  MetricReport report = DemographicDisparity(input).ValueOrDie();
+  MetricReport report =
+      Evaluate(MetricId::kDemographicDisparity, input, 0.0).ValueOrDie();
   EXPECT_FALSE(report.satisfied);
   EXPECT_NE(report.detail.find("female"), std::string::npos);
 }
@@ -170,7 +186,8 @@ TEST(PaperExampleE, ExactTieIsUnfair) {
   MetricInput input;
   AddRows(&input, "female", 1, -1, 5);
   AddRows(&input, "female", 0, -1, 5);
-  EXPECT_FALSE(DemographicDisparity(input).ValueOrDie().satisfied);
+  EXPECT_FALSE(Evaluate(MetricId::kDemographicDisparity, input, 0.0)
+                   .ValueOrDie().satisfied);
 }
 
 // ---- Disparate impact / four-fifths companion ----
@@ -181,10 +198,12 @@ TEST(DisparateImpactTest, RatioComputedAgainstBestGroup) {
   AddRows(&input, "male", 0, -1, 50);   // rate 0.5
   AddRows(&input, "female", 1, -1, 30);
   AddRows(&input, "female", 0, -1, 70);  // rate 0.3
-  MetricReport report = DisparateImpactRatio(input, 0.8).ValueOrDie();
+  MetricReport report =
+      Evaluate(MetricId::kDisparateImpactRatio, input, 0.8).ValueOrDie();
   EXPECT_NEAR(report.min_ratio, 0.6, 1e-12);
   EXPECT_FALSE(report.satisfied);
-  MetricReport lenient = DisparateImpactRatio(input, 0.5).ValueOrDie();
+  MetricReport lenient =
+      Evaluate(MetricId::kDisparateImpactRatio, input, 0.5).ValueOrDie();
   EXPECT_TRUE(lenient.satisfied);
 }
 
@@ -195,7 +214,8 @@ TEST(DisparateImpactTest, AllZeroRatesIsAnError) {
   MetricInput input;
   AddRows(&input, "a", 0, -1, 10);
   AddRows(&input, "b", 0, -1, 10);
-  Result<MetricReport> report = DisparateImpactRatio(input);
+  Result<MetricReport> report =
+      Evaluate(MetricId::kDisparateImpactRatio, input, 0.8);
   ASSERT_FALSE(report.ok());
   EXPECT_TRUE(report.status().IsFailedPrecondition());
 }
@@ -212,7 +232,8 @@ TEST(PredictiveParityTest, EqualPpvSatisfied) {
   AddRows(&input, "b", 1, 1, 6);
   AddRows(&input, "b", 1, 0, 2);
   AddRows(&input, "b", 0, 0, 2);
-  MetricReport report = PredictiveParity(input).ValueOrDie();
+  MetricReport report =
+      Evaluate(MetricId::kPredictiveParity, input, 0.0).ValueOrDie();
   EXPECT_TRUE(report.satisfied);
   EXPECT_DOUBLE_EQ(report.max_gap, 0.0);
 }
@@ -221,7 +242,7 @@ TEST(PredictiveParityTest, UndefinedWithoutPositivePredictions) {
   MetricInput input;
   AddRows(&input, "a", 0, 1, 5);
   AddRows(&input, "b", 1, 1, 5);
-  EXPECT_FALSE(PredictiveParity(input).ok());
+  EXPECT_FALSE(Evaluate(MetricId::kPredictiveParity, input, 0.0).ok());
 }
 
 TEST(AccuracyEqualityTest, GapComputed) {
@@ -230,7 +251,8 @@ TEST(AccuracyEqualityTest, GapComputed) {
   AddRows(&input, "a", 0, 1, 1);   // group a accuracy 0.9
   AddRows(&input, "b", 1, 1, 5);
   AddRows(&input, "b", 0, 1, 5);   // group b accuracy 0.5
-  MetricReport report = AccuracyEquality(input, 0.05).ValueOrDie();
+  MetricReport report =
+      Evaluate(MetricId::kAccuracyEquality, input, 0.05).ValueOrDie();
   EXPECT_NEAR(report.max_gap, 0.4, 1e-12);
   EXPECT_FALSE(report.satisfied);
 }
@@ -239,22 +261,24 @@ TEST(AccuracyEqualityTest, GapComputed) {
 
 TEST(MetricValidationTest, ToleranceAllowsSmallGaps) {
   MetricInput input = HiringExample(4);  // gap 0.1
-  EXPECT_FALSE(DemographicParity(input, 0.05).ValueOrDie().satisfied);
-  EXPECT_TRUE(DemographicParity(input, 0.15).ValueOrDie().satisfied);
-  EXPECT_FALSE(DemographicParity(input, -0.1).ok());
+  EXPECT_FALSE(Evaluate(MetricId::kDemographicParity, input, 0.05)
+                   .ValueOrDie().satisfied);
+  EXPECT_TRUE(Evaluate(MetricId::kDemographicParity, input, 0.15)
+                  .ValueOrDie().satisfied);
+  EXPECT_FALSE(Evaluate(MetricId::kDemographicParity, input, -0.1).ok());
 }
 
 TEST(MetricValidationTest, SingleGroupRejected) {
   MetricInput input;
   AddRows(&input, "only", 1, -1, 10);
-  EXPECT_FALSE(DemographicParity(input).ok());
+  EXPECT_FALSE(Evaluate(MetricId::kDemographicParity, input, 0.0).ok());
 }
 
 TEST(MetricValidationTest, LabelRequirementsEnforced) {
   MetricInput input = HiringExample(5);  // no labels
-  EXPECT_FALSE(EqualOpportunity(input).ok());
-  EXPECT_FALSE(EqualizedOdds(input).ok());
-  EXPECT_FALSE(PredictiveParity(input).ok());
+  EXPECT_FALSE(Evaluate(MetricId::kEqualOpportunity, input, 0.0).ok());
+  EXPECT_FALSE(Evaluate(MetricId::kEqualizedOdds, input, 0.0).ok());
+  EXPECT_FALSE(Evaluate(MetricId::kPredictiveParity, input, 0.0).ok());
 }
 
 TEST(MetricValidationTest, GroupWithoutPositivesRejectedForEo) {
@@ -262,8 +286,8 @@ TEST(MetricValidationTest, GroupWithoutPositivesRejectedForEo) {
   AddRows(&input, "a", 1, 1, 5);
   AddRows(&input, "a", 0, 0, 5);
   AddRows(&input, "b", 0, 0, 10);  // no actual positives in b
-  EXPECT_FALSE(EqualOpportunity(input).ok());
-  EXPECT_FALSE(EqualizedOdds(input).ok());
+  EXPECT_FALSE(Evaluate(MetricId::kEqualOpportunity, input, 0.0).ok());
+  EXPECT_FALSE(Evaluate(MetricId::kEqualizedOdds, input, 0.0).ok());
 }
 
 TEST(MetricValidationTest, InputStructuralChecks) {
@@ -301,7 +325,9 @@ TEST(GroupStatsTest, RatesComputedPerGroup) {
 }
 
 TEST(RenderReportTest, MentionsVerdictAndGroups) {
-  MetricReport report = DemographicParity(HiringExample(3)).ValueOrDie();
+  MetricReport report =
+      Evaluate(MetricId::kDemographicParity, HiringExample(3), 0.0)
+          .ValueOrDie();
   std::string text = RenderReport(report);
   EXPECT_NE(text.find("VIOLATED"), std::string::npos);
   EXPECT_NE(text.find("female"), std::string::npos);
@@ -322,15 +348,9 @@ std::string ReadGoldenFile(const std::string& name) {
 Result<MetricReport> EvaluateNamed(const std::string& name,
                                    const MetricInput& input,
                                    double parameter) {
-  if (name == "demographic_parity") return DemographicParity(input, parameter);
-  if (name == "demographic_disparity") return DemographicDisparity(input);
-  if (name == "disparate_impact_ratio") {
-    return DisparateImpactRatio(input, parameter);
+  for (const MetricSpec& spec : MetricTable()) {
+    if (spec.name == name) return Evaluate(spec.id, input, parameter);
   }
-  if (name == "equal_opportunity") return EqualOpportunity(input, parameter);
-  if (name == "equalized_odds") return EqualizedOdds(input, parameter);
-  if (name == "predictive_parity") return PredictiveParity(input, parameter);
-  if (name == "accuracy_equality") return AccuracyEquality(input, parameter);
   return Status::NotFound("no metric named '" + name + "'");
 }
 
@@ -419,6 +439,26 @@ TEST(PinnedOutputTest, ErrorMessages) {
       ErrorOf(EvaluateNamed("disparate_impact_ratio", nobody_selected, 0.8)),
       "failed precondition: disparate_impact_ratio: no group has a positive "
       "selection rate; the ratio is undefined");
+}
+
+TEST(MetricValidationTest, LabelRowsRefuseLabelFreeStats) {
+  // Statistics computed without labels read every TPR, FPR, PPV and
+  // accuracy as 0, so a label-requiring row must refuse them instead of
+  // reporting a zero gap.
+  MetricInput input = PinnedInput();
+  input.labels.clear();
+  std::vector<GroupStats> stats =
+      ComputeGroupStats(input, /*with_labels=*/false).ValueOrDie();
+  for (const MetricSpec& spec : MetricTable()) {
+    Result<MetricReport> report = Evaluate(spec.id, stats, 0.8);
+    if (!spec.requires_labels) {
+      EXPECT_TRUE(report.ok()) << spec.name;
+      continue;
+    }
+    EXPECT_EQ(report.status().ToString(),
+              "invalid argument: " + std::string(spec.name) +
+                  ": requires labels; group 'a' has none");
+  }
 }
 
 }  // namespace

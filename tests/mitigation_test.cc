@@ -301,7 +301,9 @@ TEST(FairLogisticRegressionTest, PenaltyShrinksParityGap) {
       input.groups.push_back(group[i] == 1 ? "f" : "m");
       input.predictions.push_back(predictions[i]);
     }
-    return metrics::DemographicParity(input).ValueOrDie().max_gap;
+    return metrics::Evaluate(metrics::MetricId::kDemographicParity, input, 0.0)
+        .ValueOrDie()
+        .max_gap;
   };
 
   FairLrOptions plain_options;

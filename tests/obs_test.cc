@@ -8,6 +8,7 @@
 #include <string>
 
 #include "audit/auditor.h"
+#include "audit/source.h"
 #include "data/csv.h"
 #include "data/table.h"
 #include "obs/obs.h"
@@ -239,7 +240,8 @@ TEST(ObsDeterminismTest, AuditExportIdenticalAcrossThreadCounts) {
     config.score_column = "score";
     config.strata_columns = {"dept"};
     config.num_threads = num_threads;
-    EXPECT_TRUE(audit::RunAudit(table, config).ok());
+    EXPECT_TRUE(
+        audit::Auditor::Run(audit::AuditSource::FromTable(table), config).ok());
     return ExportJson();
   };
 

@@ -16,6 +16,7 @@
 namespace fairlaw {
 namespace {
 
+using metrics::MetricId;
 using metrics::MetricInput;
 using stats::Rng;
 
@@ -47,7 +48,8 @@ TEST_P(MetricPropertyTest, ConstantClassifierSatisfiesDemographicParity) {
     std::fill(degenerate.predictions.begin(), degenerate.predictions.end(),
               constant);
     metrics::MetricReport report =
-        metrics::DemographicParity(degenerate).ValueOrDie();
+        metrics::Evaluate(MetricId::kDemographicParity, degenerate, 0.0)
+            .ValueOrDie();
     EXPECT_TRUE(report.satisfied);
     EXPECT_DOUBLE_EQ(report.max_gap, 0.0);
   }
@@ -58,11 +60,13 @@ TEST_P(MetricPropertyTest, PerfectClassifierSatisfiesEqualizedOdds) {
   MetricInput input = RandomInput(&rng, 300, 0.3);
   input.predictions = input.labels;  // oracle
   metrics::MetricReport report =
-      metrics::EqualizedOdds(input).ValueOrDie();
+      metrics::Evaluate(MetricId::kEqualizedOdds, input, 0.0).ValueOrDie();
   EXPECT_TRUE(report.satisfied);
   EXPECT_DOUBLE_EQ(report.max_gap, 0.0);
   // And equal opportunity, being weaker, holds too.
-  EXPECT_TRUE(metrics::EqualOpportunity(input).ValueOrDie().satisfied);
+  EXPECT_TRUE(metrics::Evaluate(MetricId::kEqualOpportunity, input, 0.0)
+                  .ValueOrDie()
+                  .satisfied);
 }
 
 TEST_P(MetricPropertyTest, GroupRelabelingLeavesGapsInvariant) {
@@ -72,23 +76,19 @@ TEST_P(MetricPropertyTest, GroupRelabelingLeavesGapsInvariant) {
   for (std::string& group : renamed.groups) {
     group = group == "a" ? "zeta" : "alpha";
   }
-  EXPECT_DOUBLE_EQ(metrics::DemographicParity(input).ValueOrDie().max_gap,
-                   metrics::DemographicParity(renamed).ValueOrDie().max_gap);
-  EXPECT_DOUBLE_EQ(metrics::EqualizedOdds(input).ValueOrDie().max_gap,
-                   metrics::EqualizedOdds(renamed).ValueOrDie().max_gap);
+  for (MetricId id : {MetricId::kDemographicParity, MetricId::kEqualizedOdds}) {
+    EXPECT_DOUBLE_EQ(metrics::Evaluate(id, input, 0.0).ValueOrDie().max_gap,
+                     metrics::Evaluate(id, renamed, 0.0).ValueOrDie().max_gap);
+  }
 }
 
 TEST_P(MetricPropertyTest, GapBoundsAndRatioConsistency) {
   Rng rng(GetParam());
   MetricInput input = RandomInput(&rng, 300, rng.Uniform(0.0, 0.5));
-  // The metrics are overloaded on (MetricInput) and (GroupPartition), so
-  // spell out the function-pointer type to pick the MetricInput form.
-  using MetricFn = Result<metrics::MetricReport> (*)(
-      const metrics::MetricInput&, double);
-  for (MetricFn metric : {
-           static_cast<MetricFn>(&metrics::DemographicParity),
-           static_cast<MetricFn>(&metrics::EqualOpportunity)}) {
-    metrics::MetricReport report = (*metric)(input, 0.0).ValueOrDie();
+  for (MetricId id :
+       {MetricId::kDemographicParity, MetricId::kEqualOpportunity}) {
+    metrics::MetricReport report =
+        metrics::Evaluate(id, input, 0.0).ValueOrDie();
     EXPECT_GE(report.max_gap, 0.0);
     EXPECT_LE(report.max_gap, 1.0);
     EXPECT_GE(report.min_ratio, 0.0);
@@ -111,8 +111,12 @@ TEST_P(MetricPropertyTest, DuplicatingEveryRowLeavesRatesInvariant) {
                              input.predictions.end());
   doubled.labels.insert(doubled.labels.end(), input.labels.begin(),
                         input.labels.end());
-  EXPECT_NEAR(metrics::DemographicParity(input).ValueOrDie().max_gap,
-              metrics::DemographicParity(doubled).ValueOrDie().max_gap,
+  EXPECT_NEAR(metrics::Evaluate(MetricId::kDemographicParity, input, 0.0)
+                  .ValueOrDie()
+                  .max_gap,
+              metrics::Evaluate(MetricId::kDemographicParity, doubled, 0.0)
+                  .ValueOrDie()
+                  .max_gap,
               1e-12);
 }
 

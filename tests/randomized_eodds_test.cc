@@ -55,7 +55,9 @@ TEST(RandomizedEOddsTest, EqualizesBothRatesInExpectation) {
   std::vector<int> decisions =
       rule.Apply(data.groups, data.scores, &rng).ValueOrDie();
   metrics::MetricReport report =
-      metrics::EqualizedOdds(Evaluate(data, decisions), 0.03).ValueOrDie();
+      metrics::Evaluate(metrics::MetricId::kEqualizedOdds,
+                        Evaluate(data, decisions), 0.03)
+          .ValueOrDie();
   EXPECT_TRUE(report.satisfied) << metrics::RenderReport(report);
   // Rates land near the fitted target point.
   for (const metrics::GroupStats& gs : report.groups) {

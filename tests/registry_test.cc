@@ -1,13 +1,19 @@
+// The metric table is the registry of the group metrics fairlaw ships:
+// these tests pin its rows by name, order and label requirement, and run
+// every row through the MetricInput adapter.
 #include <gtest/gtest.h>
 
-#include "core/registry.h"
+#include <iterator>
+#include <string>
+#include <vector>
+
 #include "metrics/group_metrics.h"
 
-namespace fairlaw {
+namespace fairlaw::metrics {
 namespace {
 
-metrics::MetricInput SampleInput() {
-  metrics::MetricInput input;
+MetricInput SampleInput() {
+  MetricInput input;
   for (int i = 0; i < 10; ++i) {
     input.groups.push_back(i < 5 ? "a" : "b");
     input.predictions.push_back(i % 2);
@@ -16,75 +22,63 @@ metrics::MetricInput SampleInput() {
   return input;
 }
 
-TEST(RegistryTest, DefaultHasSevenMetrics) {
-  const MetricRegistry& registry = MetricRegistry::Default();
-  EXPECT_EQ(registry.size(), 7u);
-  std::vector<std::string> names = registry.Names();
-  EXPECT_EQ(names[0], "demographic_parity");
-  EXPECT_TRUE(registry.Get("equalized_odds").ok());
-  EXPECT_FALSE(registry.Get("zzz").ok());
+TEST(RegistryTest, TablePinsSevenNamesInAuditOrder) {
+  const std::vector<std::string> expected = {
+      "demographic_parity", "demographic_disparity", "disparate_impact_ratio",
+      "equal_opportunity",  "equalized_odds",        "predictive_parity",
+      "accuracy_equality",
+  };
+  std::vector<std::string> names;
+  for (const MetricSpec& spec : MetricTable()) {
+    EXPECT_EQ(static_cast<size_t>(spec.id), names.size()) << spec.name;
+    names.emplace_back(spec.name);
+  }
+  EXPECT_EQ(names, expected);
 }
 
-TEST(RegistryTest, EntriesDeclareLabelRequirements) {
-  const MetricRegistry& registry = MetricRegistry::Default();
-  EXPECT_FALSE(
-      registry.Get("demographic_parity").ValueOrDie()->requires_labels);
-  EXPECT_TRUE(
-      registry.Get("equal_opportunity").ValueOrDie()->requires_labels);
-}
-
-TEST(RegistryTest, EntriesAreInvocable) {
-  const MetricRegistry& registry = MetricRegistry::Default();
-  metrics::MetricInput input = SampleInput();
-  for (const std::string& name : registry.Names()) {
-    const MetricEntry* entry = registry.Get(name).ValueOrDie();
-    Result<metrics::MetricReport> report = entry->fn(input, 0.1);
-    ASSERT_TRUE(report.ok()) << name << ": " << report.status().ToString();
-    EXPECT_FALSE(report->metric_name.empty());
+TEST(RegistryTest, RowsDeclareLabelRequirements) {
+  const bool requires_labels[] = {false, false, false, true,
+                                  true,  true,  true};
+  ASSERT_EQ(MetricTable().size(), std::size(requires_labels));
+  for (size_t i = 0; i < std::size(requires_labels); ++i) {
+    EXPECT_EQ(MetricTable()[i].requires_labels, requires_labels[i])
+        << MetricTable()[i].name;
   }
 }
 
-TEST(RegistryTest, EveryRegisteredMetricIsPinnedByName) {
-  // fairlaw_lint requires each name registered in core/registry.cc to be
-  // referenced by a test; this test pins the full set, so adding a metric
-  // without naming it in a test fails both lint and this expectation.
-  const std::vector<std::string> expected = {
-      "demographic_parity",     "equal_opportunity", "equalized_odds",
-      "demographic_disparity",  "disparate_impact_ratio",
-      "predictive_parity",      "accuracy_equality",
-  };
-  EXPECT_EQ(MetricRegistry::Default().Names(), expected);
+TEST(RegistryTest, OnlyParityRowsHaveConditionalForms) {
+  for (const MetricSpec& spec : MetricTable()) {
+    if (spec.id == MetricId::kDemographicParity) {
+      EXPECT_EQ(spec.conditional_name, "conditional_statistical_parity");
+    } else if (spec.id == MetricId::kDemographicDisparity) {
+      EXPECT_EQ(spec.conditional_name, "conditional_demographic_disparity");
+    } else {
+      EXPECT_TRUE(spec.conditional_name.empty()) << spec.name;
+    }
+  }
 }
 
-TEST(RegistryTest, CompanionMetricsComputeOnBalancedInput) {
-  const MetricRegistry& registry = MetricRegistry::Default();
-  metrics::MetricInput input = SampleInput();
-  Result<metrics::MetricReport> ppv =
-      registry.Get("predictive_parity").ValueOrDie()->fn(input, 0.1);
-  ASSERT_TRUE(ppv.ok()) << ppv.status().ToString();
-  EXPECT_EQ(ppv->metric_name, "predictive_parity");
-  Result<metrics::MetricReport> acc =
-      registry.Get("accuracy_equality").ValueOrDie()->fn(input, 0.1);
-  ASSERT_TRUE(acc.ok()) << acc.status().ToString();
-  EXPECT_EQ(acc->metric_name, "accuracy_equality");
+TEST(RegistryTest, EveryRowEvaluatesThroughTheAdapter) {
+  const MetricInput input = SampleInput();
+  for (const MetricSpec& spec : MetricTable()) {
+    const double parameter =
+        spec.rule == VerdictRule::kRatioAtLeastThreshold ? 0.8 : 0.1;
+    Result<MetricReport> report = Evaluate(spec.id, input, parameter);
+    ASSERT_TRUE(report.ok()) << spec.name << ": "
+                             << report.status().ToString();
+    EXPECT_EQ(report->metric_name, spec.name);
+    EXPECT_EQ(report->groups.size(), 2u) << spec.name;
+  }
 }
 
-TEST(RegistryTest, RegisterRejectsDuplicatesAndBadEntries) {
-  MetricRegistry registry;
-  MetricEntry entry;
-  entry.name = "custom";
-  entry.fn = [](const metrics::MetricInput& input, double tolerance) {
-    return metrics::DemographicParity(input, tolerance);
-  };
-  EXPECT_TRUE(registry.Register(entry).ok());
-  EXPECT_TRUE(registry.Register(entry).IsAlreadyExists());
-  MetricEntry nameless;
-  nameless.fn = entry.fn;
-  EXPECT_FALSE(registry.Register(nameless).ok());
-  MetricEntry functionless;
-  functionless.name = "empty";
-  EXPECT_FALSE(registry.Register(functionless).ok());
+TEST(RegistryTest, LabelRowsDemandLabelsFromRowInput) {
+  MetricInput input = SampleInput();
+  input.labels.clear();
+  for (const MetricSpec& spec : MetricTable()) {
+    Result<MetricReport> report = Evaluate(spec.id, input, 0.8);
+    EXPECT_EQ(report.ok(), !spec.requires_labels) << spec.name;
+  }
 }
 
 }  // namespace
-}  // namespace fairlaw
+}  // namespace fairlaw::metrics

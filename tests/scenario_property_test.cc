@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "audit/auditor.h"
+#include "audit/source.h"
 #include "data/csv.h"
 #include "simulation/scenarios.h"
 #include "stats/rng.h"
@@ -24,7 +25,8 @@ double HistoricalDpGap(double label_bias, uint64_t seed) {
   config.protected_column = "gender";
   config.prediction_column = "hired";
   audit::AuditResult result =
-      audit::RunAudit(scenario.table, config).ValueOrDie();
+      audit::Auditor::Run(audit::AuditSource::FromTable(scenario.table), config)
+          .ValueOrDie();
   return result.Find("demographic_parity").ValueOrDie()->max_gap;
 }
 
@@ -56,7 +58,8 @@ TEST_P(ScenarioSweepTest, MeritStaysBlindAcrossAllKnobs) {
   config.protected_column = "gender";
   config.prediction_column = "merit";
   audit::AuditResult result =
-      audit::RunAudit(scenario.table, config).ValueOrDie();
+      audit::Auditor::Run(audit::AuditSource::FromTable(scenario.table), config)
+          .ValueOrDie();
   EXPECT_LT(result.Find("demographic_parity").ValueOrDie()->max_gap, 0.05);
 }
 

@@ -2,6 +2,7 @@
 
 #include "audit/auditor.h"
 #include "audit/proxy.h"
+#include "audit/source.h"
 #include "audit/subgroup.h"
 #include "simulation/scenarios.h"
 
@@ -34,7 +35,8 @@ TEST(HiringScenarioTest, LabelBiasShowsUpInHistoricalDecisions) {
   config.protected_column = "gender";
   config.prediction_column = "hired";  // audit the historical labels
   audit::AuditResult result =
-      audit::RunAudit(scenario.table, config).ValueOrDie();
+      audit::Auditor::Run(audit::AuditSource::FromTable(scenario.table), config)
+          .ValueOrDie();
   const metrics::MetricReport* dp =
       result.Find("demographic_parity").ValueOrDie();
   EXPECT_GT(dp->max_gap, 0.15);  // women hired far less
@@ -42,7 +44,8 @@ TEST(HiringScenarioTest, LabelBiasShowsUpInHistoricalDecisions) {
   // Merit is gender-blind by construction.
   config.prediction_column = "merit";
   audit::AuditResult merit_result =
-      audit::RunAudit(scenario.table, config).ValueOrDie();
+      audit::Auditor::Run(audit::AuditSource::FromTable(scenario.table), config)
+          .ValueOrDie();
   EXPECT_LT(merit_result.Find("demographic_parity").ValueOrDie()->max_gap,
             0.05);
 }
@@ -58,7 +61,8 @@ TEST(HiringScenarioTest, NoBiasKnobsNoBias) {
   config.protected_column = "gender";
   config.prediction_column = "hired";
   audit::AuditResult result =
-      audit::RunAudit(scenario.table, config).ValueOrDie();
+      audit::Auditor::Run(audit::AuditSource::FromTable(scenario.table), config)
+          .ValueOrDie();
   EXPECT_LT(result.Find("demographic_parity").ValueOrDie()->max_gap, 0.04);
 }
 
@@ -94,7 +98,8 @@ TEST(LendingScenarioTest, BiasKnobDrivesApprovalGap) {
   config.protected_column = "group";
   config.prediction_column = "approved";
   audit::AuditResult result =
-      audit::RunAudit(scenario.table, config).ValueOrDie();
+      audit::Auditor::Run(audit::AuditSource::FromTable(scenario.table), config)
+          .ValueOrDie();
   EXPECT_GT(result.Find("demographic_parity").ValueOrDie()->max_gap, 0.2);
 }
 
@@ -111,7 +116,9 @@ TEST(PromotionScenarioTest, GerrymanderedBiasInvisibleToMarginals) {
     config.protected_column = attribute;
     config.prediction_column = "promoted";
     audit::AuditResult result =
-        audit::RunAudit(scenario.table, config).ValueOrDie();
+        audit::Auditor::Run(audit::AuditSource::FromTable(scenario.table),
+                            config)
+            .ValueOrDie();
     EXPECT_LT(result.Find("demographic_parity").ValueOrDie()->max_gap,
               0.05)
         << attribute;

@@ -56,7 +56,8 @@ TEST(ThresholdOptimizerTest, DemographicParityEqualizesRates) {
   std::vector<int> predictions =
       thresholds.Apply(data.groups, data.scores).ValueOrDie();
   metrics::MetricReport report =
-      metrics::DemographicParity(ToInput(data, predictions), 0.05)
+      metrics::Evaluate(metrics::MetricId::kDemographicParity,
+                        ToInput(data, predictions), 0.05)
           .ValueOrDie();
   EXPECT_TRUE(report.satisfied);
   for (const metrics::GroupStats& gs : report.groups) {
@@ -75,7 +76,8 @@ TEST(ThresholdOptimizerTest, SingleThresholdWouldViolateParity) {
     predictions[i] = data.scores[i] >= 0.5 ? 1 : 0;
   }
   metrics::MetricReport report =
-      metrics::DemographicParity(ToInput(data, predictions), 0.05)
+      metrics::Evaluate(metrics::MetricId::kDemographicParity,
+                        ToInput(data, predictions), 0.05)
           .ValueOrDie();
   EXPECT_FALSE(report.satisfied);
   EXPECT_GT(report.max_gap, 0.3);
@@ -92,7 +94,8 @@ TEST(ThresholdOptimizerTest, EqualOpportunityEqualizesTpr) {
   std::vector<int> predictions =
       thresholds.Apply(data.groups, data.scores).ValueOrDie();
   metrics::MetricReport report =
-      metrics::EqualOpportunity(ToInput(data, predictions), 0.06)
+      metrics::Evaluate(metrics::MetricId::kEqualOpportunity,
+                        ToInput(data, predictions), 0.06)
           .ValueOrDie();
   EXPECT_TRUE(report.satisfied);
   for (const metrics::GroupStats& gs : report.groups) {
@@ -108,7 +111,8 @@ TEST(ThresholdOptimizerTest, EqualizedOddsReducesBothGaps) {
     baseline[i] = data.scores[i] >= 0.5 ? 1 : 0;
   }
   double baseline_gap =
-      metrics::EqualizedOdds(ToInput(data, baseline), 0.0)
+      metrics::Evaluate(metrics::MetricId::kEqualizedOdds,
+                        ToInput(data, baseline), 0.0)
           .ValueOrDie()
           .max_gap;
 
@@ -119,7 +123,8 @@ TEST(ThresholdOptimizerTest, EqualizedOddsReducesBothGaps) {
   std::vector<int> predictions =
       thresholds.Apply(data.groups, data.scores).ValueOrDie();
   double optimized_gap =
-      metrics::EqualizedOdds(ToInput(data, predictions), 0.0)
+      metrics::Evaluate(metrics::MetricId::kEqualizedOdds,
+                        ToInput(data, predictions), 0.0)
           .ValueOrDie()
           .max_gap;
   EXPECT_LT(optimized_gap, baseline_gap * 0.5);

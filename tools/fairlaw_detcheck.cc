@@ -41,7 +41,7 @@
 //        Completion order is nondeterministic, so workers must write
 //        only their own slot (results[i] = ...) or hand (seq, value)
 //        pairs to a mutex-guarded aggregator that sorts by sequence
-//        number before merging — the idiom Auditor::RunAudit and the
+//        number before merging — the idiom audit::EvaluateMetrics and the
 //        subgroup enumerator established. Lambdas named at the call
 //        site (auto task = [&](...){...}; pool.ParallelFor(n, task);)
 //        are followed to their definition.
@@ -442,7 +442,7 @@ class DetChecker {
                  "': completion order is nondeterministic, so write a "
                  "per-task slot (results[i] = ...) or hand (seq, value) "
                  "to a mutex-guarded aggregator that merges in sequence "
-                 "order (the RunAudit idiom)");
+                 "order (the EvaluateMetrics idiom)");
     }
   }
 

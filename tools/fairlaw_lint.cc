@@ -19,9 +19,6 @@
 //   3. bare-check      every FAIRLAW_CHECK failure path must carry a
 //                      message (use FAIRLAW_CHECK_MSG / FAIRLAW_CHECK_OK);
 //                      messages must be non-empty.
-//   4. registry-coverage
-//                      every metric name registered in src/core/registry.cc
-//                      must be referenced by name in some tests/*_test.cc.
 //   5. thread-primitive
 //                      raw std::thread and std::this_thread::sleep_for are
 //                      banned outside src/base/: concurrency goes through
@@ -107,7 +104,6 @@ class Linter {
       const fs::path dir = root_ / top;
       if (fs::is_directory(dir)) ScanTree(dir, /*library=*/false);
     }
-    CheckRegistryCoverage();
     reporter_.Sorted();
     return reporter_;
   }
@@ -156,14 +152,6 @@ class Linter {
               std::string message) {
     reporter_.ReportAlways(std::move(file), line, std::move(rule),
                            std::move(message));
-  }
-
-  static size_t LineOfOffset(std::string_view text, size_t offset) {
-    size_t line = 1;
-    for (size_t i = 0; i < offset && i < text.size(); ++i) {
-      if (text[i] == '\n') ++line;
-    }
-    return line;
   }
 
   /// Rule 1: canonical include guards. src/metrics/group_metrics.h must
@@ -430,43 +418,6 @@ class Linter {
              "kernels must test membership via data::GroupIndex bitmaps "
              "(add `lint: allow-string-compare` only for a deliberate "
              "scalar baseline)");
-    }
-  }
-
-  /// Rule 4: every metric name registered in src/core/registry.cc must be
-  /// referenced (as a quoted string) by at least one tests/*_test.cc.
-  void CheckRegistryCoverage() {
-    const fs::path registry = root_ / "src" / "core" / "registry.cc";
-    const fs::path tests = root_ / "tests";
-    if (!fs::is_regular_file(registry) || !fs::is_directory(tests)) return;
-    const std::string text = ReadFile(registry);
-
-    std::vector<std::string> names;
-    size_t pos = 0;
-    while ((pos = text.find("{\"", pos)) != std::string::npos) {
-      const size_t begin = pos + 2;
-      const size_t end = text.find('"', begin);
-      if (end == std::string::npos) break;
-      names.push_back(text.substr(begin, end - begin));
-      pos = end + 1;
-    }
-
-    std::string corpus;
-    for (const fs::directory_entry& entry : fs::directory_iterator(tests)) {
-      if (!entry.is_regular_file()) continue;
-      const std::string filename = entry.path().filename().string();
-      if (filename.size() > 8 &&
-          filename.substr(filename.size() - 8) == "_test.cc") {
-        corpus += ReadFile(entry.path());
-      }
-    }
-    for (const std::string& name : names) {
-      if (corpus.find("\"" + name + "\"") == std::string::npos) {
-        Report("src/core/registry.cc", LineOfOffset(text, text.find(name)),
-               "registry-coverage",
-               "registered metric '" + name +
-                   "' is never referenced by name in tests/*_test.cc");
-      }
     }
   }
 
