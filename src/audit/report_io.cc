@@ -137,6 +137,7 @@ Result<std::string> AuditResultToJson(const AuditResult& result,
     json.Key("obs");
     json.BeginObject();
     for (const std::string& name : options.obs_counters) {
+      // detcheck: allow-obs-read-in-output (opt-in profiling snapshot; the caller names the counters and owns their invariance)
       json.Field(name, static_cast<int64_t>(obs::GetCounter(name)->Value()));
     }
     json.EndObject();

@@ -470,7 +470,7 @@ void EnumerateRowwise(const std::vector<AttributeColumn>& attributes,
       narrowed.reserve(member_rows->size());
       for (size_t row : *member_rows) {
         // The per-row compare is the scalar baseline the bitmap kernels
-        // replace. lint: allow-string-compare
+        // replace. lint: allow-hot-path
         if (attribute.values[row] == value) narrowed.push_back(row);
       }
       if (narrowed.empty()) continue;

@@ -20,27 +20,6 @@ namespace fairlaw::serve {
 
 namespace {
 
-/// Obs names allowed inside query responses. These three are pure
-/// functions of the event/query sequence (events accepted, events
-/// rejected, buckets folded per query), so including them cannot break
-/// the byte-identity contract. Batch-dependent telemetry
-/// (serve.requests, latency histograms) is only reachable through the
-/// stats op.
-void WriteQueryObs(JsonWriter* json) {
-  json->Key("obs");
-  json->BeginObject();
-  json->Field("serve.events_ingested",
-              static_cast<int64_t>(
-                  obs::GetCounter("serve.events_ingested")->Value()));
-  json->Field("serve.events_rejected",
-              static_cast<int64_t>(
-                  obs::GetCounter("serve.events_rejected")->Value()));
-  json->Field("serve.window_merges",
-              static_cast<int64_t>(
-                  obs::GetCounter("serve.window_merges")->Value()));
-  json->EndObject();
-}
-
 /// Frame prelude shared by every query response: schema_version, op,
 /// type, and the window span the answer was computed over (all pure
 /// functions of the event sequence).
@@ -64,19 +43,6 @@ std::string FinishFrame(JsonWriter* json) {
   return json->Finish().ValueOrDie();
 }
 
-/// A recognized query that cannot be answered (empty window, unknown
-/// group, ...). Keeps "op":"query" so the frame participates in the
-/// batch-identity comparison — the same query against the same events
-/// fails identically however the events were batched.
-std::string QueryErrorFrame(const std::string& type, const WindowRing& ring,
-                            const Status& status) {
-  JsonWriter json;
-  BeginQueryFrame(&json, type, ring);
-  audit::WriteErrorObject(&json, status);
-  WriteQueryObs(&json);
-  return FinishFrame(&json);
-}
-
 /// A request that never made it to a handler (parse failure, unknown
 /// op, schema mismatch). `op_label` echoes the request's op when it
 /// could be recovered, else "error".
@@ -91,6 +57,33 @@ std::string RequestErrorFrame(const std::string& op_label,
 }
 
 }  // namespace
+
+/// The three counts are pure functions of the event/query sequence
+/// (events accepted, events rejected, buckets folded by queries), so
+/// including them cannot break the byte-identity contract. They keep
+/// their obs names; batch-dependent telemetry (serve.requests, latency
+/// histograms) is only reachable through the stats op.
+void Service::WriteQueryCounts(JsonWriter* json) const {
+  json->Key("obs");
+  json->BeginObject();
+  json->Field("serve.events_ingested", static_cast<int64_t>(events_ingested_));
+  json->Field("serve.events_rejected", static_cast<int64_t>(events_rejected_));
+  json->Field("serve.window_merges", static_cast<int64_t>(window_merges_));
+  json->EndObject();
+}
+
+/// A recognized query that cannot be answered (empty window, unknown
+/// group, ...). Keeps "op":"query" so the frame participates in the
+/// batch-identity comparison — the same query against the same events
+/// fails identically however the events were batched.
+std::string Service::QueryErrorFrame(const std::string& type,
+                                     const Status& status) const {
+  JsonWriter json;
+  BeginQueryFrame(&json, type, ring_);
+  audit::WriteErrorObject(&json, status);
+  WriteQueryCounts(&json);
+  return FinishFrame(&json);
+}
 
 Service::Service(const ServeConfig& config)
     : config_(config), ring_(config) {
@@ -159,6 +152,8 @@ std::string Service::HandleIngest(const IngestRequest& request) {
       ++rejected;
     }
   }
+  events_ingested_ += static_cast<uint64_t>(accepted);
+  events_rejected_ += static_cast<uint64_t>(rejected);
   obs::GetCounter("serve.events_ingested")
       ->Increment(static_cast<uint64_t>(accepted));
   obs::GetCounter("serve.events_rejected")
@@ -178,6 +173,7 @@ std::string Service::HandleIngest(const IngestRequest& request) {
 
 std::string Service::HandleQuery(const QueryRequest& request) {
   obs::TraceSpan span("serve/query");
+  window_merges_ += ring_.num_live_buckets();
   const audit::WindowedPartial window = ring_.Window(pool_.get());
   const audit::AuditConfig audit_config = config_.ToAuditConfig();
 
@@ -186,7 +182,7 @@ std::string Service::HandleQuery(const QueryRequest& request) {
     Result<audit::AuditResult> result = audit::Auditor::Run(
         audit::AuditSource::FromWindow(window), audit_config);
     if (!result.ok()) {
-      return QueryErrorFrame(request.type, ring_, result.status());
+      return QueryErrorFrame(request.type, result.status());
     }
     const audit::AuditResult& audit_result = result.ValueOrDie();
     JsonWriter json;
@@ -198,14 +194,14 @@ std::string Service::HandleQuery(const QueryRequest& request) {
       Result<const metrics::MetricReport*> report =
           audit_result.Find("disparate_impact_ratio");
       if (!report.ok()) {
-        return QueryErrorFrame(request.type, ring_, report.status());
+        return QueryErrorFrame(request.type, report.status());
       }
       json.Key("four_fifths");
       audit::WriteMetricReport(&json, *report.ValueOrDie());
     } else {
       if (!audit_result.score_distribution.has_value()) {
         return QueryErrorFrame(
-            request.type, ring_,
+            request.type,
             Status::FailedPrecondition(
                 "drift: the windowed audit produced no score-distribution "
                 "report"));
@@ -214,7 +210,7 @@ std::string Service::HandleQuery(const QueryRequest& request) {
       audit::WriteScoreDistributionReport(&json,
                                           *audit_result.score_distribution);
     }
-    WriteQueryObs(&json);
+    WriteQueryCounts(&json);
     return FinishFrame(&json);
   }
 
@@ -229,7 +225,7 @@ std::string Service::HandleQuery(const QueryRequest& request) {
     }
     if (index == strata.num_strata()) {
       return QueryErrorFrame(
-          request.type, ring_,
+          request.type,
           Status::NotFound("drilldown: stratum '" + request.stratum +
                            "' not present in the window"));
     }
@@ -242,14 +238,14 @@ std::string Service::HandleQuery(const QueryRequest& request) {
     Result<audit::AuditResult> result =
         audit::EvaluateMetrics(inputs, audit_config, obs::CurrentPath());
     if (!result.ok()) {
-      return QueryErrorFrame(request.type, ring_, result.status());
+      return QueryErrorFrame(request.type, result.status());
     }
     JsonWriter json;
     BeginQueryFrame(&json, request.type, ring_);
     json.Field("stratum", request.stratum);
     json.Key("findings");
     audit::WriteAuditFindings(&json, result.ValueOrDie());
-    WriteQueryObs(&json);
+    WriteQueryCounts(&json);
     return FinishFrame(&json);
   }
 
@@ -257,7 +253,7 @@ std::string Service::HandleQuery(const QueryRequest& request) {
   const size_t slot = window.sketches.FindKey(request.group);
   if (slot >= window.sketches.num_keys()) {
     return QueryErrorFrame(
-        request.type, ring_,
+        request.type,
         Status::NotFound("quantiles: group '" + request.group +
                          "' not present in the window"));
   }
@@ -271,7 +267,7 @@ std::string Service::HandleQuery(const QueryRequest& request) {
   for (double q : request.quantiles) {
     Result<double> value = sketch.Quantile(q);
     if (!value.ok()) {
-      return QueryErrorFrame(request.type, ring_, value.status());
+      return QueryErrorFrame(request.type, value.status());
     }
     json.BeginObject();
     json.Field("q", q);
@@ -279,7 +275,7 @@ std::string Service::HandleQuery(const QueryRequest& request) {
     json.EndObject();
   }
   json.EndArray();
-  WriteQueryObs(&json);
+  WriteQueryCounts(&json);
   return FinishFrame(&json);
 }
 

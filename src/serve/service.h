@@ -1,10 +1,13 @@
 #ifndef FAIRLAW_SERVE_SERVICE_H_
 #define FAIRLAW_SERVE_SERVICE_H_
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <string_view>
 
+#include "base/json_writer.h"
+#include "base/status.h"
 #include "base/thread_pool.h"
 #include "serve/api.h"
 #include "serve/window.h"
@@ -22,7 +25,10 @@ namespace fairlaw::serve {
 /// with batching (they report per-batch accepted counts) and stats
 /// responses carry full telemetry (including per-request counters and
 /// latency histograms), so identity comparisons filter to
-/// '"op":"query"' lines.
+/// '"op":"query"' lines. The counts a query frame embeds are this
+/// service's own fields, never read back from the process-global obs
+/// registry, so they do not change with FAIRLAW_OBS or with other
+/// services in the process.
 class Service {
  public:
   /// `config` must already Validate(). A worker pool is spun up once
@@ -42,9 +48,20 @@ class Service {
   std::string HandleQuery(const QueryRequest& request);
   std::string HandleStats();
 
+  /// Query frame for a recognized query that cannot be answered.
+  std::string QueryErrorFrame(const std::string& type,
+                              const Status& status) const;
+  /// The frame's "obs" object: events accepted, events rejected, and
+  /// buckets merged by queries so far — pure functions of the request
+  /// sequence.
+  void WriteQueryCounts(JsonWriter* json) const;
+
   ServeConfig config_;
   WindowRing ring_;
   std::unique_ptr<ThreadPool> pool_;  // null when num_threads == 1
+  uint64_t events_ingested_ = 0;
+  uint64_t events_rejected_ = 0;
+  uint64_t window_merges_ = 0;
 };
 
 }  // namespace fairlaw::serve

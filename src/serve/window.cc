@@ -83,13 +83,9 @@ int64_t WindowRing::window_start() const {
   return std::max<int64_t>(0, watermark_ - num_buckets_ + 1);
 }
 
-audit::WindowedPartial WindowRing::Window(ThreadPool* pool) const {
-  audit::WindowedPartial merged(sketch_options_);
-  if (watermark_ < 0) return merged;
-
-  // Live buckets in ascending absolute order — the fixed fold order
-  // every mergeable accumulator's determinism contract requires.
+std::vector<const audit::WindowedPartial*> WindowRing::LiveBuckets() const {
   std::vector<const audit::WindowedPartial*> buckets;
+  if (watermark_ < 0) return buckets;
   buckets.reserve(static_cast<size_t>(num_buckets_));
   for (int64_t index = window_start(); index <= watermark_; ++index) {
     const Slot& slot = slots_[static_cast<size_t>(index % num_buckets_)];
@@ -97,6 +93,16 @@ audit::WindowedPartial WindowRing::Window(ThreadPool* pool) const {
       buckets.push_back(&slot.partial);
     }
   }
+  return buckets;
+}
+
+audit::WindowedPartial WindowRing::Window(ThreadPool* pool) const {
+  audit::WindowedPartial merged(sketch_options_);
+  if (watermark_ < 0) return merged;
+
+  // Ascending absolute order: the fixed fold order every mergeable
+  // accumulator's determinism contract requires.
+  const std::vector<const audit::WindowedPartial*> buckets = LiveBuckets();
   obs::GetCounter("serve.window_merges")->Increment(buckets.size());
 
   // Counts and strata: cheap integer folds, merged serially.

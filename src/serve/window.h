@@ -46,6 +46,9 @@ class WindowRing {
   /// nullptr to run fully serial.
   audit::WindowedPartial Window(ThreadPool* pool) const;
 
+  /// Buckets Window() merges right now: the live ones holding events.
+  size_t num_live_buckets() const { return LiveBuckets().size(); }
+
  private:
   struct Slot {
     int64_t bucket_index = -1;  // absolute; -1 = never used
@@ -54,6 +57,9 @@ class WindowRing {
 
   /// Resets the slots claimed by advancing the watermark to `bucket`.
   void Advance(int64_t bucket);
+
+  /// Live buckets holding events, in ascending absolute order.
+  std::vector<const audit::WindowedPartial*> LiveBuckets() const;
 
   int64_t bucket_width_;
   int64_t num_buckets_;

@@ -190,12 +190,9 @@ TEST(WindowRingTest, WindowMergeIsThreadCountInvariant) {
 }
 
 /// Replays one request stream through a fresh Service and returns the
-/// responses. Resets the obs registry first: serve's obs counters are
-/// process-global, and query responses embed the schedule-invariant
-/// ones, so each replay must start from zero like a fresh daemon.
+/// responses.
 std::vector<std::string> Replay(const ServeConfig& config,
                                 const std::vector<std::string>& lines) {
-  obs::ResetAll();
   Service service(config);
   std::vector<std::string> responses;
   responses.reserve(lines.size());
@@ -303,6 +300,29 @@ TEST(ServeServiceTest, QueryResponsesAreThreadCountInvariant) {
   EXPECT_EQ(serial, hw);
 }
 
+// Query frames embed event and merge counts. They must come from the
+// service itself: the process-global obs counters read 0 under the kill
+// switch and also count every other Service in the process.
+TEST(ServeServiceTest, QueryResponsesIgnoreObsStateAndOtherServices) {
+  const std::vector<std::string> stream = MakeStream(1500, 64, 500, 41);
+  ServeConfig config;
+  config.bucket_width = 50;
+  config.num_buckets = 32;
+  const std::vector<std::string> baseline = QueryLines(Replay(config, stream));
+  ASSERT_FALSE(baseline.empty());
+  EXPECT_NE(baseline.back().find("\"serve.events_ingested\":1500"),
+            std::string::npos);
+
+  // A replay after other activity in the process sees only its own.
+  EXPECT_EQ(QueryLines(Replay(config, stream)), baseline);
+
+  const bool was_enabled = obs::Enabled();
+  obs::SetEnabled(false);
+  const std::vector<std::string> killed = QueryLines(Replay(config, stream));
+  obs::SetEnabled(was_enabled);
+  EXPECT_EQ(killed, baseline);
+}
+
 TEST(ServeServiceTest, ErrorEnvelopesAndStats) {
   ServeConfig config;
   Service service(config);
@@ -366,7 +386,6 @@ TEST(AuditorRunTest, WindowSourceMatchesServiceFindings) {
   config.num_buckets = 32;
 
   const std::vector<std::string> stream = MakeStream(1500, 100, 0, 41);
-  obs::ResetAll();
   Service service(config);
   std::string audit_response;
   for (const std::string& line : stream) {

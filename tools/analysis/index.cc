@@ -2,11 +2,7 @@
 
 #include <string>
 
-#include "tools/analysis/report.h"
-
 namespace fairlaw::analysis {
-
-namespace fs = std::filesystem;
 
 namespace {
 
@@ -275,17 +271,6 @@ void SignatureIndex::AddHeader(const std::string& rel_path,
       }
     }
   }
-}
-
-SignatureIndex BuildIndex(const fs::path& root) {
-  SignatureIndex index;
-  constexpr std::string_view kTops[] = {"src"};
-  for (const fs::path& path : CollectSources(root, kTops)) {
-    if (path.extension() != ".h") continue;
-    const LexResult lex = Lex(ReadFileToString(path));
-    index.AddHeader(RelativeTo(path, root), lex.tokens);
-  }
-  return index;
 }
 
 }  // namespace fairlaw::analysis

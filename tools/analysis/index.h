@@ -2,7 +2,7 @@
 #define FAIRLAW_TOOLS_ANALYSIS_INDEX_H_
 
 #include <cstddef>
-#include <filesystem>
+#include <functional>
 #include <set>
 #include <span>
 #include <string>
@@ -68,17 +68,13 @@ class SignatureIndex {
   /// error-flow rules match call sites against: a discarded return from
   /// any of these loses an error.
   bool IsFallible(std::string_view name) const {
-    return by_value_names_.count(std::string(name)) > 0;
+    return by_value_names_.count(name) > 0;
   }
 
  private:
   std::vector<FallibleFn> functions_;
-  std::set<std::string> by_value_names_;
+  std::set<std::string, std::less<>> by_value_names_;
 };
-
-/// Builds the index over every header under root/src/** (fixture
-/// directories skipped), in sorted path order.
-SignatureIndex BuildIndex(const std::filesystem::path& root);
 
 }  // namespace fairlaw::analysis
 

@@ -1,20 +1,30 @@
 #include "tools/analysis/lexer.h"
 
-#include <cctype>
-
 namespace fairlaw::analysis {
 namespace {
 
+// ASCII classification without the locale lookups of <cctype>: source
+// text is lexed byte by byte, so these sit on the hottest path.
+bool IsDigit(char c) { return c >= '0' && c <= '9'; }
+
 bool IsIdentStart(char c) {
-  return std::isalpha(static_cast<unsigned char>(c)) != 0 || c == '_';
+  return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c == '_';
 }
 
-bool IsIdentChar(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '_';
+bool IsIdentChar(char c) { return IsIdentStart(c) || IsDigit(c); }
+
+bool IsSpace(char c) {
+  return c == ' ' || c == '\n' || c == '\t' || c == '\r' || c == '\v' ||
+         c == '\f';
 }
 
-bool IsDigit(char c) {
-  return std::isdigit(static_cast<unsigned char>(c)) != 0;
+/// True when `c` can begin a multi-character punctuator; any other
+/// punctuation character is a token on its own.
+bool StartsLongPunct(char c) {
+  for (const char first : std::string_view("<>.-:#&|+*/%=!^")) {
+    if (c == first) return true;
+  }
+  return false;
 }
 
 /// Character scanner that performs translation-phase-2 line splicing
@@ -57,6 +67,29 @@ class Scanner {
     i_ = save_i;
     line_ = save_line;
     return out;
+  }
+
+  /// Appends characters to `out` up to the first for which `stop` holds
+  /// (or the end of input). Same result as a Cur()/Bump() loop, but
+  /// copies each splice-free run in one piece.
+  template <typename Stop>
+  void TakeUntil(Stop stop, std::string* out) {
+    while (true) {
+      SkipSplices();
+      size_t j = i_;
+      while (j < src_.size() && src_[j] != '\\' && src_[j] != '\n' &&
+             !stop(src_[j])) {
+        ++j;
+      }
+      out->append(src_.substr(i_, j - i_));
+      i_ = j;
+      SkipSplices();
+      if (i_ != j) continue;  // skipped a splice
+      const char c = Cur();
+      if (i_ >= src_.size() || stop(c)) return;
+      out->push_back(c);  // a newline or a lone backslash
+      Bump();
+    }
   }
 
   /// Consumes the current spliced character.
@@ -170,11 +203,12 @@ LexResult Lex(std::string_view source) {
     s.add_lines(lines);
   };
 
+  out.tokens.reserve(source.size() / 6);
   while (!s.AtEnd()) {
     const char c = s.Cur();
     const size_t line = s.line();
 
-    if (std::isspace(static_cast<unsigned char>(c)) != 0) {
+    if (IsSpace(c)) {
       s.Bump();
       continue;
     }
@@ -187,10 +221,8 @@ LexResult Lex(std::string_view source) {
       s.Bump();
       Comment comment;
       comment.line = line;
-      while (s.Cur() != '\0' && s.Cur() != '\n') {
-        comment.text.push_back(s.Cur());
-        s.Bump();
-      }
+      s.TakeUntil([](char d) { return d == '\0' || d == '\n'; },
+                  &comment.text);
       comment.end_line = s.line();
       out.comments.push_back(std::move(comment));
       continue;
@@ -200,8 +232,11 @@ LexResult Lex(std::string_view source) {
       s.Bump();
       Comment comment;
       comment.line = line;
-      while (s.Cur() != '\0' && !(s.Cur() == '*' && s.Next() == '/')) {
-        comment.text.push_back(s.Cur());
+      while (true) {
+        s.TakeUntil([](char d) { return d == '\0' || d == '*'; },
+                    &comment.text);
+        if (s.Cur() == '\0' || s.Next() == '/') break;
+        comment.text.push_back('*');
         s.Bump();
       }
       if (s.Cur() != '\0') {
@@ -216,10 +251,7 @@ LexResult Lex(std::string_view source) {
     // Identifier, possibly a literal prefix (R"..., u8"..., L'...).
     if (IsIdentStart(c)) {
       std::string ident;
-      while (IsIdentChar(s.Cur())) {
-        ident.push_back(s.Cur());
-        s.Bump();
-      }
+      s.TakeUntil([](char d) { return !IsIdentChar(d); }, &ident);
       if (s.Cur() == '"' && IsRawStringPrefix(ident)) {
         s.Bump();  // opening quote
         Token token{TokenKind::kString, "", line};
@@ -287,6 +319,11 @@ LexResult Lex(std::string_view source) {
 
     // Punctuator by longest match; anything unrecognized becomes a
     // single-character punctuator so the scan always advances.
+    if (!StartsLongPunct(c)) {
+      out.tokens.push_back(Token{TokenKind::kPunct, std::string(1, c), line});
+      s.Bump();
+      continue;
+    }
     const std::string window = s.PeekString(3);
     std::string_view matched;
     for (const std::string_view punct : kPuncts) {
