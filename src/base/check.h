@@ -14,8 +14,9 @@
 ///
 /// Every check carries a message so that a crash in a deployed audit names
 /// the violated invariant, not just a stringified expression. The
-/// fairlaw_lint pass enforces this: a bare FAIRLAW_CHECK(cond) in library
-/// code is a lint violation; use FAIRLAW_CHECK_MSG.
+/// fairlaw_check `bare-check` rule enforces this: a bare
+/// FAIRLAW_CHECK(cond) in library code is a finding; use
+/// FAIRLAW_CHECK_MSG.
 
 namespace fairlaw::internal {
 
@@ -94,7 +95,7 @@ inline void CheckIndex(
 /// Debug-only OK-check: compiled out under NDEBUG, so `expr` is NOT
 /// evaluated in release builds. Only wrap pure queries whose failure
 /// would already be a bug; a fallible call with side effects inside
-/// this macro silently vanishes from production — fairlaw_flowcheck
+/// this macro silently vanishes from production — the fairlaw_check
 /// rule `dcheck-side-effect` rejects exactly that shape.
 #ifdef NDEBUG
 #define FAIRLAW_DCHECK_OK(expr) \

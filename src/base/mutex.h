@@ -13,7 +13,7 @@
 /// These thin wrappers put the capability annotations on the fairlaw
 /// side: declare shared state FAIRLAW_GUARDED_BY(mu_) and the Clang CI
 /// job rejects any access path that does not hold the mutex. Concurrency
-/// in fairlaw goes through these types — fairlaw_lint bans raw
+/// in fairlaw goes through these types — fairlaw_check bans raw
 /// std::thread and sleep-based synchronization outside base/.
 
 namespace fairlaw {

@@ -22,8 +22,9 @@
 //    implementations regardless of backend, for equivalence tests and
 //    benchmark comparisons.
 //
-// fairlaw_lint rule 8 bans intrinsic identifiers (_mm*/__m*/v*q NEON
-// names, <immintrin.h>, <arm_neon.h>) everywhere outside this header.
+// The fairlaw_check rule simd-intrinsic bans intrinsic identifiers
+// (_mm*/__m*/v*q NEON names, <immintrin.h>, <arm_neon.h>) everywhere
+// outside this header.
 
 #include <bit>
 #include <cmath>

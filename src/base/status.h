@@ -8,7 +8,7 @@
 
 /// Marks a Status/Result<T>-returning declaration so the compiler warns
 /// when a caller drops the return value on the floor. Every fallible
-/// declaration in src/** headers must carry it — fairlaw_flowcheck rule
+/// declaration in src/** headers must carry it — the fairlaw_check rule
 /// `nodiscard-missing` enforces the sweep, and its `discarded-status`
 /// rule catches the call sites the compiler cannot see (macro bodies,
 /// cross-TU templates). Spelled as a macro rather than a bare attribute

@@ -15,7 +15,7 @@ namespace fairlaw {
 
 /// Fixed-size worker pool over a shared task queue.
 ///
-/// This is the one place in fairlaw that owns std::thread (fairlaw_lint
+/// This is the one place in fairlaw that owns std::thread (fairlaw_check
 /// enforces that); everything above base/ expresses parallelism as
 /// Submit/ParallelFor so the audit pipeline stays deterministic and
 /// TSan/-Wthread-safety checkable.

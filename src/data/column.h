@@ -36,7 +36,7 @@ class Column {
 
   /// Convenience factories from dense (all-valid) values. Bool columns
   /// take and expose 0/1 bytes: std::vector<bool> is banned tree-wide
-  /// (fairlaw_lint hot-path rule) because its proxy references defeat
+  /// (fairlaw_check hot-path rule) because its proxy references defeat
   /// spans, simd, and sane iteration.
   static Column FromDoubles(std::vector<double> values);
   static Column FromInt64s(std::vector<int64_t> values);

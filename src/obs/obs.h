@@ -49,7 +49,7 @@ bool Enabled();
 void SetEnabled(bool enabled);
 
 /// Monotonic nanosecond clock. The one sanctioned timing source:
-/// fairlaw_lint bans raw std::chrono::steady_clock outside src/obs/ so
+/// fairlaw_check bans raw std::chrono::steady_clock outside src/obs/ so
 /// every measurement flows through the same clock and kill switch.
 uint64_t MonotonicNowNs();
 

@@ -1,4 +1,4 @@
-// Regression tests for the fairlaw_flowcheck signature index
+// Regression tests for the fairlaw_check signature index
 // (tools/analysis/index.h): the cross-file map of Status/Result<T>
 // declarations that the error-flow rules match call sites against. The
 // cases pin the declaration shapes that are easy to lose in a lexical

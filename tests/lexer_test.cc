@@ -1,5 +1,5 @@
 // Unit tests for the shared analysis lexer (tools/analysis/lexer.h):
-// the token substrate under fairlaw_lint and fairlaw_detcheck. The
+// the token substrate every fairlaw_check rule reads. The
 // cases concentrate on the constructs that broke the old string-blanked
 // scanner — raw strings with embedded quotes, splice-continued line
 // comments — plus the lookup helpers the rule code leans on.
@@ -184,6 +184,30 @@ TEST(LexerTest, MultiLineBlockCommentTracksLines) {
   EXPECT_EQ(lex.comments[0].end_line, 4u);
   for (const Token& token : lex.tokens) {
     if (token.IsIdent("b")) {
+      EXPECT_EQ(token.line, 4u);
+    }
+  }
+}
+
+TEST(LexerTest, CommentTextKeepsStarsBackslashesAndSplices) {
+  // Comment bodies are copied a run at a time; the characters that end
+  // a run (a lone '*', a backslash that is not a splice, a splice) must
+  // come out exactly as a character-at-a-time scan would produce them.
+  const std::string source =
+      "/* a * b \\ c \\\nd **/ int x;\n"
+      "// tail \\ still\n"
+      "int y;\n";
+  const LexResult lex = Lex(source);
+  ASSERT_EQ(lex.comments.size(), 2u);
+  EXPECT_EQ(lex.comments[0].text, " a * b \\ c d *");
+  EXPECT_EQ(lex.comments[0].end_line, 2u);
+  EXPECT_EQ(lex.comments[1].text, " tail \\ still");
+  EXPECT_EQ(lex.comments[1].line, 3u);
+  for (const Token& token : lex.tokens) {
+    if (token.IsIdent("x")) {
+      EXPECT_EQ(token.line, 2u);
+    }
+    if (token.IsIdent("y")) {
       EXPECT_EQ(token.line, 4u);
     }
   }
