@@ -261,18 +261,6 @@ TEST(LexerTest, MarkerOnLineOrLineAbove) {
   EXPECT_FALSE(HasMarkerOnOrAbove(lex.comments, "detcheck: allow-entropy", 3));
 }
 
-TEST(LexerTest, CursorPeeksPastEndSafely) {
-  const LexResult lex = Lex("a b");
-  TokenCursor cursor{std::span<const Token>(lex.tokens)};
-  EXPECT_TRUE(cursor.Peek().IsIdent("a"));
-  EXPECT_TRUE(cursor.Peek(1).IsIdent("b"));
-  EXPECT_EQ(cursor.Peek(100).kind, TokenKind::kEndOfFile);
-  cursor.Advance(2);
-  EXPECT_TRUE(cursor.AtEnd());
-  cursor.Seek(0);
-  EXPECT_TRUE(cursor.MatchesSeq({"a", "b"}));
-}
-
 TEST(LexerTest, EveryStreamEndsWithEof) {
   for (const std::string_view source :
        {std::string_view(""), std::string_view("// only a comment\n"),

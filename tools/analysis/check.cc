@@ -13,16 +13,6 @@ namespace fs = std::filesystem;
 
 namespace {
 
-std::string JsonEscape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
-
 std::string ReadFileToString(const fs::path& path) {
   std::ifstream in(path, std::ios::binary);
   std::ostringstream buffer;
@@ -64,6 +54,16 @@ bool NeedsKind(std::span<const Rule* const> rules, RuleKind kind) {
 }
 
 }  // namespace
+
+std::string JsonEscape(std::string_view text) {
+  std::string out;
+  out.reserve(text.size());
+  for (const char c : text) {
+    if (c == '"' || c == '\\') out.push_back('\\');
+    out.push_back(c);
+  }
+  return out;
+}
 
 void Reporter::Report(const Rule& rule, const SourceFile& file, size_t line,
                       std::string message, size_t anchor_line) {
@@ -216,7 +216,7 @@ Reporter RunRules(const SourceTree& tree, std::span<const Rule* const> rules,
   return reporter;
 }
 
-std::vector<size_t> WorkerLambdaIntros(std::span<const Token> tokens) {
+std::vector<WorkerLambda> WorkerLambdas(std::span<const Token> tokens) {
   std::vector<std::string> task_names;
   std::vector<size_t> intros;
   for (size_t i = 0; i + 1 < tokens.size(); ++i) {
@@ -258,7 +258,31 @@ std::vector<size_t> WorkerLambdaIntros(std::span<const Token> tokens) {
       intros.push_back(i + 2);
     }
   }
-  return intros;
+  std::vector<WorkerLambda> lambdas;
+  for (const size_t intro : intros) {
+    WorkerLambda lambda;
+    lambda.intro = intro;
+    lambda.intro_close = MatchingClose(tokens, intro);
+    if (lambda.intro_close >= tokens.size()) continue;
+    size_t j = lambda.intro_close + 1;
+    if (j < tokens.size() && tokens[j].IsPunct("(")) {
+      lambda.params_open = j;
+      j = MatchingClose(tokens, j);
+      if (j >= tokens.size()) continue;
+      ++j;
+    }
+    // Skip specifiers and a trailing return type up to the body brace;
+    // any other shape is not a lambda.
+    while (j < tokens.size() && !tokens[j].IsPunct("{") &&
+           !tokens[j].IsPunct(";") && !tokens[j].IsPunct(")")) {
+      ++j;
+    }
+    if (j >= tokens.size() || !tokens[j].IsPunct("{")) continue;
+    lambda.body_open = j;
+    lambda.body_close = MatchingClose(tokens, j);
+    if (lambda.body_close < tokens.size()) lambdas.push_back(lambda);
+  }
+  return lambdas;
 }
 
 }  // namespace fairlaw::analysis

@@ -235,12 +235,23 @@ bool SourceFile::MentionsAny(const Names& names) const {
   return false;
 }
 
+/// Token positions of a lambda handed to ThreadPool::Submit/ParallelFor.
+struct WorkerLambda {
+  size_t intro = 0;        // '[' of the capture list
+  size_t intro_close = 0;  // its ']'
+  size_t params_open = 0;  // '(' of the parameter list; 0 when absent
+  size_t body_open = 0;    // '{'
+  size_t body_close = 0;   // '}'
+};
+
 /// Shared worker-lambda finder for the rules that police code handed to
-/// ThreadPool::Submit/ParallelFor: the `[` of every lambda literal in
-/// argument position, plus the `[` of lambdas assigned to a name that is
-/// later passed as a task (`auto task = [&](...) {...};
-/// pool.ParallelFor(n, task);`).
-std::vector<size_t> WorkerLambdaIntros(std::span<const Token> tokens);
+/// the pool: every lambda literal in argument position, plus lambdas
+/// assigned to a name that is later passed as a task (`auto task =
+/// [&](...) {...}; pool.ParallelFor(n, task);`).
+std::vector<WorkerLambda> WorkerLambdas(std::span<const Token> tokens);
+
+/// `text` with '"' and '\\' backslash-escaped, for the JSON artifacts.
+std::string JsonEscape(std::string_view text);
 
 }  // namespace fairlaw::analysis
 

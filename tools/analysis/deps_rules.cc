@@ -459,15 +459,6 @@ std::map<std::string, int> FileCounts(const IncludeGraph& graph) {
   return counts;
 }
 
-std::string JsonEscape(const std::string& text) {
-  std::string out;
-  for (const char c : text) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  return out;
-}
-
 constexpr Rule kDepsRules[] = {
     {"unknown-module", "deps", RuleKind::kIncludeGraph, nullptr,
      CheckUnknownModule},

@@ -221,19 +221,43 @@ void CheckEntropy(const Rule& self, const RuleInput& in, Reporter& out) {
   }
 }
 
-struct Lambda {
-  size_t body_open = 0;   // index of '{'
-  size_t body_close = 0;  // index of '}'
+/// What a worker lambda can write: its by-reference captures, and the
+/// names it declares itself.
+struct Captures {
   bool default_ref = false;
-  std::vector<std::string> ref_captures;
+  std::vector<std::string> by_ref;
   std::vector<std::string> locals;  // params + declared-in-body names
 };
 
-/// Heuristic local-declaration scan of the body: `Type name`,
-/// `Tmpl<...> name`, and `Type& name` shapes mark `name` as local, so a
-/// worker accumulating into its own stack variable is not flagged.
-void CollectBodyLocals(std::span<const Token> tokens, Lambda* out) {
-  for (size_t j = out->body_open + 1; j < out->body_close; ++j) {
+/// Reads the capture list and parameter names, then scans the body for
+/// local declarations: `Type name`, `Tmpl<...> name`, and `Type& name`
+/// shapes mark `name` as local, so a worker accumulating into its own
+/// stack variable is not flagged.
+Captures ReadCaptures(std::span<const Token> tokens,
+                      const WorkerLambda& lambda) {
+  Captures out;
+  // Capture list: [&], [&a, b], [=, &c], [this, &d] ...
+  for (size_t j = lambda.intro + 1; j < lambda.intro_close; ++j) {
+    if (!tokens[j].IsPunct("&")) continue;
+    if (j + 1 < lambda.intro_close &&
+        tokens[j + 1].kind == TokenKind::kIdentifier) {
+      out.by_ref.push_back(tokens[j + 1].text);
+      ++j;
+    } else {
+      out.default_ref = true;
+    }
+  }
+  if (lambda.params_open != 0) {
+    // Each parameter's name is the identifier right before ',' or ')'.
+    const size_t close = MatchingClose(tokens, lambda.params_open);
+    for (size_t k = lambda.params_open + 2; k <= close; ++k) {
+      if ((tokens[k].IsPunct(",") || k == close) &&
+          tokens[k - 1].kind == TokenKind::kIdentifier) {
+        out.locals.push_back(tokens[k - 1].text);
+      }
+    }
+  }
+  for (size_t j = lambda.body_open + 1; j < lambda.body_close; ++j) {
     if (tokens[j].kind != TokenKind::kIdentifier) continue;
     const Token& prev = tokens[j - 1];
     const bool after_type_name = prev.kind == TokenKind::kIdentifier &&
@@ -244,73 +268,28 @@ void CollectBodyLocals(std::span<const Token> tokens, Lambda* out) {
         (tokens[j - 2].kind == TokenKind::kIdentifier ||
          tokens[j - 2].IsPunct(">"));
     if (after_type_name || after_template_close || after_sigil) {
-      out->locals.push_back(tokens[j].text);
+      out.locals.push_back(tokens[j].text);
     }
   }
-}
-
-/// Parses the lambda literal whose capture intro starts at `intro`
-/// ('[' token). Returns false when the bracket shape is not a lambda.
-bool ParseLambda(std::span<const Token> tokens, size_t intro, Lambda* out) {
-  const size_t intro_close = MatchingClose(tokens, intro);
-  if (intro_close >= tokens.size()) return false;
-  // Capture list: [&], [&a, b], [=, &c], [this, &d] ...
-  for (size_t j = intro + 1; j < intro_close; ++j) {
-    if (!tokens[j].IsPunct("&")) continue;
-    if (j + 1 < intro_close && tokens[j + 1].kind == TokenKind::kIdentifier) {
-      out->ref_captures.push_back(tokens[j + 1].text);
-      ++j;
-    } else {
-      out->default_ref = true;
-    }
-  }
-  size_t j = intro_close + 1;
-  if (j < tokens.size() && tokens[j].IsPunct("(")) {
-    const size_t params_close = MatchingClose(tokens, j);
-    if (params_close >= tokens.size()) return false;
-    // Each parameter's name is the identifier right before ',' or ')'.
-    for (size_t k = j + 1; k <= params_close; ++k) {
-      if ((tokens[k].IsPunct(",") || k == params_close) && k > j + 1 &&
-          tokens[k - 1].kind == TokenKind::kIdentifier) {
-        out->locals.push_back(tokens[k - 1].text);
-      }
-    }
-    j = params_close + 1;
-  }
-  // Skip specifiers/trailing-return tokens up to the body brace.
-  while (j < tokens.size() && !tokens[j].IsPunct("{") &&
-         !tokens[j].IsPunct(";") && !tokens[j].IsPunct(")")) {
-    ++j;
-  }
-  if (j >= tokens.size() || !tokens[j].IsPunct("{")) return false;
-  out->body_open = j;
-  out->body_close = MatchingClose(tokens, j);
-  if (out->body_close >= tokens.size()) return false;
-  CollectBodyLocals(tokens, out);
-  return true;
+  return out;
 }
 
 /// True when `name` may be written from outside the worker: captured by
 /// reference explicitly, or visible through a [&] default and not
 /// declared locally.
-bool IsSharedWrite(const Lambda& lambda, const std::string& name) {
-  if (std::find(lambda.locals.begin(), lambda.locals.end(), name) !=
-      lambda.locals.end()) {
-    return false;
-  }
-  if (std::find(lambda.ref_captures.begin(), lambda.ref_captures.end(),
-                name) != lambda.ref_captures.end()) {
-    return true;
-  }
-  return lambda.default_ref;
+bool IsSharedWrite(const Captures& captures, const std::string& name) {
+  auto has = [&name](const std::vector<std::string>& names) {
+    return std::find(names.begin(), names.end(), name) != names.end();
+  };
+  if (has(captures.locals)) return false;
+  return has(captures.by_ref) || captures.default_ref;
 }
 
 void CheckMergeOrder(const Rule& self, const RuleInput& in, Reporter& out) {
   if (!in.file->Mentions({"Submit", "ParallelFor"})) return;
   const std::span<const Token> tokens = in.file->tokens();
-  for (const size_t intro : WorkerLambdaIntros(tokens)) {
-    Lambda lambda;
-    if (!ParseLambda(tokens, intro, &lambda)) continue;
+  for (const WorkerLambda& lambda : WorkerLambdas(tokens)) {
+    const Captures captures = ReadCaptures(tokens, lambda);
     for (size_t j = lambda.body_open + 1; j < lambda.body_close; ++j) {
       const Token& token = tokens[j];
       std::string written;
@@ -335,7 +314,7 @@ void CheckMergeOrder(const Rule& self, const RuleInput& in, Reporter& out) {
       } else {
         continue;
       }
-      if (!IsSharedWrite(lambda, written)) continue;
+      if (!IsSharedWrite(captures, written)) continue;
       out.Report(self, *in.file, tokens[op_index].line,
                  "worker lambda accumulates into captured-by-reference '" +
                      written +

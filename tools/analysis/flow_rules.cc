@@ -121,44 +121,15 @@ size_t DiscardedFallibleCall(std::span<const Token> tokens, size_t i,
   return callee;
 }
 
-/// Token range of a worker lambda's body: (open, close) exclusive.
-struct WorkerBody {
-  size_t open = 0;
-  size_t close = 0;
-};
-
-std::vector<WorkerBody> WorkerBodies(std::span<const Token> tokens) {
-  std::vector<WorkerBody> bodies;
-  for (const size_t intro : WorkerLambdaIntros(tokens)) {
-    const size_t intro_close = MatchingClose(tokens, intro);
-    if (intro_close >= tokens.size()) continue;
-    size_t j = intro_close + 1;
-    if (j < tokens.size() && tokens[j].IsPunct("(")) {
-      j = MatchingClose(tokens, j);
-      if (j >= tokens.size()) continue;
-      ++j;
-    }
-    while (j < tokens.size() && !tokens[j].IsPunct("{") &&
-           !tokens[j].IsPunct(";") && !tokens[j].IsPunct(")")) {
-      ++j;
-    }
-    if (j >= tokens.size() || !tokens[j].IsPunct("{")) continue;
-    const size_t body_close = MatchingClose(tokens, j);
-    if (body_close >= tokens.size()) continue;
-    bodies.push_back(WorkerBody{j, body_close});
-  }
-  return bodies;
-}
-
 void CheckDiscardedStatus(const Rule& self, const RuleInput& in,
                           Reporter& out) {
   const std::span<const Token> tokens = in.file->tokens();
   const std::vector<size_t> open_of_close = CloseToOpen(tokens);
-  const std::vector<WorkerBody> workers = WorkerBodies(tokens);
+  const std::vector<WorkerLambda> workers = WorkerLambdas(tokens);
   for (size_t i = 0; i < tokens.size(); ++i) {
     const bool in_worker =  // status-in-task's jurisdiction
-        std::any_of(workers.begin(), workers.end(), [i](const WorkerBody& b) {
-          return i > b.open && i < b.close;
+        std::any_of(workers.begin(), workers.end(), [i](const WorkerLambda& w) {
+          return i > w.body_open && i < w.body_close;
         });
     if (in_worker || !IsStatementStart(tokens, i, open_of_close)) continue;
     const size_t callee = DiscardedFallibleCall(tokens, i, in.tree.index);
@@ -304,8 +275,8 @@ void CheckStatusInTask(const Rule& self, const RuleInput& in, Reporter& out) {
   if (!in.file->Mentions({"Submit", "ParallelFor"})) return;
   const std::span<const Token> tokens = in.file->tokens();
   const std::vector<size_t> open_of_close = CloseToOpen(tokens);
-  for (const WorkerBody& body : WorkerBodies(tokens)) {
-    for (size_t i = body.open + 1; i < body.close; ++i) {
+  for (const WorkerLambda& body : WorkerLambdas(tokens)) {
+    for (size_t i = body.body_open + 1; i < body.body_close; ++i) {
       if (IsStatementStart(tokens, i, open_of_close)) {
         const size_t callee = DiscardedFallibleCall(tokens, i, in.tree.index);
         if (callee < tokens.size()) {
@@ -320,12 +291,12 @@ void CheckStatusInTask(const Rule& self, const RuleInput& in, Reporter& out) {
         }
       }
       // `Status name = ...;` never read again before the body ends.
-      if (tokens[i].IsIdent("Status") && i + 2 < body.close &&
+      if (tokens[i].IsIdent("Status") && i + 2 < body.body_close &&
           tokens[i + 1].kind == TokenKind::kIdentifier &&
           tokens[i + 2].IsPunct("=") && !tokens[i - 1].IsPunct("::")) {
         const std::string& name = tokens[i + 1].text;
         bool read_later = false;
-        for (size_t j = i + 3; j < body.close && !read_later; ++j) {
+        for (size_t j = i + 3; j < body.body_close && !read_later; ++j) {
           read_later = tokens[j].kind == TokenKind::kIdentifier &&
                        tokens[j].text == name;
         }

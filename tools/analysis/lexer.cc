@@ -151,8 +151,6 @@ bool IsRawStringPrefix(std::string_view ident) {
 
 }  // namespace
 
-const Token TokenCursor::kEof{};
-
 LexResult Lex(std::string_view source) {
   LexResult out;
   Scanner s(source);

@@ -9,10 +9,10 @@
 #include <string_view>
 #include <vector>
 
-/// fairlaw::analysis — the shared token substrate of the static
-/// analysis passes (fairlaw_lint, fairlaw_detcheck).
+/// fairlaw::analysis — the token substrate every fairlaw_check rule
+/// reads.
 ///
-/// The original passes scanned a comment/string-blanked copy of each
+/// The original analyzers scanned a comment/string-blanked copy of each
 /// file, which misread two constructs the real compiler handles in
 /// translation phase 2/3: raw string literals with embedded quotes, and
 /// line comments continued by a backslash-newline splice. Lexing the
@@ -40,7 +40,7 @@
 namespace fairlaw::analysis {
 
 enum class TokenKind : uint8_t {
-  kIdentifier,   // keywords are identifiers; the passes match by text
+  kIdentifier,   // keywords are identifiers; the rules match by text
   kNumber,       // pp-number spelling, e.g. "0x1p-3", "1'000'000"
   kString,       // text holds the *contents* (quotes/prefix stripped)
   kCharLiteral,  // text holds the contents
@@ -63,7 +63,7 @@ struct Token {
 
 /// A comment's text (delimiters stripped) and the source lines it
 /// covers. Escape-hatch markers (`lint: allow-...`, `detcheck:
-/// allow-...`) live in comments, so the passes search these instead of
+/// allow-...`) live in comments, so the rules search these instead of
 /// re-reading the raw file.
 struct Comment {
   std::string text;
@@ -78,7 +78,7 @@ struct LexResult {
 
 /// Tokenizes `source`. Never fails: unterminated literals end at the
 /// next newline (or end of file for raw strings/block comments), which
-/// keeps the passes robust on files that do not compile.
+/// keeps the rules robust on files that do not compile.
 LexResult Lex(std::string_view source);
 
 /// True when the token at `at` begins the exact identifier/punctuator
@@ -94,44 +94,10 @@ bool TokenSeqAt(std::span<const Token> tokens, size_t at,
 size_t MatchingClose(std::span<const Token> tokens, size_t open_index);
 
 /// True when some comment covering `line` or `line - 1` contains
-/// `marker`. This is the escape-hatch convention shared by the passes:
+/// `marker`. This is the escape-hatch convention shared by the rules:
 /// the marker sits on the flagged line or the line above it.
 bool HasMarkerOnOrAbove(const std::vector<Comment>& comments,
                         std::string_view marker, size_t line);
-
-/// Forward-only view over a token stream with bounded lookahead; the
-/// convenience layer rule code is written against.
-class TokenCursor {
- public:
-  explicit TokenCursor(std::span<const Token> tokens) : tokens_(tokens) {}
-
-  /// Token `ahead` positions past the cursor; a kEndOfFile sentinel
-  /// when that runs past the end.
-  const Token& Peek(size_t ahead = 0) const {
-    const size_t index = pos_ + ahead;
-    return index < tokens_.size() ? tokens_[index] : kEof;
-  }
-
-  bool AtEnd() const {
-    return pos_ >= tokens_.size() ||
-           tokens_[pos_].kind == TokenKind::kEndOfFile;
-  }
-
-  void Advance(size_t n = 1) { pos_ += n; }
-
-  size_t pos() const { return pos_; }
-  void Seek(size_t pos) { pos_ = pos; }
-
-  /// True when the tokens at the cursor spell out `seq`; see TokenSeqAt.
-  bool MatchesSeq(std::initializer_list<std::string_view> seq) const {
-    return TokenSeqAt(tokens_, pos_, seq);
-  }
-
- private:
-  static const Token kEof;
-  std::span<const Token> tokens_;
-  size_t pos_ = 0;
-};
 
 }  // namespace fairlaw::analysis
 
