@@ -44,7 +44,6 @@
 // Exit codes: 0 clean (or every fixture matched), 1 findings (or a
 // fixture mismatch), 2 usage or I/O error.
 #include <algorithm>
-#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -137,7 +136,6 @@ int main(int argc, char** argv) {
   std::string graph_path;
   std::string dot_path;
   std::string self_test;
-  uint64_t threads = 0;
   bool verbose = false;
   fairlaw::cli::FlagSet flags(
       "fairlaw_check", "",
@@ -148,9 +146,6 @@ int main(int argc, char** argv) {
   flags.Add("root", &root_flag, "tree to scan");
   flags.Add("rules", &rule_names,
             "comma-separated rule or family names to run (default: all)");
-  flags.Add("threads", &threads,
-            "worker threads for the per-file work (0: one per core); the "
-            "output is identical for every value");
   flags.Section("output");
   flags.Add("json", &json_path, "write the findings artifact to this path");
   flags.Add("graph", &graph_path, "write the module graph as JSON here");
@@ -175,7 +170,9 @@ int main(int argc, char** argv) {
                  parsed->positionals[0].c_str());
     return 2;
   }
-  fairlaw::ThreadPool pool(threads);
+  // One worker per core; per-file results merge in file order, so the
+  // output does not depend on the pool size.
+  fairlaw::ThreadPool pool(0);
   std::vector<const Rule*> rules;
   std::string error;
   if (!SelectRules(rule_names, &rules, &error)) {
