@@ -4,6 +4,7 @@
 #include <fstream>
 #include <sstream>
 #include <tuple>
+#include <unordered_set>
 
 #include "base/thread_pool.h"
 
@@ -46,6 +47,19 @@ std::vector<fs::path> CollectSources(const fs::path& root) {
   }
   std::sort(files.begin(), files.end());
   return files;
+}
+
+/// The distinct identifier spellings of a file. Deduplicates through a
+/// hash set first: a file repeats its identifiers many times over, and
+/// only the distinct ones are sorted.
+IdentSet CollectIdents(std::span<const Token> tokens) {
+  std::unordered_set<std::string_view> seen;
+  for (const Token& token : tokens) {
+    if (token.kind == TokenKind::kIdentifier) seen.insert(token.text);
+  }
+  IdentSet idents(seen.begin(), seen.end());
+  std::sort(idents.begin(), idents.end());
+  return idents;
 }
 
 bool NeedsKind(std::span<const Rule* const> rules, RuleKind kind) {
@@ -176,8 +190,7 @@ SourceTree LoadTree(const fs::path& root, std::span<const Rule* const> rules,
     // Lexical: the walk started at root, so no filesystem lookups.
     file.rel = paths[i].lexically_relative(root).generic_string();
     file.lex = Lex(ReadFileToString(paths[i]));
-    file.idents =
-        CollectIdents(file.tokens(), [](const Token&) { return true; });
+    file.idents = CollectIdents(file.tokens());
   });
   if (NeedsKind(rules, RuleKind::kHeaderIndex)) {
     for (const SourceFile& file : tree.files) {

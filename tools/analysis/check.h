@@ -10,7 +10,6 @@
 #include <span>
 #include <string>
 #include <string_view>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -94,9 +93,6 @@ struct IncludeGraph {
   std::map<std::pair<std::string, std::string>, int> module_edges;
 };
 
-/// Rank of `module` in the declared layering DAG, or -1 if undeclared.
-int ModuleRank(std::string_view module);
-
 /// The module graph (nodes with ranks and file counts, module edges
 /// with include counts, every file-level edge) as JSON / Graphviz.
 std::string GraphJson(const IncludeGraph& graph);
@@ -147,7 +143,6 @@ class Reporter {
   void Sort();
 
   const std::vector<Finding>& findings() const { return findings_; }
-  size_t suppressed() const { return suppressed_; }
 
   /// One `file:line: rule: message` line per finding, then
   /// `N finding(s), M suppressed`. Fixture expectations use this form.
@@ -185,8 +180,7 @@ std::span<const Rule> FlowRules();
 std::span<const Rule> DepsRules();
 std::vector<const Rule*> AllRules();
 
-/// Resolves comma-separated rule and family names to registry rows, in
-/// registry order. An unknown name is an error (returned as its text).
+/// Resolves rule and family names to registry rows, in registry order. An unknown name is an error (returned as its text).
 bool SelectRules(const std::vector<std::string>& names,
                  std::vector<const Rule*>* selected, std::string* error);
 
@@ -206,22 +200,6 @@ Reporter RunRules(const SourceTree& tree, std::span<const Rule* const> rules,
 /// into `files`, which must outlive it.
 IncludeGraph BuildIncludeGraph(std::span<const SourceFile> files,
                                ThreadPool& pool);
-
-/// The distinct identifier spellings of the tokens `keep` accepts.
-/// Deduplicates through a hash set first: a file repeats its
-/// identifiers many times over, and only the distinct ones are sorted.
-template <typename Keep>
-IdentSet CollectIdents(std::span<const Token> tokens, Keep keep) {
-  std::unordered_set<std::string_view> seen;
-  for (const Token& token : tokens) {
-    if (token.kind == TokenKind::kIdentifier && keep(token)) {
-      seen.insert(token.text);
-    }
-  }
-  IdentSet idents(seen.begin(), seen.end());
-  std::sort(idents.begin(), idents.end());
-  return idents;
-}
 
 inline bool HasIdent(const IdentSet& idents, std::string_view name) {
   return std::binary_search(idents.begin(), idents.end(), name);

@@ -61,6 +61,14 @@ constexpr ModuleSpec kModules[] = {
     {"examples", 6},
 };
 
+/// Rank of `module` in the declared layering DAG, or -1 if undeclared.
+int ModuleRank(std::string_view module) {
+  for (const ModuleSpec& spec : kModules) {
+    if (module == spec.name) return spec.rank;
+  }
+  return -1;
+}
+
 const std::set<std::string>& Keywords() {
   static const std::set<std::string> kKeywords = {
       "alignas",   "alignof",  "auto",     "bool",      "break",
@@ -476,13 +484,6 @@ constexpr Rule kDepsRules[] = {
 }  // namespace
 
 std::span<const Rule> DepsRules() { return kDepsRules; }
-
-int ModuleRank(std::string_view module) {
-  for (const ModuleSpec& spec : kModules) {
-    if (module == spec.name) return spec.rank;
-  }
-  return -1;
-}
 
 IncludeGraph BuildIncludeGraph(std::span<const SourceFile> files,
                                ThreadPool& pool) {

@@ -201,9 +201,8 @@ int main(int argc, char** argv) {
   if ((!graph_path.empty() || !dot_path.empty()) && tree.graph.files.empty()) {
     tree.graph = BuildIncludeGraph(tree.files, pool);
   }
-  const std::string text = reporter.Text();
   if (verbose || !reporter.findings().empty()) {
-    std::fprintf(stderr, "%s", text.c_str());
+    std::fprintf(stderr, "%s", reporter.Text().c_str());
   }
   if (!json_path.empty() && !WriteFile(json_path, reporter.Json() + "\n")) {
     return 2;
