@@ -92,6 +92,31 @@ TEST(AuditorParallelTest, ErrorsMatchSerialRun) {
   }
 }
 
+TEST(AuditorParallelTest, FirstFailingRowInTableOrderWins) {
+  // Group F has no actual positives (equal_opportunity and
+  // equalized_odds fail) and group M no positive predictions
+  // (predictive_parity fails); demographic parity and disparate impact
+  // pass. The error is the first failing row's, in table order.
+  const data::Table table = data::ReadCsvString(
+                                "sex,pred,label\n"
+                                "F,1,0\nF,0,0\nF,1,0\nF,0,0\n"
+                                "M,0,1\nM,0,0\nM,0,1\nM,0,0\n")
+                                .ValueOrDie();
+  AuditConfig config;
+  config.protected_column = "sex";
+  config.prediction_column = "pred";
+  config.label_column = "label";
+  for (const size_t threads : {1u, 8u}) {
+    config.num_threads = threads;
+    EXPECT_EQ(Auditor::Run(AuditSource::FromTable(table), config)
+                  .status()
+                  .ToString(),
+              "invalid argument: equal_opportunity: group 'F' has no actual "
+              "positives; TPR undefined")
+        << "threads=" << threads;
+  }
+}
+
 TEST(AuditorParallelTest, ThreadCountZeroUsesHardwareConcurrency) {
   const data::Table table = MakeTable();
   EXPECT_TRUE(Auditor::Run(AuditSource::FromTable(table), MakeConfig(0)).ok());

@@ -2,6 +2,7 @@
 
 #include "audit/subgroup.h"
 #include "data/csv.h"
+#include "obs/obs.h"
 #include "stats/rng.h"
 
 namespace fairlaw::audit {
@@ -196,6 +197,48 @@ TEST(SubgroupAuditTest, FindingsIdenticalForEveryThreadCount) {
     SubgroupAuditResult parallel =
         AuditSubgroups(table, attrs, "pred", options).ValueOrDie();
     ExpectIdentical(serial, parallel);
+  }
+}
+
+/// Table whose third attribute is determined by the first for a third
+/// of the rows, so some conjunctions are empty and get pruned.
+data::Table SparseLatticeTable() {
+  std::string csv = "a,b,c,pred\n";
+  for (int i = 0; i < 300; ++i) {
+    csv += "a" + std::to_string(i % 3) + ",b" + std::to_string(i % 4) + ",";
+    csv += i % 3 == 0 ? "x" : "y" + std::to_string(i % 2);
+    csv += i % 5 < 2 ? ",1\n" : ",0\n";
+  }
+  return data::ReadCsvString(csv).ValueOrDie();
+}
+
+// Exact kernel-counter values of one audit: the walk order, the number
+// of AND/popcount calls and the pruning are part of the contract, on
+// the contiguous path and on the chunked one alike.
+TEST(SubgroupAuditTest, KernelCountersPinnedOnBothPaths) {
+  if (!obs::Enabled()) GTEST_SKIP() << "obs disabled";
+  const data::Table table = SparseLatticeTable();
+  const std::vector<std::string> attrs = {"a", "b", "c"};
+  for (size_t chunk_rows : {size_t{0}, size_t{64}}) {
+    for (size_t threads : {size_t{1}, size_t{4}}) {
+      SubgroupAuditOptions options;
+      options.max_depth = 3;
+      options.min_support = 5;
+      options.chunk_rows = chunk_rows;
+      options.num_threads = threads;
+      obs::Counter* nodes = obs::GetCounter("subgroup.nodes_visited");
+      obs::Counter* popcounts = obs::GetCounter("subgroup.popcount_calls");
+      obs::Counter* pruned = obs::GetCounter("subgroup.pruned_subtrees");
+      const uint64_t nodes_before = nodes->Value();
+      const uint64_t popcounts_before = popcounts->Value();
+      const uint64_t pruned_before = pruned->Value();
+      ASSERT_TRUE(AuditSubgroups(table, attrs, "pred", options).ok());
+      SCOPED_TRACE("chunk_rows=" + std::to_string(chunk_rows) +
+                   " threads=" + std::to_string(threads));
+      EXPECT_EQ(nodes->Value() - nodes_before, 47u);
+      EXPECT_EQ(popcounts->Value() - popcounts_before, 126u);
+      EXPECT_EQ(pruned->Value() - pruned_before, 32u);
+    }
   }
 }
 
