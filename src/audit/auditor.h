@@ -55,9 +55,11 @@ struct AuditConfig {
   /// Histogram bins for the O(n) binned drift fast path; 0 (default)
   /// uses the exact presorted path.
   size_t score_distribution_bins = 0;
-  /// Worker threads for metric evaluation: 1 = serial (default), 0 = one
-  /// per hardware thread. The audit output is byte-identical for every
-  /// thread count — results are sequenced by metric, not by completion.
+  /// Worker threads for the chunk morsels (the per-chunk partial builds
+  /// of an in-memory chunked table or a streamed CSV): 1 = serial
+  /// (default), 0 = one per hardware thread. Partials merge in chunk
+  /// order and metric evaluation is serial, so the audit output is
+  /// byte-identical for every thread count.
   size_t num_threads = 1;
   /// Rows per morsel for the chunked engine: the table is split into
   /// chunks of this many rows, each chunk produces mergeable partials

@@ -2,18 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdint>
-#include <functional>
 #include <iterator>
-#include <optional>
 #include <span>
-#include <string_view>
 #include <utility>
 #include <vector>
 
-#include "base/mutex.h"
-#include "base/thread_annotations.h"
-#include "base/thread_pool.h"
 #include "data/table.h"
 #include "metrics/calibration_metric.h"
 #include "metrics/conditional_metrics.h"
@@ -29,11 +22,10 @@ namespace {
 /// Per-group score-distribution drift: each group's sorted scores against
 /// the multiset difference of the sorted pooled scores (everyone else),
 /// through the presorted W1/KS kernels — or the binned kernels when the
-/// config asks for the O(n) fast path. Runs serially after the metric
-/// jobs, so thread count cannot touch the result. `series` holds each
-/// group's scores in global row order (the chunk-order merge guarantees
-/// that), and `scores` is the full score column in row order, so the
-/// sorts see exactly the sequences the old whole-table pass fed them.
+/// config asks for the O(n) fast path. `series` holds each group's
+/// scores in global row order (the chunk-order merge guarantees that),
+/// and `scores` is the full score column in row order, so the sorts see
+/// exactly the sequences the old whole-table pass fed them.
 Result<ScoreDistributionReport> ScoreDistributionAudit(
     const stats::GroupedSeries& series, std::span<const double> scores,
     const AuditConfig& config) {
@@ -95,92 +87,6 @@ Result<ScoreDistributionReport> ScoreDistributionAudit(
   return report;
 }
 
-/// Collects metric results completed on worker threads. Each result
-/// carries the sequence number of its job in the canonical (serial)
-/// evaluation order, so Finish() can assemble an AuditResult that is
-/// byte-identical for any thread count — including which error wins when
-/// several metrics fail at once.
-class ResultAggregator {
- public:
-  void AddMetric(size_t seq, Result<metrics::MetricReport> report)
-      FAIRLAW_EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    metric_reports_.emplace_back(seq, std::move(report));
-  }
-
-  void AddConditional(size_t seq, Result<metrics::ConditionalReport> report)
-      FAIRLAW_EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    conditional_reports_.emplace_back(seq, std::move(report));
-  }
-
-  void AddCalibration(size_t seq, Result<metrics::CalibrationReport> report)
-      FAIRLAW_EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    calibration_.emplace(seq, std::move(report));
-  }
-
-  /// Deterministic assembly; call only after every job has completed.
-  Result<AuditResult> Finish() FAIRLAW_EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    auto by_seq = [](const auto& a, const auto& b) {
-      return a.first < b.first;
-    };
-    std::sort(metric_reports_.begin(), metric_reports_.end(), by_seq);
-    std::sort(conditional_reports_.begin(), conditional_reports_.end(),
-              by_seq);
-
-    // Serial evaluation returns the error of the first failing job; keep
-    // that contract by picking the non-OK status with the lowest seq.
-    size_t first_error_seq = SIZE_MAX;
-    const Status* first_error = nullptr;
-    auto consider = [&](size_t seq, const Status& status) {
-      if (!status.ok() && seq < first_error_seq) {
-        first_error_seq = seq;
-        first_error = &status;
-      }
-    };
-    for (const auto& [seq, report] : metric_reports_) {
-      consider(seq, report.status());
-    }
-    if (calibration_.has_value()) {
-      consider(calibration_->first, calibration_->second.status());
-    }
-    for (const auto& [seq, report] : conditional_reports_) {
-      consider(seq, report.status());
-    }
-    if (first_error != nullptr) return *first_error;
-
-    AuditResult result;
-    for (auto& [seq, report] : metric_reports_) {
-      metrics::MetricReport r = std::move(report).ValueOrDie();
-      result.all_satisfied = result.all_satisfied && r.satisfied;
-      result.reports.push_back(std::move(r));
-    }
-    if (calibration_.has_value()) {
-      metrics::CalibrationReport calibration =
-          std::move(calibration_->second).ValueOrDie();
-      result.all_satisfied = result.all_satisfied && calibration.satisfied;
-      result.calibration = std::move(calibration);
-    }
-    for (auto& [seq, report] : conditional_reports_) {
-      metrics::ConditionalReport r = std::move(report).ValueOrDie();
-      result.all_satisfied = result.all_satisfied && r.satisfied;
-      result.conditional_reports.push_back(std::move(r));
-    }
-    return result;
-  }
-
- private:
-  Mutex mu_;
-  std::vector<std::pair<size_t, Result<metrics::MetricReport>>>
-      metric_reports_ FAIRLAW_GUARDED_BY(mu_);
-  std::vector<std::pair<size_t, Result<metrics::ConditionalReport>>>
-      conditional_reports_ FAIRLAW_GUARDED_BY(mu_);
-  std::optional<std::pair<size_t, Result<metrics::CalibrationReport>>>
-      calibration_ FAIRLAW_GUARDED_BY(mu_);
-};
-
 /// The evaluator parameter a table row takes from the audit config: the
 /// ratio threshold for ratio rules, the gap tolerance otherwise.
 double ParameterFor(const metrics::MetricSpec& spec,
@@ -196,75 +102,48 @@ Result<AuditResult> EvaluateMetrics(const EvaluateInputs& inputs,
                                     const AuditConfig& config,
                                     const std::string& parent_path) {
   const stats::GroupCountsAccumulator& counts = *inputs.counts;
-  const bool with_strata = inputs.strata_counts != nullptr &&
-                           inputs.strata_counts->num_strata() > 0;
-
-  ResultAggregator aggregator;
-  std::vector<std::function<void()>> jobs;
-  size_t seq = 0;
-  auto add_metric =
-      [&](std::string_view name,
-          std::function<Result<metrics::MetricReport>()> compute) {
-        jobs.push_back([&aggregator, &parent_path, seq,
-                        name = "metric/" + std::string(name),
-                        compute = std::move(compute)] {
-          obs::TraceSpan span(name, parent_path);
-          aggregator.AddMetric(seq, compute());
-        });
-        ++seq;
-      };
-
+  AuditResult result;
+  // Table order: metric rows, then calibration, then conditional rows;
+  // the first failing row's error is the audit's error.
   for (const metrics::MetricSpec& spec : metrics::MetricTable()) {
     if (spec.requires_labels && !inputs.has_labels) continue;
-    add_metric(spec.name, [&counts, &config, &spec] {
-      return metrics::Evaluate(
-          spec.id, metrics::GroupStatsFromCounts(counts, spec.requires_labels),
-          ParameterFor(spec, config));
-    });
+    obs::TraceSpan span("metric/" + std::string(spec.name), parent_path);
+    FAIRLAW_ASSIGN_OR_RETURN(
+        metrics::MetricReport report,
+        metrics::Evaluate(
+            spec.id,
+            metrics::GroupStatsFromCounts(counts, spec.requires_labels),
+            ParameterFor(spec, config)));
+    result.all_satisfied = result.all_satisfied && report.satisfied;
+    result.reports.push_back(std::move(report));
   }
   if (inputs.score_series != nullptr && !config.score_column.empty()) {
-    jobs.push_back([&aggregator, &parent_path, seq, &inputs, &config] {
-      obs::TraceSpan span("metric/calibration_within_groups", parent_path);
-      aggregator.AddCalibration(
-          seq, metrics::CalibrationFromSeries(*inputs.score_series,
-                                              config.calibration_bins,
-                                              config.calibration_tolerance));
-    });
-    ++seq;
+    obs::TraceSpan span("metric/calibration_within_groups", parent_path);
+    FAIRLAW_ASSIGN_OR_RETURN(
+        metrics::CalibrationReport calibration,
+        metrics::CalibrationFromSeries(*inputs.score_series,
+                                       config.calibration_bins,
+                                       config.calibration_tolerance));
+    result.all_satisfied = result.all_satisfied && calibration.satisfied;
+    result.calibration = std::move(calibration);
   }
-  if (with_strata) {
-    auto add_conditional =
-        [&](std::string_view name,
-            std::function<Result<metrics::ConditionalReport>()> compute) {
-          jobs.push_back([&aggregator, &parent_path, seq,
-                          name = "metric/" + std::string(name),
-                          compute = std::move(compute)] {
-            obs::TraceSpan span(name, parent_path);
-            aggregator.AddConditional(seq, compute());
-          });
-          ++seq;
-        };
-    for (const metrics::MetricSpec& spec : metrics::MetricTable()) {
-      if (spec.conditional_name.empty()) continue;
-      add_conditional(spec.conditional_name, [&inputs, &config, &spec] {
-        return metrics::EvaluateConditional(spec.id, *inputs.strata_counts,
-                                            ParameterFor(spec, config),
-                                            config.min_stratum_size);
-      });
-    }
+  if (inputs.strata_counts == nullptr ||
+      inputs.strata_counts->num_strata() == 0) {
+    return result;
   }
-
-  if (config.num_threads == 1) {
-    for (const std::function<void()>& job : jobs) job();
-  } else {
-    // num_threads == 0 sizes the pool to the hardware; otherwise never
-    // spawn more workers than there are jobs.
-    ThreadPool pool(config.num_threads == 0
-                        ? 0
-                        : std::min(config.num_threads, jobs.size()));
-    pool.ParallelFor(jobs.size(), [&jobs](size_t i) { jobs[i](); });
+  for (const metrics::MetricSpec& spec : metrics::MetricTable()) {
+    if (spec.conditional_name.empty()) continue;
+    obs::TraceSpan span("metric/" + std::string(spec.conditional_name),
+                        parent_path);
+    FAIRLAW_ASSIGN_OR_RETURN(
+        metrics::ConditionalReport report,
+        metrics::EvaluateConditional(spec.id, *inputs.strata_counts,
+                                     ParameterFor(spec, config),
+                                     config.min_stratum_size));
+    result.all_satisfied = result.all_satisfied && report.satisfied;
+    result.conditional_reports.push_back(std::move(report));
   }
-  return aggregator.Finish();
+  return result;
 }
 
 Result<AuditResult> EvaluateMergedPartials(const MergedPartials& merged,

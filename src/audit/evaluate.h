@@ -26,10 +26,10 @@ struct EvaluateInputs {
   bool has_labels = false;
 };
 
-/// Runs one closure per metric over merged exact tallies, sequenced in
-/// the canonical report order and assembled by sequence number, so the
-/// result — including which error wins when several metrics fail — is
-/// byte-identical for every thread count. Shared by the chunked table
+/// Evaluates every metric row over merged exact tallies in table order:
+/// the metric rows, then calibration, then the conditional rows. Each
+/// row runs under a `metric/<name>` span beneath `parent_path`; the
+/// first failing row's error is returned. Shared by the chunked table
 /// engines and the serve window evaluator.
 FAIRLAW_NODISCARD Result<AuditResult> EvaluateMetrics(
     const EvaluateInputs& inputs, const AuditConfig& config,

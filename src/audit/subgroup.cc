@@ -10,7 +10,6 @@
 #include "base/thread_pool.h"
 #include "data/bitmap.h"
 #include "data/chunked.h"
-#include "data/group_by.h"
 #include "data/group_index.h"
 #include "obs/obs.h"
 
@@ -50,8 +49,7 @@ std::vector<SubgroupFinding> SubgroupAuditResult::Violations(
 
 namespace {
 
-/// Scores one conjunction; shared by the bitmap and rowwise enumerators
-/// so both produce bit-identical findings.
+/// Scores one conjunction.
 void RecordFinding(
     const std::vector<std::pair<std::string, std::string>>& conditions,
     size_t member_count, size_t positives, size_t num_rows,
@@ -76,8 +74,8 @@ void RecordFinding(
 }
 
 /// Sorts findings by descending gap. stable_sort keeps equal-gap
-/// findings in enumeration order, which is canonical for every thread
-/// count — std::sort would make tie order an implementation detail.
+/// findings in enumeration order — std::sort would make tie order an
+/// implementation detail.
 void SortFindings(SubgroupAuditResult* result) {
   std::stable_sort(result->findings.begin(), result->findings.end(),
                    [](const SubgroupFinding& a, const SubgroupFinding& b) {
@@ -88,17 +86,12 @@ void SortFindings(SubgroupAuditResult* result) {
 // ---------------------------------------------------------------------------
 // Bitmap enumerator.
 
-/// Per-subtree kernel statistics, tallied on plain fields while the walk
-/// runs and folded into the obs counters once per audit — the lattice
-/// walk is the hot path, so it never touches an atomic per node.
+/// Kernel statistics, tallied on plain fields while the walk runs and
+/// folded into the obs counters once per audit — the lattice walk is
+/// the hot path, so it never touches an atomic per node.
 struct KernelTally {
   uint64_t popcount_calls = 0;
   uint64_t pruned_subtrees = 0;
-
-  void MergeInto(KernelTally* total) const {
-    total->popcount_calls += popcount_calls;
-    total->pruned_subtrees += pruned_subtrees;
-  }
 };
 
 /// The chunked analogue of data::AttributeIndex: the same first-seen
@@ -112,10 +105,11 @@ struct ChunkedAttributeIndex {
   std::vector<data::ChunkedBitmap> bitmaps;  // aligned with `values`
 };
 
-/// Walks the conjunction lattice under one member set. `scratch` holds
-/// one preallocated bitmap per depth level, so the whole walk allocates
-/// nothing: the intersection for depth d is computed into (*scratch)[d]
-/// and its popcount falls out of the same pass (BitmapT::AndInto).
+/// Scores the conjunction `conditions` (depth >= 1), then walks the
+/// lattice below it. `scratch` holds one preallocated bitmap per depth
+/// level, so the whole walk allocates nothing: the intersection for
+/// depth d is computed into (*scratch)[d] and its popcount falls out of
+/// the same pass (BitmapT::AndInto).
 ///
 /// Templated over the index/bitmap pair — (data::AttributeIndex,
 /// data::Bitmap) for the contiguous path, (ChunkedAttributeIndex,
@@ -124,7 +118,7 @@ struct ChunkedAttributeIndex {
 /// counts once in the tally however many chunks it spans, which keeps
 /// the kernel counters chunk-layout-invariant.
 template <typename AttributeT, typename BitmapT>
-void EnumerateBitmap(const std::vector<const AttributeT*>& attrs,
+void EnumerateBitmap(const std::vector<AttributeT>& attrs,
                      const BitmapT& predictions, double overall_rate,
                      size_t num_rows, const SubgroupAuditOptions& options,
                      size_t next_attribute, int depth,
@@ -133,15 +127,13 @@ void EnumerateBitmap(const std::vector<const AttributeT*>& attrs,
                          conditions,
                      std::vector<BitmapT>* scratch,
                      SubgroupAuditResult* result, KernelTally* tally) {
-  if (depth > 0) {
-    const size_t positives = BitmapT::AndCount(members, predictions);
-    ++tally->popcount_calls;
-    RecordFinding(*conditions, member_count, positives, num_rows,
-                  overall_rate, options, result);
-  }
+  const size_t positives = BitmapT::AndCount(members, predictions);
+  ++tally->popcount_calls;
+  RecordFinding(*conditions, member_count, positives, num_rows, overall_rate,
+                options, result);
   if (depth >= options.max_depth) return;
   for (size_t a = next_attribute; a < attrs.size(); ++a) {
-    const AttributeT& attribute = *attrs[a];
+    const AttributeT& attribute = attrs[a];
     for (size_t v = 0; v < attribute.values.size(); ++v) {
       BitmapT& narrowed = (*scratch)[static_cast<size_t>(depth)];
       const size_t count =
@@ -160,95 +152,32 @@ void EnumerateBitmap(const std::vector<const AttributeT*>& attrs,
   }
 }
 
-/// One first-condition subtree: the (attribute, value) root plus
-/// everything below it. Subtrees share no mutable state, so they are the
-/// unit of parallelism; merging their results in root order reproduces
-/// the serial walk exactly.
-struct SubtreeTask {
-  size_t attribute;
-  size_t value;
-};
-
-template <typename AttributeT, typename BitmapT>
-SubgroupAuditResult RunSubtree(
-    const std::vector<const AttributeT*>& attrs,
-    const BitmapT& predictions, double overall_rate, size_t num_rows,
-    const SubgroupAuditOptions& options, const SubtreeTask& task,
-    KernelTally* tally) {
-  SubgroupAuditResult result;
-  const AttributeT& attribute = *attrs[task.attribute];
-  const BitmapT& members = attribute.bitmaps[task.value];
-  const size_t count = members.Count();
-  ++tally->popcount_calls;
-  if (count == 0) return result;  // unreachable: index bitmaps are nonempty
-  std::vector<std::pair<std::string, std::string>> conditions = {
-      {attribute.name, attribute.values[task.value]}};
-  // Depth d intersections land in scratch[d]; the root set itself is the
-  // index bitmap, so levels 1..max_depth-1 suffice.
-  std::vector<BitmapT> scratch(
-      static_cast<size_t>(options.max_depth) + 1);
-  EnumerateBitmap(attrs, predictions, overall_rate, num_rows, options,
-                  task.attribute + 1, /*depth=*/1, members, count,
-                  &conditions, &scratch, &result, tally);
-  return result;
-}
-
-void MergeResult(SubgroupAuditResult&& subtree, SubgroupAuditResult* total) {
-  total->subgroups_examined += subtree.subgroups_examined;
-  total->subgroups_skipped_small += subtree.subgroups_skipped_small;
-  total->any_violation = total->any_violation || subtree.any_violation;
-  for (SubgroupFinding& finding : subtree.findings) {
-    total->findings.push_back(std::move(finding));
-  }
-}
-
-/// The full lattice walk over a prepared index: canonical subtree order,
-/// per-subtree slots (serial or ThreadPool), merge in task order, obs
+/// The full lattice walk over a prepared index: roots in canonical order
+/// (attributes in argument order, values in first-seen order), obs
 /// counters, final sort. Shared by the contiguous and chunked entry
-/// points so their scheduling and bookkeeping cannot drift apart.
+/// points so their visit order and bookkeeping cannot drift apart.
 template <typename AttributeT, typename BitmapT>
-SubgroupAuditResult RunLattice(const std::vector<AttributeT>& attributes,
+SubgroupAuditResult RunLattice(const std::vector<AttributeT>& attrs,
                                const BitmapT& predictions,
                                double overall_rate, size_t num_rows,
                                const SubgroupAuditOptions& options) {
-  std::vector<const AttributeT*> attrs;
-  attrs.reserve(attributes.size());
-  for (const AttributeT& attribute : attributes) {
-    attrs.push_back(&attribute);
-  }
-
-  // Canonical subtree order: attributes in argument order, values in
-  // first-seen order — the order the serial walk visits them.
-  std::vector<SubtreeTask> tasks;
-  for (size_t a = 0; a < attrs.size(); ++a) {
-    for (size_t v = 0; v < attrs[a]->values.size(); ++v) {
-      tasks.push_back(SubtreeTask{a, v});
-    }
-  }
-
-  std::vector<SubgroupAuditResult> subtree_results(tasks.size());
-  std::vector<KernelTally> subtree_tallies(tasks.size());
-  auto run_task = [&](size_t t) {
-    subtree_results[t] =
-        RunSubtree(attrs, predictions, overall_rate, num_rows, options,
-                   tasks[t], &subtree_tallies[t]);
-  };
-  if (options.num_threads == 1 || tasks.size() <= 1) {
-    for (size_t t = 0; t < tasks.size(); ++t) run_task(t);
-  } else {
-    // Each task writes only its own slot, so aggregation needs no lock;
-    // determinism comes from merging in task order below.
-    ThreadPool pool(options.num_threads == 0
-                        ? 0
-                        : std::min(options.num_threads, tasks.size()));
-    pool.ParallelFor(tasks.size(), run_task);
-  }
-
   SubgroupAuditResult result;
   KernelTally tally;
-  for (size_t t = 0; t < tasks.size(); ++t) {
-    MergeResult(std::move(subtree_results[t]), &result);
-    subtree_tallies[t].MergeInto(&tally);
+  // Depth d intersections land in scratch[d]; a root set is its index
+  // bitmap itself, so levels 1..max_depth-1 suffice.
+  std::vector<BitmapT> scratch(static_cast<size_t>(options.max_depth) + 1);
+  std::vector<std::pair<std::string, std::string>> conditions;
+  for (size_t a = 0; a < attrs.size(); ++a) {
+    const AttributeT& attribute = attrs[a];
+    for (size_t v = 0; v < attribute.values.size(); ++v) {
+      const BitmapT& members = attribute.bitmaps[v];
+      ++tally.popcount_calls;
+      conditions = {{attribute.name, attribute.values[v]}};
+      // Index bitmaps are nonempty: every value comes from some row.
+      EnumerateBitmap(attrs, predictions, overall_rate, num_rows, options,
+                      a + 1, /*depth=*/1, members, members.Count(),
+                      &conditions, &scratch, &result, &tally);
+    }
   }
   obs::GetCounter("subgroup.audits")->Increment();
   obs::GetCounter("subgroup.nodes_visited")
@@ -431,114 +360,6 @@ Result<SubgroupAuditResult> AuditSubgroups(
 
   return RunLattice(attributes, predictions, overall_rate, table.num_rows(),
                     options);
-}
-
-namespace {
-
-// ---------------------------------------------------------------------------
-// Rowwise reference enumerator (pre-kernel implementation, kept as the
-// equivalence oracle and bench baseline).
-
-struct AttributeColumn {
-  std::string name;
-  std::vector<std::string> values;  // per-row rendered value
-  std::vector<std::string> distinct;
-};
-
-void EnumerateRowwise(const std::vector<AttributeColumn>& attributes,
-                      const std::vector<int>& predictions,
-                      double overall_rate,
-                      const SubgroupAuditOptions& options,
-                      size_t next_attribute, int depth,
-                      std::vector<std::pair<std::string, std::string>>*
-                          conditions,
-                      std::vector<size_t>* member_rows,
-                      SubgroupAuditResult* result) {
-  if (depth > 0) {
-    size_t positives = 0;
-    for (size_t row : *member_rows) {
-      positives += static_cast<size_t>(predictions[row]);
-    }
-    RecordFinding(*conditions, member_rows->size(), positives,
-                  predictions.size(), overall_rate, options, result);
-  }
-  if (depth >= options.max_depth) return;
-  for (size_t a = next_attribute; a < attributes.size(); ++a) {
-    const AttributeColumn& attribute = attributes[a];
-    for (const std::string& value : attribute.distinct) {
-      std::vector<size_t> narrowed;
-      narrowed.reserve(member_rows->size());
-      for (size_t row : *member_rows) {
-        // The per-row compare is the scalar baseline the bitmap kernels
-        // replace. lint: allow-hot-path
-        if (attribute.values[row] == value) narrowed.push_back(row);
-      }
-      if (narrowed.empty()) continue;
-      conditions->push_back({attribute.name, value});
-      EnumerateRowwise(attributes, predictions, overall_rate, options, a + 1,
-                       depth + 1, conditions, &narrowed, result);
-      conditions->pop_back();
-    }
-  }
-}
-
-}  // namespace
-
-Result<SubgroupAuditResult> AuditSubgroupsRowwise(
-    const data::Table& table,
-    const std::vector<std::string>& attribute_columns,
-    const std::string& prediction_column,
-    const SubgroupAuditOptions& options) {
-  obs::TraceSpan span("audit_subgroups_rowwise");
-  FAIRLAW_RETURN_NOT_OK(options.Validate());
-  if (attribute_columns.empty()) {
-    return Status::Invalid("AuditSubgroups: no attribute columns");
-  }
-  if (table.num_rows() == 0) {
-    return Status::Invalid("AuditSubgroups: empty table");
-  }
-
-  FAIRLAW_ASSIGN_OR_RETURN(const data::Column* prediction_col,
-                           table.GetColumn(prediction_column));
-  FAIRLAW_ASSIGN_OR_RETURN(std::vector<double> raw_predictions,
-                           prediction_col->ToDoubles());
-  std::vector<int> predictions(raw_predictions.size());
-  size_t positives = 0;
-  for (size_t i = 0; i < raw_predictions.size(); ++i) {
-    if (raw_predictions[i] != 0.0 && raw_predictions[i] != 1.0) {
-      return Status::Invalid("AuditSubgroups: prediction column must be 0/1");
-    }
-    predictions[i] = raw_predictions[i] == 1.0 ? 1 : 0;
-    positives += static_cast<size_t>(predictions[i]);
-  }
-  const double overall_rate =
-      static_cast<double>(positives) / static_cast<double>(predictions.size());
-
-  std::vector<AttributeColumn> attributes;
-  attributes.reserve(attribute_columns.size());
-  for (const std::string& name : attribute_columns) {
-    FAIRLAW_ASSIGN_OR_RETURN(const data::Column* column,
-                             table.GetColumn(name));
-    AttributeColumn attribute;
-    attribute.name = name;
-    attribute.values.resize(column->size());
-    for (size_t row = 0; row < column->size(); ++row) {
-      attribute.values[row] = column->ValueToString(row);
-    }
-    FAIRLAW_ASSIGN_OR_RETURN(attribute.distinct,
-                             data::DistinctValues(table, name));
-    attributes.push_back(std::move(attribute));
-  }
-
-  SubgroupAuditResult result;
-  std::vector<std::pair<std::string, std::string>> conditions;
-  std::vector<size_t> all_rows(table.num_rows());
-  for (size_t i = 0; i < all_rows.size(); ++i) all_rows[i] = i;
-  EnumerateRowwise(attributes, predictions, overall_rate, options,
-                   /*next_attribute=*/0, /*depth=*/0, &conditions, &all_rows,
-                   &result);
-  SortFindings(&result);
-  return result;
 }
 
 size_t CountConjunctions(const std::vector<size_t>& cardinalities,

@@ -49,15 +49,14 @@ struct SubgroupAuditOptions {
   size_t min_support = 20;
   /// Gap above which a subgroup counts as a violation.
   double tolerance = 0.05;
-  /// Worker threads for the lattice walk: 1 = serial (default), 0 = one
-  /// per hardware thread. The walk is split at the first condition — each
-  /// (attribute, value) root is an independent subtree — and subtree
-  /// results are merged in canonical root order, so the findings are
-  /// byte-identical for every thread count.
+  /// Worker threads for the chunked engine's per-chunk index build (the
+  /// ChunkedTable overload, or chunk_rows > 0): 1 = serial (default), 0 =
+  /// one per hardware thread. The lattice walk itself is always serial;
+  /// the findings are byte-identical for every thread count.
   size_t num_threads = 1;
   /// Rows per morsel for the chunked engine: with a nonzero value the
   /// table is split into chunks, each chunk is indexed independently
-  /// (in parallel when num_threads != 1), and the lattice walk runs on
+  /// (on num_threads workers), and the lattice walk runs on
   /// chunk-spanning bitmaps whose counts sum to the whole-table counts —
   /// so the findings are byte-identical for every chunk size. 0
   /// (default) builds one contiguous index.
@@ -87,9 +86,7 @@ struct SubgroupAuditResult {
 ///
 /// The enumerator runs on a data::GroupIndex built once per call:
 /// narrowing a conjunction by one condition is a word-wise bitmap AND,
-/// and the member/selected counts are fused popcounts. With
-/// options.num_threads != 1 the first-condition subtrees run on a
-/// base::ThreadPool; the output is identical to the serial walk.
+/// and the member/selected counts are fused popcounts.
 FAIRLAW_NODISCARD Result<SubgroupAuditResult> AuditSubgroups(
     const data::Table& table,
     const std::vector<std::string>& attribute_columns,
@@ -105,15 +102,6 @@ FAIRLAW_NODISCARD Result<SubgroupAuditResult> AuditSubgroups(
 /// chunk layout and thread count.
 FAIRLAW_NODISCARD Result<SubgroupAuditResult> AuditSubgroups(
     const data::ChunkedTable& table,
-    const std::vector<std::string>& attribute_columns,
-    const std::string& prediction_column, const SubgroupAuditOptions& options);
-
-/// Scalar reference implementation: per-row string compares over
-/// std::vector<size_t> row lists, always serial. Kept as the equivalence
-/// oracle for tests and the "before" side of bench_micro_subgroup's
-/// kernel comparison; produces byte-identical results to AuditSubgroups.
-FAIRLAW_NODISCARD Result<SubgroupAuditResult> AuditSubgroupsRowwise(
-    const data::Table& table,
     const std::vector<std::string>& attribute_columns,
     const std::string& prediction_column, const SubgroupAuditOptions& options);
 

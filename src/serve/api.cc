@@ -40,7 +40,6 @@ audit::AuditConfig ServeConfig::ToAuditConfig() const {
   config.di_threshold = di_threshold;
   config.score_distribution_tolerance = drift_tolerance;
   config.min_stratum_size = min_stratum_size;
-  config.num_threads = num_threads;
   return config;
 }
 

@@ -40,9 +40,10 @@ struct ServeConfig {
   /// Whether events must carry `stratum` (enables the conditional
   /// metrics and drill-down queries).
   bool with_strata = false;
-  /// Worker threads for window folds and metric evaluation: 1 = serial,
-  /// 0 = one per hardware thread. Responses are byte-identical for
-  /// every value.
+  /// Worker threads for the window sketch folds (merging the ring's
+  /// buckets into one window): 1 = serial, 0 = one per hardware thread.
+  /// Metric evaluation is serial. Responses are byte-identical for every
+  /// value.
   size_t num_threads = 1;
   /// KLL accuracy parameter for the per-group score sketches.
   uint32_t sketch_k = 200;

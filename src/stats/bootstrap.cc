@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "base/thread_pool.h"
 #include "obs/obs.h"
 #include "stats/descriptive.h"
 
@@ -50,25 +49,12 @@ uint64_t ReplicateSeed(uint64_t stream_base, size_t r) {
   return SplitMix64(stream_base ^ SplitMix64(static_cast<uint64_t>(r)));
 }
 
-/// Runs fn(0..n-1), serially or on a pool. Every fn(r) writes only state
-/// owned by replicate r, so no lock is needed and the outcome cannot
-/// depend on scheduling.
-void ForEachReplicate(size_t n, size_t num_threads,
-                      const std::function<void(size_t)>& fn) {
-  if (num_threads == 1 || n <= 1) {
-    for (size_t r = 0; r < n; ++r) fn(r);
-    return;
-  }
-  ThreadPool pool(num_threads == 0 ? 0 : std::min(num_threads, n));
-  pool.ParallelFor(n, fn);
-}
-
 }  // namespace
 
 Result<ConfidenceInterval> BootstrapCi(std::span<const double> sample,
                                        const Statistic& statistic,
-                                       int replicates, double level, Rng* rng,
-                                       size_t num_threads) {
+                                       int replicates, double level,
+                                       Rng* rng) {
   obs::TraceSpan span("bootstrap_ci");
   FAIRLAW_RETURN_NOT_OK(
       CheckBootstrapArgs(replicates, level, rng, "BootstrapCi"));
@@ -81,11 +67,10 @@ Result<ConfidenceInterval> BootstrapCi(std::span<const double> sample,
   // whole computation stays reproducible from the caller's seed.
   const uint64_t stream_base = rng->Next();
   std::vector<double> replicas(static_cast<size_t>(replicates));
-  ForEachReplicate(replicas.size(), num_threads, [&](size_t r) {
+  for (size_t r = 0; r < replicas.size(); ++r) {
     Rng replicate_rng(ReplicateSeed(stream_base, r));
-    std::vector<double> resampled = Resample(sample, &replicate_rng);
-    replicas[r] = statistic(resampled);
-  });
+    replicas[r] = statistic(Resample(sample, &replicate_rng));
+  }
   obs::GetHistogram("bootstrap.replicates")->Record(replicas.size());
   return PercentileInterval(std::move(replicas), statistic(sample), level);
 }
@@ -93,7 +78,7 @@ Result<ConfidenceInterval> BootstrapCi(std::span<const double> sample,
 Result<ConfidenceInterval> BootstrapCiTwoSample(
     std::span<const double> sample_a, std::span<const double> sample_b,
     const TwoSampleStatistic& statistic, int replicates, double level,
-    Rng* rng, size_t num_threads) {
+    Rng* rng) {
   obs::TraceSpan span("bootstrap_ci_two_sample");
   FAIRLAW_RETURN_NOT_OK(
       CheckBootstrapArgs(replicates, level, rng, "BootstrapCiTwoSample"));
@@ -107,12 +92,12 @@ Result<ConfidenceInterval> BootstrapCiTwoSample(
   }
   const uint64_t stream_base = rng->Next();
   std::vector<double> replicas(static_cast<size_t>(replicates));
-  ForEachReplicate(replicas.size(), num_threads, [&](size_t r) {
+  for (size_t r = 0; r < replicas.size(); ++r) {
     Rng replicate_rng(ReplicateSeed(stream_base, r));
     std::vector<double> ra = Resample(sample_a, &replicate_rng);
     std::vector<double> rb = Resample(sample_b, &replicate_rng);
     replicas[r] = statistic(ra, rb);
-  });
+  }
   obs::GetHistogram("bootstrap.replicates")->Record(replicas.size());
   return PercentileInterval(std::move(replicas),
                             statistic(sample_a, sample_b), level);

@@ -33,23 +33,20 @@ using TwoSampleStatistic =
 ///
 /// Replicates draw from counter-based RNG streams: one base value is
 /// taken from `rng`, and replicate r seeds its own generator from
-/// (base, r). With `num_threads` != 1 (0 = one per hardware thread) the
-/// replicates run on a base::ThreadPool; because each stream depends only
-/// on (base, r), the interval is bit-identical for every thread count.
-FAIRLAW_NODISCARD Result<ConfidenceInterval> BootstrapCi(std::span<const double> sample,
-                                       const Statistic& statistic,
-                                       int replicates, double level, Rng* rng,
-                                       size_t num_threads = 1);
+/// (base, r), so each replicate is a pure function of (base, r).
+FAIRLAW_NODISCARD Result<ConfidenceInterval> BootstrapCi(
+    std::span<const double> sample, const Statistic& statistic,
+    int replicates, double level, Rng* rng);
 
 /// Percentile bootstrap CI for a two-sample statistic; the two samples
 /// are resampled independently. Fails when both samples are single
 /// observations (every replicate would be identical — a zero-width
-/// interval that looks like certainty). Same deterministic parallelism
-/// as BootstrapCi.
+/// interval that looks like certainty). Same replicate streams as
+/// BootstrapCi.
 FAIRLAW_NODISCARD Result<ConfidenceInterval> BootstrapCiTwoSample(
     std::span<const double> sample_a, std::span<const double> sample_b,
     const TwoSampleStatistic& statistic, int replicates, double level,
-    Rng* rng, size_t num_threads = 1);
+    Rng* rng);
 
 }  // namespace fairlaw::stats
 

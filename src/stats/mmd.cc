@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 
 #include "base/check.h"
 #include "base/simd.h"
-#include "base/thread_pool.h"
 #include "obs/obs.h"
 #include "stats/rng.h"
 
@@ -16,9 +14,9 @@ namespace {
 constexpr double kTwoPi = 6.283185307179586476925286766559;
 
 /// Row-block width of the tiled exact path and feature-block width of the
-/// RFF fan-out. Fixed constants (not thread-count-derived) so the
-/// summation grouping — and therefore the float result — is identical for
-/// every schedule.
+/// RFF sum. Each block is summed on its own and the block sums are added
+/// in block order, so these widths fix the float summation grouping —
+/// changing one changes results in the last bits.
 constexpr size_t kRowBlock = 256;
 constexpr size_t kFeatureBlock = 32;
 
@@ -45,22 +43,6 @@ uint64_t StreamSeed(uint64_t base, size_t k) {
   return SplitMix64(base ^ SplitMix64(static_cast<uint64_t>(k)));
 }
 
-/// Runs fn(0..n-1), serially or on a pool. Every fn(t) writes only state
-/// owned by task t, so no lock is needed and the outcome cannot depend on
-/// scheduling; the serial path visits tasks in the same order the merge
-/// reads them.
-void ForEachTask(size_t n, size_t num_threads,
-                 const std::function<void(size_t)>& fn) {
-  if (num_threads == 1 || n <= 1) {
-    for (size_t t = 0; t < n; ++t) fn(t);
-    return;
-  }
-  ThreadPool pool(num_threads == 0 ? 0 : std::min(num_threads, n));
-  pool.ParallelFor(n, fn);
-}
-
-size_t BlocksFor(size_t n) { return (n + kRowBlock - 1) / kRowBlock; }
-
 struct KernelSums {
   double kxx = 0.0;
   double kyy = 0.0;
@@ -68,53 +50,39 @@ struct KernelSums {
 };
 
 /// Raw kernel sums over all (i, j) pairs — kxx and kyy optionally without
-/// the diagonal — block-tiled over rows. Task t < blocks_x owns x-row
-/// block t and accumulates its kxx and kxy contributions; the remaining
-/// tasks own y-row blocks and accumulate kyy. Partials merge in block
-/// order, so the sums are bit-identical for every thread count.
+/// the diagonal — block-tiled over rows: each x-row block accumulates its
+/// kxx and kxy contributions, each y-row block its kyy contribution, and
+/// the block sums are added in block order.
 KernelSums TiledKernelSums(std::span<const Point> x, std::span<const Point> y,
-                           double sigma, bool exclude_diagonal,
-                           size_t num_threads) {
-  const size_t blocks_x = BlocksFor(x.size());
-  const size_t blocks_y = BlocksFor(y.size());
-  std::vector<double> partial_xx(blocks_x, 0.0);
-  std::vector<double> partial_xy(blocks_x, 0.0);
-  std::vector<double> partial_yy(blocks_y, 0.0);
-  ForEachTask(blocks_x + blocks_y, num_threads, [&](size_t t) {
-    if (t < blocks_x) {
-      const size_t begin = t * kRowBlock;
-      const size_t end = std::min(x.size(), begin + kRowBlock);
-      double acc_xx = 0.0;
-      double acc_xy = 0.0;
-      for (size_t i = begin; i < end; ++i) {
-        for (size_t j = 0; j < x.size(); ++j) {
-          if (exclude_diagonal && i == j) continue;
-          acc_xx += RbfKernel(x[i], x[j], sigma);
-        }
-        for (size_t j = 0; j < y.size(); ++j) {
-          acc_xy += RbfKernel(x[i], y[j], sigma);
-        }
-      }
-      partial_xx[t] = acc_xx;
-      partial_xy[t] = acc_xy;
-    } else {
-      const size_t b = t - blocks_x;
-      const size_t begin = b * kRowBlock;
-      const size_t end = std::min(y.size(), begin + kRowBlock);
-      double acc_yy = 0.0;
-      for (size_t i = begin; i < end; ++i) {
-        for (size_t j = 0; j < y.size(); ++j) {
-          if (exclude_diagonal && i == j) continue;
-          acc_yy += RbfKernel(y[i], y[j], sigma);
-        }
-      }
-      partial_yy[b] = acc_yy;
-    }
-  });
+                           double sigma, bool exclude_diagonal) {
   KernelSums sums;
-  for (double p : partial_xx) sums.kxx += p;
-  for (double p : partial_yy) sums.kyy += p;
-  for (double p : partial_xy) sums.kxy += p;
+  for (size_t begin = 0; begin < x.size(); begin += kRowBlock) {
+    const size_t end = std::min(x.size(), begin + kRowBlock);
+    double acc_xx = 0.0;
+    double acc_xy = 0.0;
+    for (size_t i = begin; i < end; ++i) {
+      for (size_t j = 0; j < x.size(); ++j) {
+        if (exclude_diagonal && i == j) continue;
+        acc_xx += RbfKernel(x[i], x[j], sigma);
+      }
+      for (size_t j = 0; j < y.size(); ++j) {
+        acc_xy += RbfKernel(x[i], y[j], sigma);
+      }
+    }
+    sums.kxx += acc_xx;
+    sums.kxy += acc_xy;
+  }
+  for (size_t begin = 0; begin < y.size(); begin += kRowBlock) {
+    const size_t end = std::min(y.size(), begin + kRowBlock);
+    double acc_yy = 0.0;
+    for (size_t i = begin; i < end; ++i) {
+      for (size_t j = 0; j < y.size(); ++j) {
+        if (exclude_diagonal && i == j) continue;
+        acc_yy += RbfKernel(y[i], y[j], sigma);
+      }
+    }
+    sums.kyy += acc_yy;
+  }
   return sums;
 }
 
@@ -130,25 +98,21 @@ Status CheckRffArgs(size_t nx, size_t ny, double sigma,
   return Status::OK();
 }
 
-/// Sum over features j of diff(j)^2, fanned out over fixed-size feature
-/// blocks with per-slot partials merged in block order.
+/// Sum over features j of diff(j)^2, accumulated per fixed-size feature
+/// block with the block sums added in block order.
 template <typename FeatureDiff>
-double SumFeatureDiffSquared(size_t num_features, size_t num_threads,
+double SumFeatureDiffSquared(size_t num_features,
                              const FeatureDiff& feature_diff) {
-  const size_t num_blocks = (num_features + kFeatureBlock - 1) / kFeatureBlock;
-  std::vector<double> partial(num_blocks, 0.0);
-  ForEachTask(num_blocks, num_threads, [&](size_t blk) {
-    const size_t begin = blk * kFeatureBlock;
+  double total = 0.0;
+  for (size_t begin = 0; begin < num_features; begin += kFeatureBlock) {
     const size_t end = std::min(num_features, begin + kFeatureBlock);
     double acc = 0.0;
     for (size_t j = begin; j < end; ++j) {
       const double diff = feature_diff(j);
       acc += diff * diff;
     }
-    partial[blk] = acc;
-  });
-  double total = 0.0;
-  for (double p : partial) total += p;
+    total += acc;
+  }
   return total;
 }
 
@@ -171,7 +135,7 @@ double Rff1dCore(std::span<const double> x, std::span<const double> y,
   const double nx = static_cast<double>(x.size());
   const double ny = static_cast<double>(y.size());
   const double total = SumFeatureDiffSquared(
-      options.num_features, options.num_threads, [&](size_t j) {
+      options.num_features, [&](size_t j) {
         Rng rng(StreamSeed(options.seed, j));
         const double w = rng.Normal() / sigma;
         const double b = rng.Uniform() * kTwoPi;
@@ -232,8 +196,7 @@ double MedianHeuristicBandwidth(std::span<const Point> x,
 }
 
 Result<double> MmdSquaredUnbiased(std::span<const Point> x,
-                                  std::span<const Point> y, double sigma,
-                                  const MmdExactOptions& options) {
+                                  std::span<const Point> y, double sigma) {
   if (x.size() < 2 || y.size() < 2) {
     return Status::Invalid("MMD unbiased estimator needs >= 2 points per "
                            "sample");
@@ -242,15 +205,14 @@ Result<double> MmdSquaredUnbiased(std::span<const Point> x,
   obs::TraceSpan span("mmd/exact_unbiased");
   const double nx = static_cast<double>(x.size());
   const double ny = static_cast<double>(y.size());
-  const KernelSums sums = TiledKernelSums(x, y, sigma, /*exclude_diagonal=*/
-                                          true, options.num_threads);
+  const KernelSums sums =
+      TiledKernelSums(x, y, sigma, /*exclude_diagonal=*/true);
   return sums.kxx / (nx * (nx - 1.0)) + sums.kyy / (ny * (ny - 1.0)) -
          2.0 * sums.kxy / (nx * ny);
 }
 
 Result<double> MmdSquaredBiased(std::span<const Point> x,
-                                std::span<const Point> y, double sigma,
-                                const MmdExactOptions& options) {
+                                std::span<const Point> y, double sigma) {
   if (x.empty() || y.empty()) {
     return Status::Invalid("MMD biased estimator needs non-empty samples");
   }
@@ -258,8 +220,8 @@ Result<double> MmdSquaredBiased(std::span<const Point> x,
   obs::TraceSpan span("mmd/exact_biased");
   const double nx = static_cast<double>(x.size());
   const double ny = static_cast<double>(y.size());
-  const KernelSums sums = TiledKernelSums(x, y, sigma, /*exclude_diagonal=*/
-                                          false, options.num_threads);
+  const KernelSums sums =
+      TiledKernelSums(x, y, sigma, /*exclude_diagonal=*/false);
   return std::max(0.0, sums.kxx / (nx * nx) + sums.kyy / (ny * ny) -
                            2.0 * sums.kxy / (nx * ny));
 }
@@ -294,7 +256,7 @@ Result<double> MmdSquaredRff(std::span<const Point> x,
   const double nx = static_cast<double>(x.size());
   const double ny = static_cast<double>(y.size());
   const double total = SumFeatureDiffSquared(
-      options.num_features, options.num_threads, [&](size_t j) {
+      options.num_features, [&](size_t j) {
         Rng rng(StreamSeed(options.seed, j));
         std::vector<double> w(dim);
         for (double& wd : w) wd = rng.Normal() / sigma;
@@ -318,19 +280,19 @@ Result<double> MmdSquaredRff(std::span<const Point> x,
 }
 
 Result<double> MmdSquaredUnbiased1d(std::span<const double> x,
-                                    std::span<const double> y, double sigma,
-                                    const MmdExactOptions& options) {
+                                    std::span<const double> y,
+                                    double sigma) {
   std::vector<Point> px = Lift(x);
   std::vector<Point> py = Lift(y);
-  return MmdSquaredUnbiased(px, py, sigma, options);
+  return MmdSquaredUnbiased(px, py, sigma);
 }
 
 Result<double> MmdSquaredBiased1d(std::span<const double> x,
-                                  std::span<const double> y, double sigma,
-                                  const MmdExactOptions& options) {
+                                  std::span<const double> y,
+                                  double sigma) {
   std::vector<Point> px = Lift(x);
   std::vector<Point> py = Lift(y);
-  return MmdSquaredBiased(px, py, sigma, options);
+  return MmdSquaredBiased(px, py, sigma);
 }
 
 Result<double> MmdSquaredRff1d(std::span<const double> x,

@@ -26,14 +26,6 @@ double MedianHeuristicBandwidth(std::span<const Point> x,
                                 std::span<const Point> y,
                                 size_t max_pairs = 100000);
 
-/// Options for the exact O(n^2) MMD estimators. The kernel sums are
-/// accumulated per fixed-size row block and merged in block order, so the
-/// result is bit-identical for every `num_threads` value (1 = serial,
-/// 0 = hardware concurrency).
-struct MmdExactOptions {
-  size_t num_threads = 1;
-};
-
 /// Options for the linear-time random-Fourier-feature estimator.
 struct MmdRffOptions {
   /// Number of random features D. Estimation error on top of the exact
@@ -42,25 +34,22 @@ struct MmdRffOptions {
   size_t num_features = 256;
   /// Base seed of the counter-based feature streams: feature j draws its
   /// frequency and phase from Rng(SplitMix64(seed ^ SplitMix64(j))), so
-  /// the estimate is a pure function of (inputs, sigma, D, seed) for any
-  /// thread count and any feature-block schedule.
+  /// the estimate is a pure function of (inputs, sigma, D, seed).
   uint64_t seed = 0x52ff5eedULL;
-  /// Threads for the feature-block fan-out (1 = serial, 0 = hardware).
-  size_t num_threads = 1;
 };
 
 /// Unbiased estimator of squared Maximum Mean Discrepancy between samples
 /// x and y under the RBF kernel with bandwidth sigma. Requires at least 2
 /// points per sample. The estimator may be slightly negative for close
-/// distributions; callers wanting a distance should clamp at 0.
+/// distributions; callers wanting a distance should clamp at 0. The
+/// kernel sums are accumulated per fixed-size row block and added in
+/// block order (here and in MmdSquaredBiased).
 FAIRLAW_NODISCARD Result<double> MmdSquaredUnbiased(
-    std::span<const Point> x, std::span<const Point> y, double sigma,
-    const MmdExactOptions& options = {});
+    std::span<const Point> x, std::span<const Point> y, double sigma);
 
 /// Biased (V-statistic) estimator of squared MMD; always >= 0.
 FAIRLAW_NODISCARD Result<double> MmdSquaredBiased(
-    std::span<const Point> x, std::span<const Point> y, double sigma,
-    const MmdExactOptions& options = {});
+    std::span<const Point> x, std::span<const Point> y, double sigma);
 
 /// Linear-time O(n * D) estimator of squared MMD via random Fourier
 /// features (Rahimi–Recht): the RBF kernel's spectral measure is sampled
@@ -75,11 +64,9 @@ FAIRLAW_NODISCARD Result<double> MmdSquaredRff(
 /// Convenience overloads for 1-D samples. The RFF variant runs the
 /// feature map directly over the contiguous input (SIMD fast path).
 FAIRLAW_NODISCARD Result<double> MmdSquaredUnbiased1d(
-    std::span<const double> x, std::span<const double> y, double sigma,
-    const MmdExactOptions& options = {});
+    std::span<const double> x, std::span<const double> y, double sigma);
 FAIRLAW_NODISCARD Result<double> MmdSquaredBiased1d(
-    std::span<const double> x, std::span<const double> y, double sigma,
-    const MmdExactOptions& options = {});
+    std::span<const double> x, std::span<const double> y, double sigma);
 FAIRLAW_NODISCARD Result<double> MmdSquaredRff1d(
     std::span<const double> x, std::span<const double> y, double sigma,
     const MmdRffOptions& options = {});

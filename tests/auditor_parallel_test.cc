@@ -12,8 +12,9 @@
 namespace fairlaw::audit {
 namespace {
 
-/// A table big enough that parallel metric evaluation actually
-/// interleaves: 240 rows, two groups, labels, scores, and a stratum.
+/// A table that splits into eight 30-row chunks, so the morsel workers
+/// actually interleave: 240 rows, two groups, labels, scores, and a
+/// stratum.
 data::Table MakeTable() {
   std::ostringstream csv;
   csv << "sex,pred,label,score,dept\n";
@@ -37,6 +38,7 @@ AuditConfig MakeConfig(size_t num_threads) {
   config.score_column = "score";
   config.strata_columns = {"dept"};
   config.num_threads = num_threads;
+  config.chunk_rows = 30;
   return config;
 }
 

@@ -87,31 +87,6 @@ TEST(BootstrapTest, SizeOneSampleIsRejected) {
   EXPECT_TRUE(result.status().IsInvalid());
 }
 
-TEST(BootstrapTest, CiIdenticalForEveryThreadCount) {
-  std::vector<double> sample(300);
-  {
-    Rng fill(21);
-    for (double& v : sample) v = fill.Normal(1.0, 2.0);
-  }
-  Rng rng_serial(77);
-  ConfidenceInterval serial =
-      BootstrapCi(sample, MeanStatistic(), 400, 0.95, &rng_serial,
-                  /*num_threads=*/1)
-          .ValueOrDie();
-  for (size_t threads : {2u, 8u, 0u}) {
-    Rng rng_parallel(77);
-    ConfidenceInterval parallel =
-        BootstrapCi(sample, MeanStatistic(), 400, 0.95, &rng_parallel,
-                    threads)
-            .ValueOrDie();
-    // Bit-identical, not just close: the replicate streams are functions
-    // of (base, replicate index), never of thread scheduling.
-    EXPECT_EQ(serial.lower, parallel.lower);
-    EXPECT_EQ(serial.upper, parallel.upper);
-    EXPECT_EQ(serial.estimate, parallel.estimate);
-  }
-}
-
 TEST(BootstrapTwoSampleTest, RateGapCi) {
   // Group A has selection rate 0.8, group B 0.4: the CI of the gap should
   // cover 0.4 and exclude 0.
@@ -157,34 +132,6 @@ TEST(BootstrapTwoSampleTest, BothSamplesSizeOneIsRejected) {
   // One singleton side is fine as long as the other side resamples.
   EXPECT_TRUE(
       BootstrapCiTwoSample(one_a, pair, gap, 100, 0.95, &rng).ok());
-}
-
-TEST(BootstrapTwoSampleTest, CiIdenticalForEveryThreadCount) {
-  std::vector<double> a(200);
-  std::vector<double> b(150);
-  {
-    Rng fill(33);
-    for (double& v : a) v = fill.Bernoulli(0.7) ? 1.0 : 0.0;
-    for (double& v : b) v = fill.Bernoulli(0.4) ? 1.0 : 0.0;
-  }
-  TwoSampleStatistic gap = [](std::span<const double> x,
-                              std::span<const double> y) {
-    return Mean(x).ValueOrDie() - Mean(y).ValueOrDie();
-  };
-  Rng rng_serial(55);
-  ConfidenceInterval serial =
-      BootstrapCiTwoSample(a, b, gap, 400, 0.95, &rng_serial,
-                           /*num_threads=*/1)
-          .ValueOrDie();
-  for (size_t threads : {2u, 8u, 0u}) {
-    Rng rng_parallel(55);
-    ConfidenceInterval parallel =
-        BootstrapCiTwoSample(a, b, gap, 400, 0.95, &rng_parallel, threads)
-            .ValueOrDie();
-    EXPECT_EQ(serial.lower, parallel.lower);
-    EXPECT_EQ(serial.upper, parallel.upper);
-    EXPECT_EQ(serial.estimate, parallel.estimate);
-  }
 }
 
 }  // namespace

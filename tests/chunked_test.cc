@@ -25,6 +25,7 @@
 #include "stats/distance.h"
 #include "stats/rng.h"
 #include "stats/sort.h"
+#include "support/subgroup_rowwise.h"
 
 namespace fairlaw {
 namespace {

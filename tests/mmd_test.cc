@@ -88,46 +88,6 @@ TEST(MmdTest, InputValidation) {
   EXPECT_FALSE(MmdSquaredBiased1d({}, two, 1.0).ok());
 }
 
-// The tiled exact path promises bit-identical results for every thread
-// count: per-block partial sums merged in block order, never a shared
-// accumulator.
-TEST(MmdTest, ExactEstimatorsThreadDeterministic) {
-  Rng rng(17);
-  std::vector<double> x = Draw(&rng, 700, 0.0, 1.0);
-  std::vector<double> y = Draw(&rng, 500, 1.0, 1.0);
-  const double serial_unbiased =
-      MmdSquaredUnbiased1d(x, y, 0.8).ValueOrDie();
-  const double serial_biased = MmdSquaredBiased1d(x, y, 0.8).ValueOrDie();
-  for (const size_t threads : {size_t{2}, size_t{8}}) {
-    MmdExactOptions options;
-    options.num_threads = threads;
-    EXPECT_EQ(MmdSquaredUnbiased1d(x, y, 0.8, options).ValueOrDie(),
-              serial_unbiased)
-        << "threads=" << threads;
-    EXPECT_EQ(MmdSquaredBiased1d(x, y, 0.8, options).ValueOrDie(),
-              serial_biased)
-        << "threads=" << threads;
-  }
-}
-
-// RFF features draw from counter-based streams keyed by feature index,
-// so the estimate is a pure function of (inputs, sigma, D, seed) — the
-// thread count and feature-block schedule must not show through.
-TEST(MmdRffTest, ThreadDeterministic) {
-  Rng rng(19);
-  std::vector<double> x = Draw(&rng, 400, 0.0, 1.0);
-  std::vector<double> y = Draw(&rng, 300, 1.0, 1.0);
-  MmdRffOptions serial;
-  serial.num_features = 96;  // not a multiple of the feature block
-  const double reference = MmdSquaredRff1d(x, y, 1.0, serial).ValueOrDie();
-  for (const size_t threads : {size_t{2}, size_t{8}}) {
-    MmdRffOptions options = serial;
-    options.num_threads = threads;
-    EXPECT_EQ(MmdSquaredRff1d(x, y, 1.0, options).ValueOrDie(), reference)
-        << "threads=" << threads;
-  }
-}
-
 TEST(MmdRffTest, NonNegativeAndSeedSensitive) {
   Rng rng(21);
   std::vector<double> x = Draw(&rng, 200, 0.0, 1.0);

@@ -4,6 +4,7 @@
 #include "data/csv.h"
 #include "obs/obs.h"
 #include "stats/rng.h"
+#include "support/subgroup_rowwise.h"
 
 namespace fairlaw::audit {
 namespace {
@@ -189,6 +190,7 @@ TEST(SubgroupAuditTest, FindingsIdenticalForEveryThreadCount) {
   SubgroupAuditOptions options;
   options.max_depth = 3;
   options.min_support = 5;
+  options.chunk_rows = 300;  // num_threads drives the per-chunk index
   options.num_threads = 1;
   SubgroupAuditResult serial =
       AuditSubgroups(table, attrs, "pred", options).ValueOrDie();

@@ -116,8 +116,8 @@ fairlaw::cli::FlagSet MakeFlags(CliOptions* options) {
 fairlaw::Result<CliOptions> Parse(int argc, char** argv, bool* show_help,
                                   std::string* help_text) {
   CliOptions options;
-  // --threads is registered on a local so the same value can fan out to
-  // both the metric pool and the subgroup lattice pool.
+  // --threads is registered on a local so the same value can drive both
+  // the audit's chunk morsels and the chunked subgroup index build.
   int64_t threads = 1;
   int64_t score_dist_bins = 0;
   fairlaw::cli::FlagSet flags = MakeFlags(&options);
@@ -126,7 +126,8 @@ fairlaw::Result<CliOptions> Parse(int argc, char** argv, bool* show_help,
             "presorted path)",
             fairlaw::cli::Range<int64_t>{0, 100000});
   flags.Add("threads", &threads,
-            "worker threads (0 = one per hardware thread); the output is "
+            "worker threads for the chunk morsels and the chunked subgroup "
+            "index build (0 = one per hardware thread); the output is "
             "identical for every value",
             fairlaw::cli::Range<int64_t>{0, 512});
   int64_t chunk_rows = 0;

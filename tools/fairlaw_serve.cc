@@ -76,9 +76,8 @@ fairlaw::Result<fairlaw::serve::ServeConfig> Parse(int argc, char** argv,
   int64_t threads = static_cast<int64_t>(config.num_threads);
   int64_t sketch_k = static_cast<int64_t>(config.sketch_k);
   flags.Add("threads", &threads,
-            "worker threads for window folds and metric evaluation (0 = "
-            "one per hardware thread); responses are identical for every "
-            "value",
+            "worker threads for the window sketch folds (0 = one per "
+            "hardware thread); responses are identical for every value",
             fairlaw::cli::Range<int64_t>{0, 512});
   flags.Add("sketch-k", &sketch_k,
             "KLL accuracy parameter for the per-group score sketches",
@@ -121,6 +120,10 @@ int main(int argc, char** argv) {
     return 0;
   }
 
+  // Unsynced, std::cin reads through its own buffer; synced, it reads
+  // one char at a time through getc, which locks stdin on every call
+  // once the service's worker threads exist.
+  std::ios::sync_with_stdio(false);
   fairlaw::serve::Service service(*config);
   std::string line;
   while (std::getline(std::cin, line)) {

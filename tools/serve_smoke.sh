@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Serve determinism smoke: replay one generated event stream at two
-# ingest batch sizes and several thread counts; every '"op":"query"'
-# response line must be byte-identical (ingest acks and stats dumps
-# legitimately vary and are filtered out). Driven by ctest
+# ingest batch sizes and several thread counts, with obs probes on and
+# off (FAIRLAW_OBS=off); every '"op":"query"' response line must be
+# byte-identical (ingest acks and stats dumps legitimately vary and are
+# filtered out). Driven by ctest
 # (tools_serve_identity) and by the CI serve job with a larger --n.
 #
 # Usage: serve_smoke.sh <fairlaw_generate> <fairlaw_serve> <n> <workdir>
@@ -30,9 +31,12 @@ query_every=$((n / 4))
     | grep '"op":"query"' >"$dir/resp_batch977_t4.jsonl"
 "$serve" --with-strata --threads=0 <"$dir/stream_a.jsonl" \
     | grep '"op":"query"' >"$dir/resp_batch64_t0.jsonl"
+FAIRLAW_OBS=off "$serve" --with-strata --threads=4 <"$dir/stream_b.jsonl" \
+    | grep '"op":"query"' >"$dir/resp_batch977_t4_obs_off.jsonl"
 
 cmp "$dir/resp_batch64.jsonl" "$dir/resp_batch977_t4.jsonl"
 cmp "$dir/resp_batch64.jsonl" "$dir/resp_batch64_t0.jsonl"
+cmp "$dir/resp_batch64.jsonl" "$dir/resp_batch977_t4_obs_off.jsonl"
 
 count=$(wc -l <"$dir/resp_batch64.jsonl")
 if [ "$count" -lt 4 ]; then
