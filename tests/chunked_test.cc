@@ -217,6 +217,79 @@ TEST(CsvChunkReaderTest, MatchesWholeFileReadOnAwkwardFixtures) {
   std::remove(path.c_str());
 }
 
+/// The awkward fixture's cells as the readers must produce them: quoted
+/// delimiter, "" escape, CRLF, an embedded newline, and null tokens.
+/// Written out literally so the check does not compare one reader with
+/// another.
+const char kAwkwardCsv[] =
+    "name,score,tag\r\n"
+    "\"x,y\",1.5,\"he said \"\"hi\"\"\"\r\n"
+    ",2.5,plain\r\n"
+    "NA,,third\r\n"
+    "dora,4.5,\"multi\nline\"\r\n"
+    "eve,5.5,last\r\n";
+
+void ExpectAwkwardCells(const std::vector<Table>& chunks,
+                        const std::string& label) {
+  const std::vector<std::vector<std::string>> expected = {
+      {"x,y", "1.500000", "he said \"hi\""},
+      {"<null>", "2.500000", "plain"},
+      {"<null>", "<null>", "third"},
+      {"dora", "4.500000", "multi\nline"},
+      {"eve", "5.500000", "last"},
+  };
+  std::vector<std::vector<std::string>> got;
+  for (const Table& chunk : chunks) {
+    ASSERT_EQ(chunk.num_columns(), 3u) << label;
+    EXPECT_EQ(chunk.schema().field(0).name, "name") << label;
+    EXPECT_EQ(chunk.schema().field(0).type, data::DataType::kString) << label;
+    EXPECT_EQ(chunk.schema().field(1).name, "score") << label;
+    EXPECT_EQ(chunk.schema().field(1).type, data::DataType::kDouble) << label;
+    EXPECT_EQ(chunk.schema().field(2).name, "tag") << label;
+    EXPECT_EQ(chunk.schema().field(2).type, data::DataType::kString) << label;
+    for (size_t r = 0; r < chunk.num_rows(); ++r) {
+      std::vector<std::string> row;
+      for (size_t c = 0; c < chunk.num_columns(); ++c) {
+        row.push_back(chunk.column(c).IsValid(r)
+                          ? chunk.column(c).ValueToString(r)
+                          : "<null>");
+      }
+      got.push_back(std::move(row));
+    }
+  }
+  EXPECT_EQ(got, expected) << label;
+}
+
+TEST(CsvChunkReaderTest, AwkwardFixtureCellsMatchLiterals) {
+  const std::string path = "chunked_test_literal.csv";
+  {
+    std::ofstream out(path, std::ios::trunc | std::ios::binary);
+    out << kAwkwardCsv;
+    ASSERT_TRUE(out.good());
+  }
+  ExpectAwkwardCells({data::ReadCsvString(kAwkwardCsv).ValueOrDie()},
+                     "ReadCsvString");
+  ExpectAwkwardCells({data::ReadCsvFile(path).ValueOrDie()}, "ReadCsvFile");
+  for (size_t chunk_rows : {size_t{1}, size_t{2}, size_t{3}, size_t{100}}) {
+    data::CsvChunkReader::Options options;
+    options.chunk_rows = chunk_rows;
+    data::CsvChunkReader reader =
+        data::CsvChunkReader::Make(path, options).ValueOrDie();
+    EXPECT_EQ(reader.num_rows(), 5u);
+    std::vector<Table> chunks;
+    while (true) {
+      auto chunk = reader.Next().ValueOrDie();
+      if (!chunk.has_value()) break;
+      EXPECT_LE(chunk->num_rows(), chunk_rows);
+      chunks.push_back(std::move(*chunk));
+    }
+    EXPECT_EQ(chunks.size(), (5 + chunk_rows - 1) / chunk_rows);
+    ExpectAwkwardCells(chunks, "CsvChunkReader chunk_rows=" +
+                                   std::to_string(chunk_rows));
+  }
+  std::remove(path.c_str());
+}
+
 TEST(CsvChunkReaderTest, ReportsRowCountBeforeStreamingAndDrains) {
   const std::string path = "chunked_test_drain.csv";
   {
@@ -404,6 +477,149 @@ TEST(ChunkedSubgroupTest, ChunkedTableOverloadMatchesContiguous) {
                 .status()
                 .message(),
             "AuditSubgroups: no attribute columns");
+}
+
+// ---------------------------------------------------------------------------
+// Chunk boundaries seen through the engines: every chunk size must give
+// the chunk_rows = 0 outcome, result or error.
+
+std::string AuditOutcome(const Table& table, const AuditConfig& config) {
+  Result<AuditResult> result =
+      audit::Auditor::Run(audit::AuditSource::FromTable(table), config);
+  return result.ok() ? result.ValueOrDie().Render()
+                     : result.status().ToString();
+}
+
+std::string SubgroupOutcome(const Table& table,
+                            const std::vector<std::string>& attrs,
+                            const SubgroupAuditOptions& options) {
+  Result<SubgroupAuditResult> result =
+      audit::AuditSubgroups(table, attrs, "p", options);
+  if (!result.ok()) return result.status().ToString();
+  const SubgroupAuditResult& audit = result.ValueOrDie();
+  std::string out = std::to_string(audit.subgroups_examined) + " " +
+                    std::to_string(audit.subgroups_skipped_small) + " " +
+                    (audit.any_violation ? "violation" : "clear") + "\n";
+  for (const audit::SubgroupFinding& finding : audit.findings) {
+    out += finding.subgroup.ToString() + " " + std::to_string(finding.count) +
+           " " + FormatDouble(finding.selection_rate, 17) + " " +
+           FormatDouble(finding.gap, 17) + " " +
+           FormatDouble(finding.weighted_gap, 17) + "\n";
+  }
+  return out;
+}
+
+TEST(ChunkBoundaryTest, BoundarySizesMatchWholeTable) {
+  // 0, 1, chunk-1, chunk, chunk+1, and 3*chunk+7 rows at chunk size 8.
+  const std::vector<std::string> attrs = {"g", "st"};
+  SubgroupAuditOptions subgroup_options;
+  subgroup_options.min_support = 1;
+  for (size_t rows : {size_t{0}, size_t{1}, size_t{7}, size_t{8}, size_t{9},
+                      size_t{31}}) {
+    Table table = data::ReadCsvString(MakeAuditCsv(rows, 11)).ValueOrDie();
+    ASSERT_EQ(table.num_rows(), rows);
+    const std::string audit_reference =
+        AuditOutcome(table, FullAuditConfig());
+    const std::string subgroup_reference =
+        SubgroupOutcome(table, attrs, subgroup_options);
+    for (size_t threads : {size_t{1}, size_t{2}}) {
+      AuditConfig config = FullAuditConfig();
+      config.chunk_rows = 8;
+      config.num_threads = threads;
+      EXPECT_EQ(AuditOutcome(table, config), audit_reference)
+          << "rows=" << rows << " threads=" << threads;
+      SubgroupAuditOptions chunked = subgroup_options;
+      chunked.chunk_rows = 8;
+      chunked.num_threads = threads;
+      EXPECT_EQ(SubgroupOutcome(table, attrs, chunked), subgroup_reference)
+          << "rows=" << rows << " threads=" << threads;
+    }
+  }
+}
+
+TEST(ChunkBoundaryTest, ZeroRowTableGivesTheSameErrorAtEveryChunkSize) {
+  Table table = data::ReadCsvString("g,p\n").ValueOrDie();
+  ASSERT_EQ(table.num_rows(), 0u);
+  ASSERT_TRUE(table.schema().HasField("g"));
+  AuditConfig config;
+  config.protected_column = "g";
+  config.prediction_column = "p";
+  const std::string audit_reference = AuditOutcome(table, config);
+  EXPECT_NE(audit_reference.find("invalid argument"), std::string::npos);
+  const std::string subgroup_reference =
+      SubgroupOutcome(table, {"g"}, SubgroupAuditOptions{});
+  EXPECT_EQ(subgroup_reference,
+            "invalid argument: AuditSubgroups: empty table");
+  for (size_t chunk_rows : {size_t{1}, size_t{4}}) {
+    AuditConfig chunked = config;
+    chunked.chunk_rows = chunk_rows;
+    EXPECT_EQ(AuditOutcome(table, chunked), audit_reference);
+    SubgroupAuditOptions options;
+    options.chunk_rows = chunk_rows;
+    EXPECT_EQ(SubgroupOutcome(table, {"g"}, options), subgroup_reference);
+  }
+}
+
+TEST(ChunkBoundaryTest, NullsStraddlingChunkEdges) {
+  // Nulls at rows 6..9 straddle the 8-row chunk boundary: the last two
+  // rows of chunk 0 and the first two of chunk 1.
+  std::string text = "g,x,p\n";
+  for (size_t i = 0; i < 12; ++i) {
+    const bool null_row = i >= 6 && i <= 9;
+    text += null_row ? "" : (i % 2 == 0 ? "a" : "b");
+    text += ",";
+    text += null_row ? "" : std::to_string(i);
+    text += i % 3 == 0 ? ",1\n" : ",0\n";
+  }
+  Table table = data::ReadCsvString(text).ValueOrDie();
+  ASSERT_EQ(table.GetColumn("g").ValueOrDie()->null_count(), 4u);
+  ASSERT_EQ(table.GetColumn("x").ValueOrDie()->null_count(), 4u);
+  AuditConfig config;
+  config.protected_column = "g";
+  config.prediction_column = "p";
+  const std::string audit_reference = AuditOutcome(table, config);
+  EXPECT_EQ(audit_reference,
+            "invalid argument: column 'g' has nulls; audits require "
+            "explicit missing-value handling upstream");
+  SubgroupAuditOptions subgroup_options;
+  subgroup_options.min_support = 1;
+  const std::string subgroup_reference =
+      SubgroupOutcome(table, {"g", "x"}, subgroup_options);
+  for (size_t chunk_rows : {size_t{1}, size_t{4}, size_t{7}, size_t{8},
+                            size_t{9}, size_t{16}}) {
+    AuditConfig chunked = config;
+    chunked.chunk_rows = chunk_rows;
+    EXPECT_EQ(AuditOutcome(table, chunked), audit_reference)
+        << "chunk_rows=" << chunk_rows;
+    SubgroupAuditOptions options = subgroup_options;
+    options.chunk_rows = chunk_rows;
+    EXPECT_EQ(SubgroupOutcome(table, {"g", "x"}, options), subgroup_reference)
+        << "chunk_rows=" << chunk_rows;
+  }
+}
+
+TEST(ChunkedSubgroupTest, ChunkRowsMatchRowwiseOracle) {
+  Table table = data::ReadCsvString(MakeSubgroupCsv(120, 43)).ValueOrDie();
+  const std::vector<std::string> attrs = {"a1", "a2"};
+  SubgroupAuditOptions options;
+  options.max_depth = 2;
+  options.min_support = 3;
+  const SubgroupAuditResult oracle =
+      audit::AuditSubgroupsRowwise(table, attrs, "pred", options)
+          .ValueOrDie();
+  for (size_t chunk_rows : {size_t{0}, size_t{13}}) {
+    SubgroupAuditOptions chunked = options;
+    chunked.chunk_rows = chunk_rows;
+    ExpectSameFindings(
+        audit::AuditSubgroups(table, attrs, "pred", chunked).ValueOrDie(),
+        oracle);
+    // Value dictionaries merged across chunks must reproduce the
+    // one-chunk error strings too.
+    EXPECT_EQ(audit::AuditSubgroups(table, {}, "pred", chunked)
+                  .status()
+                  .message(),
+              "AuditSubgroups: no attribute columns");
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
+#include <string>
+#include <vector>
 
 #include "data/csv.h"
+#include "obs/obs.h"
 
 namespace fairlaw::data {
 namespace {
@@ -107,6 +111,65 @@ TEST(CsvTest, FileRoundTrip) {
   EXPECT_EQ(read.num_rows(), 2u);
   std::remove(path.c_str());
   EXPECT_TRUE(ReadCsvFile("/nonexistent/nope.csv").status().IsIOError());
+}
+
+/// Writes `text` to a fresh temp file and returns its path.
+std::string WriteTempCsv(const std::string& name, const std::string& text) {
+  const std::string path = ::testing::TempDir() + "/" + name;
+  std::ofstream out(path, std::ios::trunc | std::ios::binary);
+  out << text;
+  return path;
+}
+
+TEST(CsvTest, SingleDefectErrorsArePinnedOnEveryReader) {
+  struct Case {
+    const char* label;
+    std::string text;
+    bool has_header;
+    std::string expected;
+  };
+  const std::vector<Case> cases = {
+      {"empty", "", true, "invalid argument: CSV: input has no rows"},
+      {"ragged with header", "a,b\n1,2\n3\n", true,
+       "invalid argument: CSV: row 2 has 1 fields, expected 2"},
+      {"ragged without header", "1,2\n3\n4,5\n", false,
+       "invalid argument: CSV: row 1 has 1 fields, expected 2"},
+      {"unterminated quote", "a,b\n1,\"x\n", true,
+       "invalid argument: CSV: unterminated quoted field"},
+      {"duplicate header", "a,b,a\n1,2,3\n", true,
+       "invalid argument: Schema: duplicate field name 'a'"},
+  };
+  for (const Case& c : cases) {
+    CsvOptions options;
+    options.has_header = c.has_header;
+    EXPECT_EQ(ReadCsvString(c.text, options).status().ToString(), c.expected)
+        << c.label;
+    const std::string path = WriteTempCsv("fairlaw_csv_defect.csv", c.text);
+    EXPECT_EQ(ReadCsvFile(path, options).status().ToString(), c.expected)
+        << c.label;
+    CsvChunkReader::Options reader_options;
+    reader_options.csv = options;
+    EXPECT_EQ(CsvChunkReader::Make(path, reader_options).status().ToString(),
+              c.expected)
+        << c.label;
+    std::remove(path.c_str());
+  }
+}
+
+TEST(CsvTest, ReadCsvFileCountsBytesAndRows) {
+  const bool was_enabled = obs::Enabled();
+  obs::SetEnabled(true);
+  const std::string text = "a,b\n1,x\n2,y\n\n3,z\n";
+  const std::string path = WriteTempCsv("fairlaw_csv_counters.csv", text);
+  obs::Counter* bytes = obs::GetCounter("csv.bytes_read");
+  obs::Counter* rows = obs::GetCounter("csv.rows_loaded");
+  const uint64_t bytes_before = bytes->Value();
+  const uint64_t rows_before = rows->Value();
+  ASSERT_TRUE(ReadCsvFile(path).ok());
+  EXPECT_EQ(bytes->Value() - bytes_before, text.size());
+  EXPECT_EQ(rows->Value() - rows_before, 3u);
+  std::remove(path.c_str());
+  obs::SetEnabled(was_enabled);
 }
 
 }  // namespace
