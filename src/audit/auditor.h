@@ -52,11 +52,8 @@ struct AuditConfig {
   /// Max per-group KS statistic for the drift audit to pass. KS is
   /// scale-free, so it gates the verdict; W1 is reported alongside.
   double score_distribution_tolerance = 0.1;
-  /// Histogram bins for the O(n) binned drift fast path; 0 (default)
-  /// uses the exact presorted path.
-  size_t score_distribution_bins = 0;
   /// Worker threads for the chunk morsels (the per-chunk partial builds
-  /// of an in-memory chunked table or a streamed CSV): 1 = serial
+  /// of a table split by chunk_rows or of a streamed CSV): 1 = serial
   /// (default), 0 = one per hardware thread. Partials merge in chunk
   /// order and metric evaluation is serial, so the audit output is
   /// byte-identical for every thread count.
@@ -65,7 +62,8 @@ struct AuditConfig {
   /// chunks of this many rows, each chunk produces mergeable partials
   /// (integer tallies, row-ordered series), and the partials merge in
   /// chunk order — so the audit output is byte-identical for every chunk
-  /// size too. 0 (default) audits the whole table as one chunk.
+  /// size too. 0 (default) audits the whole table, in place, as one
+  /// chunk.
   size_t chunk_rows = 0;
 
   /// Checks the configuration before any data is touched: required

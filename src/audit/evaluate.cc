@@ -14,15 +14,13 @@
 #include "metrics/group_metrics.h"
 #include "obs/obs.h"
 #include "stats/distance.h"
-#include "stats/histogram.h"
 
 namespace fairlaw::audit {
 namespace {
 
 /// Per-group score-distribution drift: each group's sorted scores against
 /// the multiset difference of the sorted pooled scores (everyone else),
-/// through the presorted W1/KS kernels — or the binned kernels when the
-/// config asks for the O(n) fast path. `series` holds each group's
+/// through the presorted W1/KS kernels. `series` holds each group's
 /// scores in global row order (the chunk-order merge guarantees that),
 /// and `scores` is the full score column in row order, so the sorts see
 /// exactly the sequences the old whole-table pass fed them.
@@ -54,29 +52,11 @@ Result<ScoreDistributionReport> ScoreDistributionAudit(
     distance.group = series.keys()[g];
     distance.count = group_scores.size();
     if (!rest.empty() && !group_scores.empty() && !constant) {
-      if (config.score_distribution_bins > 0) {
-        FAIRLAW_ASSIGN_OR_RETURN(
-            stats::Histogram hp,
-            stats::Histogram::Make(all_sorted.front(), all_sorted.back(),
-                                   config.score_distribution_bins));
-        FAIRLAW_ASSIGN_OR_RETURN(
-            stats::Histogram hq,
-            stats::Histogram::Make(all_sorted.front(), all_sorted.back(),
-                                   config.score_distribution_bins));
-        hp.AddAll(group_scores);
-        hq.AddAll(rest);
-        FAIRLAW_ASSIGN_OR_RETURN(distance.wasserstein1,
-                                 stats::Wasserstein1Binned(hp, hq));
-        FAIRLAW_ASSIGN_OR_RETURN(distance.ks,
-                                 stats::KolmogorovSmirnovBinned(hp, hq));
-      } else {
-        FAIRLAW_ASSIGN_OR_RETURN(
-            distance.wasserstein1,
-            stats::Wasserstein1Presorted(group_scores, rest));
-        FAIRLAW_ASSIGN_OR_RETURN(
-            distance.ks,
-            stats::KolmogorovSmirnovPresorted(group_scores, rest));
-      }
+      FAIRLAW_ASSIGN_OR_RETURN(
+          distance.wasserstein1,
+          stats::Wasserstein1Presorted(group_scores, rest));
+      FAIRLAW_ASSIGN_OR_RETURN(
+          distance.ks, stats::KolmogorovSmirnovPresorted(group_scores, rest));
     }
     report.max_wasserstein1 =
         std::max(report.max_wasserstein1, distance.wasserstein1);

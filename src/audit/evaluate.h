@@ -29,8 +29,8 @@ struct EvaluateInputs {
 /// Evaluates every metric row over merged exact tallies in table order:
 /// the metric rows, then calibration, then the conditional rows. Each
 /// row runs under a `metric/<name>` span beneath `parent_path`; the
-/// first failing row's error is returned. Shared by the chunked table
-/// engines and the serve window evaluator.
+/// first failing row's error is returned. Shared by the morsel engine
+/// and the serve window evaluator.
 FAIRLAW_NODISCARD Result<AuditResult> EvaluateMetrics(
     const EvaluateInputs& inputs, const AuditConfig& config,
     const std::string& parent_path);

@@ -1,124 +1,67 @@
 #include "audit/source.h"
 
-#include <algorithm>
-#include <deque>
-#include <future>
-#include <optional>
+#include <string>
 #include <utility>
-#include <vector>
 
 #include "audit/evaluate.h"
+#include "audit/morsel.h"
 #include "audit/partials.h"
-#include "base/thread_pool.h"
 #include "obs/obs.h"
 
 namespace fairlaw::audit {
 namespace {
 
-Result<AuditResult> RunChunked(const data::ChunkedTable& table,
-                               const AuditConfig& config) {
-  obs::TraceSpan run_span("run_audit");
-  obs::GetCounter("audit.runs")->Increment();
-  obs::GetCounter("audit.rows_audited")->Increment(table.num_rows());
-  // Morsels may run on pool workers whose span stack is empty; capturing
-  // the scheduling thread's path here and passing it to TraceSpan keeps
-  // the exported span tree identical for every thread count.
-  const std::string parent_path = obs::CurrentPath();
-
-  if (table.num_chunks() == 0) {
-    FAIRLAW_ASSIGN_OR_RETURN(data::Table empty, table.Materialize());
-    return EmptyAuditError(empty, config);
-  }
-
-  obs::GetCounter("audit.morsels_scheduled")->Increment(table.num_chunks());
-  std::vector<ChunkPartial> partials(table.num_chunks());
-  if (config.num_threads == 1 || table.num_chunks() == 1) {
-    for (size_t i = 0; i < table.num_chunks(); ++i) {
-      partials[i] = ProcessChunk(table.chunk(i), config, parent_path);
-    }
-  } else {
-    ThreadPool pool(config.num_threads == 0
-                        ? 0
-                        : std::min(config.num_threads, table.num_chunks()));
-    pool.ParallelFor(table.num_chunks(),
-                     [&partials, &table, &config, &parent_path](size_t i) {
-                       partials[i] =
-                           ProcessChunk(table.chunk(i), config, parent_path);
-                     });
-  }
+/// The engine over one input's chunks: ProcessChunk per chunk on the
+/// morsel loop, partials folded in chunk order, then one evaluation of
+/// the merged partials. Morsels may run on pool workers whose span stack
+/// is empty; `parent_path`, captured on the scheduling thread, keeps the
+/// exported span tree identical for every thread count.
+Result<AuditResult> RunMorselAudit(ChunkStream& chunks,
+                                   const AuditConfig& config,
+                                   const std::string& parent_path) {
   MergedPartials merged;
-  for (ChunkPartial& partial : partials) merged.Fold(std::move(partial));
+  FAIRLAW_RETURN_NOT_OK(RunMorsels(
+      chunks, config.num_threads,
+      [&config, &parent_path](const data::Table& chunk) {
+        return ProcessChunk(chunk, config, parent_path);
+      },
+      [&merged](ChunkPartial partial) {
+        obs::GetCounter("audit.morsels_scheduled")->Increment();
+        merged.Fold(std::move(partial));
+      }));
   return EvaluateMergedPartials(merged, config, parent_path);
 }
 
+Result<AuditResult> RunTable(const data::Table& table,
+                             const AuditConfig& config) {
+  obs::TraceSpan run_span("run_audit");
+  obs::GetCounter("audit.runs")->Increment();
+  obs::GetCounter("audit.rows_audited")->Increment(table.num_rows());
+  if (table.num_rows() == 0) return EmptyAuditError(table, config);
+  ChunkStream chunks(table, config.chunk_rows);
+  return RunMorselAudit(chunks, config, obs::CurrentPath());
+}
+
+/// Streams the CSV: peak memory is the in-flight chunks plus the merged
+/// accumulators, never the file.
 Result<AuditResult> RunCsv(const AuditSource::CsvSpec& spec,
                            const AuditConfig& config) {
   obs::TraceSpan run_span("run_audit");
   obs::GetCounter("audit.runs")->Increment();
-  const std::string parent_path = obs::CurrentPath();
-
   data::CsvChunkReader::Options reader_options;
   reader_options.csv = spec.options;
-  reader_options.chunk_rows =
-      config.chunk_rows == 0 ? data::kDefaultChunkRows : config.chunk_rows;
+  reader_options.chunk_rows = config.chunk_rows;
   FAIRLAW_ASSIGN_OR_RETURN(
       data::CsvChunkReader reader,
       data::CsvChunkReader::Make(spec.path, reader_options));
   obs::GetCounter("audit.rows_audited")->Increment(reader.num_rows());
-
   if (reader.num_rows() == 0) {
     data::TableBuilder builder(reader.schema());
     FAIRLAW_ASSIGN_OR_RETURN(data::Table empty, builder.Finish());
     return EmptyAuditError(empty, config);
   }
-
-  MergedPartials merged;
-  if (config.num_threads == 1) {
-    // Serial streaming: read, tally, merge, drop — peak memory is one
-    // chunk plus the merged accumulators.
-    while (true) {
-      FAIRLAW_ASSIGN_OR_RETURN(std::optional<data::Table> chunk,
-                               reader.Next());
-      if (!chunk.has_value()) break;
-      obs::GetCounter("audit.morsels_scheduled")->Increment();
-      merged.Fold(ProcessChunk(*chunk, config, parent_path));
-    }
-  } else {
-    // Bounded in-flight window: the reader stays on this thread, workers
-    // tally chunks, and the oldest in-flight chunk merges first — which
-    // is chunk order, so the stream reproduces the in-memory result.
-    // Deque slots are stable across push/pop at the ends, and the pool
-    // is declared after the deque so its destructor joins the workers
-    // before any slot they might still write goes away.
-    struct InFlight {
-      ChunkPartial partial;
-      std::future<void> done;
-    };
-    std::deque<InFlight> in_flight;
-    ThreadPool pool(config.num_threads);
-    const size_t window = pool.num_threads() * 2;
-    auto drain_front = [&merged, &in_flight] {
-      in_flight.front().done.get();
-      merged.Fold(std::move(in_flight.front().partial));
-      in_flight.pop_front();
-    };
-    while (true) {
-      FAIRLAW_ASSIGN_OR_RETURN(std::optional<data::Table> chunk,
-                               reader.Next());
-      if (!chunk.has_value()) break;
-      if (in_flight.size() >= window) drain_front();
-      in_flight.emplace_back();
-      InFlight& slot = in_flight.back();
-      obs::GetCounter("audit.morsels_scheduled")->Increment();
-      slot.done = pool.Submit([&partial = slot.partial,
-                               chunk = std::move(*chunk), &config,
-                               &parent_path] {
-        partial = ProcessChunk(chunk, config, parent_path);
-      });
-    }
-    while (!in_flight.empty()) drain_front();
-  }
-  return EvaluateMergedPartials(merged, config, parent_path);
+  ChunkStream chunks(&reader, config.chunk_rows);
+  return RunMorselAudit(chunks, config, obs::CurrentPath());
 }
 
 }  // namespace
@@ -129,13 +72,7 @@ Result<AuditResult> Auditor::Run(const AuditSource& source,
   struct Dispatch {
     const AuditConfig& config;
     Result<AuditResult> operator()(const data::Table* table) const {
-      FAIRLAW_ASSIGN_OR_RETURN(
-          data::ChunkedTable chunked,
-          data::ChunkedTable::FromTable(*table, config.chunk_rows));
-      return RunChunked(chunked, config);
-    }
-    Result<AuditResult> operator()(const data::ChunkedTable* table) const {
-      return RunChunked(*table, config);
+      return RunTable(*table, config);
     }
     Result<AuditResult> operator()(const AuditSource::CsvSpec& spec) const {
       return RunCsv(spec, config);

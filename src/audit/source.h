@@ -7,13 +7,12 @@
 #include "audit/auditor.h"
 #include "audit/windowed.h"
 #include "base/result.h"
-#include "data/chunked.h"
 #include "data/csv.h"
 #include "data/table.h"
 
 namespace fairlaw::audit {
 
-/// Where an audit's rows come from. One value type closes over the four
+/// Where an audit's rows come from. One value type closes over the three
 /// ingestion shapes the engine supports, so every caller — batch tool,
 /// tests, the serve daemon's windows — invokes the same
 /// `Auditor::Run(source, config)` and gets the same determinism
@@ -21,15 +20,13 @@ namespace fairlaw::audit {
 /// count, and ingestion path that delivers the same rows in the same
 /// order.
 ///
-/// Table, chunked-table, and window sources borrow their referent (the
-/// caller keeps it alive across Run); the CSV source owns its path and
-/// options.
+/// Table and window sources borrow their referent (the caller keeps it
+/// alive across Run); the CSV source owns its path and options. A table
+/// is read in place: config.chunk_rows schedules row slices of it, and
+/// with chunk_rows == 0 the table itself is the one chunk.
 class AuditSource {
  public:
   static AuditSource FromTable(const data::Table& table) {
-    return AuditSource(&table);
-  }
-  static AuditSource FromChunked(const data::ChunkedTable& table) {
     return AuditSource(&table);
   }
   static AuditSource FromCsv(std::string path,
@@ -48,8 +45,7 @@ class AuditSource {
     data::CsvOptions options;
   };
 
-  const std::variant<const data::Table*, const data::ChunkedTable*, CsvSpec,
-                     const WindowedPartial*>&
+  const std::variant<const data::Table*, CsvSpec, const WindowedPartial*>&
   value() const {
     return value_;
   }
@@ -58,9 +54,7 @@ class AuditSource {
   template <typename T>
   explicit AuditSource(T value) : value_(std::move(value)) {}
 
-  std::variant<const data::Table*, const data::ChunkedTable*, CsvSpec,
-               const WindowedPartial*>
-      value_;
+  std::variant<const data::Table*, CsvSpec, const WindowedPartial*> value_;
 };
 
 /// The one audit entry point. Validates `config`, dispatches on the

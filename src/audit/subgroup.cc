@@ -6,8 +6,8 @@
 #include <map>
 #include <utility>
 
+#include "audit/morsel.h"
 #include "base/string_util.h"
-#include "base/thread_pool.h"
 #include "data/bitmap.h"
 #include "data/chunked.h"
 #include "data/group_index.h"
@@ -84,7 +84,7 @@ void SortFindings(SubgroupAuditResult* result) {
 }
 
 // ---------------------------------------------------------------------------
-// Bitmap enumerator.
+// Lattice walk.
 
 /// Kernel statistics, tallied on plain fields while the walk runs and
 /// folded into the obs counters once per audit — the lattice walk is
@@ -94,11 +94,11 @@ struct KernelTally {
   uint64_t pruned_subtrees = 0;
 };
 
-/// The chunked analogue of data::AttributeIndex: the same first-seen
-/// value dictionary, with one chunk-spanning bitmap per value. Values
+/// The chunk-spanning analogue of data::AttributeIndex: the same
+/// first-seen value dictionary, with one ChunkedBitmap per value. Values
 /// absent from a chunk hold an all-zero bitmap there, so every value's
-/// ChunkedBitmap shares the table's chunk layout and the AND/popcount
-/// kernels never special-case absence.
+/// bitmap shares the table's chunk layout and the AND/popcount kernels
+/// never special-case absence.
 struct ChunkedAttributeIndex {
   std::string name;
   std::vector<std::string> values;
@@ -109,35 +109,31 @@ struct ChunkedAttributeIndex {
 /// lattice below it. `scratch` holds one preallocated bitmap per depth
 /// level, so the whole walk allocates nothing: the intersection for
 /// depth d is computed into (*scratch)[d] and its popcount falls out of
-/// the same pass (BitmapT::AndInto).
-///
-/// Templated over the index/bitmap pair — (data::AttributeIndex,
-/// data::Bitmap) for the contiguous path, (ChunkedAttributeIndex,
-/// data::ChunkedBitmap) for the morsel path — so both walks share every
-/// branch, visit order, and tally increment. One logical kernel call
-/// counts once in the tally however many chunks it spans, which keeps
-/// the kernel counters chunk-layout-invariant.
-template <typename AttributeT, typename BitmapT>
-void EnumerateBitmap(const std::vector<AttributeT>& attrs,
-                     const BitmapT& predictions, double overall_rate,
-                     size_t num_rows, const SubgroupAuditOptions& options,
+/// the same pass (ChunkedBitmap::AndInto). One logical kernel call counts
+/// once in the tally however many chunks it spans, which keeps the kernel
+/// counters chunk-layout-invariant.
+void EnumerateBitmap(const std::vector<ChunkedAttributeIndex>& attrs,
+                     const data::ChunkedBitmap& predictions,
+                     double overall_rate, size_t num_rows,
+                     const SubgroupAuditOptions& options,
                      size_t next_attribute, int depth,
-                     const BitmapT& members, size_t member_count,
+                     const data::ChunkedBitmap& members, size_t member_count,
                      std::vector<std::pair<std::string, std::string>>*
                          conditions,
-                     std::vector<BitmapT>* scratch,
+                     std::vector<data::ChunkedBitmap>* scratch,
                      SubgroupAuditResult* result, KernelTally* tally) {
-  const size_t positives = BitmapT::AndCount(members, predictions);
+  const size_t positives =
+      data::ChunkedBitmap::AndCount(members, predictions);
   ++tally->popcount_calls;
   RecordFinding(*conditions, member_count, positives, num_rows, overall_rate,
                 options, result);
   if (depth >= options.max_depth) return;
   for (size_t a = next_attribute; a < attrs.size(); ++a) {
-    const AttributeT& attribute = attrs[a];
+    const ChunkedAttributeIndex& attribute = attrs[a];
     for (size_t v = 0; v < attribute.values.size(); ++v) {
-      BitmapT& narrowed = (*scratch)[static_cast<size_t>(depth)];
-      const size_t count =
-          BitmapT::AndInto(members, attribute.bitmaps[v], &narrowed);
+      data::ChunkedBitmap& narrowed = (*scratch)[static_cast<size_t>(depth)];
+      const size_t count = data::ChunkedBitmap::AndInto(
+          members, attribute.bitmaps[v], &narrowed);
       ++tally->popcount_calls;
       if (count == 0) {
         ++tally->pruned_subtrees;
@@ -152,25 +148,24 @@ void EnumerateBitmap(const std::vector<AttributeT>& attrs,
   }
 }
 
-/// The full lattice walk over a prepared index: roots in canonical order
+/// The full lattice walk over a merged index: roots in canonical order
 /// (attributes in argument order, values in first-seen order), obs
-/// counters, final sort. Shared by the contiguous and chunked entry
-/// points so their visit order and bookkeeping cannot drift apart.
-template <typename AttributeT, typename BitmapT>
-SubgroupAuditResult RunLattice(const std::vector<AttributeT>& attrs,
-                               const BitmapT& predictions,
-                               double overall_rate, size_t num_rows,
-                               const SubgroupAuditOptions& options) {
+/// counters, final sort.
+SubgroupAuditResult RunLattice(
+    const std::vector<ChunkedAttributeIndex>& attrs,
+    const data::ChunkedBitmap& predictions, double overall_rate,
+    size_t num_rows, const SubgroupAuditOptions& options) {
   SubgroupAuditResult result;
   KernelTally tally;
   // Depth d intersections land in scratch[d]; a root set is its index
   // bitmap itself, so levels 1..max_depth-1 suffice.
-  std::vector<BitmapT> scratch(static_cast<size_t>(options.max_depth) + 1);
+  std::vector<data::ChunkedBitmap> scratch(
+      static_cast<size_t>(options.max_depth) + 1);
   std::vector<std::pair<std::string, std::string>> conditions;
   for (size_t a = 0; a < attrs.size(); ++a) {
-    const AttributeT& attribute = attrs[a];
+    const ChunkedAttributeIndex& attribute = attrs[a];
     for (size_t v = 0; v < attribute.values.size(); ++v) {
-      const BitmapT& members = attribute.bitmaps[v];
+      const data::ChunkedBitmap& members = attribute.bitmaps[v];
       ++tally.popcount_calls;
       conditions = {{attribute.name, attribute.values[v]}};
       // Index bitmaps are nonempty: every value comes from some row.
@@ -190,46 +185,14 @@ SubgroupAuditResult RunLattice(const std::vector<AttributeT>& attrs,
 }
 
 // ---------------------------------------------------------------------------
-// Shared column extraction / validation.
-
-struct PreparedAudit {
-  data::GroupIndex index;
-  data::Bitmap predictions;
-  double overall_rate = 0.0;
-  size_t num_rows = 0;
-};
-
-Result<PreparedAudit> Prepare(const data::Table& table,
-                              const std::vector<std::string>& attribute_columns,
-                              const std::string& prediction_column,
-                              const SubgroupAuditOptions& options) {
-  FAIRLAW_RETURN_NOT_OK(options.Validate());
-  if (attribute_columns.empty()) {
-    return Status::Invalid("AuditSubgroups: no attribute columns");
-  }
-  if (table.num_rows() == 0) {
-    return Status::Invalid("AuditSubgroups: empty table");
-  }
-  PreparedAudit prepared;
-  prepared.num_rows = table.num_rows();
-  FAIRLAW_ASSIGN_OR_RETURN(
-      prepared.predictions,
-      data::GroupIndex::BinaryColumnBitmap(table, prediction_column));
-  prepared.overall_rate = static_cast<double>(prepared.predictions.Count()) /
-                          static_cast<double>(prepared.num_rows);
-  FAIRLAW_ASSIGN_OR_RETURN(prepared.index,
-                           data::GroupIndex::Build(table, attribute_columns));
-  return prepared;
-}
-
-// ---------------------------------------------------------------------------
-// Chunked (morsel-driven) preparation.
+// Per-chunk indexing.
 
 /// Per-chunk indexing output: both extraction steps always run so the
-/// step-ranked error merge below can reproduce the contiguous path's
+/// step-ranked error merge below gives every chunk layout the one-chunk
 /// error precedence (predictions are extracted before the index is
 /// built, and every step error is a row-independent string).
 struct ChunkIndexPartial {
+  size_t num_rows = 0;
   Status prediction_status;
   Status index_status;
   data::Bitmap predictions;
@@ -240,6 +203,7 @@ ChunkIndexPartial IndexChunk(const data::Table& chunk,
                              const std::vector<std::string>& attribute_columns,
                              const std::string& prediction_column) {
   ChunkIndexPartial partial;
+  partial.num_rows = chunk.num_rows();
   auto predictions =
       data::GroupIndex::BinaryColumnBitmap(chunk, prediction_column);
   partial.prediction_status = predictions.status();
@@ -261,26 +225,6 @@ Result<SubgroupAuditResult> AuditSubgroups(
     const std::vector<std::string>& attribute_columns,
     const std::string& prediction_column,
     const SubgroupAuditOptions& options) {
-  if (options.chunk_rows > 0) {
-    FAIRLAW_ASSIGN_OR_RETURN(
-        data::ChunkedTable chunked,
-        data::ChunkedTable::FromTable(table, options.chunk_rows));
-    return AuditSubgroups(chunked, attribute_columns, prediction_column,
-                          options);
-  }
-  obs::TraceSpan span("audit_subgroups");
-  FAIRLAW_ASSIGN_OR_RETURN(
-      PreparedAudit prepared,
-      Prepare(table, attribute_columns, prediction_column, options));
-  return RunLattice(prepared.index.attributes(), prepared.predictions,
-                    prepared.overall_rate, prepared.num_rows, options);
-}
-
-Result<SubgroupAuditResult> AuditSubgroups(
-    const data::ChunkedTable& table,
-    const std::vector<std::string>& attribute_columns,
-    const std::string& prediction_column,
-    const SubgroupAuditOptions& options) {
   obs::TraceSpan span("audit_subgroups");
   FAIRLAW_RETURN_NOT_OK(options.Validate());
   if (attribute_columns.empty()) {
@@ -291,21 +235,18 @@ Result<SubgroupAuditResult> AuditSubgroups(
   }
 
   // Morsel phase: every chunk is indexed independently.
-  const size_t num_chunks = table.num_chunks();
-  std::vector<ChunkIndexPartial> partials(num_chunks);
-  auto index_chunk = [&](size_t c) {
-    partials[c] =
-        IndexChunk(table.chunk(c), attribute_columns, prediction_column);
-  };
-  if (options.num_threads == 1 || num_chunks <= 1) {
-    for (size_t c = 0; c < num_chunks; ++c) index_chunk(c);
-  } else {
-    ThreadPool pool(options.num_threads == 0
-                        ? 0
-                        : std::min(options.num_threads, num_chunks));
-    pool.ParallelFor(num_chunks, index_chunk);
-  }
-  // Step outranks chunk: the contiguous path fails on the prediction
+  std::vector<ChunkIndexPartial> partials;
+  ChunkStream chunks(table, options.chunk_rows);
+  FAIRLAW_RETURN_NOT_OK(RunMorsels(
+      chunks, options.num_threads,
+      [&attribute_columns, &prediction_column](const data::Table& chunk) {
+        return IndexChunk(chunk, attribute_columns, prediction_column);
+      },
+      [&partials](ChunkIndexPartial partial) {
+        partials.push_back(std::move(partial));
+      }));
+  const size_t num_chunks = partials.size();
+  // Step outranks chunk: a one-chunk audit fails on the prediction
   // column before it ever builds the index, so any chunk's prediction
   // error beats any chunk's index error.
   for (const ChunkIndexPartial& partial : partials) {
@@ -317,7 +258,7 @@ Result<SubgroupAuditResult> AuditSubgroups(
 
   std::vector<size_t> chunk_sizes(num_chunks);
   for (size_t c = 0; c < num_chunks; ++c) {
-    chunk_sizes[c] = table.chunk(c).num_rows();
+    chunk_sizes[c] = partials[c].num_rows;
   }
 
   std::vector<data::Bitmap> prediction_chunks;

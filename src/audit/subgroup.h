@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "base/result.h"
-#include "data/chunked.h"
 #include "data/table.h"
 
 namespace fairlaw::audit {
@@ -49,22 +48,21 @@ struct SubgroupAuditOptions {
   size_t min_support = 20;
   /// Gap above which a subgroup counts as a violation.
   double tolerance = 0.05;
-  /// Worker threads for the chunked engine's per-chunk index build (the
-  /// ChunkedTable overload, or chunk_rows > 0): 1 = serial (default), 0 =
-  /// one per hardware thread. The lattice walk itself is always serial;
-  /// the findings are byte-identical for every thread count.
+  /// Worker threads for the per-chunk index build when chunk_rows splits
+  /// the table: 1 = serial (default), 0 = one per hardware thread. The
+  /// lattice walk itself is always serial; the findings are
+  /// byte-identical for every thread count.
   size_t num_threads = 1;
-  /// Rows per morsel for the chunked engine: with a nonzero value the
-  /// table is split into chunks, each chunk is indexed independently
-  /// (on num_threads workers), and the lattice walk runs on
-  /// chunk-spanning bitmaps whose counts sum to the whole-table counts —
-  /// so the findings are byte-identical for every chunk size. 0
-  /// (default) builds one contiguous index.
+  /// Rows per morsel: the table is indexed chunk by chunk (on
+  /// num_threads workers) and the lattice walk runs on chunk-spanning
+  /// bitmaps whose counts sum to the whole-table counts, so the findings
+  /// are byte-identical for every chunk size. 0 (default) indexes the
+  /// table in place as one chunk.
   size_t chunk_rows = 0;
 
   /// Checks the options before the lattice walk: max_depth >= 1 and
-  /// tolerance in [0,1]. Both AuditSubgroups entry points call this
-  /// first, mirroring AuditConfig::Validate.
+  /// tolerance in [0,1]. AuditSubgroups calls this first, mirroring
+  /// AuditConfig::Validate.
   FAIRLAW_NODISCARD Status Validate() const;
 };
 
@@ -84,24 +82,16 @@ struct SubgroupAuditResult {
 /// values) up to `options.max_depth` and scores each against the overall
 /// selection rate of `prediction_column` (binary).
 ///
-/// The enumerator runs on a data::GroupIndex built once per call:
-/// narrowing a conjunction by one condition is a word-wise bitmap AND,
-/// and the member/selected counts are fused popcounts.
+/// Each chunk of options.chunk_rows rows (the whole table when 0) gets
+/// its own data::GroupIndex, built on the morsel loop; the per-chunk
+/// value dictionaries merge in chunk order, which reproduces the
+/// whole-table first-seen value order. Narrowing a conjunction by one
+/// condition is then a data::ChunkedBitmap AND, and the member/selected
+/// counts are fused popcounts whose per-chunk sums equal the whole-table
+/// counts, so the findings (and the kernel counters) are byte-identical
+/// for every chunk layout and thread count.
 FAIRLAW_NODISCARD Result<SubgroupAuditResult> AuditSubgroups(
     const data::Table& table,
-    const std::vector<std::string>& attribute_columns,
-    const std::string& prediction_column, const SubgroupAuditOptions& options);
-
-/// Morsel-driven variant: indexes every chunk independently (one morsel
-/// per chunk on a base::ThreadPool when options.num_threads != 1), merges
-/// the per-chunk value dictionaries in chunk order — which reproduces the
-/// whole-table first-seen value order — and walks the same conjunction
-/// lattice over data::ChunkedBitmap AND/popcount kernels. Per-chunk
-/// popcounts sum to the contiguous counts, so the findings (and the
-/// kernel counters) are byte-identical to the contiguous path for every
-/// chunk layout and thread count.
-FAIRLAW_NODISCARD Result<SubgroupAuditResult> AuditSubgroups(
-    const data::ChunkedTable& table,
     const std::vector<std::string>& attribute_columns,
     const std::string& prediction_column, const SubgroupAuditOptions& options);
 

@@ -1,70 +1,10 @@
 #include "data/chunked.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "base/check.h"
 
 namespace fairlaw::data {
-
-Result<ChunkedTable> ChunkedTable::FromTable(const Table& table,
-                                             size_t chunk_rows) {
-  ChunkedTable out;
-  out.schema_ = table.schema();
-  const size_t total = table.num_rows();
-  const size_t step = chunk_rows == 0 ? std::max<size_t>(total, 1) : chunk_rows;
-  for (size_t offset = 0; offset < total; offset += step) {
-    const size_t length = std::min(step, total - offset);
-    FAIRLAW_ASSIGN_OR_RETURN(Table chunk, table.Slice(offset, length));
-    out.chunks_.push_back(std::move(chunk));
-  }
-  out.num_rows_ = total;
-  return out;
-}
-
-Result<ChunkedTable> ChunkedTable::FromChunks(std::vector<Table> chunks) {
-  ChunkedTable out;
-  for (size_t i = 0; i < chunks.size(); ++i) {
-    if (chunks[i].num_rows() == 0) {
-      return Status::Invalid("ChunkedTable: chunk " + std::to_string(i) +
-                             " is empty");
-    }
-    if (i == 0) {
-      out.schema_ = chunks[i].schema();
-    } else if (!(chunks[i].schema() == out.schema_)) {
-      return Status::Invalid("ChunkedTable: chunk " + std::to_string(i) +
-                             " schema differs from chunk 0");
-    }
-    out.num_rows_ += chunks[i].num_rows();
-  }
-  out.chunks_ = std::move(chunks);
-  return out;
-}
-
-Status ChunkedTable::ForEachChunk(
-    const std::function<Status(const Table&, size_t, size_t)>& fn) const {
-  size_t row_offset = 0;
-  for (size_t i = 0; i < chunks_.size(); ++i) {
-    FAIRLAW_RETURN_NOT_OK(fn(chunks_[i], i, row_offset));
-    row_offset += chunks_[i].num_rows();
-  }
-  return Status::OK();
-}
-
-Result<Table> ChunkedTable::Materialize() const {
-  TableBuilder builder(schema_);
-  for (const Table& chunk : chunks_) {
-    for (size_t r = 0; r < chunk.num_rows(); ++r) {
-      std::vector<std::optional<Cell>> cells(chunk.num_columns());
-      for (size_t c = 0; c < chunk.num_columns(); ++c) {
-        if (!chunk.column(c).IsValid(r)) continue;
-        FAIRLAW_ASSIGN_OR_RETURN(cells[c], chunk.column(c).GetCell(r));
-      }
-      FAIRLAW_RETURN_NOT_OK(builder.AppendRowWithNulls(cells));
-    }
-  }
-  return builder.Finish();
-}
 
 ChunkedBitmap::ChunkedBitmap(std::vector<Bitmap> chunks)
     : chunks_(std::move(chunks)) {}

@@ -2,73 +2,21 @@
 #define FAIRLAW_DATA_CHUNKED_H_
 
 #include <cstddef>
-#include <functional>
 #include <span>
 #include <vector>
 
-#include "base/result.h"
 #include "data/bitmap.h"
-#include "data/table.h"
 
 namespace fairlaw::data {
 
 /// Default morsel size for the chunked audit engine: 64k rows keeps a
 /// chunk's bitmaps (1k words) and numeric columns L2-resident while still
-/// amortizing per-morsel scheduling overhead.
+/// amortizing per-morsel scheduling overhead. A chunk is a schedule, not a
+/// type: the engine slices a `Table` or pulls `CsvChunkReader` chunks and
+/// merges per-chunk partials in chunk order (DESIGN.md §14).
 inline constexpr size_t kDefaultChunkRows = 65536;
 
-/// A table split into fixed-size row chunks sharing one schema.
-///
-/// Each chunk is a plain `Table` (contiguous columns + per-chunk validity
-/// masks), so every existing per-table kernel — `GroupIndex`, fused
-/// bitmap popcounts, dense column views — runs unmodified per chunk. The
-/// audit engine schedules one morsel per chunk and merges per-chunk
-/// partials in chunk order, which is what keeps output byte-identical for
-/// any thread count and any chunk size (DESIGN.md §14).
-///
-/// Invariants: every chunk has the same schema and at least one row (a
-/// zero-row source table yields zero chunks), and `num_rows()` is the sum
-/// of chunk sizes.
-class ChunkedTable {
- public:
-  /// Empty chunked table (no schema, no rows).
-  ChunkedTable() = default;
-
-  /// Splits `table` into chunks of `chunk_rows` rows (the last chunk may
-  /// be shorter). `chunk_rows` == 0 means "one chunk for the whole
-  /// table". Copies the sliced rows; callers that already hold chunked
-  /// data should use FromChunks.
-  FAIRLAW_NODISCARD static Result<ChunkedTable> FromTable(const Table& table,
-                                                          size_t chunk_rows);
-
-  /// Adopts pre-built chunks. All chunks must share a schema and be
-  /// non-empty (an empty vector makes an empty chunked table).
-  FAIRLAW_NODISCARD static Result<ChunkedTable> FromChunks(
-      std::vector<Table> chunks);
-
-  const Schema& schema() const { return schema_; }
-  size_t num_rows() const { return num_rows_; }
-  size_t num_chunks() const { return chunks_.size(); }
-  const Table& chunk(size_t i) const { return chunks_[i]; }
-  const std::vector<Table>& chunks() const { return chunks_; }
-
-  /// Calls `fn(chunk, chunk_index, row_offset)` for every chunk in row
-  /// order — the chunk-aware replacement for contiguous span views
-  /// (`Column::Doubles()` etc. stay valid per chunk, never across
-  /// chunks). Stops at and returns the first non-OK status.
-  FAIRLAW_NODISCARD Status ForEachChunk(
-      const std::function<Status(const Table&, size_t, size_t)>& fn) const;
-
-  /// Concatenates the chunks back into one contiguous table.
-  FAIRLAW_NODISCARD Result<Table> Materialize() const;
-
- private:
-  Schema schema_;
-  std::vector<Table> chunks_;
-  size_t num_rows_ = 0;
-};
-
-/// A row set over a chunked table: one bitmap per chunk, combined with
+/// A row set over a chunked row range: one bitmap per chunk, combined with
 /// the same fused AND/popcount kernels as the contiguous `Bitmap` —
 /// per-chunk counts simply sum, so chunk-spanning kernels return exactly
 /// the numbers the whole-table kernels would.

@@ -1,6 +1,7 @@
 #include "data/csv.h"
 
 #include <fstream>
+#include <memory>
 #include <optional>
 #include <sstream>
 
@@ -13,8 +14,7 @@ namespace {
 /// Incremental CSV row scanner over a stream: pulls one row per call with
 /// a fixed-size read buffer, honoring quoting ("" escapes), CR/LF/CRLF
 /// newlines, and blank-line skipping. This is the single tokenizer behind
-/// both the whole-table readers and the streaming CsvChunkReader, so the
-/// two ingestion paths cannot drift apart.
+/// both passes of TwoPassReader.
 class RowScanner {
  public:
   RowScanner(std::istream* input, char delimiter)
@@ -115,21 +115,6 @@ class RowScanner {
   bool at_end_ = false;
 };
 
-/// Scans every row of `input` (used by the whole-table readers; the
-/// streaming reader drives RowScanner chunk by chunk instead).
-Result<std::vector<std::vector<std::string>>> ScanAllRows(std::istream* input,
-                                                          char delimiter) {
-  RowScanner scanner(input, delimiter);
-  std::vector<std::vector<std::string>> rows;
-  std::vector<std::string> row;
-  for (;;) {
-    FAIRLAW_ASSIGN_OR_RETURN(bool has_row, scanner.NextRow(&row));
-    if (!has_row) break;
-    rows.push_back(std::move(row));
-  }
-  return rows;
-}
-
 bool IsNullToken(const std::string& raw, const CsvOptions& options) {
   std::string stripped(StripWhitespace(raw));
   for (const std::string& token : options.null_tokens) {
@@ -138,11 +123,9 @@ bool IsNullToken(const std::string& raw, const CsvOptions& options) {
   return false;
 }
 
-/// O(1)-memory column type tracker: the streaming inference pass keeps one
-/// of these per column instead of the token matrix, and the whole-table
-/// reader folds its rows through the same flags, so both ingestion paths
-/// infer identical schemas by construction. Priority: int64 > double >
-/// bool > string; a column with no non-null values is string.
+/// O(1)-memory column type tracker: the inference pass keeps one of these
+/// per column instead of a token matrix. Priority: int64 > double > bool >
+/// string; a column with no non-null values is string.
 struct ColumnTypeFlags {
   bool all_int = true;
   bool all_double = true;
@@ -164,20 +147,6 @@ struct ColumnTypeFlags {
     return DataType::kString;
   }
 };
-
-DataType InferColumnType(const std::vector<std::vector<std::string>>& rows,
-                         size_t column, size_t first_data_row,
-                         const CsvOptions& options) {
-  ColumnTypeFlags flags;
-  for (size_t r = first_data_row; r < rows.size(); ++r) {
-    if (column >= rows[r].size()) continue;
-    const std::string& raw = rows[r][column];
-    if (IsNullToken(raw, options)) continue;
-    flags.Observe(raw);
-    if (!flags.all_int && !flags.all_double && !flags.all_bool) break;
-  }
-  return flags.Resolve();
-}
 
 Result<std::optional<Cell>> ParseCell(const std::string& raw, DataType type,
                                       const CsvOptions& options) {
@@ -216,67 +185,143 @@ std::string EscapeField(const std::string& value, char delimiter) {
   return out;
 }
 
+/// The one CSV reader behind ReadCsvString, ReadCsvFile and
+/// CsvChunkReader. Pass 1 sweeps the stream holding one row of tokens
+/// plus O(columns) type flags: it infers the schema, counts the rows, and
+/// reports the first defect in file order (ragged row, unterminated
+/// quote) or, once the sweep is clean, an empty input or a duplicate
+/// header. Pass 2 rewinds the stream and parses rows on demand, so a
+/// caller holds as many parsed rows as it asks for and never the text.
+class TwoPassReader {
+ public:
+  /// Runs pass 1 over `input`, then rewinds it and skips the header so
+  /// ReadRows() starts at the first data row.
+  FAIRLAW_NODISCARD Status Open(std::unique_ptr<std::istream> input,
+                                const CsvOptions& options) {
+    options_ = options;
+    input_ = std::move(input);
+    RowScanner scanner(input_.get(), options.delimiter);
+    std::vector<std::string> row;
+    std::vector<std::string> names;
+    std::vector<ColumnTypeFlags> flags;
+    size_t num_columns = 0;
+    size_t row_index = 0;
+    for (;;) {
+      FAIRLAW_ASSIGN_OR_RETURN(bool has_row, scanner.NextRow(&row));
+      if (!has_row) break;
+      if (row_index == 0) {
+        num_columns = row.size();
+        flags.assign(num_columns, ColumnTypeFlags{});
+        names.resize(num_columns);
+        for (size_t c = 0; c < num_columns; ++c) {
+          names[c] = options.has_header
+                         ? std::string(StripWhitespace(row[c]))
+                         : std::string("c").append(std::to_string(c));
+        }
+      }
+      FAIRLAW_RETURN_NOT_OK(CheckWidth(row, row_index, num_columns));
+      if (!(options.has_header && row_index == 0)) {
+        ++num_rows_;
+        for (size_t c = 0; c < num_columns; ++c) {
+          if (IsNullToken(row[c], options)) continue;
+          flags[c].Observe(row[c]);
+        }
+      }
+      ++row_index;
+    }
+    if (row_index == 0) return Status::Invalid("CSV: input has no rows");
+    obs::GetCounter("csv.bytes_read")->Increment(scanner.bytes_consumed());
+
+    std::vector<Field> fields(num_columns);
+    for (size_t c = 0; c < num_columns; ++c) {
+      fields[c] = Field{names[c], flags[c].Resolve()};
+    }
+    FAIRLAW_ASSIGN_OR_RETURN(schema_, Schema::Make(std::move(fields)));
+
+    input_->clear();
+    if (!input_->seekg(0)) {
+      return Status::IOError("CSV: cannot rewind the input for the read "
+                             "pass");
+    }
+    scanner_.emplace(input_.get(), options.delimiter);
+    if (options.has_header) {
+      FAIRLAW_ASSIGN_OR_RETURN(bool has_row, scanner_->NextRow(&row));
+      if (!has_row) return Shrank();
+    }
+    return Status::OK();
+  }
+
+  const Schema& schema() const { return schema_; }
+  size_t num_rows() const { return num_rows_; }
+  size_t rows_read() const { return rows_read_; }
+
+  /// Pass 2: parses the next min(max_rows, rows left) rows into a table
+  /// (zero rows once the input is exhausted).
+  FAIRLAW_NODISCARD Result<Table> ReadRows(size_t max_rows) {
+    TableBuilder builder(schema_);
+    std::vector<std::string> row;
+    std::vector<std::optional<Cell>> cells(schema_.num_fields());
+    const size_t header_offset = options_.has_header ? 1 : 0;
+    size_t parsed = 0;
+    while (parsed < max_rows && rows_read_ < num_rows_) {
+      FAIRLAW_ASSIGN_OR_RETURN(bool has_row, scanner_->NextRow(&row));
+      if (!has_row) return Shrank();
+      FAIRLAW_RETURN_NOT_OK(CheckWidth(row, rows_read_ + header_offset,
+                                       schema_.num_fields()));
+      for (size_t c = 0; c < row.size(); ++c) {
+        FAIRLAW_ASSIGN_OR_RETURN(
+            cells[c], ParseCell(row[c], schema_.field(c).type, options_));
+      }
+      FAIRLAW_RETURN_NOT_OK(builder.AppendRowWithNulls(cells));
+      ++parsed;
+      ++rows_read_;
+    }
+    obs::GetCounter("csv.rows_loaded")->Increment(parsed);
+    return builder.Finish();
+  }
+
+ private:
+  static Status CheckWidth(const std::vector<std::string>& row,
+                           size_t row_index, size_t num_columns) {
+    if (row.size() == num_columns) return Status::OK();
+    return Status::Invalid("CSV: row " + std::to_string(row_index) + " has " +
+                           std::to_string(row.size()) + " fields, expected " +
+                           std::to_string(num_columns));
+  }
+
+  static Status Shrank() {
+    return Status::IOError("CSV: file shrank between inference and read "
+                           "passes");
+  }
+
+  CsvOptions options_;
+  std::unique_ptr<std::istream> input_;
+  std::optional<RowScanner> scanner_;  // pass 2, reading from input_
+  Schema schema_;
+  size_t num_rows_ = 0;   // data rows in the input
+  size_t rows_read_ = 0;  // data rows parsed by ReadRows so far
+};
+
+/// Drains a two-pass read of `input` into one table.
+Result<Table> ReadAll(std::unique_ptr<std::istream> input,
+                      const CsvOptions& options) {
+  obs::TraceSpan span("read_csv");
+  TwoPassReader reader;
+  FAIRLAW_RETURN_NOT_OK(reader.Open(std::move(input), options));
+  return reader.ReadRows(reader.num_rows());
+}
+
 }  // namespace
 
 Result<Table> ReadCsvString(const std::string& text,
                             const CsvOptions& options) {
-  obs::TraceSpan span("read_csv");
-  obs::GetCounter("csv.bytes_read")->Increment(text.size());
-  std::istringstream input(text);
-  FAIRLAW_ASSIGN_OR_RETURN(auto rows,
-                           ScanAllRows(&input, options.delimiter));
-  if (rows.empty()) return Status::Invalid("CSV: input has no rows");
-
-  const size_t num_columns = rows[0].size();
-  for (size_t r = 0; r < rows.size(); ++r) {
-    if (rows[r].size() != num_columns) {
-      return Status::Invalid("CSV: row " + std::to_string(r) + " has " +
-                             std::to_string(rows[r].size()) +
-                             " fields, expected " +
-                             std::to_string(num_columns));
-    }
-  }
-
-  std::vector<std::string> names(num_columns);
-  size_t first_data_row = 0;
-  if (options.has_header) {
-    for (size_t c = 0; c < num_columns; ++c) {
-      names[c] = std::string(StripWhitespace(rows[0][c]));
-    }
-    first_data_row = 1;
-  } else {
-    for (size_t c = 0; c < num_columns; ++c) {
-      names[c] = std::string("c").append(std::to_string(c));
-    }
-  }
-
-  std::vector<Field> fields(num_columns);
-  for (size_t c = 0; c < num_columns; ++c) {
-    fields[c] = Field{names[c],
-                      InferColumnType(rows, c, first_data_row, options)};
-  }
-  FAIRLAW_ASSIGN_OR_RETURN(Schema schema, Schema::Make(std::move(fields)));
-
-  TableBuilder builder(schema);
-  for (size_t r = first_data_row; r < rows.size(); ++r) {
-    std::vector<std::optional<Cell>> cells(num_columns);
-    for (size_t c = 0; c < num_columns; ++c) {
-      FAIRLAW_ASSIGN_OR_RETURN(
-          cells[c], ParseCell(rows[r][c], schema.field(c).type, options));
-    }
-    FAIRLAW_RETURN_NOT_OK(builder.AppendRowWithNulls(cells));
-  }
-  obs::GetCounter("csv.rows_loaded")->Increment(rows.size() - first_data_row);
-  return builder.Finish();
+  return ReadAll(std::make_unique<std::istringstream>(text), options);
 }
 
 Result<Table> ReadCsvFile(const std::string& path, const CsvOptions& options) {
-  std::ifstream input(path, std::ios::binary);
-  if (!input) return Status::IOError("cannot open '" + path + "' for reading");
-  std::ostringstream buffer;
-  buffer << input.rdbuf();
-  if (input.bad()) return Status::IOError("error reading '" + path + "'");
-  return ReadCsvString(buffer.str(), options);
+  auto input = std::make_unique<std::ifstream>(path, std::ios::binary);
+  if (!*input) return Status::IOError("cannot open '" + path + "' for reading");
+  return ReadAll(std::move(input), options);
 }
 
 Result<std::string> WriteCsvString(const Table& table,
@@ -313,13 +358,8 @@ Status WriteCsvFile(const Table& table, const std::string& path,
 }
 
 struct CsvChunkReader::Impl {
-  CsvChunkReader::Options options;
+  TwoPassReader reader;
   size_t chunk_rows = kDefaultChunkRows;
-  Schema schema;
-  size_t num_rows = 0;   // data rows in the file
-  size_t rows_read = 0;  // data rows emitted so far
-  std::ifstream input;   // pass-2 stream; scanner points into it
-  std::unique_ptr<RowScanner> scanner;
 };
 
 CsvChunkReader::CsvChunkReader() : impl_(std::make_unique<Impl>()) {}
@@ -328,9 +368,9 @@ CsvChunkReader& CsvChunkReader::operator=(CsvChunkReader&&) noexcept =
     default;
 CsvChunkReader::~CsvChunkReader() = default;
 
-const Schema& CsvChunkReader::schema() const { return impl_->schema; }
-size_t CsvChunkReader::num_rows() const { return impl_->num_rows; }
-size_t CsvChunkReader::rows_read() const { return impl_->rows_read; }
+const Schema& CsvChunkReader::schema() const { return impl_->reader.schema(); }
+size_t CsvChunkReader::num_rows() const { return impl_->reader.num_rows(); }
+size_t CsvChunkReader::rows_read() const { return impl_->reader.rows_read(); }
 
 Result<CsvChunkReader> CsvChunkReader::Make(const std::string& path) {
   return Make(path, Options{});
@@ -339,135 +379,23 @@ Result<CsvChunkReader> CsvChunkReader::Make(const std::string& path) {
 Result<CsvChunkReader> CsvChunkReader::Make(const std::string& path,
                                             const Options& options) {
   obs::TraceSpan span("csv_open_stream");
+  auto input = std::make_unique<std::ifstream>(path, std::ios::binary);
+  if (!*input) return Status::IOError("cannot open '" + path + "' for reading");
   CsvChunkReader reader;
-  Impl& impl = *reader.impl_;
-  impl.options = options;
-  impl.chunk_rows =
+  reader.impl_->chunk_rows =
       options.chunk_rows == 0 ? kDefaultChunkRows : options.chunk_rows;
-
-  // Pass 1: flags-only inference sweep. Holds one row of tokens plus
-  // O(columns) type flags, never the file.
-  std::ifstream infer_input(path, std::ios::binary);
-  if (!infer_input) {
-    return Status::IOError("cannot open '" + path + "' for reading");
-  }
-  RowScanner infer_scanner(&infer_input, options.csv.delimiter);
-  std::vector<std::string> row;
-  std::vector<std::string> names;
-  std::vector<ColumnTypeFlags> flags;
-  size_t num_columns = 0;
-  size_t row_index = 0;
-  size_t data_rows = 0;
-  for (;;) {
-    FAIRLAW_ASSIGN_OR_RETURN(bool has_row, infer_scanner.NextRow(&row));
-    if (!has_row) break;
-    if (row_index == 0) {
-      num_columns = row.size();
-      flags.assign(num_columns, ColumnTypeFlags{});
-      names.resize(num_columns);
-      for (size_t c = 0; c < num_columns; ++c) {
-        names[c] = options.csv.has_header
-                       ? std::string(StripWhitespace(row[c]))
-                       : std::string("c").append(std::to_string(c));
-      }
-    }
-    if (row.size() != num_columns) {
-      return Status::Invalid("CSV: row " + std::to_string(row_index) +
-                             " has " + std::to_string(row.size()) +
-                             " fields, expected " +
-                             std::to_string(num_columns));
-    }
-    if (!(options.csv.has_header && row_index == 0)) {
-      ++data_rows;
-      for (size_t c = 0; c < num_columns; ++c) {
-        if (IsNullToken(row[c], options.csv)) continue;
-        flags[c].Observe(row[c]);
-      }
-    }
-    ++row_index;
-  }
-  if (row_index == 0) return Status::Invalid("CSV: input has no rows");
-  obs::GetCounter("csv.bytes_read")
-      ->Increment(infer_scanner.bytes_consumed());
-
-  std::vector<Field> fields(num_columns);
-  for (size_t c = 0; c < num_columns; ++c) {
-    fields[c] = Field{names[c], flags[c].Resolve()};
-  }
-  FAIRLAW_ASSIGN_OR_RETURN(impl.schema, Schema::Make(std::move(fields)));
-  impl.num_rows = data_rows;
-
-  // Pass 2 setup: reopen and pre-consume the header so Next() starts at
-  // the first data row.
-  impl.input.open(path, std::ios::binary);
-  if (!impl.input) {
-    return Status::IOError("cannot open '" + path + "' for reading");
-  }
-  impl.scanner =
-      std::make_unique<RowScanner>(&impl.input, options.csv.delimiter);
-  if (options.csv.has_header) {
-    FAIRLAW_ASSIGN_OR_RETURN(bool has_row, impl.scanner->NextRow(&row));
-    if (!has_row) {
-      return Status::IOError("CSV: file shrank between inference and "
-                             "read passes");
-    }
-  }
+  FAIRLAW_RETURN_NOT_OK(reader.impl_->reader.Open(std::move(input),
+                                                  options.csv));
   return reader;
 }
 
 Result<std::optional<Table>> CsvChunkReader::Next() {
-  Impl& impl = *impl_;
-  if (impl.rows_read >= impl.num_rows) return std::optional<Table>();
+  TwoPassReader& reader = impl_->reader;
+  if (reader.rows_read() >= reader.num_rows()) return std::optional<Table>();
   obs::TraceSpan span("csv_chunk");
-  TableBuilder builder(impl.schema);
-  std::vector<std::string> row;
-  std::vector<std::optional<Cell>> cells(impl.schema.num_fields());
-  const size_t header_offset = impl.options.csv.has_header ? 1 : 0;
-  size_t in_chunk = 0;
-  while (in_chunk < impl.chunk_rows && impl.rows_read < impl.num_rows) {
-    FAIRLAW_ASSIGN_OR_RETURN(bool has_row, impl.scanner->NextRow(&row));
-    if (!has_row) {
-      return Status::IOError("CSV: file shrank between inference and "
-                             "read passes");
-    }
-    if (row.size() != impl.schema.num_fields()) {
-      return Status::Invalid(
-          "CSV: row " + std::to_string(impl.rows_read + header_offset) +
-          " has " + std::to_string(row.size()) + " fields, expected " +
-          std::to_string(impl.schema.num_fields()));
-    }
-    for (size_t c = 0; c < row.size(); ++c) {
-      FAIRLAW_ASSIGN_OR_RETURN(
-          cells[c],
-          ParseCell(row[c], impl.schema.field(c).type, impl.options.csv));
-    }
-    FAIRLAW_RETURN_NOT_OK(builder.AppendRowWithNulls(cells));
-    ++in_chunk;
-    ++impl.rows_read;
-  }
-  obs::GetCounter("csv.rows_loaded")->Increment(in_chunk);
+  FAIRLAW_ASSIGN_OR_RETURN(Table chunk, reader.ReadRows(impl_->chunk_rows));
   obs::GetCounter("csv.chunks_streamed")->Increment();
-  FAIRLAW_ASSIGN_OR_RETURN(Table chunk, builder.Finish());
   return std::optional<Table>(std::move(chunk));
-}
-
-Result<ChunkedTable> ReadCsvFileChunked(const std::string& path,
-                                        const CsvChunkReader::Options& options) {
-  FAIRLAW_ASSIGN_OR_RETURN(CsvChunkReader reader,
-                           CsvChunkReader::Make(path, options));
-  std::vector<Table> chunks;
-  for (;;) {
-    FAIRLAW_ASSIGN_OR_RETURN(std::optional<Table> chunk, reader.Next());
-    if (!chunk.has_value()) break;
-    chunks.push_back(std::move(*chunk));
-  }
-  if (chunks.empty()) {
-    // Header-only file: a zero-chunk table that still carries the schema.
-    TableBuilder builder(reader.schema());
-    FAIRLAW_ASSIGN_OR_RETURN(Table empty, builder.Finish());
-    return ChunkedTable::FromTable(empty, options.chunk_rows);
-  }
-  return ChunkedTable::FromChunks(std::move(chunks));
 }
 
 }  // namespace fairlaw::data

@@ -26,6 +26,11 @@ struct CsvOptions {
 /// double if every non-null cell parses as a number, else bool if every
 /// non-null cell is true/false, else string. Quoted fields ("a,b" with
 /// embedded delimiters and "" escapes) are supported.
+///
+/// This and ReadCsvFile drain the same two-pass reader CsvChunkReader
+/// streams (a type-inference pass, then a parse pass over the rewound
+/// input) into one table, so every ingestion path infers the same schema,
+/// parses the same cells and reports the same first defect in file order.
 FAIRLAW_NODISCARD Result<Table> ReadCsvString(const std::string& text,
                             const CsvOptions& options = {});
 
@@ -46,11 +51,9 @@ FAIRLAW_NODISCARD Status WriteCsvFile(const Table& table, const std::string& pat
 /// Streams a CSV file chunk-at-a-time so ingestion is out-of-core: peak
 /// memory is bounded by the chunk size, never the file size.
 ///
-/// Open() makes a flags-only inference pass over the whole file (O(columns)
-/// state: per-column all-int/all-double/all-bool trackers plus the ragged-
-/// row check), so the resulting schema — and therefore every parsed cell —
-/// is byte-identical to what ReadCsvFile would produce for the same file.
-/// Next() then re-streams the file, emitting tables of at most
+/// Make() runs the inference pass over the whole file (O(columns) state:
+/// per-column all-int/all-double/all-bool trackers plus the ragged-row
+/// check). Next() then parses the rewound file, emitting tables of at most
 /// `chunk_rows` rows until the file is exhausted.
 class CsvChunkReader {
  public:
@@ -61,8 +64,7 @@ class CsvChunkReader {
   };
 
   /// Opens `path` and runs the inference pass. Fails on IO errors, ragged
-  /// rows, unterminated quotes, or an empty file — the same failures (and
-  /// messages) ReadCsvFile reports.
+  /// rows, unterminated quotes, an empty file, or duplicate header names.
   FAIRLAW_NODISCARD static Result<CsvChunkReader> Make(
       const std::string& path, const Options& options);
   FAIRLAW_NODISCARD static Result<CsvChunkReader> Make(const std::string& path);
@@ -71,7 +73,7 @@ class CsvChunkReader {
   CsvChunkReader& operator=(CsvChunkReader&&) noexcept;
   ~CsvChunkReader();
 
-  /// The inferred schema (identical to ReadCsvFile's).
+  /// The inferred schema.
   const Schema& schema() const;
 
   /// Total data rows in the file (known after the inference pass).
@@ -89,13 +91,6 @@ class CsvChunkReader {
   struct Impl;
   std::unique_ptr<Impl> impl_;
 };
-
-/// Reads a whole CSV file through the streaming reader into a
-/// ChunkedTable — the in-memory counterpart of driving CsvChunkReader by
-/// hand, used where the chunk layout matters but the data fits in RAM.
-FAIRLAW_NODISCARD Result<ChunkedTable> ReadCsvFileChunked(
-    const std::string& path,
-    const CsvChunkReader::Options& options = CsvChunkReader::Options{});
 
 }  // namespace fairlaw::data
 

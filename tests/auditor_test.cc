@@ -282,23 +282,6 @@ TEST(ScoreDistributionTest, MatchedDistributionsSatisfied) {
   EXPECT_NEAR(result.score_distribution->max_wasserstein1, 0.0, 1e-12);
 }
 
-TEST(ScoreDistributionTest, BinnedPathAgreesWithExact) {
-  data::Table table = ScoredTable(/*shifted=*/true);
-  AuditConfig exact_config = ScoreDistConfig();
-  AuditConfig binned_config = ScoreDistConfig();
-  binned_config.score_distribution_bins = 128;
-  const AuditResult exact =
-      Auditor::Run(AuditSource::FromTable(table), exact_config).ValueOrDie();
-  const AuditResult binned =
-      Auditor::Run(AuditSource::FromTable(table), binned_config).ValueOrDie();
-  ASSERT_TRUE(exact.score_distribution.has_value());
-  ASSERT_TRUE(binned.score_distribution.has_value());
-  EXPECT_NEAR(binned.score_distribution->max_ks,
-              exact.score_distribution->max_ks, 0.1);
-  EXPECT_NEAR(binned.score_distribution->max_wasserstein1,
-              exact.score_distribution->max_wasserstein1, 0.05);
-}
-
 TEST(ScoreDistributionTest, ThreadCountDoesNotChangeReport) {
   data::Table table = ScoredTable(/*shifted=*/true);
   AuditConfig config = ScoreDistConfig();

@@ -1,8 +1,9 @@
-// Tests for the chunked columnar substrate and the morsel-driven audit
-// engine (DESIGN.md §14): chunk-boundary edges, nulls straddling chunk
-// edges, byte-identical audit output across chunk sizes / thread counts /
-// ingestion paths, the chunked subgroup walk against the row-wise oracle,
-// and the radix/presorted tiers of the distance path.
+// Tests for the morsel-driven audit engine (DESIGN.md §14): chunk-boundary
+// edges and nulls straddling chunk edges seen through Auditor::Run and
+// AuditSubgroups, byte-identical audit output across chunk sizes / thread
+// counts / ingestion paths, the streaming CSV reader against literal
+// cells, the chunked subgroup walk against the row-wise oracle, and the
+// radix/presorted tiers of the distance path.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -34,7 +35,6 @@ using audit::AuditConfig;
 using audit::AuditResult;
 using audit::SubgroupAuditOptions;
 using audit::SubgroupAuditResult;
-using data::ChunkedTable;
 using data::Table;
 using stats::Rng;
 
@@ -72,77 +72,8 @@ AuditConfig FullAuditConfig() {
   return config;
 }
 
-bool SameCells(const Table& a, const Table& b) {
-  if (a.num_rows() != b.num_rows() || a.num_columns() != b.num_columns()) {
-    return false;
-  }
-  for (size_t c = 0; c < a.num_columns(); ++c) {
-    for (size_t r = 0; r < a.num_rows(); ++r) {
-      if (a.column(c).IsValid(r) != b.column(c).IsValid(r)) return false;
-      if (a.column(c).ValueToString(r) != b.column(c).ValueToString(r)) {
-        return false;
-      }
-    }
-  }
-  return true;
-}
-
 // ---------------------------------------------------------------------------
-// ChunkedTable substrate.
-
-TEST(ChunkedTableTest, BoundarySizesSplitAndRoundTrip) {
-  // 0, 1, chunk-1, chunk, chunk+1, and 3*chunk+7 rows at chunk size 8.
-  const size_t kChunk = 8;
-  for (size_t rows : {size_t{0}, size_t{1}, size_t{7}, size_t{8}, size_t{9},
-                      size_t{31}}) {
-    Table table = data::ReadCsvString(MakeAuditCsv(rows, 11)).ValueOrDie();
-    ChunkedTable chunked = ChunkedTable::FromTable(table, kChunk).ValueOrDie();
-    EXPECT_EQ(chunked.num_rows(), rows);
-    EXPECT_EQ(chunked.num_chunks(), (rows + kChunk - 1) / kChunk);
-    size_t total = 0;
-    for (size_t c = 0; c < chunked.num_chunks(); ++c) {
-      EXPECT_GE(chunked.chunk(c).num_rows(), 1u);
-      EXPECT_LE(chunked.chunk(c).num_rows(), kChunk);
-      total += chunked.chunk(c).num_rows();
-    }
-    EXPECT_EQ(total, rows);
-    Table back = chunked.Materialize().ValueOrDie();
-    EXPECT_TRUE(SameCells(table, back)) << "rows=" << rows;
-  }
-}
-
-TEST(ChunkedTableTest, ZeroRowTableKeepsSchemaWithZeroChunks) {
-  Table table = data::ReadCsvString("g,p\n").ValueOrDie();
-  ChunkedTable chunked = ChunkedTable::FromTable(table, 4).ValueOrDie();
-  EXPECT_EQ(chunked.num_chunks(), 0u);
-  EXPECT_EQ(chunked.num_rows(), 0u);
-  EXPECT_TRUE(chunked.schema().HasField("g"));
-  Table back = chunked.Materialize().ValueOrDie();
-  EXPECT_EQ(back.num_rows(), 0u);
-  EXPECT_EQ(back.num_columns(), 2u);
-}
-
-TEST(ChunkedTableTest, NullsStraddlingChunkEdgesSurvive) {
-  // Nulls at rows 6..9 straddle the 8-row chunk boundary: the last two
-  // rows of chunk 0 and the first two of chunk 1.
-  std::string text = "x,t\n";
-  for (size_t i = 0; i < 12; ++i) {
-    const bool null_row = i >= 6 && i <= 9;
-    text += null_row ? "" : std::to_string(i);
-    text += ",r" + std::to_string(i) + "\n";
-  }
-  Table table = data::ReadCsvString(text).ValueOrDie();
-  ASSERT_EQ(table.GetColumn("x").ValueOrDie()->null_count(), 4u);
-  ChunkedTable chunked = ChunkedTable::FromTable(table, 8).ValueOrDie();
-  ASSERT_EQ(chunked.num_chunks(), 2u);
-  EXPECT_EQ(chunked.chunk(0).GetColumn("x").ValueOrDie()->null_count(), 2u);
-  EXPECT_EQ(chunked.chunk(1).GetColumn("x").ValueOrDie()->null_count(), 2u);
-  EXPECT_FALSE(chunked.chunk(0).GetColumn("x").ValueOrDie()->IsValid(7));
-  EXPECT_FALSE(chunked.chunk(1).GetColumn("x").ValueOrDie()->IsValid(1));
-  EXPECT_TRUE(chunked.chunk(1).GetColumn("x").ValueOrDie()->IsValid(2));
-  Table back = chunked.Materialize().ValueOrDie();
-  EXPECT_TRUE(SameCells(table, back));
-}
+// Chunk-spanning bitmaps.
 
 TEST(ChunkedBitmapTest, KernelCountsMatchContiguousBitmap) {
   const size_t n = 100;
@@ -182,40 +113,6 @@ TEST(ChunkedBitmapTest, KernelCountsMatchContiguousBitmap) {
 
 // ---------------------------------------------------------------------------
 // Streaming CSV reader.
-
-TEST(CsvChunkReaderTest, MatchesWholeFileReadOnAwkwardFixtures) {
-  // Quoted delimiters/escapes, CRLF line endings, and null tokens — the
-  // cases where a chunk-at-a-time re-scan could drift from the one-shot
-  // parse.
-  const std::string text =
-      "name,score,tag\r\n"
-      "\"x,y\",1.5,\"he said \"\"hi\"\"\"\r\n"
-      ",2.5,plain\r\n"
-      "NA,,third\r\n"
-      "dora,4.5,\"multi\nline\"\r\n"
-      "eve,5.5,last\r\n";
-  const std::string path = "chunked_test_fixture.csv";
-  {
-    std::ofstream out(path, std::ios::trunc | std::ios::binary);
-    out << text;
-    ASSERT_TRUE(out.good());
-  }
-  Table whole = data::ReadCsvFile(path).ValueOrDie();
-  for (size_t chunk_rows : {size_t{1}, size_t{2}, size_t{3}, size_t{100}}) {
-    data::CsvChunkReader::Options options;
-    options.chunk_rows = chunk_rows;
-    ChunkedTable chunked =
-        data::ReadCsvFileChunked(path, options).ValueOrDie();
-    EXPECT_TRUE(chunked.schema() == whole.schema());
-    EXPECT_EQ(chunked.num_rows(), whole.num_rows());
-    for (size_t c = 0; c < chunked.num_chunks(); ++c) {
-      EXPECT_LE(chunked.chunk(c).num_rows(), chunk_rows);
-    }
-    Table back = chunked.Materialize().ValueOrDie();
-    EXPECT_TRUE(SameCells(whole, back)) << "chunk_rows=" << chunk_rows;
-  }
-  std::remove(path.c_str());
-}
 
 /// The awkward fixture's cells as the readers must produce them: quoted
 /// delimiter, "" escape, CRLF, an embedded newline, and null tokens.
@@ -447,7 +344,8 @@ TEST(ChunkedSubgroupTest, MatchesRowwiseOracleForEveryChunkLayout) {
   const SubgroupAuditResult oracle =
       audit::AuditSubgroupsRowwise(table, attrs, "pred", options)
           .ValueOrDie();
-  for (size_t chunk_rows : {size_t{0}, size_t{7}, size_t{64}, size_t{1000}}) {
+  for (size_t chunk_rows :
+       {size_t{0}, size_t{7}, size_t{13}, size_t{64}, size_t{1000}}) {
     for (size_t threads : {size_t{1}, size_t{4}}) {
       SubgroupAuditOptions chunked = options;
       chunked.chunk_rows = chunk_rows;
@@ -455,28 +353,14 @@ TEST(ChunkedSubgroupTest, MatchesRowwiseOracleForEveryChunkLayout) {
       SubgroupAuditResult result =
           audit::AuditSubgroups(table, attrs, "pred", chunked).ValueOrDie();
       ExpectSameFindings(result, oracle);
+      // Value dictionaries merged across chunks must reproduce the
+      // one-chunk error strings too.
+      EXPECT_EQ(audit::AuditSubgroups(table, {}, "pred", chunked)
+                    .status()
+                    .message(),
+                "AuditSubgroups: no attribute columns");
     }
   }
-}
-
-TEST(ChunkedSubgroupTest, ChunkedTableOverloadMatchesContiguous) {
-  Table table = data::ReadCsvString(MakeSubgroupCsv(120, 43)).ValueOrDie();
-  const std::vector<std::string> attrs = {"a1", "a2"};
-  SubgroupAuditOptions options;
-  options.max_depth = 2;
-  options.min_support = 3;
-  const SubgroupAuditResult contiguous =
-      audit::AuditSubgroups(table, attrs, "pred", options).ValueOrDie();
-  ChunkedTable chunked = ChunkedTable::FromTable(table, 13).ValueOrDie();
-  SubgroupAuditResult result =
-      audit::AuditSubgroups(chunked, attrs, "pred", options).ValueOrDie();
-  ExpectSameFindings(result, contiguous);
-  // Value dictionaries merged across chunks must reproduce the
-  // contiguous error strings too.
-  EXPECT_EQ(audit::AuditSubgroups(chunked, {}, "pred", options)
-                .status()
-                .message(),
-            "AuditSubgroups: no attribute columns");
 }
 
 // ---------------------------------------------------------------------------
@@ -522,6 +406,13 @@ TEST(ChunkBoundaryTest, BoundarySizesMatchWholeTable) {
         AuditOutcome(table, FullAuditConfig());
     const std::string subgroup_reference =
         SubgroupOutcome(table, attrs, subgroup_options);
+    if (rows == 0) {
+      // The zero-row table keeps its schema; both engines reject it.
+      ASSERT_TRUE(table.schema().HasField("g"));
+      EXPECT_NE(audit_reference.find("invalid argument"), std::string::npos);
+      EXPECT_EQ(subgroup_reference,
+                "invalid argument: AuditSubgroups: empty table");
+    }
     for (size_t threads : {size_t{1}, size_t{2}}) {
       AuditConfig config = FullAuditConfig();
       config.chunk_rows = 8;
@@ -534,29 +425,6 @@ TEST(ChunkBoundaryTest, BoundarySizesMatchWholeTable) {
       EXPECT_EQ(SubgroupOutcome(table, attrs, chunked), subgroup_reference)
           << "rows=" << rows << " threads=" << threads;
     }
-  }
-}
-
-TEST(ChunkBoundaryTest, ZeroRowTableGivesTheSameErrorAtEveryChunkSize) {
-  Table table = data::ReadCsvString("g,p\n").ValueOrDie();
-  ASSERT_EQ(table.num_rows(), 0u);
-  ASSERT_TRUE(table.schema().HasField("g"));
-  AuditConfig config;
-  config.protected_column = "g";
-  config.prediction_column = "p";
-  const std::string audit_reference = AuditOutcome(table, config);
-  EXPECT_NE(audit_reference.find("invalid argument"), std::string::npos);
-  const std::string subgroup_reference =
-      SubgroupOutcome(table, {"g"}, SubgroupAuditOptions{});
-  EXPECT_EQ(subgroup_reference,
-            "invalid argument: AuditSubgroups: empty table");
-  for (size_t chunk_rows : {size_t{1}, size_t{4}}) {
-    AuditConfig chunked = config;
-    chunked.chunk_rows = chunk_rows;
-    EXPECT_EQ(AuditOutcome(table, chunked), audit_reference);
-    SubgroupAuditOptions options;
-    options.chunk_rows = chunk_rows;
-    EXPECT_EQ(SubgroupOutcome(table, {"g"}, options), subgroup_reference);
   }
 }
 
@@ -595,30 +463,6 @@ TEST(ChunkBoundaryTest, NullsStraddlingChunkEdges) {
     options.chunk_rows = chunk_rows;
     EXPECT_EQ(SubgroupOutcome(table, {"g", "x"}, options), subgroup_reference)
         << "chunk_rows=" << chunk_rows;
-  }
-}
-
-TEST(ChunkedSubgroupTest, ChunkRowsMatchRowwiseOracle) {
-  Table table = data::ReadCsvString(MakeSubgroupCsv(120, 43)).ValueOrDie();
-  const std::vector<std::string> attrs = {"a1", "a2"};
-  SubgroupAuditOptions options;
-  options.max_depth = 2;
-  options.min_support = 3;
-  const SubgroupAuditResult oracle =
-      audit::AuditSubgroupsRowwise(table, attrs, "pred", options)
-          .ValueOrDie();
-  for (size_t chunk_rows : {size_t{0}, size_t{13}}) {
-    SubgroupAuditOptions chunked = options;
-    chunked.chunk_rows = chunk_rows;
-    ExpectSameFindings(
-        audit::AuditSubgroups(table, attrs, "pred", chunked).ValueOrDie(),
-        oracle);
-    // Value dictionaries merged across chunks must reproduce the
-    // one-chunk error strings too.
-    EXPECT_EQ(audit::AuditSubgroups(table, {}, "pred", chunked)
-                  .status()
-                  .message(),
-              "AuditSubgroups: no attribute columns");
   }
 }
 

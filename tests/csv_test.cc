@@ -156,6 +156,19 @@ TEST(CsvTest, SingleDefectErrorsArePinnedOnEveryReader) {
   }
 }
 
+TEST(CsvTest, FirstDefectInFileOrderWins) {
+  // A ragged row 1 precedes an unterminated quote in row 2: every reader
+  // reports the ragged row, whichever check its scan would reach first.
+  const std::string text = "a,b\n1\n2,\"x\n";
+  const std::string expected =
+      "invalid argument: CSV: row 1 has 1 fields, expected 2";
+  EXPECT_EQ(ReadCsvString(text).status().ToString(), expected);
+  const std::string path = WriteTempCsv("fairlaw_csv_first_defect.csv", text);
+  EXPECT_EQ(ReadCsvFile(path).status().ToString(), expected);
+  EXPECT_EQ(CsvChunkReader::Make(path).status().ToString(), expected);
+  std::remove(path.c_str());
+}
+
 TEST(CsvTest, ReadCsvFileCountsBytesAndRows) {
   const bool was_enabled = obs::Enabled();
   obs::SetEnabled(true);

@@ -119,12 +119,7 @@ fairlaw::Result<CliOptions> Parse(int argc, char** argv, bool* show_help,
   // --threads is registered on a local so the same value can drive both
   // the audit's chunk morsels and the chunked subgroup index build.
   int64_t threads = 1;
-  int64_t score_dist_bins = 0;
   fairlaw::cli::FlagSet flags = MakeFlags(&options);
-  flags.Add("score-dist-bins", &score_dist_bins,
-            "histogram bins for the binned drift fast path (0 = exact "
-            "presorted path)",
-            fairlaw::cli::Range<int64_t>{0, 100000});
   flags.Add("threads", &threads,
             "worker threads for the chunk morsels and the chunked subgroup "
             "index build (0 = one per hardware thread); the output is "
@@ -150,8 +145,6 @@ fairlaw::Result<CliOptions> Parse(int argc, char** argv, bool* show_help,
   }
   options.suite.audit.num_threads = static_cast<size_t>(threads);
   options.suite.subgroup_options.num_threads = static_cast<size_t>(threads);
-  options.suite.audit.score_distribution_bins =
-      static_cast<size_t>(score_dist_bins);
   size_t chunk = static_cast<size_t>(chunk_rows);
   if (max_memory_mb > 0) {
     const size_t budget_rows = ChunkRowsForBudget(
