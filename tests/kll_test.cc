@@ -67,6 +67,112 @@ TEST(KllSketchTest, SmallStreamIsExact) {
   }
 }
 
+/// The Add/Merge sequence ObservableStateIsPinned replays. Values are
+/// multiples of 0.25 (exact in binary, and few enough that ties are
+/// everywhere); the merges go both ways (deeper into shallower and the
+/// reverse), and Adds after the last merge refill the low levels.
+KllSketch PinnedSequence(uint32_t k) {
+  auto value = [](uint32_t i, uint32_t mul, uint32_t mod) {
+    return static_cast<double>((i * mul) % mod) * 0.25;
+  };
+  KllSketch::Options options;
+  options.k = k;
+  options.seed = 42;
+  KllSketch a(options);
+  KllSketch b(options);
+  KllSketch c(options);
+  for (uint32_t i = 0; i < 300; ++i) a.Add(value(i, 37, 11) - 1.0);
+  for (uint32_t i = 0; i < 700; ++i) b.Add(value(i, 53, 7));
+  for (uint32_t i = 0; i < 23; ++i) c.Add(value(i, 5, 9) + 0.5);
+  a.Merge(b);
+  c.Merge(a);
+  for (uint32_t i = 0; i < 40; ++i) c.Add(value(i, 3, 13) - 0.5);
+  c.Merge(b);
+  for (uint32_t i = 0; i < 150; ++i) c.Add(value(i, 29, 17) - 2.0);
+  return c;
+}
+
+TEST(KllSketchTest, ObservableStateIsPinned) {
+  // Literal observable state after PinnedSequence. Every serve drift and
+  // quantile byte derives from these observables, so a kernel change
+  // that keeps them keeps the daemon's responses; one that moves a
+  // single retained item or weight fails here first.
+  struct Pinned {
+    uint32_t k;
+    uint64_t count;
+    size_t retained;
+    std::vector<double> quantiles;  // at q = 0, 0.1, 0.5, 0.9, 1
+    std::vector<KllSketch::WeightedItem> items;
+  };
+  const std::vector<Pinned> pinned = {
+      {8,
+       1913,
+       63,
+       {-2, 0, 0.75, 1.5, 2},
+       {{-2, 2}, {-2, 2}, {-1.75, 1}, {-1.75, 2}, {-1.75, 2}, {-1.75, 4},
+        {-1.5, 2}, {-1.5, 2}, {-1.5, 4}, {-1.5, 8}, {-1.25, 1},
+        {-1.25, 2}, {-1, 2}, {-1, 2}, {-1, 2}, {-1, 8}, {-1, 32},
+        {-0.75, 4}, {-0.5, 1}, {-0.5, 2}, {-0.5, 2}, {-0.5, 8},
+        {-0.5, 64}, {-0.25, 2}, {-0.25, 2}, {-0.25, 8}, {0, 1}, {0, 2},
+        {0, 4}, {0, 128}, {0, 128}, {0.25, 2}, {0.25, 2}, {0.25, 128},
+        {0.25, 128}, {0.5, 2}, {0.5, 4}, {0.5, 8}, {0.5, 128}, {0.75, 2},
+        {0.75, 2}, {0.75, 128}, {0.75, 128}, {1, 2}, {1, 2}, {1, 8},
+        {1, 128}, {1, 128}, {1.25, 1}, {1.25, 2}, {1.25, 4}, {1.25, 128},
+        {1.25, 128}, {1.5, 2}, {1.5, 2}, {1.5, 8}, {1.5, 128}, {1.75, 2},
+        {1.75, 8}, {1.75, 128}, {2, 2}, {2, 2}, {2, 4}}},
+      {13,
+       1913,
+       60,
+       {-2, 0, 0.75, 1.5, 2},
+       {{-2, 2}, {-2, 2}, {-1.75, 1}, {-1.75, 4}, {-1.75, 8}, {-1.5, 2},
+        {-1.5, 8}, {-1.25, 1}, {-1.25, 2}, {-1.25, 8}, {-1, 32},
+        {-0.75, 2}, {-0.75, 8}, {-0.5, 2}, {-0.5, 8}, {-0.25, 8},
+        {-0.25, 8}, {-0.25, 64}, {0, 1}, {0, 2}, {0, 64}, {0, 64},
+        {0, 64}, {0, 64}, {0.25, 2}, {0.25, 8}, {0.25, 8}, {0.25, 64},
+        {0.25, 64}, {0.25, 64}, {0.5, 2}, {0.5, 8}, {0.5, 64}, {0.5, 64},
+        {0.5, 64}, {0.75, 64}, {0.75, 64}, {0.75, 64}, {0.75, 64},
+        {1, 2}, {1, 8}, {1, 64}, {1, 64}, {1, 64}, {1, 64}, {1.25, 2},
+        {1.25, 8}, {1.25, 64}, {1.25, 64}, {1.25, 64}, {1.5, 2},
+        {1.5, 8}, {1.5, 64}, {1.5, 64}, {1.5, 64}, {1.5, 64}, {1.75, 8},
+        {2, 2}, {2, 8}, {2, 64}}},
+      {40,
+       1913,
+       108,
+       {-2, 0, 0.75, 1.5, 2.25},
+       {{-2, 1}, {-2, 2}, {-2, 2}, {-2, 4}, {-1.75, 2}, {-1.75, 2},
+        {-1.75, 4}, {-1.5, 2}, {-1.5, 4}, {-1.5, 4}, {-1.25, 1},
+        {-1.25, 2}, {-1.25, 2}, {-1.25, 4}, {-1.25, 4}, {-1, 2}, {-1, 4},
+        {-1, 32}, {-0.75, 2}, {-0.75, 2}, {-0.75, 4}, {-0.75, 32},
+        {-0.5, 2}, {-0.5, 4}, {-0.5, 4}, {-0.5, 4}, {-0.5, 32},
+        {-0.25, 2}, {-0.25, 2}, {-0.25, 4}, {0, 1}, {0, 2}, {0, 4},
+        {0, 32}, {0, 32}, {0, 32}, {0, 32}, {0, 32}, {0, 32}, {0, 32},
+        {0.25, 2}, {0.25, 4}, {0.25, 4}, {0.25, 32}, {0.25, 32},
+        {0.25, 32}, {0.25, 32}, {0.25, 32}, {0.25, 32}, {0.25, 32},
+        {0.5, 2}, {0.5, 2}, {0.5, 4}, {0.5, 32}, {0.5, 32}, {0.5, 32},
+        {0.5, 32}, {0.5, 32}, {0.5, 32}, {0.5, 32}, {0.5, 32}, {0.75, 2},
+        {0.75, 4}, {0.75, 4}, {0.75, 32}, {0.75, 32}, {0.75, 32},
+        {0.75, 32}, {0.75, 32}, {0.75, 32}, {0.75, 32}, {0.75, 32},
+        {1, 2}, {1, 2}, {1, 4}, {1, 32}, {1, 32}, {1, 32}, {1, 32},
+        {1, 32}, {1, 32}, {1.25, 2}, {1.25, 4}, {1.25, 4}, {1.25, 32},
+        {1.25, 32}, {1.25, 32}, {1.25, 32}, {1.25, 32}, {1.25, 32},
+        {1.25, 32}, {1.25, 32}, {1.5, 2}, {1.5, 2}, {1.5, 4}, {1.5, 32},
+        {1.5, 32}, {1.5, 32}, {1.5, 32}, {1.5, 32}, {1.5, 32}, {1.5, 32},
+        {1.75, 4}, {1.75, 4}, {2, 2}, {2, 2}, {2, 4}, {2.25, 32}}},
+  };
+  const double qs[] = {0.0, 0.1, 0.5, 0.9, 1.0};
+  for (const Pinned& expected : pinned) {
+    const KllSketch sketch = PinnedSequence(expected.k);
+    EXPECT_EQ(sketch.count(), expected.count) << "k=" << expected.k;
+    EXPECT_EQ(sketch.num_retained(), expected.retained) << "k=" << expected.k;
+    for (size_t i = 0; i < expected.quantiles.size(); ++i) {
+      ASSERT_TRUE(sketch.Quantile(qs[i]).ok());
+      EXPECT_EQ(*sketch.Quantile(qs[i]), expected.quantiles[i])
+          << "k=" << expected.k << " q=" << qs[i];
+    }
+    EXPECT_EQ(sketch.SortedItems(), expected.items) << "k=" << expected.k;
+  }
+}
+
 TEST(KllSketchTest, QuantileErrorBoundOnMillionDraws) {
   // 1e6 mixed-distribution draws; k=200 targets ~1% rank error. We
   // assert a conservative 3% rank-error bound: for each q, the sketch's
