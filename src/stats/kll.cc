@@ -12,6 +12,31 @@ namespace {
 // this, so small sketches still compact in sensible steps.
 constexpr size_t kMinLevelCapacity = 8;
 
+// Merges the sorted range [first, last) into the sorted vector `into`
+// in place, filling from the back so no scratch buffer is needed. Equal
+// doubles are indistinguishable (Add stores no -0.0), so the result is
+// the sorted multiset whichever side a tie is taken from.
+void MergeSortedInto(std::vector<double>* into, const double* first,
+                     const double* last) {
+  if (first == last) return;
+  size_t i = into->size();
+  if (i == 0 || !(*first < (*into)[i - 1])) {
+    into->insert(into->end(), first, last);
+    return;
+  }
+  size_t j = static_cast<size_t>(last - first);
+  size_t out = i + j;
+  into->resize(out);
+  double* data = into->data();
+  while (j > 0) {
+    if (i > 0 && first[j - 1] < data[i - 1]) {
+      data[--out] = data[--i];
+    } else {
+      data[--out] = first[--j];
+    }
+  }
+}
+
 }  // namespace
 
 KllSketch::KllSketch() : KllSketch(Options()) {}
@@ -19,22 +44,6 @@ KllSketch::KllSketch() : KllSketch(Options()) {}
 KllSketch::KllSketch(const Options& options)
     : k_(options.k == 0 ? 1 : options.k), seed_(options.seed) {
   levels_.emplace_back();
-}
-
-size_t KllSketch::LevelCapacity(size_t level) const {
-  // cap(h) = max(min, ceil(k * (2/3)^(H-1-h))): the top level holds k
-  // items, each level below two-thirds of the one above.
-  const size_t height = levels_.size();
-  double cap = static_cast<double>(k_);
-  for (size_t h = height - 1; h > level; --h) cap *= 2.0 / 3.0;
-  const auto rounded = static_cast<size_t>(std::ceil(cap));
-  return std::max(kMinLevelCapacity, rounded);
-}
-
-size_t KllSketch::TotalCapacity() const {
-  size_t total = 0;
-  for (size_t h = 0; h < levels_.size(); ++h) total += LevelCapacity(h);
-  return total;
 }
 
 size_t KllSketch::TotalRetained() const {
@@ -49,55 +58,71 @@ bool KllSketch::NextCoin() {
 }
 
 bool KllSketch::CompactOnce() {
-  // Compact the lowest level holding at least two items, preferring the
-  // lowest over-capacity one. Compacting low levels first keeps the
+  // One top-down walk of the capacity ladder, cap(h) = max(min, ceil(k *
+  // (2/3)^(H-1-h))): the top level holds k items, each level below
+  // two-thirds of the one above. Walking down repeats the same `*= 2/3`
+  // the capacities have always been computed with, so every capacity is
+  // bit-for-bit the same.
+  const size_t height = levels_.size();
+  size_t total_capacity = 0;
+  size_t retained = 0;
+  size_t overfull = height;
+  size_t compactable = height;
+  double cap = static_cast<double>(k_);
+  for (size_t h = height; h-- > 0;) {
+    const size_t size = levels_[h].size();
+    const size_t capacity =
+        std::max(kMinLevelCapacity, static_cast<size_t>(std::ceil(cap)));
+    total_capacity += capacity;
+    retained += size;
+    if (size > capacity) overfull = h;
+    if (size >= 2) compactable = h;
+    cap *= 2.0 / 3.0;
+  }
+  if (retained <= total_capacity) return false;
+  // Compact the lowest over-full level, or failing that the lowest one
+  // holding two items. Compacting low levels first keeps the
   // cheap-to-recreate items churning and the heavy top items stable.
-  size_t target = levels_.size();
-  for (size_t h = 0; h < levels_.size(); ++h) {
-    if (levels_[h].size() > LevelCapacity(h)) {
-      target = h;
-      break;
-    }
-  }
-  if (target == levels_.size()) {
-    for (size_t h = 0; h < levels_.size(); ++h) {
-      if (levels_[h].size() >= 2) {
-        target = h;
-        break;
-      }
-    }
-  }
-  if (target == levels_.size()) return false;
+  const size_t target = overfull < height ? overfull : compactable;
+  if (target == height) return false;
 
   // Grow the ladder before taking references: emplace_back may
   // reallocate levels_ and would invalidate them.
-  if (target + 1 == levels_.size()) levels_.emplace_back();
+  if (target + 1 == height) levels_.emplace_back();
   auto& level = levels_[target];
-  if (level.size() < 2) return false;
-  std::sort(level.begin(), level.end());
-
-  std::vector<double> keep;
-  size_t start = 0;
-  if (level.size() % 2 == 1) {
-    // Odd count: the first (smallest) item stays behind so the promoted
-    // pairs cover an even count.
-    keep.push_back(level[0]);
-    start = 1;
+  // Odd count: the first (smallest) item stays behind so the promoted
+  // pairs cover an even count. The level is sorted, so every other item
+  // from there on is a sorted run; pack it behind the kept item and
+  // merge it into the (sorted) level above.
+  const size_t kept = level.size() % 2;
+  const size_t first = kept + (NextCoin() ? 1 : 0);
+  size_t promoted = 0;
+  for (size_t i = first; i < level.size(); i += 2) {
+    level[kept + promoted++] = level[i];
   }
-  const bool coin = NextCoin();
-  auto& above = levels_[target + 1];
-  for (size_t i = start + (coin ? 1 : 0); i < level.size(); i += 2) {
-    above.push_back(level[i]);
-  }
-  level = std::move(keep);
+  MergeSortedInto(&levels_[target + 1], level.data() + kept,
+                  level.data() + kept + promoted);
+  level.resize(kept);
   return true;
 }
 
 void KllSketch::Add(double value) {
-  levels_[0].push_back(value);
+  // +0.0 and -0.0 compare equal, so a sorted level could hold them in
+  // either order; storing only +0.0 keeps each level's bytes a function
+  // of its multiset.
+  if (value == 0.0) value = 0.0;
+  auto& level = levels_[0];
+  level.insert(std::upper_bound(level.begin(), level.end(), value), value);
   ++n_;
-  while (TotalRetained() > TotalCapacity()) {
-    if (!CompactOnce()) break;
+  if (!CompactOnce()) return;
+  while (CompactOnce()) {
+  }
+  // The window ring holds thousands of Add-built bucket sketches, so
+  // hand back the buffers this pass emptied instead of keeping their
+  // peak capacity. Merge results are per-query temporaries and keep
+  // theirs, which saves an allocation per level on every merge.
+  for (auto& compacted : levels_) {
+    if (compacted.size() <= 1) compacted.shrink_to_fit();
   }
 }
 
@@ -106,33 +131,32 @@ void KllSketch::Merge(const KllSketch& other) {
   if (other.levels_.size() > levels_.size()) {
     levels_.resize(other.levels_.size());
   }
-  // Self's retained items come first at every level — merge order is
-  // part of the deterministic contract, so callers must fold buckets in
-  // ascending index order.
   for (size_t h = 0; h < other.levels_.size(); ++h) {
-    levels_[h].insert(levels_[h].end(), other.levels_[h].begin(),
-                      other.levels_[h].end());
+    const std::vector<double>& theirs = other.levels_[h];
+    MergeSortedInto(&levels_[h], theirs.data(),
+                    theirs.data() + theirs.size());
   }
   n_ += other.n_;
-  while (TotalRetained() > TotalCapacity()) {
-    if (!CompactOnce()) break;
+  while (CompactOnce()) {
   }
 }
 
 size_t KllSketch::num_retained() const { return TotalRetained(); }
 
 std::vector<KllSketch::WeightedItem> KllSketch::SortedItems() const {
+  // Each level is sorted, so fold them in bottom-up with a stable merge:
+  // equal values keep the lighter (lower-level) items first.
   std::vector<WeightedItem> items;
   items.reserve(TotalRetained());
   for (size_t h = 0; h < levels_.size(); ++h) {
     const auto weight = static_cast<uint64_t>(1) << h;
+    const auto mid = static_cast<std::ptrdiff_t>(items.size());
     for (double value : levels_[h]) items.push_back({value, weight});
+    std::inplace_merge(items.begin(), items.begin() + mid, items.end(),
+                       [](const WeightedItem& a, const WeightedItem& b) {
+                         return a.value < b.value;
+                       });
   }
-  std::sort(items.begin(), items.end(),
-            [](const WeightedItem& a, const WeightedItem& b) {
-              if (a.value != b.value) return a.value < b.value;
-              return a.weight < b.weight;
-            });
   return items;
 }
 

@@ -44,14 +44,16 @@ class KllSketch {
   KllSketch();
   explicit KllSketch(const Options& options);
 
-  /// Inserts one finite value. Non-finite values are the caller's
-  /// problem; the serve ingest path rejects them before they get here.
+  /// Inserts one finite value into its sorted place in level 0 (-0.0 is
+  /// stored as +0.0). Non-finite values are the caller's problem; the
+  /// serve ingest path rejects them before they get here.
   void Add(double value);
 
   /// Folds `other` into this sketch: per level, other's retained items
-  /// append after ours, then over-full levels compact bottom-up. The
-  /// result represents the union of both inputs. Deterministic given
-  /// the two states, but not commutative — callers must merge in a
+  /// merge into ours (a linear merge of two sorted runs), then over-full
+  /// levels compact bottom-up. The result represents the union of both
+  /// inputs. Deterministic given the two states, but not commutative —
+  /// the compaction coins depend on the order — so callers merge in a
   /// fixed order (the window ring merges ascending bucket order).
   void Merge(const KllSketch& other);
 
@@ -73,7 +75,8 @@ class KllSketch {
   FAIRLAW_NODISCARD Result<double> Cdf(double x) const;
 
   /// Retained items as a weight-sorted support: (value, weight) pairs
-  /// in ascending value order. The empirical CDF over these points is
+  /// in ascending value order, ties by ascending weight (a merge of the
+  /// sorted levels; no sort). The empirical CDF over these points is
   /// the sketch's distribution estimate; the sketch distance kernels
   /// below sweep it directly.
   struct WeightedItem {
@@ -92,12 +95,11 @@ class KllSketch {
   }
 
  private:
-  /// Capacity of level h given the current ladder height.
-  size_t LevelCapacity(size_t level) const;
-  size_t TotalCapacity() const;
   size_t TotalRetained() const;
-  /// Compacts the lowest over-full (or, failing that, lowest
-  /// compactable) level once; returns false when nothing can compact.
+  /// When the retained items exceed the capacity ladder's total,
+  /// compacts the lowest over-full (or, failing that, lowest
+  /// compactable) level once and returns true; returns false when the
+  /// sketch is within capacity or nothing can compact.
   bool CompactOnce();
   /// Counter-based coin: SplitMix64(seed ^ compaction index) & 1.
   bool NextCoin();
@@ -106,7 +108,11 @@ class KllSketch {
   uint64_t seed_;
   uint64_t n_ = 0;
   uint64_t compactions_ = 0;
-  /// levels_[h] holds items of weight 2^h, unsorted between compactions.
+  /// levels_[h] holds items of weight 2^h, always sorted ascending. A
+  /// level's contents are then a function of its multiset alone, which
+  /// is what the compaction decisions (sizes and coins) and every
+  /// observable (SortedItems, Quantile, Cdf) depend on; Add, Merge and
+  /// compaction keep the order with linear merges, never a sort.
   std::vector<std::vector<double>> levels_;
 };
 

@@ -173,6 +173,38 @@ TEST(KllSketchTest, ObservableStateIsPinned) {
   }
 }
 
+TEST(KllSketchTest, NegativeZeroIsStoredAsZero) {
+  // -0.0 == +0.0, so a sorted level could hold the two in either order.
+  // Add stores both as +0.0: sketches fed either sign are equal member
+  // for member, and a zero answer always carries the +0.0 bit pattern.
+  KllSketch::Options options;
+  options.k = 8;  // small, so the zeros go through many compactions
+  KllSketch mixed(options);
+  KllSketch plain(options);
+  for (int i = 0; i < 600; ++i) {
+    double value = static_cast<double>(i % 7) - 3.0;
+    double mixed_value = value;
+    if (i % 3 == 0) {
+      value = 0.0;
+      mixed_value = (i % 2 == 0) ? -0.0 : 0.0;
+    }
+    mixed.Add(mixed_value);
+    plain.Add(value);
+  }
+  EXPECT_TRUE(mixed == plain);
+  ASSERT_TRUE(mixed.Quantile(0.5).ok());
+  EXPECT_EQ(*mixed.Quantile(0.5), 0.0);
+  EXPECT_FALSE(std::signbit(*mixed.Quantile(0.5)));
+  for (const KllSketch::WeightedItem& item : mixed.SortedItems()) {
+    EXPECT_FALSE(std::signbit(item.value) && item.value == 0.0);
+  }
+
+  KllSketch single;
+  single.Add(-0.0);
+  ASSERT_TRUE(single.Quantile(0.0).ok());
+  EXPECT_FALSE(std::signbit(*single.Quantile(0.0)));
+}
+
 TEST(KllSketchTest, QuantileErrorBoundOnMillionDraws) {
   // 1e6 mixed-distribution draws; k=200 targets ~1% rank error. We
   // assert a conservative 3% rank-error bound: for each q, the sketch's
