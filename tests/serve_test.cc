@@ -20,6 +20,8 @@
 #include "serve/json_value.h"
 #include "serve/service.h"
 #include "serve/window.h"
+#include "stats/kll.h"
+#include "stats/mergeable.h"
 #include "stats/rng.h"
 
 namespace fairlaw {
@@ -187,6 +189,50 @@ TEST(WindowRingTest, WindowMergeIsThreadCountInvariant) {
   EXPECT_TRUE(serial.sketches == par4.sketches);
   EXPECT_TRUE(serial.sketches == par7.sketches);
   EXPECT_EQ(serial.num_rows, par4.num_rows);
+}
+
+// RunWindowedAudit builds each group's "rest" sketch from a shared
+// prefix of the groups before it. Its W1/KS must equal, exactly, each
+// group against a rest rebuilt from scratch by merging every other
+// group's sketch in key order, as the daemon's drift answer did before.
+TEST(WindowedAuditTest, SketchDriftEqualsNaiveRestRebuild) {
+  ServeConfig config;
+  config.bucket_width = 10;
+  config.num_buckets = 16;
+  config.sketch_k = 24;  // small, so the rest merges compact
+  WindowRing ring(config);
+  Rng rng(29);
+  const char* groups[] = {"a", "b", "c", "d", "e", "f", "g"};
+  for (int64_t i = 0; i < 6000; ++i) {
+    const size_t g = rng.UniformInt(7);
+    ASSERT_TRUE(ring.Ingest(MakeEvent(i / 40, groups[g],
+                                      rng.Bernoulli(0.5) ? 1 : 0,
+                                      rng.Bernoulli(0.5) ? 1 : 0,
+                                      rng.Uniform() * (1.0 + 0.1 * g)))
+                    .ok());
+  }
+  const audit::WindowedPartial window = ring.Window(nullptr);
+  Result<audit::AuditResult> result =
+      audit::RunWindowedAudit(window, config.ToAuditConfig(), "");
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_TRUE(result->score_distribution.has_value());
+  const audit::ScoreDistributionReport& report = *result->score_distribution;
+  const stats::GroupedSketches& sketches = window.sketches;
+  ASSERT_EQ(report.groups.size(), sketches.num_keys());
+  ASSERT_EQ(sketches.num_keys(), 7u);
+  for (size_t g = 0; g < sketches.num_keys(); ++g) {
+    stats::KllSketch rest(sketches.options());
+    for (size_t j = 0; j < sketches.num_keys(); ++j) {
+      if (j != g) rest.Merge(sketches.sketch(j));
+    }
+    const stats::KllSketch& mine = sketches.sketch(g);
+    EXPECT_EQ(report.groups[g].group, sketches.keys()[g]);
+    EXPECT_EQ(report.groups[g].wasserstein1,
+              *stats::Wasserstein1Sketch(mine, rest))
+        << "group " << sketches.keys()[g];
+    EXPECT_EQ(report.groups[g].ks, *stats::KolmogorovSmirnovSketch(mine, rest))
+        << "group " << sketches.keys()[g];
+  }
 }
 
 /// Replays one request stream through a fresh Service and returns the
