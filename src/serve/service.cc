@@ -1,6 +1,9 @@
 #include "serve/service.h"
 
 #include <cstdint>
+#include <iterator>
+#include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -36,6 +39,12 @@ void BeginQueryFrame(JsonWriter* json, const std::string& type,
   json->Field("events", static_cast<int64_t>(ring.num_events()));
   json->EndObject();
 }
+
+/// Ops that name an error frame and a latency series; index 0 stands
+/// for every request whose op could not be recovered. Only these four
+/// may name a probe, so an arbitrary op string cannot mint unbounded
+/// registry probes.
+constexpr const char* kOpLabels[] = {"error", "ingest", "query", "stats"};
 
 std::string FinishFrame(JsonWriter* json) {
   json->EndObject();
@@ -94,32 +103,29 @@ Service::Service(const ServeConfig& config)
 
 std::string Service::HandleLine(std::string_view line) {
   const uint64_t start_ns = obs::MonotonicNowNs();
-  obs::GetCounter("serve.requests")->Increment();
+  static obs::Counter* const requests = obs::GetCounter("serve.requests");
+  requests->Increment();
 
-  std::string op_label = "error";
+  size_t op = 0;  // index into kOpLabels
   std::string response;
   Result<JsonValue> doc = JsonValue::Parse(line);
   if (!doc.ok()) {
-    response = RequestErrorFrame(op_label, doc.status());
+    response = RequestErrorFrame(kOpLabels[op], doc.status());
   } else {
     // Recover the op for error frames and latency attribution even when
     // the request fails validation.
     if (doc.ValueOrDie().is_object()) {
-      if (const JsonValue* op = doc.ValueOrDie().GetOrNull("op");
-          op != nullptr && op->is_string()) {
-        Result<std::string> name = op->AsString();
-        // Only known ops name an error frame / latency series — an
-        // arbitrary op string must not mint unbounded registry probes.
-        if (name.ok() && (name.ValueOrDie() == "ingest" ||
-                          name.ValueOrDie() == "query" ||
-                          name.ValueOrDie() == "stats")) {
-          op_label = name.ValueOrDie();
+      if (const JsonValue* op_value = doc.ValueOrDie().GetOrNull("op");
+          op_value != nullptr && op_value->is_string()) {
+        Result<std::string> name = op_value->AsString();
+        for (size_t i = 1; name.ok() && i < std::size(kOpLabels); ++i) {
+          if (name.ValueOrDie() == kOpLabels[i]) op = i;
         }
       }
     }
     Result<Request> request = ParseRequest(doc.ValueOrDie(), config_);
     if (!request.ok()) {
-      response = RequestErrorFrame(op_label, request.status());
+      response = RequestErrorFrame(kOpLabels[op], request.status());
     } else {
       switch (request.ValueOrDie().op) {
         case Request::Op::kIngest:
@@ -134,8 +140,14 @@ std::string Service::HandleLine(std::string_view line) {
       }
     }
   }
-  obs::GetHistogram("serve.latency." + op_label + "_ns")
-      ->Record(obs::MonotonicNowNs() - start_ns);
+  static_assert(std::size(kOpLabels) ==
+                std::tuple_size_v<decltype(latency_probes_)>);
+  obs::Histogram*& latency = latency_probes_[op];
+  if (latency == nullptr) {
+    latency = obs::GetHistogram(std::string("serve.latency.") +
+                                kOpLabels[op] + "_ns");
+  }
+  latency->Record(obs::MonotonicNowNs() - start_ns);
   return response;
 }
 
@@ -154,10 +166,12 @@ std::string Service::HandleIngest(const IngestRequest& request) {
   }
   events_ingested_ += static_cast<uint64_t>(accepted);
   events_rejected_ += static_cast<uint64_t>(rejected);
-  obs::GetCounter("serve.events_ingested")
-      ->Increment(static_cast<uint64_t>(accepted));
-  obs::GetCounter("serve.events_rejected")
-      ->Increment(static_cast<uint64_t>(rejected));
+  static obs::Counter* const ingested_probe =
+      obs::GetCounter("serve.events_ingested");
+  static obs::Counter* const rejected_probe =
+      obs::GetCounter("serve.events_rejected");
+  ingested_probe->Increment(static_cast<uint64_t>(accepted));
+  rejected_probe->Increment(static_cast<uint64_t>(rejected));
 
   // The ack legitimately depends on batching (per-batch counts), so it
   // is excluded from the byte-identity comparison.

@@ -1,6 +1,7 @@
 #ifndef FAIRLAW_SERVE_SERVICE_H_
 #define FAIRLAW_SERVE_SERVICE_H_
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -9,6 +10,7 @@
 #include "base/json_writer.h"
 #include "base/status.h"
 #include "base/thread_pool.h"
+#include "obs/obs.h"
 #include "serve/api.h"
 #include "serve/window.h"
 
@@ -59,6 +61,12 @@ class Service {
   ServeConfig config_;
   WindowRing ring_;
   std::unique_ptr<ThreadPool> pool_;  // null when num_threads == 1
+  /// serve.latency.<op>_ns, indexed like the op labels in service.cc.
+  /// Each is looked up the first time a request of that op finishes, so
+  /// the stats export lists only ops that occurred, and then kept:
+  /// registry pointers live for the whole process. The fixed-name
+  /// probes are function-local statics at their one use.
+  std::array<obs::Histogram*, 4> latency_probes_{};
   uint64_t events_ingested_ = 0;
   uint64_t events_rejected_ = 0;
   uint64_t window_merges_ = 0;

@@ -103,7 +103,10 @@ audit::WindowedPartial WindowRing::Window(ThreadPool* pool) const {
   // Ascending absolute order: the fixed fold order every mergeable
   // accumulator's determinism contract requires.
   const std::vector<const audit::WindowedPartial*> buckets = LiveBuckets();
-  obs::GetCounter("serve.window_merges")->Increment(buckets.size());
+  // Looked up once, on first use (registry pointers live for the
+  // process); a static, not a member, because Window() is const.
+  static obs::Counter* const merges = obs::GetCounter("serve.window_merges");
+  merges->Increment(buckets.size());
 
   // Counts and strata: cheap integer folds, merged serially.
   for (const audit::WindowedPartial* bucket : buckets) {
