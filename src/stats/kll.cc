@@ -60,9 +60,9 @@ bool KllSketch::NextCoin() {
 bool KllSketch::CompactOnce() {
   // One top-down walk of the capacity ladder, cap(h) = max(min, ceil(k *
   // (2/3)^(H-1-h))): the top level holds k items, each level below
-  // two-thirds of the one above. Walking down repeats the same `*= 2/3`
-  // the capacities have always been computed with, so every capacity is
-  // bit-for-bit the same.
+  // two-thirds of the one above. The power is taken as H-1-h repeated
+  // `*= 2/3` steps from k; a closed form could round differently and
+  // move a compaction, which would change the sketch.
   const size_t height = levels_.size();
   size_t total_capacity = 0;
   size_t retained = 0;
