@@ -18,7 +18,7 @@ namespace {
 /// s_0..s_{g-1} then s_{g+1}..: the first part is the prefix `before`,
 /// grown by one sketch per group, so each rest copies it and folds only
 /// the tail. The merge sequence, and so every byte, is the same as
-/// rebuilding each rest from scratch, in G(G-1)/2 + G-1 merges instead
+/// rebuilding each rest anew, in G(G-1)/2 + G-1 merges instead
 /// of G(G-1).
 Result<ScoreDistributionReport> SketchDriftAudit(
     const stats::GroupedSketches& sketches, const AuditConfig& config) {

@@ -13,7 +13,7 @@ namespace {
 constexpr size_t kMinLevelCapacity = 8;
 
 // Merges the sorted range [first, last) into the sorted vector `into`
-// in place, filling from the back so no scratch buffer is needed. Equal
+// in place, filling from the back so no temporary buffer is needed. Equal
 // doubles are indistinguishable (Add stores no -0.0), so the result is
 // the sorted multiset whichever side a tie is taken from.
 void MergeSortedInto(std::vector<double>* into, const double* first,

@@ -193,8 +193,8 @@ TEST(WindowRingTest, WindowMergeIsThreadCountInvariant) {
 
 // RunWindowedAudit builds each group's "rest" sketch from a shared
 // prefix of the groups before it. Its W1/KS must equal, exactly, each
-// group against a rest rebuilt from scratch by merging every other
-// group's sketch in key order, as the daemon's drift answer did before.
+// group against the rest as defined: every other group's sketch merged
+// into an empty sketch in key order.
 TEST(WindowedAuditTest, SketchDriftEqualsNaiveRestRebuild) {
   ServeConfig config;
   config.bucket_width = 10;
