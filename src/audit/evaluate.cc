@@ -39,7 +39,7 @@ Result<ScoreDistributionReport> ScoreDistributionAudit(
   const bool constant =
       !all_sorted.empty() && all_sorted.front() == all_sorted.back();
   for (size_t g = 0; g < series.num_keys(); ++g) {
-    std::vector<double> group_scores = series.values(g);
+    std::vector<double> group_scores = series.slot(g).values;
     std::sort(group_scores.begin(), group_scores.end());
     // Everyone else = pooled minus this group, linear-time multiset
     // difference over the two sorted vectors.
@@ -108,7 +108,7 @@ Result<AuditResult> EvaluateMetrics(const EvaluateInputs& inputs,
     result.calibration = std::move(calibration);
   }
   if (inputs.strata_counts == nullptr ||
-      inputs.strata_counts->num_strata() == 0) {
+      inputs.strata_counts->num_keys() == 0) {
     return result;
   }
   for (const metrics::MetricSpec& spec : metrics::MetricTable()) {

@@ -45,20 +45,20 @@ ChunkPartial ProcessChunk(const data::Table& chunk, const AuditConfig& config,
   {
     Result<std::vector<std::string>> groups =
         StringKeys(chunk, config.protected_column);
-    partial.protected_status = groups.status();
+    partial.status[kProtectedStep] = groups.status();
     if (groups.status().ok()) input.groups = std::move(groups).ValueOrDie();
   }
   {
     Result<std::vector<int>> predictions =
         BinaryColumn(chunk, config.prediction_column);
-    partial.prediction_status = predictions.status();
+    partial.status[kPredictionStep] = predictions.status();
     if (predictions.status().ok()) {
       input.predictions = std::move(predictions).ValueOrDie();
     }
   }
   if (!config.label_column.empty()) {
     Result<std::vector<int>> labels = BinaryColumn(chunk, config.label_column);
-    partial.label_status = labels.status();
+    partial.status[kLabelStep] = labels.status();
     if (labels.status().ok()) input.labels = std::move(labels).ValueOrDie();
   }
   std::vector<double> scores;
@@ -66,11 +66,11 @@ ChunkPartial ProcessChunk(const data::Table& chunk, const AuditConfig& config,
     Result<const data::Column*> score_column =
         chunk.GetColumn(config.score_column);
     if (!score_column.status().ok()) {
-      partial.score_status = score_column.status();
+      partial.status[kScoreStep] = score_column.status();
     } else {
       Result<std::vector<double>> values =
           std::move(score_column).ValueOrDie()->ToDoubles();
-      partial.score_status = values.status();
+      partial.status[kScoreStep] = values.status();
       if (values.status().ok()) scores = std::move(values).ValueOrDie();
     }
   }
@@ -78,62 +78,52 @@ ChunkPartial ProcessChunk(const data::Table& chunk, const AuditConfig& config,
   if (!config.strata_columns.empty()) {
     Result<std::vector<std::string>> chunk_strata =
         StrataFromTable(chunk, config.strata_columns);
-    partial.strata_status = chunk_strata.status();
+    partial.status[kStrataStep] = chunk_strata.status();
     if (chunk_strata.status().ok()) {
       strata = std::move(chunk_strata).ValueOrDie();
     }
   }
-  if (!partial.protected_status.ok() || !partial.prediction_status.ok() ||
-      !partial.label_status.ok() || !partial.score_status.ok() ||
-      !partial.strata_status.ok()) {
-    return partial;
-  }
+  if (!FirstError(partial.status).ok()) return partial;
 
   Result<metrics::GroupPartition> partition =
       metrics::GroupPartition::Build(input);
-  partial.partition_status = partition.status();
-  if (!partial.partition_status.ok()) return partial;
+  partial.status[kPartitionStep] = partition.status();
+  if (!partition.status().ok()) return partial;
   metrics::AccumulateGroupCounts(std::move(partition).ValueOrDie(),
                                  !input.labels.empty(), &partial.counts);
   for (size_t i = 0; i < strata.size(); ++i) {
     stats::GroupCounts row;
     row.count = 1;
     row.positive_predictions = input.predictions[i];
-    partial.strata_counts.Stratum(strata[i])->Add(input.groups[i], row);
+    partial.strata_counts[strata[i]][input.groups[i]] += row;
   }
   if (!config.score_column.empty()) {
     for (size_t i = 0; i < scores.size(); ++i) {
-      partial.score_series.Append(
-          partial.score_series.KeyIndex(input.groups[i]), scores[i],
-          static_cast<uint8_t>(input.labels[i]));
+      partial.score_series[input.groups[i]].Append(
+          scores[i], static_cast<uint8_t>(input.labels[i]));
     }
     partial.scores = std::move(scores);
   }
   return partial;
 }
 
+Status FirstError(const StepStatuses& statuses) {
+  for (const Status& status : statuses) {
+    if (!status.ok()) return status;
+  }
+  return Status::OK();
+}
+
 void MergedPartials::Fold(ChunkPartial&& partial) {
-  RecordFirst(&protected_status_, partial.protected_status);
-  RecordFirst(&prediction_status_, partial.prediction_status);
-  RecordFirst(&label_status_, partial.label_status);
-  RecordFirst(&partition_status_, partial.partition_status);
-  RecordFirst(&score_status_, partial.score_status);
-  RecordFirst(&strata_status_, partial.strata_status);
+  for (size_t step = 0; step < kNumAuditSteps; ++step) {
+    if (status_[step].ok()) status_[step] = partial.status[step];
+  }
   if (!FirstError().ok()) return;  // result discarded; skip the merge work
   counts_.MergeFrom(partial.counts);
   strata_counts_.MergeFrom(partial.strata_counts);
   score_series_.MergeFrom(partial.score_series);
   scores_.insert(scores_.end(), partial.scores.begin(),
                  partial.scores.end());
-}
-
-Status MergedPartials::FirstError() const {
-  for (const Status* status :
-       {&protected_status_, &prediction_status_, &label_status_,
-        &partition_status_, &score_status_, &strata_status_}) {
-    if (!status->ok()) return *status;
-  }
-  return Status::OK();
 }
 
 }  // namespace fairlaw::audit

@@ -1,6 +1,7 @@
 #ifndef FAIRLAW_AUDIT_PARTIALS_H_
 #define FAIRLAW_AUDIT_PARTIALS_H_
 
+#include <array>
 #include <string>
 #include <vector>
 
@@ -18,19 +19,32 @@ FAIRLAW_NODISCARD Result<std::vector<int>> BinaryColumn(
 FAIRLAW_NODISCARD Result<std::vector<std::string>> StringKeys(
     const data::Table& table, const std::string& name);
 
+/// The extraction steps in the order the serial whole-table pass runs
+/// them (DESIGN.md §14). The serial pass scans whole columns in this
+/// order, so a step's failure anywhere outranks any later step's.
+enum AuditStep : size_t {
+  kProtectedStep,
+  kPredictionStep,
+  kLabelStep,
+  kPartitionStep,
+  kScoreStep,
+  kStrataStep,
+  kNumAuditSteps
+};
+
+/// One status per extraction step, indexed by AuditStep.
+using StepStatuses = std::array<Status, kNumAuditSteps>;
+
+/// The first failing step's status, or OK.
+FAIRLAW_NODISCARD Status FirstError(const StepStatuses& statuses);
+
 /// Everything one morsel contributes to the audit: exact integer tallies
 /// for the count metrics, row-ordered series for the order-sensitive
 /// score paths, and one status per extraction step so the error that
 /// wins after the merge is the one the serial whole-table pass would
-/// have reported (the serial pass scans whole columns in a fixed order,
-/// so a step's failure anywhere outranks any later step's failure).
+/// have reported.
 struct ChunkPartial {
-  Status protected_status;
-  Status prediction_status;
-  Status label_status;
-  Status partition_status;
-  Status score_status;
-  Status strata_status;
+  StepStatuses status;
   stats::GroupCountsAccumulator counts;
   stats::StratifiedCountsAccumulator strata_counts;
   stats::GroupedSeries score_series;
@@ -43,14 +57,16 @@ ChunkPartial ProcessChunk(const data::Table& chunk, const AuditConfig& config,
                           const std::string& parent_path);
 
 /// Chunk partials folded in chunk order. Step statuses rank extraction
-/// steps in the order the serial pass runs them; within a step the
-/// earliest chunk wins (all of a step's failure messages are identical
-/// anyway — none embeds a row number).
+/// steps in AuditStep order; within a step the earliest chunk wins (all
+/// of a step's failure messages are identical anyway — none embeds a row
+/// number).
 class MergedPartials {
  public:
   void Fold(ChunkPartial&& partial);
 
-  FAIRLAW_NODISCARD Status FirstError() const;
+  FAIRLAW_NODISCARD Status FirstError() const {
+    return audit::FirstError(status_);
+  }
 
   const stats::GroupCountsAccumulator& counts() const { return counts_; }
   const stats::StratifiedCountsAccumulator& strata_counts() const {
@@ -60,16 +76,7 @@ class MergedPartials {
   const std::vector<double>& scores() const { return scores_; }
 
  private:
-  static void RecordFirst(Status* slot, const Status& status) {
-    if (slot->ok() && !status.ok()) *slot = status;
-  }
-
-  Status protected_status_;
-  Status prediction_status_;
-  Status label_status_;
-  Status partition_status_;
-  Status score_status_;
-  Status strata_status_;
+  StepStatuses status_;
   stats::GroupCountsAccumulator counts_;
   stats::StratifiedCountsAccumulator strata_counts_;
   stats::GroupedSeries score_series_;

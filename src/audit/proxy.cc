@@ -1,11 +1,11 @@
 #include "audit/proxy.h"
 
 #include <algorithm>
-#include <map>
+#include <variant>
 
-#include "data/group_by.h"
 #include "stats/descriptive.h"
 #include "stats/hypothesis.h"
+#include "stats/mergeable.h"
 
 namespace fairlaw::audit {
 namespace {
@@ -21,15 +21,13 @@ Result<std::pair<std::vector<size_t>, size_t>> DiscretizeColumn(
   }
   if (column->type() == data::DataType::kString ||
       column->type() == data::DataType::kBool) {
-    FAIRLAW_ASSIGN_OR_RETURN(std::vector<std::string> distinct,
-                             data::DistinctValues(table, name));
-    std::map<std::string, size_t> index_of;
-    for (size_t i = 0; i < distinct.size(); ++i) index_of[distinct[i]] = i;
+    // Codes are first-seen value indices, as DistinctValues orders them.
+    stats::FirstSeenMap<std::monostate> dictionary;
     std::vector<size_t> codes(column->size());
     for (size_t row = 0; row < column->size(); ++row) {
-      codes[row] = index_of.at(column->ValueToString(row));
+      codes[row] = dictionary.KeyIndex(column->ValueToString(row));
     }
-    return std::make_pair(std::move(codes), distinct.size());
+    return std::make_pair(std::move(codes), dictionary.num_keys());
   }
 
   FAIRLAW_ASSIGN_OR_RETURN(std::vector<double> values, column->ToDoubles());

@@ -3,15 +3,16 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <map>
 #include <utility>
 
 #include "audit/morsel.h"
+#include "audit/partials.h"
 #include "base/string_util.h"
 #include "data/bitmap.h"
 #include "data/chunked.h"
 #include "data/group_index.h"
 #include "obs/obs.h"
+#include "stats/mergeable.h"
 
 namespace fairlaw::audit {
 
@@ -101,8 +102,7 @@ struct KernelTally {
 /// never special-case absence.
 struct ChunkedAttributeIndex {
   std::string name;
-  std::vector<std::string> values;
-  std::vector<data::ChunkedBitmap> bitmaps;  // aligned with `values`
+  stats::FirstSeenMap<data::ChunkedBitmap> values;  // value -> rows
 };
 
 /// Scores the conjunction `conditions` (depth >= 1), then walks the
@@ -130,16 +130,16 @@ void EnumerateBitmap(const std::vector<ChunkedAttributeIndex>& attrs,
   if (depth >= options.max_depth) return;
   for (size_t a = next_attribute; a < attrs.size(); ++a) {
     const ChunkedAttributeIndex& attribute = attrs[a];
-    for (size_t v = 0; v < attribute.values.size(); ++v) {
+    for (size_t v = 0; v < attribute.values.num_keys(); ++v) {
       data::ChunkedBitmap& narrowed = (*scratch)[static_cast<size_t>(depth)];
       const size_t count = data::ChunkedBitmap::AndInto(
-          members, attribute.bitmaps[v], &narrowed);
+          members, attribute.values.slot(v), &narrowed);
       ++tally->popcount_calls;
       if (count == 0) {
         ++tally->pruned_subtrees;
         continue;
       }
-      conditions->push_back({attribute.name, attribute.values[v]});
+      conditions->push_back({attribute.name, attribute.values.keys()[v]});
       EnumerateBitmap(attrs, predictions, overall_rate, num_rows, options,
                       a + 1, depth + 1, narrowed, count, conditions, scratch,
                       result, tally);
@@ -164,10 +164,10 @@ SubgroupAuditResult RunLattice(
   std::vector<std::pair<std::string, std::string>> conditions;
   for (size_t a = 0; a < attrs.size(); ++a) {
     const ChunkedAttributeIndex& attribute = attrs[a];
-    for (size_t v = 0; v < attribute.values.size(); ++v) {
-      const data::ChunkedBitmap& members = attribute.bitmaps[v];
+    for (size_t v = 0; v < attribute.values.num_keys(); ++v) {
+      const data::ChunkedBitmap& members = attribute.values.slot(v);
       ++tally.popcount_calls;
-      conditions = {{attribute.name, attribute.values[v]}};
+      conditions = {{attribute.name, attribute.values.keys()[v]}};
       // Index bitmaps are nonempty: every value comes from some row.
       EnumerateBitmap(attrs, predictions, overall_rate, num_rows, options,
                       a + 1, /*depth=*/1, members, members.Count(),
@@ -204,11 +204,10 @@ ChunkIndexPartial IndexChunk(const data::Table& chunk,
                              const std::string& prediction_column) {
   ChunkIndexPartial partial;
   partial.num_rows = chunk.num_rows();
-  auto predictions =
-      data::GroupIndex::BinaryColumnBitmap(chunk, prediction_column);
+  Result<std::vector<int>> predictions = BinaryColumn(chunk, prediction_column);
   partial.prediction_status = predictions.status();
   if (partial.prediction_status.ok()) {
-    partial.predictions = std::move(predictions).ValueOrDie();
+    partial.predictions = data::Bitmap::FromBits(predictions.ValueOrDie());
   }
   auto index = data::GroupIndex::Build(chunk, attribute_columns);
   partial.index_status = index.status();
@@ -272,31 +271,22 @@ Result<SubgroupAuditResult> AuditSubgroups(
 
   // Merge the per-chunk value dictionaries in chunk order: each chunk's
   // values are in its first-seen row order, so first-seen-across-chunks
-  // is exactly the whole-table first-seen order.
-  std::vector<ChunkedAttributeIndex> attributes(attribute_columns.size());
+  // is exactly the whole-table first-seen order. A value enters with an
+  // all-zero bitmap and takes each chunk's bitmap where it occurs.
+  std::vector<ChunkedAttributeIndex> attributes;
+  attributes.reserve(attribute_columns.size());
   for (size_t a = 0; a < attribute_columns.size(); ++a) {
-    ChunkedAttributeIndex& merged = attributes[a];
-    merged.name = attribute_columns[a];
-    std::map<std::string, size_t> global_of;
+    ChunkedAttributeIndex merged{
+        attribute_columns[a], stats::FirstSeenMap<data::ChunkedBitmap>(
+                                  data::ChunkedBitmap::AllZero(chunk_sizes))};
     for (size_t c = 0; c < num_chunks; ++c) {
-      const data::AttributeIndex& local = partials[c].index.attributes()[a];
-      for (const std::string& value : local.values) {
-        auto [it, inserted] = global_of.try_emplace(value,
-                                                    merged.values.size());
-        if (inserted) merged.values.push_back(it->first);
+      const stats::FirstSeenMap<data::Bitmap>& local =
+          partials[c].index.attributes()[a].values;
+      for (size_t v = 0; v < local.num_keys(); ++v) {
+        *merged.values[local.keys()[v]].mutable_chunk(c) = local.slot(v);
       }
     }
-    merged.bitmaps.reserve(merged.values.size());
-    for (size_t v = 0; v < merged.values.size(); ++v) {
-      merged.bitmaps.push_back(data::ChunkedBitmap::AllZero(chunk_sizes));
-    }
-    for (size_t c = 0; c < num_chunks; ++c) {
-      const data::AttributeIndex& local = partials[c].index.attributes()[a];
-      for (size_t v = 0; v < local.values.size(); ++v) {
-        *merged.bitmaps[global_of.at(local.values[v])].mutable_chunk(c) =
-            local.bitmaps[v];
-      }
-    }
+    attributes.push_back(std::move(merged));
   }
 
   return RunLattice(attributes, predictions, overall_rate, table.num_rows(),

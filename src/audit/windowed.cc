@@ -26,7 +26,7 @@ Result<ScoreDistributionReport> SketchDriftAudit(
   report.tolerance = config.score_distribution_tolerance;
   report.approximate = true;
   const size_t num_keys = sketches.num_keys();
-  stats::KllSketch before(sketches.options());
+  stats::KllSketch before = sketches.prototype();
   for (size_t g = 0; g < num_keys; ++g) {
     const stats::KllSketch& mine = sketches.sketch(g);
     stats::KllSketch rest = before;
@@ -70,7 +70,7 @@ Result<AuditResult> RunWindowedAudit(const WindowedPartial& window,
   EvaluateInputs inputs;
   inputs.counts = &window.counts;
   inputs.strata_counts =
-      window.strata_counts.num_strata() > 0 ? &window.strata_counts : nullptr;
+      window.strata_counts.num_keys() > 0 ? &window.strata_counts : nullptr;
   inputs.score_series = nullptr;  // calibration needs row-level pairs
   inputs.has_labels = !config.label_column.empty();
   FAIRLAW_ASSIGN_OR_RETURN(AuditResult result,

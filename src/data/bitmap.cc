@@ -31,14 +31,6 @@ Bitmap Bitmap::AllSet(size_t size) {
   return bitmap;
 }
 
-Bitmap Bitmap::FromBytes(std::span<const uint8_t> bits) {
-  Bitmap bitmap(bits.size());
-  for (size_t i = 0; i < bits.size(); ++i) {
-    if (bits[i] != 0) bitmap.Set(i);
-  }
-  return bitmap;
-}
-
 void Bitmap::Set(size_t i) {
   FAIRLAW_DCHECK(i < size_, "Bitmap::Set: index out of range");
   words_[i / kWordBits] |= uint64_t{1} << (i % kWordBits);

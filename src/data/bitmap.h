@@ -33,8 +33,16 @@ class Bitmap {
   /// All-one bitmap of `size` bits (tail word masked).
   static Bitmap AllSet(size_t size);
 
-  /// Builds from a 0/1 byte vector (b[i] != 0 sets bit i).
-  static Bitmap FromBytes(std::span<const uint8_t> bits);
+  /// Packs a 0/1 sequence (bits[i] != 0 sets bit i): validity bytes,
+  /// 0/1 prediction and label columns.
+  template <typename Bits>
+  static Bitmap FromBits(const Bits& bits) {
+    Bitmap bitmap(bits.size());
+    for (size_t i = 0; i < bits.size(); ++i) {
+      if (bits[i] != 0) bitmap.Set(i);
+    }
+    return bitmap;
+  }
 
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }

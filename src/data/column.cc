@@ -312,7 +312,7 @@ Result<Column> Column::Slice(size_t offset, size_t length) const {
   return out;
 }
 
-Bitmap Column::ValidityBitmap() const { return Bitmap::FromBytes(valid_); }
+Bitmap Column::ValidityBitmap() const { return Bitmap::FromBits(valid_); }
 
 std::string Column::ValueToString(size_t row) const {
   if (row >= size() || !valid_[row]) return "null";

@@ -1,17 +1,8 @@
 #include "data/group_index.h"
 
-#include <map>
 #include <utility>
 
 namespace fairlaw::data {
-
-Result<size_t> AttributeIndex::IndexOf(const std::string& value) const {
-  for (size_t i = 0; i < values.size(); ++i) {
-    if (values[i] == value) return i;
-  }
-  return Status::NotFound("attribute '" + name + "' has no value '" + value +
-                          "'");
-}
 
 Result<GroupIndex> GroupIndex::Build(
     const Table& table, const std::vector<std::string>& attribute_columns) {
@@ -23,18 +14,10 @@ Result<GroupIndex> GroupIndex::Build(
   index.attributes_.reserve(attribute_columns.size());
   for (const std::string& name : attribute_columns) {
     FAIRLAW_ASSIGN_OR_RETURN(const Column* column, table.GetColumn(name));
-    AttributeIndex attribute;
-    attribute.name = name;
-    std::map<std::string, size_t> index_of;
+    AttributeIndex attribute{
+        name, stats::FirstSeenMap<Bitmap>(Bitmap(index.num_rows_))};
     for (size_t row = 0; row < column->size(); ++row) {
-      std::string value = column->ValueToString(row);
-      auto [it, inserted] = index_of.try_emplace(std::move(value),
-                                                 attribute.values.size());
-      if (inserted) {
-        attribute.values.push_back(it->first);
-        attribute.bitmaps.emplace_back(index.num_rows_);
-      }
-      attribute.bitmaps[it->second].Set(row);
+      attribute.values[column->ValueToString(row)].Set(row);
     }
     index.attributes_.push_back(std::move(attribute));
   }
@@ -47,20 +30,6 @@ Result<const AttributeIndex*> GroupIndex::Attribute(
     if (attribute.name == name) return &attribute;
   }
   return Status::NotFound("GroupIndex has no attribute '" + name + "'");
-}
-
-Result<Bitmap> GroupIndex::BinaryColumnBitmap(const Table& table,
-                                              const std::string& column) {
-  FAIRLAW_ASSIGN_OR_RETURN(const Column* col, table.GetColumn(column));
-  FAIRLAW_ASSIGN_OR_RETURN(std::vector<double> values, col->ToDoubles());
-  Bitmap bitmap(values.size());
-  for (size_t i = 0; i < values.size(); ++i) {
-    if (values[i] != 0.0 && values[i] != 1.0) {
-      return Status::Invalid("column '" + column + "' must be binary 0/1");
-    }
-    if (values[i] == 1.0) bitmap.Set(i);
-  }
-  return bitmap;
 }
 
 }  // namespace fairlaw::data

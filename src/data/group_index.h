@@ -7,6 +7,7 @@
 #include "base/result.h"
 #include "data/bitmap.h"
 #include "data/table.h"
+#include "stats/mergeable.h"
 
 namespace fairlaw::data {
 
@@ -15,11 +16,7 @@ namespace fairlaw::data {
 /// rows holding it. The bitmaps are disjoint and cover all rows.
 struct AttributeIndex {
   std::string name;
-  std::vector<std::string> values;
-  std::vector<Bitmap> bitmaps;  // aligned with `values`
-
-  /// Index into `values` for `value`; NotFound when absent.
-  FAIRLAW_NODISCARD Result<size_t> IndexOf(const std::string& value) const;
+  stats::FirstSeenMap<Bitmap> values;  // value -> rows holding it
 };
 
 /// Columnar bitmap index over a table: per-attribute-value row bitmaps
@@ -44,12 +41,6 @@ class GroupIndex {
 
   /// The indexed attribute named `name`; NotFound when absent.
   FAIRLAW_NODISCARD Result<const AttributeIndex*> Attribute(const std::string& name) const;
-
-  /// Packs a 0/1 column (double/int64/bool) into a bitmap; Invalid on
-  /// non-binary values or nulls. Usable standalone for prediction/label
-  /// columns.
-  FAIRLAW_NODISCARD static Result<Bitmap> BinaryColumnBitmap(const Table& table,
-                                           const std::string& column);
 
  private:
   size_t num_rows_ = 0;

@@ -21,8 +21,7 @@ Result<CalibrationReport> CalibrationWithinGroups(
   // floating-point step with the chunked engine.
   stats::GroupedSeries series;
   for (size_t i = 0; i < groups.size(); ++i) {
-    series.Append(series.KeyIndex(groups[i]), scores[i],
-                  static_cast<uint8_t>(labels[i]));
+    series[groups[i]].Append(scores[i], static_cast<uint8_t>(labels[i]));
   }
   return CalibrationFromSeries(series, num_bins, tolerance);
 }
@@ -47,8 +46,8 @@ Result<CalibrationReport> CalibrationFromSeries(
   CalibrationReport report;
   report.tolerance = tolerance;
   for (size_t key : order) {
-    const std::vector<double>& group_scores = series.values(key);
-    const std::vector<uint8_t>& group_tags = series.tags(key);
+    const std::vector<double>& group_scores = series.slot(key).values;
+    const std::vector<uint8_t>& group_tags = series.slot(key).tags;
     std::vector<int> group_labels(group_tags.begin(), group_tags.end());
     GroupCalibration gc;
     gc.group = series.keys()[key];

@@ -18,12 +18,12 @@ Result<ConditionalReport> EvaluateConditional(
   report.metric_name = std::string(spec.conditional_name);
   report.satisfied = true;
   std::string skipped;
-  for (size_t s = 0; s < counts.num_strata(); ++s) {
+  for (size_t s = 0; s < counts.num_keys(); ++s) {
     const std::string& stratum = counts.keys()[s];
     const stats::GroupCountsAccumulator& tallies = counts.stratum(s);
     int64_t stratum_rows = 0;
     for (size_t g = 0; g < tallies.num_keys(); ++g) {
-      stratum_rows += tallies.counts(g).count;
+      stratum_rows += tallies.slot(g).count;
     }
     if (static_cast<size_t>(stratum_rows) < min_stratum_size ||
         (spec.compares_groups() && tallies.num_keys() < 2)) {
@@ -73,7 +73,7 @@ Result<ConditionalReport> EvaluateConditional(
     stats::GroupCounts row;
     row.count = 1;
     row.positive_predictions = input.predictions[i];
-    counts.Stratum(strata[i])->Add(input.groups[i], row);
+    counts[strata[i]][input.groups[i]] += row;
   }
   return EvaluateConditional(inner, counts, parameter, min_stratum_size);
 }

@@ -1,7 +1,6 @@
 #include "metrics/fairness_metric.h"
 
 #include <algorithm>
-#include <map>
 
 #include "base/string_util.h"
 
@@ -40,28 +39,14 @@ Result<GroupPartition> GroupPartition::Build(const MetricInput& input) {
   FAIRLAW_RETURN_NOT_OK(input.Validate(/*require_labels=*/false));
   GroupPartition partition;
   partition.num_rows = input.size();
-  std::map<std::string, size_t> index_of;
+  partition.groups = stats::FirstSeenMap<data::Bitmap>(
+      data::Bitmap(partition.num_rows));
   for (size_t i = 0; i < input.size(); ++i) {
-    auto [it, inserted] =
-        index_of.try_emplace(input.groups[i], partition.group_names.size());
-    if (inserted) {
-      partition.group_names.push_back(input.groups[i]);
-      partition.group_bitmaps.emplace_back(partition.num_rows);
-    }
-    partition.group_bitmaps[it->second].Set(i);
+    partition.groups[input.groups[i]].Set(i);
   }
-  partition.predictions = data::Bitmap(partition.num_rows);
-  for (size_t i = 0; i < input.size(); ++i) {
-    if (input.predictions[i] == 1) partition.predictions.Set(i);
-  }
+  partition.predictions = data::Bitmap::FromBits(input.predictions);
   partition.has_labels = !input.labels.empty();
-  partition.labels = data::Bitmap(partition.has_labels ? partition.num_rows
-                                                       : 0);
-  if (partition.has_labels) {
-    for (size_t i = 0; i < input.size(); ++i) {
-      if (input.labels[i] == 1) partition.labels.Set(i);
-    }
-  }
+  partition.labels = data::Bitmap::FromBits(input.labels);
   return partition;
 }
 
@@ -82,8 +67,8 @@ Result<std::vector<GroupStats>> ComputeGroupStats(const MetricInput& input,
 
 void AccumulateGroupCounts(const GroupPartition& partition, bool with_labels,
                            stats::GroupCountsAccumulator* accumulator) {
-  for (size_t g = 0; g < partition.group_names.size(); ++g) {
-    const data::Bitmap& members = partition.group_bitmaps[g];
+  for (size_t g = 0; g < partition.groups.num_keys(); ++g) {
+    const data::Bitmap& members = partition.groups.slot(g);
     stats::GroupCounts tally;
     tally.count = static_cast<int64_t>(members.Count());
     tally.positive_predictions = static_cast<int64_t>(
@@ -94,7 +79,7 @@ void AccumulateGroupCounts(const GroupPartition& partition, bool with_labels,
       tally.true_positives = static_cast<int64_t>(data::Bitmap::AndCount3(
           members, partition.predictions, partition.labels));
     }
-    accumulator->Add(partition.group_names[g], tally);
+    (*accumulator)[partition.groups.keys()[g]] += tally;
   }
 }
 
@@ -103,7 +88,7 @@ std::vector<GroupStats> GroupStatsFromCounts(
   std::vector<GroupStats> stats;
   stats.reserve(counts.num_keys());
   for (size_t g = 0; g < counts.num_keys(); ++g) {
-    const stats::GroupCounts& tally = counts.counts(g);
+    const stats::GroupCounts& tally = counts.slot(g);
     GroupStats gs;
     gs.group = counts.keys()[g];
     gs.count = tally.count;

@@ -79,8 +79,7 @@ struct MetricReport {
 ///   false_positives    = |group & predictions & ~labels|
 /// Groups appear in first-seen row order.
 struct GroupPartition {
-  std::vector<std::string> group_names;      // first-seen order
-  std::vector<data::Bitmap> group_bitmaps;   // aligned with group_names
+  stats::FirstSeenMap<data::Bitmap> groups;  // group -> member rows
   data::Bitmap predictions;                  // bit i = predictions[i] == 1
   data::Bitmap labels;                       // bit i = labels[i] == 1
   bool has_labels = false;

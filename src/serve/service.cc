@@ -230,14 +230,8 @@ std::string Service::HandleQuery(const QueryRequest& request) {
 
   if (request.type == "drilldown") {
     const stats::StratifiedCountsAccumulator& strata = window.strata_counts;
-    size_t index = strata.num_strata();
-    for (size_t i = 0; i < strata.num_strata(); ++i) {
-      if (strata.keys()[i] == request.stratum) {
-        index = i;
-        break;
-      }
-    }
-    if (index == strata.num_strata()) {
+    const size_t index = strata.FindKey(request.stratum);
+    if (index == strata.num_keys()) {
       return QueryErrorFrame(
           request.type,
           Status::NotFound("drilldown: stratum '" + request.stratum +

@@ -55,18 +55,14 @@ Status WindowRing::Ingest(const Event& event) {
     row.actual_positives = event.label;
     row.true_positives = (event.label == 1 && event.pred == 1) ? 1 : 0;
   }
-  partial.counts.Add(event.group, row);
+  partial.counts[event.group] += row;
   if (event.has_stratum) {
     stats::GroupCounts stratum_row;
     stratum_row.count = 1;
     stratum_row.positive_predictions = event.pred;
-    partial.strata_counts.Stratum(event.stratum)
-        ->Add(event.group, stratum_row);
+    partial.strata_counts[event.stratum][event.group] += stratum_row;
   }
-  if (event.has_score) {
-    partial.sketches.Add(partial.sketches.KeyIndex(event.group),
-                         event.score);
-  }
+  if (event.has_score) partial.sketches[event.group].Add(event.score);
   partial.num_rows += 1;
   return Status::OK();
 }
@@ -130,7 +126,7 @@ audit::WindowedPartial WindowRing::Window(ThreadPool* pool) const {
   }
   const std::vector<std::string>& keys = merged.sketches.keys();
   auto fold_group = [&merged, &buckets](size_t key_index) {
-    stats::KllSketch* target = merged.sketches.mutable_sketch(key_index);
+    stats::KllSketch* target = merged.sketches.mutable_slot(key_index);
     const std::string& key = merged.sketches.keys()[key_index];
     for (const audit::WindowedPartial* bucket : buckets) {
       const size_t slot = bucket->sketches.FindKey(key);

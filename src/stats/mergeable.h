@@ -6,6 +6,7 @@
 #include <map>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "stats/kll.h"
@@ -25,8 +26,8 @@ namespace fairlaw::stats {
 /// in global row order.
 ///
 /// Layering note: this lives in stats (below data/metrics) on purpose —
-/// it is plain keyed arithmetic with no table or bitmap dependencies, and
-/// the planned `fairlaw_serve` sketches merge through the same interface.
+/// it is plain keyed arithmetic with no table or bitmap dependencies, so
+/// data, metrics, audit and serve all key their groups through it.
 
 /// Exact integer tallies for one group. The four stored fields are the
 /// popcount outputs of the metric kernels; everything else a group metric
@@ -47,137 +48,137 @@ struct GroupCounts {
   friend bool operator==(const GroupCounts& a, const GroupCounts& b) = default;
 };
 
-/// First-seen-ordered map from group key to GroupCounts, mergeable in
-/// chunk order.
-class GroupCountsAccumulator {
- public:
-  /// Returns the slot index for `key`, inserting (zeroed, at the end of
-  /// the first-seen order) when absent.
-  size_t KeyIndex(std::string_view key);
+/// One key's rows in global row order: parallel (value, tag) vectors.
+/// Order-sensitive floating point consumers (calibration's running sums,
+/// score-distribution sorts) read these, so they must see exactly the
+/// sequence a sequential pass would have fed them.
+struct TaggedSeries {
+  std::vector<double> values;
+  std::vector<uint8_t> tags;
 
-  /// Adds `counts` into `key`'s slot.
-  void Add(std::string_view key, const GroupCounts& counts);
-
-  /// Folds `other` in: other's keys are appended in their first-seen
-  /// order, existing keys accumulate. Calling MergeFrom over chunk
-  /// partials in ascending chunk order reproduces the whole-table pass.
-  void MergeFrom(const GroupCountsAccumulator& other);
-
-  size_t num_keys() const { return keys_.size(); }
-  const std::vector<std::string>& keys() const { return keys_; }
-  const GroupCounts& counts(size_t key_index) const {
-    return counts_[key_index];
+  void Append(double value, uint8_t tag) {
+    values.push_back(value);
+    tags.push_back(tag);
   }
-
- private:
-  std::vector<std::string> keys_;
-  std::vector<GroupCounts> counts_;
-  std::map<std::string, size_t, std::less<>> index_;
+  friend bool operator==(const TaggedSeries& a,
+                         const TaggedSeries& b) = default;
 };
 
-/// Two-level accumulator: stratum -> per-group tallies, both levels in
-/// first-seen order, merged stratum-by-stratum in chunk order. Feeds the
-/// conditional (stratified) metrics.
-class StratifiedCountsAccumulator {
+template <typename T>
+class FirstSeenMap;
+
+/// The per-payload merge FirstSeenMap::MergeFrom applies to a shared key,
+/// self-first: tallies add, series append, sketches merge, nested maps
+/// recurse.
+inline void MergeSlot(GroupCounts* into, const GroupCounts& from) {
+  *into += from;
+}
+inline void MergeSlot(TaggedSeries* into, const TaggedSeries& from) {
+  into->values.insert(into->values.end(), from.values.begin(),
+                      from.values.end());
+  into->tags.insert(into->tags.end(), from.tags.begin(), from.tags.end());
+}
+inline void MergeSlot(KllSketch* into, const KllSketch& from) {
+  into->Merge(from);
+}
+template <typename T>
+void MergeSlot(FirstSeenMap<T>* into, const FirstSeenMap<T>& from) {
+  into->MergeFrom(from);
+}
+
+/// String key -> slot index in first-seen order, with one payload per
+/// slot. The one dictionary behind every group, stratum and value index
+/// (DESIGN.md §14 fact 2): first-seen dictionaries merged in chunk order
+/// reproduce the global first-seen order, so the rule lives here once.
+template <typename T>
+class FirstSeenMap {
  public:
-  /// The per-group accumulator for `stratum`, inserting an empty one (at
-  /// the end of the first-seen order) when absent.
-  GroupCountsAccumulator* Stratum(std::string_view stratum);
+  /// `prototype` is the payload every new key starts from: a zero
+  /// tally, an empty series, an empty sketch carrying its options, an
+  /// all-zero bitmap.
+  explicit FirstSeenMap(T prototype = T()) : prototype_(std::move(prototype)) {}
 
-  void MergeFrom(const StratifiedCountsAccumulator& other);
-
-  size_t num_strata() const { return keys_.size(); }
-  const std::vector<std::string>& keys() const { return keys_; }
-  const GroupCountsAccumulator& stratum(size_t index) const {
-    return strata_[index];
+  /// Slot index for `key`, appending a copy of the prototype (at the end
+  /// of the first-seen order) when absent. A hit allocates nothing.
+  size_t KeyIndex(std::string_view key) {
+    auto it = index_.lower_bound(key);
+    if (it != index_.end() && it->first == key) return it->second;
+    const size_t slot = keys_.size();
+    index_.emplace_hint(it, std::string(key), slot);
+    keys_.emplace_back(key);
+    slots_.push_back(prototype_);
+    return slot;
   }
-
- private:
-  std::vector<std::string> keys_;
-  std::vector<GroupCountsAccumulator> strata_;
-  std::map<std::string, size_t, std::less<>> index_;
-};
-
-/// Row-ordered per-key series: each key holds parallel (value, tag)
-/// vectors in global row order. Merging chunk partials in chunk order
-/// concatenates each key's rows in row order, so order-sensitive floating
-/// point consumers (calibration's running sums, score-distribution
-/// sorts) see exactly the sequence a sequential pass would have fed them.
-class GroupedSeries {
- public:
-  size_t KeyIndex(std::string_view key);
-
-  /// Appends one row to `key_index`'s series.
-  void Append(size_t key_index, double value, uint8_t tag);
-
-  void MergeFrom(const GroupedSeries& other);
-
-  size_t num_keys() const { return keys_.size(); }
-  const std::vector<std::string>& keys() const { return keys_; }
-  const std::vector<double>& values(size_t key_index) const {
-    return values_[key_index];
-  }
-  const std::vector<uint8_t>& tags(size_t key_index) const {
-    return tags_[key_index];
-  }
-
- private:
-  std::vector<std::string> keys_;
-  std::vector<std::vector<double>> values_;
-  std::vector<std::vector<uint8_t>> tags_;
-  std::map<std::string, size_t, std::less<>> index_;
-};
-
-/// First-seen-ordered map from group key to a KLL quantile sketch — the
-/// bounded-memory counterpart of GroupedSeries for the serve daemon's
-/// window buckets, where score series cannot grow with history. Same
-/// merge contract as the other accumulators: MergeFrom in ascending
-/// bucket order reproduces the single sequential pass (the sketch's own
-/// coin stream is counter-based, so state is a pure function of the
-/// operation sequence).
-class GroupedSketches {
- public:
-  explicit GroupedSketches(const KllSketch::Options& options = {})
-      : options_(options) {}
-
-  /// Slot index for `key`, inserting an empty sketch (at the end of the
-  /// first-seen order) when absent.
-  size_t KeyIndex(std::string_view key);
 
   /// Read-only lookup: the slot index for `key`, or num_keys() when
-  /// absent (serve's window fold probes buckets without mutating them).
-  size_t FindKey(std::string_view key) const;
+  /// absent.
+  size_t FindKey(std::string_view key) const {
+    auto it = index_.find(key);
+    return it == index_.end() ? keys_.size() : it->second;
+  }
 
-  /// Adds one score into `key_index`'s sketch.
-  void Add(size_t key_index, double value);
+  /// The payload for `key`, inserted when absent (as std::map's []).
+  T& operator[](std::string_view key) { return slots_[KeyIndex(key)]; }
 
-  /// Folds other's sketches in: other's keys append in their first-seen
-  /// order; sketches for shared keys merge self-first.
-  void MergeFrom(const GroupedSketches& other);
+  /// Folds `other` in: other's new keys append in other's first-seen
+  /// order, and shared keys merge self-first through MergeSlot. Calling
+  /// MergeFrom over chunk partials in ascending chunk order reproduces
+  /// the whole-table pass.
+  void MergeFrom(const FirstSeenMap& other) {
+    for (size_t i = 0; i < other.keys_.size(); ++i) {
+      MergeSlot(&slots_[KeyIndex(other.keys_[i])], other.slots_[i]);
+    }
+  }
 
   size_t num_keys() const { return keys_.size(); }
   const std::vector<std::string>& keys() const { return keys_; }
-  const KllSketch& sketch(size_t key_index) const {
-    return sketches_[key_index];
-  }
-  /// Mutable slot access for parallel window folds: the caller
-  /// establishes the canonical key order serially via KeyIndex, then
-  /// workers each fill one distinct slot (serve's per-group merge
-  /// chains) — indexed writes, never shared-state compound updates.
-  KllSketch* mutable_sketch(size_t key_index) {
-    return &sketches_[key_index];
-  }
-  const KllSketch::Options& options() const { return options_; }
+  const T& slot(size_t key_index) const { return slots_[key_index]; }
+  /// Mutable slot access. Parallel window folds rely on it: the caller
+  /// fixes the key order serially via KeyIndex, then workers each fill
+  /// one distinct slot — indexed writes, never shared-state compound
+  /// updates.
+  T* mutable_slot(size_t key_index) { return &slots_[key_index]; }
+  const T& prototype() const { return prototype_; }
 
-  friend bool operator==(const GroupedSketches& a, const GroupedSketches& b) {
-    return a.keys_ == b.keys_ && a.sketches_ == b.sketches_;
+  /// Same keys in the same order with equal payloads.
+  friend bool operator==(const FirstSeenMap& a, const FirstSeenMap& b) {
+    return a.keys_ == b.keys_ && a.slots_ == b.slots_;
   }
 
  private:
-  KllSketch::Options options_;
+  T prototype_;
   std::vector<std::string> keys_;
-  std::vector<KllSketch> sketches_;
+  std::vector<T> slots_;
   std::map<std::string, size_t, std::less<>> index_;
+};
+
+/// Group key -> exact tallies.
+using GroupCountsAccumulator = FirstSeenMap<GroupCounts>;
+
+/// Stratum -> per-group tallies, both levels in first-seen order. Feeds
+/// the conditional (stratified) metrics.
+class StratifiedCountsAccumulator
+    : public FirstSeenMap<GroupCountsAccumulator> {
+ public:
+  const GroupCountsAccumulator& stratum(size_t index) const {
+    return slot(index);
+  }
+};
+
+/// Group key -> row-ordered (value, tag) series.
+using GroupedSeries = FirstSeenMap<TaggedSeries>;
+
+/// Group key -> KLL quantile sketch: the bounded-memory counterpart of
+/// GroupedSeries for the serve daemon's window buckets, where score
+/// series cannot grow with history. The sketch's own coin stream is
+/// counter-based, so state is a pure function of the operation sequence
+/// and the merge contract holds as for the exact payloads.
+class GroupedSketches : public FirstSeenMap<KllSketch> {
+ public:
+  explicit GroupedSketches(const KllSketch::Options& options = {})
+      : FirstSeenMap(KllSketch(options)) {}
+
+  const KllSketch& sketch(size_t key_index) const { return slot(key_index); }
 };
 
 }  // namespace fairlaw::stats

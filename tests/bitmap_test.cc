@@ -89,9 +89,9 @@ TEST(BitmapTest, KernelsMatchScalarReferenceOnRandomInputs) {
       raw_b[i] = rng.Bernoulli(0.3);
       raw_c[i] = rng.Bernoulli(0.7);
     }
-    Bitmap a = Bitmap::FromBytes(raw_a);
-    Bitmap b = Bitmap::FromBytes(raw_b);
-    Bitmap c = Bitmap::FromBytes(raw_c);
+    Bitmap a = Bitmap::FromBits(raw_a);
+    Bitmap b = Bitmap::FromBits(raw_b);
+    Bitmap c = Bitmap::FromBits(raw_c);
 
     size_t count_a = 0;
     size_t and_ab = 0;
@@ -139,28 +139,16 @@ TEST(GroupIndexTest, BuildsDisjointCoveringBitmapsInFirstSeenOrder) {
   const AttributeIndex* attribute =
       index.Attribute("g").ValueOrDie();
   // First-seen order, matching DistinctValues / GroupBy.
-  EXPECT_EQ(attribute->values, (std::vector<std::string>{"b", "a", "c"}));
-  EXPECT_EQ(attribute->bitmaps[0].ToIndices(),
+  EXPECT_EQ(attribute->values.keys(),
+            (std::vector<std::string>{"b", "a", "c"}));
+  EXPECT_EQ(attribute->values.slot(0).ToIndices(),
             (std::vector<size_t>{0, 2}));
-  EXPECT_EQ(attribute->bitmaps[1].ToIndices(),
+  EXPECT_EQ(attribute->values.slot(1).ToIndices(),
             (std::vector<size_t>{1, 4}));
-  EXPECT_EQ(attribute->bitmaps[2].ToIndices(), (std::vector<size_t>{3}));
-  EXPECT_EQ(attribute->IndexOf("c").ValueOrDie(), 2u);
-  EXPECT_FALSE(attribute->IndexOf("zzz").ok());
+  EXPECT_EQ(attribute->values.slot(2).ToIndices(), (std::vector<size_t>{3}));
+  EXPECT_EQ(attribute->values.FindKey("c"), 2u);
+  EXPECT_EQ(attribute->values.FindKey("zzz"), attribute->values.num_keys());
   EXPECT_FALSE(index.Attribute("missing").ok());
-}
-
-TEST(GroupIndexTest, BinaryColumnBitmapPacksAndValidates) {
-  Table table = ReadCsvString(
-                    "g,pred,score\n"
-                    "a,1,0.25\nb,0,0.5\na,1,0.75\n")
-                    .ValueOrDie();
-  Bitmap predictions =
-      GroupIndex::BinaryColumnBitmap(table, "pred").ValueOrDie();
-  EXPECT_EQ(predictions.ToIndices(), (std::vector<size_t>{0, 2}));
-  // A non-binary column must be rejected, not truncated.
-  EXPECT_FALSE(GroupIndex::BinaryColumnBitmap(table, "score").ok());
-  EXPECT_FALSE(GroupIndex::BinaryColumnBitmap(table, "missing").ok());
 }
 
 }  // namespace

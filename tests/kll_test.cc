@@ -13,13 +13,11 @@
 
 #include "stats/distance.h"
 #include "stats/kll.h"
-#include "stats/mergeable.h"
 #include "stats/rng.h"
 
 namespace fairlaw {
 namespace {
 
-using stats::GroupedSketches;
 using stats::KllSketch;
 using stats::Rng;
 
@@ -356,29 +354,6 @@ TEST(KllSketchTest, SketchDistancesAgreeWithExactKernels) {
   KllSketch empty;
   EXPECT_FALSE(stats::KolmogorovSmirnovSketch(p, empty).ok());
   EXPECT_FALSE(stats::Wasserstein1Sketch(empty, q).ok());
-}
-
-TEST(GroupedSketchesTest, KeysKeepFirstSeenOrderAndMergeInKeyOrder) {
-  GroupedSketches a;
-  a.Add(a.KeyIndex("beta"), 1.0);
-  a.Add(a.KeyIndex("alpha"), 2.0);
-  a.Add(a.KeyIndex("beta"), 3.0);
-
-  GroupedSketches b;
-  b.Add(b.KeyIndex("gamma"), 4.0);
-  b.Add(b.KeyIndex("alpha"), 5.0);
-
-  a.MergeFrom(b);
-  ASSERT_EQ(a.num_keys(), 3u);
-  EXPECT_EQ(a.keys()[0], "beta");
-  EXPECT_EQ(a.keys()[1], "alpha");
-  EXPECT_EQ(a.keys()[2], "gamma");
-  EXPECT_EQ(a.sketch(0).count(), 2u);
-  EXPECT_EQ(a.sketch(1).count(), 2u);
-  EXPECT_EQ(a.sketch(2).count(), 1u);
-
-  EXPECT_EQ(a.FindKey("gamma"), 2u);
-  EXPECT_EQ(a.FindKey("missing"), a.num_keys());
 }
 
 }  // namespace

@@ -5,8 +5,10 @@
 // counts — plus the unified Auditor::Run entry over window sources.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "audit/auditor.h"
@@ -15,6 +17,7 @@
 #include "audit/windowed.h"
 #include "base/json_writer.h"
 #include "base/thread_pool.h"
+#include "data/csv.h"
 #include "obs/obs.h"
 #include "serve/api.h"
 #include "serve/json_value.h"
@@ -221,7 +224,7 @@ TEST(WindowedAuditTest, SketchDriftEqualsNaiveRestRebuild) {
   ASSERT_EQ(report.groups.size(), sketches.num_keys());
   ASSERT_EQ(sketches.num_keys(), 7u);
   for (size_t g = 0; g < sketches.num_keys(); ++g) {
-    stats::KllSketch rest(sketches.options());
+    stats::KllSketch rest = sketches.prototype();
     for (size_t j = 0; j < sketches.num_keys(); ++j) {
       if (j != g) rest.Merge(sketches.sketch(j));
     }
@@ -250,9 +253,13 @@ std::vector<std::string> Replay(const ServeConfig& config,
 
 /// The generator mirror of tools/fairlaw_generate --events-jsonl, in
 /// miniature: same event sequence, batched at `batch` events per ingest
-/// line, the query suite after every `query_every` events.
+/// line, the query suite after every `query_every` events. A nonzero
+/// `jitter` moves one event in five up to jitter-1 units back in t, so
+/// those arrive out of order (some too late for the window), and gives
+/// every event a stratum.
 std::vector<std::string> MakeStream(size_t n, size_t batch,
-                                    size_t query_every, uint64_t seed) {
+                                    size_t query_every, uint64_t seed,
+                                    size_t jitter = 0) {
   Rng rng(seed);
   const char* groups[] = {"alpha", "beta", "gamma"};
   const double pred_rate[] = {0.5, 0.35, 0.44};
@@ -281,11 +288,19 @@ std::vector<std::string> MakeStream(size_t n, size_t batch,
     // bit-identical doubles.
     std::string mil = std::to_string(rng.UniformInt(1000000));
     mil.insert(0, 6 - mil.size(), '0');
+    size_t t = i * 3;
+    std::string stratum;
+    if (jitter > 0) {
+      if (rng.Bernoulli(0.2)) {
+        t -= std::min(t, static_cast<size_t>(rng.UniformInt(jitter)));
+      }
+      stratum = ",\"stratum\":\"s" + std::to_string(rng.UniformInt(4)) + "\"";
+    }
     if (in_batch > 0) current += ",";
-    current += "{\"t\":" + std::to_string(i * 3) + ",\"group\":\"" +
+    current += "{\"t\":" + std::to_string(t) + ",\"group\":\"" +
                groups[g] + "\",\"pred\":" + std::to_string(pred) +
                ",\"label\":" + std::to_string(label) + ",\"score\":0." +
-               mil + "}";
+               mil + stratum + "}";
     ++in_batch;
     if (in_batch == batch) flush();
     if (query_every > 0 && (i + 1) % query_every == 0) queries();
@@ -421,6 +436,125 @@ TEST(ServeServiceTest, IngestAckCountsRejections) {
   EXPECT_NE(ack.find("\"accepted\":1"), std::string::npos);
   EXPECT_NE(ack.find("\"rejected\":2"), std::string::npos);
   EXPECT_NE(ack.find("\"watermark\":9"), std::string::npos);
+}
+
+/// One event per row: group, pred, label and stratum columns.
+data::Table EventTable(const std::vector<Event>& events) {
+  std::string csv = "group,pred,label,stratum\n";
+  for (const Event& event : events) {
+    csv += event.group + "," + std::to_string(event.pred) + "," +
+           std::to_string(event.label) + "," + event.stratum + "\n";
+  }
+  return data::ReadCsvString(csv).ValueOrDie();
+}
+
+template <typename Report>
+std::vector<std::string> ReportsJson(const std::vector<Report>& reports) {
+  std::vector<std::string> out;
+  for (const Report& report : reports) {
+    JsonWriter json;
+    if constexpr (std::is_same_v<Report, metrics::MetricReport>) {
+      audit::WriteMetricReport(&json, report);
+    } else {
+      audit::WriteConditionalReport(&json, report);
+    }
+    out.push_back(json.Finish().ValueOrDie());
+  }
+  return out;
+}
+
+std::string FindingsJson(const audit::AuditResult& result) {
+  JsonWriter json;
+  audit::WriteAuditFindings(&json, result);
+  return json.Finish().ValueOrDie();
+}
+
+// Windowed vs batch: the window's exact tallies must give the same
+// metric and conditional reports as the batch audit of the events still
+// in the window, and every drill-down the batch audit of that stratum's
+// rows. Events arrive out of order; some are too late to enter and some
+// slide out again. The table orders the in-window events stably by
+// bucket, the order the window folds its buckets in, which fixes the
+// first-seen order of groups and strata.
+TEST(WindowedAuditTest, WindowMatchesBatchAuditOfItsEvents) {
+  ServeConfig config;
+  config.bucket_width = 50;
+  config.num_buckets = 16;
+  config.with_strata = true;
+  const audit::AuditConfig window_config = config.ToAuditConfig();
+  // The batch side skips the score paths: the window has no calibration
+  // and only sketch drift, neither of which is compared here.
+  audit::AuditConfig batch_config = window_config;
+  batch_config.score_column.clear();
+  batch_config.audit_score_distribution = false;
+  // A drill-down runs the prediction-only family within one stratum.
+  audit::AuditConfig stratum_config = batch_config;
+  stratum_config.label_column.clear();
+  stratum_config.strata_columns.clear();
+
+  for (uint64_t seed : {43u, 47u, 59u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    WindowRing ring(config);
+    Service service(config);
+    size_t num_events = 0;
+    std::vector<Event> accepted;
+    for (const std::string& line : MakeStream(1500, 97, 0, seed, 1200)) {
+      service.HandleLine(line);
+      Result<Request> request =
+          ParseRequest(JsonValue::Parse(line).ValueOrDie(), config);
+      ASSERT_TRUE(request.ok()) << request.status().ToString();
+      if (request->op != Request::Op::kIngest) continue;
+      for (const Event& event : request->ingest.events) {
+        ++num_events;
+        if (ring.Ingest(event).ok()) accepted.push_back(event);
+      }
+    }
+    auto bucket = [&config](const Event& event) {
+      return event.t / config.bucket_width;
+    };
+    std::vector<Event> in_window;
+    for (const Event& event : accepted) {
+      if (bucket(event) >= ring.window_start()) in_window.push_back(event);
+    }
+    std::stable_sort(in_window.begin(), in_window.end(),
+                     [&bucket](const Event& a, const Event& b) {
+                       return bucket(a) < bucket(b);
+                     });
+    ASSERT_LT(accepted.size(), num_events) << "no event arrived too late";
+    ASSERT_LT(in_window.size(), accepted.size()) << "no event slid out";
+    ASSERT_EQ(in_window.size(), ring.num_events());
+
+    const audit::WindowedPartial window = ring.Window(nullptr);
+    Result<audit::AuditResult> windowed = audit::Auditor::Run(
+        audit::AuditSource::FromWindow(window), window_config);
+    ASSERT_TRUE(windowed.ok()) << windowed.status().ToString();
+    const data::Table table = EventTable(in_window);
+    Result<audit::AuditResult> batch = audit::Auditor::Run(
+        audit::AuditSource::FromTable(table), batch_config);
+    ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+    ASSERT_FALSE(windowed->conditional_reports.empty());
+    EXPECT_EQ(ReportsJson(windowed->reports), ReportsJson(batch->reports));
+    EXPECT_EQ(ReportsJson(windowed->conditional_reports),
+              ReportsJson(batch->conditional_reports));
+
+    ASSERT_EQ(window.strata_counts.num_keys(), 4u);
+    for (const std::string& stratum : window.strata_counts.keys()) {
+      std::vector<Event> rows;
+      for (const Event& event : in_window) {
+        if (event.stratum == stratum) rows.push_back(event);
+      }
+      const data::Table stratum_table = EventTable(rows);
+      Result<audit::AuditResult> expected = audit::Auditor::Run(
+          audit::AuditSource::FromTable(stratum_table), stratum_config);
+      ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+      const std::string response = service.HandleLine(
+          R"({"op":"query","type":"drilldown","stratum":")" + stratum +
+          R"("})");
+      EXPECT_NE(response.find("\"findings\":" + FindingsJson(*expected) + ","),
+                std::string::npos)
+          << stratum << ": " << response;
+    }
+  }
 }
 
 TEST(AuditorRunTest, WindowSourceMatchesServiceFindings) {

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include "audit/partials.h"
 #include "audit/subgroup.h"
+#include "data/bitmap.h"
 #include "data/csv.h"
 #include "obs/obs.h"
 #include "stats/rng.h"
@@ -112,6 +114,40 @@ TEST(SubgroupAuditTest, Validation) {
   bad_tolerance.tolerance = -0.1;
   EXPECT_FALSE(bad_tolerance.Validate().ok());
   EXPECT_TRUE(SubgroupAuditOptions{}.Validate().ok());
+}
+
+// The subgroup index packs the prediction column through BinaryColumn:
+// bits land on the 1 rows, and a non-binary or missing column is
+// rejected (not truncated) with BinaryColumn's own error.
+TEST(SubgroupAuditTest, PredictionColumnPacksAndValidates) {
+  data::Table table = data::ReadCsvString(
+                          "g,pred,score\n"
+                          "a,1,0.25\nb,0,0.5\na,1,0.75\n")
+                          .ValueOrDie();
+  Result<std::vector<int>> predictions = BinaryColumn(table, "pred");
+  ASSERT_TRUE(predictions.ok()) << predictions.status().ToString();
+  EXPECT_EQ(data::Bitmap::FromBits(*predictions).ToIndices(),
+            (std::vector<size_t>{0, 2}));
+
+  SubgroupAuditOptions options;
+  options.min_support = 1;
+  Result<SubgroupAuditResult> result =
+      AuditSubgroups(table, {"g"}, "pred", options);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_EQ(result->findings.size(), 2u);
+  EXPECT_EQ(result->findings[0].subgroup.ToString(), "g=b");
+  EXPECT_EQ(result->findings[0].selection_rate, 0.0);
+  EXPECT_EQ(result->findings[1].subgroup.ToString(), "g=a");
+  EXPECT_EQ(result->findings[1].selection_rate, 1.0);
+
+  for (const char* column : {"score", "missing"}) {
+    Result<std::vector<int>> direct = BinaryColumn(table, column);
+    ASSERT_FALSE(direct.ok()) << column;
+    Result<SubgroupAuditResult> audited =
+        AuditSubgroups(table, {"g"}, column, options);
+    ASSERT_FALSE(audited.ok()) << column;
+    EXPECT_EQ(audited.status().ToString(), direct.status().ToString());
+  }
 }
 
 TEST(CountConjunctionsTest, MatchesExhaustiveEnumeration) {

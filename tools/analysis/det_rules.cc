@@ -11,7 +11,7 @@
 //        std::unordered_map/std::unordered_set in the output-contributing
 //        trees (src/audit, src/metrics, src/stats, src/obs, src/legal,
 //        src/causal). Iterate a sorted view or a first-seen-order index
-//        (data::GroupIndex) instead.
+//        (stats::FirstSeenMap) instead.
 //   entropy
 //        Unsanctioned randomness/time/environment sources anywhere but
 //        src/obs/: rand, random_device, std engines, system_clock,
