@@ -83,19 +83,14 @@ ChunkPartial ProcessChunk(const data::Table& chunk, const AuditConfig& config,
       strata = std::move(chunk_strata).ValueOrDie();
     }
   }
+  // Past the extraction steps the input is valid: every column comes
+  // from this (nonempty) chunk and BinaryColumn enforced 0/1.
   if (!FirstError(partial.status).ok()) return partial;
 
-  Result<metrics::GroupPartition> partition =
-      metrics::GroupPartition::Build(input);
-  partial.status[kPartitionStep] = partition.status();
-  if (!partition.status().ok()) return partial;
-  metrics::AccumulateGroupCounts(std::move(partition).ValueOrDie(),
-                                 !input.labels.empty(), &partial.counts);
+  metrics::TallyRows(input, &partial.counts);
   for (size_t i = 0; i < strata.size(); ++i) {
-    stats::GroupCounts row;
-    row.count = 1;
-    row.positive_predictions = input.predictions[i];
-    partial.strata_counts[strata[i]][input.groups[i]] += row;
+    partial.strata_counts[strata[i]][input.groups[i]] +=
+        stats::GroupCounts::Row(input.predictions[i]);
   }
   if (!config.score_column.empty()) {
     for (size_t i = 0; i < scores.size(); ++i) {

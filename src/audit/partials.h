@@ -26,7 +26,6 @@ enum AuditStep : size_t {
   kProtectedStep,
   kPredictionStep,
   kLabelStep,
-  kPartitionStep,
   kScoreStep,
   kStrataStep,
   kNumAuditSteps

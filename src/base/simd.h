@@ -75,33 +75,6 @@ inline uint64_t AndPopcountWords(const uint64_t* a, const uint64_t* b,
   return count;
 }
 
-inline uint64_t And3PopcountWords(const uint64_t* a, const uint64_t* b,
-                                  const uint64_t* c, size_t n) {
-  uint64_t count = 0;
-  for (size_t w = 0; w < n; ++w) {
-    count += static_cast<uint64_t>(std::popcount(a[w] & b[w] & c[w]));
-  }
-  return count;
-}
-
-inline uint64_t AndNotPopcountWords(const uint64_t* a, const uint64_t* b,
-                                    size_t n) {
-  uint64_t count = 0;
-  for (size_t w = 0; w < n; ++w) {
-    count += static_cast<uint64_t>(std::popcount(a[w] & ~b[w]));
-  }
-  return count;
-}
-
-inline uint64_t AndAndNotPopcountWords(const uint64_t* a, const uint64_t* b,
-                                       const uint64_t* c, size_t n) {
-  uint64_t count = 0;
-  for (size_t w = 0; w < n; ++w) {
-    count += static_cast<uint64_t>(std::popcount(a[w] & b[w] & ~c[w]));
-  }
-  return count;
-}
-
 inline uint64_t AndIntoPopcountWords(const uint64_t* a, const uint64_t* b,
                                      uint64_t* out, size_t n) {
   uint64_t count = 0;
@@ -224,59 +197,6 @@ inline uint64_t AndPopcountWords(const uint64_t* a, const uint64_t* b,
   return count;
 }
 
-inline uint64_t And3PopcountWords(const uint64_t* a, const uint64_t* b,
-                                  const uint64_t* c, size_t n) {
-  __m256i acc = _mm256_setzero_si256();
-  size_t w = 0;
-  for (; w + 4 <= n; w += 4) {
-    const __m256i word = _mm256_and_si256(
-        _mm256_and_si256(internal::LoadWords(a + w),
-                         internal::LoadWords(b + w)),
-        internal::LoadWords(c + w));
-    acc = _mm256_add_epi64(acc, internal::PopcountLanes(word));
-  }
-  uint64_t count = internal::HorizontalSumU64(acc);
-  for (; w < n; ++w) {
-    count += static_cast<uint64_t>(std::popcount(a[w] & b[w] & c[w]));
-  }
-  return count;
-}
-
-inline uint64_t AndNotPopcountWords(const uint64_t* a, const uint64_t* b,
-                                    size_t n) {
-  __m256i acc = _mm256_setzero_si256();
-  size_t w = 0;
-  for (; w + 4 <= n; w += 4) {
-    // andnot computes ~first & second, so b goes first.
-    const __m256i word = _mm256_andnot_si256(internal::LoadWords(b + w),
-                                             internal::LoadWords(a + w));
-    acc = _mm256_add_epi64(acc, internal::PopcountLanes(word));
-  }
-  uint64_t count = internal::HorizontalSumU64(acc);
-  for (; w < n; ++w) {
-    count += static_cast<uint64_t>(std::popcount(a[w] & ~b[w]));
-  }
-  return count;
-}
-
-inline uint64_t AndAndNotPopcountWords(const uint64_t* a, const uint64_t* b,
-                                       const uint64_t* c, size_t n) {
-  __m256i acc = _mm256_setzero_si256();
-  size_t w = 0;
-  for (; w + 4 <= n; w += 4) {
-    const __m256i word = _mm256_andnot_si256(
-        internal::LoadWords(c + w),
-        _mm256_and_si256(internal::LoadWords(a + w),
-                         internal::LoadWords(b + w)));
-    acc = _mm256_add_epi64(acc, internal::PopcountLanes(word));
-  }
-  uint64_t count = internal::HorizontalSumU64(acc);
-  for (; w < n; ++w) {
-    count += static_cast<uint64_t>(std::popcount(a[w] & b[w] & ~c[w]));
-  }
-  return count;
-}
-
 inline uint64_t AndIntoPopcountWords(const uint64_t* a, const uint64_t* b,
                                      uint64_t* out, size_t n) {
   __m256i acc = _mm256_setzero_si256();
@@ -371,58 +291,6 @@ inline uint64_t AndPopcountWords(const uint64_t* a, const uint64_t* b,
   return count;
 }
 
-inline uint64_t And3PopcountWords(const uint64_t* a, const uint64_t* b,
-                                  const uint64_t* c, size_t n) {
-  uint64x2_t acc = vdupq_n_u64(0);
-  size_t w = 0;
-  for (; w + 2 <= n; w += 2) {
-    const uint8x16_t word =
-        vandq_u8(vandq_u8(internal::LoadWords(a + w),
-                          internal::LoadWords(b + w)),
-                 internal::LoadWords(c + w));
-    acc = vaddq_u64(acc, internal::PopcountLanes(word));
-  }
-  uint64_t count = vgetq_lane_u64(acc, 0) + vgetq_lane_u64(acc, 1);
-  for (; w < n; ++w) {
-    count += static_cast<uint64_t>(std::popcount(a[w] & b[w] & c[w]));
-  }
-  return count;
-}
-
-inline uint64_t AndNotPopcountWords(const uint64_t* a, const uint64_t* b,
-                                    size_t n) {
-  uint64x2_t acc = vdupq_n_u64(0);
-  size_t w = 0;
-  for (; w + 2 <= n; w += 2) {
-    const uint8x16_t word = vbicq_u8(internal::LoadWords(a + w),
-                                     internal::LoadWords(b + w));
-    acc = vaddq_u64(acc, internal::PopcountLanes(word));
-  }
-  uint64_t count = vgetq_lane_u64(acc, 0) + vgetq_lane_u64(acc, 1);
-  for (; w < n; ++w) {
-    count += static_cast<uint64_t>(std::popcount(a[w] & ~b[w]));
-  }
-  return count;
-}
-
-inline uint64_t AndAndNotPopcountWords(const uint64_t* a, const uint64_t* b,
-                                       const uint64_t* c, size_t n) {
-  uint64x2_t acc = vdupq_n_u64(0);
-  size_t w = 0;
-  for (; w + 2 <= n; w += 2) {
-    const uint8x16_t word =
-        vbicq_u8(vandq_u8(internal::LoadWords(a + w),
-                          internal::LoadWords(b + w)),
-                 internal::LoadWords(c + w));
-    acc = vaddq_u64(acc, internal::PopcountLanes(word));
-  }
-  uint64_t count = vgetq_lane_u64(acc, 0) + vgetq_lane_u64(acc, 1);
-  for (; w < n; ++w) {
-    count += static_cast<uint64_t>(std::popcount(a[w] & b[w] & ~c[w]));
-  }
-  return count;
-}
-
 inline uint64_t AndIntoPopcountWords(const uint64_t* a, const uint64_t* b,
                                      uint64_t* out, size_t n) {
   uint64x2_t acc = vdupq_n_u64(0);
@@ -460,18 +328,6 @@ inline uint64_t PopcountWords(const uint64_t* a, size_t n) {
 inline uint64_t AndPopcountWords(const uint64_t* a, const uint64_t* b,
                                  size_t n) {
   return scalar::AndPopcountWords(a, b, n);
-}
-inline uint64_t And3PopcountWords(const uint64_t* a, const uint64_t* b,
-                                  const uint64_t* c, size_t n) {
-  return scalar::And3PopcountWords(a, b, c, n);
-}
-inline uint64_t AndNotPopcountWords(const uint64_t* a, const uint64_t* b,
-                                    size_t n) {
-  return scalar::AndNotPopcountWords(a, b, n);
-}
-inline uint64_t AndAndNotPopcountWords(const uint64_t* a, const uint64_t* b,
-                                       const uint64_t* c, size_t n) {
-  return scalar::AndAndNotPopcountWords(a, b, c, n);
 }
 inline uint64_t AndIntoPopcountWords(const uint64_t* a, const uint64_t* b,
                                      uint64_t* out, size_t n) {

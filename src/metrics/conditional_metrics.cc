@@ -70,10 +70,8 @@ Result<ConditionalReport> EvaluateConditional(
   }
   stats::StratifiedCountsAccumulator counts;
   for (size_t i = 0; i < strata.size(); ++i) {
-    stats::GroupCounts row;
-    row.count = 1;
-    row.positive_predictions = input.predictions[i];
-    counts[strata[i]][input.groups[i]] += row;
+    counts[strata[i]][input.groups[i]] +=
+        stats::GroupCounts::Row(input.predictions[i]);
   }
   return EvaluateConditional(inner, counts, parameter, min_stratum_size);
 }

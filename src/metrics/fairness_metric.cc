@@ -35,52 +35,25 @@ Status MetricInput::Validate(bool require_labels) const {
   return Status::OK();
 }
 
-Result<GroupPartition> GroupPartition::Build(const MetricInput& input) {
-  FAIRLAW_RETURN_NOT_OK(input.Validate(/*require_labels=*/false));
-  GroupPartition partition;
-  partition.num_rows = input.size();
-  partition.groups = stats::FirstSeenMap<data::Bitmap>(
-      data::Bitmap(partition.num_rows));
+void TallyRows(const MetricInput& input,
+               stats::GroupCountsAccumulator* accumulator) {
+  const bool has_labels = !input.labels.empty();
   for (size_t i = 0; i < input.size(); ++i) {
-    partition.groups[input.groups[i]].Set(i);
+    (*accumulator)[input.groups[i]] += stats::GroupCounts::Row(
+        input.predictions[i], has_labels ? input.labels[i] : 0);
   }
-  partition.predictions = data::Bitmap::FromBits(input.predictions);
-  partition.has_labels = !input.labels.empty();
-  partition.labels = data::Bitmap::FromBits(input.labels);
-  return partition;
 }
 
 Result<std::vector<GroupStats>> ComputeGroupStats(const MetricInput& input,
                                                   bool with_labels) {
   FAIRLAW_RETURN_NOT_OK(input.Validate(with_labels));
-  FAIRLAW_ASSIGN_OR_RETURN(GroupPartition partition,
-                           GroupPartition::Build(input));
-  // The whole-table pass is the one-chunk case of the morsel path:
-  // accumulate this partition's popcounts, then derive rates from the
-  // integer tallies. Sharing the derivation with the chunked engine is
-  // what makes the byte-identity contract structural rather than
-  // coincidental.
+  // The whole-table pass is the one-chunk case of the morsel path: tally
+  // the rows, then derive rates from the integer tallies. Sharing both
+  // steps with the chunked engine is what makes the byte-identity
+  // contract structural rather than coincidental.
   stats::GroupCountsAccumulator accumulator;
-  AccumulateGroupCounts(partition, with_labels, &accumulator);
+  TallyRows(input, &accumulator);
   return GroupStatsFromCounts(accumulator, with_labels);
-}
-
-void AccumulateGroupCounts(const GroupPartition& partition, bool with_labels,
-                           stats::GroupCountsAccumulator* accumulator) {
-  for (size_t g = 0; g < partition.groups.num_keys(); ++g) {
-    const data::Bitmap& members = partition.groups.slot(g);
-    stats::GroupCounts tally;
-    tally.count = static_cast<int64_t>(members.Count());
-    tally.positive_predictions = static_cast<int64_t>(
-        data::Bitmap::AndCount(members, partition.predictions));
-    if (with_labels) {
-      tally.actual_positives = static_cast<int64_t>(
-          data::Bitmap::AndCount(members, partition.labels));
-      tally.true_positives = static_cast<int64_t>(data::Bitmap::AndCount3(
-          members, partition.predictions, partition.labels));
-    }
-    (*accumulator)[partition.groups.keys()[g]] += tally;
-  }
 }
 
 std::vector<GroupStats> GroupStatsFromCounts(

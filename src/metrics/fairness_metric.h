@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "base/result.h"  // IWYU pragma: export
-#include "data/bitmap.h"
 #include "stats/mergeable.h"
 
 namespace fairlaw::metrics {
@@ -66,44 +65,20 @@ struct MetricReport {
   std::string detail;
 };
 
-/// Bitmap partition of a MetricInput. The audit engine builds one per
-/// chunk and folds its popcounts with AccumulateGroupCounts.
-///
-/// Group membership, predictions, and labels are packed into
-/// data::Bitmap, so each per-group statistic is a fused word-wise
-/// AND + popcount over the packed words instead of a per-row pass over
-/// strings:
-///   count              = |group|
-///   positive_preds     = |group & predictions|
-///   true_positives     = |group & predictions & labels|
-///   false_positives    = |group & predictions & ~labels|
-/// Groups appear in first-seen row order.
-struct GroupPartition {
-  stats::FirstSeenMap<data::Bitmap> groups;  // group -> member rows
-  data::Bitmap predictions;                  // bit i = predictions[i] == 1
-  data::Bitmap labels;                       // bit i = labels[i] == 1
-  bool has_labels = false;
-  size_t num_rows = 0;
+/// Adds every row of `input` to `accumulator` as one GroupCounts::Row,
+/// keyed by its group (groups keep first-seen row order; label tallies
+/// fill only when the input carries labels). `input` must already pass
+/// Validate. The one row fold behind ComputeGroupStats and the audit
+/// engine's per-chunk tally: merge the per-chunk accumulators in chunk
+/// order and the result feeds GroupStatsFromCounts.
+void TallyRows(const MetricInput& input,
+               stats::GroupCountsAccumulator* accumulator);
 
-  /// Validates `input` and builds the partition (labels are packed when
-  /// present).
-  FAIRLAW_NODISCARD static Result<GroupPartition> Build(const MetricInput& input);
-};
-
-/// Computes per-group statistics: validates `input`, builds its
-/// partition and derives the rates from its tallies. `with_labels`
-/// toggles the Y-conditional fields; when true the input must carry
-/// labels.
+/// Computes per-group statistics: validates `input`, tallies its rows
+/// and derives the rates from the tallies. `with_labels` toggles the
+/// Y-conditional fields; when true the input must carry labels.
 FAIRLAW_NODISCARD Result<std::vector<GroupStats>> ComputeGroupStats(
     const MetricInput& input, bool with_labels);
-
-/// Folds one partition's fused popcounts into `accumulator` — the morsel
-/// side of the chunked audit. Call once per chunk partition (in any
-/// order); merge the per-chunk accumulators in chunk order and the
-/// result feeds GroupStatsFromCounts. `with_labels` requires
-/// partition.has_labels.
-void AccumulateGroupCounts(const GroupPartition& partition, bool with_labels,
-                           stats::GroupCountsAccumulator* accumulator);
 
 /// Derives GroupStats from chunk-merged integer tallies. Given an
 /// accumulator whose partials were merged in chunk order, this returns

@@ -48,19 +48,11 @@ Status WindowRing::Ingest(const Event& event) {
   Slot& slot = slots_[static_cast<size_t>(bucket % num_buckets_)];
   audit::WindowedPartial& partial = slot.partial;
 
-  stats::GroupCounts row;
-  row.count = 1;
-  row.positive_predictions = event.pred;
-  if (event.has_label) {
-    row.actual_positives = event.label;
-    row.true_positives = (event.label == 1 && event.pred == 1) ? 1 : 0;
-  }
-  partial.counts[event.group] += row;
+  partial.counts[event.group] += stats::GroupCounts::Row(
+      event.pred, event.has_label ? event.label : 0);
   if (event.has_stratum) {
-    stats::GroupCounts stratum_row;
-    stratum_row.count = 1;
-    stratum_row.positive_predictions = event.pred;
-    partial.strata_counts[event.stratum][event.group] += stratum_row;
+    partial.strata_counts[event.stratum][event.group] +=
+        stats::GroupCounts::Row(event.pred);
   }
   if (event.has_score) partial.sketches[event.group].Add(event.score);
   partial.num_rows += 1;

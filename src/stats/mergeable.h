@@ -29,14 +29,22 @@ namespace fairlaw::stats {
 /// it is plain keyed arithmetic with no table or bitmap dependencies, so
 /// data, metrics, audit and serve all key their groups through it.
 
-/// Exact integer tallies for one group. The four stored fields are the
-/// popcount outputs of the metric kernels; everything else a group metric
-/// needs (negatives, FP, rates) derives from them after the merge.
+/// Exact integer tallies for one group: the four numbers every group
+/// definition reads. Everything else a group metric needs (negatives, FP,
+/// rates) derives from them after the merge.
 struct GroupCounts {
   int64_t count = 0;
   int64_t positive_predictions = 0;
   int64_t actual_positives = 0;
   int64_t true_positives = 0;
+
+  /// What one row adds: the row itself, its 0/1 prediction, its 0/1
+  /// label, and whether both are 1. A row without a label passes 0, so
+  /// its label tallies stay zero. The one row definition every tally
+  /// uses: metric rows, chunk strata, serve buckets and their strata.
+  static GroupCounts Row(int64_t prediction, int64_t label = 0) {
+    return {1, prediction, label, prediction & label};
+  }
 
   GroupCounts& operator+=(const GroupCounts& other) {
     count += other.count;

@@ -48,21 +48,8 @@ TEST(SimdTest, FusedKernelsMatchScalarAtEveryWordCount) {
   for (const size_t n : kWordCounts) {
     const std::vector<uint64_t> a = RandomWords(n, 0xB0 + n);
     const std::vector<uint64_t> b = RandomWords(n, 0xC0 + n);
-    const std::vector<uint64_t> c = RandomWords(n, 0xD0 + n);
     EXPECT_EQ(simd::AndPopcountWords(a.data(), b.data(), n),
               simd::scalar::AndPopcountWords(a.data(), b.data(), n))
-        << "n=" << n;
-    EXPECT_EQ(simd::And3PopcountWords(a.data(), b.data(), c.data(), n),
-              simd::scalar::And3PopcountWords(a.data(), b.data(), c.data(),
-                                              n))
-        << "n=" << n;
-    EXPECT_EQ(simd::AndNotPopcountWords(a.data(), b.data(), n),
-              simd::scalar::AndNotPopcountWords(a.data(), b.data(), n))
-        << "n=" << n;
-    EXPECT_EQ(
-        simd::AndAndNotPopcountWords(a.data(), b.data(), c.data(), n),
-        simd::scalar::AndAndNotPopcountWords(a.data(), b.data(), c.data(),
-                                             n))
         << "n=" << n;
   }
 }
@@ -90,30 +77,15 @@ TEST(SimdTest, BitmapFusedKernelsMatchReferenceAtEdgeSizes) {
     Rng rng(0x51 + bits);
     Bitmap a(bits);
     Bitmap b(bits);
-    Bitmap c(bits);
     for (size_t i = 0; i < bits; ++i) {
       if ((rng.Next() & 1) != 0) a.Set(i);
       if ((rng.Next() & 1) != 0) b.Set(i);
-      if ((rng.Next() & 1) != 0) c.Set(i);
     }
     size_t and_ref = 0;
-    size_t and3_ref = 0;
-    size_t andnot_ref = 0;
-    size_t andandnot_ref = 0;
     for (size_t i = 0; i < bits; ++i) {
-      const bool ga = a.Test(i);
-      const bool gb = b.Test(i);
-      const bool gc = c.Test(i);
-      if (ga && gb) ++and_ref;
-      if (ga && gb && gc) ++and3_ref;
-      if (ga && !gb) ++andnot_ref;
-      if (ga && gb && !gc) ++andandnot_ref;
+      if (a.Test(i) && b.Test(i)) ++and_ref;
     }
     EXPECT_EQ(Bitmap::AndCount(a, b), and_ref) << "bits=" << bits;
-    EXPECT_EQ(Bitmap::AndCount3(a, b, c), and3_ref) << "bits=" << bits;
-    EXPECT_EQ(Bitmap::AndNotCount(a, b), andnot_ref) << "bits=" << bits;
-    EXPECT_EQ(Bitmap::AndAndNotCount(a, b, c), andandnot_ref)
-        << "bits=" << bits;
   }
 }
 
