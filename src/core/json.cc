@@ -2,6 +2,7 @@
 
 #include "audit/proxy.h"
 #include "audit/report_io.h"
+#include "audit/representation.h"
 #include "audit/sampling_adequacy.h"
 #include "audit/subgroup.h"
 #include "base/json_writer.h"
@@ -116,6 +117,30 @@ Result<std::string> SuiteReportToJson(const SuiteReport& report) {
       json.Field("impact_ratio", group.impact_ratio);
       json.Field("below_threshold", group.below_threshold);
       json.Field("p_value", group.significance.p_value);
+      json.EndObject();
+    }
+    json.EndArray();
+    json.EndObject();
+  }
+
+  if (report.representation.has_value()) {
+    json.Key("representation");
+    json.BeginObject();
+    json.Field("composition_ok", report.representation->composition_ok);
+    json.Field("total_variation", report.representation->total_variation);
+    json.Field("hellinger", report.representation->hellinger);
+    json.Field("chi_square_p_value",
+               report.representation->chi_square_p_value);
+    json.Key("groups");
+    json.BeginArray();
+    for (const audit::GroupRepresentation& group :
+         report.representation->groups) {
+      json.BeginObject();
+      json.Field("group", group.group);
+      json.Field("data_share", group.data_share);
+      json.Field("reference_share", group.reference_share);
+      json.Field("representation_ratio", group.representation_ratio);
+      json.Field("under_represented", group.under_represented);
       json.EndObject();
     }
     json.EndArray();

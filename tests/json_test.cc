@@ -4,6 +4,7 @@
 #include "core/json.h"
 #include "data/csv.h"
 #include "metrics/group_metrics.h"
+#include "serve/json_value.h"
 
 namespace fairlaw {
 namespace {
@@ -84,6 +85,8 @@ TEST(SuiteReportJsonTest, SerializesFullSuite) {
   config.subgroup_options.min_support = 2;
   config.sampling_options.min_count = 2;
   config.sampling_options.max_ci_halfwidth = 0.9;
+  // The data is half a, half b: a is under-represented against 70/30.
+  config.population_shares = {{"a", 0.7}, {"b", 0.3}};
   SuiteReport report = RunFairnessSuite(table, config).ValueOrDie();
   std::string json = SuiteReportToJson(report).ValueOrDie();
   EXPECT_NE(json.find("\"metrics\":["), std::string::npos);
@@ -91,6 +94,45 @@ TEST(SuiteReportJsonTest, SerializesFullSuite) {
   EXPECT_NE(json.find("\"subgroups\":"), std::string::npos);
   EXPECT_NE(json.find("\"sampling\":["), std::string::npos);
   EXPECT_NE(json.find("\"four_fifths\":"), std::string::npos);
+
+  // A failed composition flips all_clear, so the finding that explains
+  // it must be in the JSON too, not only in the rendered text.
+  ASSERT_TRUE(report.representation.has_value());
+  const audit::RepresentationReport& rep = *report.representation;
+  EXPECT_FALSE(rep.composition_ok);
+  EXPECT_FALSE(report.all_clear);
+  // Numbers are written to 10 significant digits.
+  auto number = [](const serve::JsonValue& object, const char* key) {
+    return object.Get(key).ValueOrDie()->AsDouble().ValueOrDie();
+  };
+  auto flag = [](const serve::JsonValue& object, const char* key) {
+    return object.Get(key).ValueOrDie()->AsBool().ValueOrDie();
+  };
+  serve::JsonValue doc = serve::JsonValue::Parse(json).ValueOrDie();
+  const serve::JsonValue& findings = *doc.Get("findings").ValueOrDie();
+  EXPECT_FALSE(flag(findings, "all_clear"));
+  ASSERT_NE(findings.GetOrNull("representation"), nullptr);
+  const serve::JsonValue& section = *findings.GetOrNull("representation");
+  EXPECT_FALSE(flag(section, "composition_ok"));
+  EXPECT_NEAR(number(section, "total_variation"), rep.total_variation, 1e-9);
+  EXPECT_NEAR(number(section, "hellinger"), rep.hellinger, 1e-9);
+  EXPECT_NEAR(number(section, "chi_square_p_value"), rep.chi_square_p_value,
+              1e-9);
+  const serve::JsonValue& groups = *section.Get("groups").ValueOrDie();
+  ASSERT_EQ(groups.size(), rep.groups.size());
+  for (size_t g = 0; g < rep.groups.size(); ++g) {
+    const serve::JsonValue& group = groups.at(g);
+    const audit::GroupRepresentation& expected = rep.groups[g];
+    EXPECT_EQ(group.Get("group").ValueOrDie()->AsString().ValueOrDie(),
+              expected.group);
+    EXPECT_NEAR(number(group, "data_share"), expected.data_share, 1e-9);
+    EXPECT_NEAR(number(group, "reference_share"), expected.reference_share,
+                1e-9);
+    EXPECT_NEAR(number(group, "representation_ratio"),
+                expected.representation_ratio, 1e-9);
+    EXPECT_EQ(flag(group, "under_represented"), expected.under_represented);
+  }
+  EXPECT_TRUE(rep.groups[0].group == "a" && rep.groups[0].under_represented);
   // Balanced braces/brackets (cheap structural sanity check).
   int depth = 0;
   bool in_string = false;
