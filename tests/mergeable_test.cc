@@ -26,19 +26,12 @@ struct Event {
 };
 
 void Apply(const Event& event, stats::GroupCountsAccumulator* map) {
-  stats::GroupCounts row;
-  row.count = 1;
-  row.positive_predictions = event.tag;
-  row.actual_positives = event.value < 0.5 ? 1 : 0;
-  row.true_positives = event.tag * row.actual_positives;
-  (*map)[event.key] += row;
+  (*map)[event.key] +=
+      stats::GroupCounts::Row(event.tag, event.value < 0.5 ? 1 : 0);
 }
 
 void Apply(const Event& event, stats::StratifiedCountsAccumulator* map) {
-  stats::GroupCounts row;
-  row.count = 1;
-  row.positive_predictions = event.tag;
-  (*map)[event.key][event.group] += row;
+  (*map)[event.key][event.group] += stats::GroupCounts::Row(event.tag);
 }
 
 void Apply(const Event& event, stats::GroupedSeries* map) {
@@ -104,6 +97,16 @@ TYPED_TEST(FirstSeenMapTest, ChunkOrderMergeEqualsOneSequentialPass) {
     EXPECT_EQ(merged.FindKey("absent"), merged.num_keys());
     EXPECT_EQ(merged.FindKey("k"), merged.num_keys());
   }
+}
+
+TEST(GroupCountsTest, RowTalliesOneRowsPredictionAndLabel) {
+  using stats::GroupCounts;
+  EXPECT_EQ(GroupCounts::Row(1, 1), (GroupCounts{1, 1, 1, 1}));
+  EXPECT_EQ(GroupCounts::Row(1, 0), (GroupCounts{1, 1, 0, 0}));
+  EXPECT_EQ(GroupCounts::Row(0, 1), (GroupCounts{1, 0, 1, 0}));
+  EXPECT_EQ(GroupCounts::Row(0, 0), (GroupCounts{1, 0, 0, 0}));
+  // No label: only the row and its prediction count.
+  EXPECT_EQ(GroupCounts::Row(1), (GroupCounts{1, 1, 0, 0}));
 }
 
 TEST(GroupedSketchesTest, KeysKeepFirstSeenOrderAndMergeInKeyOrder) {

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <type_traits>
@@ -23,6 +24,7 @@
 #include "serve/json_value.h"
 #include "serve/service.h"
 #include "serve/window.h"
+#include "stats/distance.h"
 #include "stats/kll.h"
 #include "stats/mergeable.h"
 #include "stats/rng.h"
@@ -469,21 +471,30 @@ std::string FindingsJson(const audit::AuditResult& result) {
   return json.Finish().ValueOrDie();
 }
 
+/// The sketch error bounds bench_micro_serve gates on: quantile rank
+/// error against the exact in-window CDF, and sketch-vs-exact KS/W1.
+constexpr double kQuantileRankErrBound = 0.025;
+constexpr double kDistanceErrBound = 0.03;
+
 // Windowed vs batch: the window's exact tallies must give the same
 // metric and conditional reports as the batch audit of the events still
 // in the window, and every drill-down the batch audit of that stratum's
-// rows. Events arrive out of order; some are too late to enter and some
-// slide out again. The table orders the in-window events stably by
-// bucket, the order the window folds its buckets in, which fixes the
-// first-seen order of groups and strata.
+// rows. The sketch answers (quantiles, drift) must lie within the sketch
+// error bounds of the exact in-window scores; each group holds about 600
+// in-window scores, three times the sketch k, so its sketch compacts.
+// Events arrive out of order; some are too late to enter and some slide
+// out again. The table orders the in-window events stably by bucket, the
+// order the window folds its buckets in, which fixes the first-seen
+// order of groups and strata.
 TEST(WindowedAuditTest, WindowMatchesBatchAuditOfItsEvents) {
   ServeConfig config;
-  config.bucket_width = 50;
+  config.bucket_width = 400;
   config.num_buckets = 16;
   config.with_strata = true;
   const audit::AuditConfig window_config = config.ToAuditConfig();
   // The batch side skips the score paths: the window has no calibration
-  // and only sketch drift, neither of which is compared here.
+  // and only sketch drift, which is checked against the exact scores
+  // instead.
   audit::AuditConfig batch_config = window_config;
   batch_config.score_column.clear();
   batch_config.audit_score_distribution = false;
@@ -498,7 +509,7 @@ TEST(WindowedAuditTest, WindowMatchesBatchAuditOfItsEvents) {
     Service service(config);
     size_t num_events = 0;
     std::vector<Event> accepted;
-    for (const std::string& line : MakeStream(1500, 97, 0, seed, 1200)) {
+    for (const std::string& line : MakeStream(3000, 97, 0, seed, 8000)) {
       service.HandleLine(line);
       Result<Request> request =
           ParseRequest(JsonValue::Parse(line).ValueOrDie(), config);
@@ -553,6 +564,55 @@ TEST(WindowedAuditTest, WindowMatchesBatchAuditOfItsEvents) {
       EXPECT_NE(response.find("\"findings\":" + FindingsJson(*expected) + ","),
                 std::string::npos)
           << stratum << ": " << response;
+    }
+
+    auto number = [](const JsonValue& object, const char* key) {
+      return object.Get(key).ValueOrDie()->AsDouble().ValueOrDie();
+    };
+    const JsonValue drift =
+        JsonValue::Parse(service.HandleLine(R"({"op":"query","type":"drift"})"))
+            .ValueOrDie();
+    const JsonValue& drift_groups = *drift.Get("score_distribution")
+                                         .ValueOrDie()
+                                         ->Get("groups")
+                                         .ValueOrDie();
+    const std::vector<std::string>& groups = window.sketches.keys();
+    ASSERT_EQ(groups.size(), 3u);
+    ASSERT_EQ(drift_groups.size(), groups.size());
+    for (size_t g = 0; g < groups.size(); ++g) {
+      SCOPED_TRACE(groups[g]);
+      std::vector<double> mine;
+      std::vector<double> rest;
+      for (const Event& event : in_window) {
+        (event.group == groups[g] ? mine : rest).push_back(event.score);
+      }
+      std::sort(mine.begin(), mine.end());
+      const JsonValue quantiles =
+          JsonValue::Parse(service.HandleLine(
+                               R"({"op":"query","type":"quantiles","group":")" +
+                               groups[g] + R"(","q":[0.1,0.5,0.9]})"))
+              .ValueOrDie();
+      const JsonValue& answers = *quantiles.Get("quantiles").ValueOrDie();
+      ASSERT_EQ(answers.size(), 3u);
+      for (size_t i = 0; i < answers.size(); ++i) {
+        const double q = number(answers.at(i), "q");
+        const double below = static_cast<double>(
+            std::upper_bound(mine.begin(), mine.end(),
+                             number(answers.at(i), "value")) -
+            mine.begin());
+        EXPECT_LE(std::abs(below / static_cast<double>(mine.size()) - q),
+                  kQuantileRankErrBound)
+            << "q=" << q;
+      }
+      const JsonValue& distance = drift_groups.at(g);
+      ASSERT_EQ(distance.Get("group").ValueOrDie()->AsString().ValueOrDie(),
+                groups[g]);
+      EXPECT_NEAR(number(distance, "wasserstein1"),
+                  stats::Wasserstein1Samples(mine, rest).ValueOrDie(),
+                  kDistanceErrBound);
+      EXPECT_NEAR(number(distance, "ks"),
+                  stats::KolmogorovSmirnov(mine, rest).ValueOrDie(),
+                  kDistanceErrBound);
     }
   }
 }
