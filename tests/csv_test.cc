@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -7,6 +8,8 @@
 
 #include "data/csv.h"
 #include "obs/obs.h"
+#include "stats/rng.h"
+#include "support/csv_oracle.h"
 
 namespace fairlaw::data {
 namespace {
@@ -183,6 +186,273 @@ TEST(CsvTest, ReadCsvFileCountsBytesAndRows) {
   EXPECT_EQ(rows->Value() - rows_before, 3u);
   std::remove(path.c_str());
   obs::SetEnabled(was_enabled);
+}
+
+
+// ---------------------------------------------------------------------------
+// Differential test: every reader against the byte-at-a-time oracle.
+
+constexpr size_t kReadBlock = size_t{1} << 16;  // the readers' read size
+
+/// Seeded CSV text of more than three read blocks covering every scanner
+/// and classifier path. Three crafted rows land a "" escape, a CRLF row
+/// end and a CRLF inside quotes exactly on the first three block
+/// boundaries; the last row has no newline. With `ragged_at` > 0 the
+/// first row past that byte offset lacks its last field.
+std::string GenerateCsv(uint64_t seed, char delim, bool header,
+                        size_t ragged_at = 0) {
+  stats::Rng rng(seed);
+  auto pick = [&rng](const std::vector<std::string>& options) {
+    return options[rng.UniformInt(options.size())];
+  };
+  const std::string d(1, delim);
+  const std::vector<std::string> nulls = {"", "NA", " NA ", "null", " NULL"};
+  std::string text;
+  if (header) {
+    text += "id" + d + " big " + d + "rate" + d + "active" + d + "flag" + d +
+            "\"co" + d + "de\"" + d + "empty" + d + "note\n";
+  }
+  size_t row = 0;
+  bool ragged_done = false;
+  // Block boundary -> kind of crafted row: 0 = "" escape straddling it,
+  // 1 = CRLF row end straddling it, 2 = CRLF inside quotes straddling it.
+  size_t next_craft = 0;
+  const size_t boundaries[3] = {kReadBlock, 2 * kReadBlock, 3 * kReadBlock};
+  while (text.size() < 3 * kReadBlock + 20000) {
+    ++row;
+    std::string prefix;
+    // id: int64, sometimes padded or null.
+    const uint64_t id_kind = rng.UniformInt(10);
+    prefix += id_kind == 0 ? pick(nulls)
+              : id_kind == 1 ? " " + std::to_string(row) + " "
+                             : std::to_string(row);
+    // big: int64 until one overflowing value turns the column double.
+    prefix += d;
+    if (row == 1500) {
+      prefix += "9223372036854775808";
+    } else if (row == 7) {
+      prefix += "-9223372036854775808";
+    } else {
+      prefix += std::to_string(static_cast<int64_t>(rng.Next() >> 2) -
+                               (int64_t{1} << 60));
+    }
+    // rate: doubles, ints, exponents, padding, infinities.
+    prefix += d + pick({"0.25", "-3", "1e-3", " 4.5 ", "inf", "-inf",
+                        "12345.678", "7", "NA", "2.5E+10"});
+    // active: mixed-case bools, 0/1 and nulls.
+    prefix += d + pick({"tRuE", "FALSE", " true ", "0", "1", "", "False"});
+    // flag: 0/1 ints with one "True", so int64 and double fail late and
+    // the column resolves to bool.
+    prefix += d + (row == 2000 ? std::string("True")
+                               : std::string(rng.UniformInt(2) ? "1" : "0"));
+    // "co,de": int-like until one text value makes it string.
+    prefix += d + (row == 900 ? std::string("abc")
+                              : pick({"007", "12", " 3", "-0", "NA"}));
+    // empty: null tokens only.
+    prefix += d + pick(nulls) + d;
+    if (!ragged_done && ragged_at > 0 && text.size() > ragged_at) {
+      ragged_done = true;
+      prefix.pop_back();  // drop the last delimiter: one field short
+      text += prefix + "\n";
+      continue;
+    }
+
+    if (next_craft < 3 && text.size() + 400 >= boundaries[next_craft]) {
+      const size_t kind = next_craft;
+      const size_t opening = kind == 1 ? 0 : 1;
+      const size_t pad = boundaries[kind] - 1 - text.size() - prefix.size() -
+                         opening;
+      const std::string filler(pad, 'p');
+      if (kind == 0) {
+        text += prefix + "\"" + filler + "\"\"tail\"\n";
+      } else if (kind == 1) {
+        text += prefix + filler + "\r\n";
+      } else {
+        text += prefix + "\"" + filler + "\r\nrest\"\n";
+      }
+      ++next_craft;
+      continue;
+    }
+
+    // note: the last column, with every quoting form.
+    const uint64_t note_kind = rng.UniformInt(12);
+    std::string note;
+    switch (note_kind) {
+      case 0: note = "\"x" + d + "y\""; break;
+      case 1: note = "\"he said \"\"hi\"\"\""; break;
+      case 2: note = "\"line1\nline2\""; break;
+      case 3: note = "\"a\r\nb\""; break;
+      case 4: note = "\"cr\rx\""; break;
+      case 5: note = "ab\"c" + d + "d\"e"; break;
+      case 6: note = "  pad  "; break;
+      case 7: note = "\"\""; break;
+      default: note = "w" + std::to_string(rng.UniformInt(1000)); break;
+    }
+    text += prefix + note;
+    text += rng.UniformInt(3) == 0 ? "\r\n" : "\n";
+    if (rng.UniformInt(40) == 0) text += rng.UniformInt(2) ? "\n" : "\r\n";
+  }
+  // A final row without a newline.
+  text += "1" + d + "2" + d + "3.5" + d + "true" + d + "0" + d + "x" + d +
+          d + "\"last\"";
+  return text;
+}
+
+/// Expects rows [offset, offset + actual.num_rows()) of `expected` to
+/// equal `actual`: same schema, validity, and value bytes.
+void ExpectRowsEqual(const Table& expected, size_t offset,
+                     const Table& actual, const std::string& label) {
+  ASSERT_EQ(expected.schema().fields(), actual.schema().fields()) << label;
+  ASSERT_LE(offset + actual.num_rows(), expected.num_rows()) << label;
+  for (size_t c = 0; c < actual.num_columns(); ++c) {
+    const Column& want = expected.column(c);
+    const Column& got = actual.column(c);
+    for (size_t r = 0; r < actual.num_rows(); ++r) {
+      const std::string where = label + " column " + std::to_string(c) +
+                                " row " + std::to_string(offset + r);
+      ASSERT_EQ(want.IsValid(offset + r), got.IsValid(r)) << where;
+      if (!got.IsValid(r)) continue;
+      switch (got.type()) {
+        case DataType::kDouble:
+          ASSERT_EQ(std::bit_cast<uint64_t>(
+                        want.GetDouble(offset + r).ValueOrDie()),
+                    std::bit_cast<uint64_t>(got.GetDouble(r).ValueOrDie()))
+              << where;
+          break;
+        case DataType::kInt64:
+          ASSERT_EQ(want.GetInt64(offset + r).ValueOrDie(),
+                    got.GetInt64(r).ValueOrDie())
+              << where;
+          break;
+        case DataType::kString:
+          ASSERT_EQ(want.GetString(offset + r).ValueOrDie(),
+                    got.GetString(r).ValueOrDie())
+              << where;
+          break;
+        case DataType::kBool:
+          ASSERT_EQ(want.GetBool(offset + r).ValueOrDie(),
+                    got.GetBool(r).ValueOrDie())
+              << where;
+          break;
+      }
+    }
+  }
+}
+
+/// Streams `path` in `chunk_rows`-row chunks and expects them to tile the
+/// oracle's table.
+void ExpectChunksMatchOracle(const Table& oracle, const std::string& path,
+                             const CsvOptions& options, size_t chunk_rows,
+                             const std::string& label) {
+  CsvChunkReader::Options reader_options;
+  reader_options.csv = options;
+  reader_options.chunk_rows = chunk_rows;
+  Result<CsvChunkReader> reader = CsvChunkReader::Make(path, reader_options);
+  ASSERT_TRUE(reader.ok()) << label << ": " << reader.status().ToString();
+  EXPECT_EQ(reader->num_rows(), oracle.num_rows()) << label;
+  size_t offset = 0;
+  for (;;) {
+    Result<std::optional<Table>> chunk = reader->Next();
+    ASSERT_TRUE(chunk.ok()) << label << ": " << chunk.status().ToString();
+    if (!chunk->has_value()) break;
+    const Table& table = **chunk;
+    ASSERT_GT(table.num_rows(), 0u) << label;
+    if (chunk_rows > 0) {
+      ASSERT_LE(table.num_rows(), chunk_rows) << label;
+    }
+    ExpectRowsEqual(oracle, offset, table, label);
+    offset += table.num_rows();
+  }
+  EXPECT_EQ(offset, oracle.num_rows()) << label;
+}
+
+/// Reads `text` with the oracle, ReadCsvString and CsvChunkReader at
+/// several chunk sizes; every reader must give the oracle's table, or
+/// its exact error text. Returns the oracle's status.
+Status ExpectReadersMatchOracle(const std::string& text,
+                                const CsvOptions& options,
+                                const std::string& label) {
+  const Result<Table> oracle = ReadCsvOracle(text, options);
+  const Result<Table> whole = ReadCsvString(text, options);
+  if (!oracle.ok()) {
+    EXPECT_EQ(whole.status().ToString(), oracle.status().ToString()) << label;
+  } else if (whole.ok()) {
+    EXPECT_EQ(whole->num_rows(), oracle->num_rows()) << label;
+    ExpectRowsEqual(*oracle, 0, *whole, label + " ReadCsvString");
+  } else {
+    ADD_FAILURE() << label << ": " << whole.status().ToString();
+  }
+
+  const std::string path = WriteTempCsv("fairlaw_csv_diff.csv", text);
+  for (size_t chunk_rows : {size_t{1}, size_t{977}, size_t{0}}) {
+    const std::string chunk_label =
+        label + " chunk_rows=" + std::to_string(chunk_rows);
+    if (oracle.ok()) {
+      ExpectChunksMatchOracle(*oracle, path, options, chunk_rows, chunk_label);
+      continue;
+    }
+    CsvChunkReader::Options reader_options;
+    reader_options.csv = options;
+    reader_options.chunk_rows = chunk_rows;
+    EXPECT_EQ(CsvChunkReader::Make(path, reader_options).status().ToString(),
+              oracle.status().ToString())
+        << chunk_label;
+  }
+  std::remove(path.c_str());
+  return oracle.status();
+}
+
+TEST(CsvDifferentialTest, GeneratedTextsMatchTheOracle) {
+  for (uint64_t seed : {1u, 2u, 3u}) {
+    const std::string text = GenerateCsv(seed, ',', true);
+    ASSERT_GT(text.size(), 200u * 1024u);
+    ASSERT_EQ(text.substr(kReadBlock - 1, 2), "\"\"");
+    ASSERT_EQ(text.substr(2 * kReadBlock - 1, 2), "\r\n");
+    ASSERT_EQ(text.substr(3 * kReadBlock - 1, 2), "\r\n");
+    const std::string label = "seed " + std::to_string(seed);
+    ASSERT_TRUE(ExpectReadersMatchOracle(text, {}, label).ok()) << label;
+
+    // The generator's column types must all show up.
+    const Table oracle = ReadCsvOracle(text).ValueOrDie();
+    const std::vector<DataType> types = {
+        DataType::kInt64, DataType::kDouble, DataType::kDouble,
+        DataType::kBool,  DataType::kBool,   DataType::kString,
+        DataType::kString, DataType::kString};
+    for (size_t c = 0; c < types.size(); ++c) {
+      EXPECT_EQ(oracle.schema().field(c).type, types[c]) << label << " " << c;
+    }
+    EXPECT_EQ(oracle.schema().field(1).name, "big");
+    EXPECT_EQ(oracle.schema().field(5).name, "co,de");
+    EXPECT_EQ(oracle.column(6).null_count(), oracle.num_rows());
+  }
+}
+
+TEST(CsvDifferentialTest, HeaderlessAndCustomDelimiterMatchTheOracle) {
+  CsvOptions options;
+  options.delimiter = ';';
+  options.has_header = false;
+  const std::string text = GenerateCsv(4, ';', false);
+  ASSERT_TRUE(ExpectReadersMatchOracle(text, options, "headerless").ok());
+}
+
+TEST(CsvDifferentialTest, MutatedTextsGiveTheOracleError) {
+  const std::string text = GenerateCsv(5, ',', true);
+  // Cut inside the quoted field whose "" escape straddles the first
+  // block boundary.
+  const Status truncated = ExpectReadersMatchOracle(
+      text.substr(0, kReadBlock - 1), {}, "truncated in quote");
+  EXPECT_EQ(truncated.ToString(),
+            "invalid argument: CSV: unterminated quoted field");
+  // Cut between the two quotes of that escape: the quote closes at the
+  // end of input and the row is complete.
+  EXPECT_TRUE(
+      ExpectReadersMatchOracle(text.substr(0, kReadBlock), {}, "cut at quote")
+          .ok());
+  // A row one field short past the second block.
+  const std::string ragged = GenerateCsv(5, ',', true, 2 * kReadBlock + 5000);
+  const Status status = ExpectReadersMatchOracle(ragged, {}, "ragged");
+  EXPECT_NE(status.ToString().find("fields, expected 8"), std::string::npos)
+      << status.ToString();
 }
 
 }  // namespace

@@ -1,0 +1,23 @@
+#ifndef FAIRLAW_TESTS_SUPPORT_CSV_ORACLE_H_
+#define FAIRLAW_TESTS_SUPPORT_CSV_ORACLE_H_
+
+#include <string>
+
+#include "base/result.h"
+#include "data/csv.h"
+#include "data/table.h"
+
+namespace fairlaw::data {
+
+/// Reference CSV reader: a byte-at-a-time row scanner over a 64 KiB read
+/// buffer, per-column int64/double/bool flags fed every non-null cell,
+/// and one std::optional<Cell> per parsed cell. It holds the whole input
+/// as rows of std::string, so it is slow and memory-hungry on purpose;
+/// ReadCsvString and CsvChunkReader must give the same schema, values,
+/// validity and first-defect error text.
+FAIRLAW_NODISCARD Result<Table> ReadCsvOracle(const std::string& text,
+                                              const CsvOptions& options = {});
+
+}  // namespace fairlaw::data
+
+#endif  // FAIRLAW_TESTS_SUPPORT_CSV_ORACLE_H_
