@@ -10,7 +10,8 @@
 //     peak-RSS growth between them — the count-metric path buffers
 //     O(window * chunk) rows, so a 10x bigger file must not grow the
 //     peak by more than a bounded slack; (2) measures streaming rows/sec
-//     and the serial-vs-parallel wall ratio at --threads workers; and
+//     and the serial-vs-parallel wall ratio at --threads workers (default:
+//     one per hardware thread, so the ratio is not oversubscribed); and
 //     (3) verifies the audit report is byte-identical across chunk
 //     sizes, thread counts, and the in-memory vs streaming ingestion
 //     paths. Writes BENCH_audit.json (see README "Benchmark JSON
@@ -31,6 +32,7 @@
 #include "audit/source.h"
 #include "base/json_writer.h"
 #include "base/string_util.h"
+#include "base/thread_pool.h"
 #include "data/csv.h"
 #include "data/table.h"
 #include "obs/obs.h"
@@ -150,7 +152,7 @@ struct HarnessConfig {
   size_t rows = 1000000;
   size_t big_rows = 10000000;
   size_t reps = 3;
-  size_t threads = 8;
+  size_t threads = fairlaw::HardwareThreads();
 };
 
 /// Peak-RSS growth allowed between the --rows and --big-rows streaming

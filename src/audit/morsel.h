@@ -51,9 +51,12 @@ class ChunkStream {
 /// every thread count. With num_threads == 1 or at most one chunk the
 /// loop runs inline. Otherwise min(num_threads, chunks) pool workers (0 =
 /// one per hardware thread) process chunks while this thread pulls the
-/// next ones, with at most 2 x workers chunks in flight, so a stream's
-/// peak memory stays a few chunks. Returns the first error `chunks`
-/// reports; `process` reports its own errors inside its result.
+/// next ones, with at most 2 x workers chunks in flight. A worker frees
+/// its chunk as soon as `process` returns, so a slot waiting for its
+/// in-order fold holds only the partial: a stream's live chunks are
+/// those being processed or queued for a worker, never the whole window.
+/// Returns the first error `chunks` reports; `process` reports its own
+/// errors inside its result.
 template <typename Process, typename Fold>
 FAIRLAW_NODISCARD Status RunMorsels(ChunkStream& chunks, size_t num_threads,
                                     const Process& process,
@@ -92,8 +95,10 @@ FAIRLAW_NODISCARD Status RunMorsels(ChunkStream& chunks, size_t num_threads,
     if (in_flight.size() >= window) fold_front();
     InFlight& slot = in_flight.emplace_back();
     slot.chunk = std::move(chunk);
-    slot.done = pool.Submit(
-        [&slot, &process] { slot.partial = process(*slot.chunk); });
+    slot.done = pool.Submit([&slot, &process] {
+      slot.partial = process(*slot.chunk);
+      slot.chunk.reset();
+    });
   }
   while (!in_flight.empty()) fold_front();
   return Status::OK();

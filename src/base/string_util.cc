@@ -21,17 +21,29 @@ std::vector<std::string> Split(std::string_view text, char sep) {
   return parts;
 }
 
+namespace {
+
+/// The C locale's isspace set (space, \t, \n, \v, \f, \r) without a
+/// locale lookup per byte.
+bool IsAsciiSpace(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+
+/// True if `text` equals the lowercase ASCII word `lower`, ignoring case.
+bool EqualsIgnoreCase(std::string_view text, std::string_view lower) {
+  if (text.size() != lower.size()) return false;
+  for (size_t i = 0; i < text.size(); ++i) {
+    const char c = text[i];
+    if ((c >= 'A' && c <= 'Z' ? c - 'A' + 'a' : c) != lower[i]) return false;
+  }
+  return true;
+}
+
+}  // namespace
+
 std::string_view StripWhitespace(std::string_view text) {
   size_t begin = 0;
-  while (begin < text.size() &&
-         std::isspace(static_cast<unsigned char>(text[begin]))) {
-    ++begin;
-  }
+  while (begin < text.size() && IsAsciiSpace(text[begin])) ++begin;
   size_t end = text.size();
-  while (end > begin &&
-         std::isspace(static_cast<unsigned char>(text[end - 1]))) {
-    --end;
-  }
+  while (end > begin && IsAsciiSpace(text[end - 1])) --end;
   return text.substr(begin, end - begin);
 }
 
@@ -83,9 +95,9 @@ std::string FormatDouble(double value, int digits) {
 }
 
 Result<bool> ParseBool(std::string_view text) {
-  std::string lower = AsciiToLower(StripWhitespace(text));
-  if (lower == "true" || lower == "1") return true;
-  if (lower == "false" || lower == "0") return false;
+  const std::string_view stripped = StripWhitespace(text);
+  if (stripped == "1" || EqualsIgnoreCase(stripped, "true")) return true;
+  if (stripped == "0" || EqualsIgnoreCase(stripped, "false")) return false;
   return Status::Invalid("cannot parse '" + std::string(text) + "' as bool");
 }
 

@@ -1,5 +1,6 @@
 #include "base/thread_pool.h"
 
+#include <algorithm>
 #include <exception>
 #include <utility>
 
@@ -7,11 +8,12 @@
 
 namespace fairlaw {
 
+size_t HardwareThreads() {
+  return std::max<size_t>(1, std::thread::hardware_concurrency());
+}
+
 ThreadPool::ThreadPool(size_t num_threads) {
-  if (num_threads == 0) {
-    num_threads = std::thread::hardware_concurrency();
-    if (num_threads == 0) num_threads = 1;
-  }
+  if (num_threads == 0) num_threads = HardwareThreads();
   workers_.reserve(num_threads);
   for (size_t i = 0; i < num_threads; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });

@@ -27,10 +27,12 @@ namespace fairlaw {
 ///     completion) and joins every worker.
 ///   * A task exception is captured in the task's future and rethrown by
 ///     future.get(); it never takes down a worker.
+/// std::thread::hardware_concurrency(), or 1 when that is unknown.
+size_t HardwareThreads();
+
 class ThreadPool {
  public:
-  /// Spawns `num_threads` workers; 0 means std::thread::hardware_concurrency
-  /// (at least 1).
+  /// Spawns `num_threads` workers; 0 means HardwareThreads().
   explicit ThreadPool(size_t num_threads);
   ~ThreadPool();
 

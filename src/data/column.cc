@@ -49,6 +49,24 @@ Column Column::FromBools(std::vector<uint8_t> values) {
   return column;
 }
 
+void Column::Reserve(size_t rows) {
+  valid_.reserve(rows);
+  switch (type_) {
+    case DataType::kDouble:
+      doubles_.reserve(rows);
+      break;
+    case DataType::kInt64:
+      int64s_.reserve(rows);
+      break;
+    case DataType::kString:
+      strings_.reserve(rows);
+      break;
+    case DataType::kBool:
+      bools_.reserve(rows);
+      break;
+  }
+}
+
 void Column::AppendDouble(double value) {
   FAIRLAW_CHECK_MSG(type_ == DataType::kDouble,
                     "column accessed as double but holds another type");

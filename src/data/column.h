@@ -51,6 +51,10 @@ class Column {
   size_t null_count() const { return null_count_; }
   bool IsValid(size_t row) const { return valid_[row] != 0; }
 
+  /// Reserves storage for `rows` slots, so that many appends do not
+  /// reallocate.
+  void Reserve(size_t rows);
+
   /// Appends a typed value. The overload must match type(); a mismatch is
   /// a programming error and aborts.
   void AppendDouble(double value);

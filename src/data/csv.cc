@@ -1,9 +1,13 @@
 #include "data/csv.h"
 
+#include <algorithm>
+#include <cstring>
 #include <fstream>
 #include <memory>
 #include <optional>
 #include <sstream>
+#include <string_view>
+#include <utility>
 
 #include "base/string_util.h"
 #include "obs/obs.h"
@@ -11,117 +15,192 @@
 namespace fairlaw::data {
 namespace {
 
-/// Incremental CSV row scanner over a stream: pulls one row per call with
-/// a fixed-size read buffer, honoring quoting ("" escapes), CR/LF/CRLF
-/// newlines, and blank-line skipping. This is the single tokenizer behind
-/// both passes of TwoPassReader.
+/// Incremental CSV row scanner over a stream. Each row comes back as
+/// views into the scanner's one buffer, valid until the next call. The
+/// buffer holds the current row plus one 64 KiB read block: a row that
+/// runs past the bytes read so far moves to the front and the next block
+/// is read behind it, so the buffer only grows for a row longer than a
+/// block. Runs between special bytes (delimiter, quote, CR, LF) are
+/// scanned in bulk; an unquoted field is viewed where it lies, and a
+/// field with quotes is unescaped in place over the bytes it was read
+/// from. Honors "" escapes, CR/LF/CRLF newlines and blank-line skipping.
+/// This is the single tokenizer behind both passes of TwoPassReader.
 class RowScanner {
  public:
   RowScanner(std::istream* input, char delimiter)
-      : input_(input), delimiter_(delimiter) {}
+      : input_(input), delimiter_(delimiter) {
+    for (char c : {delimiter, '"', '\r', '\n'}) {
+      special_[static_cast<unsigned char>(c)] = true;
+    }
+  }
 
   /// Scans the next row into *row (cleared first). Returns true when a
   /// row was produced, false at clean end of input; Invalid on an
   /// unterminated quote, IOError on a read failure.
-  FAIRLAW_NODISCARD Result<bool> NextRow(std::vector<std::string>* row) {
+  FAIRLAW_NODISCARD Result<bool> NextRow(std::vector<std::string_view>* row) {
     row->clear();
-    std::string field;
+    spans_.clear();
+    row_start_ = pos_;
+    // Offsets from row_start_, which a refill moves: the current field's
+    // first byte, and once the field has met a quote, where its next
+    // unescaped byte goes (kInPlace until then).
+    size_t begin = 0;
+    size_t out = kInPlace;
     bool in_quotes = false;
-    bool row_has_content = false;
     for (;;) {
-      const int ci = TakeByte();
-      if (ci < 0) {
+      if (pos_ == len_ && !Refill()) {
         if (input_->bad()) return Status::IOError("error reading CSV stream");
         if (in_quotes) return Status::Invalid("CSV: unterminated quoted field");
-        if (row_has_content || !field.empty()) {
-          row->push_back(std::move(field));
-          return true;
-        }
-        return false;
+        if (pos_ == row_start_) return false;
+        EndRow(begin, out == kInPlace ? pos_ - row_start_ : out, row);
+        return true;
       }
-      const char c = static_cast<char>(ci);
+      char* const data = buffer_.data();
       if (in_quotes) {
-        if (c == '"') {
-          if (PeekByte() == '"') {
-            field += '"';
-            (void)TakeByte();
-            continue;
-          }
+        const void* quote = std::memchr(data + pos_, '"', len_ - pos_);
+        const size_t stop =
+            quote == nullptr ? len_ : static_cast<const char*>(quote) - data;
+        MoveRun(stop, &out);
+        if (stop == len_) continue;
+        ++pos_;  // the quote: "" is an escaped quote, else it closes
+        if (pos_ == len_ && !Refill()) {
           in_quotes = false;
           continue;
         }
-        field += c;
+        if (buffer_[pos_] == '"') {
+          buffer_[row_start_ + out++] = '"';
+          ++pos_;
+        } else {
+          in_quotes = false;
+        }
         continue;
       }
+      size_t stop = pos_;
+      while (stop < len_ && !special_[static_cast<unsigned char>(data[stop])]) {
+        ++stop;
+      }
+      if (out == kInPlace) {
+        pos_ = stop;
+      } else {
+        MoveRun(stop, &out);
+      }
+      if (stop == len_) continue;
+      const char c = data[stop];
+      const size_t at = stop - row_start_;
+      ++pos_;
       if (c == '"') {
+        if (out == kInPlace) out = at;
         in_quotes = true;
-        row_has_content = true;
         continue;
       }
       if (c == delimiter_) {
-        row->push_back(std::move(field));
-        field.clear();
-        row_has_content = true;
+        spans_.push_back({begin, out == kInPlace ? at : out});
+        begin = at + 1;
+        out = kInPlace;
         continue;
       }
-      if (c == '\n' || c == '\r') {
-        if (c == '\r' && PeekByte() == '\n') (void)TakeByte();
-        if (row_has_content || !field.empty()) {
-          row->push_back(std::move(field));
-          return true;
-        }
-        continue;  // blank line: keep scanning
+      // CR or LF ends the row. The LF of a CRLF then starts a blank line,
+      // which is skipped like any other.
+      if (at == 0) {  // blank line: keep scanning
+        row_start_ = pos_;
+        continue;
       }
-      field += c;
-      row_has_content = true;
+      EndRow(begin, out == kInPlace ? at : out, row);
+      return true;
     }
   }
 
-  /// Bytes consumed from the stream so far.
-  size_t bytes_consumed() const { return bytes_consumed_; }
+  /// Bytes read from the stream so far.
+  size_t bytes_read() const { return bytes_read_; }
 
  private:
-  static constexpr size_t kBufferSize = size_t{1} << 16;
+  static constexpr size_t kBlockSize = size_t{1} << 16;
+  static constexpr size_t kInPlace = ~size_t{0};
 
-  int TakeByte() {
-    if (pos_ >= len_ && !Fill()) return -1;
-    ++bytes_consumed_;
-    return static_cast<unsigned char>(buffer_[pos_++]);
+  /// Unescaped field bytes [pos_, stop) go to row offset *out; pos_
+  /// moves to stop.
+  void MoveRun(size_t stop, size_t* out) {
+    const size_t n = stop - pos_;
+    char* const to = buffer_.data() + row_start_ + *out;
+    if (to != buffer_.data() + pos_) std::memmove(to, buffer_.data() + pos_, n);
+    *out += n;
+    pos_ = stop;
   }
 
-  int PeekByte() {
-    if (pos_ >= len_ && !Fill()) return -1;
-    return static_cast<unsigned char>(buffer_[pos_]);
+  /// Closes the last field at row offset `end` and emits the row's views.
+  void EndRow(size_t begin, size_t end, std::vector<std::string_view>* row) {
+    spans_.push_back({begin, end});
+    const char* const base = buffer_.data() + row_start_;
+    for (const auto& [first, last] : spans_) {
+      row->emplace_back(base + first, last - first);
+    }
   }
 
-  bool Fill() {
+  /// Moves the current row to the front of the buffer and reads the next
+  /// block behind it. False at end of input.
+  bool Refill() {
     if (at_end_) return false;
-    input_->read(buffer_.data(), static_cast<std::streamsize>(kBufferSize));
-    len_ = static_cast<size_t>(input_->gcount());
-    pos_ = 0;
-    if (len_ == 0) {
+    const size_t keep = len_ - row_start_;
+    if (row_start_ > 0) {
+      std::memmove(buffer_.data(), buffer_.data() + row_start_, keep);
+      pos_ -= row_start_;
+      row_start_ = 0;
+      len_ = keep;
+    }
+    if (buffer_.size() < keep + kBlockSize) {
+      buffer_.resize(std::max(2 * buffer_.size(), keep + kBlockSize));
+    }
+    input_->read(buffer_.data() + len_,
+                 static_cast<std::streamsize>(kBlockSize));
+    const size_t got = static_cast<size_t>(input_->gcount());
+    if (got == 0) {
       at_end_ = true;
       return false;
     }
+    len_ += got;
+    bytes_read_ += got;
     return true;
   }
 
   std::istream* input_;
   char delimiter_;
-  std::vector<char> buffer_ = std::vector<char>(kBufferSize);
-  size_t pos_ = 0;
-  size_t len_ = 0;
-  size_t bytes_consumed_ = 0;
+  bool special_[256] = {};
+  std::vector<char> buffer_ = std::vector<char>(2 * kBlockSize);
+  std::vector<std::pair<size_t, size_t>> spans_;  // row offsets per field
+  size_t row_start_ = 0;  // first byte of the row being scanned
+  size_t pos_ = 0;        // next byte to scan
+  size_t len_ = 0;        // bytes of buffer_ holding input
+  size_t bytes_read_ = 0;
   bool at_end_ = false;
 };
 
-bool IsNullToken(const std::string& raw, const CsvOptions& options) {
-  std::string stripped(StripWhitespace(raw));
-  for (const std::string& token : options.null_tokens) {
-    if (stripped == token) return true;
+/// The CsvOptions null tokens, matched against whitespace-stripped cell
+/// text without allocating: a length no token has is rejected by one bit
+/// test before any compare.
+class NullTokens {
+ public:
+  NullTokens() = default;
+  explicit NullTokens(const std::vector<std::string>& tokens)
+      : tokens_(tokens) {
+    for (const std::string& token : tokens_) lengths_ |= LengthBit(token);
   }
-  return false;
-}
+
+  bool Contains(std::string_view stripped) const {
+    if ((lengths_ & LengthBit(stripped)) == 0) return false;
+    for (const std::string& token : tokens_) {
+      if (stripped == token) return true;
+    }
+    return false;
+  }
+
+ private:
+  static uint64_t LengthBit(std::string_view text) {
+    return uint64_t{1} << std::min<size_t>(text.size(), 63);
+  }
+
+  std::vector<std::string> tokens_;
+  uint64_t lengths_ = 0;
+};
 
 /// O(1)-memory column type tracker: the inference pass keeps one of these
 /// per column instead of a token matrix. Priority: int64 > double > bool >
@@ -132,11 +211,17 @@ struct ColumnTypeFlags {
   bool all_bool = true;
   bool any_value = false;
 
-  void Observe(const std::string& raw) {
+  /// Narrows the candidates by one stripped non-null value. A check that
+  /// already failed is never run again, and an int64 value skips the
+  /// double check: every int64 token also parses as a double.
+  void Observe(std::string_view text) {
     any_value = true;
-    if (all_int && !ParseInt64(raw).ok()) all_int = false;
-    if (all_double && !ParseDouble(raw).ok()) all_double = false;
-    if (all_bool && !ParseBool(raw).ok()) all_bool = false;
+    if (all_bool && !ParseBool(text).ok()) all_bool = false;
+    if (all_int) {
+      if (ParseInt64(text).ok()) return;
+      all_int = false;
+    }
+    if (all_double && !ParseDouble(text).ok()) all_double = false;
   }
 
   DataType Resolve() const {
@@ -147,28 +232,6 @@ struct ColumnTypeFlags {
     return DataType::kString;
   }
 };
-
-Result<std::optional<Cell>> ParseCell(const std::string& raw, DataType type,
-                                      const CsvOptions& options) {
-  if (IsNullToken(raw, options)) return std::optional<Cell>();
-  switch (type) {
-    case DataType::kDouble: {
-      FAIRLAW_ASSIGN_OR_RETURN(double v, ParseDouble(raw));
-      return std::optional<Cell>(Cell(v));
-    }
-    case DataType::kInt64: {
-      FAIRLAW_ASSIGN_OR_RETURN(int64_t v, ParseInt64(raw));
-      return std::optional<Cell>(Cell(v));
-    }
-    case DataType::kBool: {
-      FAIRLAW_ASSIGN_OR_RETURN(bool v, ParseBool(raw));
-      return std::optional<Cell>(Cell(v));
-    }
-    case DataType::kString:
-      return std::optional<Cell>(Cell(raw));
-  }
-  return Status::Internal("ParseCell: unknown type");
-}
 
 std::string EscapeField(const std::string& value, char delimiter) {
   bool needs_quotes = value.find(delimiter) != std::string::npos ||
@@ -186,11 +249,12 @@ std::string EscapeField(const std::string& value, char delimiter) {
 }
 
 /// The one CSV reader behind ReadCsvString, ReadCsvFile and
-/// CsvChunkReader. Pass 1 sweeps the stream holding one row of tokens
-/// plus O(columns) type flags: it infers the schema, counts the rows, and
-/// reports the first defect in file order (ragged row, unterminated
-/// quote) or, once the sweep is clean, an empty input or a duplicate
-/// header. Pass 2 rewinds the stream and parses rows on demand, so a
+/// CsvChunkReader. Pass 1 sweeps the stream holding one row of field
+/// views plus O(columns) type flags: it infers the schema, counts the
+/// rows, and reports the first defect in file order (ragged row,
+/// unterminated quote) or, once the sweep is clean, an empty input or a
+/// duplicate header. Pass 2 rewinds the stream and parses rows on demand
+/// straight into typed columns reserved to the chunk's row count, so a
 /// caller holds as many parsed rows as it asks for and never the text.
 class TwoPassReader {
  public:
@@ -198,10 +262,11 @@ class TwoPassReader {
   /// ReadRows() starts at the first data row.
   FAIRLAW_NODISCARD Status Open(std::unique_ptr<std::istream> input,
                                 const CsvOptions& options) {
-    options_ = options;
+    has_header_ = options.has_header;
+    null_tokens_ = NullTokens(options.null_tokens);
     input_ = std::move(input);
     RowScanner scanner(input_.get(), options.delimiter);
-    std::vector<std::string> row;
+    std::vector<std::string_view> row;
     std::vector<std::string> names;
     std::vector<ColumnTypeFlags> flags;
     size_t num_columns = 0;
@@ -219,18 +284,18 @@ class TwoPassReader {
                          : std::string("c").append(std::to_string(c));
         }
       }
-      FAIRLAW_RETURN_NOT_OK(CheckWidth(row, row_index, num_columns));
+      FAIRLAW_RETURN_NOT_OK(CheckWidth(row.size(), row_index, num_columns));
       if (!(options.has_header && row_index == 0)) {
         ++num_rows_;
         for (size_t c = 0; c < num_columns; ++c) {
-          if (IsNullToken(row[c], options)) continue;
-          flags[c].Observe(row[c]);
+          const std::string_view text = StripWhitespace(row[c]);
+          if (!null_tokens_.Contains(text)) flags[c].Observe(text);
         }
       }
       ++row_index;
     }
     if (row_index == 0) return Status::Invalid("CSV: input has no rows");
-    obs::GetCounter("csv.bytes_read")->Increment(scanner.bytes_consumed());
+    obs::GetCounter("csv.bytes_read")->Increment(scanner.bytes_read());
 
     std::vector<Field> fields(num_columns);
     for (size_t c = 0; c < num_columns; ++c) {
@@ -245,7 +310,7 @@ class TwoPassReader {
     }
     scanner_.emplace(input_.get(), options.delimiter);
     if (options.has_header) {
-      FAIRLAW_ASSIGN_OR_RETURN(bool has_row, scanner_->NextRow(&row));
+      FAIRLAW_ASSIGN_OR_RETURN(bool has_row, scanner_->NextRow(&row_));
       if (!has_row) return Shrank();
     }
     return Status::OK();
@@ -258,34 +323,64 @@ class TwoPassReader {
   /// Pass 2: parses the next min(max_rows, rows left) rows into a table
   /// (zero rows once the input is exhausted).
   FAIRLAW_NODISCARD Result<Table> ReadRows(size_t max_rows) {
-    TableBuilder builder(schema_);
-    std::vector<std::string> row;
-    std::vector<std::optional<Cell>> cells(schema_.num_fields());
-    const size_t header_offset = options_.has_header ? 1 : 0;
-    size_t parsed = 0;
-    while (parsed < max_rows && rows_read_ < num_rows_) {
-      FAIRLAW_ASSIGN_OR_RETURN(bool has_row, scanner_->NextRow(&row));
+    const size_t rows = std::min(max_rows, num_rows_ - rows_read_);
+    const size_t num_columns = schema_.num_fields();
+    std::vector<Column> columns;
+    columns.reserve(num_columns);
+    for (size_t c = 0; c < num_columns; ++c) {
+      columns.emplace_back(schema_.field(c).type);
+      columns.back().Reserve(rows);
+    }
+    for (size_t r = 0; r < rows; ++r) {
+      FAIRLAW_ASSIGN_OR_RETURN(bool has_row, scanner_->NextRow(&row_));
       if (!has_row) return Shrank();
-      FAIRLAW_RETURN_NOT_OK(CheckWidth(row, rows_read_ + header_offset,
-                                       schema_.num_fields()));
-      for (size_t c = 0; c < row.size(); ++c) {
-        FAIRLAW_ASSIGN_OR_RETURN(
-            cells[c], ParseCell(row[c], schema_.field(c).type, options_));
+      FAIRLAW_RETURN_NOT_OK(CheckWidth(
+          row_.size(), rows_read_ + (has_header_ ? 1 : 0), num_columns));
+      for (size_t c = 0; c < num_columns; ++c) {
+        FAIRLAW_RETURN_NOT_OK(AppendField(row_[c], &columns[c]));
       }
-      FAIRLAW_RETURN_NOT_OK(builder.AppendRowWithNulls(cells));
-      ++parsed;
       ++rows_read_;
     }
-    obs::GetCounter("csv.rows_loaded")->Increment(parsed);
-    return builder.Finish();
+    obs::GetCounter("csv.rows_loaded")->Increment(rows);
+    return Table::Make(schema_, std::move(columns));
   }
 
  private:
-  static Status CheckWidth(const std::vector<std::string>& row,
-                           size_t row_index, size_t num_columns) {
-    if (row.size() == num_columns) return Status::OK();
+  /// Appends one field to its typed column: null when its stripped text
+  /// is a null token, else its parsed value.
+  Status AppendField(std::string_view raw, Column* column) const {
+    if (null_tokens_.Contains(StripWhitespace(raw))) {
+      column->AppendNull();
+      return Status::OK();
+    }
+    switch (column->type()) {
+      case DataType::kDouble: {
+        FAIRLAW_ASSIGN_OR_RETURN(double value, ParseDouble(raw));
+        column->AppendDouble(value);
+        return Status::OK();
+      }
+      case DataType::kInt64: {
+        FAIRLAW_ASSIGN_OR_RETURN(int64_t value, ParseInt64(raw));
+        column->AppendInt64(value);
+        return Status::OK();
+      }
+      case DataType::kBool: {
+        FAIRLAW_ASSIGN_OR_RETURN(bool value, ParseBool(raw));
+        column->AppendBool(value);
+        return Status::OK();
+      }
+      case DataType::kString:
+        column->AppendString(std::string(raw));
+        return Status::OK();
+    }
+    return Status::Internal("CSV: unknown column type");
+  }
+
+  static Status CheckWidth(size_t width, size_t row_index,
+                           size_t num_columns) {
+    if (width == num_columns) return Status::OK();
     return Status::Invalid("CSV: row " + std::to_string(row_index) + " has " +
-                           std::to_string(row.size()) + " fields, expected " +
+                           std::to_string(width) + " fields, expected " +
                            std::to_string(num_columns));
   }
 
@@ -294,9 +389,11 @@ class TwoPassReader {
                            "passes");
   }
 
-  CsvOptions options_;
+  bool has_header_ = true;
+  NullTokens null_tokens_;
   std::unique_ptr<std::istream> input_;
   std::optional<RowScanner> scanner_;  // pass 2, reading from input_
+  std::vector<std::string_view> row_;  // pass 2's current row
   Schema schema_;
   size_t num_rows_ = 0;   // data rows in the input
   size_t rows_read_ = 0;  // data rows parsed by ReadRows so far

@@ -54,7 +54,10 @@ FAIRLAW_NODISCARD Status WriteCsvFile(const Table& table, const std::string& pat
 /// Make() runs the inference pass over the whole file (O(columns) state:
 /// per-column all-int/all-double/all-bool trackers plus the ragged-row
 /// check). Next() then parses the rewound file, emitting tables of at most
-/// `chunk_rows` rows until the file is exhausted.
+/// `chunk_rows` rows until the file is exhausted. Both passes scan each
+/// row into views over one reused buffer (the row plus a 64 KiB read
+/// block) and classify cells without allocating; Next() appends parsed
+/// values straight into typed columns reserved to the chunk's row count.
 class CsvChunkReader {
  public:
   struct Options {

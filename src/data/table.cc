@@ -1,7 +1,6 @@
 #include "data/table.h"
 
 #include <algorithm>
-#include <optional>
 
 namespace fairlaw::data {
 
@@ -191,33 +190,6 @@ Status TableBuilder::AppendRow(const std::vector<Cell>& cells) {
   }
   for (size_t i = 0; i < cells.size(); ++i) {
     FAIRLAW_RETURN_NOT_OK(columns_[i].AppendCell(cells[i]));
-  }
-  return Status::OK();
-}
-
-Status TableBuilder::AppendRowWithNulls(
-    const std::vector<std::optional<Cell>>& cells) {
-  if (cells.size() != schema_.num_fields()) {
-    return Status::Invalid("AppendRowWithNulls: arity mismatch");
-  }
-  std::vector<Cell> present;
-  present.reserve(cells.size());
-  for (size_t i = 0; i < cells.size(); ++i) {
-    if (cells[i].has_value()) present.push_back(*cells[i]);
-  }
-  // Validate typed cells up front (cheap second pass keeps atomicity).
-  size_t k = 0;
-  for (size_t i = 0; i < cells.size(); ++i) {
-    if (!cells[i].has_value()) continue;
-    Column probe(schema_.field(i).type);
-    FAIRLAW_RETURN_NOT_OK(probe.AppendCell(present[k++]));
-  }
-  for (size_t i = 0; i < cells.size(); ++i) {
-    if (cells[i].has_value()) {
-      FAIRLAW_RETURN_NOT_OK(columns_[i].AppendCell(*cells[i]));
-    } else {
-      columns_[i].AppendNull();
-    }
   }
   return Status::OK();
 }

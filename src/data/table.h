@@ -75,17 +75,13 @@ class Table {
   std::vector<Column> columns_;
 };
 
-/// Incremental row-oriented builder used by the CSV reader and the
-/// synthetic generators.
+/// Incremental row-oriented table builder.
 class TableBuilder {
  public:
   explicit TableBuilder(Schema schema);
 
   /// Appends one row; `cells` must match the schema arity and types.
   FAIRLAW_NODISCARD Status AppendRow(const std::vector<Cell>& cells);
-
-  /// Appends one row where individual cells may be missing (null).
-  FAIRLAW_NODISCARD Status AppendRowWithNulls(const std::vector<std::optional<Cell>>& cells);
 
   /// Finalizes into a table; the builder is left empty.
   FAIRLAW_NODISCARD Result<Table> Finish();

@@ -130,7 +130,14 @@ TEST(StringUtilTest, ParseBool) {
   EXPECT_TRUE(ParseBool("1").ValueOrDie());
   EXPECT_FALSE(ParseBool("false").ValueOrDie());
   EXPECT_FALSE(ParseBool("0").ValueOrDie());
+  EXPECT_TRUE(ParseBool(" TRUE ").ValueOrDie());
+  EXPECT_FALSE(ParseBool("fAlSe").ValueOrDie());
+  EXPECT_FALSE(ParseBool("").ok());
   EXPECT_FALSE(ParseBool("yes").ok());
+  EXPECT_EQ(ParseBool("yes").status().ToString(),
+            "invalid argument: cannot parse 'yes' as bool");
+  EXPECT_EQ(ParseBool(" tru ").status().ToString(),
+            "invalid argument: cannot parse ' tru ' as bool");
 }
 
 TEST(StringUtilTest, FormatDouble) {

@@ -207,15 +207,5 @@ TEST(TableBuilderTest, AppendRowsAndFinish) {
   EXPECT_EQ(table.num_rows(), 2u);
 }
 
-TEST(TableBuilderTest, NullHandling) {
-  Schema schema = Schema::Make({{"x", DataType::kDouble}}).ValueOrDie();
-  TableBuilder builder(schema);
-  EXPECT_TRUE(builder.AppendRowWithNulls({std::nullopt}).ok());
-  EXPECT_TRUE(builder.AppendRowWithNulls({Cell(3.0)}).ok());
-  Table table = builder.Finish().ValueOrDie();
-  EXPECT_EQ(table.column(0).null_count(), 1u);
-  EXPECT_DOUBLE_EQ(table.column(0).GetDouble(1).ValueOrDie(), 3.0);
-}
-
 }  // namespace
 }  // namespace fairlaw::data
