@@ -13,6 +13,9 @@
 
 namespace fairlaw {
 
+/// std::thread::hardware_concurrency(), or 1 when that is unknown.
+size_t HardwareThreads();
+
 /// Fixed-size worker pool over a shared task queue.
 ///
 /// This is the one place in fairlaw that owns std::thread (fairlaw_check
@@ -27,9 +30,6 @@ namespace fairlaw {
 ///     completion) and joins every worker.
 ///   * A task exception is captured in the task's future and rethrown by
 ///     future.get(); it never takes down a worker.
-/// std::thread::hardware_concurrency(), or 1 when that is unknown.
-size_t HardwareThreads();
-
 class ThreadPool {
  public:
   /// Spawns `num_threads` workers; 0 means HardwareThreads().

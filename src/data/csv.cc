@@ -393,7 +393,7 @@ class TwoPassReader {
   NullTokens null_tokens_;
   std::unique_ptr<std::istream> input_;
   std::optional<RowScanner> scanner_;  // pass 2, reading from input_
-  std::vector<std::string_view> row_;  // pass 2's current row
+  std::vector<std::string_view> row_;  // pass 2's row, views into scanner_
   Schema schema_;
   size_t num_rows_ = 0;   // data rows in the input
   size_t rows_read_ = 0;  // data rows parsed by ReadRows so far
