@@ -127,5 +127,30 @@ TEST(GroupIndexTest, BuildsDisjointCoveringBitmapsInFirstSeenOrder) {
   EXPECT_FALSE(index.Attribute("missing").ok());
 }
 
+// A null slot keys as "null", so it shares one bitmap with a literal
+// "null" value, at the position of whichever of the two comes first.
+TEST(GroupIndexTest, NullsAndLiteralNullShareOneKey) {
+  Column column(DataType::kString);
+  column.AppendString("x");
+  column.AppendNull();
+  column.AppendString("null");
+  column.AppendString("y");
+  column.AppendNull();
+  column.AppendString("x");
+  Table table =
+      Table::Make(Schema::Make({{"g", DataType::kString}}).ValueOrDie(),
+                  {std::move(column)})
+          .ValueOrDie();
+  GroupIndex index = GroupIndex::Build(table, {"g"}).ValueOrDie();
+  const AttributeIndex* attribute = index.Attribute("g").ValueOrDie();
+  EXPECT_EQ(attribute->values.keys(),
+            (std::vector<std::string>{"x", "null", "y"}));
+  EXPECT_EQ(attribute->values.slot(0).ToIndices(),
+            (std::vector<size_t>{0, 5}));
+  EXPECT_EQ(attribute->values.slot(1).ToIndices(),
+            (std::vector<size_t>{1, 2, 4}));
+  EXPECT_EQ(attribute->values.slot(2).ToIndices(), (std::vector<size_t>{3}));
+}
+
 }  // namespace
 }  // namespace fairlaw::data
