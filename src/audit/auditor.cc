@@ -1,5 +1,6 @@
 #include "audit/auditor.h"
 
+#include <cstdint>
 #include <string_view>
 #include <utility>
 
@@ -62,8 +63,10 @@ Result<metrics::MetricInput> MetricInputFromTable(
     const data::Table& table, const std::string& protected_column,
     const std::string& prediction_column, const std::string& label_column) {
   metrics::MetricInput input;
-  FAIRLAW_ASSIGN_OR_RETURN(input.groups,
-                           StringKeys(table, protected_column));
+  FAIRLAW_ASSIGN_OR_RETURN(data::ColumnKeys groups,
+                           GroupKeys(table, protected_column));
+  input.groups.reserve(groups.codes.size());
+  for (uint32_t code : groups.codes) input.groups.push_back(groups.keys[code]);
   FAIRLAW_ASSIGN_OR_RETURN(input.predictions,
                            BinaryColumn(table, prediction_column));
   if (!label_column.empty()) {
@@ -96,26 +99,12 @@ Result<metrics::MetricInput> MetricInputFromTableMulti(
 Result<std::vector<std::string>> StrataFromTable(
     const data::Table& table,
     const std::vector<std::string>& strata_columns) {
-  if (strata_columns.empty()) {
-    return Status::Invalid("StrataFromTable: no strata columns");
-  }
-  std::vector<std::vector<std::string>> keys;
-  keys.reserve(strata_columns.size());
-  for (const std::string& name : strata_columns) {
-    FAIRLAW_ASSIGN_OR_RETURN(std::vector<std::string> column_keys,
-                             StringKeys(table, name));
-    keys.push_back(std::move(column_keys));
-  }
-  std::vector<std::string> strata(table.num_rows());
-  for (size_t row = 0; row < table.num_rows(); ++row) {
-    std::string key;
-    for (size_t c = 0; c < keys.size(); ++c) {
-      if (c > 0) key += "|";
-      key += keys[c][row];
-    }
-    strata[row] = key;
-  }
-  return strata;
+  FAIRLAW_ASSIGN_OR_RETURN(data::ColumnKeys strata,
+                           StrataKeys(table, strata_columns));
+  std::vector<std::string> out;
+  out.reserve(strata.codes.size());
+  for (uint32_t code : strata.codes) out.push_back(strata.keys[code]);
+  return out;
 }
 
 std::string AuditResult::Render() const {

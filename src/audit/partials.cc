@@ -1,6 +1,9 @@
 #include "audit/partials.h"
 
 #include <cstdint>
+#include <limits>
+#include <span>
+#include <unordered_map>
 #include <utility>
 
 #include "metrics/fairness_metric.h"
@@ -22,18 +25,94 @@ Result<std::vector<int>> BinaryColumn(const data::Table& table,
   return out;
 }
 
-Result<std::vector<std::string>> StringKeys(const data::Table& table,
-                                            const std::string& name) {
+Result<data::ColumnKeys> GroupKeys(const data::Table& table,
+                                   const std::string& name) {
   FAIRLAW_ASSIGN_OR_RETURN(const data::Column* column, table.GetColumn(name));
   if (column->null_count() > 0) {
     return Status::Invalid("column '" + name + "' has nulls; audits require "
                            "explicit missing-value handling upstream");
   }
-  std::vector<std::string> out(column->size());
-  for (size_t i = 0; i < column->size(); ++i) {
-    out[i] = column->ValueToString(i);
+  return data::ExtractKeys(*column);
+}
+
+namespace {
+
+/// Codes for the row pairs (a[row], b[row]): equal pairs share a code,
+/// and codes follow the pairs' first-seen row order. first_rows[code] is
+/// the row where that pair first shows.
+struct PairCodes {
+  std::vector<uint32_t> codes;
+  std::vector<size_t> first_rows;
+};
+
+PairCodes CodePairs(std::span<const uint32_t> a, size_t a_arity,
+                    std::span<const uint32_t> b, size_t b_arity) {
+  constexpr uint32_t kUnset = std::numeric_limits<uint32_t>::max();
+  PairCodes out;
+  out.codes.resize(a.size());
+  const auto assign = [&out](uint32_t* slot, size_t row) {
+    if (*slot == kUnset) {
+      *slot = static_cast<uint32_t>(out.first_rows.size());
+      out.first_rows.push_back(row);
+    }
+    out.codes[row] = *slot;
+  };
+  // A dense pair table while it is no larger than the rows; past that a
+  // hash map holds only the pairs that occur, so memory stays O(rows).
+  const uint64_t pairs = static_cast<uint64_t>(a_arity) * b_arity;
+  if (pairs <= a.size()) {
+    std::vector<uint32_t> slots(pairs, kUnset);
+    for (size_t row = 0; row < a.size(); ++row) {
+      assign(&slots[static_cast<uint64_t>(a[row]) * b_arity + b[row]], row);
+    }
+  } else {
+    std::unordered_map<uint64_t, uint32_t> slots;
+    for (size_t row = 0; row < a.size(); ++row) {
+      auto it = slots.try_emplace(static_cast<uint64_t>(a[row]) * b_arity +
+                                      b[row],
+                                  kUnset)
+                    .first;
+      assign(&it->second, row);
+    }
   }
   return out;
+}
+
+}  // namespace
+
+Result<data::ColumnKeys> StrataKeys(
+    const data::Table& table,
+    const std::vector<std::string>& strata_columns) {
+  if (strata_columns.empty()) {
+    return Status::Invalid("StrataFromTable: no strata columns");
+  }
+  std::vector<data::ColumnKeys> columns(strata_columns.size());
+  for (size_t c = 0; c < columns.size(); ++c) {
+    FAIRLAW_ASSIGN_OR_RETURN(columns[c], GroupKeys(table, strata_columns[c]));
+  }
+  if (columns.size() == 1) return std::move(columns[0]);
+  // Pair in one column at a time: after column c a code names a tuple of
+  // the keys of columns 0..c.
+  data::ColumnKeys strata{columns[0].codes, {}};
+  size_t arity = columns[0].keys.size();
+  std::vector<size_t> first_rows;
+  for (size_t c = 1; c < columns.size(); ++c) {
+    PairCodes tuples =
+        CodePairs(strata.codes, arity, columns[c].codes, columns[c].keys.size());
+    strata.codes = std::move(tuples.codes);
+    first_rows = std::move(tuples.first_rows);
+    arity = first_rows.size();
+  }
+  strata.keys.reserve(arity);
+  for (size_t row : first_rows) {
+    std::string key;
+    for (size_t c = 0; c < columns.size(); ++c) {
+      if (c > 0) key += "|";
+      key += columns[c].keys[columns[c].codes[row]];
+    }
+    strata.keys.push_back(std::move(key));
+  }
+  return strata;
 }
 
 ChunkPartial ProcessChunk(const data::Table& chunk, const AuditConfig& config,
@@ -41,25 +120,24 @@ ChunkPartial ProcessChunk(const data::Table& chunk, const AuditConfig& config,
   obs::TraceSpan span("audit_chunk", parent_path);
   obs::GetCounter("audit.chunks_processed")->Increment();
   ChunkPartial partial;
-  metrics::MetricInput input;
+  data::ColumnKeys groups;
   {
-    Result<std::vector<std::string>> groups =
-        StringKeys(chunk, config.protected_column);
-    partial.status[kProtectedStep] = groups.status();
-    if (groups.status().ok()) input.groups = std::move(groups).ValueOrDie();
+    Result<data::ColumnKeys> keys = GroupKeys(chunk, config.protected_column);
+    partial.status[kProtectedStep] = keys.status();
+    if (keys.status().ok()) groups = std::move(keys).ValueOrDie();
   }
+  std::vector<int> predictions;
   {
-    Result<std::vector<int>> predictions =
+    Result<std::vector<int>> values =
         BinaryColumn(chunk, config.prediction_column);
-    partial.status[kPredictionStep] = predictions.status();
-    if (predictions.status().ok()) {
-      input.predictions = std::move(predictions).ValueOrDie();
-    }
+    partial.status[kPredictionStep] = values.status();
+    if (values.status().ok()) predictions = std::move(values).ValueOrDie();
   }
+  std::vector<int> labels;
   if (!config.label_column.empty()) {
-    Result<std::vector<int>> labels = BinaryColumn(chunk, config.label_column);
-    partial.status[kLabelStep] = labels.status();
-    if (labels.status().ok()) input.labels = std::move(labels).ValueOrDie();
+    Result<std::vector<int>> values = BinaryColumn(chunk, config.label_column);
+    partial.status[kLabelStep] = values.status();
+    if (values.status().ok()) labels = std::move(values).ValueOrDie();
   }
   std::vector<double> scores;
   if (!config.score_column.empty()) {
@@ -74,28 +152,40 @@ ChunkPartial ProcessChunk(const data::Table& chunk, const AuditConfig& config,
       if (values.status().ok()) scores = std::move(values).ValueOrDie();
     }
   }
-  std::vector<std::string> strata;
+  data::ColumnKeys strata;
   if (!config.strata_columns.empty()) {
-    Result<std::vector<std::string>> chunk_strata =
-        StrataFromTable(chunk, config.strata_columns);
-    partial.status[kStrataStep] = chunk_strata.status();
-    if (chunk_strata.status().ok()) {
-      strata = std::move(chunk_strata).ValueOrDie();
-    }
+    Result<data::ColumnKeys> keys = StrataKeys(chunk, config.strata_columns);
+    partial.status[kStrataStep] = keys.status();
+    if (keys.status().ok()) strata = std::move(keys).ValueOrDie();
   }
-  // Past the extraction steps the input is valid: every column comes
-  // from this (nonempty) chunk and BinaryColumn enforced 0/1.
+  // Past the extraction steps every column is valid and comes from this
+  // (nonempty) chunk, and BinaryColumn enforced 0/1. Rows tally into
+  // arrays by code; each key then folds into its map once.
   if (!FirstError(partial.status).ok()) return partial;
 
-  metrics::TallyRows(input, &partial.counts);
-  for (size_t i = 0; i < strata.size(); ++i) {
-    partial.strata_counts[strata[i]][input.groups[i]] +=
-        stats::GroupCounts::Row(input.predictions[i]);
+  metrics::TallyRows(groups.codes, groups.keys, predictions, labels,
+                     &partial.counts);
+  if (!config.strata_columns.empty()) {
+    // One cell per (stratum, group) pair in first-seen row order, so
+    // strata and the groups within each keep first-seen order.
+    const PairCodes cells = CodePairs(strata.codes, strata.keys.size(),
+                                      groups.codes, groups.keys.size());
+    const std::vector<stats::GroupCounts> tallies = metrics::TallyCodes(
+        cells.codes, cells.first_rows.size(), predictions, {});
+    for (size_t cell = 0; cell < tallies.size(); ++cell) {
+      const size_t row = cells.first_rows[cell];
+      partial.strata_counts[strata.keys[strata.codes[row]]]
+                           [groups.keys[groups.codes[row]]] += tallies[cell];
+    }
   }
   if (!config.score_column.empty()) {
+    std::vector<stats::TaggedSeries> series(groups.keys.size());
     for (size_t i = 0; i < scores.size(); ++i) {
-      partial.score_series[input.groups[i]].Append(
-          scores[i], static_cast<uint8_t>(input.labels[i]));
+      series[groups.codes[i]].Append(scores[i],
+                                     static_cast<uint8_t>(labels[i]));
+    }
+    for (size_t k = 0; k < series.size(); ++k) {
+      partial.score_series[groups.keys[k]] = std::move(series[k]);
     }
     partial.scores = std::move(scores);
   }

@@ -7,17 +7,27 @@
 
 #include "audit/auditor.h"
 #include "base/result.h"
+#include "data/column.h"
 #include "data/table.h"
 #include "stats/mergeable.h"
 
 namespace fairlaw::audit {
 
 /// Column extraction shared by the chunk tally and the MetricInput
-/// entry points: a 0/1 integer column and a rendered-string key column.
+/// entry points: a 0/1 integer column, and a key column as codes into
+/// its first-seen keys (data::ExtractKeys). Audits reject a key column
+/// with nulls.
 FAIRLAW_NODISCARD Result<std::vector<int>> BinaryColumn(
     const data::Table& table, const std::string& name);
-FAIRLAW_NODISCARD Result<std::vector<std::string>> StringKeys(
+FAIRLAW_NODISCARD Result<data::ColumnKeys> GroupKeys(
     const data::Table& table, const std::string& name);
+
+/// The strata of `strata_columns`: one code per distinct tuple of their
+/// keys in first-seen row order, each keyed by its keys joined with "|".
+/// Memory is O(rows + strata), never the product of the columns'
+/// dictionary sizes.
+FAIRLAW_NODISCARD Result<data::ColumnKeys> StrataKeys(
+    const data::Table& table, const std::vector<std::string>& strata_columns);
 
 /// The extraction steps in the order the serial whole-table pass runs
 /// them (DESIGN.md §14). The serial pass scans whole columns in this

@@ -1,19 +1,20 @@
 #include "audit/proxy.h"
 
 #include <algorithm>
-#include <variant>
+#include <cstdint>
+#include <utility>
 
+#include "data/column.h"
 #include "stats/descriptive.h"
 #include "stats/hypothesis.h"
-#include "stats/mergeable.h"
 
 namespace fairlaw::audit {
 namespace {
 
 /// Maps each row to a discrete bin index for the candidate feature:
-/// categorical columns use their distinct values; numeric columns are cut
-/// at quantile boundaries.
-Result<std::pair<std::vector<size_t>, size_t>> DiscretizeColumn(
+/// categorical columns use their ExtractKeys codes (distinct values in
+/// first-seen order); numeric columns are cut at quantile boundaries.
+Result<std::pair<std::vector<uint32_t>, size_t>> DiscretizeColumn(
     const data::Table& table, const std::string& name, size_t bins) {
   FAIRLAW_ASSIGN_OR_RETURN(const data::Column* column, table.GetColumn(name));
   if (column->null_count() > 0) {
@@ -21,30 +22,24 @@ Result<std::pair<std::vector<size_t>, size_t>> DiscretizeColumn(
   }
   if (column->type() == data::DataType::kString ||
       column->type() == data::DataType::kBool) {
-    // Codes are first-seen value indices, as DistinctValues orders them.
-    stats::FirstSeenMap<std::monostate> dictionary;
-    std::vector<size_t> codes(column->size());
-    for (size_t row = 0; row < column->size(); ++row) {
-      codes[row] = dictionary.KeyIndex(column->ValueToString(row));
-    }
-    return std::make_pair(std::move(codes), dictionary.num_keys());
+    data::ColumnKeys keys = data::ExtractKeys(*column);
+    return std::make_pair(std::move(keys.codes), keys.keys.size());
   }
 
   FAIRLAW_ASSIGN_OR_RETURN(std::vector<double> values, column->ToDoubles());
   if (bins < 2) return Status::Invalid("DetectProxies: bins must be >= 2");
-  // Quantile cut points; duplicates collapse for low-cardinality columns.
-  std::vector<double> cuts;
+  // Quantile cut points from one sort; duplicates collapse for
+  // low-cardinality columns.
+  std::vector<double> levels;
   for (size_t b = 1; b < bins; ++b) {
-    FAIRLAW_ASSIGN_OR_RETURN(
-        double cut,
-        stats::Quantile(values,
-                        static_cast<double>(b) / static_cast<double>(bins)));
-    cuts.push_back(cut);
+    levels.push_back(static_cast<double>(b) / static_cast<double>(bins));
   }
+  FAIRLAW_ASSIGN_OR_RETURN(std::vector<double> cuts,
+                           stats::Quantiles(values, levels));
   cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
-  std::vector<size_t> codes(values.size());
+  std::vector<uint32_t> codes(values.size());
   for (size_t i = 0; i < values.size(); ++i) {
-    codes[i] = static_cast<size_t>(
+    codes[i] = static_cast<uint32_t>(
         std::upper_bound(cuts.begin(), cuts.end(), values[i]) - cuts.begin());
   }
   return std::make_pair(std::move(codes), cuts.size() + 1);

@@ -1,5 +1,8 @@
 #include "data/column.h"
 
+#include <unordered_map>
+#include <utility>
+
 #include "base/check.h"
 #include "base/string_util.h"
 
@@ -37,8 +40,8 @@ Column Column::FromInt64s(std::vector<int64_t> values) {
 
 Column Column::FromStrings(std::vector<std::string> values) {
   Column column(DataType::kString);
-  column.strings_ = std::move(values);
-  column.valid_.assign(column.strings_.size(), true);
+  column.Reserve(values.size());
+  for (const std::string& value : values) column.AppendString(value);
   return column;
 }
 
@@ -59,7 +62,7 @@ void Column::Reserve(size_t rows) {
       int64s_.reserve(rows);
       break;
     case DataType::kString:
-      strings_.reserve(rows);
+      codes_.reserve(rows);
       break;
     case DataType::kBool:
       bools_.reserve(rows);
@@ -81,10 +84,13 @@ void Column::AppendInt64(int64_t value) {
   valid_.push_back(true);
 }
 
-void Column::AppendString(std::string value) {
+void Column::AppendString(std::string_view value) {
   FAIRLAW_CHECK_MSG(type_ == DataType::kString,
                     "column accessed as string but holds another type");
-  strings_.push_back(std::move(value));
+  const size_t code = dictionary_.KeyIndex(value);
+  FAIRLAW_CHECK_MSG(code < kNullCode,
+                    "string dictionary would reach the null code");
+  codes_.push_back(static_cast<uint32_t>(code));
   valid_.push_back(true);
 }
 
@@ -104,7 +110,7 @@ void Column::AppendNull() {
       int64s_.push_back(0);
       break;
     case DataType::kString:
-      strings_.emplace_back();
+      codes_.push_back(kNullCode);
       break;
     case DataType::kBool:
       bools_.push_back(false);
@@ -178,7 +184,7 @@ Result<int64_t> Column::GetInt64(size_t row) const {
 
 Result<std::string> Column::GetString(size_t row) const {
   FAIRLAW_RETURN_NOT_OK(CheckAccess(*this, row, DataType::kString));
-  return strings_[row];
+  return dictionary_.keys()[codes_[row]];
 }
 
 Result<bool> Column::GetBool(size_t row) const {
@@ -199,7 +205,7 @@ Result<Cell> Column::GetCell(size_t row) const {
     case DataType::kInt64:
       return Cell(int64s_[row]);
     case DataType::kString:
-      return Cell(strings_[row]);
+      return Cell(dictionary_.keys()[codes_[row]]);
     case DataType::kBool:
       return Cell(bools_[row] != 0);
   }
@@ -235,15 +241,11 @@ Result<std::span<const int64_t>> Column::Int64s() const {
   return std::span<const int64_t>(int64s_);
 }
 
-Result<const std::vector<std::string>*> Column::Strings() const {
-  FAIRLAW_RETURN_NOT_OK(CheckDenseView(*this, DataType::kString));
-  return &strings_;
-}
-
 Result<std::span<const uint8_t>> Column::Bools() const {
   FAIRLAW_RETURN_NOT_OK(CheckDenseView(*this, DataType::kBool));
   return std::span<const uint8_t>(bools_);
 }
+
 
 Result<std::vector<double>> Column::ToDoubles() const {
   if (null_count_ > 0) {
@@ -270,6 +272,31 @@ Result<std::vector<double>> Column::ToDoubles() const {
   return Status::Internal("ToDoubles: unknown column type");
 }
 
+template <typename RowAt>
+void Column::AppendStringRows(const Column& source, size_t count,
+                              RowAt row_at) {
+  // Source code -> this column's code, set where the code first shows,
+  // so new codes follow the copied rows' first-seen order.
+  std::unordered_map<uint32_t, uint32_t> remap;
+  codes_.reserve(codes_.size() + count);
+  valid_.reserve(valid_.size() + count);
+  for (size_t i = 0; i < count; ++i) {
+    const size_t row = row_at(i);
+    if (!source.valid_[row]) {
+      AppendNull();
+      continue;
+    }
+    const uint32_t code = source.codes_[row];
+    auto [it, inserted] = remap.try_emplace(code, 0);
+    if (inserted) {
+      it->second = static_cast<uint32_t>(
+          dictionary_.KeyIndex(source.dictionary_.keys()[code]));
+    }
+    codes_.push_back(it->second);
+    valid_.push_back(true);
+  }
+}
+
 Result<Column> Column::Take(std::span<const size_t> indices) const {
   Column out(type_);
   for (size_t index : indices) {
@@ -277,6 +304,13 @@ Result<Column> Column::Take(std::span<const size_t> indices) const {
       return Status::OutOfRange("Take: index " + std::to_string(index) +
                                 " out of range");
     }
+  }
+  if (type_ == DataType::kString) {
+    out.AppendStringRows(*this, indices.size(),
+                         [indices](size_t i) { return indices[i]; });
+    return out;
+  }
+  for (size_t index : indices) {
     if (!valid_[index]) {
       out.AppendNull();
       continue;
@@ -288,12 +322,11 @@ Result<Column> Column::Take(std::span<const size_t> indices) const {
       case DataType::kInt64:
         out.AppendInt64(int64s_[index]);
         break;
-      case DataType::kString:
-        out.AppendString(strings_[index]);
-        break;
       case DataType::kBool:
         out.AppendBool(bools_[index] != 0);
         break;
+      case DataType::kString:
+        break;  // appended above
     }
   }
   return out;
@@ -306,9 +339,14 @@ Result<Column> Column::Slice(size_t offset, size_t length) const {
                               ") exceeds column size " +
                               std::to_string(size()));
   }
+  Column out(type_);
+  if (type_ == DataType::kString) {
+    out.AppendStringRows(*this, length,
+                         [offset](size_t i) { return offset + i; });
+    return out;
+  }
   const auto begin = static_cast<ptrdiff_t>(offset);
   const auto end = static_cast<ptrdiff_t>(offset + length);
-  Column out(type_);
   out.valid_.assign(valid_.begin() + begin, valid_.begin() + end);
   for (uint8_t v : out.valid_) {
     if (v == 0) ++out.null_count_;
@@ -320,12 +358,11 @@ Result<Column> Column::Slice(size_t offset, size_t length) const {
     case DataType::kInt64:
       out.int64s_.assign(int64s_.begin() + begin, int64s_.begin() + end);
       break;
-    case DataType::kString:
-      out.strings_.assign(strings_.begin() + begin, strings_.begin() + end);
-      break;
     case DataType::kBool:
       out.bools_.assign(bools_.begin() + begin, bools_.begin() + end);
       break;
+    case DataType::kString:
+      break;  // appended above
   }
   return out;
 }
@@ -334,8 +371,26 @@ Bitmap Column::ValidityBitmap() const { return Bitmap::FromBits(valid_); }
 
 std::string Column::ValueToString(size_t row) const {
   if (row >= size() || !valid_[row]) return "null";
+  if (type_ == DataType::kString) return dictionary_.keys()[codes_[row]];
   // flowcheck: allow-unchecked-result (row bound and validity checked above)
   return CellToString(GetCell(row).ValueOrDie());
+}
+
+ColumnKeys ExtractKeys(const Column& column) {
+  ColumnKeys out;
+  if (column.type() == DataType::kString && column.null_count() == 0) {
+    out.codes.assign(column.Codes().begin(), column.Codes().end());
+    out.keys = column.dictionary().keys();
+    return out;
+  }
+  stats::FirstSeenMap<std::monostate> keys;
+  out.codes.resize(column.size());
+  for (size_t row = 0; row < column.size(); ++row) {
+    out.codes[row] =
+        static_cast<uint32_t>(keys.KeyIndex(column.ValueToString(row)));
+  }
+  out.keys = keys.keys();
+  return out;
 }
 
 }  // namespace fairlaw::data

@@ -3,14 +3,17 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <string>
+#include <string_view>
 #include <variant>
 #include <vector>
 
 #include "base/result.h"
 #include "data/bitmap.h"
 #include "data/schema.h"
+#include "stats/mergeable.h"
 
 namespace fairlaw::data {
 
@@ -29,8 +32,18 @@ std::string CellToString(const Cell& cell);
 /// null-free columns or handle nulls explicitly; the audit entry points
 /// surface nulls as Status errors rather than silently dropping rows,
 /// because silently dropping protected-group rows is itself a bias risk.
+///
+/// A string column is dictionary-encoded: one uint32_t code per row slot
+/// plus a dictionary holding exactly the column's distinct non-null
+/// values in first-seen row order (code i is the i-th key). A null slot
+/// holds kNullCode, which no dictionary entry reaches. Every operation
+/// keeps that invariant, so per-row consumers tally by code and touch
+/// each distinct string once (DESIGN.md §14).
 class Column {
  public:
+  /// The code of a null slot in a string column.
+  static constexpr uint32_t kNullCode = std::numeric_limits<uint32_t>::max();
+
   /// Creates an empty column of the given type.
   explicit Column(DataType type);
 
@@ -59,7 +72,8 @@ class Column {
   /// a programming error and aborts.
   void AppendDouble(double value);
   void AppendInt64(int64_t value);
-  void AppendString(std::string value);
+  /// Interns `value`: its existing code, or the next one.
+  void AppendString(std::string_view value);
   void AppendBool(bool value);
   void AppendNull();
 
@@ -80,18 +94,27 @@ class Column {
   /// nulls.
   FAIRLAW_NODISCARD Result<std::span<const double>> Doubles() const;
   FAIRLAW_NODISCARD Result<std::span<const int64_t>> Int64s() const;
-  FAIRLAW_NODISCARD Result<const std::vector<std::string>*> Strings() const;
   FAIRLAW_NODISCARD Result<std::span<const uint8_t>> Bools() const;
+
+  /// A string column's per-slot codes into dictionary(), kNullCode at a
+  /// null slot, and its distinct non-null values in first-seen row
+  /// order. Both are empty for other types.
+  std::span<const uint32_t> Codes() const { return codes_; }
+  const stats::FirstSeenMap<std::monostate>& dictionary() const {
+    return dictionary_;
+  }
 
   /// Returns the column converted to double values (int64 and bool are
   /// widened; string fails). Requires no nulls.
   FAIRLAW_NODISCARD Result<std::vector<double>> ToDoubles() const;
 
-  /// Returns a copy containing only the rows in `indices` (in order).
+  /// Returns a copy containing only the rows in `indices` (in order). A
+  /// string copy re-bases its dictionary to the rows it holds.
   FAIRLAW_NODISCARD Result<Column> Take(std::span<const size_t> indices) const;
 
   /// Returns a copy of rows [offset, offset+length) without materializing
-  /// an index vector — the chunk-slicing fast path.
+  /// an index vector — the chunk-slicing fast path. A string copy
+  /// re-bases its dictionary to the rows it holds.
   FAIRLAW_NODISCARD Result<Column> Slice(size_t offset, size_t length) const;
 
   /// Packs the validity mask into a bitmap (bit i set iff row i is
@@ -108,10 +131,30 @@ class Column {
   size_t null_count_ = 0;
   std::vector<double> doubles_;
   std::vector<int64_t> int64s_;
-  std::vector<std::string> strings_;
+  std::vector<uint32_t> codes_;  // string slots: dictionary_ codes
+  stats::FirstSeenMap<std::monostate> dictionary_;
   std::vector<uint8_t> bools_;  // 0/1 bytes
 
+  /// Appends `count` slots of string column `source`, slot i being its
+  /// row row_at(i), remapping codes so the dictionary stays first-seen.
+  template <typename RowAt>
+  void AppendStringRows(const Column& source, size_t count, RowAt row_at);
 };
+
+/// A column's rows keyed by their rendered values: keys holds each
+/// distinct rendering once in first-seen row order, and codes[row]
+/// indexes it. A null slot keys as "null", exactly as ValueToString
+/// renders it.
+struct ColumnKeys {
+  std::vector<uint32_t> codes;
+  std::vector<std::string> keys;
+};
+
+/// The one key extractor behind every group, stratum and value index.
+/// A null-free string column hands over its codes and dictionary as
+/// they are; other columns render each row through a FirstSeenMap,
+/// which yields the same keys in the same order.
+ColumnKeys ExtractKeys(const Column& column);
 
 }  // namespace fairlaw::data
 

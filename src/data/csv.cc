@@ -370,7 +370,7 @@ class TwoPassReader {
         return Status::OK();
       }
       case DataType::kString:
-        column->AppendString(std::string(raw));
+        column->AppendString(raw);
         return Status::OK();
     }
     return Status::Internal("CSV: unknown column type");

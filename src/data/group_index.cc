@@ -1,6 +1,7 @@
 #include "data/group_index.h"
 
 #include <utility>
+#include <vector>
 
 namespace fairlaw::data {
 
@@ -14,10 +15,17 @@ Result<GroupIndex> GroupIndex::Build(
   index.attributes_.reserve(attribute_columns.size());
   for (const std::string& name : attribute_columns) {
     FAIRLAW_ASSIGN_OR_RETURN(const Column* column, table.GetColumn(name));
+    const ColumnKeys keys = ExtractKeys(*column);
+    std::vector<Bitmap> bitmaps(keys.keys.size(), Bitmap(index.num_rows_));
+    for (size_t row = 0; row < keys.codes.size(); ++row) {
+      bitmaps[keys.codes[row]].Set(row);
+    }
+    // Keys arrive distinct and in first-seen order, so slot k is code k.
     AttributeIndex attribute{
         name, stats::FirstSeenMap<Bitmap>(Bitmap(index.num_rows_))};
-    for (size_t row = 0; row < column->size(); ++row) {
-      attribute.values[column->ValueToString(row)].Set(row);
+    for (size_t k = 0; k < keys.keys.size(); ++k) {
+      const size_t slot = attribute.values.KeyIndex(keys.keys[k]);
+      *attribute.values.mutable_slot(slot) = std::move(bitmaps[k]);
     }
     index.attributes_.push_back(std::move(attribute));
   }

@@ -31,8 +31,9 @@ struct AttributeIndex {
 /// a partition from string columns.
 class GroupIndex {
  public:
-  /// Indexes `attribute_columns` of `table` (values are compared as
-  /// rendered strings, nulls render as "null", matching GroupBy).
+  /// Indexes `attribute_columns` of `table` by their ExtractKeys codes
+  /// (values compare as rendered strings, nulls render as "null",
+  /// matching GroupBy).
   FAIRLAW_NODISCARD static Result<GroupIndex> Build(
       const Table& table, const std::vector<std::string>& attribute_columns);
 

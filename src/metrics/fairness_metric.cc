@@ -1,6 +1,7 @@
 #include "metrics/fairness_metric.h"
 
 #include <algorithm>
+#include <variant>
 
 #include "base/string_util.h"
 
@@ -35,24 +36,45 @@ Status MetricInput::Validate(bool require_labels) const {
   return Status::OK();
 }
 
-void TallyRows(const MetricInput& input,
+std::vector<stats::GroupCounts> TallyCodes(std::span<const uint32_t> codes,
+                                           size_t arity,
+                                           std::span<const int> predictions,
+                                           std::span<const int> labels) {
+  std::vector<stats::GroupCounts> tallies(arity);
+  const bool has_labels = !labels.empty();
+  for (size_t i = 0; i < codes.size(); ++i) {
+    tallies[codes[i]] += stats::GroupCounts::Row(
+        predictions[i], has_labels ? labels[i] : 0);
+  }
+  return tallies;
+}
+
+void TallyRows(std::span<const uint32_t> codes,
+               const std::vector<std::string>& keys,
+               std::span<const int> predictions, std::span<const int> labels,
                stats::GroupCountsAccumulator* accumulator) {
-  const bool has_labels = !input.labels.empty();
-  for (size_t i = 0; i < input.size(); ++i) {
-    (*accumulator)[input.groups[i]] += stats::GroupCounts::Row(
-        input.predictions[i], has_labels ? input.labels[i] : 0);
+  const std::vector<stats::GroupCounts> tallies =
+      TallyCodes(codes, keys.size(), predictions, labels);
+  for (size_t k = 0; k < keys.size(); ++k) {
+    (*accumulator)[keys[k]] += tallies[k];
   }
 }
 
 Result<std::vector<GroupStats>> ComputeGroupStats(const MetricInput& input,
                                                   bool with_labels) {
   FAIRLAW_RETURN_NOT_OK(input.Validate(with_labels));
-  // The whole-table pass is the one-chunk case of the morsel path: tally
-  // the rows, then derive rates from the integer tallies. Sharing both
-  // steps with the chunked engine is what makes the byte-identity
-  // contract structural rather than coincidental.
+  // The whole-table pass is the one-chunk case of the morsel path: code
+  // the groups, tally the rows, then derive rates from the integer
+  // tallies. Sharing these steps with the chunked engine is what makes
+  // the byte-identity contract structural rather than coincidental.
+  stats::FirstSeenMap<std::monostate> keys;
+  std::vector<uint32_t> codes(input.size());
+  for (size_t i = 0; i < input.size(); ++i) {
+    codes[i] = static_cast<uint32_t>(keys.KeyIndex(input.groups[i]));
+  }
   stats::GroupCountsAccumulator accumulator;
-  TallyRows(input, &accumulator);
+  TallyRows(codes, keys.keys(), input.predictions, input.labels,
+            &accumulator);
   return GroupStatsFromCounts(accumulator, with_labels);
 }
 

@@ -1,6 +1,9 @@
 #ifndef FAIRLAW_METRICS_FAIRNESS_METRIC_H_
 #define FAIRLAW_METRICS_FAIRNESS_METRIC_H_
 
+#include <cstddef>
+#include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -65,13 +68,23 @@ struct MetricReport {
   std::string detail;
 };
 
-/// Adds every row of `input` to `accumulator` as one GroupCounts::Row,
-/// keyed by its group (groups keep first-seen row order; label tallies
-/// fill only when the input carries labels). `input` must already pass
-/// Validate. The one row fold behind ComputeGroupStats and the audit
-/// engine's per-chunk tally: merge the per-chunk accumulators in chunk
-/// order and the result feeds GroupStatsFromCounts.
-void TallyRows(const MetricInput& input,
+/// Adds row i as one GroupCounts::Row(predictions[i], labels[i]) to the
+/// tally of code codes[i] (< arity); an empty `labels` passes 0, so the
+/// label tallies stay zero. The one row loop of every audit tally.
+std::vector<stats::GroupCounts> TallyCodes(std::span<const uint32_t> codes,
+                                           size_t arity,
+                                           std::span<const int> predictions,
+                                           std::span<const int> labels);
+
+/// Tallies the rows by code (TallyCodes), then folds each code's tally
+/// into `accumulator` under keys[code], one lookup per key. `keys` must
+/// be distinct and in first-seen row order of their codes, so groups
+/// keep first-seen row order. The fold behind ComputeGroupStats and the
+/// audit engine's per-chunk tally: merge the per-chunk accumulators in
+/// chunk order and the result feeds GroupStatsFromCounts.
+void TallyRows(std::span<const uint32_t> codes,
+               const std::vector<std::string>& keys,
+               std::span<const int> predictions, std::span<const int> labels,
                stats::GroupCountsAccumulator* accumulator);
 
 /// Computes per-group statistics: validates `input`, tallies its rows

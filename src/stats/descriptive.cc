@@ -59,17 +59,32 @@ Result<double> Max(std::span<const double> values) {
 }
 
 Result<double> Quantile(std::span<const double> values, double q) {
+  FAIRLAW_ASSIGN_OR_RETURN(std::vector<double> quantiles,
+                           Quantiles(values, std::span<const double>(&q, 1)));
+  return quantiles[0];
+}
+
+Result<std::vector<double>> Quantiles(std::span<const double> values,
+                                      std::span<const double> levels) {
   if (values.empty()) return Status::Invalid("Quantile of empty sample");
-  if (q < 0.0 || q > 1.0) {
-    return Status::Invalid("Quantile level must lie in [0,1]");
+  for (double q : levels) {
+    if (q < 0.0 || q > 1.0) {
+      return Status::Invalid("Quantile level must lie in [0,1]");
+    }
   }
   std::vector<double> sorted(values.begin(), values.end());
   std::sort(sorted.begin(), sorted.end());
-  const double position = q * static_cast<double>(sorted.size() - 1);
-  const size_t lower = static_cast<size_t>(std::floor(position));
-  const size_t upper = static_cast<size_t>(std::ceil(position));
-  const double fraction = position - static_cast<double>(lower);
-  return sorted[lower] + fraction * (sorted[upper] - sorted[lower]);
+  std::vector<double> quantiles;
+  quantiles.reserve(levels.size());
+  for (double q : levels) {
+    const double position = q * static_cast<double>(sorted.size() - 1);
+    const size_t lower = static_cast<size_t>(std::floor(position));
+    const size_t upper = static_cast<size_t>(std::ceil(position));
+    const double fraction = position - static_cast<double>(lower);
+    quantiles.push_back(sorted[lower] +
+                        fraction * (sorted[upper] - sorted[lower]));
+  }
+  return quantiles;
 }
 
 Result<double> Median(std::span<const double> values) {

@@ -30,6 +30,11 @@ FAIRLAW_NODISCARD Result<double> Max(std::span<const double> values);
 /// sorted.
 FAIRLAW_NODISCARD Result<double> Quantile(std::span<const double> values, double q);
 
+/// Quantile at each of `levels` from one sort of `values`; entry i is
+/// bit-identical to Quantile(values, levels[i]).
+FAIRLAW_NODISCARD Result<std::vector<double>> Quantiles(
+    std::span<const double> values, std::span<const double> levels);
+
 /// Median (Quantile at 0.5).
 FAIRLAW_NODISCARD Result<double> Median(std::span<const double> values);
 

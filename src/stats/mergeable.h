@@ -3,9 +3,10 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <map>
+#include <functional>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -109,10 +110,10 @@ class FirstSeenMap {
   /// Slot index for `key`, appending a copy of the prototype (at the end
   /// of the first-seen order) when absent. A hit allocates nothing.
   size_t KeyIndex(std::string_view key) {
-    auto it = index_.lower_bound(key);
-    if (it != index_.end() && it->first == key) return it->second;
+    auto it = index_.find(key);
+    if (it != index_.end()) return it->second;
     const size_t slot = keys_.size();
-    index_.emplace_hint(it, std::string(key), slot);
+    index_.emplace(std::string(key), slot);
     keys_.emplace_back(key);
     slots_.push_back(prototype_);
     return slot;
@@ -157,7 +158,14 @@ class FirstSeenMap {
   T prototype_;
   std::vector<std::string> keys_;
   std::vector<T> slots_;
-  std::map<std::string, size_t, std::less<>> index_;
+  // Lookup only, never iterated: keys_ holds the order.
+  struct KeyHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view key) const {
+      return std::hash<std::string_view>()(key);
+    }
+  };
+  std::unordered_map<std::string, size_t, KeyHash, std::equal_to<>> index_;
 };
 
 /// Group key -> exact tallies.

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "audit/auditor.h"
+#include "audit/partials.h"
 #include "audit/source.h"
 #include "base/string_util.h"
 #include "audit/subgroup.h"
@@ -23,7 +24,9 @@
 #include "data/chunked.h"
 #include "data/csv.h"
 #include "data/table.h"
+#include "metrics/fairness_metric.h"
 #include "stats/distance.h"
+#include "stats/mergeable.h"
 #include "stats/rng.h"
 #include "stats/sort.h"
 #include "support/subgroup_rowwise.h"
@@ -462,6 +465,155 @@ TEST(ChunkBoundaryTest, NullsStraddlingChunkEdges) {
     SubgroupAuditOptions options = subgroup_options;
     options.chunk_rows = chunk_rows;
     EXPECT_EQ(SubgroupOutcome(table, {"g", "x"}, options), subgroup_reference)
+        << "chunk_rows=" << chunk_rows;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Key columns of every type: the chunk tally keys rows by ExtractKeys
+// codes, which must give the contiguous audit for string, int64 and bool
+// group and strata columns alike.
+
+/// Rows with string, int64 and bool versions of a group and a stratum.
+std::string MakeTypedKeyCsv(size_t rows, uint64_t seed) {
+  const char* names[] = {"north", "south", "east"};
+  const char* ints[] = {"10", "-3", "20"};
+  const char* bools[] = {"true", "false", "true"};
+  Rng rng(seed);
+  std::string text = "gs,gi,gb,ss,si,sb,p,y\n";
+  for (size_t i = 0; i < rows; ++i) {
+    const size_t g = static_cast<size_t>(rng.UniformInt(3));
+    const size_t st = static_cast<size_t>(rng.UniformInt(3));
+    text += std::string(names[g]) + "," + ints[g] + "," + bools[g] + "," +
+            names[st] + "," + ints[st] + "," + bools[st] + ",";
+    text += rng.Bernoulli(0.3 + 0.2 * static_cast<double>(g)) ? "1," : "0,";
+    text += rng.Bernoulli(0.5) ? "1\n" : "0\n";
+  }
+  return text;
+}
+
+TEST(ChunkedAuditTest, KeyColumnsOfEveryTypeMatchAcrossChunkLayouts) {
+  Table table = data::ReadCsvString(MakeTypedKeyCsv(2500, 41)).ValueOrDie();
+  ASSERT_EQ(table.schema().ToString(),
+            "gs:string, gi:int64, gb:bool, ss:string, si:int64, sb:bool, "
+            "p:int64, y:int64");
+  for (const char* group : {"gs", "gi", "gb"}) {
+    for (const std::vector<std::string>& strata :
+         {std::vector<std::string>{"ss"}, {"si"}, {"sb"},
+          {"ss", "si", "sb"}}) {
+      AuditConfig config;
+      config.protected_column = group;
+      config.prediction_column = "p";
+      config.label_column = "y";
+      config.strata_columns = strata;
+      config.min_stratum_size = 5;
+      const std::string reference = AuditOutcome(table, config);
+      EXPECT_NE(reference.find("conditional"), std::string::npos)
+          << reference;
+      for (size_t chunk_rows : {size_t{1}, size_t{977}, size_t{0}}) {
+        for (size_t threads : {size_t{1}, size_t{4}}) {
+          AuditConfig chunked = config;
+          chunked.chunk_rows = chunk_rows;
+          chunked.num_threads = threads;
+          EXPECT_EQ(AuditOutcome(table, chunked), reference)
+              << group << " strata " << strata.size() << ":" << strata[0]
+              << " chunk_rows=" << chunk_rows << " threads=" << threads;
+        }
+      }
+    }
+  }
+}
+
+TEST(ChunkedAuditTest, NullKeysKeepTheirErrorTextInEveryChunkLayout) {
+  // Column g has a null at row 1200 and st one at row 700; h has none.
+  std::string text = "g,st,h,p\n";
+  for (size_t i = 0; i < 1500; ++i) {
+    text += i == 1200 ? "" : (i % 2 == 0 ? "a" : "b");
+    text += i == 700 ? "," : (i % 3 == 0 ? ",x" : ",y");
+    text += i % 4 == 0 ? ",u" : ",v";
+    text += i % 5 == 0 ? ",1\n" : ",0\n";
+  }
+  Table table = data::ReadCsvString(text).ValueOrDie();
+  AuditConfig config;
+  config.protected_column = "g";
+  config.prediction_column = "p";
+  AuditConfig stratified = config;
+  stratified.protected_column = "st";
+  stratified.strata_columns = {"g"};
+  AuditConfig strata_null = config;
+  strata_null.protected_column = "h";
+  strata_null.strata_columns = {"st"};
+  for (size_t chunk_rows : {size_t{1}, size_t{977}, size_t{0}}) {
+    for (size_t threads : {size_t{1}, size_t{4}}) {
+      const std::string where = "chunk_rows=" + std::to_string(chunk_rows) +
+                                " threads=" + std::to_string(threads);
+      for (AuditConfig* c : {&config, &stratified, &strata_null}) {
+        c->chunk_rows = chunk_rows;
+        c->num_threads = threads;
+      }
+      EXPECT_EQ(AuditOutcome(table, config),
+                "invalid argument: column 'g' has nulls; audits require "
+                "explicit missing-value handling upstream")
+          << where;
+      EXPECT_EQ(AuditOutcome(table, stratified),
+                "invalid argument: column 'st' has nulls; audits require "
+                "explicit missing-value handling upstream")
+          << where;
+      EXPECT_EQ(AuditOutcome(table, strata_null),
+                "invalid argument: column 'st' has nulls; audits require "
+                "explicit missing-value handling upstream")
+          << where;
+    }
+  }
+}
+
+TEST(ChunkedAuditTest, WideStrataTallyInMemoryBoundedByRows) {
+  // Three strata columns of ~5k values each over 20k rows: the tuple
+  // space is ~1.25e11, so a tally sized by the product could not run.
+  constexpr size_t kRows = 20000;
+  Rng rng(53);
+  std::string text = "g,p,s1,s2,s3\n";
+  for (size_t i = 0; i < kRows; ++i) {
+    text += rng.Bernoulli(0.5) ? "a," : "b,";
+    text += rng.Bernoulli(0.4) ? "1" : "0";
+    for (int c = 0; c < 3; ++c) {
+      text += ",v" + std::to_string(rng.UniformInt(5000));
+    }
+    text += '\n';
+  }
+  Table table = data::ReadCsvString(text).ValueOrDie();
+  for (const char* name : {"s1", "s2", "s3"}) {
+    EXPECT_GT(table.GetColumn(name).ValueOrDie()->dictionary().num_keys(),
+              4500u)
+        << name;
+  }
+  AuditConfig config;
+  config.protected_column = "g";
+  config.prediction_column = "p";
+  config.strata_columns = {"s1", "s2", "s3"};
+
+  // The tally over strings: StrataFromTable's keys, row by row.
+  const std::vector<std::string> strata =
+      audit::StrataFromTable(table, config.strata_columns).ValueOrDie();
+  const metrics::MetricInput input =
+      audit::MetricInputFromTable(table, "g", "p", "").ValueOrDie();
+  stats::StratifiedCountsAccumulator expected;
+  for (size_t i = 0; i < kRows; ++i) {
+    expected[strata[i]][input.groups[i]] +=
+        stats::GroupCounts::Row(input.predictions[i]);
+  }
+  ASSERT_GT(expected.num_keys(), kRows * 9 / 10);
+
+  for (size_t chunk_rows : {size_t{977}, kRows}) {
+    audit::MergedPartials merged;
+    for (size_t offset = 0; offset < kRows; offset += chunk_rows) {
+      const Table chunk =
+          table.Slice(offset, std::min(chunk_rows, kRows - offset))
+              .ValueOrDie();
+      merged.Fold(audit::ProcessChunk(chunk, config, ""));
+    }
+    ASSERT_TRUE(merged.FirstError().ok()) << merged.FirstError().ToString();
+    EXPECT_TRUE(merged.strata_counts() == expected)
         << "chunk_rows=" << chunk_rows;
   }
 }

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdio>
 #include <fstream>
@@ -299,7 +300,9 @@ std::string GenerateCsv(uint64_t seed, char delim, bool header,
 }
 
 /// Expects rows [offset, offset + actual.num_rows()) of `expected` to
-/// equal `actual`: same schema, validity, and value bytes.
+/// equal `actual`: same schema, validity, and value bytes; and each
+/// string column's dictionary to hold exactly the distinct non-null
+/// values of those rows in first-seen order.
 void ExpectRowsEqual(const Table& expected, size_t offset,
                      const Table& actual, const std::string& label) {
   ASSERT_EQ(expected.schema().fields(), actual.schema().fields()) << label;
@@ -307,6 +310,19 @@ void ExpectRowsEqual(const Table& expected, size_t offset,
   for (size_t c = 0; c < actual.num_columns(); ++c) {
     const Column& want = expected.column(c);
     const Column& got = actual.column(c);
+    if (got.type() == DataType::kString) {
+      std::vector<std::string> first_seen;
+      for (size_t r = 0; r < actual.num_rows(); ++r) {
+        if (!want.IsValid(offset + r)) continue;
+        const std::string value = want.GetString(offset + r).ValueOrDie();
+        if (std::find(first_seen.begin(), first_seen.end(), value) ==
+            first_seen.end()) {
+          first_seen.push_back(value);
+        }
+      }
+      ASSERT_EQ(got.dictionary().keys(), first_seen)
+          << label << " column " << c << " dictionary";
+    }
     for (size_t r = 0; r < actual.num_rows(); ++r) {
       const std::string where = label + " column " + std::to_string(c) +
                                 " row " + std::to_string(offset + r);

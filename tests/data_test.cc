@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <string>
+#include <variant>
+#include <vector>
+
 #include "data/column.h"
 #include "data/schema.h"
 #include "data/table.h"
@@ -89,6 +95,107 @@ TEST(ColumnTest, TakePreservesNulls) {
   EXPECT_FALSE(taken.IsValid(1));
   std::vector<size_t> bad = {9};
   EXPECT_TRUE(column.Take(bad).status().IsOutOfRange());
+}
+
+/// Expects `column`'s string dictionary to hold exactly its distinct
+/// non-null values in first-seen row order, each slot's code to name its
+/// value, and each null slot to hold kNullCode.
+void ExpectFirstSeenDictionary(const Column& column) {
+  std::vector<std::string> first_seen;
+  ASSERT_EQ(column.Codes().size(), column.size());
+  for (size_t row = 0; row < column.size(); ++row) {
+    if (!column.IsValid(row)) {
+      EXPECT_EQ(column.Codes()[row], Column::kNullCode) << row;
+      continue;
+    }
+    const std::string value = column.GetString(row).ValueOrDie();
+    auto it = std::find(first_seen.begin(), first_seen.end(), value);
+    EXPECT_EQ(column.Codes()[row],
+              static_cast<uint32_t>(it - first_seen.begin()))
+        << row;
+    if (it == first_seen.end()) first_seen.push_back(value);
+  }
+  EXPECT_EQ(column.dictionary().keys(), first_seen);
+}
+
+TEST(ColumnTest, StringDictionaryHoldsFirstSeenDistinctValues) {
+  Column column(DataType::kString);
+  for (const char* value : {"b", "", "a", "b", "c", "", "a"}) {
+    if (*value == '\0') {
+      column.AppendNull();
+    } else {
+      column.AppendString(value);
+    }
+  }
+  ExpectFirstSeenDictionary(column);
+  EXPECT_EQ(column.dictionary().keys(),
+            (std::vector<std::string>{"b", "a", "c"}));
+  EXPECT_EQ(std::vector<uint32_t>(column.Codes().begin(),
+                                  column.Codes().end()),
+            (std::vector<uint32_t>{0, Column::kNullCode, 1, 0, 2,
+                                   Column::kNullCode, 1}));
+  EXPECT_EQ(column.null_count(), 2u);
+  // Reads see the values, not the codes.
+  EXPECT_EQ(column.GetString(3).ValueOrDie(), "b");
+  EXPECT_EQ(std::get<std::string>(column.GetCell(4).ValueOrDie()), "c");
+  EXPECT_FALSE(column.GetCell(1).ok());
+  EXPECT_FALSE(column.GetString(5).ok());
+  EXPECT_EQ(column.ValueToString(2), "a");
+  EXPECT_EQ(column.ValueToString(5), "null");
+
+  const Column built = Column::FromStrings({"x", "y", "x", "z", "y"});
+  ExpectFirstSeenDictionary(built);
+  EXPECT_EQ(built.dictionary().keys(),
+            (std::vector<std::string>{"x", "y", "z"}));
+
+  // A middle slice re-bases: "a" is gone and "b" becomes code 0.
+  const Column slice = column.Slice(3, 3).ValueOrDie();
+  ExpectFirstSeenDictionary(slice);
+  EXPECT_EQ(slice.dictionary().keys(), (std::vector<std::string>{"b", "c"}));
+  EXPECT_EQ(slice.null_count(), 1u);
+  EXPECT_EQ(slice.ValueToString(1), "c");
+  EXPECT_EQ(slice.ValueToString(2), "null");
+
+  // A reordered take with repeats and nulls.
+  const std::vector<size_t> indices = {4, 1, 6, 4, 0, 5, 6};
+  const Column taken = column.Take(indices).ValueOrDie();
+  ExpectFirstSeenDictionary(taken);
+  EXPECT_EQ(taken.dictionary().keys(),
+            (std::vector<std::string>{"c", "a", "b"}));
+  EXPECT_EQ(taken.null_count(), 2u);
+  for (size_t i = 0; i < indices.size(); ++i) {
+    EXPECT_EQ(taken.ValueToString(i), column.ValueToString(indices[i])) << i;
+  }
+  EXPECT_TRUE(column.Slice(5, 3).status().IsOutOfRange());
+}
+
+TEST(ColumnTest, KeyExtractorMatchesRenderedValues) {
+  Column strings(DataType::kString);
+  strings.AppendString("null");
+  strings.AppendString("x");
+  strings.AppendNull();
+  Column ints = Column::FromInt64s({7, -2, 7, 0});
+  ints.AppendNull();
+  Column bools = Column::FromBools({1, 0, 0});
+  Column doubles = Column::FromDoubles({0.5, 1.0 / 3.0, 0.5});
+  for (const Column* column : {&strings, &ints, &bools, &doubles}) {
+    const ColumnKeys keys = ExtractKeys(*column);
+    ASSERT_EQ(keys.codes.size(), column->size());
+    std::vector<std::string> first_seen;
+    for (size_t row = 0; row < column->size(); ++row) {
+      const std::string rendered = column->ValueToString(row);
+      if (std::find(first_seen.begin(), first_seen.end(), rendered) ==
+          first_seen.end()) {
+        first_seen.push_back(rendered);
+      }
+      EXPECT_EQ(keys.keys[keys.codes[row]], rendered) << row;
+    }
+    EXPECT_EQ(keys.keys, first_seen);
+  }
+  EXPECT_EQ(ExtractKeys(strings).keys,
+            (std::vector<std::string>{"null", "x"}));
+  EXPECT_EQ(ExtractKeys(bools).keys,
+            (std::vector<std::string>{"true", "false"}));
 }
 
 TEST(ColumnTest, AppendCellTypeChecked) {

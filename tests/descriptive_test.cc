@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "stats/descriptive.h"
+#include "stats/rng.h"
 
 namespace fairlaw::stats {
 namespace {
@@ -43,6 +47,32 @@ TEST(DescriptiveTest, QuantileInterpolates) {
   EXPECT_DOUBLE_EQ(Quantile(values, 1.0 / 3.0).ValueOrDie(), 2.0);
   EXPECT_FALSE(Quantile(values, -0.1).ok());
   EXPECT_FALSE(Quantile(values, 1.1).ok());
+}
+
+TEST(DescriptiveTest, QuantilesEqualPerLevelQuantileBitForBit) {
+  Rng rng(17);
+  std::vector<double> values(1001);
+  for (double& value : values) {
+    // Few distinct values, so most order statistics are ties.
+    value = static_cast<double>(rng.UniformInt(40)) / 7.0 - 2.0;
+  }
+  std::vector<double> levels = {0.0, 1.0, 0.5, 0.25, 1.0 / 3.0};
+  for (size_t b = 1; b < 10; ++b) levels.push_back(b / 10.0);
+  for (int i = 0; i < 50; ++i) levels.push_back(rng.Uniform());
+  const std::vector<double> quantiles =
+      Quantiles(values, levels).ValueOrDie();
+  ASSERT_EQ(quantiles.size(), levels.size());
+  for (size_t i = 0; i < levels.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<uint64_t>(quantiles[i]),
+              std::bit_cast<uint64_t>(
+                  Quantile(values, levels[i]).ValueOrDie()))
+        << "level " << levels[i];
+  }
+  EXPECT_EQ(Quantiles(std::vector<double>{}, levels).status().message(),
+            "Quantile of empty sample");
+  EXPECT_EQ(Quantile(std::vector<double>{}, 0.5).status().message(),
+            "Quantile of empty sample");
+  EXPECT_FALSE(Quantiles(values, std::vector<double>{0.5, 1.5}).ok());
 }
 
 TEST(DescriptiveTest, QuantileUnsortedInput) {
