@@ -19,9 +19,11 @@
 //                     state, not wall-clock time.
 //   hot-path          std::vector<bool> is banned (its packed proxies
 //                     defeat spans and word-wise kernels), and per-row
-//                     std::string equality inside loops is flagged in
-//                     src/audit/ and src/metrics/, where membership tests
-//                     belong in data::GroupIndex bitmaps.
+//                     std::string equality or a ValueToString( call
+//                     inside loops is flagged in src/audit/ and
+//                     src/metrics/, where membership tests belong in
+//                     data::GroupIndex bitmaps and row keys are
+//                     data::ExtractKeys codes.
 //   timing-source     raw std::chrono::steady_clock is banned outside
 //                     src/obs/: measurements flow through
 //                     obs::MonotonicNowNs() / obs::TraceSpan so they share
@@ -229,7 +231,7 @@ std::vector<std::string> StringVectorNames(std::span<const Token> tokens) {
 
 void CheckHotPath(const Rule& self, const RuleInput& in, Reporter& out) {
   const SourceFile& file = *in.file;
-  if (!file.Mentions({"vector"})) return;
+  if (!file.Mentions({"vector", "ValueToString"})) return;
   const std::span<const Token> tokens = file.tokens();
   for (size_t i = 0; i < tokens.size(); ++i) {
     if (TokenSeqAt(tokens, i, {"std", "::", "vector", "<", "bool", ">"})) {
@@ -242,7 +244,7 @@ void CheckHotPath(const Rule& self, const RuleInput& in, Reporter& out) {
 
   if (!file.Under("src/audit/") && !file.Under("src/metrics/")) return;
   const std::vector<std::string> names = StringVectorNames(tokens);
-  if (names.empty()) return;
+  if (names.empty() && !file.Mentions({"ValueToString"})) return;
 
   // One pass tracking which brace depths are loop bodies; a for/while
   // header counts as in-loop from its keyword onward, which also catches
@@ -273,6 +275,15 @@ void CheckHotPath(const Rule& self, const RuleInput& in, Reporter& out) {
       continue;
     }
     if (!(pending_loop || !loop_depths.empty())) continue;
+    if (token.text == "ValueToString" && i + 1 < tokens.size() &&
+        tokens[i + 1].IsPunct("(")) {
+      out.Report(self, file, token.line,
+                 "per-row ValueToString inside a loop: audit/metric "
+                 "kernels key rows by data::ExtractKeys codes, not "
+                 "rendered strings (add `lint: allow-hot-path` only for a "
+                 "deliberate scalar baseline)");
+      continue;
+    }
     if (std::find(names.begin(), names.end(), token.text) == names.end()) {
       continue;
     }
