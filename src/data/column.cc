@@ -246,7 +246,6 @@ Result<std::span<const uint8_t>> Column::Bools() const {
   return std::span<const uint8_t>(bools_);
 }
 
-
 Result<std::vector<double>> Column::ToDoubles() const {
   if (null_count_ > 0) {
     return Status::Invalid("ToDoubles: column has nulls");
