@@ -1,7 +1,6 @@
 #include "audit/partials.h"
 
 #include <cstdint>
-#include <limits>
 #include <span>
 #include <unordered_map>
 #include <utility>
@@ -45,35 +44,19 @@ struct PairCodes {
   std::vector<size_t> first_rows;
 };
 
-PairCodes CodePairs(std::span<const uint32_t> a, size_t a_arity,
-                    std::span<const uint32_t> b, size_t b_arity) {
-  constexpr uint32_t kUnset = std::numeric_limits<uint32_t>::max();
+PairCodes CodePairs(std::span<const uint32_t> a, std::span<const uint32_t> b,
+                    size_t b_arity) {
   PairCodes out;
   out.codes.resize(a.size());
-  const auto assign = [&out](uint32_t* slot, size_t row) {
-    if (*slot == kUnset) {
-      *slot = static_cast<uint32_t>(out.first_rows.size());
-      out.first_rows.push_back(row);
-    }
-    out.codes[row] = *slot;
-  };
-  // A dense pair table while it is no larger than the rows; past that a
-  // hash map holds only the pairs that occur, so memory stays O(rows).
-  const uint64_t pairs = static_cast<uint64_t>(a_arity) * b_arity;
-  if (pairs <= a.size()) {
-    std::vector<uint32_t> slots(pairs, kUnset);
-    for (size_t row = 0; row < a.size(); ++row) {
-      assign(&slots[static_cast<uint64_t>(a[row]) * b_arity + b[row]], row);
-    }
-  } else {
-    std::unordered_map<uint64_t, uint32_t> slots;
-    for (size_t row = 0; row < a.size(); ++row) {
-      auto it = slots.try_emplace(static_cast<uint64_t>(a[row]) * b_arity +
-                                      b[row],
-                                  kUnset)
-                    .first;
-      assign(&it->second, row);
-    }
+  // Only the pairs that occur get a slot, so memory stays O(rows)
+  // however large the product of the two arities.
+  std::unordered_map<uint64_t, uint32_t> slots;
+  for (size_t row = 0; row < a.size(); ++row) {
+    const auto [it, inserted] =
+        slots.try_emplace(static_cast<uint64_t>(a[row]) * b_arity + b[row],
+                          static_cast<uint32_t>(out.first_rows.size()));
+    if (inserted) out.first_rows.push_back(row);
+    out.codes[row] = it->second;
   }
   return out;
 }
@@ -94,16 +77,14 @@ Result<data::ColumnKeys> StrataKeys(
   // Pair in one column at a time: after column c a code names a tuple of
   // the keys of columns 0..c.
   data::ColumnKeys strata{columns[0].codes, {}};
-  size_t arity = columns[0].keys.size();
   std::vector<size_t> first_rows;
   for (size_t c = 1; c < columns.size(); ++c) {
     PairCodes tuples =
-        CodePairs(strata.codes, arity, columns[c].codes, columns[c].keys.size());
+        CodePairs(strata.codes, columns[c].codes, columns[c].keys.size());
     strata.codes = std::move(tuples.codes);
     first_rows = std::move(tuples.first_rows);
-    arity = first_rows.size();
   }
-  strata.keys.reserve(arity);
+  strata.keys.reserve(first_rows.size());
   for (size_t row : first_rows) {
     std::string key;
     for (size_t c = 0; c < columns.size(); ++c) {
@@ -168,8 +149,8 @@ ChunkPartial ProcessChunk(const data::Table& chunk, const AuditConfig& config,
   if (!config.strata_columns.empty()) {
     // One cell per (stratum, group) pair in first-seen row order, so
     // strata and the groups within each keep first-seen order.
-    const PairCodes cells = CodePairs(strata.codes, strata.keys.size(),
-                                      groups.codes, groups.keys.size());
+    const PairCodes cells =
+        CodePairs(strata.codes, groups.codes, groups.keys.size());
     const std::vector<stats::GroupCounts> tallies = metrics::TallyCodes(
         cells.codes, cells.first_rows.size(), predictions, {});
     for (size_t cell = 0; cell < tallies.size(); ++cell) {

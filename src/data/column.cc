@@ -1,6 +1,5 @@
 #include "data/column.h"
 
-#include <unordered_map>
 #include <utility>
 
 #include "base/check.h"
@@ -271,45 +270,25 @@ Result<std::vector<double>> Column::ToDoubles() const {
   return Status::Internal("ToDoubles: unknown column type");
 }
 
-template <typename RowAt>
-void Column::AppendStringRows(const Column& source, size_t count,
-                              RowAt row_at) {
-  // Source code -> this column's code, set where the code first shows,
-  // so new codes follow the copied rows' first-seen order.
-  std::unordered_map<uint32_t, uint32_t> remap;
-  codes_.reserve(codes_.size() + count);
-  valid_.reserve(valid_.size() + count);
-  for (size_t i = 0; i < count; ++i) {
-    const size_t row = row_at(i);
-    if (!source.valid_[row]) {
-      AppendNull();
-      continue;
-    }
-    const uint32_t code = source.codes_[row];
-    auto [it, inserted] = remap.try_emplace(code, 0);
-    if (inserted) {
-      it->second = static_cast<uint32_t>(
-          dictionary_.KeyIndex(source.dictionary_.keys()[code]));
-    }
-    codes_.push_back(it->second);
-    valid_.push_back(true);
+void Column::AppendCode(const Column& source, uint32_t code,
+                        CodeRemap* remap) {
+  auto [it, inserted] = remap->try_emplace(code, 0);
+  if (inserted) {
+    it->second = static_cast<uint32_t>(
+        dictionary_.KeyIndex(source.dictionary_.keys()[code]));
   }
+  codes_.push_back(it->second);
+  valid_.push_back(true);
 }
 
 Result<Column> Column::Take(std::span<const size_t> indices) const {
   Column out(type_);
+  CodeRemap remap;
   for (size_t index : indices) {
     if (index >= size()) {
       return Status::OutOfRange("Take: index " + std::to_string(index) +
                                 " out of range");
     }
-  }
-  if (type_ == DataType::kString) {
-    out.AppendStringRows(*this, indices.size(),
-                         [indices](size_t i) { return indices[i]; });
-    return out;
-  }
-  for (size_t index : indices) {
     if (!valid_[index]) {
       out.AppendNull();
       continue;
@@ -321,11 +300,12 @@ Result<Column> Column::Take(std::span<const size_t> indices) const {
       case DataType::kInt64:
         out.AppendInt64(int64s_[index]);
         break;
+      case DataType::kString:
+        out.AppendCode(*this, codes_[index], &remap);
+        break;
       case DataType::kBool:
         out.AppendBool(bools_[index] != 0);
         break;
-      case DataType::kString:
-        break;  // appended above
     }
   }
   return out;
@@ -338,18 +318,9 @@ Result<Column> Column::Slice(size_t offset, size_t length) const {
                               ") exceeds column size " +
                               std::to_string(size()));
   }
-  Column out(type_);
-  if (type_ == DataType::kString) {
-    out.AppendStringRows(*this, length,
-                         [offset](size_t i) { return offset + i; });
-    return out;
-  }
   const auto begin = static_cast<ptrdiff_t>(offset);
   const auto end = static_cast<ptrdiff_t>(offset + length);
-  out.valid_.assign(valid_.begin() + begin, valid_.begin() + end);
-  for (uint8_t v : out.valid_) {
-    if (v == 0) ++out.null_count_;
-  }
+  Column out(type_);
   switch (type_) {
     case DataType::kDouble:
       out.doubles_.assign(doubles_.begin() + begin, doubles_.begin() + end);
@@ -357,11 +328,26 @@ Result<Column> Column::Slice(size_t offset, size_t length) const {
     case DataType::kInt64:
       out.int64s_.assign(int64s_.begin() + begin, int64s_.begin() + end);
       break;
+    case DataType::kString: {
+      CodeRemap remap;
+      out.codes_.reserve(length);
+      out.valid_.reserve(length);
+      for (size_t row = offset; row < offset + length; ++row) {
+        if (valid_[row]) {
+          out.AppendCode(*this, codes_[row], &remap);
+        } else {
+          out.AppendNull();
+        }
+      }
+      return out;
+    }
     case DataType::kBool:
       out.bools_.assign(bools_.begin() + begin, bools_.begin() + end);
       break;
-    case DataType::kString:
-      break;  // appended above
+  }
+  out.valid_.assign(valid_.begin() + begin, valid_.begin() + end);
+  for (uint8_t v : out.valid_) {
+    if (v == 0) ++out.null_count_;
   }
   return out;
 }

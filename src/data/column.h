@@ -7,6 +7,7 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <variant>
 #include <vector>
 
@@ -135,10 +136,13 @@ class Column {
   stats::FirstSeenMap<std::monostate> dictionary_;
   std::vector<uint8_t> bools_;  // 0/1 bytes
 
-  /// Appends `count` slots of string column `source`, slot i being its
-  /// row row_at(i), remapping codes so the dictionary stays first-seen.
-  template <typename RowAt>
-  void AppendStringRows(const Column& source, size_t count, RowAt row_at);
+  /// Source code -> this column's code, set where the code first shows,
+  /// so a copy's codes follow its rows' first-seen order.
+  using CodeRemap = std::unordered_map<uint32_t, uint32_t>;
+
+  /// Appends string column `source`'s code `code`, re-based through
+  /// `remap` so the dictionary stays first-seen.
+  void AppendCode(const Column& source, uint32_t code, CodeRemap* remap);
 };
 
 /// A column's rows keyed by their rendered values: keys holds each

@@ -1,7 +1,6 @@
 #include "data/group_index.h"
 
 #include <utility>
-#include <vector>
 
 namespace fairlaw::data {
 
@@ -16,16 +15,12 @@ Result<GroupIndex> GroupIndex::Build(
   for (const std::string& name : attribute_columns) {
     FAIRLAW_ASSIGN_OR_RETURN(const Column* column, table.GetColumn(name));
     const ColumnKeys keys = ExtractKeys(*column);
-    std::vector<Bitmap> bitmaps(keys.keys.size(), Bitmap(index.num_rows_));
-    for (size_t row = 0; row < keys.codes.size(); ++row) {
-      bitmaps[keys.codes[row]].Set(row);
-    }
-    // Keys arrive distinct and in first-seen order, so slot k is code k.
     AttributeIndex attribute{
         name, stats::FirstSeenMap<Bitmap>(Bitmap(index.num_rows_))};
-    for (size_t k = 0; k < keys.keys.size(); ++k) {
-      const size_t slot = attribute.values.KeyIndex(keys.keys[k]);
-      *attribute.values.mutable_slot(slot) = std::move(bitmaps[k]);
+    // Keys arrive distinct and in first-seen order, so slot k is code k.
+    for (const std::string& key : keys.keys) attribute.values.KeyIndex(key);
+    for (size_t row = 0; row < keys.codes.size(); ++row) {
+      attribute.values.mutable_slot(keys.codes[row])->Set(row);
     }
     index.attributes_.push_back(std::move(attribute));
   }
