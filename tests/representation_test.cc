@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+#include <vector>
+
 #include "audit/representation.h"
 #include "data/csv.h"
 
@@ -78,6 +82,54 @@ TEST(RepresentationTest, CategoryMismatchesAreErrors) {
                                     {"c", 0.25},
                                     {"d", 0.25}})
                    .ok());
+}
+
+// Non-string columns group by their rendered values, and a null cell is
+// its own group named "null" that the reference must list like any other.
+TEST(RepresentationTest, NonStringColumnsGroupByRenderedValue) {
+  data::Table table = data::ReadCsvString(
+                          "n,b\n"
+                          "7,true\n"
+                          ",false\n"
+                          "10,\n"
+                          "7,true\n"
+                          "-3,\n"
+                          ",true\n"
+                          "7,false\n"
+                          "10,true\n")
+                          .ValueOrDie();
+  ASSERT_EQ(table.GetColumn("n").ValueOrDie()->type(), data::DataType::kInt64);
+  ASSERT_EQ(table.GetColumn("b").ValueOrDie()->type(), data::DataType::kBool);
+
+  struct Expected {
+    std::string group;
+    int64_t count;
+    double reference_share;
+  };
+  auto check = [&](const std::string& column,
+                   const std::map<std::string, double>& shares,
+                   const std::vector<Expected>& expected) {
+    SCOPED_TRACE(column);
+    RepresentationReport report =
+        AuditRepresentation(table, column, shares).ValueOrDie();
+    ASSERT_EQ(report.groups.size(), expected.size());
+    for (size_t i = 0; i < expected.size(); ++i) {
+      const GroupRepresentation& rep = report.groups[i];
+      EXPECT_EQ(rep.group, expected[i].group);
+      EXPECT_EQ(rep.count, expected[i].count);
+      EXPECT_DOUBLE_EQ(rep.data_share,
+                       static_cast<double>(expected[i].count) / 8.0);
+      EXPECT_DOUBLE_EQ(rep.reference_share, expected[i].reference_share);
+    }
+  };
+  check("n", {{"7", 3.0}, {"null", 2.0}, {"10", 2.0}, {"-3", 1.0}},
+        {{"-3", 1, 0.125}, {"10", 2, 0.25}, {"7", 3, 0.375},
+         {"null", 2, 0.25}});
+  check("b", {{"true", 0.5}, {"false", 0.25}, {"null", 0.25}},
+        {{"false", 2, 0.25}, {"null", 2, 0.25}, {"true", 4, 0.5}});
+  // Each rendering must be listed: an unlisted null group is an error.
+  EXPECT_FALSE(
+      AuditRepresentation(table, "b", {{"true", 0.5}, {"false", 0.5}}).ok());
 }
 
 TEST(RepresentationTest, Validation) {
