@@ -26,6 +26,10 @@ Result<RepresentationReport> AuditRepresentation(
   double reference_total = 0.0;
   for (const auto& [group, share] : reference_shares) {
     (void)group;
+    if (!std::isfinite(share)) {
+      return Status::Invalid("AuditRepresentation: non-finite reference "
+                             "share");
+    }
     if (share < 0.0) {
       return Status::Invalid("AuditRepresentation: negative reference "
                              "share");
@@ -132,6 +136,9 @@ Result<size_t> RequiredDatasetSize(
   double smallest = std::numeric_limits<double>::infinity();
   for (const auto& [group, share] : reference_shares) {
     (void)group;
+    if (!std::isfinite(share)) {
+      return Status::Invalid("RequiredDatasetSize: non-finite share");
+    }
     if (share < 0.0) {
       return Status::Invalid("RequiredDatasetSize: negative share");
     }

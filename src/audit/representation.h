@@ -51,7 +51,8 @@ struct RepresentationReport {
 /// Compares the composition of `column` in `table` against
 /// `reference_shares` (group -> population share; missing groups in
 /// either direction are errors, because silently dropping a category is
-/// itself a representation failure). Shares are normalized internally.
+/// itself a representation failure). Shares must be finite and
+/// non-negative; they are normalized internally.
 FAIRLAW_NODISCARD Result<RepresentationReport> AuditRepresentation(
     const data::Table& table, const std::string& column,
     const std::map<std::string, double>& reference_shares,
@@ -60,7 +61,7 @@ FAIRLAW_NODISCARD Result<RepresentationReport> AuditRepresentation(
 /// Minimum dataset size such that, for every group in `reference_shares`,
 /// the expected group count reaches `min_group_count` — the §IV-F
 /// "sample complexity of bias detection" turned into a data-collection
-/// requirement.
+/// requirement. Shares must be finite and non-negative.
 FAIRLAW_NODISCARD Result<size_t> RequiredDatasetSize(
     const std::map<std::string, double>& reference_shares,
     size_t min_group_count);

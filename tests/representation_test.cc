@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -145,6 +146,34 @@ TEST(RepresentationTest, Validation) {
   EXPECT_FALSE(AuditRepresentation(table, "missing",
                                    {{"a", 0.5}, {"b", 0.5}})
                    .ok());
+}
+
+constexpr double kNonFinite[] = {std::numeric_limits<double>::quiet_NaN(),
+                                 std::numeric_limits<double>::infinity(),
+                                 -std::numeric_limits<double>::infinity()};
+
+TEST(RepresentationTest, NonFiniteReferenceSharesRejected) {
+  data::Table table = TableWithShares(10, 10, 0);
+  for (const double share : kNonFinite) {
+    SCOPED_TRACE(share);
+    Result<RepresentationReport> report =
+        AuditRepresentation(table, "g", {{"a", share}, {"b", 0.5}});
+    ASSERT_FALSE(report.ok());
+    EXPECT_TRUE(report.status().IsInvalid());
+    EXPECT_EQ(report.status().message(),
+              "AuditRepresentation: non-finite reference share");
+  }
+}
+
+TEST(RequiredDatasetSizeTest, NonFiniteSharesRejected) {
+  for (const double share : kNonFinite) {
+    SCOPED_TRACE(share);
+    Result<size_t> size = RequiredDatasetSize({{"a", share}, {"b", 0.5}}, 30);
+    ASSERT_FALSE(size.ok());
+    EXPECT_TRUE(size.status().IsInvalid());
+    EXPECT_EQ(size.status().message(),
+              "RequiredDatasetSize: non-finite share");
+  }
 }
 
 TEST(RequiredDatasetSizeTest, DrivenBySmallestGroup) {
