@@ -4,7 +4,7 @@
 #include <cmath>
 
 #include "base/string_util.h"
-#include "data/group_by.h"
+#include "data/column.h"
 #include "stats/distance.h"
 #include "stats/hypothesis.h"
 
@@ -41,14 +41,16 @@ Result<RepresentationReport> AuditRepresentation(
                            "zero");
   }
 
-  FAIRLAW_ASSIGN_OR_RETURN(std::vector<data::Group> groups,
-                           data::GroupBy(table, {column}));
+  FAIRLAW_ASSIGN_OR_RETURN(const data::Column* attribute,
+                           table.GetColumn(column));
+  const data::ColumnKeys keys = data::ExtractKeys(*attribute);
+  std::vector<int64_t> code_counts(keys.keys.size(), 0);
+  for (const uint32_t code : keys.codes) ++code_counts[code];
   std::map<std::string, int64_t> counts;
-  int64_t total = 0;
-  for (const data::Group& group : groups) {
-    counts[group.key[0]] = static_cast<int64_t>(group.rows.size());
-    total += static_cast<int64_t>(group.rows.size());
+  for (size_t code = 0; code < keys.keys.size(); ++code) {
+    counts[keys.keys[code]] = code_counts[code];
   }
+  const auto total = static_cast<int64_t>(keys.codes.size());
   if (total == 0) return Status::Invalid("AuditRepresentation: empty table");
 
   // Both directions must agree on the category set.

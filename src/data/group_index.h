@@ -12,7 +12,7 @@
 namespace fairlaw::data {
 
 /// Bitmap partition of one attribute column: every distinct value (in
-/// first-seen row order, matching DistinctValues) with the bitmap of the
+/// first-seen row order, matching ExtractKeys) with the bitmap of the
 /// rows holding it. The bitmaps are disjoint and cover all rows.
 struct AttributeIndex {
   std::string name;

@@ -114,7 +114,7 @@ TEST(GroupIndexTest, BuildsDisjointCoveringBitmapsInFirstSeenOrder) {
   EXPECT_EQ(index.num_rows(), 5u);
   const AttributeIndex* attribute =
       index.Attribute("g").ValueOrDie();
-  // First-seen order, matching DistinctValues / GroupBy.
+  // First-seen order, matching ExtractKeys.
   EXPECT_EQ(attribute->values.keys(),
             (std::vector<std::string>{"b", "a", "c"}));
   EXPECT_EQ(attribute->values.slot(0).ToIndices(),

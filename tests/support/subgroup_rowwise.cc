@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <set>
 #include <utility>
 
-#include "data/group_by.h"
+#include "data/table.h"
 #include "obs/obs.h"
 
 namespace fairlaw::audit {
@@ -48,7 +49,7 @@ void SortFindings(SubgroupAuditResult* result) {
 struct AttributeColumn {
   std::string name;
   std::vector<std::string> values;  // per-row rendered value
-  std::vector<std::string> distinct;
+  std::vector<std::string> distinct;  // first-seen order
 };
 
 void EnumerateRowwise(const std::vector<AttributeColumn>& attributes,
@@ -128,11 +129,13 @@ Result<SubgroupAuditResult> AuditSubgroupsRowwise(
     AttributeColumn attribute;
     attribute.name = name;
     attribute.values.resize(column->size());
+    std::set<std::string> seen;
     for (size_t row = 0; row < column->size(); ++row) {
       attribute.values[row] = column->ValueToString(row);
+      if (seen.insert(attribute.values[row]).second) {
+        attribute.distinct.push_back(attribute.values[row]);
+      }
     }
-    FAIRLAW_ASSIGN_OR_RETURN(attribute.distinct,
-                             data::DistinctValues(table, name));
     attributes.push_back(std::move(attribute));
   }
 
