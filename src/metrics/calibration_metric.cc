@@ -7,25 +7,6 @@
 
 namespace fairlaw::metrics {
 
-Result<CalibrationReport> CalibrationWithinGroups(
-    const std::vector<std::string>& groups, const std::vector<int>& labels,
-    const std::vector<double>& scores, size_t num_bins, double tolerance) {
-  if (groups.empty()) {
-    return Status::Invalid("CalibrationWithinGroups: empty input");
-  }
-  if (labels.size() != groups.size() || scores.size() != groups.size()) {
-    return Status::Invalid("CalibrationWithinGroups: size mismatch");
-  }
-  // The row-wise pass is the one-chunk case of the morsel path: fold the
-  // rows into a per-group series and finalize, sharing every
-  // floating-point step with the chunked engine.
-  stats::GroupedSeries series;
-  for (size_t i = 0; i < groups.size(); ++i) {
-    series[groups[i]].Append(scores[i], static_cast<uint8_t>(labels[i]));
-  }
-  return CalibrationFromSeries(series, num_bins, tolerance);
-}
-
 Result<CalibrationReport> CalibrationFromSeries(
     const stats::GroupedSeries& series, size_t num_bins, double tolerance) {
   if (series.num_keys() == 0) {

@@ -31,21 +31,13 @@ struct CalibrationReport {
   bool satisfied = false;  // max_ece <= tolerance
 };
 
-/// Audits calibration within each protected group. `scores[i]` is the
-/// model probability for row i, `labels[i]` the actual outcome,
-/// `groups[i]` the protected-attribute value.
-FAIRLAW_NODISCARD Result<CalibrationReport> CalibrationWithinGroups(
-    const std::vector<std::string>& groups, const std::vector<int>& labels,
-    const std::vector<double>& scores, size_t num_bins = 10,
-    double tolerance = 0.05);
-
-/// Chunk-merged form for the morsel-driven audit engine: `series` holds
-/// one (score, label) pair per row, keyed by group, with each group's
-/// rows in global row order (tag = label). ECE and the mean-score /
-/// base-rate sums are order-sensitive floating-point folds, so the
-/// chunk-order merge contract (stats::GroupedSeries) is exactly what
-/// makes this reproduce CalibrationWithinGroups bit-for-bit; groups are
-/// reported in alphabetical order either way.
+/// Audits calibration within each protected group. `series` holds one
+/// (score, label) pair per row, keyed by the protected-attribute value,
+/// with each group's rows in global row order (tag = label). ECE and the
+/// mean-score / base-rate sums are order-sensitive floating-point folds,
+/// so the chunk-order merge contract (stats::GroupedSeries) is what makes
+/// a chunked audit reproduce a single-chunk one bit-for-bit. Groups are
+/// reported in alphabetical order.
 FAIRLAW_NODISCARD Result<CalibrationReport> CalibrationFromSeries(
     const stats::GroupedSeries& series, size_t num_bins = 10,
     double tolerance = 0.05);

@@ -14,10 +14,10 @@
 ///
 ///   * Counter    — monotonically increasing uint64 (rows audited,
 ///                  popcount kernel calls, pruned subtrees, ...).
-///   * Histogram  — fixed log2 buckets over uint64 values (bootstrap
-///                  replicate counts, batch sizes, ...). No dynamic
-///                  bucket allocation; bucket b holds values whose
-///                  bit width is b (bucket 0 holds the value 0).
+///   * Histogram  — fixed log2 buckets over uint64 values (batch
+///                  sizes, ...). No dynamic bucket allocation;
+///                  bucket b holds values whose bit width is b
+///                  (bucket 0 holds the value 0).
 ///   * TraceSpan  — RAII wall-time span with parent/child nesting.
 ///                  Spans aggregate per thread (no lock on the hot
 ///                  path) and merge into the registry keyed by their

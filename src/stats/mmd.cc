@@ -38,7 +38,7 @@ std::vector<Point> Lift(std::span<const double> values) {
 
 /// The seed of stream k (a sampled pair, a random feature). Mixing the
 /// counter before xoring decorrelates streams even though the counters
-/// are sequential — the same discipline as the bootstrap replicates.
+/// are sequential.
 uint64_t StreamSeed(uint64_t base, size_t k) {
   return SplitMix64(base ^ SplitMix64(static_cast<uint64_t>(k)));
 }

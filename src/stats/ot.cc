@@ -179,94 +179,4 @@ Result<TransportPlan> ExactTransport(
   return result;
 }
 
-Result<TransportPlan> SinkhornTransport(
-    std::span<const double> p, std::span<const double> q,
-    const std::vector<std::vector<double>>& cost, double epsilon,
-    int max_iters, double tolerance) {
-  FAIRLAW_RETURN_NOT_OK(ValidateInputs(p, q, cost));
-  if (epsilon <= 0.0) {
-    return Status::Invalid("Sinkhorn: epsilon must be positive");
-  }
-  const size_t n = p.size();
-  const size_t m = q.size();
-
-  double sum_p = 0.0;
-  for (double v : p) sum_p += v;
-  double sum_q = 0.0;
-  for (double v : q) sum_q += v;
-  std::vector<double> a(p.begin(), p.end());
-  std::vector<double> b(q.begin(), q.end());
-  for (double& v : a) v /= sum_p;
-  for (double& v : b) v /= sum_q;
-
-  // Gibbs kernel K = exp(-cost/eps).
-  std::vector<std::vector<double>> kernel(n, std::vector<double>(m));
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = 0; j < m; ++j) {
-      kernel[i][j] = std::exp(-cost[i][j] / epsilon);
-    }
-  }
-
-  std::vector<double> u(n, 1.0);
-  std::vector<double> v(m, 1.0);
-  for (int iter = 0; iter < max_iters; ++iter) {
-    // u = a ./ (K v)
-    for (size_t i = 0; i < n; ++i) {
-      double kv = 0.0;
-      for (size_t j = 0; j < m; ++j) kv += kernel[i][j] * v[j];
-      u[i] = kv > 0.0 ? a[i] / kv : 0.0;
-    }
-    // v = b ./ (K^T u)
-    double max_violation = 0.0;
-    for (size_t j = 0; j < m; ++j) {
-      double ku = 0.0;
-      for (size_t i = 0; i < n; ++i) ku += kernel[i][j] * u[i];
-      double new_v = ku > 0.0 ? b[j] / ku : 0.0;
-      max_violation = std::max(max_violation, std::fabs(new_v * ku - b[j]));
-      v[j] = new_v;
-    }
-    // Check the row-marginal violation of the current plan.
-    double row_violation = 0.0;
-    for (size_t i = 0; i < n; ++i) {
-      double row = 0.0;
-      for (size_t j = 0; j < m; ++j) row += u[i] * kernel[i][j] * v[j];
-      row_violation = std::max(row_violation, std::fabs(row - a[i]));
-    }
-    if (row_violation < tolerance) break;
-  }
-
-  TransportPlan result;
-  result.plan.assign(n, std::vector<double>(m, 0.0));
-  result.cost = 0.0;
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = 0; j < m; ++j) {
-      result.plan[i][j] = u[i] * kernel[i][j] * v[j];
-      result.cost += result.plan[i][j] * cost[i][j];
-    }
-  }
-  return result;
-}
-
-Result<std::vector<double>> BarycentricProjection(
-    const TransportPlan& plan, std::span<const double> source,
-    std::span<const double> target) {
-  if (plan.plan.size() != source.size()) {
-    return Status::Invalid("BarycentricProjection: plan rows != |source|");
-  }
-  std::vector<double> projected(source.size());
-  for (size_t i = 0; i < source.size(); ++i) {
-    if (plan.plan[i].size() != target.size()) {
-      return Status::Invalid("BarycentricProjection: plan cols != |target|");
-    }
-    double mass = 0.0;
-    double weighted = 0.0;
-    for (size_t j = 0; j < target.size(); ++j) {
-      mass += plan.plan[i][j];
-      weighted += plan.plan[i][j] * target[j];
-    }
-    projected[i] = mass > kMassEpsilon ? weighted / mass : source[i];
-  }
-  return projected;
-}
-
 }  // namespace fairlaw::stats

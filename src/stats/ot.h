@@ -27,23 +27,6 @@ FAIRLAW_NODISCARD Result<TransportPlan> ExactTransport(
     std::span<const double> p, std::span<const double> q,
     const std::vector<std::vector<double>>& cost);
 
-/// Entropy-regularized OT via Sinkhorn–Knopp iterations. Faster and
-/// smoother than the exact solver; `epsilon` is the entropic regularization
-/// strength (> 0), `max_iters` bounds the iteration count and `tolerance`
-/// is the marginal violation at which iteration stops.
-FAIRLAW_NODISCARD Result<TransportPlan> SinkhornTransport(
-    std::span<const double> p, std::span<const double> q,
-    const std::vector<std::vector<double>>& cost, double epsilon,
-    int max_iters = 1000, double tolerance = 1e-9);
-
-/// Barycentric projection of a transport plan: for each source atom i,
-/// the cost-weighted average target location sum_j plan[i][j]*target[j] /
-/// sum_j plan[i][j]. Source atoms with no outgoing mass keep their own
-/// location from `source`.
-FAIRLAW_NODISCARD Result<std::vector<double>> BarycentricProjection(
-    const TransportPlan& plan, std::span<const double> source,
-    std::span<const double> target);
-
 }  // namespace fairlaw::stats
 
 #endif  // FAIRLAW_STATS_OT_H_

@@ -17,7 +17,7 @@ uint64_t SplitMix64(uint64_t x);
 
 /// Deterministic pseudo-random generator (xoshiro256++).
 ///
-/// All randomized components of fairlaw (generators, bootstrap, model
+/// All randomized components of fairlaw (generators, model
 /// initialization, simulators) draw from an explicitly passed Rng so that
 /// every experiment is reproducible from a single seed. The engine is
 /// xoshiro256++ seeded through splitmix64, which has a 2^256-1 period and

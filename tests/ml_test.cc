@@ -1,11 +1,6 @@
 #include <gtest/gtest.h>
 
-#include "ml/decision_tree.h"
-#include "ml/knn.h"
 #include "ml/logistic_regression.h"
-#include "ml/naive_bayes.h"
-#include "ml/split.h"
-#include "ml/standardizer.h"
 #include "stats/rng.h"
 
 namespace fairlaw::ml {
@@ -131,169 +126,6 @@ TEST(SigmoidTest, StableAtExtremes) {
   EXPECT_NEAR(Sigmoid(100.0), 1.0, 1e-12);
   EXPECT_NEAR(Sigmoid(-100.0), 0.0, 1e-12);
   EXPECT_NEAR(Sigmoid(-1000.0), 0.0, 1e-12);  // no overflow
-}
-
-TEST(GaussianNaiveBayesTest, LearnsSeparableData) {
-  Rng rng(11);
-  Dataset data = MakeBlobs(600, &rng);
-  GaussianNaiveBayes model;
-  ASSERT_TRUE(model.Fit(data).ok());
-  EXPECT_GT(AccuracyOn(model, data), 0.95);
-}
-
-TEST(GaussianNaiveBayesTest, RequiresBothClasses) {
-  Dataset data;
-  data.features = {{1.0}, {2.0}};
-  data.labels = {1, 1};
-  GaussianNaiveBayes model;
-  EXPECT_FALSE(model.Fit(data).ok());
-}
-
-TEST(BernoulliNaiveBayesTest, LearnsBinaryFeatures) {
-  Rng rng(13);
-  Dataset data;
-  for (int i = 0; i < 400; ++i) {
-    int label = rng.Bernoulli(0.5) ? 1 : 0;
-    double f0 = rng.Bernoulli(label == 1 ? 0.9 : 0.1) ? 1.0 : 0.0;
-    double f1 = rng.Bernoulli(0.5) ? 1.0 : 0.0;  // uninformative
-    data.features.push_back({f0, f1});
-    data.labels.push_back(label);
-  }
-  BernoulliNaiveBayes model;
-  ASSERT_TRUE(model.Fit(data).ok());
-  EXPECT_GT(AccuracyOn(model, data), 0.85);
-  // Rejects non-binary features.
-  Dataset continuous;
-  continuous.features = {{0.5}, {1.0}};
-  continuous.labels = {0, 1};
-  BernoulliNaiveBayes second;
-  EXPECT_FALSE(second.Fit(continuous).ok());
-}
-
-TEST(DecisionTreeTest, LearnsXorThatLinearModelsCannot) {
-  Rng rng(17);
-  Dataset data;
-  for (int i = 0; i < 800; ++i) {
-    double x0 = rng.Uniform(-1.0, 1.0);
-    double x1 = rng.Uniform(-1.0, 1.0);
-    data.features.push_back({x0, x1});
-    data.labels.push_back((x0 > 0.0) != (x1 > 0.0) ? 1 : 0);
-  }
-  DecisionTree tree;
-  ASSERT_TRUE(tree.Fit(data).ok());
-  EXPECT_GT(AccuracyOn(tree, data), 0.9);
-  EXPECT_GT(tree.num_nodes(), 3u);
-
-  LogisticRegression linear;
-  ASSERT_TRUE(linear.Fit(data).ok());
-  EXPECT_LT(AccuracyOn(linear, data), 0.65);  // XOR defeats linear models
-}
-
-TEST(DecisionTreeTest, DepthLimitRespected) {
-  Rng rng(19);
-  Dataset data = MakeBlobs(300, &rng);
-  DecisionTreeOptions options;
-  options.max_depth = 1;
-  DecisionTree stump(options);
-  ASSERT_TRUE(stump.Fit(data).ok());
-  EXPECT_LE(stump.depth(), 1);
-  EXPECT_LE(stump.num_nodes(), 3u);
-}
-
-TEST(DecisionTreeTest, PureLeafForConstantLabels) {
-  Dataset data;
-  data.features = {{1.0}, {2.0}, {3.0}};
-  data.labels = {1, 1, 1};
-  DecisionTree tree;
-  ASSERT_TRUE(tree.Fit(data).ok());
-  std::vector<double> x = {2.0};
-  EXPECT_DOUBLE_EQ(tree.PredictProba(x).ValueOrDie(), 1.0);
-  EXPECT_EQ(tree.num_nodes(), 1u);
-}
-
-TEST(KnnTest, LearnsSeparableData) {
-  Rng rng(23);
-  Dataset data = MakeBlobs(400, &rng);
-  KnnClassifier knn(5);
-  ASSERT_TRUE(knn.Fit(data).ok());
-  EXPECT_GT(AccuracyOn(knn, data), 0.93);
-}
-
-TEST(KnnTest, KOneMemorizesTraining) {
-  Rng rng(29);
-  Dataset data = MakeBlobs(100, &rng);
-  KnnClassifier knn(1);
-  ASSERT_TRUE(knn.Fit(data).ok());
-  EXPECT_DOUBLE_EQ(AccuracyOn(knn, data), 1.0);
-}
-
-TEST(StandardizerTest, ZeroMeanUnitVariance) {
-  std::vector<std::vector<double>> rows = {{1.0, 10.0}, {3.0, 20.0},
-                                           {5.0, 30.0}};
-  Standardizer standardizer;
-  ASSERT_TRUE(standardizer.Fit(rows).ok());
-  ASSERT_TRUE(standardizer.Transform(&rows).ok());
-  for (size_t j = 0; j < 2; ++j) {
-    double mean = 0.0;
-    for (const auto& row : rows) mean += row[j];
-    EXPECT_NEAR(mean / 3.0, 0.0, 1e-12);
-  }
-  EXPECT_NEAR(rows[2][0], -rows[0][0], 1e-12);
-}
-
-TEST(StandardizerTest, ConstantFeaturePassesThrough) {
-  std::vector<std::vector<double>> rows = {{7.0}, {7.0}};
-  Standardizer standardizer;
-  ASSERT_TRUE(standardizer.Fit(rows).ok());
-  ASSERT_TRUE(standardizer.Transform(&rows).ok());
-  EXPECT_DOUBLE_EQ(rows[0][0], 0.0);  // (7-7)/1
-}
-
-TEST(StandardizerTest, Validation) {
-  Standardizer standardizer;
-  std::vector<std::vector<double>> rows = {{1.0}};
-  EXPECT_FALSE(standardizer.Transform(&rows).ok());  // before fit
-  EXPECT_FALSE(standardizer.Fit({}).ok());
-}
-
-TEST(SplitTest, PartitionIsExact) {
-  Rng rng(31);
-  Dataset data = MakeBlobs(100, &rng);
-  TrainTestSplit split = SplitTrainTest(data, 0.25, &rng).ValueOrDie();
-  EXPECT_EQ(split.test.size(), 25u);
-  EXPECT_EQ(split.train.size(), 75u);
-  // Indices partition [0,100).
-  std::vector<uint8_t> seen(100, 0);
-  for (size_t index : split.train_indices) seen[index] = true;
-  for (size_t index : split.test_indices) {
-    EXPECT_FALSE(seen[index]);  // disjoint
-    seen[index] = true;
-  }
-  for (bool flag : seen) EXPECT_TRUE(flag);  // exhaustive
-}
-
-TEST(SplitTest, Validation) {
-  Rng rng(37);
-  Dataset data = MakeBlobs(10, &rng);
-  EXPECT_FALSE(SplitTrainTest(data, 0.0, &rng).ok());
-  EXPECT_FALSE(SplitTrainTest(data, 1.0, &rng).ok());
-  EXPECT_FALSE(SplitTrainTest(data, 0.5, nullptr).ok());
-}
-
-TEST(KFoldTest, FoldsPartition) {
-  Rng rng(41);
-  auto folds = KFoldIndices(10, 3, &rng).ValueOrDie();
-  EXPECT_EQ(folds.size(), 3u);
-  std::vector<uint8_t> seen(10, 0);
-  for (const auto& fold : folds) {
-    for (size_t index : fold) {
-      EXPECT_FALSE(seen[index]);
-      seen[index] = true;
-    }
-  }
-  for (bool flag : seen) EXPECT_TRUE(flag);
-  EXPECT_FALSE(KFoldIndices(10, 1, &rng).ok());
-  EXPECT_FALSE(KFoldIndices(2, 3, &rng).ok());
 }
 
 }  // namespace

@@ -90,47 +90,5 @@ TEST(ExactTransportTest, RejectsBadInput) {
   EXPECT_FALSE(ExactTransport(V{1.0}, V{1.0}, {{1.0, 2.0}}).ok());
 }
 
-TEST(SinkhornTest, ApproximatesExactCost) {
-  std::vector<double> p = {0.3, 0.7};
-  std::vector<double> q = {0.5, 0.5};
-  std::vector<std::vector<double>> cost = {{0.0, 1.0}, {1.0, 0.0}};
-  TransportPlan exact = ExactTransport(p, q, cost).ValueOrDie();
-  TransportPlan entropic =
-      SinkhornTransport(p, q, cost, /*epsilon=*/0.01, 5000).ValueOrDie();
-  EXPECT_NEAR(entropic.cost, exact.cost, 0.02);
-  // Marginals approximately satisfied.
-  double row0 = entropic.plan[0][0] + entropic.plan[0][1];
-  EXPECT_NEAR(row0, 0.3, 1e-6);
-}
-
-TEST(SinkhornTest, RejectsBadEpsilon) {
-  EXPECT_FALSE(
-      SinkhornTransport(V{1.0}, V{1.0}, {{0.0}}, /*epsilon=*/0.0).ok());
-}
-
-TEST(BarycentricProjectionTest, ProjectsOntoTargets) {
-  std::vector<double> p = {0.5, 0.5};
-  std::vector<double> q = {0.5, 0.5};
-  std::vector<double> source = {0.0, 10.0};
-  std::vector<double> target = {1.0, 11.0};
-  TransportPlan plan = ExactTransport(p, q, AbsCost(source, target))
-                           .ValueOrDie();
-  std::vector<double> projected =
-      BarycentricProjection(plan, source, target).ValueOrDie();
-  EXPECT_NEAR(projected[0], 1.0, 1e-9);
-  EXPECT_NEAR(projected[1], 11.0, 1e-9);
-}
-
-TEST(BarycentricProjectionTest, KeepsLocationWithoutMass) {
-  TransportPlan plan;
-  plan.plan = {{0.0, 0.0}, {0.5, 0.5}};
-  std::vector<double> source = {42.0, 0.0};
-  std::vector<double> target = {1.0, 3.0};
-  std::vector<double> projected =
-      BarycentricProjection(plan, source, target).ValueOrDie();
-  EXPECT_DOUBLE_EQ(projected[0], 42.0);  // no outgoing mass: unchanged
-  EXPECT_DOUBLE_EQ(projected[1], 2.0);
-}
-
 }  // namespace
 }  // namespace fairlaw::stats

@@ -1,7 +1,7 @@
 // Determinism and lock-discipline rules (family `detcheck`) over src/
 // and tools/. They guard the repo's load-bearing guarantee that audit
-// findings, bootstrap CIs, serve responses, and obs exports are
-// byte-identical for any thread/chunk configuration — the
+// findings, serve responses, and obs exports are byte-identical for
+// any thread/chunk configuration — the
 // reproducibility bar that lets a regulator treat an audit as evidence
 // rather than a one-off run. Each rule rejects a construct that can
 // silently leak scheduling, hashing, or environment state into results.
