@@ -8,8 +8,7 @@
 //   rank 2  data
 //   rank 3  metrics, legal, causal
 //   rank 4  audit, mitigation, ml, simulation, serve
-//   rank 5  core                          (API aggregation: suite,
-//                                          umbrella header)
+//   rank 5  core                          (API aggregation: suite)
 //   rank 6  tools, tests, bench, examples
 //
 // A file may include headers of its own module, of a lower-ranked
@@ -31,6 +30,11 @@
 //                       re-export (umbrella headers).
 //   transitive-include  IWYU-lite: a src/ file uses an identifier only a
 //                       transitively included header declares.
+//   unreached-module    a src/ header that no file under tools/, bench/,
+//                       or examples/ reaches over include edges (a
+//                       reached x.h also reaches its x.cc); code only
+//                       its own tests call. Silent in a tree with no
+//                       such root files.
 #include <algorithm>
 #include <cctype>
 #include <map>
@@ -461,6 +465,53 @@ void CheckTransitiveUse(const Rule& self, const RuleInput& in, Reporter& out) {
   }
 }
 
+/// Every file reached from the tools/, bench/, and examples/ files over
+/// include edges, where reaching src/x.h also reaches src/x.cc (the
+/// definitions a root links against). Empty when the tree has no roots.
+std::set<std::string> ReachedFromRoots(const IncludeGraph& graph) {
+  constexpr std::string_view kRoots[] = {"tools", "bench", "examples"};
+  std::set<std::string> reached;
+  std::vector<std::string> pending;
+  auto visit = [&](const std::string& rel) {
+    if (graph.files.contains(rel) && reached.insert(rel).second) {
+      pending.push_back(rel);
+    }
+  };
+  for (const auto& [rel, deps] : graph.files) {
+    if (std::ranges::find(kRoots, deps.module) != std::end(kRoots)) {
+      visit(rel);
+    }
+  }
+  while (!pending.empty()) {
+    const std::string rel = std::move(pending.back());
+    pending.pop_back();
+    for (const IncludeEdge& edge : graph.files.at(rel).includes) {
+      visit(edge.target);
+      if (edge.target.ends_with(".h")) {
+        visit(edge.target.substr(0, edge.target.size() - 2) + ".cc");
+      }
+    }
+  }
+  return reached;
+}
+
+void CheckUnreachedModules(const Rule& self, const RuleInput& in,
+                           Reporter& out) {
+  const IncludeGraph& graph = in.tree.graph;
+  const std::set<std::string> reached = ReachedFromRoots(graph);
+  if (reached.empty()) return;
+  for (const auto& [rel, deps] : graph.files) {
+    if (!rel.starts_with("src/") || !deps.file->IsHeader() ||
+        reached.contains(rel)) {
+      continue;
+    }
+    out.Report(self, *deps.file, 1,
+               "no file under tools/, bench/ or examples/ reaches '" + rel +
+                   "'; wire it into one of them or delete it with its "
+                   "tests");
+  }
+}
+
 std::map<std::string, int> FileCounts(const IncludeGraph& graph) {
   std::map<std::string, int> counts;
   for (const auto& [rel, deps] : graph.files) counts[deps.module] += 1;
@@ -479,6 +530,8 @@ constexpr Rule kDepsRules[] = {
      CheckUnusedIncludes},
     {"transitive-include", "deps", RuleKind::kIncludeGraph, nullptr,
      CheckTransitiveUse},
+    {"unreached-module", "deps", RuleKind::kIncludeGraph, nullptr,
+     CheckUnreachedModules},
 };
 
 }  // namespace

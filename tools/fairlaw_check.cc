@@ -21,7 +21,7 @@
 //              nodiscard-missing, dcheck-side-effect
 //              (tools/analysis/flow_rules.cc)
 //   deps       unknown-module, layering, include-cycle, module-cycle,
-//              unused-include, transitive-include
+//              unused-include, transitive-include, unreached-module
 //              (tools/analysis/deps_rules.cc)
 //
 // --rules= takes rule and family names (default: all). Findings print
