@@ -1,22 +1,18 @@
-// Microbenchmarks for the morsel-driven audit engine: chunked in-memory
-// throughput, out-of-core streaming, and the flat-peak-RSS contract
+// Benchmark harness for the morsel-driven audit engine: out-of-core
+// streaming throughput, thread scaling, and the flat-peak-RSS contract
 // (DESIGN.md §14).
 //
-// Two modes:
-//   * with any --benchmark_* flag: the usual google-benchmark suite
-//     (audit cost vs chunk size on an in-memory table).
-//   * otherwise: a JSON harness that (1) streams generated CSVs of
-//     --rows and --big-rows rows through AuditSource::FromCsv and records the
-//     peak-RSS growth between them — the count-metric path buffers
-//     O(window * chunk) rows, so a 10x bigger file must not grow the
-//     peak by more than a bounded slack; (2) measures streaming rows/sec
-//     and the serial-vs-parallel wall ratio at --threads workers (default:
-//     one per hardware thread, so the ratio is not oversubscribed); and
-//     (3) verifies the audit report is byte-identical across chunk
-//     sizes, thread counts, and the in-memory vs streaming ingestion
-//     paths. Writes BENCH_audit.json (see README "Benchmark JSON
-//     output"). Flags: --out=PATH --rows=N --big-rows=N --reps=N
-//     --threads=N --obs-json=PATH.
+// The harness (1) streams generated CSVs of --rows and --big-rows rows
+// through AuditSource::FromCsv and records the peak-RSS growth between
+// them — the count-metric path buffers O(window * chunk) rows, so a 10x
+// bigger file must not grow the peak by more than a bounded slack; (2)
+// measures streaming rows/sec and the serial-vs-parallel wall ratio of
+// the --rows stream at --threads workers (default: one per hardware
+// thread, so the ratio is not oversubscribed); and (3) verifies the
+// streamed report is byte-identical across chunk sizes and thread counts
+// to the one-chunk audit of the same rows read as a table. Writes
+// BENCH_audit.json (see README "Benchmark JSON output"). Flags:
+// --out=PATH --rows=N --big-rows=N --reps=N --threads=N --obs-json=PATH.
 #include <benchmark/benchmark.h>
 #include <sys/resource.h>
 
@@ -119,32 +115,7 @@ int64_t BestOfNs(size_t reps, const std::function<void()>& fn) {
 }
 
 // ---------------------------------------------------------------------------
-// google-benchmark suite.
-
-data::Table LoadOrDie(const std::string& path) {
-  return data::ReadCsvFile(path).ValueOrDie();
-}
-
-void BM_AuditChunkRows(benchmark::State& state) {
-  const std::string path = "bench_audit_bm.csv";
-  if (!WriteCsv(path, 100000, /*with_score=*/false)) {
-    state.SkipWithError("cannot write temp CSV");
-    return;
-  }
-  data::Table table = LoadOrDie(path);
-  std::remove(path.c_str());
-  audit::AuditConfig config = CountConfig();
-  config.chunk_rows = static_cast<size_t>(state.range(0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        audit::Auditor::Run(audit::AuditSource::FromTable(table), config)
-            .ValueOrDie());
-  }
-}
-BENCHMARK(BM_AuditChunkRows)->Arg(0)->Arg(4096)->Arg(65536);
-
-// ---------------------------------------------------------------------------
-// JSON harness (default mode).
+// JSON harness.
 
 struct HarnessConfig {
   std::string out = "BENCH_audit.json";
@@ -192,45 +163,35 @@ int RunHarness(const HarnessConfig& config) {
   const double rss_growth_mb = rss_after_big_mb - rss_after_small_mb;
   const bool flat_memory_ok = rss_growth_mb < kFlatMemorySlackMb;
 
-  // Throughput: best-of-reps streaming audit of the small file.
-  const int64_t stream_ns = BestOfNs(config.reps, [&] {
+  // Throughput and thread scaling: best-of-reps streaming audits of the
+  // small file in 64k-row chunks, serial vs --threads workers. The
+  // serial leg also gives rows/sec. On a single-core host the honest
+  // ratio is ~1.0; the regression gate compares against the baseline
+  // recorded on the same machine class rather than asserting an
+  // absolute speedup.
+  audit::AuditConfig parallel_config = count_config;
+  parallel_config.num_threads = config.threads;
+  const int64_t serial_ns = BestOfNs(config.reps, [&] {
     benchmark::DoNotOptimize(
         audit::Auditor::Run(audit::AuditSource::FromCsv(small_csv),
                             count_config)
             .ValueOrDie());
   });
-  const double rows_per_sec = static_cast<double>(config.rows) /
-                              (static_cast<double>(stream_ns) / 1e9);
-
-  // Thread scaling on the in-memory chunked engine: same table, same
-  // chunks, serial vs --threads workers. On a single-core host the
-  // honest ratio is ~1.0; the regression gate compares against the
-  // baseline recorded on the same machine class rather than asserting
-  // an absolute speedup.
-  data::Table small_table = LoadOrDie(small_csv);
-  audit::AuditConfig serial_config = CountConfig();
-  serial_config.chunk_rows = data::kDefaultChunkRows;
-  audit::AuditConfig parallel_config = serial_config;
-  parallel_config.num_threads = config.threads;
-  const int64_t serial_ns = BestOfNs(config.reps, [&] {
-    benchmark::DoNotOptimize(
-        audit::Auditor::Run(audit::AuditSource::FromTable(small_table),
-                            serial_config)
-            .ValueOrDie());
-  });
   const int64_t parallel_ns = BestOfNs(config.reps, [&] {
     benchmark::DoNotOptimize(
-        audit::Auditor::Run(audit::AuditSource::FromTable(small_table),
+        audit::Auditor::Run(audit::AuditSource::FromCsv(small_csv),
                             parallel_config)
             .ValueOrDie());
   });
+  const double rows_per_sec = static_cast<double>(config.rows) /
+                              (static_cast<double>(serial_ns) / 1e9);
   const double thread_scaling = static_cast<double>(serial_ns) /
                                 static_cast<double>(parallel_ns);
 
   // Byte-identity: the full-config audit (counts, strata, calibration,
-  // score distribution) must render identically for every chunk size,
-  // thread count, and ingestion path.
-  data::Table full_table = LoadOrDie(full_csv);
+  // score distribution) streamed at every chunk size and thread count
+  // must render exactly as the one-chunk audit of the table.
+  const data::Table full_table = data::ReadCsvFile(full_csv).ValueOrDie();
   const audit::AuditConfig full_config = FullConfig();
   const std::string reference =
       audit::Auditor::Run(audit::AuditSource::FromTable(full_table),
@@ -243,8 +204,7 @@ int RunHarness(const HarnessConfig& config) {
       variant.chunk_rows = chunk_rows;
       variant.num_threads = threads;
       const std::string render =
-          audit::Auditor::Run(audit::AuditSource::FromTable(full_table),
-                              variant)
+          audit::Auditor::Run(audit::AuditSource::FromCsv(full_csv), variant)
               .ValueOrDie().Render();
       chunk_identical = chunk_identical && render == reference;
     }
@@ -322,13 +282,10 @@ int RunHarness(const HarnessConfig& config) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool gbench_mode = false;
   HarnessConfig config;
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
-    if (arg.rfind("--benchmark", 0) == 0) {
-      gbench_mode = true;
-    } else if (arg.rfind("--out=", 0) == 0) {
+    if (arg.rfind("--out=", 0) == 0) {
       config.out = std::string(arg.substr(6));
     } else if (arg.rfind("--obs-json=", 0) == 0) {
       config.obs_json = std::string(arg.substr(11));
@@ -346,17 +303,11 @@ int main(int argc, char** argv) {
           fairlaw::ParseInt64(arg.substr(10)).ValueOrDie());
     } else {
       std::fprintf(stderr,
-                   "usage: bench_micro_audit [--benchmark_* flags] "
-                   "[--out=PATH] [--obs-json=PATH] [--rows=N] "
-                   "[--big-rows=N] [--reps=N] [--threads=N]\n");
+                   "usage: bench_micro_audit [--out=PATH] "
+                   "[--obs-json=PATH] [--rows=N] [--big-rows=N] "
+                   "[--reps=N] [--threads=N]\n");
       return 2;
     }
-  }
-  if (gbench_mode) {
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
-    return 0;
   }
   return RunHarness(config);
 }

@@ -172,16 +172,6 @@ int RunComparison(const HarnessConfig& config) {
     benchmark::DoNotOptimize(
         audit::AuditSubgroups(table, attrs, "pred", options).ValueOrDie());
   });
-  // num_threads drives only the chunked per-chunk index build, so on
-  // this contiguous table the leg runs the same serial walk as bitmap_ns;
-  // it stays so bitmap_parallel_ns keeps its meaning across baselines.
-  audit::SubgroupAuditOptions parallel_options = options;
-  parallel_options.num_threads = 0;
-  const int64_t parallel_ns = BestOfNs(config.reps, [&] {
-    benchmark::DoNotOptimize(
-        audit::AuditSubgroups(table, attrs, "pred", parallel_options)
-            .ValueOrDie());
-  });
 
   // Probe overhead: the same bitmap walk with the obs probes live
   // (bitmap_ns above) vs disabled through the runtime kill switch. The
@@ -210,11 +200,8 @@ int RunComparison(const HarnessConfig& config) {
                static_cast<int64_t>(bitmap_result.subgroups_examined));
   writer.Field("baseline_rowwise_ns", baseline_ns);
   writer.Field("bitmap_ns", bitmap_ns);
-  writer.Field("bitmap_parallel_ns", parallel_ns);
   writer.Field("speedup", static_cast<double>(baseline_ns) /
                               static_cast<double>(bitmap_ns));
-  writer.Field("parallel_speedup", static_cast<double>(baseline_ns) /
-                                       static_cast<double>(parallel_ns));
   writer.Field("obs_off_ns", obs_off_ns);
   writer.Field("obs_overhead_pct", obs_overhead_pct);
   writer.Field("identical_results", identical);

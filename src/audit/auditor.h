@@ -52,18 +52,17 @@ struct AuditConfig {
   /// Max per-group KS statistic for the drift audit to pass. KS is
   /// scale-free, so it gates the verdict; W1 is reported alongside.
   double score_distribution_tolerance = 0.1;
-  /// Worker threads for the chunk morsels (the per-chunk partial builds
-  /// of a table split by chunk_rows or of a streamed CSV): 1 = serial
-  /// (default), 0 = one per hardware thread. Partials merge in chunk
-  /// order and metric evaluation is serial, so the audit output is
-  /// byte-identical for every thread count.
+  /// Worker threads for a streamed CSV's chunk morsels (the per-chunk
+  /// partial builds): 1 = serial (default), 0 = one per hardware thread.
+  /// A table source is one chunk and runs serially whatever this says.
+  /// Partials merge in chunk order and metric evaluation is serial, so
+  /// the audit output is byte-identical for every thread count.
   size_t num_threads = 1;
-  /// Rows per morsel for the chunked engine: the table is split into
-  /// chunks of this many rows, each chunk produces mergeable partials
-  /// (integer tallies, row-ordered series), and the partials merge in
-  /// chunk order — so the audit output is byte-identical for every chunk
-  /// size too. 0 (default) audits the whole table, in place, as one
-  /// chunk.
+  /// Rows per chunk of a streamed CSV (0 = data::kDefaultChunkRows).
+  /// Each chunk produces mergeable partials (integer tallies,
+  /// row-ordered series) that merge in chunk order, so the audit output
+  /// is byte-identical for every chunk size. A table source ignores it:
+  /// the table is audited in place as one chunk.
   size_t chunk_rows = 0;
 
   /// Checks the configuration before any data is touched: required

@@ -7,7 +7,7 @@
 #include <utility>
 #include <vector>
 
-#include "data/table.h"
+#include "data/schema.h"
 #include "metrics/calibration_metric.h"
 #include "metrics/conditional_metrics.h"
 #include "metrics/fairness_metric.h"
@@ -151,12 +151,14 @@ Result<AuditResult> EvaluateMergedPartials(const MergedPartials& merged,
   return result;
 }
 
-Status EmptyAuditError(const data::Table& empty, const AuditConfig& config) {
-  Status probe = MetricInputFromTable(empty, config.protected_column,
-                                      config.prediction_column,
-                                      config.label_column)
-                     .status();
-  if (!probe.ok()) return probe;
+Status EmptyAuditError(const data::Schema& schema,
+                       const AuditConfig& config) {
+  for (const std::string* column :
+       {&config.protected_column, &config.prediction_column,
+        &config.label_column}) {
+    if (column->empty()) continue;
+    FAIRLAW_RETURN_NOT_OK(schema.FieldIndex(*column).status());
+  }
   return Status::Invalid("MetricInput: empty input");
 }
 

@@ -6,7 +6,7 @@
 #include "audit/auditor.h"
 #include "audit/partials.h"
 #include "base/result.h"
-#include "data/table.h"
+#include "data/schema.h"
 #include "stats/mergeable.h"
 
 namespace fairlaw::audit {
@@ -42,10 +42,11 @@ FAIRLAW_NODISCARD Result<AuditResult> EvaluateMergedPartials(
     const MergedPartials& merged, const AuditConfig& config,
     const std::string& parent_path);
 
-/// Reproduces the serial pass's error on a zero-row audit: a missing
-/// column still reports the lookup failure, existing columns the
-/// empty-input error.
-FAIRLAW_NODISCARD Status EmptyAuditError(const data::Table& empty,
+/// The error of a zero-row audit with schema `schema`: a missing
+/// protected, prediction or label column reports its lookup failure
+/// (checked in that order), and otherwise the input is empty. Zero rows
+/// infer every CSV column as string, so no column type is checked.
+FAIRLAW_NODISCARD Status EmptyAuditError(const data::Schema& schema,
                                          const AuditConfig& config);
 
 }  // namespace fairlaw::audit

@@ -11,39 +11,27 @@
 namespace fairlaw::audit {
 namespace {
 
-/// The engine over one input's chunks: ProcessChunk per chunk on the
-/// morsel loop, partials folded in chunk order, then one evaluation of
-/// the merged partials. Morsels may run on pool workers whose span stack
-/// is empty; `parent_path`, captured on the scheduling thread, keeps the
-/// exported span tree identical for every thread count.
-Result<AuditResult> RunMorselAudit(ChunkStream& chunks,
-                                   const AuditConfig& config,
-                                   const std::string& parent_path) {
-  MergedPartials merged;
-  FAIRLAW_RETURN_NOT_OK(RunMorsels(
-      chunks, config.num_threads,
-      [&config, &parent_path](const data::Table& chunk) {
-        return ProcessChunk(chunk, config, parent_path);
-      },
-      [&merged](ChunkPartial partial) {
-        obs::GetCounter("audit.morsels_scheduled")->Increment();
-        merged.Fold(std::move(partial));
-      }));
-  return EvaluateMergedPartials(merged, config, parent_path);
-}
-
+/// A table is one chunk: one ProcessChunk folded into the merged
+/// partials, then one evaluation, all on this thread.
 Result<AuditResult> RunTable(const data::Table& table,
                              const AuditConfig& config) {
   obs::TraceSpan run_span("run_audit");
   obs::GetCounter("audit.runs")->Increment();
   obs::GetCounter("audit.rows_audited")->Increment(table.num_rows());
-  if (table.num_rows() == 0) return EmptyAuditError(table, config);
-  ChunkStream chunks(table, config.chunk_rows);
-  return RunMorselAudit(chunks, config, obs::CurrentPath());
+  if (table.num_rows() == 0) return EmptyAuditError(table.schema(), config);
+  const std::string parent_path = obs::CurrentPath();
+  MergedPartials merged;
+  obs::GetCounter("audit.morsels_scheduled")->Increment();
+  merged.Fold(ProcessChunk(table, config, parent_path));
+  return EvaluateMergedPartials(merged, config, parent_path);
 }
 
-/// Streams the CSV: peak memory is the in-flight chunks plus the merged
-/// accumulators, never the file.
+/// Streams the CSV through the morsel loop: ProcessChunk per chunk,
+/// partials folded in chunk order, then one evaluation of the merged
+/// partials. Peak memory is the in-flight chunks plus the merged
+/// accumulators, never the file. Morsels may run on pool workers whose
+/// span stack is empty; `parent_path`, captured on this thread, keeps
+/// the exported span tree identical for every thread count.
 Result<AuditResult> RunCsv(const AuditSource::CsvSpec& spec,
                            const AuditConfig& config) {
   obs::TraceSpan run_span("run_audit");
@@ -55,13 +43,19 @@ Result<AuditResult> RunCsv(const AuditSource::CsvSpec& spec,
       data::CsvChunkReader reader,
       data::CsvChunkReader::Make(spec.path, reader_options));
   obs::GetCounter("audit.rows_audited")->Increment(reader.num_rows());
-  if (reader.num_rows() == 0) {
-    data::TableBuilder builder(reader.schema());
-    FAIRLAW_ASSIGN_OR_RETURN(data::Table empty, builder.Finish());
-    return EmptyAuditError(empty, config);
-  }
-  ChunkStream chunks(&reader, config.chunk_rows);
-  return RunMorselAudit(chunks, config, obs::CurrentPath());
+  if (reader.num_rows() == 0) return EmptyAuditError(reader.schema(), config);
+  const std::string parent_path = obs::CurrentPath();
+  MergedPartials merged;
+  FAIRLAW_RETURN_NOT_OK(RunMorsels(
+      reader, config.num_threads,
+      [&config, &parent_path](const data::Table& chunk) {
+        return ProcessChunk(chunk, config, parent_path);
+      },
+      [&merged](ChunkPartial partial) {
+        obs::GetCounter("audit.morsels_scheduled")->Increment();
+        merged.Fold(std::move(partial));
+      }));
+  return EvaluateMergedPartials(merged, config, parent_path);
 }
 
 }  // namespace

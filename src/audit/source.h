@@ -22,8 +22,8 @@ namespace fairlaw::audit {
 ///
 /// Table and window sources borrow their referent (the caller keeps it
 /// alive across Run); the CSV source owns its path and options. A table
-/// is read in place: config.chunk_rows schedules row slices of it, and
-/// with chunk_rows == 0 the table itself is the one chunk.
+/// is read in place as one chunk; only a CSV source is chunked, into
+/// config.chunk_rows-row chunks on config.num_threads workers.
 class AuditSource {
  public:
   static AuditSource FromTable(const data::Table& table) {
@@ -58,8 +58,8 @@ class AuditSource {
 };
 
 /// The one audit entry point. Validates `config`, dispatches on the
-/// source shape, and runs the morsel-driven engine (tables, CSV
-/// streams) or the windowed evaluator (serve windows).
+/// source shape, and runs the chunk engine (a table as one chunk, a CSV
+/// stream on the morsel loop) or the windowed evaluator (serve windows).
 class Auditor {
  public:
   FAIRLAW_NODISCARD static Result<AuditResult> Run(const AuditSource& source,

@@ -5,14 +5,11 @@
 #include <cstdint>
 #include <utility>
 
-#include "audit/morsel.h"
 #include "audit/partials.h"
 #include "base/string_util.h"
 #include "data/bitmap.h"
-#include "data/chunked.h"
 #include "data/group_index.h"
 #include "obs/obs.h"
-#include "stats/mergeable.h"
 
 namespace fairlaw::audit {
 
@@ -95,45 +92,31 @@ struct KernelTally {
   uint64_t pruned_subtrees = 0;
 };
 
-/// The chunk-spanning analogue of data::AttributeIndex: the same
-/// first-seen value dictionary, with one ChunkedBitmap per value. Values
-/// absent from a chunk hold an all-zero bitmap there, so every value's
-/// bitmap shares the table's chunk layout and the AND/popcount kernels
-/// never special-case absence.
-struct ChunkedAttributeIndex {
-  std::string name;
-  stats::FirstSeenMap<data::ChunkedBitmap> values;  // value -> rows
-};
-
 /// Scores the conjunction `conditions` (depth >= 1), then walks the
 /// lattice below it. `scratch` holds one preallocated bitmap per depth
 /// level, so the whole walk allocates nothing: the intersection for
 /// depth d is computed into (*scratch)[d] and its popcount falls out of
-/// the same pass (ChunkedBitmap::AndInto). One logical kernel call counts
-/// once in the tally however many chunks it spans, which keeps the kernel
-/// counters chunk-layout-invariant.
-void EnumerateBitmap(const std::vector<ChunkedAttributeIndex>& attrs,
-                     const data::ChunkedBitmap& predictions,
-                     double overall_rate, size_t num_rows,
-                     const SubgroupAuditOptions& options,
+/// the same pass (Bitmap::AndInto).
+void EnumerateBitmap(const std::vector<data::AttributeIndex>& attrs,
+                     const data::Bitmap& predictions, double overall_rate,
+                     size_t num_rows, const SubgroupAuditOptions& options,
                      size_t next_attribute, int depth,
-                     const data::ChunkedBitmap& members, size_t member_count,
+                     const data::Bitmap& members, size_t member_count,
                      std::vector<std::pair<std::string, std::string>>*
                          conditions,
-                     std::vector<data::ChunkedBitmap>* scratch,
+                     std::vector<data::Bitmap>* scratch,
                      SubgroupAuditResult* result, KernelTally* tally) {
-  const size_t positives =
-      data::ChunkedBitmap::AndCount(members, predictions);
+  const size_t positives = data::Bitmap::AndCount(members, predictions);
   ++tally->popcount_calls;
   RecordFinding(*conditions, member_count, positives, num_rows, overall_rate,
                 options, result);
   if (depth >= options.max_depth) return;
   for (size_t a = next_attribute; a < attrs.size(); ++a) {
-    const ChunkedAttributeIndex& attribute = attrs[a];
+    const data::AttributeIndex& attribute = attrs[a];
     for (size_t v = 0; v < attribute.values.num_keys(); ++v) {
-      data::ChunkedBitmap& narrowed = (*scratch)[static_cast<size_t>(depth)];
-      const size_t count = data::ChunkedBitmap::AndInto(
-          members, attribute.values.slot(v), &narrowed);
+      data::Bitmap& narrowed = (*scratch)[static_cast<size_t>(depth)];
+      const size_t count =
+          data::Bitmap::AndInto(members, attribute.values.slot(v), &narrowed);
       ++tally->popcount_calls;
       if (count == 0) {
         ++tally->pruned_subtrees;
@@ -146,75 +129,6 @@ void EnumerateBitmap(const std::vector<ChunkedAttributeIndex>& attrs,
       conditions->pop_back();
     }
   }
-}
-
-/// The full lattice walk over a merged index: roots in canonical order
-/// (attributes in argument order, values in first-seen order), obs
-/// counters, final sort.
-SubgroupAuditResult RunLattice(
-    const std::vector<ChunkedAttributeIndex>& attrs,
-    const data::ChunkedBitmap& predictions, double overall_rate,
-    size_t num_rows, const SubgroupAuditOptions& options) {
-  SubgroupAuditResult result;
-  KernelTally tally;
-  // Depth d intersections land in scratch[d]; a root set is its index
-  // bitmap itself, so levels 1..max_depth-1 suffice.
-  std::vector<data::ChunkedBitmap> scratch(
-      static_cast<size_t>(options.max_depth) + 1);
-  std::vector<std::pair<std::string, std::string>> conditions;
-  for (size_t a = 0; a < attrs.size(); ++a) {
-    const ChunkedAttributeIndex& attribute = attrs[a];
-    for (size_t v = 0; v < attribute.values.num_keys(); ++v) {
-      const data::ChunkedBitmap& members = attribute.values.slot(v);
-      ++tally.popcount_calls;
-      conditions = {{attribute.name, attribute.values.keys()[v]}};
-      // Index bitmaps are nonempty: every value comes from some row.
-      EnumerateBitmap(attrs, predictions, overall_rate, num_rows, options,
-                      a + 1, /*depth=*/1, members, members.Count(),
-                      &conditions, &scratch, &result, &tally);
-    }
-  }
-  obs::GetCounter("subgroup.audits")->Increment();
-  obs::GetCounter("subgroup.nodes_visited")
-      ->Increment(result.subgroups_examined);
-  obs::GetCounter("subgroup.popcount_calls")->Increment(tally.popcount_calls);
-  obs::GetCounter("subgroup.pruned_subtrees")
-      ->Increment(tally.pruned_subtrees);
-  SortFindings(&result);
-  return result;
-}
-
-// ---------------------------------------------------------------------------
-// Per-chunk indexing.
-
-/// Per-chunk indexing output: both extraction steps always run so the
-/// step-ranked error merge below gives every chunk layout the one-chunk
-/// error precedence (predictions are extracted before the index is
-/// built, and every step error is a row-independent string).
-struct ChunkIndexPartial {
-  size_t num_rows = 0;
-  Status prediction_status;
-  Status index_status;
-  data::Bitmap predictions;
-  data::GroupIndex index;
-};
-
-ChunkIndexPartial IndexChunk(const data::Table& chunk,
-                             const std::vector<std::string>& attribute_columns,
-                             const std::string& prediction_column) {
-  ChunkIndexPartial partial;
-  partial.num_rows = chunk.num_rows();
-  Result<std::vector<int>> predictions = BinaryColumn(chunk, prediction_column);
-  partial.prediction_status = predictions.status();
-  if (partial.prediction_status.ok()) {
-    partial.predictions = data::Bitmap::FromBits(predictions.ValueOrDie());
-  }
-  auto index = data::GroupIndex::Build(chunk, attribute_columns);
-  partial.index_status = index.status();
-  if (partial.index_status.ok()) {
-    partial.index = std::move(index).ValueOrDie();
-  }
-  return partial;
 }
 
 }  // namespace
@@ -232,65 +146,46 @@ Result<SubgroupAuditResult> AuditSubgroups(
   if (table.num_rows() == 0) {
     return Status::Invalid("AuditSubgroups: empty table");
   }
-
-  // Morsel phase: every chunk is indexed independently.
-  std::vector<ChunkIndexPartial> partials;
-  ChunkStream chunks(table, options.chunk_rows);
-  FAIRLAW_RETURN_NOT_OK(RunMorsels(
-      chunks, options.num_threads,
-      [&attribute_columns, &prediction_column](const data::Table& chunk) {
-        return IndexChunk(chunk, attribute_columns, prediction_column);
-      },
-      [&partials](ChunkIndexPartial partial) {
-        partials.push_back(std::move(partial));
-      }));
-  const size_t num_chunks = partials.size();
-  // Step outranks chunk: a one-chunk audit fails on the prediction
-  // column before it ever builds the index, so any chunk's prediction
-  // error beats any chunk's index error.
-  for (const ChunkIndexPartial& partial : partials) {
-    FAIRLAW_RETURN_NOT_OK(partial.prediction_status);
-  }
-  for (const ChunkIndexPartial& partial : partials) {
-    FAIRLAW_RETURN_NOT_OK(partial.index_status);
-  }
-
-  std::vector<size_t> chunk_sizes(num_chunks);
-  for (size_t c = 0; c < num_chunks; ++c) {
-    chunk_sizes[c] = partials[c].num_rows;
-  }
-
-  std::vector<data::Bitmap> prediction_chunks;
-  prediction_chunks.reserve(num_chunks);
-  for (ChunkIndexPartial& partial : partials) {
-    prediction_chunks.push_back(std::move(partial.predictions));
-  }
-  data::ChunkedBitmap predictions(std::move(prediction_chunks));
+  // The prediction column is extracted before the index is built, so its
+  // error outranks any attribute column's.
+  FAIRLAW_ASSIGN_OR_RETURN(std::vector<int> prediction_bits,
+                           BinaryColumn(table, prediction_column));
+  const data::Bitmap predictions = data::Bitmap::FromBits(prediction_bits);
+  FAIRLAW_ASSIGN_OR_RETURN(const data::GroupIndex index,
+                           data::GroupIndex::Build(table, attribute_columns));
+  const size_t num_rows = table.num_rows();
   const double overall_rate = static_cast<double>(predictions.Count()) /
-                              static_cast<double>(table.num_rows());
+                              static_cast<double>(num_rows);
 
-  // Merge the per-chunk value dictionaries in chunk order: each chunk's
-  // values are in its first-seen row order, so first-seen-across-chunks
-  // is exactly the whole-table first-seen order. A value enters with an
-  // all-zero bitmap and takes each chunk's bitmap where it occurs.
-  std::vector<ChunkedAttributeIndex> attributes;
-  attributes.reserve(attribute_columns.size());
-  for (size_t a = 0; a < attribute_columns.size(); ++a) {
-    ChunkedAttributeIndex merged{
-        attribute_columns[a], stats::FirstSeenMap<data::ChunkedBitmap>(
-                                  data::ChunkedBitmap::AllZero(chunk_sizes))};
-    for (size_t c = 0; c < num_chunks; ++c) {
-      const stats::FirstSeenMap<data::Bitmap>& local =
-          partials[c].index.attributes()[a].values;
-      for (size_t v = 0; v < local.num_keys(); ++v) {
-        *merged.values[local.keys()[v]].mutable_chunk(c) = local.slot(v);
-      }
+  // Roots in canonical order: attributes in argument order, values in
+  // first-seen order. Depth d intersections land in scratch[d]; a root
+  // set is its index bitmap itself, so levels 1..max_depth-1 suffice.
+  SubgroupAuditResult result;
+  KernelTally tally;
+  std::vector<data::Bitmap> scratch(static_cast<size_t>(options.max_depth) +
+                                    1);
+  std::vector<std::pair<std::string, std::string>> conditions;
+  const std::vector<data::AttributeIndex>& attributes = index.attributes();
+  for (size_t a = 0; a < attributes.size(); ++a) {
+    const data::AttributeIndex& attribute = attributes[a];
+    for (size_t v = 0; v < attribute.values.num_keys(); ++v) {
+      const data::Bitmap& members = attribute.values.slot(v);
+      ++tally.popcount_calls;
+      conditions = {{attribute.name, attribute.values.keys()[v]}};
+      // Index bitmaps are nonempty: every value comes from some row.
+      EnumerateBitmap(attributes, predictions, overall_rate, num_rows,
+                      options, a + 1, /*depth=*/1, members, members.Count(),
+                      &conditions, &scratch, &result, &tally);
     }
-    attributes.push_back(std::move(merged));
   }
-
-  return RunLattice(attributes, predictions, overall_rate, table.num_rows(),
-                    options);
+  obs::GetCounter("subgroup.audits")->Increment();
+  obs::GetCounter("subgroup.nodes_visited")
+      ->Increment(result.subgroups_examined);
+  obs::GetCounter("subgroup.popcount_calls")->Increment(tally.popcount_calls);
+  obs::GetCounter("subgroup.pruned_subtrees")
+      ->Increment(tally.pruned_subtrees);
+  SortFindings(&result);
+  return result;
 }
 
 size_t CountConjunctions(const std::vector<size_t>& cardinalities,

@@ -48,17 +48,10 @@ struct SubgroupAuditOptions {
   size_t min_support = 20;
   /// Gap above which a subgroup counts as a violation.
   double tolerance = 0.05;
-  /// Worker threads for the per-chunk index build when chunk_rows splits
-  /// the table: 1 = serial (default), 0 = one per hardware thread. The
-  /// lattice walk itself is always serial; the findings are
-  /// byte-identical for every thread count.
+  /// Read by nothing: the index build and the lattice walk run serially
+  /// on the caller's thread. Kept only because the end-to-end benchmark
+  /// harness still assigns it.
   size_t num_threads = 1;
-  /// Rows per morsel: the table is indexed chunk by chunk (on
-  /// num_threads workers) and the lattice walk runs on chunk-spanning
-  /// bitmaps whose counts sum to the whole-table counts, so the findings
-  /// are byte-identical for every chunk size. 0 (default) indexes the
-  /// table in place as one chunk.
-  size_t chunk_rows = 0;
 
   /// Checks the options before the lattice walk: max_depth >= 1 and
   /// tolerance in [0,1]. AuditSubgroups calls this first, mirroring
@@ -82,14 +75,11 @@ struct SubgroupAuditResult {
 /// values) up to `options.max_depth` and scores each against the overall
 /// selection rate of `prediction_column` (binary).
 ///
-/// Each chunk of options.chunk_rows rows (the whole table when 0) gets
-/// its own data::GroupIndex, built on the morsel loop; the per-chunk
-/// value dictionaries merge in chunk order, which reproduces the
-/// whole-table first-seen value order. Narrowing a conjunction by one
-/// condition is then a data::ChunkedBitmap AND, and the member/selected
-/// counts are fused popcounts whose per-chunk sums equal the whole-table
-/// counts, so the findings (and the kernel counters) are byte-identical
-/// for every chunk layout and thread count.
+/// The table gets one data::GroupIndex (each attribute's values in
+/// first-seen row order) and one prediction data::Bitmap. Narrowing a
+/// conjunction by one condition is then a Bitmap AND, and the
+/// member/selected counts are fused popcounts. A bad prediction column's
+/// error outranks a bad attribute column's.
 FAIRLAW_NODISCARD Result<SubgroupAuditResult> AuditSubgroups(
     const data::Table& table,
     const std::vector<std::string>& attribute_columns,

@@ -270,90 +270,6 @@ Result<std::vector<double>> Column::ToDoubles() const {
   return Status::Internal("ToDoubles: unknown column type");
 }
 
-void Column::AppendCode(const Column& source, uint32_t code,
-                        CodeRemap* remap) {
-  auto [it, inserted] = remap->try_emplace(code, 0);
-  if (inserted) {
-    it->second = static_cast<uint32_t>(
-        dictionary_.KeyIndex(source.dictionary_.keys()[code]));
-  }
-  codes_.push_back(it->second);
-  valid_.push_back(true);
-}
-
-Result<Column> Column::Take(std::span<const size_t> indices) const {
-  Column out(type_);
-  CodeRemap remap;
-  for (size_t index : indices) {
-    if (index >= size()) {
-      return Status::OutOfRange("Take: index " + std::to_string(index) +
-                                " out of range");
-    }
-    if (!valid_[index]) {
-      out.AppendNull();
-      continue;
-    }
-    switch (type_) {
-      case DataType::kDouble:
-        out.AppendDouble(doubles_[index]);
-        break;
-      case DataType::kInt64:
-        out.AppendInt64(int64s_[index]);
-        break;
-      case DataType::kString:
-        out.AppendCode(*this, codes_[index], &remap);
-        break;
-      case DataType::kBool:
-        out.AppendBool(bools_[index] != 0);
-        break;
-    }
-  }
-  return out;
-}
-
-Result<Column> Column::Slice(size_t offset, size_t length) const {
-  if (offset > size() || length > size() - offset) {
-    return Status::OutOfRange("Slice: [" + std::to_string(offset) + ", " +
-                              std::to_string(offset + length) +
-                              ") exceeds column size " +
-                              std::to_string(size()));
-  }
-  const auto begin = static_cast<ptrdiff_t>(offset);
-  const auto end = static_cast<ptrdiff_t>(offset + length);
-  Column out(type_);
-  switch (type_) {
-    case DataType::kDouble:
-      out.doubles_.assign(doubles_.begin() + begin, doubles_.begin() + end);
-      break;
-    case DataType::kInt64:
-      out.int64s_.assign(int64s_.begin() + begin, int64s_.begin() + end);
-      break;
-    case DataType::kString: {
-      CodeRemap remap;
-      out.codes_.reserve(length);
-      out.valid_.reserve(length);
-      for (size_t row = offset; row < offset + length; ++row) {
-        if (valid_[row]) {
-          out.AppendCode(*this, codes_[row], &remap);
-        } else {
-          out.AppendNull();
-        }
-      }
-      return out;
-    }
-    case DataType::kBool:
-      out.bools_.assign(bools_.begin() + begin, bools_.begin() + end);
-      break;
-  }
-  out.valid_.assign(valid_.begin() + begin, valid_.begin() + end);
-  for (uint8_t v : out.valid_) {
-    if (v == 0) ++out.null_count_;
-  }
-  return out;
-}
-
-Bitmap Column::ValidityBitmap() const { return Bitmap::FromBits(valid_); }
-
 std::string Column::ValueToString(size_t row) const {
   if (row >= size() || !valid_[row]) return "null";
   if (type_ == DataType::kString) return dictionary_.keys()[codes_[row]];

@@ -7,12 +7,10 @@
 #include <span>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <variant>
 #include <vector>
 
 #include "base/result.h"
-#include "data/bitmap.h"
 #include "data/schema.h"
 #include "stats/mergeable.h"
 
@@ -109,20 +107,6 @@ class Column {
   /// widened; string fails). Requires no nulls.
   FAIRLAW_NODISCARD Result<std::vector<double>> ToDoubles() const;
 
-  /// Returns a copy containing only the rows in `indices` (in order). A
-  /// string copy re-bases its dictionary to the rows it holds.
-  FAIRLAW_NODISCARD Result<Column> Take(std::span<const size_t> indices) const;
-
-  /// Returns a copy of rows [offset, offset+length) without materializing
-  /// an index vector — the chunk-slicing fast path. A string copy
-  /// re-bases its dictionary to the rows it holds.
-  FAIRLAW_NODISCARD Result<Column> Slice(size_t offset, size_t length) const;
-
-  /// Packs the validity mask into a bitmap (bit i set iff row i is
-  /// non-null), so chunk-level null queries run on the fused popcount
-  /// kernels instead of byte loops.
-  Bitmap ValidityBitmap() const;
-
   /// Renders the value at `row` ("null" for null slots) for previews.
   std::string ValueToString(size_t row) const;
 
@@ -135,14 +119,6 @@ class Column {
   std::vector<uint32_t> codes_;  // string slots: dictionary_ codes
   stats::FirstSeenMap<std::monostate> dictionary_;
   std::vector<uint8_t> bools_;  // 0/1 bytes
-
-  /// Source code -> this column's code, set where the code first shows,
-  /// so a copy's codes follow its rows' first-seen order.
-  using CodeRemap = std::unordered_map<uint32_t, uint32_t>;
-
-  /// Appends string column `source`'s code `code`, re-based through
-  /// `remap` so the dictionary stays first-seen.
-  void AppendCode(const Column& source, uint32_t code, CodeRemap* remap);
 };
 
 /// A column's rows keyed by their rendered values: keys holds each

@@ -468,6 +468,9 @@ CsvChunkReader::~CsvChunkReader() = default;
 const Schema& CsvChunkReader::schema() const { return impl_->reader.schema(); }
 size_t CsvChunkReader::num_rows() const { return impl_->reader.num_rows(); }
 size_t CsvChunkReader::rows_read() const { return impl_->reader.rows_read(); }
+size_t CsvChunkReader::num_chunks() const {
+  return (num_rows() + impl_->chunk_rows - 1) / impl_->chunk_rows;
+}
 
 Result<CsvChunkReader> CsvChunkReader::Make(const std::string& path) {
   return Make(path, Options{});

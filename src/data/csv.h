@@ -1,15 +1,21 @@
 #ifndef FAIRLAW_DATA_CSV_H_
 #define FAIRLAW_DATA_CSV_H_
 
+#include <cstddef>
 #include <memory>
 #include <optional>
 #include <string>
 
 #include "base/result.h"
-#include "data/chunked.h"
 #include "data/table.h"
 
 namespace fairlaw::data {
+
+/// Default chunk size of the streaming reader: 64k rows keeps a chunk's
+/// numeric columns L2-resident while still amortizing per-morsel
+/// scheduling overhead. Only a streamed CSV is chunked; an in-memory
+/// table is always audited as one chunk (DESIGN.md §14).
+inline constexpr size_t kDefaultChunkRows = 65536;
 
 /// CSV parsing options.
 struct CsvOptions {
@@ -84,6 +90,10 @@ class CsvChunkReader {
 
   /// Data rows emitted by Next() so far.
   size_t rows_read() const;
+
+  /// Chunks Next() emits in all: num_rows() over the chunk size, rounded
+  /// up.
+  size_t num_chunks() const;
 
   /// Parses and returns the next chunk (1..chunk_rows rows), or nullopt
   /// once the file is exhausted.

@@ -32,8 +32,8 @@ struct AttributeIndex {
 class GroupIndex {
  public:
   /// Indexes `attribute_columns` of `table` by their ExtractKeys codes
-  /// (values compare as rendered strings, nulls render as "null",
-  /// matching GroupBy).
+  /// (values compare as rendered strings and nulls render as "null",
+  /// exactly as Column::ValueToString renders them).
   FAIRLAW_NODISCARD static Result<GroupIndex> Build(
       const Table& table, const std::vector<std::string>& attribute_columns);
 

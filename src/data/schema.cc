@@ -50,13 +50,6 @@ Result<Schema> Schema::AddField(Field field) const {
   return Make(std::move(fields));
 }
 
-Result<Schema> Schema::RemoveField(const std::string& name) const {
-  FAIRLAW_ASSIGN_OR_RETURN(size_t index, FieldIndex(name));
-  std::vector<Field> fields = fields_;
-  fields.erase(fields.begin() + static_cast<ptrdiff_t>(index));
-  return Schema(std::move(fields));
-}
-
 std::string Schema::ToString() const {
   std::string out;
   for (size_t i = 0; i < fields_.size(); ++i) {

@@ -54,9 +54,6 @@ class Schema {
   /// Returns a new schema with `field` appended; fails on duplicate name.
   FAIRLAW_NODISCARD Result<Schema> AddField(Field field) const;
 
-  /// Returns a new schema without the field named `name`.
-  FAIRLAW_NODISCARD Result<Schema> RemoveField(const std::string& name) const;
-
   /// Renders "name:type, name:type, ...".
   std::string ToString() const;
 

@@ -45,81 +45,6 @@ Result<Table> Table::AddColumn(const std::string& name, Column column) const {
   return Table(std::move(schema), std::move(columns));
 }
 
-Result<Table> Table::RemoveColumn(const std::string& name) const {
-  FAIRLAW_ASSIGN_OR_RETURN(size_t index, schema_.FieldIndex(name));
-  FAIRLAW_ASSIGN_OR_RETURN(Schema schema, schema_.RemoveField(name));
-  std::vector<Column> columns = columns_;
-  columns.erase(columns.begin() + static_cast<ptrdiff_t>(index));
-  return Table(std::move(schema), std::move(columns));
-}
-
-Result<Table> Table::ReplaceColumn(const std::string& name,
-                                   Column column) const {
-  FAIRLAW_ASSIGN_OR_RETURN(size_t index, schema_.FieldIndex(name));
-  if (column.size() != num_rows()) {
-    return Status::Invalid("ReplaceColumn: length mismatch");
-  }
-  std::vector<Field> fields = schema_.fields();
-  fields[index].type = column.type();
-  FAIRLAW_ASSIGN_OR_RETURN(Schema schema, Schema::Make(std::move(fields)));
-  std::vector<Column> columns = columns_;
-  columns[index] = std::move(column);
-  return Table(std::move(schema), std::move(columns));
-}
-
-Result<Table> Table::Take(std::span<const size_t> indices) const {
-  std::vector<Column> columns;
-  columns.reserve(columns_.size());
-  for (const Column& column : columns_) {
-    FAIRLAW_ASSIGN_OR_RETURN(Column taken, column.Take(indices));
-    columns.push_back(std::move(taken));
-  }
-  return Table(schema_, std::move(columns));
-}
-
-Result<Table> Table::Filter(
-    const std::function<bool(size_t)>& predicate) const {
-  std::vector<size_t> indices;
-  for (size_t row = 0; row < num_rows(); ++row) {
-    if (predicate(row)) indices.push_back(row);
-  }
-  return Take(indices);
-}
-
-Result<Table> Table::Slice(size_t offset, size_t length) const {
-  if (offset > num_rows() || offset + length > num_rows()) {
-    return Status::OutOfRange("Slice: [" + std::to_string(offset) + ", " +
-                              std::to_string(offset + length) +
-                              ") exceeds row count " +
-                              std::to_string(num_rows()));
-  }
-  std::vector<Column> columns;
-  // Per-column Slice re-checks bounds, but the table-level check above
-  // also covers the zero-column table.
-  columns.reserve(columns_.size());
-  for (const Column& column : columns_) {
-    FAIRLAW_ASSIGN_OR_RETURN(Column sliced, column.Slice(offset, length));
-    columns.push_back(std::move(sliced));
-  }
-  return Table(schema_, std::move(columns));
-}
-
-Result<std::vector<size_t>> Table::RowsWhereEquals(
-    const std::string& column_name, const std::string& value) const {
-  FAIRLAW_ASSIGN_OR_RETURN(const Column* column, GetColumn(column_name));
-  if (column->type() != DataType::kString) {
-    return Status::Invalid("RowsWhereEquals: column '" + column_name +
-                           "' is not a string column");
-  }
-  std::vector<size_t> indices;
-  for (size_t row = 0; row < column->size(); ++row) {
-    if (!column->IsValid(row)) continue;
-    FAIRLAW_ASSIGN_OR_RETURN(std::string cell, column->GetString(row));
-    if (cell == value) indices.push_back(row);
-  }
-  return indices;
-}
-
 std::string Table::Preview(size_t max_rows) const {
   // Column widths sized to header and shown cells.
   std::vector<size_t> widths(num_columns());

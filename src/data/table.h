@@ -2,8 +2,6 @@
 #define FAIRLAW_DATA_TABLE_H_
 
 #include <cstddef>
-#include <functional>
-#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -42,27 +40,6 @@ class Table {
   /// length must equal num_rows() (any length is accepted when the table
   /// has no columns yet).
   FAIRLAW_NODISCARD Result<Table> AddColumn(const std::string& name, Column column) const;
-
-  /// Returns a new table without the named column.
-  FAIRLAW_NODISCARD Result<Table> RemoveColumn(const std::string& name) const;
-
-  /// Returns a new table with the named column replaced (same type not
-  /// required; the schema entry is updated).
-  FAIRLAW_NODISCARD Result<Table> ReplaceColumn(const std::string& name, Column column) const;
-
-  /// Returns the rows whose index appears in `indices`, in order.
-  FAIRLAW_NODISCARD Result<Table> Take(std::span<const size_t> indices) const;
-
-  /// Returns the rows for which `predicate` is true. The predicate
-  /// receives the row index.
-  FAIRLAW_NODISCARD Result<Table> Filter(const std::function<bool(size_t)>& predicate) const;
-
-  /// Returns rows [offset, offset+length).
-  FAIRLAW_NODISCARD Result<Table> Slice(size_t offset, size_t length) const;
-
-  /// Row indices where the named string column equals `value`.
-  FAIRLAW_NODISCARD Result<std::vector<size_t>> RowsWhereEquals(const std::string& column,
-                                              const std::string& value) const;
 
   /// Renders the first `max_rows` rows as an aligned text preview.
   std::string Preview(size_t max_rows = 10) const;

@@ -1,6 +1,9 @@
-// Parallel audit path: byte-identical output for every thread count.
+// Parallel audit path: a streamed CSV audited on several workers renders
+// byte-identically to the one-chunk audit of the same rows as a table.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
 #include <sstream>
 #include <string>
 
@@ -12,10 +15,10 @@
 namespace fairlaw::audit {
 namespace {
 
-/// A table that splits into eight 30-row chunks, so the morsel workers
+/// Rows that stream as eight 30-row chunks, so the morsel workers
 /// actually interleave: 240 rows, two groups, labels, scores, and a
 /// stratum.
-data::Table MakeTable() {
+std::string MakeCsv() {
   std::ostringstream csv;
   csv << "sex,pred,label,score,dept\n";
   for (int i = 0; i < 240; ++i) {
@@ -27,7 +30,15 @@ data::Table MakeTable() {
     csv << (male ? "male" : "female") << ',' << pred << ',' << label << ','
         << score << ',' << (i % 4 < 2 ? "eng" : "sales") << '\n';
   }
-  return data::ReadCsvString(csv.str()).ValueOrDie();
+  return csv.str();
+}
+
+/// Writes `text` to `path`; the test removes it when done.
+std::string WriteCsv(const std::string& path, const std::string& text) {
+  std::ofstream out(path, std::ios::trunc | std::ios::binary);
+  out << text;
+  EXPECT_TRUE(out.good()) << path;
+  return path;
 }
 
 AuditConfig MakeConfig(size_t num_threads) {
@@ -43,25 +54,30 @@ AuditConfig MakeConfig(size_t num_threads) {
 }
 
 TEST(AuditorParallelTest, RenderIsByteIdenticalAcrossThreadCounts) {
-  const data::Table table = MakeTable();
-  const std::string serial =
+  const std::string text = MakeCsv();
+  const std::string path = WriteCsv("auditor_parallel_render.csv", text);
+  const data::Table table = data::ReadCsvString(text).ValueOrDie();
+  const std::string reference =
       Auditor::Run(AuditSource::FromTable(table), MakeConfig(1))
           .ValueOrDie().Render();
-  EXPECT_FALSE(serial.empty());
-  for (const size_t threads : {2u, 8u, 0u}) {
-    const std::string parallel =
-        Auditor::Run(AuditSource::FromTable(table), MakeConfig(threads))
+  EXPECT_FALSE(reference.empty());
+  for (const size_t threads : {1u, 2u, 8u, 0u}) {
+    const std::string streamed =
+        Auditor::Run(AuditSource::FromCsv(path), MakeConfig(threads))
             .ValueOrDie().Render();
-    EXPECT_EQ(parallel, serial) << "threads=" << threads;
+    EXPECT_EQ(streamed, reference) << "threads=" << threads;
   }
+  std::remove(path.c_str());
 }
 
 TEST(AuditorParallelTest, ReportOrderMatchesSerialRun) {
-  const data::Table table = MakeTable();
+  const std::string text = MakeCsv();
+  const std::string path = WriteCsv("auditor_parallel_order.csv", text);
+  const data::Table table = data::ReadCsvString(text).ValueOrDie();
   const AuditResult serial =
       Auditor::Run(AuditSource::FromTable(table), MakeConfig(1)).ValueOrDie();
   const AuditResult parallel =
-      Auditor::Run(AuditSource::FromTable(table), MakeConfig(8)).ValueOrDie();
+      Auditor::Run(AuditSource::FromCsv(path), MakeConfig(8)).ValueOrDie();
   ASSERT_EQ(parallel.reports.size(), serial.reports.size());
   for (size_t i = 0; i < serial.reports.size(); ++i) {
     EXPECT_EQ(parallel.reports[i].metric_name, serial.reports[i].metric_name)
@@ -71,27 +87,29 @@ TEST(AuditorParallelTest, ReportOrderMatchesSerialRun) {
             serial.conditional_reports.size());
   EXPECT_EQ(parallel.all_satisfied, serial.all_satisfied);
   EXPECT_EQ(parallel.calibration.has_value(), serial.calibration.has_value());
+  std::remove(path.c_str());
 }
 
 TEST(AuditorParallelTest, ErrorsMatchSerialRun) {
   // A metric failure (single-group input breaks the gap metrics) must
   // surface the same error whether evaluated serially or in parallel.
-  data::Table table = data::ReadCsvString(
-                          "sex,pred\n"
-                          "male,1\nmale,0\nmale,1\nmale,0\n")
-                          .ValueOrDie();
+  const std::string text =
+      "sex,pred\n"
+      "male,1\nmale,0\nmale,1\nmale,0\n";
+  const std::string path = WriteCsv("auditor_parallel_errors.csv", text);
+  const data::Table table = data::ReadCsvString(text).ValueOrDie();
   AuditConfig config;
   config.protected_column = "sex";
   config.prediction_column = "pred";
-
-  config.num_threads = 1;
   const auto serial = Auditor::Run(AuditSource::FromTable(table), config);
   config.num_threads = 8;
-  const auto parallel = Auditor::Run(AuditSource::FromTable(table), config);
+  config.chunk_rows = 1;
+  const auto parallel = Auditor::Run(AuditSource::FromCsv(path), config);
   ASSERT_EQ(serial.ok(), parallel.ok());
   if (!serial.ok()) {
     EXPECT_EQ(parallel.status().ToString(), serial.status().ToString());
   }
+  std::remove(path.c_str());
 }
 
 TEST(AuditorParallelTest, FirstFailingRowInTableOrderWins) {
@@ -99,29 +117,38 @@ TEST(AuditorParallelTest, FirstFailingRowInTableOrderWins) {
   // equalized_odds fail) and group M no positive predictions
   // (predictive_parity fails); demographic parity and disparate impact
   // pass. The error is the first failing row's, in table order.
-  const data::Table table = data::ReadCsvString(
-                                "sex,pred,label\n"
-                                "F,1,0\nF,0,0\nF,1,0\nF,0,0\n"
-                                "M,0,1\nM,0,0\nM,0,1\nM,0,0\n")
-                                .ValueOrDie();
+  const std::string text =
+      "sex,pred,label\n"
+      "F,1,0\nF,0,0\nF,1,0\nF,0,0\n"
+      "M,0,1\nM,0,0\nM,0,1\nM,0,0\n";
+  const std::string path = WriteCsv("auditor_parallel_first_row.csv", text);
+  const data::Table table = data::ReadCsvString(text).ValueOrDie();
   AuditConfig config;
   config.protected_column = "sex";
   config.prediction_column = "pred";
   config.label_column = "label";
+  const std::string expected =
+      "invalid argument: equal_opportunity: group 'F' has no actual "
+      "positives; TPR undefined";
+  EXPECT_EQ(
+      Auditor::Run(AuditSource::FromTable(table), config).status().ToString(),
+      expected);
+  config.chunk_rows = 3;
   for (const size_t threads : {1u, 8u}) {
     config.num_threads = threads;
-    EXPECT_EQ(Auditor::Run(AuditSource::FromTable(table), config)
-                  .status()
-                  .ToString(),
-              "invalid argument: equal_opportunity: group 'F' has no actual "
-              "positives; TPR undefined")
+    EXPECT_EQ(
+        Auditor::Run(AuditSource::FromCsv(path), config).status().ToString(),
+        expected)
         << "threads=" << threads;
   }
+  std::remove(path.c_str());
 }
 
 TEST(AuditorParallelTest, ThreadCountZeroUsesHardwareConcurrency) {
-  const data::Table table = MakeTable();
-  EXPECT_TRUE(Auditor::Run(AuditSource::FromTable(table), MakeConfig(0)).ok());
+  const std::string path =
+      WriteCsv("auditor_parallel_hardware.csv", MakeCsv());
+  EXPECT_TRUE(Auditor::Run(AuditSource::FromCsv(path), MakeConfig(0)).ok());
+  std::remove(path.c_str());
 }
 
 }  // namespace

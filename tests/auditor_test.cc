@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+#include <string>
 #include <string_view>
 
 #include "audit/auditor.h"
@@ -129,6 +132,50 @@ TEST(RunAuditTest, NullsInProtectedColumnRejected) {
   config.protected_column = "g";
   config.prediction_column = "pred";
   EXPECT_FALSE(Auditor::Run(AuditSource::FromTable(table), config).ok());
+}
+
+TEST(RunAuditTest, HeaderOnlyCsvReportsEmptyInputOnBothPaths) {
+  // Zero rows infer every column as string, so a type check on the
+  // prediction column would mask the empty input.
+  const std::string path = "auditor_test_header_only.csv";
+  {
+    std::ofstream out(path, std::ios::trunc | std::ios::binary);
+    out << "g,p,y\n";
+    ASSERT_TRUE(out.good());
+  }
+  const data::Table table = data::ReadCsvFile(path).ValueOrDie();
+  ASSERT_EQ(table.num_rows(), 0u);
+  // An existing column set reports the empty input; a missing one its
+  // lookup failure, checked protected, prediction, label in that order.
+  struct Case {
+    const char* protected_column;
+    const char* prediction_column;
+    const char* label_column;
+    const char* expected;
+  };
+  const char kEmpty[] = "invalid argument: MetricInput: empty input";
+  const char kMissing[] = "not found: Schema: no field named 'q'";
+  for (const Case& c : {Case{"g", "p", "y", kEmpty}, Case{"g", "p", "", kEmpty},
+                        Case{"q", "p", "y", kMissing},
+                        Case{"g", "q", "y", kMissing},
+                        Case{"g", "p", "q", kMissing}}) {
+    AuditConfig config;
+    config.protected_column = c.protected_column;
+    config.prediction_column = c.prediction_column;
+    config.label_column = c.label_column;
+    const std::string where = std::string(c.protected_column) + "," +
+                              c.prediction_column + "," + c.label_column;
+    EXPECT_EQ(
+        Auditor::Run(AuditSource::FromCsv(path), config).status().ToString(),
+        c.expected)
+        << "FromCsv " << where;
+    EXPECT_EQ(Auditor::Run(AuditSource::FromTable(table), config)
+                  .status()
+                  .ToString(),
+              c.expected)
+        << "FromTable " << where;
+  }
+  std::remove(path.c_str());
 }
 
 TEST(MetricInputMultiTest, CombinesProtectedColumns) {

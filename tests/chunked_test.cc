@@ -1,9 +1,10 @@
 // Tests for the morsel-driven audit engine (DESIGN.md §14): chunk-boundary
-// edges and nulls straddling chunk edges seen through Auditor::Run and
-// AuditSubgroups, byte-identical audit output across chunk sizes / thread
-// counts / ingestion paths, the streaming CSV reader against literal
-// cells, the chunked subgroup walk against the row-wise oracle, and the
-// radix/presorted tiers of the distance path.
+// edges and nulls straddling chunk edges seen through a streamed
+// Auditor::Run, byte-identical audit output across chunk sizes / thread
+// counts / ingestion paths (every streamed layout against the one-chunk
+// table audit), the streaming CSV reader against literal cells, the
+// subgroup walk against the row-wise oracle, and the radix/presorted
+// tiers of the distance path.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,6 +13,7 @@
 #include <cstdio>
 #include <fstream>
 #include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -20,8 +22,6 @@
 #include "audit/source.h"
 #include "base/string_util.h"
 #include "audit/subgroup.h"
-#include "data/bitmap.h"
-#include "data/chunked.h"
 #include "data/csv.h"
 #include "data/table.h"
 #include "metrics/fairness_metric.h"
@@ -63,6 +63,13 @@ std::string MakeAuditCsv(size_t rows, uint64_t seed) {
   return text;
 }
 
+/// Writes `text` to `path` byte for byte.
+void WriteText(const std::string& path, const std::string& text) {
+  std::ofstream out(path, std::ios::trunc | std::ios::binary);
+  out << text;
+  ASSERT_TRUE(out.good()) << path;
+}
+
 AuditConfig FullAuditConfig() {
   AuditConfig config;
   config.protected_column = "g";
@@ -73,45 +80,6 @@ AuditConfig FullAuditConfig() {
   config.min_stratum_size = 5;
   config.audit_score_distribution = true;
   return config;
-}
-
-// ---------------------------------------------------------------------------
-// Chunk-spanning bitmaps.
-
-TEST(ChunkedBitmapTest, KernelCountsMatchContiguousBitmap) {
-  const size_t n = 100;
-  data::Bitmap whole_a(n);
-  data::Bitmap whole_b(n);
-  std::vector<data::Bitmap> parts_a;
-  std::vector<data::Bitmap> parts_b;
-  parts_a.emplace_back(64);
-  parts_a.emplace_back(36);
-  parts_b.emplace_back(64);
-  parts_b.emplace_back(36);
-  Rng rng(3);
-  for (size_t i = 0; i < n; ++i) {
-    const size_t chunk = i < 64 ? 0 : 1;
-    const size_t offset = i < 64 ? i : i - 64;
-    if (rng.Bernoulli(0.4)) {
-      whole_a.Set(i);
-      parts_a[chunk].Set(offset);
-    }
-    if (rng.Bernoulli(0.6)) {
-      whole_b.Set(i);
-      parts_b[chunk].Set(offset);
-    }
-  }
-  data::ChunkedBitmap chunked_a(std::move(parts_a));
-  data::ChunkedBitmap chunked_b(std::move(parts_b));
-  EXPECT_EQ(chunked_a.size(), n);
-  EXPECT_EQ(chunked_a.Count(), whole_a.Count());
-  EXPECT_EQ(data::ChunkedBitmap::AndCount(chunked_a, chunked_b),
-            data::Bitmap::AndCount(whole_a, whole_b));
-  data::ChunkedBitmap narrowed;
-  data::Bitmap whole_narrowed;
-  EXPECT_EQ(data::ChunkedBitmap::AndInto(chunked_a, chunked_b, &narrowed),
-            data::Bitmap::AndInto(whole_a, whole_b, &whole_narrowed));
-  EXPECT_EQ(narrowed.Count(), whole_narrowed.Count());
 }
 
 // ---------------------------------------------------------------------------
@@ -219,11 +187,13 @@ TEST(CsvChunkReaderTest, ReportsRowCountBeforeStreamingAndDrains) {
 // Morsel-driven audit engine.
 
 TEST(ChunkedAuditTest, ByteIdenticalAcrossChunkSizesAndThreads) {
-  Table table = data::ReadCsvString(MakeAuditCsv(300, 23)).ValueOrDie();
-  const AuditConfig reference_config = FullAuditConfig();
+  const std::string path = "chunked_test_layouts.csv";
+  const std::string text = MakeAuditCsv(300, 23);
+  WriteText(path, text);
+  Table table = data::ReadCsvString(text).ValueOrDie();
   const std::string reference =
       audit::Auditor::Run(audit::AuditSource::FromTable(table),
-                          reference_config)
+                          FullAuditConfig())
           .ValueOrDie().Render();
   for (size_t chunk_rows : {size_t{1}, size_t{7}, size_t{64}, size_t{1000}}) {
     for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
@@ -231,12 +201,13 @@ TEST(ChunkedAuditTest, ByteIdenticalAcrossChunkSizesAndThreads) {
       config.chunk_rows = chunk_rows;
       config.num_threads = threads;
       const std::string render =
-          audit::Auditor::Run(audit::AuditSource::FromTable(table), config)
+          audit::Auditor::Run(audit::AuditSource::FromCsv(path), config)
               .ValueOrDie().Render();
       EXPECT_EQ(render, reference)
           << "chunk_rows=" << chunk_rows << " threads=" << threads;
     }
   }
+  std::remove(path.c_str());
 }
 
 TEST(ChunkedAuditTest, StreamingCsvMatchesInMemoryAudit) {
@@ -270,9 +241,11 @@ TEST(ChunkedAuditTest, ErrorsMatchContiguousPathForEveryChunkSize) {
   // A non-binary prediction value in the last row: whichever chunk holds
   // it, the engine must surface the same row-independent message the
   // contiguous path produces.
+  const std::string path = "chunked_test_errors.csv";
   std::string text = "g,p\n";
   for (size_t i = 0; i < 20; ++i) text += "a,1\n";
   text += "b,2\n";
+  WriteText(path, text);
   Table table = data::ReadCsvString(text).ValueOrDie();
   AuditConfig config;
   config.protected_column = "g";
@@ -284,27 +257,28 @@ TEST(ChunkedAuditTest, ErrorsMatchContiguousPathForEveryChunkSize) {
   for (size_t chunk_rows : {size_t{3}, size_t{8}, size_t{21}}) {
     AuditConfig chunked = config;
     chunked.chunk_rows = chunk_rows;
-    EXPECT_EQ(
-        audit::Auditor::Run(audit::AuditSource::FromTable(table), chunked)
-            .status().message(), reference)
+    EXPECT_EQ(audit::Auditor::Run(audit::AuditSource::FromCsv(path), chunked)
+                  .status().message(),
+              reference)
         << "chunk_rows=" << chunk_rows;
   }
-  // Empty input: the zero-chunk path reports the same error as the
-  // contiguous extractor.
+  // Empty input: the zero-chunk stream reports the same error as the
+  // one-chunk table.
+  WriteText(path, "g,p\n");
   Table empty = data::ReadCsvString("g,p\n").ValueOrDie();
   const std::string empty_reference =
       audit::Auditor::Run(audit::AuditSource::FromTable(empty), config)
           .status().message();
   AuditConfig chunked = config;
   chunked.chunk_rows = 4;
-  EXPECT_EQ(
-      audit::Auditor::Run(audit::AuditSource::FromTable(empty), chunked)
-          .status().message(),
+  EXPECT_EQ(audit::Auditor::Run(audit::AuditSource::FromCsv(path), chunked)
+                .status().message(),
             empty_reference);
+  std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------------------
-// Chunked subgroup audit.
+// Subgroup audit.
 
 std::string MakeSubgroupCsv(size_t rows, uint64_t seed) {
   const char* values[] = {"x", "y", "z"};
@@ -338,7 +312,7 @@ void ExpectSameFindings(const SubgroupAuditResult& got,
   }
 }
 
-TEST(ChunkedSubgroupTest, MatchesRowwiseOracleForEveryChunkLayout) {
+TEST(ChunkedSubgroupTest, MatchesRowwiseOracle) {
   Table table = data::ReadCsvString(MakeSubgroupCsv(400, 41)).ValueOrDie();
   const std::vector<std::string> attrs = {"a1", "a2", "a3"};
   SubgroupAuditOptions options;
@@ -347,34 +321,27 @@ TEST(ChunkedSubgroupTest, MatchesRowwiseOracleForEveryChunkLayout) {
   const SubgroupAuditResult oracle =
       audit::AuditSubgroupsRowwise(table, attrs, "pred", options)
           .ValueOrDie();
-  for (size_t chunk_rows :
-       {size_t{0}, size_t{7}, size_t{13}, size_t{64}, size_t{1000}}) {
-    for (size_t threads : {size_t{1}, size_t{4}}) {
-      SubgroupAuditOptions chunked = options;
-      chunked.chunk_rows = chunk_rows;
-      chunked.num_threads = threads;
-      SubgroupAuditResult result =
-          audit::AuditSubgroups(table, attrs, "pred", chunked).ValueOrDie();
-      ExpectSameFindings(result, oracle);
-      // Value dictionaries merged across chunks must reproduce the
-      // one-chunk error strings too.
-      EXPECT_EQ(audit::AuditSubgroups(table, {}, "pred", chunked)
-                    .status()
-                    .message(),
-                "AuditSubgroups: no attribute columns");
-    }
-  }
+  ExpectSameFindings(
+      audit::AuditSubgroups(table, attrs, "pred", options).ValueOrDie(),
+      oracle);
+  EXPECT_EQ(
+      audit::AuditSubgroups(table, {}, "pred", options).status().message(),
+      "AuditSubgroups: no attribute columns");
 }
 
 // ---------------------------------------------------------------------------
-// Chunk boundaries seen through the engines: every chunk size must give
-// the chunk_rows = 0 outcome, result or error.
+// Chunk boundaries seen through the engine: every streamed chunk layout
+// must give the one-chunk table outcome, result or error.
 
-std::string AuditOutcome(const Table& table, const AuditConfig& config) {
-  Result<AuditResult> result =
-      audit::Auditor::Run(audit::AuditSource::FromTable(table), config);
+std::string AuditOutcome(const audit::AuditSource& source,
+                         const AuditConfig& config) {
+  Result<AuditResult> result = audit::Auditor::Run(source, config);
   return result.ok() ? result.ValueOrDie().Render()
                      : result.status().ToString();
+}
+
+std::string AuditOutcome(const Table& table, const AuditConfig& config) {
+  return AuditOutcome(audit::AuditSource::FromTable(table), config);
 }
 
 std::string SubgroupOutcome(const Table& table,
@@ -398,42 +365,47 @@ std::string SubgroupOutcome(const Table& table,
 
 TEST(ChunkBoundaryTest, BoundarySizesMatchWholeTable) {
   // 0, 1, chunk-1, chunk, chunk+1, and 3*chunk+7 rows at chunk size 8.
+  const std::string path = "chunked_test_boundary.csv";
   const std::vector<std::string> attrs = {"g", "st"};
   SubgroupAuditOptions subgroup_options;
   subgroup_options.min_support = 1;
   for (size_t rows : {size_t{0}, size_t{1}, size_t{7}, size_t{8}, size_t{9},
                       size_t{31}}) {
-    Table table = data::ReadCsvString(MakeAuditCsv(rows, 11)).ValueOrDie();
+    const std::string text = MakeAuditCsv(rows, 11);
+    WriteText(path, text);
+    Table table = data::ReadCsvString(text).ValueOrDie();
     ASSERT_EQ(table.num_rows(), rows);
     const std::string audit_reference =
         AuditOutcome(table, FullAuditConfig());
     const std::string subgroup_reference =
         SubgroupOutcome(table, attrs, subgroup_options);
     if (rows == 0) {
-      // The zero-row table keeps its schema; both engines reject it.
+      // The zero-row table keeps its schema; both audits reject it.
       ASSERT_TRUE(table.schema().HasField("g"));
-      EXPECT_NE(audit_reference.find("invalid argument"), std::string::npos);
+      EXPECT_EQ(audit_reference, "invalid argument: MetricInput: empty input");
       EXPECT_EQ(subgroup_reference,
                 "invalid argument: AuditSubgroups: empty table");
+    } else {
+      EXPECT_EQ(subgroup_reference.find("invalid argument"),
+                std::string::npos)
+          << subgroup_reference;
     }
     for (size_t threads : {size_t{1}, size_t{2}}) {
       AuditConfig config = FullAuditConfig();
       config.chunk_rows = 8;
       config.num_threads = threads;
-      EXPECT_EQ(AuditOutcome(table, config), audit_reference)
-          << "rows=" << rows << " threads=" << threads;
-      SubgroupAuditOptions chunked = subgroup_options;
-      chunked.chunk_rows = 8;
-      chunked.num_threads = threads;
-      EXPECT_EQ(SubgroupOutcome(table, attrs, chunked), subgroup_reference)
+      EXPECT_EQ(AuditOutcome(audit::AuditSource::FromCsv(path), config),
+                audit_reference)
           << "rows=" << rows << " threads=" << threads;
     }
   }
+  std::remove(path.c_str());
 }
 
 TEST(ChunkBoundaryTest, NullsStraddlingChunkEdges) {
   // Nulls at rows 6..9 straddle the 8-row chunk boundary: the last two
   // rows of chunk 0 and the first two of chunk 1.
+  const std::string path = "chunked_test_nulls.csv";
   std::string text = "g,x,p\n";
   for (size_t i = 0; i < 12; ++i) {
     const bool null_row = i >= 6 && i <= 9;
@@ -442,6 +414,7 @@ TEST(ChunkBoundaryTest, NullsStraddlingChunkEdges) {
     text += null_row ? "" : std::to_string(i);
     text += i % 3 == 0 ? ",1\n" : ",0\n";
   }
+  WriteText(path, text);
   Table table = data::ReadCsvString(text).ValueOrDie();
   ASSERT_EQ(table.GetColumn("g").ValueOrDie()->null_count(), 4u);
   ASSERT_EQ(table.GetColumn("x").ValueOrDie()->null_count(), 4u);
@@ -452,21 +425,15 @@ TEST(ChunkBoundaryTest, NullsStraddlingChunkEdges) {
   EXPECT_EQ(audit_reference,
             "invalid argument: column 'g' has nulls; audits require "
             "explicit missing-value handling upstream");
-  SubgroupAuditOptions subgroup_options;
-  subgroup_options.min_support = 1;
-  const std::string subgroup_reference =
-      SubgroupOutcome(table, {"g", "x"}, subgroup_options);
   for (size_t chunk_rows : {size_t{1}, size_t{4}, size_t{7}, size_t{8},
                             size_t{9}, size_t{16}}) {
     AuditConfig chunked = config;
     chunked.chunk_rows = chunk_rows;
-    EXPECT_EQ(AuditOutcome(table, chunked), audit_reference)
-        << "chunk_rows=" << chunk_rows;
-    SubgroupAuditOptions options = subgroup_options;
-    options.chunk_rows = chunk_rows;
-    EXPECT_EQ(SubgroupOutcome(table, {"g", "x"}, options), subgroup_reference)
+    EXPECT_EQ(AuditOutcome(audit::AuditSource::FromCsv(path), chunked),
+              audit_reference)
         << "chunk_rows=" << chunk_rows;
   }
+  std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------------------
@@ -493,7 +460,10 @@ std::string MakeTypedKeyCsv(size_t rows, uint64_t seed) {
 }
 
 TEST(ChunkedAuditTest, KeyColumnsOfEveryTypeMatchAcrossChunkLayouts) {
-  Table table = data::ReadCsvString(MakeTypedKeyCsv(2500, 41)).ValueOrDie();
+  const std::string path = "chunked_test_typed_keys.csv";
+  const std::string text = MakeTypedKeyCsv(2500, 41);
+  WriteText(path, text);
+  Table table = data::ReadCsvString(text).ValueOrDie();
   ASSERT_EQ(table.schema().ToString(),
             "gs:string, gi:int64, gb:bool, ss:string, si:int64, sb:bool, "
             "p:int64, y:int64");
@@ -515,17 +485,20 @@ TEST(ChunkedAuditTest, KeyColumnsOfEveryTypeMatchAcrossChunkLayouts) {
           AuditConfig chunked = config;
           chunked.chunk_rows = chunk_rows;
           chunked.num_threads = threads;
-          EXPECT_EQ(AuditOutcome(table, chunked), reference)
+          EXPECT_EQ(AuditOutcome(audit::AuditSource::FromCsv(path), chunked),
+                    reference)
               << group << " strata " << strata.size() << ":" << strata[0]
               << " chunk_rows=" << chunk_rows << " threads=" << threads;
         }
       }
     }
   }
+  std::remove(path.c_str());
 }
 
 TEST(ChunkedAuditTest, NullKeysKeepTheirErrorTextInEveryChunkLayout) {
   // Column g has a null at row 1200 and st one at row 700; h has none.
+  const std::string path = "chunked_test_null_keys.csv";
   std::string text = "g,st,h,p\n";
   for (size_t i = 0; i < 1500; ++i) {
     text += i == 1200 ? "" : (i % 2 == 0 ? "a" : "b");
@@ -533,6 +506,7 @@ TEST(ChunkedAuditTest, NullKeysKeepTheirErrorTextInEveryChunkLayout) {
     text += i % 4 == 0 ? ",u" : ",v";
     text += i % 5 == 0 ? ",1\n" : ",0\n";
   }
+  WriteText(path, text);
   Table table = data::ReadCsvString(text).ValueOrDie();
   AuditConfig config;
   config.protected_column = "g";
@@ -543,6 +517,16 @@ TEST(ChunkedAuditTest, NullKeysKeepTheirErrorTextInEveryChunkLayout) {
   AuditConfig strata_null = config;
   strata_null.protected_column = "h";
   strata_null.strata_columns = {"st"};
+  const std::string g_nulls =
+      "invalid argument: column 'g' has nulls; audits require "
+      "explicit missing-value handling upstream";
+  const std::string st_nulls =
+      "invalid argument: column 'st' has nulls; audits require "
+      "explicit missing-value handling upstream";
+  EXPECT_EQ(AuditOutcome(table, config), g_nulls);
+  EXPECT_EQ(AuditOutcome(table, stratified), st_nulls);
+  EXPECT_EQ(AuditOutcome(table, strata_null), st_nulls);
+  const audit::AuditSource streamed = audit::AuditSource::FromCsv(path);
   for (size_t chunk_rows : {size_t{1}, size_t{977}, size_t{0}}) {
     for (size_t threads : {size_t{1}, size_t{4}}) {
       const std::string where = "chunk_rows=" + std::to_string(chunk_rows) +
@@ -551,26 +535,19 @@ TEST(ChunkedAuditTest, NullKeysKeepTheirErrorTextInEveryChunkLayout) {
         c->chunk_rows = chunk_rows;
         c->num_threads = threads;
       }
-      EXPECT_EQ(AuditOutcome(table, config),
-                "invalid argument: column 'g' has nulls; audits require "
-                "explicit missing-value handling upstream")
-          << where;
-      EXPECT_EQ(AuditOutcome(table, stratified),
-                "invalid argument: column 'st' has nulls; audits require "
-                "explicit missing-value handling upstream")
-          << where;
-      EXPECT_EQ(AuditOutcome(table, strata_null),
-                "invalid argument: column 'st' has nulls; audits require "
-                "explicit missing-value handling upstream")
-          << where;
+      EXPECT_EQ(AuditOutcome(streamed, config), g_nulls) << where;
+      EXPECT_EQ(AuditOutcome(streamed, stratified), st_nulls) << where;
+      EXPECT_EQ(AuditOutcome(streamed, strata_null), st_nulls) << where;
     }
   }
+  std::remove(path.c_str());
 }
 
 TEST(ChunkedAuditTest, WideStrataTallyInMemoryBoundedByRows) {
   // Three strata columns of ~5k values each over 20k rows: the tuple
   // space is ~1.25e11, so a tally sized by the product could not run.
   constexpr size_t kRows = 20000;
+  const std::string path = "chunked_test_wide_strata.csv";
   Rng rng(53);
   std::string text = "g,p,s1,s2,s3\n";
   for (size_t i = 0; i < kRows; ++i) {
@@ -581,6 +558,7 @@ TEST(ChunkedAuditTest, WideStrataTallyInMemoryBoundedByRows) {
     }
     text += '\n';
   }
+  WriteText(path, text);
   Table table = data::ReadCsvString(text).ValueOrDie();
   for (const char* name : {"s1", "s2", "s3"}) {
     EXPECT_GT(table.GetColumn(name).ValueOrDie()->dictionary().num_keys(),
@@ -604,18 +582,28 @@ TEST(ChunkedAuditTest, WideStrataTallyInMemoryBoundedByRows) {
   }
   ASSERT_GT(expected.num_keys(), kRows * 9 / 10);
 
+  // The one-chunk table tally, then the tally folded over streamed
+  // chunks.
+  audit::MergedPartials whole;
+  whole.Fold(audit::ProcessChunk(table, config, ""));
+  ASSERT_TRUE(whole.FirstError().ok()) << whole.FirstError().ToString();
+  EXPECT_TRUE(whole.strata_counts() == expected);
   for (size_t chunk_rows : {size_t{977}, kRows}) {
+    data::CsvChunkReader::Options options;
+    options.chunk_rows = chunk_rows;
+    data::CsvChunkReader reader =
+        data::CsvChunkReader::Make(path, options).ValueOrDie();
     audit::MergedPartials merged;
-    for (size_t offset = 0; offset < kRows; offset += chunk_rows) {
-      const Table chunk =
-          table.Slice(offset, std::min(chunk_rows, kRows - offset))
-              .ValueOrDie();
-      merged.Fold(audit::ProcessChunk(chunk, config, ""));
+    for (;;) {
+      std::optional<Table> chunk = reader.Next().ValueOrDie();
+      if (!chunk.has_value()) break;
+      merged.Fold(audit::ProcessChunk(*chunk, config, ""));
     }
     ASSERT_TRUE(merged.FirstError().ok()) << merged.FirstError().ToString();
     EXPECT_TRUE(merged.strata_counts() == expected)
         << "chunk_rows=" << chunk_rows;
   }
+  std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------------------

@@ -32,17 +32,13 @@ TEST(SchemaTest, RejectsDuplicatesAndEmptyNames) {
   EXPECT_FALSE(Schema::Make({{"", DataType::kDouble}}).ok());
 }
 
-TEST(SchemaTest, AddRemoveField) {
+TEST(SchemaTest, AddField) {
   Schema schema = Schema::Make({{"a", DataType::kDouble}}).ValueOrDie();
   Schema extended =
       schema.AddField({"b", DataType::kBool}).ValueOrDie();
   EXPECT_EQ(extended.num_fields(), 2u);
   EXPECT_FALSE(schema.HasField("b"));  // original untouched
-  Schema removed = extended.RemoveField("a").ValueOrDie();
-  EXPECT_EQ(removed.num_fields(), 1u);
-  EXPECT_TRUE(removed.HasField("b"));
   EXPECT_FALSE(extended.AddField({"a", DataType::kInt64}).ok());
-  EXPECT_FALSE(extended.RemoveField("zzz").ok());
 }
 
 TEST(ColumnTest, TypedAppendAndGet) {
@@ -82,19 +78,6 @@ TEST(ColumnTest, ToDoublesWidens) {
   EXPECT_EQ(Column::FromBools({true, false}).ToDoubles().ValueOrDie(),
             (std::vector<double>{1.0, 0.0}));
   EXPECT_FALSE(Column::FromStrings({"x"}).ToDoubles().ok());
-}
-
-TEST(ColumnTest, TakePreservesNulls) {
-  Column column(DataType::kInt64);
-  column.AppendInt64(10);
-  column.AppendNull();
-  column.AppendInt64(30);
-  std::vector<size_t> indices = {2, 1};
-  Column taken = column.Take(indices).ValueOrDie();
-  EXPECT_EQ(taken.GetInt64(0).ValueOrDie(), 30);
-  EXPECT_FALSE(taken.IsValid(1));
-  std::vector<size_t> bad = {9};
-  EXPECT_TRUE(column.Take(bad).status().IsOutOfRange());
 }
 
 /// Expects `column`'s string dictionary to hold exactly its distinct
@@ -147,26 +130,6 @@ TEST(ColumnTest, StringDictionaryHoldsFirstSeenDistinctValues) {
   ExpectFirstSeenDictionary(built);
   EXPECT_EQ(built.dictionary().keys(),
             (std::vector<std::string>{"x", "y", "z"}));
-
-  // A middle slice re-bases: "a" is gone and "b" becomes code 0.
-  const Column slice = column.Slice(3, 3).ValueOrDie();
-  ExpectFirstSeenDictionary(slice);
-  EXPECT_EQ(slice.dictionary().keys(), (std::vector<std::string>{"b", "c"}));
-  EXPECT_EQ(slice.null_count(), 1u);
-  EXPECT_EQ(slice.ValueToString(1), "c");
-  EXPECT_EQ(slice.ValueToString(2), "null");
-
-  // A reordered take with repeats and nulls.
-  const std::vector<size_t> indices = {4, 1, 6, 4, 0, 5, 6};
-  const Column taken = column.Take(indices).ValueOrDie();
-  ExpectFirstSeenDictionary(taken);
-  EXPECT_EQ(taken.dictionary().keys(),
-            (std::vector<std::string>{"c", "a", "b"}));
-  EXPECT_EQ(taken.null_count(), 2u);
-  for (size_t i = 0; i < indices.size(); ++i) {
-    EXPECT_EQ(taken.ValueToString(i), column.ValueToString(indices[i])) << i;
-  }
-  EXPECT_TRUE(column.Slice(5, 3).status().IsOutOfRange());
 }
 
 TEST(ColumnTest, KeyExtractorMatchesRenderedValues) {
@@ -240,7 +203,7 @@ TEST(TableTest, MakeValidatesShape) {
                    .ok());
 }
 
-TEST(TableTest, AddRemoveReplaceColumn) {
+TEST(TableTest, AddColumn) {
   Table table = MakeTestTable();
   Table extended =
       table.AddColumn("age", Column::FromInt64s({30, 40, 50, 60}))
@@ -250,46 +213,6 @@ TEST(TableTest, AddRemoveReplaceColumn) {
   EXPECT_FALSE(table.AddColumn("age", Column::FromInt64s({1})).ok());
   EXPECT_FALSE(table.AddColumn("score", Column::FromInt64s({1, 2, 3, 4}))
                    .ok());  // duplicate
-
-  Table removed = extended.RemoveColumn("age").ValueOrDie();
-  EXPECT_EQ(removed.num_columns(), 3u);
-
-  Table replaced =
-      table.ReplaceColumn("hired", Column::FromBools({true, false, true,
-                                                      false}))
-          .ValueOrDie();
-  EXPECT_EQ(replaced.GetColumn("hired").ValueOrDie()->type(),
-            DataType::kBool);
-}
-
-TEST(TableTest, TakeFilterSlice) {
-  Table table = MakeTestTable();
-  std::vector<size_t> indices = {3, 0};
-  Table taken = table.Take(indices).ValueOrDie();
-  EXPECT_EQ(taken.num_rows(), 2u);
-  EXPECT_EQ(taken.GetColumn("name").ValueOrDie()->GetString(0).ValueOrDie(),
-            "dan");
-
-  const Column* score = table.GetColumn("score").ValueOrDie();
-  Table filtered = table.Filter([&](size_t row) {
-                          return score->GetDouble(row).ValueOrDie() > 2.0;
-                        })
-                       .ValueOrDie();
-  EXPECT_EQ(filtered.num_rows(), 2u);
-
-  Table sliced = table.Slice(1, 2).ValueOrDie();
-  EXPECT_EQ(sliced.num_rows(), 2u);
-  EXPECT_EQ(sliced.GetColumn("name").ValueOrDie()->GetString(0).ValueOrDie(),
-            "bob");
-  EXPECT_TRUE(table.Slice(3, 5).status().IsOutOfRange());
-}
-
-TEST(TableTest, RowsWhereEquals) {
-  Table table = MakeTestTable();
-  std::vector<size_t> rows =
-      table.RowsWhereEquals("name", "cat").ValueOrDie();
-  EXPECT_EQ(rows, (std::vector<size_t>{2}));
-  EXPECT_FALSE(table.RowsWhereEquals("score", "3").ok());  // not string
 }
 
 TEST(TableTest, PreviewRendersHeaderAndRows) {

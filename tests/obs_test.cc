@@ -3,14 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
 
 #include "audit/auditor.h"
 #include "audit/source.h"
-#include "data/csv.h"
-#include "data/table.h"
 #include "obs/obs.h"
 
 namespace fairlaw::obs {
@@ -214,9 +213,9 @@ TEST(ObsKillSwitchTest, DisabledProbesAreNoOps) {
   EXPECT_EQ(ExportJson().find("disabled_span"), std::string::npos);
 }
 
-// The tentpole acceptance criterion: the export after a full audit is
-// byte-identical whatever the thread count, because counts commute and
-// span paths rebuild the serial nesting on workers.
+// The export after a full streamed audit is byte-identical whatever the
+// thread count, because counts commute and span paths rebuild the serial
+// nesting on workers.
 TEST(ObsDeterminismTest, AuditExportIdenticalAcrossThreadCounts) {
   std::ostringstream csv;
   csv << "sex,pred,label,score,dept\n";
@@ -229,7 +228,12 @@ TEST(ObsDeterminismTest, AuditExportIdenticalAcrossThreadCounts) {
     csv << (male ? "male" : "female") << ',' << pred << ',' << label << ','
         << score << ',' << (i % 4 < 2 ? "eng" : "sales") << '\n';
   }
-  const data::Table table = data::ReadCsvString(csv.str()).ValueOrDie();
+  const std::string path = "obs_test_audit.csv";
+  {
+    std::ofstream out(path, std::ios::trunc | std::ios::binary);
+    out << csv.str();
+    ASSERT_TRUE(out.good());
+  }
 
   auto export_for_threads = [&](size_t num_threads) {
     ResetAll();
@@ -240,8 +244,9 @@ TEST(ObsDeterminismTest, AuditExportIdenticalAcrossThreadCounts) {
     config.score_column = "score";
     config.strata_columns = {"dept"};
     config.num_threads = num_threads;
+    config.chunk_rows = 30;
     EXPECT_TRUE(
-        audit::Auditor::Run(audit::AuditSource::FromTable(table), config).ok());
+        audit::Auditor::Run(audit::AuditSource::FromCsv(path), config).ok());
     return ExportJson();
   };
 
@@ -259,6 +264,7 @@ TEST(ObsDeterminismTest, AuditExportIdenticalAcrossThreadCounts) {
     EXPECT_EQ(export_for_threads(threads), serial) << "threads=" << threads;
   }
   ResetAll();
+  std::remove(path.c_str());
 }
 
 #endif  // FAIRLAW_OBS_DISABLED

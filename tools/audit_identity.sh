@@ -1,12 +1,14 @@
 #!/usr/bin/env bash
 # Audit determinism gate: audit one generated promotion table with
 # every suite section on (strata, proxies, subgroups, sampling,
-# four-fifths), serially and at four threads over 977-row chunks, and
-# require both JSON reports to equal the golden file byte for byte. A
-# second leg streams the same CSV out-of-core (metrics and strata only)
-# at the same two settings and compares both envelopes with the stream
-# golden. Driven by ctest (tools_audit_identity, with
-# tests/golden/audit_suite.json and tests/golden/audit_stream.json).
+# four-fifths) at one and at four threads, and require both JSON reports
+# to equal the golden file byte for byte. A second leg streams the same
+# CSV out-of-core (metrics and strata only), serially and at four threads
+# over 977-row chunks, and compares both envelopes with the stream
+# golden. A last leg checks that --chunk-rows without --streaming is a
+# flag error (exit 1): an in-memory audit is one chunk. Driven by ctest
+# (tools_audit_identity, with tests/golden/audit_suite.json and
+# tests/golden/audit_stream.json).
 #
 # Usage: audit_identity.sh <fairlaw_generate> <fairlaw_audit> <workdir>
 #                          <golden> <stream_golden>
@@ -37,7 +39,7 @@ run() {
 
 suite=(--proxies=performance,tenure,race --subgroups=gender,race)
 run "$dir/suite_t1.json" "${suite[@]}" --threads=1
-run "$dir/suite_t4.json" "${suite[@]}" --threads=4 --chunk-rows=977
+run "$dir/suite_t4.json" "${suite[@]}" --threads=4
 run "$dir/stream_t1.json" --streaming --threads=1
 run "$dir/stream_t4.json" --streaming --threads=4 --chunk-rows=977
 
@@ -45,5 +47,17 @@ cmp "$golden" "$dir/suite_t1.json"
 cmp "$golden" "$dir/suite_t4.json"
 cmp "$stream_golden" "$dir/stream_t1.json"
 cmp "$stream_golden" "$dir/stream_t4.json"
+
+for flag in --chunk-rows=977 --max-memory-mb=64; do
+  rc=0
+  "$audit" "$dir/promotion.csv" --protected=gender --pred=promoted \
+      "$flag" >/dev/null 2>"$dir/reject.txt" || rc=$?
+  if [ "$rc" -ne 1 ] || ! grep -q -- "--streaming" "$dir/reject.txt"; then
+    echo "fairlaw_audit $flag without --streaming exited $rc," \
+        "expected the flag error (exit 1)" >&2
+    exit 1
+  fi
+done
 echo "audit identity ok: both runs equal $golden," \
-    "both streamed runs equal $stream_golden"
+    "both streamed runs equal $stream_golden," \
+    "in-memory --chunk-rows/--max-memory-mb rejected"

@@ -4,10 +4,10 @@
 Absolute nanosecond timings are not comparable across machines, so every
 comparison here is a within-run ratio:
 
-  * BENCH_subgroup.json: `speedup` and `parallel_speedup` (bitmap kernel
-    vs the row-wise baseline measured in the SAME process) must not drop
-    more than the threshold below the checked-in values, and
-    `identical_results` must stay true.
+  * BENCH_subgroup.json: `speedup` (bitmap kernel vs the row-wise
+    baseline measured in the SAME process) must not drop more than the
+    threshold below the checked-in value, and `identical_results` must
+    stay true.
   * BENCH_audit.json: the three engine invariants `chunk_identical`,
     `streaming_identical`, and `flat_memory_ok` must stay true (audit
     output byte-identical across chunk sizes / thread counts / ingestion
@@ -69,20 +69,19 @@ def check_subgroup(baseline, current, threshold):
         failures.append(
             "subgroup: identical_results is false — the bitmap kernel "
             "no longer matches the row-wise baseline")
-    for key in ("speedup", "parallel_speedup"):
-        base = baseline.get(key)
-        cur = current.get(key)
-        if base is None or cur is None:
-            failures.append(f"subgroup: missing field '{key}'")
-            continue
-        floor = base * (1.0 - threshold)
-        if cur < floor:
-            failures.append(
-                f"subgroup: {key} regressed: {cur:.3f} < "
-                f"{floor:.3f} (baseline {base:.3f} - {threshold:.0%})")
-        else:
-            print(f"bench-regression: subgroup {key} ok: "
-                  f"{cur:.3f} vs baseline {base:.3f} (floor {floor:.3f})")
+    base = baseline.get("speedup")
+    cur = current.get("speedup")
+    if base is None or cur is None:
+        failures.append("subgroup: missing field 'speedup'")
+        return failures
+    floor = base * (1.0 - threshold)
+    if cur < floor:
+        failures.append(
+            f"subgroup: speedup regressed: {cur:.3f} < "
+            f"{floor:.3f} (baseline {base:.3f} - {threshold:.0%})")
+    else:
+        print(f"bench-regression: subgroup speedup ok: "
+              f"{cur:.3f} vs baseline {base:.3f} (floor {floor:.3f})")
     return failures
 
 

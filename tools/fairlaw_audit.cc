@@ -4,20 +4,23 @@
 //       [--label=outcome] [--score=probability]
 //       [--strata=dept,level] [--proxies=zip,education]
 //       [--subgroups=gender,race] [--tolerance=0.05] [--json]
-//       [--chunk-rows=65536] [--max-memory-mb=512] [--streaming]
+//       [--streaming [--threads=4] [--chunk-rows=65536]
+//                    [--max-memory-mb=512]]
 //       [--obs-json=PATH] [--obs-timings]
 //
 // Reads a CSV, runs the configured fairness suite, and prints either the
 // human-readable report or (with --json) the machine-readable artifact.
-// --chunk-rows feeds the morsel-driven engine (the output is identical
-// for every value); --streaming audits the CSV out-of-core one chunk at
-// a time (metric audit only — the table never materializes, so the
-// proxy/subgroup/sampling extras are unavailable); --max-memory-mb caps
-// the derived chunk size so the bounded in-flight window fits the
-// budget. --obs-json additionally dumps the obs probe registry
-// (counters, histograms, trace spans) collected during the run; the dump
-// is byte-identical for every --threads value unless --obs-timings adds
-// the (non-reproducible) wall-clock totals.
+// Without --streaming the CSV is read whole and audited as one table,
+// serially. --streaming audits the CSV out-of-core one chunk at a time
+// (metric audit only — the table never materializes, so the
+// proxy/subgroup/sampling extras are unavailable); --threads processes
+// its chunks in parallel, --chunk-rows sizes them, and --max-memory-mb
+// caps the derived chunk size so the bounded in-flight window fits the
+// budget. The output is identical for every value of these three.
+// --obs-json additionally dumps the obs probe registry (counters,
+// histograms, trace spans) collected during the run; the dump is
+// byte-identical for every --threads value unless --obs-timings adds the
+// (non-reproducible) wall-clock totals.
 // Exit codes: 0 = all clear, 2 = violations found, 1 = error.
 #include <algorithm>
 #include <cstdint>
@@ -116,25 +119,23 @@ fairlaw::cli::FlagSet MakeFlags(CliOptions* options) {
 fairlaw::Result<CliOptions> Parse(int argc, char** argv, bool* show_help,
                                   std::string* help_text) {
   CliOptions options;
-  // --threads is registered on a local so the same value can drive both
-  // the audit's chunk morsels and the chunked subgroup index build.
+  // --threads is registered on a local so the chunk budget below can
+  // size the in-flight window by it.
   int64_t threads = 1;
   fairlaw::cli::FlagSet flags = MakeFlags(&options);
   flags.Add("threads", &threads,
-            "worker threads for the chunk morsels and the chunked subgroup "
-            "index build (0 = one per hardware thread); the output is "
-            "identical for every value",
+            "worker threads for the --streaming chunk morsels (0 = one per "
+            "hardware thread); the output is identical for every value",
             fairlaw::cli::Range<int64_t>{0, 512});
   int64_t chunk_rows = 0;
   flags.Add("chunk-rows", &chunk_rows,
-            "rows per morsel for the chunked engine (0 = whole table as "
-            "one chunk, or the 64k default when --streaming); the output "
+            "rows per --streaming chunk (0 = the 64k default); the output "
             "is identical for every value",
             fairlaw::cli::Range<int64_t>{0, int64_t{1} << 31});
   int64_t max_memory_mb = 0;
   flags.Add("max-memory-mb", &max_memory_mb,
-            "approximate memory budget; caps the chunk size so the "
-            "in-flight window fits (0 = no cap)",
+            "approximate --streaming memory budget; caps the chunk size so "
+            "the in-flight window fits (0 = no cap)",
             fairlaw::cli::Range<int64_t>{0, int64_t{1} << 31});
   *help_text = flags.Help();
   FAIRLAW_ASSIGN_OR_RETURN(fairlaw::cli::ParseResult parsed,
@@ -144,7 +145,6 @@ fairlaw::Result<CliOptions> Parse(int argc, char** argv, bool* show_help,
     return options;
   }
   options.suite.audit.num_threads = static_cast<size_t>(threads);
-  options.suite.subgroup_options.num_threads = static_cast<size_t>(threads);
   size_t chunk = static_cast<size_t>(chunk_rows);
   if (max_memory_mb > 0) {
     const size_t budget_rows = ChunkRowsForBudget(
@@ -152,12 +152,16 @@ fairlaw::Result<CliOptions> Parse(int argc, char** argv, bool* show_help,
     chunk = chunk == 0 ? budget_rows : std::min(chunk, budget_rows);
   }
   options.suite.audit.chunk_rows = chunk;
-  options.suite.subgroup_options.chunk_rows = chunk;
   if (options.streaming && (!options.suite.proxy_candidates.empty() ||
                             !options.suite.subgroup_columns.empty())) {
     return fairlaw::Status::Invalid(
         "--streaming runs the metric audit only; drop --proxies and "
         "--subgroups or drop --streaming");
+  }
+  if (!options.streaming && (chunk_rows != 0 || max_memory_mb != 0)) {
+    return fairlaw::Status::Invalid(
+        "--chunk-rows and --max-memory-mb size the --streaming chunks; an "
+        "in-memory audit is one chunk, so drop them or add --streaming");
   }
   if (parsed.positionals.empty()) {
     return fairlaw::Status::Invalid("no input CSV given");
