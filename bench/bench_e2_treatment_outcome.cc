@@ -79,7 +79,7 @@ int main() {
   std::printf("=== E2: equal treatment vs equal outcome (SS IV-A) ===\n");
   std::printf("%-6s | %-22s | %-22s | %-22s\n", "bias",
               "score-only (treatment)", "fair-LR lambda=20",
-              "40%% quota (outcome)");
+              "1/3 quota (outcome)");
   std::printf("%-6s | %-10s %-10s | %-10s %-10s | %-10s %-10s\n", "beta",
               "acc", "dp_gap", "acc", "dp_gap", "acc", "dp_gap");
   for (double bias : {0.0, 0.5, 1.0, 1.5, 2.0}) {

@@ -16,10 +16,10 @@
 #include <benchmark/benchmark.h>
 #include <sys/resource.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
-#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -29,6 +29,7 @@
 #include "base/json_writer.h"
 #include "base/string_util.h"
 #include "base/thread_pool.h"
+#include "best_of.h"
 #include "data/csv.h"
 #include "data/table.h"
 #include "obs/obs.h"
@@ -36,6 +37,8 @@
 
 namespace {
 
+using fairlaw::bench::BestOfEachNs;
+using fairlaw::bench::BestOfNs;
 using fairlaw::stats::Rng;
 namespace audit = fairlaw::audit;
 namespace data = fairlaw::data;
@@ -102,18 +105,6 @@ double PeakRssMb() {
   return static_cast<double>(usage.ru_maxrss) / 1024.0;
 }
 
-int64_t BestOfNs(size_t reps, const std::function<void()>& fn) {
-  int64_t best = 0;
-  for (size_t r = 0; r < reps; ++r) {
-    const uint64_t start = fairlaw::obs::MonotonicNowNs();
-    fn();
-    const int64_t ns =
-        static_cast<int64_t>(fairlaw::obs::MonotonicNowNs() - start);
-    if (r == 0 || ns < best) best = ns;
-  }
-  return best;
-}
-
 // ---------------------------------------------------------------------------
 // JSON harness.
 
@@ -132,6 +123,9 @@ struct HarnessConfig {
 /// OS page-cache accounting — not a function of the 10x row growth.
 constexpr double kFlatMemorySlackMb = 200.0;
 
+/// Rounds of the interleaved streaming-size legs.
+constexpr size_t kStreamRounds = 3;
+
 int RunHarness(const HarnessConfig& config) {
   const std::string small_csv = "bench_audit_small.csv";
   const std::string big_csv = "bench_audit_big.csv";
@@ -145,20 +139,34 @@ int RunHarness(const HarnessConfig& config) {
   }
 
   // Memory legs first, so nothing the identity legs allocate can mask
-  // the streaming engine's own peak.
+  // the streaming engine's own peak. The gate divides the big by the
+  // small streaming time, so both legs do the same work per call (the
+  // small leg streams the small file big_rows / rows times) and run
+  // interleaved, kStreamRounds rounds of one call each.
   const audit::AuditConfig count_config = CountConfig();
-  const int64_t small_ns = BestOfNs(1, [&] {
-    benchmark::DoNotOptimize(
-        audit::Auditor::Run(audit::AuditSource::FromCsv(small_csv),
-                            count_config)
-            .ValueOrDie());
-  });
-  const double rss_after_small_mb = PeakRssMb();
-  const int64_t big_ns = BestOfNs(1, [&] {
-    benchmark::DoNotOptimize(
-        audit::Auditor::Run(audit::AuditSource::FromCsv(big_csv), count_config)
-            .ValueOrDie());
-  });
+  const size_t small_batch =
+      std::max<size_t>(1, config.big_rows / config.rows);
+  double rss_after_small_mb = 0.0;
+  const std::vector<int64_t> stream_ns = BestOfEachNs(
+      kStreamRounds,
+      {[&] {
+         for (size_t b = 0; b < small_batch; ++b) {
+           benchmark::DoNotOptimize(
+               audit::Auditor::Run(audit::AuditSource::FromCsv(small_csv),
+                                   count_config)
+                   .ValueOrDie());
+         }
+         // Before the first big stream runs.
+         if (rss_after_small_mb == 0.0) rss_after_small_mb = PeakRssMb();
+       },
+       [&] {
+         benchmark::DoNotOptimize(
+             audit::Auditor::Run(audit::AuditSource::FromCsv(big_csv),
+                                 count_config)
+                 .ValueOrDie());
+       }});
+  const int64_t small_ns = stream_ns[0] / static_cast<int64_t>(small_batch);
+  const int64_t big_ns = stream_ns[1];
   const double rss_after_big_mb = PeakRssMb();
   const double rss_growth_mb = rss_after_big_mb - rss_after_small_mb;
   const bool flat_memory_ok = rss_growth_mb < kFlatMemorySlackMb;

@@ -22,13 +22,13 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
-#include <functional>
 #include <string>
 #include <string_view>
 
 #include "base/json_writer.h"
 #include "base/simd.h"
 #include "base/string_util.h"
+#include "best_of.h"
 #include "data/bitmap.h"
 #include "obs/obs.h"
 #include "stats/distance.h"
@@ -39,6 +39,7 @@
 
 namespace {
 
+using fairlaw::bench::BestOfNs;
 using fairlaw::data::Bitmap;
 using fairlaw::stats::Histogram;
 using fairlaw::stats::Rng;
@@ -183,18 +184,6 @@ BENCHMARK(BM_ExactTransport)->RangeMultiplier(2)->Range(8, 64);
 
 // ---------------------------------------------------------------------------
 // JSON timing harness (default mode).
-
-int64_t BestOfNs(size_t reps, const std::function<void()>& fn) {
-  int64_t best = 0;
-  for (size_t r = 0; r < reps; ++r) {
-    const uint64_t start = fairlaw::obs::MonotonicNowNs();
-    fn();
-    const int64_t ns =
-        static_cast<int64_t>(fairlaw::obs::MonotonicNowNs() - start);
-    if (r == 0 || ns < best) best = ns;
-  }
-  return best;
-}
 
 // Agreement bound between the RFF estimate at D = 256 and the exact
 // biased estimator on the N(0,1)-vs-N(1,1) sweep inputs. The RFF error

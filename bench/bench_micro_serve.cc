@@ -21,13 +21,13 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
-#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "base/json_writer.h"
 #include "base/string_util.h"
+#include "best_of.h"
 #include "obs/obs.h"
 #include "serve/api.h"
 #include "serve/service.h"
@@ -38,6 +38,7 @@
 
 namespace {
 
+using fairlaw::bench::BestOfNs;
 using fairlaw::stats::Rng;
 namespace serve = fairlaw::serve;
 namespace stats = fairlaw::stats;
@@ -128,18 +129,6 @@ std::vector<std::string> ReplayAndQuery(const serve::ServeConfig& config,
     responses.push_back(service.HandleLine(query));
   }
   return responses;
-}
-
-int64_t BestOfNs(size_t reps, const std::function<void()>& fn) {
-  int64_t best = 0;
-  for (size_t r = 0; r < reps; ++r) {
-    const uint64_t start = fairlaw::obs::MonotonicNowNs();
-    fn();
-    const int64_t ns =
-        static_cast<int64_t>(fairlaw::obs::MonotonicNowNs() - start);
-    if (r == 0 || ns < best) best = ns;
-  }
-  return best;
 }
 
 // ---------------------------------------------------------------------------

@@ -15,12 +15,13 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
-#include <functional>
 #include <string_view>
+#include <vector>
 
 #include "audit/subgroup.h"
 #include "base/json_writer.h"
 #include "base/string_util.h"
+#include "best_of.h"
 #include "data/column.h"
 #include "obs/obs.h"
 #include "stats/rng.h"
@@ -28,6 +29,7 @@
 
 namespace {
 
+using fairlaw::bench::BestOfEachNs;
 using fairlaw::stats::Rng;
 namespace audit = fairlaw::audit;
 namespace data = fairlaw::data;
@@ -110,24 +112,17 @@ BENCHMARK(BM_SubgroupAuditRowwise)->Range(1000, 64000)->Complexity();
 // ---------------------------------------------------------------------------
 // JSON comparison harness (default mode).
 
+/// Bitmap walks per timed call, and the minimum wall time of all the
+/// interleaved rounds.
+constexpr size_t kWalkBatch = 32;
+constexpr int64_t kMinRoundsNs = 2'000'000'000;
+
 struct HarnessConfig {
   std::string out = "BENCH_subgroup.json";
   size_t rows = 100000;
   size_t attrs = 4;
   size_t reps = 3;
 };
-
-int64_t BestOfNs(size_t reps, const std::function<void()>& fn) {
-  int64_t best = 0;
-  for (size_t r = 0; r < reps; ++r) {
-    const uint64_t start = fairlaw::obs::MonotonicNowNs();
-    fn();
-    const int64_t ns =
-        static_cast<int64_t>(fairlaw::obs::MonotonicNowNs() - start);
-    if (r == 0 || ns < best) best = ns;
-  }
-  return best;
-}
 
 bool SameFindings(const audit::SubgroupAuditResult& a,
                   const audit::SubgroupAuditResult& b) {
@@ -163,25 +158,35 @@ int RunComparison(const HarnessConfig& config) {
       audit::AuditSubgroups(table, attrs, "pred", options).ValueOrDie();
   const bool identical = SameFindings(baseline_result, bitmap_result);
 
-  const int64_t baseline_ns = BestOfNs(config.reps, [&] {
-    benchmark::DoNotOptimize(
-        audit::AuditSubgroupsRowwise(table, attrs, "pred", options)
-            .ValueOrDie());
-  });
-  const int64_t bitmap_ns = BestOfNs(config.reps, [&] {
-    benchmark::DoNotOptimize(
-        audit::AuditSubgroups(table, attrs, "pred", options).ValueOrDie());
-  });
-
-  // Probe overhead: the same bitmap walk with the obs probes live
-  // (bitmap_ns above) vs disabled through the runtime kill switch. The
-  // DESIGN.md §10 budget is < 2% on this walk.
-  fairlaw::obs::SetEnabled(false);
-  const int64_t obs_off_ns = BestOfNs(config.reps, [&] {
-    benchmark::DoNotOptimize(
-        audit::AuditSubgroups(table, attrs, "pred", options).ValueOrDie());
-  });
-  fairlaw::obs::SetEnabled(true);
+  // The gate divides the row-wise by the bitmap time, and the probe cost
+  // (DESIGN.md §10 budget: < 2%) compares the bitmap walk with the obs
+  // probes live and disabled through the runtime kill switch, so the
+  // three legs run interleaved: at least --reps rounds and kMinRoundsNs
+  // in all. A bitmap call runs kWalkBatch walks, about one row-wise
+  // pass of work, so every leg samples the machine for as long.
+  auto walks = [&] {
+    for (size_t b = 0; b < kWalkBatch; ++b) {
+      benchmark::DoNotOptimize(
+          audit::AuditSubgroups(table, attrs, "pred", options).ValueOrDie());
+    }
+  };
+  const std::vector<int64_t> leg_ns = BestOfEachNs(
+      config.reps,
+      {[&] {
+         benchmark::DoNotOptimize(
+             audit::AuditSubgroupsRowwise(table, attrs, "pred", options)
+                 .ValueOrDie());
+       },
+       walks,
+       [&] {
+         fairlaw::obs::SetEnabled(false);
+         walks();
+         fairlaw::obs::SetEnabled(true);
+       }},
+      kMinRoundsNs);
+  const int64_t baseline_ns = leg_ns[0];
+  const int64_t bitmap_ns = leg_ns[1] / static_cast<int64_t>(kWalkBatch);
+  const int64_t obs_off_ns = leg_ns[2] / static_cast<int64_t>(kWalkBatch);
   const double obs_overhead_pct =
       obs_off_ns > 0 ? (static_cast<double>(bitmap_ns) -
                         static_cast<double>(obs_off_ns)) /

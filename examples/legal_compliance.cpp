@@ -54,13 +54,15 @@ int main() {
   inputs.jurisdiction = legal::Jurisdiction::kUs;
   inputs.protected_attribute = "sex";
   inputs.sector = "employment";
-  inputs.audit =
+  const audit::AuditResult result =
       audit::Auditor::Run(audit::AuditSource::FromTable(table), config)
-          .ValueOrDie().ToLegalFindings();
+          .ValueOrDie();
+  inputs.audit = result.ToLegalFindings();
+  // The screen reads the group tallies behind the audit's
+  // disparate_impact_ratio report; the table is not read again.
   inputs.four_fifths =
       legal::FourFifthsTest(
-          audit::MetricInputFromTable(table, "gender", "pred", "")
-              .ValueOrDie())
+          result.Find("disparate_impact_ratio").ValueOrDie()->groups)
           .ValueOrDie();
 
   legal::UseCaseProfile profile;

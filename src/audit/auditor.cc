@@ -76,37 +76,6 @@ Result<metrics::MetricInput> MetricInputFromTable(
   return input;
 }
 
-Result<metrics::MetricInput> MetricInputFromTableMulti(
-    const data::Table& table,
-    const std::vector<std::string>& protected_columns,
-    const std::string& prediction_column, const std::string& label_column) {
-  if (protected_columns.empty()) {
-    return Status::Invalid("MetricInputFromTableMulti: no protected "
-                           "columns");
-  }
-  metrics::MetricInput input;
-  FAIRLAW_ASSIGN_OR_RETURN(input.groups,
-                           StrataFromTable(table, protected_columns));
-  FAIRLAW_ASSIGN_OR_RETURN(input.predictions,
-                           BinaryColumn(table, prediction_column));
-  if (!label_column.empty()) {
-    FAIRLAW_ASSIGN_OR_RETURN(input.labels, BinaryColumn(table, label_column));
-  }
-  FAIRLAW_RETURN_NOT_OK(input.Validate(/*require_labels=*/false));
-  return input;
-}
-
-Result<std::vector<std::string>> StrataFromTable(
-    const data::Table& table,
-    const std::vector<std::string>& strata_columns) {
-  FAIRLAW_ASSIGN_OR_RETURN(data::ColumnKeys strata,
-                           StrataKeys(table, strata_columns));
-  std::vector<std::string> out;
-  out.reserve(strata.codes.size());
-  for (uint32_t code : strata.codes) out.push_back(strata.keys[code]);
-  return out;
-}
-
 std::string AuditResult::Render() const {
   std::string out;
   out += "=== fairness audit: " +

@@ -125,19 +125,6 @@ FAIRLAW_NODISCARD Result<metrics::MetricInput> MetricInputFromTable(
     const data::Table& table, const std::string& protected_column,
     const std::string& prediction_column, const std::string& label_column);
 
-/// Intersectional variant: the group key is the combination of several
-/// protected columns joined with '|' ("female|caucasian"), so all the
-/// group metrics operate directly on §IV-C subpopulations.
-FAIRLAW_NODISCARD Result<metrics::MetricInput> MetricInputFromTableMulti(
-    const data::Table& table,
-    const std::vector<std::string>& protected_columns,
-    const std::string& prediction_column, const std::string& label_column);
-
-/// Extracts the stratum key per row (values of `strata_columns` joined
-/// with '|').
-FAIRLAW_NODISCARD Result<std::vector<std::string>> StrataFromTable(
-    const data::Table& table, const std::vector<std::string>& strata_columns);
-
 }  // namespace fairlaw::audit
 
 #endif  // FAIRLAW_AUDIT_AUDITOR_H_

@@ -67,7 +67,7 @@ Result<data::ColumnKeys> StrataKeys(
     const data::Table& table,
     const std::vector<std::string>& strata_columns) {
   if (strata_columns.empty()) {
-    return Status::Invalid("StrataFromTable: no strata columns");
+    return Status::Invalid("StrataKeys: no strata columns");
   }
   std::vector<data::ColumnKeys> columns(strata_columns.size());
   for (size_t c = 0; c < columns.size(); ++c) {

@@ -154,14 +154,4 @@ void WriteErrorObject(JsonWriter* json, const Status& status) {
   json->EndObject();
 }
 
-Result<std::string> ErrorEnvelopeJson(const Status& status) {
-  JsonWriter json;
-  json.BeginObject();
-  json.Field("schema_version", kReportSchemaVersion);
-  json.Field("kind", std::string("error"));
-  WriteErrorObject(&json, status);
-  json.EndObject();
-  return json.Finish();
-}
-
 }  // namespace fairlaw::audit

@@ -64,14 +64,11 @@ FAIRLAW_NODISCARD Result<std::string> AuditResultToJson(
     const AuditResult& result,
     const ReportEnvelopeOptions& options = ReportEnvelopeOptions{});
 
-/// Serializes a non-OK status as the versioned error envelope:
-/// {"schema_version":2,"kind":"error","error":{"code":...,"message":...}}.
-/// OK statuses are a caller bug and render with code "ok" rather than
-/// failing, so error paths cannot themselves error.
-FAIRLAW_NODISCARD Result<std::string> ErrorEnvelopeJson(const Status& status);
-
-/// Writes the same error envelope into an open writer (serve embeds it
-/// in response frames that carry additional routing fields).
+/// Writes a status as the "error" member of an open object:
+/// "error":{"code":...,"message":...} (serve embeds it in response frames
+/// that carry additional routing fields). OK statuses are a caller bug
+/// and render with code "ok" rather than failing, so error paths cannot
+/// themselves error.
 void WriteErrorObject(JsonWriter* json, const Status& status);
 
 }  // namespace fairlaw::audit

@@ -1,13 +1,14 @@
 #include "audit/sampling_adequacy.h"
 
 #include <cmath>
+#include <cstdint>
 
 #include "stats/hypothesis.h"
 
 namespace fairlaw::audit {
 
 Result<SamplingReport> AssessSamplingAdequacy(
-    const metrics::MetricInput& input,
+    const std::vector<metrics::GroupStats>& stats,
     const SamplingAdequacyOptions& options) {
   if (options.confidence <= 0.0 || options.confidence >= 1.0) {
     return Status::Invalid("AssessSamplingAdequacy: confidence must lie in "
@@ -17,14 +18,16 @@ Result<SamplingReport> AssessSamplingAdequacy(
     return Status::Invalid("AssessSamplingAdequacy: max_ci_halfwidth must be "
                            "> 0");
   }
-  FAIRLAW_ASSIGN_OR_RETURN(std::vector<metrics::GroupStats> stats,
-                           metrics::ComputeGroupStats(input,
-                                                      /*with_labels=*/false));
+  if (stats.empty()) {
+    return Status::Invalid("AssessSamplingAdequacy: no groups");
+  }
   FAIRLAW_ASSIGN_OR_RETURN(
       double z, stats::NormalQuantile(0.5 + options.confidence / 2.0));
 
   SamplingReport report;
-  const double n = static_cast<double>(input.size());
+  int64_t total = 0;
+  for (const metrics::GroupStats& gs : stats) total += gs.count;
+  const double n = static_cast<double>(total);
   std::string inadequate;
   for (const metrics::GroupStats& gs : stats) {
     GroupSupport support;
@@ -52,6 +55,15 @@ Result<SamplingReport> AssessSamplingAdequacy(
                     "(paper §IV-F)";
   }
   return report;
+}
+
+Result<SamplingReport> AssessSamplingAdequacy(
+    const metrics::MetricInput& input,
+    const SamplingAdequacyOptions& options) {
+  FAIRLAW_ASSIGN_OR_RETURN(
+      std::vector<metrics::GroupStats> stats,
+      metrics::ComputeGroupStats(input, /*with_labels=*/false));
+  return AssessSamplingAdequacy(stats, options);
 }
 
 Result<size_t> RequiredSampleSize(double rate, double halfwidth,

@@ -40,7 +40,15 @@ struct SamplingReport {
   std::string detail;
 };
 
-/// Assesses sample support for every protected group in `input`.
+/// Assesses sample support for every group in `stats` (report order; only
+/// count and selection_rate are read). A group's share is its count over
+/// the sum of the counts.
+FAIRLAW_NODISCARD Result<SamplingReport> AssessSamplingAdequacy(
+    const std::vector<metrics::GroupStats>& stats,
+    const SamplingAdequacyOptions& options = {});
+
+/// Row-wise adapter: computes the group statistics of `input`, then
+/// assesses them.
 FAIRLAW_NODISCARD Result<SamplingReport> AssessSamplingAdequacy(
     const metrics::MetricInput& input,
     const SamplingAdequacyOptions& options = {});

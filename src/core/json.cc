@@ -12,12 +12,6 @@
 
 namespace fairlaw {
 
-Result<std::string> MetricReportToJson(const metrics::MetricReport& report) {
-  JsonWriter json;
-  audit::WriteMetricReport(&json, report);
-  return json.Finish();
-}
-
 Result<std::string> SuiteReportToJson(const SuiteReport& report) {
   JsonWriter json;
   json.BeginObject();

@@ -5,7 +5,6 @@
 
 #include "base/result.h"
 #include "core/suite.h"
-#include "metrics/fairness_metric.h"
 
 namespace fairlaw {
 
@@ -14,10 +13,6 @@ namespace fairlaw {
 /// versioned envelope from audit/report_io.h:
 /// {"schema_version":2,"kind":"suite_report","findings":{...}}.
 FAIRLAW_NODISCARD Result<std::string> SuiteReportToJson(const SuiteReport& report);
-
-/// Serializes a single metric report (no envelope — it is the embedded
-/// per-metric shape shared with audit::WriteMetricReport).
-FAIRLAW_NODISCARD Result<std::string> MetricReportToJson(const metrics::MetricReport& report);
 
 }  // namespace fairlaw
 

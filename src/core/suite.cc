@@ -95,21 +95,21 @@ Result<SuiteReport> RunFairnessSuite(const data::Table& table,
     if (report.subgroups->any_violation) report.all_clear = false;
   }
 
-  FAIRLAW_ASSIGN_OR_RETURN(
-      metrics::MetricInput input,
-      audit::MetricInputFromTable(table, config.audit.protected_column,
-                                  config.audit.prediction_column,
-                                  config.audit.label_column));
+  // Both screens read the per-group tallies the audit already made: the
+  // groups of its disparate_impact_ratio report.
+  FAIRLAW_ASSIGN_OR_RETURN(const metrics::MetricReport* impact,
+                           report.audit.Find("disparate_impact_ratio"));
   if (config.check_sampling) {
     FAIRLAW_ASSIGN_OR_RETURN(
         report.sampling,
-        audit::AssessSamplingAdequacy(input, config.sampling_options));
+        audit::AssessSamplingAdequacy(impact->groups,
+                                      config.sampling_options));
     // Inadequate sampling is a warning about estimate quality, not a
     // fairness violation; it does not flip all_clear.
   }
   if (config.check_four_fifths) {
     FAIRLAW_ASSIGN_OR_RETURN(report.four_fifths,
-                             legal::FourFifthsTest(input));
+                             legal::FourFifthsTest(impact->groups));
     if (!report.four_fifths->passed) report.all_clear = false;
   }
   if (!config.population_shares.empty()) {

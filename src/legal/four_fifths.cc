@@ -4,14 +4,12 @@
 
 namespace fairlaw::legal {
 
-Result<FourFifthsResult> FourFifthsTest(const metrics::MetricInput& input,
-                                        double threshold, double alpha) {
+Result<FourFifthsResult> FourFifthsTest(
+    const std::vector<metrics::GroupStats>& stats, double threshold,
+    double alpha) {
   if (threshold <= 0.0 || threshold > 1.0) {
     return Status::Invalid("FourFifthsTest: threshold must lie in (0,1]");
   }
-  FAIRLAW_ASSIGN_OR_RETURN(
-      std::vector<metrics::GroupStats> stats,
-      metrics::ComputeGroupStats(input, /*with_labels=*/false));
   if (stats.size() < 2) {
     return Status::Invalid("FourFifthsTest: need >= 2 groups");
   }
@@ -19,8 +17,8 @@ Result<FourFifthsResult> FourFifthsTest(const metrics::MetricInput& input,
   const metrics::GroupStats* reference = &stats[0];
   for (const metrics::GroupStats& gs : stats) {
     if (gs.count == 0) {
-      // ComputeGroupStats only materializes observed groups, so this is a
-      // library invariant, not user input.
+      // A tally only materializes observed groups, so an empty one is a
+      // library invariant broken, not a finding about the data.
       return Status::Internal("FourFifthsTest: empty group '" + gs.group +
                               "' in group stats");
     }
@@ -70,6 +68,14 @@ Result<FourFifthsResult> FourFifthsTest(const metrics::MetricInput& input,
                     " ratio vs '" + result.reference_group + "': " + failing;
   }
   return result;
+}
+
+Result<FourFifthsResult> FourFifthsTest(const metrics::MetricInput& input,
+                                        double threshold, double alpha) {
+  FAIRLAW_ASSIGN_OR_RETURN(
+      std::vector<metrics::GroupStats> stats,
+      metrics::ComputeGroupStats(input, /*with_labels=*/false));
+  return FourFifthsTest(stats, threshold, alpha);
 }
 
 std::string RenderFourFifths(const FourFifthsResult& result) {

@@ -43,10 +43,18 @@ struct FourFifthsResult {
   std::string detail;
 };
 
-/// Runs the four-fifths screen over `input` (labels not required).
-FAIRLAW_NODISCARD Result<FourFifthsResult> FourFifthsTest(const metrics::MetricInput& input,
-                                        double threshold = 0.8,
-                                        double alpha = 0.05);
+/// Runs the four-fifths screen over per-group statistics (groups in
+/// report order; only count, positive_predictions and selection_rate are
+/// read), e.g. the `groups` of an audit's disparate_impact_ratio report.
+FAIRLAW_NODISCARD Result<FourFifthsResult> FourFifthsTest(
+    const std::vector<metrics::GroupStats>& stats, double threshold = 0.8,
+    double alpha = 0.05);
+
+/// Row-wise adapter: computes the group statistics of `input` (labels not
+/// required), then screens them.
+FAIRLAW_NODISCARD Result<FourFifthsResult> FourFifthsTest(
+    const metrics::MetricInput& input, double threshold = 0.8,
+    double alpha = 0.05);
 
 /// Renders the screen as human-readable text.
 std::string RenderFourFifths(const FourFifthsResult& result);

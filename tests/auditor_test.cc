@@ -8,6 +8,7 @@
 #include "audit/auditor.h"
 #include "audit/source.h"
 #include "data/csv.h"
+#include "support/strata_strings.h"
 
 namespace fairlaw::audit {
 namespace {
@@ -178,28 +179,6 @@ TEST(RunAuditTest, HeaderOnlyCsvReportsEmptyInputOnBothPaths) {
   std::remove(path.c_str());
 }
 
-TEST(MetricInputMultiTest, CombinesProtectedColumns) {
-  data::Table table = BiasedTable();
-  metrics::MetricInput input =
-      MetricInputFromTableMulti(table, {"gender", "dept"}, "pred", "label")
-          .ValueOrDie();
-  EXPECT_EQ(input.size(), table.num_rows());
-  // Four intersectional groups: male|eng, male|sales, female|eng,
-  // female|sales.
-  auto stats =
-      metrics::ComputeGroupStats(input, /*with_labels=*/true).ValueOrDie();
-  EXPECT_EQ(stats.size(), 4u);
-  bool found = false;
-  for (const metrics::GroupStats& gs : stats) {
-    if (gs.group == "male|eng") {
-      found = true;
-      EXPECT_EQ(gs.count, 35);
-    }
-  }
-  EXPECT_TRUE(found);
-  EXPECT_FALSE(MetricInputFromTableMulti(table, {}, "pred", "").ok());
-}
-
 TEST(AuditConfigTest, ValidateAcceptsDefaults) {
   AuditConfig config;
   config.protected_column = "g";
@@ -329,15 +308,52 @@ TEST(ScoreDistributionTest, MatchedDistributionsSatisfied) {
   EXPECT_NEAR(result.score_distribution->max_wasserstein1, 0.0, 1e-12);
 }
 
+// Scored rows as CSV text whose scores are multiples of 1/8, so the
+// streamed and the in-memory reader parse the same doubles. Group "b"
+// first appears in row 9, so a fold that took the streamed chunks'
+// score series out of chunk order would list "b" before "a".
+std::string ScoredCsvText() {
+  static constexpr const char* kScores[] = {
+      "0", "0.125", "0.25", "0.375", "0.5", "0.625", "0.75", "0.875"};
+  std::string csv = "gender,pred,label,score\n";
+  for (int row = 0; row < 120; ++row) {
+    const bool b = row >= 9 && row % 2 == 1;
+    const int step = b ? (row / 2) % 6 : 2 + (row * 5) % 6;
+    const int pred = step >= 4 ? 1 : 0;
+    const int label = row % 3 == 0 ? 1 - pred : pred;
+    csv += std::string(b ? "b" : "a") + "," + std::to_string(pred) + "," +
+           std::to_string(label) + "," + kScores[step] + "\n";
+  }
+  return csv;
+}
+
 TEST(ScoreDistributionTest, ThreadCountDoesNotChangeReport) {
-  data::Table table = ScoredTable(/*shifted=*/true);
+  const std::string text = ScoredCsvText();
+  const std::string path = "auditor_test_scored.csv";
+  {
+    std::ofstream out(path, std::ios::trunc | std::ios::binary);
+    out << text;
+    ASSERT_TRUE(out.good());
+  }
   AuditConfig config = ScoreDistConfig();
-  AuditResult serial =
-      Auditor::Run(AuditSource::FromTable(table), config).ValueOrDie();
-  config.num_threads = 4;
-  AuditResult parallel =
-      Auditor::Run(AuditSource::FromTable(table), config).ValueOrDie();
-  EXPECT_EQ(serial.Render(), parallel.Render());
+  const std::string reference =
+      Auditor::Run(AuditSource::FromTable(
+                       data::ReadCsvString(text).ValueOrDie()),
+                   config)
+          .ValueOrDie()
+          .Render();
+  // 120 rows in 5-row chunks: 24 chunks, so 4 workers hold several
+  // chunks in flight and finish them out of order.
+  config.chunk_rows = 5;
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    config.num_threads = threads;
+    EXPECT_EQ(Auditor::Run(AuditSource::FromCsv(path), config)
+                  .ValueOrDie()
+                  .Render(),
+              reference)
+        << threads << " threads";
+  }
+  std::remove(path.c_str());
 }
 
 TEST(ScoreDistributionTest, OffByDefaultAndValidated) {

@@ -29,6 +29,7 @@
 #include "stats/mergeable.h"
 #include "stats/rng.h"
 #include "stats/sort.h"
+#include "support/strata_strings.h"
 #include "support/subgroup_rowwise.h"
 
 namespace fairlaw {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "audit/report_io.h"
 #include "base/json_writer.h"
 #include "core/json.h"
 #include "data/csv.h"
@@ -62,7 +63,9 @@ TEST(MetricReportJsonTest, RoundTripKeyFields) {
   metrics::MetricReport report =
       metrics::Evaluate(metrics::MetricId::kDemographicParity, input, 0.1)
           .ValueOrDie();
-  std::string json = MetricReportToJson(report).ValueOrDie();
+  JsonWriter writer;
+  audit::WriteMetricReport(&writer, report);
+  std::string json = writer.Finish().ValueOrDie();
   EXPECT_NE(json.find("\"metric\":\"demographic_parity\""),
             std::string::npos);
   EXPECT_NE(json.find("\"satisfied\":true"), std::string::npos);

@@ -2,7 +2,11 @@
 // pipeline (generate -> train -> predict -> audit everything).
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "audit/auditor.h"
 #include "core/suite.h"
+#include "data/csv.h"
 #include "ml/logistic_regression.h"
 #include "simulation/scenarios.h"
 
@@ -124,6 +128,124 @@ TEST(SuiteTest, BadConfigSurfacesError) {
   SuiteConfig config = FullConfig();
   config.audit.protected_column = "missing";
   EXPECT_FALSE(RunFairnessSuite(table, config).ok());
+}
+
+// The same 90 rows keyed three ways: by a string, an int64 and a bool
+// column. The string and int64 keys split the rows 50/30/10 (interleaved,
+// so first-seen order is not sorted order), the bool key 50/40.
+data::Table KeyTypesTable() {
+  static constexpr const char* kNames[] = {"north", "south", "east"};
+  static constexpr const char* kCodes[] = {"7", "-2", "40"};
+  static constexpr int kSelectTenths[] = {6, 4, 2};
+  std::string csv = "s,i,b,pred,label\n";
+  for (int row = 0; row < 90; ++row) {
+    const int g = row % 9 < 5 ? 0 : row % 9 < 8 ? 1 : 2;
+    const int pred = (row * 7) % 10 < kSelectTenths[g] ? 1 : 0;
+    const int label = row % 4 == 0 ? 1 - pred : pred;
+    csv += std::string(kNames[g]) + "," + kCodes[g] + "," +
+           (g == 0 ? "true" : "false") + "," + std::to_string(pred) + "," +
+           std::to_string(label) + "\n";
+  }
+  return data::ReadCsvString(csv).ValueOrDie();
+}
+
+void ExpectSameFourFifths(const legal::FourFifthsResult& a,
+                          const legal::FourFifthsResult& b) {
+  EXPECT_EQ(a.reference_group, b.reference_group);
+  EXPECT_EQ(a.reference_rate, b.reference_rate);
+  EXPECT_EQ(a.threshold, b.threshold);
+  EXPECT_EQ(a.passed, b.passed);
+  EXPECT_EQ(a.adverse_impact_indicated, b.adverse_impact_indicated);
+  EXPECT_EQ(a.detail, b.detail);
+  ASSERT_EQ(a.groups.size(), b.groups.size());
+  for (size_t g = 0; g < a.groups.size(); ++g) {
+    const legal::FourFifthsGroup& x = a.groups[g];
+    const legal::FourFifthsGroup& y = b.groups[g];
+    EXPECT_EQ(x.group, y.group);
+    EXPECT_EQ(x.count, y.count);
+    EXPECT_EQ(x.selected, y.selected);
+    EXPECT_EQ(x.selection_rate, y.selection_rate);
+    EXPECT_EQ(x.impact_ratio, y.impact_ratio);
+    EXPECT_EQ(x.below_threshold, y.below_threshold);
+    EXPECT_EQ(x.significance.statistic, y.significance.statistic);
+    EXPECT_EQ(x.significance.p_value, y.significance.p_value);
+    EXPECT_EQ(x.significance.significant, y.significance.significant);
+  }
+}
+
+void ExpectSameSampling(const audit::SamplingReport& a,
+                        const audit::SamplingReport& b) {
+  EXPECT_EQ(a.all_adequate, b.all_adequate);
+  EXPECT_EQ(a.detail, b.detail);
+  ASSERT_EQ(a.groups.size(), b.groups.size());
+  for (size_t g = 0; g < a.groups.size(); ++g) {
+    const audit::GroupSupport& x = a.groups[g];
+    const audit::GroupSupport& y = b.groups[g];
+    EXPECT_EQ(x.group, y.group);
+    EXPECT_EQ(x.count, y.count);
+    EXPECT_EQ(x.share, y.share);
+    EXPECT_EQ(x.selection_rate, y.selection_rate);
+    EXPECT_EQ(x.ci_halfwidth, y.ci_halfwidth);
+    EXPECT_EQ(x.adequate, y.adequate);
+  }
+}
+
+// The suite screens the audit's group tallies; the row adapters count a
+// MetricInput of the table. Both must give the same screens.
+TEST(SuiteTest, ScreensEqualTheRowAdaptersOnEveryKeyType) {
+  const data::Table table = KeyTypesTable();
+  for (const char* protected_column : {"s", "i", "b"}) {
+    for (const char* label_column : {"", "label"}) {
+      SCOPED_TRACE(std::string(protected_column) + " label='" +
+                   label_column + "'");
+      SuiteConfig config;
+      config.audit.protected_column = protected_column;
+      config.audit.prediction_column = "pred";
+      config.audit.label_column = label_column;
+      config.sampling_options.min_count = 20;
+      config.sampling_options.max_ci_halfwidth = 0.15;
+      SuiteReport report = RunFairnessSuite(table, config).ValueOrDie();
+      ASSERT_TRUE(report.four_fifths.has_value());
+      ASSERT_TRUE(report.sampling.has_value());
+
+      const metrics::MetricInput input =
+          audit::MetricInputFromTable(table, protected_column, "pred",
+                                      label_column)
+              .ValueOrDie();
+      ExpectSameFourFifths(*report.four_fifths,
+                           legal::FourFifthsTest(input).ValueOrDie());
+      ExpectSameSampling(
+          *report.sampling,
+          audit::AssessSamplingAdequacy(input, config.sampling_options)
+              .ValueOrDie());
+    }
+  }
+  // The fixture exercises both verdicts of each screen somewhere.
+  SuiteConfig config;
+  config.audit.protected_column = "s";
+  config.audit.prediction_column = "pred";
+  config.sampling_options.min_count = 20;
+  config.sampling_options.max_ci_halfwidth = 0.15;
+  SuiteReport report = RunFairnessSuite(table, config).ValueOrDie();
+  EXPECT_FALSE(report.four_fifths->passed);
+  EXPECT_FALSE(report.sampling->all_adequate);
+  EXPECT_TRUE(report.sampling->groups[0].adequate);
+}
+
+TEST(SuiteTest, SingleGroupAndZeroSelectionErrorsArePinned) {
+  SuiteConfig config;
+  config.audit.protected_column = "g";
+  config.audit.prediction_column = "pred";
+  const data::Table single =
+      data::ReadCsvString("g,pred\na,1\na,0\na,1\n").ValueOrDie();
+  EXPECT_EQ(RunFairnessSuite(single, config).status().ToString(),
+            "invalid argument: fairness metric: need at least 2 protected "
+            "groups, got 1");
+  const data::Table none_selected =
+      data::ReadCsvString("g,pred\na,0\nb,0\na,0\nb,0\n").ValueOrDie();
+  EXPECT_EQ(RunFairnessSuite(none_selected, config).status().ToString(),
+            "failed precondition: disparate_impact_ratio: no group has a "
+            "positive selection rate; the ratio is undefined");
 }
 
 }  // namespace
