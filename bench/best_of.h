@@ -20,7 +20,6 @@ inline std::vector<int64_t> BestOfEachNs(
     size_t min_rounds, const std::vector<std::function<void()>>& legs,
     int64_t min_total_ns = 0) {
   std::vector<int64_t> best(legs.size(), 0);
-  if (legs.empty()) return best;
   int64_t total = 0;
   for (size_t r = 0; r < min_rounds || total < min_total_ns; ++r) {
     for (size_t leg = 0; leg < legs.size(); ++leg) {
@@ -34,11 +33,9 @@ inline std::vector<int64_t> BestOfEachNs(
   return best;
 }
 
-/// The fastest of at least `min_reps` calls of `fn` (BestOfEachNs with
-/// one leg).
-inline int64_t BestOfNs(size_t min_reps, const std::function<void()>& fn,
-                        int64_t min_total_ns = 0) {
-  return BestOfEachNs(min_reps, {fn}, min_total_ns)[0];
+/// The fastest of `reps` calls of `fn` (BestOfEachNs with one leg).
+inline int64_t BestOfNs(size_t reps, const std::function<void()>& fn) {
+  return BestOfEachNs(reps, {fn})[0];
 }
 
 }  // namespace fairlaw::bench

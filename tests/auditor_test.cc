@@ -4,11 +4,12 @@
 #include <fstream>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "audit/auditor.h"
+#include "audit/partials.h"
 #include "audit/source.h"
 #include "data/csv.h"
-#include "support/strata_strings.h"
 
 namespace fairlaw::audit {
 namespace {
@@ -50,13 +51,21 @@ TEST(MetricInputFromTableTest, ExtractsColumns) {
   EXPECT_FALSE(MetricInputFromTable(table, "missing", "pred", "").ok());
 }
 
-TEST(StrataFromTableTest, CombinesColumns) {
+TEST(StrataKeysTest, CombinesColumns) {
   data::Table table = BiasedTable();
-  std::vector<std::string> strata =
-      StrataFromTable(table, {"dept", "gender"}).ValueOrDie();
-  EXPECT_EQ(strata.size(), table.num_rows());
-  EXPECT_EQ(strata[0], "eng|male");
-  EXPECT_FALSE(StrataFromTable(table, {}).ok());
+  data::ColumnKeys strata = StrataKeys(table, {"dept", "gender"}).ValueOrDie();
+  EXPECT_EQ(strata.codes.size(), table.num_rows());
+  // One key per tuple that occurs, "|"-joined, in first-seen row order.
+  EXPECT_EQ(strata.keys, (std::vector<std::string>{
+                             "eng|male", "sales|male", "eng|female",
+                             "sales|female"}));
+  EXPECT_EQ(strata.codes[0], 0u);    // male eng
+  EXPECT_EQ(strata.codes[35], 1u);   // male sales
+  EXPECT_EQ(strata.codes[60], 2u);   // female eng
+  EXPECT_EQ(strata.codes[119], 3u);  // female sales
+  Result<data::ColumnKeys> none = StrataKeys(table, {});
+  ASSERT_FALSE(none.ok());
+  EXPECT_EQ(none.status().message(), "StrataKeys: no strata columns");
 }
 
 TEST(RunAuditTest, FullSuiteOnBiasedData) {
