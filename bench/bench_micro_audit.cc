@@ -38,7 +38,6 @@
 namespace {
 
 using fairlaw::bench::BestOfEachNs;
-using fairlaw::bench::BestOfNs;
 using fairlaw::stats::Rng;
 namespace audit = fairlaw::audit;
 namespace data = fairlaw::data;
@@ -172,25 +171,30 @@ int RunHarness(const HarnessConfig& config) {
   const bool flat_memory_ok = rss_growth_mb < kFlatMemorySlackMb;
 
   // Throughput and thread scaling: best-of-reps streaming audits of the
-  // small file in 64k-row chunks, serial vs --threads workers. The
-  // serial leg also gives rows/sec. On a single-core host the honest
+  // small file in 64k-row chunks, serial vs --threads workers, timed
+  // interleaved so both legs of the ratio see the same machine load.
+  // The serial leg also gives rows/sec. On a single-core host the honest
   // ratio is ~1.0; the regression gate compares against the baseline
   // recorded on the same machine class rather than asserting an
   // absolute speedup.
   audit::AuditConfig parallel_config = count_config;
   parallel_config.num_threads = config.threads;
-  const int64_t serial_ns = BestOfNs(config.reps, [&] {
-    benchmark::DoNotOptimize(
-        audit::Auditor::Run(audit::AuditSource::FromCsv(small_csv),
-                            count_config)
-            .ValueOrDie());
-  });
-  const int64_t parallel_ns = BestOfNs(config.reps, [&] {
-    benchmark::DoNotOptimize(
-        audit::Auditor::Run(audit::AuditSource::FromCsv(small_csv),
-                            parallel_config)
-            .ValueOrDie());
-  });
+  const std::vector<int64_t> scaling_ns = BestOfEachNs(
+      config.reps,
+      {[&] {
+         benchmark::DoNotOptimize(
+             audit::Auditor::Run(audit::AuditSource::FromCsv(small_csv),
+                                 count_config)
+                 .ValueOrDie());
+       },
+       [&] {
+         benchmark::DoNotOptimize(
+             audit::Auditor::Run(audit::AuditSource::FromCsv(small_csv),
+                                 parallel_config)
+                 .ValueOrDie());
+       }});
+  const int64_t serial_ns = scaling_ns[0];
+  const int64_t parallel_ns = scaling_ns[1];
   const double rows_per_sec = static_cast<double>(config.rows) /
                               (static_cast<double>(serial_ns) / 1e9);
   const double thread_scaling = static_cast<double>(serial_ns) /

@@ -38,7 +38,7 @@
 
 namespace {
 
-using fairlaw::bench::BestOfNs;
+using fairlaw::bench::BestOfEachNs;
 using fairlaw::stats::Rng;
 namespace serve = fairlaw::serve;
 namespace stats = fairlaw::stats;
@@ -159,6 +159,10 @@ struct HarnessConfig {
   size_t threads = 4;
 };
 
+/// Minimum wall time of the interleaved ingest/query rounds, so the
+/// query legs' best-of covers more than a few calls.
+constexpr int64_t kMinTimedNs = 2'000'000'000;
+
 /// Bound on the sketch quantile rank error against the exact in-window
 /// CDF, and on the sketch-vs-exact KS/W1 distance error. k=200 targets
 /// ~1% rank error per sketch; both bounds carry a 2-3x margin.
@@ -170,33 +174,40 @@ int RunHarness(const HarnessConfig& config) {
   const std::vector<std::string> lines =
       BuildIngestLines(config.events, 256, &records);
 
-  // Ingest throughput: best-of-reps full replay into a fresh daemon.
-  const serve::ServeConfig serial_config = MakeConfig(1);
-  const int64_t ingest_ns = BestOfNs(config.reps, [&] {
-    fairlaw::obs::ResetAll();
-    serve::Service service(serial_config);
-    for (const std::string& line : lines) {
-      benchmark::DoNotOptimize(service.HandleLine(line));
-    }
-  });
-  const double events_per_sec = static_cast<double>(config.events) /
-                                (static_cast<double>(ingest_ns) / 1e9);
-
   // Query latency over a fully-populated window.
+  const serve::ServeConfig serial_config = MakeConfig(1);
   fairlaw::obs::ResetAll();
   serve::Service service(serial_config);
   for (const std::string& line : lines) {
     benchmark::DoNotOptimize(service.HandleLine(line));
   }
-  const int64_t query_audit_ns = BestOfNs(config.reps, [&] {
-    benchmark::DoNotOptimize(
-        service.HandleLine(R"({"op":"query","type":"audit"})"));
-  });
-  const int64_t query_quantiles_ns = BestOfNs(config.reps, [&] {
-    benchmark::DoNotOptimize(service.HandleLine(
-        R"({"op":"query","type":"quantiles","group":"alpha",)"
-        R"("q":[0.25,0.5,0.75]})"));
-  });
+  // Ingest throughput (a full replay into a fresh daemon) and the two
+  // query legs, timed interleaved: the gated ratios divide each query by
+  // the per-event ingest time, so all three legs see the same load.
+  const std::vector<int64_t> leg_ns = BestOfEachNs(
+      config.reps,
+      {[&] {
+         fairlaw::obs::ResetAll();
+         serve::Service fresh(serial_config);
+         for (const std::string& line : lines) {
+           benchmark::DoNotOptimize(fresh.HandleLine(line));
+         }
+       },
+       [&] {
+         benchmark::DoNotOptimize(
+             service.HandleLine(R"({"op":"query","type":"audit"})"));
+       },
+       [&] {
+         benchmark::DoNotOptimize(service.HandleLine(
+             R"({"op":"query","type":"quantiles","group":"alpha",)"
+             R"("q":[0.25,0.5,0.75]})"));
+       }},
+      kMinTimedNs);
+  const int64_t ingest_ns = leg_ns[0];
+  const int64_t query_audit_ns = leg_ns[1];
+  const int64_t query_quantiles_ns = leg_ns[2];
+  const double events_per_sec = static_cast<double>(config.events) /
+                                (static_cast<double>(ingest_ns) / 1e9);
   // Within-run cost ratios — the machine-portable numbers the
   // regression gate compares. A query folds the whole window, so its
   // honest unit is "how many amortized ingests does one query cost".

@@ -1,7 +1,12 @@
 #include "serve/api.h"
 
 #include <cmath>
+#include <cstdint>
+#include <string_view>
 #include <utility>
+
+#include "base/string_util.h"
+#include "serve/json_scan.h"
 
 namespace fairlaw::serve {
 
@@ -212,6 +217,166 @@ Result<Request> ParseRequest(const JsonValue& doc,
     return request;
   }
   return Status::Invalid("request: unknown op '" + op + "'");
+}
+
+namespace {
+
+/// DecodeIngestLine's one pass. Every method returns false at the first
+/// byte outside the canonical ingest shape; nothing is ingested until
+/// the whole line has been read, so declining is always safe.
+class IngestDecoder : private JsonCursor {
+ public:
+  IngestDecoder(std::string_view line, std::vector<Event>* events)
+      : JsonCursor(line), events_(events) {}
+
+  bool Decode() {
+    SkipSpace();
+    if (!Consume('{')) return false;
+    bool has_op = false;
+    bool has_events = false;
+    bool has_version = false;
+    do {
+      std::string_view key;
+      if (!Key(&key)) return false;
+      if (key == "op" && !has_op) {
+        std::string_view op;
+        if (!String(&op) || op != "ingest") return false;
+        has_op = true;
+      } else if (key == "events" && !has_events) {
+        if (!Events()) return false;
+        has_events = true;
+      } else if (key == "schema_version" && !has_version) {
+        int64_t version = 0;
+        if (!Int64(&version) || version < 1 ||
+            version > audit::kReportSchemaVersion) {
+          return false;
+        }
+        has_version = true;
+      } else {
+        return false;
+      }
+      SkipSpace();
+    } while (Consume(','));
+    if (!Consume('}')) return false;
+    SkipSpace();
+    return AtEnd() && has_op && has_events;
+  }
+
+ private:
+  /// The event fields, one bit each, for the repeat and required checks.
+  enum EventField : unsigned {
+    kT = 1,
+    kGroup = 2,
+    kPred = 4,
+    kLabel = 8,
+    kScore = 16,
+    kStratum = 32,
+  };
+
+  bool Events() {
+    if (!Consume('[')) return false;
+    events_->clear();
+    SkipSpace();
+    if (Consume(']')) return true;
+    do {
+      SkipSpace();
+      if (!DecodeEvent(&events_->emplace_back())) return false;
+      SkipSpace();
+    } while (Consume(','));
+    return Consume(']');
+  }
+
+  bool DecodeEvent(Event* event) {
+    if (!Consume('{')) return false;
+    unsigned seen = 0;
+    do {
+      std::string_view key;
+      if (!Key(&key)) return false;
+      unsigned field = 0;
+      std::string_view text;
+      int64_t flag = 0;
+      if (key == "t") {
+        field = kT;
+        if (!Int64(&event->t)) return false;
+      } else if (key == "group") {
+        field = kGroup;
+        if (!String(&text)) return false;
+        event->group.assign(text);
+      } else if (key == "pred") {
+        field = kPred;
+        if (!Binary(&flag)) return false;
+        event->pred = static_cast<int>(flag);
+      } else if (key == "label") {
+        field = kLabel;
+        if (!Binary(&flag)) return false;
+        event->label = static_cast<int>(flag);
+        event->has_label = true;
+      } else if (key == "score") {
+        field = kScore;
+        if (!Double(&event->score)) return false;
+        event->has_score = true;
+      } else if (key == "stratum") {
+        field = kStratum;
+        if (!String(&text)) return false;
+        event->stratum.assign(text);
+        event->has_stratum = true;
+      }
+      if (field == 0 || (seen & field) != 0) return false;
+      seen |= field;
+      SkipSpace();
+    } while (Consume(','));
+    constexpr unsigned kRequired = kT | kGroup | kPred;
+    return Consume('}') && (seen & kRequired) == kRequired;
+  }
+
+  /// A key and its ':', with the whitespace around them.
+  bool Key(std::string_view* key) {
+    SkipSpace();
+    if (!String(key)) return false;
+    SkipSpace();
+    if (!Consume(':')) return false;
+    SkipSpace();
+    return true;
+  }
+
+  bool String(std::string_view* out) {
+    if (!Consume('"')) return false;
+    *out = ScanStringRun();
+    return Consume('"');
+  }
+
+  /// An integral number as JsonValue::AsInt64 reads it. The tree path
+  /// also runs ParseDouble on the token, which cannot fail on one that
+  /// fits int64, so skipping it here changes no answer.
+  bool Int64(int64_t* out) {
+    bool integral = false;
+    const std::string_view token = ScanNumber(&integral);
+    if (token.empty() || !integral) return false;
+    Result<int64_t> value = ParseInt64(token);
+    if (!value.ok()) return false;
+    *out = value.ValueOrDie();
+    return true;
+  }
+
+  bool Binary(int64_t* out) { return Int64(out) && (*out == 0 || *out == 1); }
+
+  bool Double(double* out) {
+    bool integral = false;
+    const std::string_view token = ScanNumber(&integral);
+    if (token.empty()) return false;
+    Result<double> value = ParseDouble(token);
+    if (!value.ok()) return false;
+    *out = value.ValueOrDie();
+    return true;
+  }
+
+  std::vector<Event>* events_;
+};
+
+}  // namespace
+
+bool DecodeIngestLine(std::string_view line, std::vector<Event>* events) {
+  return IngestDecoder(line, events).Decode();
 }
 
 }  // namespace fairlaw::serve

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "audit/auditor.h"
@@ -115,6 +116,23 @@ struct Request {
 /// ops, missing required fields, and future schema_versions are errors.
 FAIRLAW_NODISCARD Result<Request> ParseRequest(const JsonValue& doc,
                                                const ServeConfig& config);
+
+/// The daemon's ingest fast path: decodes `{"op":"ingest","events":[...]}`
+/// in one pass over `line`, with no JsonValue tree, into `*events` (its
+/// old elements are replaced, so a caller that keeps the vector reuses
+/// its capacity; after a false return its contents mean nothing). It
+/// takes the canonical shape only: keys in any order, an optional
+/// `schema_version` this daemon speaks, JSON whitespace, strings without
+/// escapes, and event fields t/group/pred/label/score/stratum with
+/// integral t, pred and label in {0,1}. Anything else — an escape, an
+/// unknown or repeated key, a wrong type, a number fairlaw::ParseDouble
+/// or ParseInt64 refuses, any syntax error — returns false, and the
+/// caller answers the line through JsonValue::Parse + ParseRequest.
+/// When it returns true, `*events` equals ParseRequest(JsonValue::Parse(
+/// line)).ingest.events field for field, so which path answers a line
+/// changes no response byte.
+FAIRLAW_NODISCARD bool DecodeIngestLine(std::string_view line,
+                                        std::vector<Event>* events);
 
 }  // namespace fairlaw::serve
 

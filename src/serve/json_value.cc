@@ -4,16 +4,18 @@
 #include <utility>
 
 #include "base/string_util.h"
+#include "serve/json_scan.h"
 
 namespace fairlaw::serve {
 
-/// Recursive-descent parser over a string_view. Numbers are validated
-/// against the JSON grammar here and then converted by
-/// fairlaw::ParseDouble (std::from_chars underneath), so no locale or
-/// banned C parsing function is involved.
-class JsonParser {
+/// Recursive-descent parser over a string_view, on the shared token
+/// scanners of JsonCursor. Numbers are validated against the JSON
+/// grammar there and then converted by fairlaw::ParseDouble
+/// (std::from_chars underneath), so no locale or banned C parsing
+/// function is involved.
+class JsonParser : private JsonCursor {
  public:
-  explicit JsonParser(std::string_view text) : text_(text) {}
+  explicit JsonParser(std::string_view text) : JsonCursor(text) {}
 
   Result<JsonValue> ParseDocument() {
     SkipSpace();
@@ -31,30 +33,6 @@ class JsonParser {
   // Request documents are shallow; a depth cap turns pathological
   // nesting into an error instead of a stack overflow.
   static constexpr int kMaxDepth = 32;
-
-  void SkipSpace() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' ||
-            text_[pos_] == '\n' || text_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-
-  bool Consume(char c) {
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  bool ConsumeWord(std::string_view word) {
-    if (text_.substr(pos_, word.size()) == word) {
-      pos_ += word.size();
-      return true;
-    }
-    return false;
-  }
 
   Status ParseValue(JsonValue* out, int depth) {
     if (depth > kMaxDepth) {
@@ -152,19 +130,16 @@ class JsonParser {
   Status ParseString(std::string* out) {
     ++pos_;  // '"'
     out->clear();
-    while (pos_ < text_.size()) {
+    while (true) {
+      out->append(ScanStringRun());
+      if (AtEnd()) break;
       const char c = text_[pos_];
       if (c == '"') {
         ++pos_;
         return Status::OK();
       }
-      if (static_cast<unsigned char>(c) < 0x20) {
-        return Status::Invalid("json: unescaped control character in string");
-      }
       if (c != '\\') {
-        out->push_back(c);
-        ++pos_;
-        continue;
+        return Status::Invalid("json: unescaped control character in string");
       }
       ++pos_;
       if (pos_ >= text_.size()) break;
@@ -230,45 +205,12 @@ class JsonParser {
 
   Status ParseNumber(JsonValue* out) {
     const size_t start = pos_;
-    bool integral = true;
-    if (Consume('-')) {
-    }
-    // Integer part: '0' alone or a nonzero digit followed by digits.
-    if (Consume('0')) {
-    } else if (pos_ < text_.size() && text_[pos_] >= '1' &&
-               text_[pos_] <= '9') {
-      while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') {
-        ++pos_;
-      }
-    } else {
+    bool integral = false;
+    const std::string_view token = ScanNumber(&integral);
+    if (token.empty()) {
       return Status::Invalid("json: bad number at offset " +
                              std::to_string(start));
     }
-    if (Consume('.')) {
-      integral = false;
-      if (pos_ >= text_.size() || text_[pos_] < '0' || text_[pos_] > '9') {
-        return Status::Invalid("json: bad number at offset " +
-                               std::to_string(start));
-      }
-      while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') {
-        ++pos_;
-      }
-    }
-    if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
-      integral = false;
-      ++pos_;
-      if (pos_ < text_.size() && (text_[pos_] == '+' || text_[pos_] == '-')) {
-        ++pos_;
-      }
-      if (pos_ >= text_.size() || text_[pos_] < '0' || text_[pos_] > '9') {
-        return Status::Invalid("json: bad number at offset " +
-                               std::to_string(start));
-      }
-      while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') {
-        ++pos_;
-      }
-    }
-    const std::string_view token = text_.substr(start, pos_ - start);
     out->kind_ = JsonValue::Kind::kNumber;
     FAIRLAW_ASSIGN_OR_RETURN(out->number_, ParseDouble(token));
     out->number_is_integral_ = integral;
@@ -282,9 +224,6 @@ class JsonParser {
     }
     return Status::OK();
   }
-
-  std::string_view text_;
-  size_t pos_ = 0;
 };
 
 Result<JsonValue> JsonValue::Parse(std::string_view text) {

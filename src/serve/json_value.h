@@ -12,9 +12,11 @@
 
 namespace fairlaw::serve {
 
-/// Parsed JSON value for the serve request path — the one place in the
-/// tree that consumes JSON (the writers all stream through
-/// base/json_writer.h). Deliberately minimal: single-document parse,
+/// Parsed JSON value for the serve request path. With the ingest
+/// decoder (DecodeIngestLine, serve/api.h), which shares its scanners
+/// (serve/json_scan.h), it is the one place in the tree that consumes
+/// JSON (the writers all stream through base/json_writer.h); canonical
+/// ingest lines skip it. Deliberately minimal: single-document parse,
 /// no streaming, objects keep their keys in a sorted map (requests are
 /// field-addressed, never iterated, so map order cannot leak into
 /// responses). Strings support the escapes JsonEscape emits plus

@@ -108,8 +108,14 @@ std::string Service::HandleLine(std::string_view line) {
 
   size_t op = 0;  // index into kOpLabels
   std::string response;
-  Result<JsonValue> doc = JsonValue::Parse(line);
-  if (!doc.ok()) {
+  // Canonical ingest lines skip the tree: the decoder reads the whole
+  // line before anything is ingested and declines everything else, so
+  // each error frame below stays the one JsonValue::Parse and
+  // ParseRequest produce.
+  if (DecodeIngestLine(line, &decoded_events_)) {
+    op = 1;  // "ingest"
+    response = HandleIngest(decoded_events_);
+  } else if (Result<JsonValue> doc = JsonValue::Parse(line); !doc.ok()) {
     response = RequestErrorFrame(kOpLabels[op], doc.status());
   } else {
     // Recover the op for error frames and latency attribution even when
@@ -129,7 +135,7 @@ std::string Service::HandleLine(std::string_view line) {
     } else {
       switch (request.ValueOrDie().op) {
         case Request::Op::kIngest:
-          response = HandleIngest(request.ValueOrDie().ingest);
+          response = HandleIngest(request.ValueOrDie().ingest.events);
           break;
         case Request::Op::kQuery:
           response = HandleQuery(request.ValueOrDie().query);
@@ -151,11 +157,11 @@ std::string Service::HandleLine(std::string_view line) {
   return response;
 }
 
-std::string Service::HandleIngest(const IngestRequest& request) {
+std::string Service::HandleIngest(const std::vector<Event>& events) {
   obs::TraceSpan span("serve/ingest");
   int64_t accepted = 0;
   int64_t rejected = 0;
-  for (const Event& event : request.events) {
+  for (const Event& event : events) {
     Status status = event.Validate(config_);
     if (status.ok()) status = ring_.Ingest(event);
     if (status.ok()) {

@@ -6,6 +6,7 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "base/json_writer.h"
 #include "base/status.h"
@@ -46,7 +47,7 @@ class Service {
   const WindowRing& ring() const { return ring_; }
 
  private:
-  std::string HandleIngest(const IngestRequest& request);
+  std::string HandleIngest(const std::vector<Event>& events);
   std::string HandleQuery(const QueryRequest& request);
   std::string HandleStats();
 
@@ -61,6 +62,9 @@ class Service {
   ServeConfig config_;
   WindowRing ring_;
   std::unique_ptr<ThreadPool> pool_;  // null when num_threads == 1
+  /// DecodeIngestLine's output, kept so its capacity is reused from one
+  /// ingest line to the next.
+  std::vector<Event> decoded_events_;
   /// serve.latency.<op>_ns, indexed like the op labels in service.cc.
   /// Each is looked up the first time a request of that op finishes, so
   /// the stats export lists only ops that occurred, and then kept:

@@ -6,10 +6,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
+#include <functional>
+#include <iterator>
 #include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "audit/auditor.h"
@@ -28,6 +33,7 @@
 #include "stats/kll.h"
 #include "stats/mergeable.h"
 #include "stats/rng.h"
+#include "support/ingest_oracle.h"
 
 namespace fairlaw {
 namespace {
@@ -440,6 +446,373 @@ TEST(ServeServiceTest, IngestAckCountsRejections) {
   EXPECT_NE(ack.find("\"watermark\":9"), std::string::npos);
 }
 
+// ---------------------------------------------------------------------------
+// The ingest decoder (DecodeIngestLine) against its oracle, the tree path
+// JsonValue::Parse + ParseRequest.
+
+/// Error frames of the parent daemon, byte for byte: the decoder declines
+/// each of these lines, and the tree path must answer exactly as before.
+TEST(IngestDecoderTest, ErrorFramesAreTheTreePaths) {
+  const std::pair<std::string, std::string> kCases[] = {
+      {R"x(not json at all)x",
+       R"x({"schema_version":2,"op":"error","error":{"code":"invalid argument","message":"json: bad literal at offset 0"}})x"},
+      {R"x({"op":"ingest","events":[{"t":01,"group":"a","pred":1}]})x",
+       R"x({"schema_version":2,"op":"error","error":{"code":"invalid argument","message":"json: expected ',' or '}' at offset 31"}})x"},
+      {R"x({"op":"ingest","events":[{"t":1.,"group":"a","pred":1}]})x",
+       R"x({"schema_version":2,"op":"error","error":{"code":"invalid argument","message":"json: bad number at offset 30"}})x"},
+      {R"x({"op":"ingest","events":[{"t":-,"group":"a","pred":1}]})x",
+       R"x({"schema_version":2,"op":"error","error":{"code":"invalid argument","message":"json: bad number at offset 30"}})x"},
+      {R"x({"op":"ingest","events":[{"t":1,"group":"a\qb","pred":1}]})x",
+       R"x({"schema_version":2,"op":"error","error":{"code":"invalid argument","message":"json: bad escape '\\q'"}})x"},
+      {R"x({"op":"ingest","events":[{"t":1,"group":"ab)x",
+       R"x({"schema_version":2,"op":"error","error":{"code":"invalid argument","message":"json: unterminated string"}})x"},
+      {R"x({"op":"ingest","events":[{"t":1,"group":"\ud800","pred":1}]})x",
+       R"x({"schema_version":2,"op":"error","error":{"code":"invalid argument","message":"json: surrogate \\u escapes not supported"}})x"},
+      {R"x({"op":"ingest","events":[{"t":1,"group":"\u00zz","pred":1}]})x",
+       R"x({"schema_version":2,"op":"error","error":{"code":"invalid argument","message":"json: bad \\u escape digit"}})x"},
+      {R"x({"op":"ingest","events":[{"t":1,"group":"a","pred":2}]})x",
+       R"x({"schema_version":2,"op":"ingest","error":{"code":"invalid argument","message":"event: pred must be 0 or 1"}})x"},
+      {R"x({"op":"ingest","events":[{"t":1,"group":"a","pred":1,"label":-1}]})x",
+       R"x({"schema_version":2,"op":"ingest","error":{"code":"invalid argument","message":"event: label must be 0 or 1"}})x"},
+      {R"x({"op":"ingest","events":[{"t":1e3,"group":"a","pred":1}]})x",
+       R"x({"schema_version":2,"op":"ingest","error":{"code":"invalid argument","message":"json: expected integer"}})x"},
+      {R"x({"op":"ingest","events":[{"t":9223372036854775808,"group":"a","pred":1}]})x",
+       R"x({"schema_version":2,"op":"ingest","error":{"code":"invalid argument","message":"json: expected integer"}})x"},
+      {R"x({"op":"ingest","events":[{"t":1,"group":"a","pred":1,"score":1e999}]})x",
+       R"x({"schema_version":2,"op":"error","error":{"code":"invalid argument","message":"cannot parse '1e999' as double"}})x"},
+      {R"x({"op":"ingest","events":[{"group":"a","pred":1}]})x",
+       R"x({"schema_version":2,"op":"ingest","error":{"code":"not found","message":"json: missing field 't'"}})x"},
+      {R"x({"op":"ingest","events":[{"t":1,"group":7,"pred":1}]})x",
+       R"x({"schema_version":2,"op":"ingest","error":{"code":"invalid argument","message":"json: expected string"}})x"},
+      {R"x({"op":"ingest","events":[5]})x",
+       R"x({"schema_version":2,"op":"ingest","error":{"code":"invalid argument","message":"json: expected object"}})x"},
+      {R"x({"schema_version":3,"op":"ingest","events":[]})x",
+       R"x({"schema_version":2,"op":"ingest","error":{"code":"not implemented","message":"request: schema_version 3 is newer than this daemon (speaks 2)"}})x"},
+      {R"x({"schema_version":0,"op":"ingest","events":[]})x",
+       R"x({"schema_version":2,"op":"ingest","error":{"code":"invalid argument","message":"request: schema_version must be >= 1"}})x"},
+      {R"x({"schema_version":2.0,"op":"ingest","events":[]})x",
+       R"x({"schema_version":2,"op":"ingest","error":{"code":"invalid argument","message":"json: expected integer"}})x"},
+      {R"x({"op":"ingest","events":{}})x",
+       R"x({"schema_version":2,"op":"ingest","error":{"code":"invalid argument","message":"ingest: 'events' must be an array"}})x"},
+      {R"x({"op":"ingest"})x",
+       R"x({"schema_version":2,"op":"ingest","error":{"code":"not found","message":"json: missing field 'events'"}})x"},
+      {R"x({"events":[]})x",
+       R"x({"schema_version":2,"op":"error","error":{"code":"not found","message":"json: missing field 'op'"}})x"},
+      {R"x({"op":"ingest","events":[]} x)x",
+       R"x({"schema_version":2,"op":"error","error":{"code":"invalid argument","message":"json: trailing content at offset 28"}})x"},
+      {R"x({"op":"ingest","events":[1 2]})x",
+       R"x({"schema_version":2,"op":"error","error":{"code":"invalid argument","message":"json: expected ',' or ']' at offset 27"}})x"},
+      {R"x({"op":"ingest","events":[{"t" 1}]})x",
+       R"x({"schema_version":2,"op":"error","error":{"code":"invalid argument","message":"json: expected ':' at offset 30"}})x"},
+      {R"x({"op":"ingest","events":[{"t":1,}]})x",
+       R"x({"schema_version":2,"op":"error","error":{"code":"invalid argument","message":"json: expected object key at offset 32"}})x"},
+      {R"x({"op":"ingest","events":[tru]})x",
+       R"x({"schema_version":2,"op":"error","error":{"code":"invalid argument","message":"json: bad literal at offset 25"}})x"},
+      {R"x([])x",
+       R"x({"schema_version":2,"op":"error","error":{"code":"invalid argument","message":"request: expected a JSON object"}})x"},
+      {"{\"op\":\"ingest\",\"events\":[{\"t\":1,\"group\":\"a\x01\",\"pred\":1}]}",
+       R"x({"schema_version":2,"op":"error","error":{"code":"invalid argument","message":"json: unescaped control character in string"}})x"},
+  };
+  Service service(ServeConfig{});
+  std::vector<Event> events;
+  for (const auto& [line, frame] : kCases) {
+    EXPECT_FALSE(serve::DecodeIngestLine(line, &events)) << line;
+    EXPECT_EQ(service.HandleLine(line), frame) << line;
+  }
+  EXPECT_EQ(service.ring().watermark(), -1) << "an error line ingested";
+}
+
+TEST(IngestDecoderTest, DecodesTheCanonicalShape) {
+  std::vector<Event> events;
+  ASSERT_TRUE(serve::DecodeIngestLine(
+      " {\"events\" :\t[ {\"score\":2.5E-1,\"pred\":1,\"stratum\":\"s\","
+      "\"t\":-0,\"group\":\"gr\xc3\xbcn\"},{\"t\":9223372036854775807,"
+      "\"group\":\"\",\"pred\":0,\"label\":1}\r\n],\"schema_version\":1,"
+      "\"op\":\"ingest\"} ",
+      &events));
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_EQ(events[0].t, 0);
+  EXPECT_EQ(events[0].group, "gr\xc3\xbcn");
+  EXPECT_EQ(events[0].pred, 1);
+  EXPECT_FALSE(events[0].has_label);
+  EXPECT_TRUE(events[0].has_score);
+  EXPECT_EQ(events[0].score, 0.25);
+  EXPECT_TRUE(events[0].has_stratum);
+  EXPECT_EQ(events[0].stratum, "s");
+  EXPECT_EQ(events[1].t, INT64_MAX);
+  EXPECT_EQ(events[1].group, "");
+  EXPECT_TRUE(events[1].has_label);
+  EXPECT_EQ(events[1].label, 1);
+  EXPECT_FALSE(events[1].has_score);
+
+  // The output vector is reused: a later line replaces its events.
+  ASSERT_TRUE(serve::DecodeIngestLine(R"({"op":"ingest","events":[]})",
+                                      &events));
+  EXPECT_TRUE(events.empty());
+}
+
+/// One ingest line as key/value texts, so a mutation can edit fields
+/// before the line is rendered with random JSON whitespace.
+using Fields = std::vector<std::pair<std::string, std::string>>;
+
+std::string Space(Rng* rng) {
+  static const char* const kSpaces[] = {"", "", "", " ", "\t", "\n", "\r",
+                                        "  "};
+  return kSpaces[rng->UniformInt(std::size(kSpaces))];
+}
+
+std::string RenderObject(const Fields& fields, Rng* rng) {
+  std::string out = "{" + Space(rng);
+  for (size_t i = 0; i < fields.size(); ++i) {
+    if (i > 0) out += "," + Space(rng);
+    out += "\"" + fields[i].first + "\"" + Space(rng) + ":" + Space(rng) +
+           fields[i].second + Space(rng);
+  }
+  return out + "}";
+}
+
+template <typename T>
+T Pick(const std::vector<T>& items, Rng* rng) {
+  return items[rng->UniformInt(items.size())];
+}
+
+/// A canonical event: required t/group/pred, optional label, score and
+/// stratum, keys in random order.
+Fields RandomEvent(Rng* rng) {
+  static const std::vector<std::string> kGroups = {
+      "alpha", "beta", "gamma", "gr\xc3\xbcn", "", "a b", "x/y"};
+  static const std::vector<std::string> kScores = {
+      "0.5", "0", "1", "0.123456", "-0.0", "1e-3", "2.5E+2", "7E2"};
+  Fields event = {
+      {"t", std::to_string(rng->UniformInt(400))},
+      {"group", "\"" + Pick(kGroups, rng) + "\""},
+      {"pred", rng->Bernoulli(0.5) ? "1" : "0"},
+  };
+  if (rng->Bernoulli(0.9)) {
+    event.emplace_back("label", rng->Bernoulli(0.4) ? "1" : "0");
+  }
+  if (rng->Bernoulli(0.9)) {
+    char text[32];
+    const double score = rng->Uniform();
+    const auto end = std::to_chars(text, text + sizeof(text), score).ptr;
+    event.emplace_back("score", rng->Bernoulli(0.7)
+                                    ? std::string(text, end)
+                                    : Pick(kScores, rng));
+  }
+  if (rng->Bernoulli(0.3)) {
+    event.emplace_back("stratum", "\"s" + std::to_string(rng->UniformInt(3)) +
+                                      "\"");
+  }
+  rng->Shuffle(&event);
+  return event;
+}
+
+/// A canonical ingest line's fields: op, events and sometimes a
+/// schema_version, in random order. `events` holds each event's fields.
+struct LineFields {
+  Fields top;
+  std::vector<Fields> events;
+};
+
+LineFields RandomLine(Rng* rng) {
+  LineFields line;
+  line.top = {{"op", "\"ingest\""}, {"events", ""}};
+  if (rng->Bernoulli(0.3)) {
+    line.top.emplace_back("schema_version", rng->Bernoulli(0.5) ? "1" : "2");
+  }
+  rng->Shuffle(&line.top);
+  const size_t n = rng->UniformInt(5);
+  for (size_t i = 0; i < n; ++i) line.events.push_back(RandomEvent(rng));
+  return line;
+}
+
+std::string Render(const LineFields& line, Rng* rng) {
+  std::string events = "[" + Space(rng);
+  for (size_t i = 0; i < line.events.size(); ++i) {
+    if (i > 0) events += "," + Space(rng);
+    events += RenderObject(line.events[i], rng) + Space(rng);
+  }
+  events += "]";
+  Fields top = line.top;
+  for (auto& [key, value] : top) {
+    if (key == "events") value = events;
+  }
+  return Space(rng) + RenderObject(top, rng) + Space(rng);
+}
+
+/// Sets `key` in `fields` to `value`; false when the key is absent.
+bool Replace(Fields* fields, const std::string& key, const std::string& value) {
+  for (auto& [name, text] : *fields) {
+    if (name == key) {
+      text = value;
+      return true;
+    }
+  }
+  return false;
+}
+
+enum class Expect { kAccept, kDecline, kEither };
+
+/// Applies one random mutation to a canonical line and renders it.
+/// `*expect` is what the decoder must do with the result: accept an
+/// unmutated line, decline a shape it does not own, or either where
+/// the mutation may or may not leave a canonical line.
+std::string Mutate(LineFields line, Rng* rng, Expect* expect) {
+  Fields* event = line.events.empty()
+                      ? nullptr
+                      : &line.events[rng->UniformInt(line.events.size())];
+  Fields* target = event != nullptr && rng->Bernoulli(0.7) ? event : &line.top;
+  *expect = Expect::kDecline;
+  switch (rng->UniformInt(15)) {
+    case 0:
+    case 12:
+    case 13:
+    case 14:
+      *expect = Expect::kAccept;
+      return Render(line, rng);
+    case 1: {  // flip one byte
+      std::string text = Render(line, rng);
+      static const std::string kBytes = "\"\\{}[],:09-+eE. x\x01\xff";
+      text[rng->UniformInt(text.size())] =
+          kBytes[rng->UniformInt(kBytes.size())];
+      *expect = Expect::kEither;
+      return text;
+    }
+    case 2: {  // truncate
+      const std::string text = Render(line, rng);
+      *expect = Expect::kEither;
+      return text.substr(0, rng->UniformInt(text.size()));
+    }
+    case 3: {  // insert whitespace anywhere
+      std::string text = Render(line, rng);
+      text.insert(rng->UniformInt(text.size() + 1), Space(rng) + " ");
+      *expect = Expect::kEither;
+      return text;
+    }
+    case 4:  // a repeated key
+      target->push_back(Pick(*target, rng));
+      rng->Shuffle(target);
+      break;
+    case 5:  // an unknown key holding nested values
+      target->emplace_back(
+          rng->Bernoulli(0.5) ? "meta" : "t2",
+          Pick<std::string>({R"({"a":[1,{"b":null}],"c":"x"})", "[[],{}]",
+                             "true", "null", R"("s")"},
+                            rng));
+      rng->Shuffle(target);
+      break;
+    case 6:  // an escape in a string
+      if (event == nullptr) return Mutate(line, rng, expect);
+      Replace(event, "group",
+              Pick<std::string>({R"("\u0061lpha")", R"("a\"b")",
+                                 R"("\\")", R"("a\/b")"},
+                                rng));
+      break;
+    case 7: {  // pred spelled other ways
+      if (event == nullptr) return Mutate(line, rng, expect);
+      const std::string pred =
+          Pick<std::string>({"1e3", "-0", "0.5", "2", "1.0", "-1", "true",
+                             R"("1")", "01"},
+                            rng);
+      Replace(event, "pred", pred);
+      if (pred == "-0") *expect = Expect::kAccept;
+      break;
+    }
+    case 8: {  // t at and past the int64 bounds
+      if (event == nullptr) return Mutate(line, rng, expect);
+      const std::string t = Pick<std::string>(
+          {"9223372036854775807", "-9223372036854775808",
+           "9223372036854775808", "-9223372036854775809", "1e3", "1.5",
+           "-3"},
+          rng);
+      Replace(event, "t", t);
+      if (t == "9223372036854775807" || t == "-9223372036854775808" ||
+          t == "-3") {
+        *expect = Expect::kAccept;
+      }
+      break;
+    }
+    case 9:  // a score ParseDouble refuses
+      if (event == nullptr) return Mutate(line, rng, expect);
+      if (!Replace(event, "score", Pick<std::string>({"1e999", "-1e999"},
+                                                     rng))) {
+        event->emplace_back("score", "1e999");
+      }
+      break;
+    case 10: {  // drop a field
+      Fields* from = event != nullptr ? event : &line.top;
+      const size_t i = rng->UniformInt(from->size());
+      const std::string key = (*from)[i].first;
+      from->erase(from->begin() + static_cast<ptrdiff_t>(i));
+      if (key == "label" || key == "score" || key == "stratum" ||
+          key == "schema_version") {
+        *expect = Expect::kAccept;
+      }
+      break;
+    }
+    default:  // op or schema_version off the canonical values
+      if (rng->Bernoulli(0.5)) {
+        Replace(&line.top, "op",
+                Pick<std::string>({R"("query")", R"("Ingest")", "1"}, rng));
+      } else if (!Replace(&line.top, "schema_version",
+                          Pick<std::string>({"3", "0", "2.0", R"("2")"},
+                                            rng))) {
+        line.top.emplace_back("schema_version", "3");
+      }
+      break;
+  }
+  return Render(line, rng);
+}
+
+// Random canonical ingest lines and mutations of them. Whenever the
+// decoder accepts a line, its events must equal the tree path's; when
+// the tree path refuses one, the decoder must have declined it. And a
+// Service answering each line must answer as one fed the same request
+// through the tree path: the same ack for every line, the same error
+// frame, the same window afterwards.
+TEST(IngestDecoderTest, AgreesWithTheTreePathOnRandomAndMutatedLines) {
+  ServeConfig config;
+  config.bucket_width = 10;
+  config.num_buckets = 8;
+  Service decoded(config);
+  Service tree(config);
+  Rng rng(61);
+  size_t accepted = 0;
+  size_t declined = 0;
+  size_t refused = 0;
+  std::vector<Event> events;
+  for (size_t i = 0; i < 4000; ++i) {
+    Expect expect = Expect::kEither;
+    const std::string line = Mutate(RandomLine(&rng), &rng, &expect);
+    SCOPED_TRACE(line);
+    const bool decodes = serve::DecodeIngestLine(line, &events);
+    EXPECT_EQ(serve::DecoderDisagreement(line), "");
+    const bool oracle_ok = serve::OracleIngestEvents(line).ok();
+    if (!oracle_ok) {
+      ++refused;
+      EXPECT_FALSE(decodes) << "the tree path refuses this line";
+    }
+    if (expect == Expect::kAccept) {
+      EXPECT_TRUE(decodes);
+    }
+    if (expect == Expect::kDecline) {
+      EXPECT_FALSE(decodes);
+    }
+    (decodes ? accepted : declined) += 1;
+    EXPECT_EQ(decoded.HandleLine(line),
+              tree.HandleLine(decodes ? serve::WithTreeOnlyKey(line) : line));
+  }
+  EXPECT_GT(accepted, 1000u) << declined << " declined";
+  EXPECT_GT(declined, 1000u) << accepted << " accepted";
+  EXPECT_GT(refused, 1000u) << declined << " declined";
+  EXPECT_GT(decoded.ring().num_events(), 0u);
+  for (const char* query :
+       {R"({"op":"query","type":"audit"})",
+        R"({"op":"query","type":"quantiles","group":"alpha","q":[0.5]})"}) {
+    EXPECT_EQ(decoded.HandleLine(query), tree.HandleLine(query));
+  }
+}
+
 /// One event per row: group, pred, label and stratum columns.
 data::Table EventTable(const std::vector<Event>& events) {
   std::string csv = "group,pred,label,stratum\n";
@@ -476,21 +849,124 @@ std::string FindingsJson(const audit::AuditResult& result) {
 constexpr double kQuantileRankErrBound = 0.025;
 constexpr double kDistanceErrBound = 0.03;
 
-// Windowed vs batch: the window's exact tallies must give the same
-// metric and conditional reports as the batch audit of the events still
-// in the window, and every drill-down the batch audit of that stratum's
-// rows. The sketch answers (quantiles, drift) must lie within the sketch
-// error bounds of the exact in-window scores; each group holds about 600
-// in-window scores, three times the sketch k, so its sketch compacts.
-// Events arrive out of order; some are too late to enter and some slide
-// out again. The table orders the in-window events stably by bucket, the
-// order the window folds its buckets in, which fixes the first-seen
-// order of groups and strata.
-TEST(WindowedAuditTest, WindowMatchesBatchAuditOfItsEvents) {
-  ServeConfig config;
-  config.bucket_width = 400;
-  config.num_buckets = 16;
-  config.with_strata = true;
+/// What a Service did with a stream, modelled without its ring: every
+/// event the tree path reads from the ingest lines, those the window
+/// accepted (refused when, once the watermark has moved up to it, an
+/// event's bucket lies num_buckets or more below it), and those still in
+/// the window, ordered stably by bucket.
+struct WindowModel {
+  std::vector<Event> events;
+  std::vector<Event> accepted;
+  std::vector<Event> in_window;
+};
+
+/// Feeds `lines` to `service` through HandleLine, checking that each
+/// ingest line takes the decoder and that the acks add up to the model.
+WindowModel FeedAndModel(Service* service,
+                         const std::vector<std::string>& lines) {
+  const ServeConfig& config = service->config();
+  const auto num_buckets = static_cast<int64_t>(config.num_buckets);
+  auto bucket = [&config](const Event& event) {
+    return event.t / config.bucket_width;
+  };
+  WindowModel model;
+  int64_t watermark = -1;
+  int64_t acked = 0;
+  std::vector<Event> decoded;
+  for (const std::string& line : lines) {
+    const std::string response = service->HandleLine(line);
+    Result<std::vector<Event>> events = serve::OracleIngestEvents(line);
+    if (!events.ok()) continue;  // a query
+    EXPECT_TRUE(serve::DecodeIngestLine(line, &decoded)) << line;
+    acked += JsonValue::Parse(response)
+                 .ValueOrDie()
+                 .Get("accepted")
+                 .ValueOrDie()
+                 ->AsInt64()
+                 .ValueOrDie();
+    for (const Event& event : *events) {
+      model.events.push_back(event);
+      watermark = std::max(watermark, bucket(event));
+      if (bucket(event) > watermark - num_buckets) {
+        model.accepted.push_back(event);
+      }
+    }
+  }
+  EXPECT_EQ(acked, static_cast<int64_t>(model.accepted.size()));
+  EXPECT_EQ(service->ring().watermark(), watermark);
+  for (const Event& event : model.accepted) {
+    if (bucket(event) >= service->ring().window_start()) {
+      model.in_window.push_back(event);
+    }
+  }
+  std::stable_sort(model.in_window.begin(), model.in_window.end(),
+                   [&bucket](const Event& a, const Event& b) {
+                     return bucket(a) < bucket(b);
+                   });
+  return model;
+}
+
+/// Ingest lines of `batch` events each, in the canonical shape.
+std::vector<std::string> IngestLines(const std::vector<Event>& events,
+                                     size_t batch) {
+  std::vector<std::string> lines;
+  for (size_t i = 0; i < events.size(); i += batch) {
+    std::string line = R"({"op":"ingest","events":[)";
+    for (size_t j = i; j < std::min(events.size(), i + batch); ++j) {
+      const Event& event = events[j];
+      char score[32];
+      const auto end =
+          std::to_chars(score, score + sizeof(score), event.score).ptr;
+      if (j > i) line += ",";
+      line += R"({"t":)" + std::to_string(event.t) + R"(,"group":")" +
+              event.group + R"(","pred":)" + std::to_string(event.pred) +
+              R"(,"label":)" + std::to_string(event.label) +
+              R"(,"score":)" + std::string(score, end) + R"(,"stratum":")" +
+              event.stratum + R"("})";
+    }
+    lines.push_back(line + "]}");
+  }
+  return lines;
+}
+
+/// `n` events at t = 3i, a fifth of them moved up to `jitter` back in t.
+/// Group g is drawn with probability weights[g]; event i's stratum is
+/// stratum(i).
+std::vector<Event> ShapedEvents(size_t n, const std::vector<double>& weights,
+                                const std::function<std::string(size_t)>&
+                                    stratum,
+                                uint64_t seed, size_t jitter) {
+  const char* groups[] = {"alpha", "beta", "gamma"};
+  const double pred_rate[] = {0.5, 0.35, 0.44};
+  Rng rng(seed);
+  std::vector<Event> events;
+  for (size_t i = 0; i < n; ++i) {
+    double u = rng.Uniform();
+    size_t g = 0;
+    while (g + 1 < weights.size() && u >= weights[g]) u -= weights[g++];
+    auto t = static_cast<int64_t>(i * 3);
+    if (rng.Bernoulli(0.2)) {
+      t -= std::min<int64_t>(t, static_cast<int64_t>(rng.UniformInt(jitter)));
+    }
+    Event event = MakeEvent(t, groups[g], rng.Bernoulli(pred_rate[g]) ? 1 : 0,
+                            rng.Bernoulli(0.42) ? 1 : 0, rng.Uniform());
+    event.stratum = stratum(i);
+    event.has_stratum = true;
+    events.push_back(std::move(event));
+  }
+  return events;
+}
+
+/// Windowed vs batch: the window's exact tallies must give the same
+/// metric and conditional reports as the batch audit of the events
+/// still in the window, and every drill-down the batch audit of that
+/// stratum's rows. The sketch answers (quantiles, drift) must lie
+/// within the sketch error bounds of the exact in-window scores. The
+/// model orders the in-window events stably by bucket, the order the
+/// window folds its buckets in, which fixes the first-seen order of
+/// groups and strata.
+void ExpectWindowMatchesBatch(Service* service, const WindowModel& model) {
+  const ServeConfig& config = service->config();
   const audit::AuditConfig window_config = config.ToAuditConfig();
   // The batch side skips the score paths: the window has no calibration
   // and only sketch drift, which is checked against the exact scores
@@ -503,118 +979,185 @@ TEST(WindowedAuditTest, WindowMatchesBatchAuditOfItsEvents) {
   stratum_config.label_column.clear();
   stratum_config.strata_columns.clear();
 
-  for (uint64_t seed : {43u, 47u, 59u}) {
-    SCOPED_TRACE("seed " + std::to_string(seed));
-    WindowRing ring(config);
-    Service service(config);
-    size_t num_events = 0;
-    std::vector<Event> accepted;
-    for (const std::string& line : MakeStream(3000, 97, 0, seed, 8000)) {
-      service.HandleLine(line);
-      Result<Request> request =
-          ParseRequest(JsonValue::Parse(line).ValueOrDie(), config);
-      ASSERT_TRUE(request.ok()) << request.status().ToString();
-      if (request->op != Request::Op::kIngest) continue;
-      for (const Event& event : request->ingest.events) {
-        ++num_events;
-        if (ring.Ingest(event).ok()) accepted.push_back(event);
-      }
-    }
-    auto bucket = [&config](const Event& event) {
-      return event.t / config.bucket_width;
-    };
-    std::vector<Event> in_window;
-    for (const Event& event : accepted) {
-      if (bucket(event) >= ring.window_start()) in_window.push_back(event);
-    }
-    std::stable_sort(in_window.begin(), in_window.end(),
-                     [&bucket](const Event& a, const Event& b) {
-                       return bucket(a) < bucket(b);
-                     });
-    ASSERT_LT(accepted.size(), num_events) << "no event arrived too late";
-    ASSERT_LT(in_window.size(), accepted.size()) << "no event slid out";
-    ASSERT_EQ(in_window.size(), ring.num_events());
+  const std::vector<Event>& in_window = model.in_window;
+  ASSERT_EQ(in_window.size(), service->ring().num_events());
+  const audit::WindowedPartial window = service->ring().Window(nullptr);
+  Result<audit::AuditResult> windowed = audit::Auditor::Run(
+      audit::AuditSource::FromWindow(window), window_config);
+  ASSERT_TRUE(windowed.ok()) << windowed.status().ToString();
+  const data::Table table = EventTable(in_window);
+  Result<audit::AuditResult> batch = audit::Auditor::Run(
+      audit::AuditSource::FromTable(table), batch_config);
+  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+  ASSERT_FALSE(windowed->conditional_reports.empty());
+  EXPECT_EQ(ReportsJson(windowed->reports), ReportsJson(batch->reports));
+  EXPECT_EQ(ReportsJson(windowed->conditional_reports),
+            ReportsJson(batch->conditional_reports));
 
-    const audit::WindowedPartial window = ring.Window(nullptr);
-    Result<audit::AuditResult> windowed = audit::Auditor::Run(
-        audit::AuditSource::FromWindow(window), window_config);
-    ASSERT_TRUE(windowed.ok()) << windowed.status().ToString();
-    const data::Table table = EventTable(in_window);
-    Result<audit::AuditResult> batch = audit::Auditor::Run(
-        audit::AuditSource::FromTable(table), batch_config);
-    ASSERT_TRUE(batch.ok()) << batch.status().ToString();
-    ASSERT_FALSE(windowed->conditional_reports.empty());
-    EXPECT_EQ(ReportsJson(windowed->reports), ReportsJson(batch->reports));
-    EXPECT_EQ(ReportsJson(windowed->conditional_reports),
-              ReportsJson(batch->conditional_reports));
-
-    ASSERT_EQ(window.strata_counts.num_keys(), 4u);
-    for (const std::string& stratum : window.strata_counts.keys()) {
-      std::vector<Event> rows;
-      for (const Event& event : in_window) {
-        if (event.stratum == stratum) rows.push_back(event);
-      }
-      const data::Table stratum_table = EventTable(rows);
-      Result<audit::AuditResult> expected = audit::Auditor::Run(
-          audit::AuditSource::FromTable(stratum_table), stratum_config);
-      ASSERT_TRUE(expected.ok()) << expected.status().ToString();
-      const std::string response = service.HandleLine(
-          R"({"op":"query","type":"drilldown","stratum":")" + stratum +
-          R"("})");
-      EXPECT_NE(response.find("\"findings\":" + FindingsJson(*expected) + ","),
-                std::string::npos)
-          << stratum << ": " << response;
-    }
-
-    auto number = [](const JsonValue& object, const char* key) {
-      return object.Get(key).ValueOrDie()->AsDouble().ValueOrDie();
-    };
-    const JsonValue drift =
-        JsonValue::Parse(service.HandleLine(R"({"op":"query","type":"drift"})"))
-            .ValueOrDie();
-    const JsonValue& drift_groups = *drift.Get("score_distribution")
-                                         .ValueOrDie()
-                                         ->Get("groups")
-                                         .ValueOrDie();
-    const std::vector<std::string>& groups = window.sketches.keys();
-    ASSERT_EQ(groups.size(), 3u);
-    ASSERT_EQ(drift_groups.size(), groups.size());
-    for (size_t g = 0; g < groups.size(); ++g) {
-      SCOPED_TRACE(groups[g]);
-      std::vector<double> mine;
-      std::vector<double> rest;
-      for (const Event& event : in_window) {
-        (event.group == groups[g] ? mine : rest).push_back(event.score);
-      }
-      std::sort(mine.begin(), mine.end());
-      const JsonValue quantiles =
-          JsonValue::Parse(service.HandleLine(
-                               R"({"op":"query","type":"quantiles","group":")" +
-                               groups[g] + R"(","q":[0.1,0.5,0.9]})"))
-              .ValueOrDie();
-      const JsonValue& answers = *quantiles.Get("quantiles").ValueOrDie();
-      ASSERT_EQ(answers.size(), 3u);
-      for (size_t i = 0; i < answers.size(); ++i) {
-        const double q = number(answers.at(i), "q");
-        const double below = static_cast<double>(
-            std::upper_bound(mine.begin(), mine.end(),
-                             number(answers.at(i), "value")) -
-            mine.begin());
-        EXPECT_LE(std::abs(below / static_cast<double>(mine.size()) - q),
-                  kQuantileRankErrBound)
-            << "q=" << q;
-      }
-      const JsonValue& distance = drift_groups.at(g);
-      ASSERT_EQ(distance.Get("group").ValueOrDie()->AsString().ValueOrDie(),
-                groups[g]);
-      EXPECT_NEAR(number(distance, "wasserstein1"),
-                  stats::Wasserstein1Samples(mine, rest).ValueOrDie(),
-                  kDistanceErrBound);
-      EXPECT_NEAR(number(distance, "ks"),
-                  stats::KolmogorovSmirnov(mine, rest).ValueOrDie(),
-                  kDistanceErrBound);
+  std::vector<std::string> strata;
+  for (const Event& event : in_window) {
+    if (std::find(strata.begin(), strata.end(), event.stratum) ==
+        strata.end()) {
+      strata.push_back(event.stratum);
     }
   }
+  ASSERT_EQ(window.strata_counts.keys(), strata);
+  for (const std::string& stratum : strata) {
+    std::vector<Event> rows;
+    for (const Event& event : in_window) {
+      if (event.stratum == stratum) rows.push_back(event);
+    }
+    const data::Table stratum_table = EventTable(rows);
+    Result<audit::AuditResult> expected = audit::Auditor::Run(
+        audit::AuditSource::FromTable(stratum_table), stratum_config);
+    ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+    const std::string response = service->HandleLine(
+        R"({"op":"query","type":"drilldown","stratum":")" + stratum + R"("})");
+    EXPECT_NE(response.find("\"findings\":" + FindingsJson(*expected) + ","),
+              std::string::npos)
+        << stratum << ": " << response;
+  }
+
+  auto number = [](const JsonValue& object, const char* key) {
+    return object.Get(key).ValueOrDie()->AsDouble().ValueOrDie();
+  };
+  const JsonValue drift =
+      JsonValue::Parse(service->HandleLine(R"({"op":"query","type":"drift"})"))
+          .ValueOrDie();
+  const JsonValue& drift_groups = *drift.Get("score_distribution")
+                                       .ValueOrDie()
+                                       ->Get("groups")
+                                       .ValueOrDie();
+  const std::vector<std::string>& groups = window.sketches.keys();
+  ASSERT_EQ(groups.size(), 3u);
+  ASSERT_EQ(drift_groups.size(), groups.size());
+  for (size_t g = 0; g < groups.size(); ++g) {
+    SCOPED_TRACE(groups[g]);
+    std::vector<double> mine;
+    std::vector<double> rest;
+    for (const Event& event : in_window) {
+      (event.group == groups[g] ? mine : rest).push_back(event.score);
+    }
+    std::sort(mine.begin(), mine.end());
+    const JsonValue quantiles =
+        JsonValue::Parse(service->HandleLine(
+                             R"({"op":"query","type":"quantiles","group":")" +
+                             groups[g] + R"(","q":[0.1,0.5,0.9]})"))
+            .ValueOrDie();
+    const JsonValue& answers = *quantiles.Get("quantiles").ValueOrDie();
+    ASSERT_EQ(answers.size(), 3u);
+    for (size_t i = 0; i < answers.size(); ++i) {
+      const double q = number(answers.at(i), "q");
+      const double below = static_cast<double>(
+          std::upper_bound(mine.begin(), mine.end(),
+                           number(answers.at(i), "value")) -
+          mine.begin());
+      EXPECT_LE(std::abs(below / static_cast<double>(mine.size()) - q),
+                kQuantileRankErrBound)
+          << "q=" << q;
+    }
+    const JsonValue& distance = drift_groups.at(g);
+    ASSERT_EQ(distance.Get("group").ValueOrDie()->AsString().ValueOrDie(),
+              groups[g]);
+    EXPECT_NEAR(number(distance, "wasserstein1"),
+                stats::Wasserstein1Samples(mine, rest).ValueOrDie(),
+                kDistanceErrBound);
+    EXPECT_NEAR(number(distance, "ks"),
+                stats::KolmogorovSmirnov(mine, rest).ValueOrDie(),
+                kDistanceErrBound);
+  }
+}
+
+ServeConfig WindowedAuditConfig() {
+  ServeConfig config;
+  config.bucket_width = 400;
+  config.num_buckets = 16;
+  config.with_strata = true;
+  return config;
+}
+
+std::string UniformStratum(size_t i) { return "s" + std::to_string(i % 4); }
+
+// Each group holds about 600 in-window scores, three times the sketch
+// k, so its sketch compacts. Events arrive out of order; some are too
+// late to enter and some slide out again.
+TEST(WindowedAuditTest, WindowMatchesBatchAuditOfItsEvents) {
+  for (uint64_t seed : {43u, 47u, 59u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Service service(WindowedAuditConfig());
+    const WindowModel model =
+        FeedAndModel(&service, MakeStream(3000, 97, 0, seed, 8000));
+    ASSERT_LT(model.accepted.size(), model.events.size())
+        << "no event arrived too late";
+    ASSERT_LT(model.in_window.size(), model.accepted.size())
+        << "no event slid out";
+    ASSERT_EQ(service.ring().Window(nullptr).strata_counts.num_keys(), 4u);
+    ExpectWindowMatchesBatch(&service, model);
+  }
+}
+
+// One group holds 80% of the events and one 5% (about 100 in the
+// window, below the sketch k, so its sketch stays exact).
+TEST(WindowedAuditTest, SkewedGroupsMatchBatchAudit) {
+  Service service(WindowedAuditConfig());
+  const std::vector<Event> events =
+      ShapedEvents(3000, {0.80, 0.15, 0.05}, UniformStratum, 67, 8000);
+  const WindowModel model = FeedAndModel(&service, IngestLines(events, 97));
+  ExpectWindowMatchesBatch(&service, model);
+}
+
+// Stratum "early" holds only the first 600 events, which have all slid
+// out by the end: the window and the batch audit both lack it, and a
+// drill-down into it is a query error, not an empty answer.
+TEST(WindowedAuditTest, StratumWithNoEventsInTheWindow) {
+  Service service(WindowedAuditConfig());
+  const std::vector<Event> events = ShapedEvents(
+      3000, {0.34, 0.33, 0.33},
+      [](size_t i) { return i < 600 ? "early" : UniformStratum(i); }, 71,
+      8000);
+  const WindowModel model = FeedAndModel(&service, IngestLines(events, 97));
+  ASSERT_EQ(service.ring().Window(nullptr).strata_counts.FindKey("early"),
+            service.ring().Window(nullptr).strata_counts.num_keys());
+  const std::string drilldown = service.HandleLine(
+      R"({"op":"query","type":"drilldown","stratum":"early"})");
+  EXPECT_NE(drilldown.find(R"("op":"query")"), std::string::npos);
+  EXPECT_NE(drilldown.find("'early' not present in the window"),
+            std::string::npos)
+      << drilldown;
+  ExpectWindowMatchesBatch(&service, model);
+}
+
+// A last batch whose every event is older than the window: the ack
+// counts them all rejected and the window does not change.
+TEST(WindowedAuditTest, BatchOfOnlyTooLateEventsLeavesTheWindow) {
+  const ServeConfig config = WindowedAuditConfig();
+  Service service(config);
+  const std::vector<Event> events =
+      ShapedEvents(3000, {0.34, 0.33, 0.33}, UniformStratum, 73, 8000);
+  WindowModel model = FeedAndModel(&service, IngestLines(events, 97));
+  // The window and findings; the trailing counts move with every line.
+  auto findings = [&service] {
+    const std::string audit =
+        service.HandleLine(R"({"op":"query","type":"audit"})");
+    return audit.substr(0, audit.find(R"("obs":)"));
+  };
+  const std::string before = findings();
+
+  const int64_t too_late = service.ring().window_start() * config.bucket_width;
+  std::vector<Event> late =
+      ShapedEvents(50, {0.34, 0.33, 0.33}, UniformStratum, 79, 1);
+  ASSERT_GT(too_late, static_cast<int64_t>(late.size()));
+  for (size_t i = 0; i < late.size(); ++i) {
+    late[i].t = too_late - 1 - static_cast<int64_t>(i);
+  }
+  const std::string late_line = IngestLines(late, late.size())[0];
+  std::vector<Event> decoded;
+  ASSERT_TRUE(serve::DecodeIngestLine(late_line, &decoded));
+  EXPECT_NE(service.HandleLine(late_line).find(R"("accepted":0,"rejected":50)"),
+            std::string::npos);
+  model.events.insert(model.events.end(), late.begin(), late.end());
+  EXPECT_EQ(findings(), before);
+  ExpectWindowMatchesBatch(&service, model);
 }
 
 TEST(AuditorRunTest, WindowSourceMatchesServiceFindings) {
