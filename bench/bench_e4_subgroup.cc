@@ -3,9 +3,12 @@
 // depth-2 subgroup audit exposes the penalized cells. Part 2: the
 // combinatorial cost of exhaustive subgroup auditing as depth and
 // attribute count grow (the exponential complexity §IV-C warns about),
-// with wall-clock measurements.
+// with wall-clock measurements. Each row's conjunction count must equal
+// the closed form audit::CountConjunctions; the binary exits 1 if any
+// row differs.
 #include <cstdint>
 #include <cstdio>
+#include <set>
 #include <string>
 
 #include "audit/auditor.h"
@@ -63,10 +66,12 @@ void Part1() {
   }
 }
 
-void Part2() {
+/// Returns false when some row's examined count differs from
+/// CountConjunctions.
+bool Part2() {
   std::printf("\n--- part 2: audit cost vs depth / attribute count ---\n");
-  std::printf("%-6s %-6s %-14s %-12s\n", "attrs", "depth", "conjunctions",
-              "time_ms");
+  std::printf("%-6s %-6s %-14s %-14s %-12s\n", "attrs", "depth",
+              "conjunctions", "closed_form", "time_ms");
   Rng rng(13);
   const size_t n = 20000;
   // Synthetic table with 6 categorical attributes of arity 4 + binary
@@ -74,11 +79,14 @@ void Part2() {
   std::vector<data::Column> columns;
   std::vector<data::Field> fields;
   std::vector<std::string> attribute_names;
+  std::vector<size_t> arities;
   for (int a = 0; a < 6; ++a) {
     std::vector<std::string> values(n);
     for (size_t i = 0; i < n; ++i) {
       values[i] = "v" + std::to_string(rng.UniformInt(4));
     }
+    arities.push_back(
+        std::set<std::string>(values.begin(), values.end()).size());
     std::string name = "attr" + std::to_string(a);
     attribute_names.push_back(name);
     fields.push_back({name, data::DataType::kString});
@@ -93,9 +101,12 @@ void Part2() {
                         std::move(columns))
           .ValueOrDie();
 
+  bool matches = true;
   for (size_t attrs : {2, 4, 6}) {
     std::vector<std::string> use(attribute_names.begin(),
                                  attribute_names.begin() + attrs);
+    const std::vector<size_t> use_arities(arities.begin(),
+                                          arities.begin() + attrs);
     for (int depth = 1; depth <= 3; ++depth) {
       audit::SubgroupAuditOptions options;
       options.max_depth = depth;
@@ -106,12 +117,19 @@ void Part2() {
       const double ms =
           static_cast<double>(fairlaw::obs::MonotonicNowNs() - start_ns) /
           1e6;
-      std::printf("%-6zu %-6d %-14zu %-12.2f\n", attrs, depth,
-                  result.subgroups_examined, ms);
+      const size_t closed_form = audit::CountConjunctions(use_arities, depth);
+      std::printf("%-6zu %-6d %-14zu %-14zu %-12.2f\n", attrs, depth,
+                  result.subgroups_examined, closed_form, ms);
+      matches = matches && result.subgroups_examined == closed_form;
     }
   }
   std::printf("\nExpected shape: conjunction count (and time) grows "
               "exponentially with depth, matching CountConjunctions.\n");
+  if (!matches) {
+    std::printf("MISMATCH: a conjunction count differs from "
+                "CountConjunctions\n");
+  }
+  return matches;
 }
 
 }  // namespace
@@ -119,6 +137,5 @@ void Part2() {
 int main() {
   std::printf("=== E4: intersectional subgroup fairness (SS IV-C) ===\n");
   Part1();
-  Part2();
-  return 0;
+  return Part2() ? 0 : 1;
 }

@@ -45,7 +45,7 @@ struct ManipulationAuditOptions {
 };
 
 /// Runs the cross-check. `importances` comes from any attribution method
-/// (ml::PermutationImportance, ml::LinearAttribution, ...);
+/// (e.g. ml::LinearAttribution);
 /// `sensitive_feature` names the protected feature inside it; `outcomes`
 /// carries the model's predictions and group memberships.
 FAIRLAW_NODISCARD Result<ManipulationAuditReport> AuditManipulation(

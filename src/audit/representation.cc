@@ -124,34 +124,4 @@ Result<RepresentationReport> AuditRepresentation(
   return report;
 }
 
-Result<size_t> RequiredDatasetSize(
-    const std::map<std::string, double>& reference_shares,
-    size_t min_group_count) {
-  if (reference_shares.empty()) {
-    return Status::Invalid("RequiredDatasetSize: no reference groups");
-  }
-  if (min_group_count == 0) {
-    return Status::Invalid("RequiredDatasetSize: min_group_count must be "
-                           ">= 1");
-  }
-  double total = 0.0;
-  double smallest = std::numeric_limits<double>::infinity();
-  for (const auto& [group, share] : reference_shares) {
-    (void)group;
-    if (!std::isfinite(share)) {
-      return Status::Invalid("RequiredDatasetSize: non-finite share");
-    }
-    if (share < 0.0) {
-      return Status::Invalid("RequiredDatasetSize: negative share");
-    }
-    total += share;
-    if (share > 0.0) smallest = std::min(smallest, share);
-  }
-  if (total <= 0.0 || !std::isfinite(smallest)) {
-    return Status::Invalid("RequiredDatasetSize: shares sum to zero");
-  }
-  return static_cast<size_t>(std::ceil(
-      static_cast<double>(min_group_count) / (smallest / total)));
-}
-
 }  // namespace fairlaw::audit

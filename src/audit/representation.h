@@ -58,14 +58,6 @@ FAIRLAW_NODISCARD Result<RepresentationReport> AuditRepresentation(
     const std::map<std::string, double>& reference_shares,
     const RepresentationAuditOptions& options = {});
 
-/// Minimum dataset size such that, for every group in `reference_shares`,
-/// the expected group count reaches `min_group_count` — the §IV-F
-/// "sample complexity of bias detection" turned into a data-collection
-/// requirement. Shares must be finite and non-negative.
-FAIRLAW_NODISCARD Result<size_t> RequiredDatasetSize(
-    const std::map<std::string, double>& reference_shares,
-    size_t min_group_count);
-
 }  // namespace fairlaw::audit
 
 #endif  // FAIRLAW_AUDIT_REPRESENTATION_H_

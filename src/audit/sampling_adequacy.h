@@ -55,7 +55,9 @@ FAIRLAW_NODISCARD Result<SamplingReport> AssessSamplingAdequacy(
 
 /// Sample size needed for a selection-rate CI of half-width `halfwidth`
 /// at the given confidence when the underlying rate is `rate` (worst case
-/// rate=0.5 if unknown).
+/// rate=0.5 if unknown). No tool calls it yet: it is kept for the
+/// "insufficient evidence" verdict of the ROADMAP *Verdicts* item.
+// deps: allow-unreached-function (ROADMAP *Verdicts*)
 FAIRLAW_NODISCARD Result<size_t> RequiredSampleSize(double rate, double halfwidth,
                                   double confidence);
 

@@ -14,8 +14,8 @@
 //  * The word-popcount kernels are exact integer computations and return
 //    byte-identical results on every backend — the SIMD and scalar builds
 //    of the Bitmap fused kernels are interchangeable bit for bit.
-//  * CosSum / CosSumAffine are floating-point reductions. Within one build
-//    they are deterministic (fixed lane order, fixed tail handling), but
+//  * CosSumAffine is a floating-point reduction. Within one build it
+//    is deterministic (fixed lane order, fixed tail handling), but
 //    the vectorized polynomial cosine may differ from std::cos by a few
 //    ulps, so cross-backend float results agree only to tolerance.
 //  * The `scalar` nested namespace always provides the reference
@@ -84,13 +84,6 @@ inline uint64_t AndIntoPopcountWords(const uint64_t* a, const uint64_t* b,
     count += static_cast<uint64_t>(std::popcount(word));
   }
   return count;
-}
-
-/// Sum of cos(x[i]) over i in [0, n).
-inline double CosSum(const double* x, size_t n) {
-  double total = 0.0;
-  for (size_t i = 0; i < n; ++i) total += std::cos(x[i]);
-  return total;
 }
 
 /// Sum of cos(scale * x[i] + offset) over i in [0, n).
@@ -216,19 +209,6 @@ inline uint64_t AndIntoPopcountWords(const uint64_t* a, const uint64_t* b,
   return count;
 }
 
-inline double CosSum(const double* x, size_t n) {
-  __m256d acc = _mm256_setzero_pd();
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    acc = _mm256_add_pd(acc, internal::CosLanes(_mm256_loadu_pd(x + i)));
-  }
-  alignas(32) double lanes[4];
-  _mm256_store_pd(lanes, acc);
-  double total = (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
-  for (; i < n; ++i) total += std::cos(x[i]);
-  return total;
-}
-
 inline double CosSumAffine(const double* x, size_t n, double scale,
                            double offset) {
   const __m256d vscale = _mm256_set1_pd(scale);
@@ -312,9 +292,6 @@ inline uint64_t AndIntoPopcountWords(const uint64_t* a, const uint64_t* b,
 
 // No vectorized cosine on NEON yet; the feature map falls back to the
 // libm loop (counted by the stats fallback counter).
-inline double CosSum(const double* x, size_t n) {
-  return scalar::CosSum(x, n);
-}
 inline double CosSumAffine(const double* x, size_t n, double scale,
                            double offset) {
   return scalar::CosSumAffine(x, n, scale, offset);
@@ -332,9 +309,6 @@ inline uint64_t AndPopcountWords(const uint64_t* a, const uint64_t* b,
 inline uint64_t AndIntoPopcountWords(const uint64_t* a, const uint64_t* b,
                                      uint64_t* out, size_t n) {
   return scalar::AndIntoPopcountWords(a, b, out, n);
-}
-inline double CosSum(const double* x, size_t n) {
-  return scalar::CosSum(x, n);
 }
 inline double CosSumAffine(const double* x, size_t n, double scale,
                            double offset) {

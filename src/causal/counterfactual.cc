@@ -34,48 +34,4 @@ Mechanism ThresholdMechanism(std::vector<double> weights, double intercept) {
   };
 }
 
-Result<ScmSample> CounterfactualSample(const Scm& scm,
-                                       const ScmSample& sample,
-                                       const std::string& node, double value) {
-  FAIRLAW_RETURN_NOT_OK(scm.NodeIndex(node).status());
-  if (sample.node_names().size() != scm.num_nodes()) {
-    return Status::Invalid("CounterfactualSample: sample does not match "
-                           "model node count");
-  }
-  std::vector<std::string> names = sample.node_names();
-  ScmSample out(names, sample.num_rows());
-
-  const size_t num_nodes = scm.num_nodes();
-  std::vector<const std::vector<double>*> observed(num_nodes);
-  for (size_t k = 0; k < num_nodes; ++k) {
-    FAIRLAW_ASSIGN_OR_RETURN(observed[k], sample.Values(names[k]));
-  }
-
-  std::unordered_map<std::string, double> interventions{{node, value}};
-  std::vector<double> row(num_nodes);
-  for (size_t r = 0; r < sample.num_rows(); ++r) {
-    for (size_t k = 0; k < num_nodes; ++k) row[k] = (*observed[k])[r];
-    FAIRLAW_ASSIGN_OR_RETURN(std::vector<double> noise, scm.Abduct(row));
-    FAIRLAW_ASSIGN_OR_RETURN(std::vector<double> cf,
-                             scm.Counterfactual(row, interventions));
-    for (size_t k = 0; k < num_nodes; ++k) {
-      (*out.mutable_values(k))[r] = cf[k];
-      (*out.mutable_noise(k))[r] = noise[k];
-    }
-  }
-  return out;
-}
-
-Result<std::vector<double>> CounterfactualOutcome(const Scm& scm,
-                                                  const ScmSample& sample,
-                                                  const std::string& node,
-                                                  double value,
-                                                  const std::string& outcome) {
-  FAIRLAW_ASSIGN_OR_RETURN(ScmSample cf,
-                           CounterfactualSample(scm, sample, node, value));
-  FAIRLAW_ASSIGN_OR_RETURN(const std::vector<double>* values,
-                           cf.Values(outcome));
-  return *values;
-}
-
 }  // namespace fairlaw::causal

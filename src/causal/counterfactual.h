@@ -1,15 +1,11 @@
 #ifndef FAIRLAW_CAUSAL_COUNTERFACTUAL_H_
 #define FAIRLAW_CAUSAL_COUNTERFACTUAL_H_
 
-#include <string>
 #include <vector>
 
-#include "base/result.h"
 #include "causal/scm.h"
 
 namespace fairlaw::causal {
-
-// Mechanism helpers -------------------------------------------------------
 
 /// Mechanism returning a constant (for root nodes).
 Mechanism ConstantMechanism(double value);
@@ -22,25 +18,6 @@ Mechanism LinearMechanism(std::vector<double> weights, double intercept = 0.0);
 /// into a latent parent so abduction stays exact.
 Mechanism ThresholdMechanism(std::vector<double> weights,
                              double intercept = 0.0);
-
-// Dataset-level counterfactuals -------------------------------------------
-
-/// Counterfactual version of a sampled dataset: for each row of `sample`,
-/// computes the node values that would have obtained had `node` been
-/// `value`, holding the exogenous noise fixed (abduction / action /
-/// prediction). Returns a new sample with the same node order. Noise
-/// columns of the result carry the abducted noise.
-FAIRLAW_NODISCARD Result<ScmSample> CounterfactualSample(const Scm& scm,
-                                       const ScmSample& sample,
-                                       const std::string& node, double value);
-
-/// Per-row counterfactual values of a single outcome node under the
-/// intervention node=value.
-FAIRLAW_NODISCARD Result<std::vector<double>> CounterfactualOutcome(const Scm& scm,
-                                                  const ScmSample& sample,
-                                                  const std::string& node,
-                                                  double value,
-                                                  const std::string& outcome);
 
 }  // namespace fairlaw::causal
 

@@ -44,13 +44,6 @@ Column Column::FromStrings(std::vector<std::string> values) {
   return column;
 }
 
-Column Column::FromBools(std::vector<uint8_t> values) {
-  Column column(DataType::kBool);
-  column.bools_ = std::move(values);
-  column.valid_.assign(column.bools_.size(), true);
-  return column;
-}
-
 void Column::Reserve(size_t rows) {
   valid_.reserve(rows);
   switch (type_) {
@@ -233,16 +226,6 @@ Status CheckDenseView(const Column& column, DataType expected) {
 Result<std::span<const double>> Column::Doubles() const {
   FAIRLAW_RETURN_NOT_OK(CheckDenseView(*this, DataType::kDouble));
   return std::span<const double>(doubles_);
-}
-
-Result<std::span<const int64_t>> Column::Int64s() const {
-  FAIRLAW_RETURN_NOT_OK(CheckDenseView(*this, DataType::kInt64));
-  return std::span<const int64_t>(int64s_);
-}
-
-Result<std::span<const uint8_t>> Column::Bools() const {
-  FAIRLAW_RETURN_NOT_OK(CheckDenseView(*this, DataType::kBool));
-  return std::span<const uint8_t>(bools_);
 }
 
 Result<std::vector<double>> Column::ToDoubles() const {

@@ -46,14 +46,10 @@ class Column {
   /// Creates an empty column of the given type.
   explicit Column(DataType type);
 
-  /// Convenience factories from dense (all-valid) values. Bool columns
-  /// take and expose 0/1 bytes: std::vector<bool> is banned tree-wide
-  /// (fairlaw_check hot-path rule) because its proxy references defeat
-  /// spans, simd, and sane iteration.
+  /// Convenience factories from dense (all-valid) values.
   static Column FromDoubles(std::vector<double> values);
   static Column FromInt64s(std::vector<int64_t> values);
   static Column FromStrings(std::vector<std::string> values);
-  static Column FromBools(std::vector<uint8_t> values);
 
   DataType type() const { return type_; }
   size_t size() const { return valid_.size(); }
@@ -89,11 +85,9 @@ class Column {
   /// Cell access (type-erased); fails on out-of-range or null.
   FAIRLAW_NODISCARD Result<Cell> GetCell(size_t row) const;
 
-  /// Dense typed views. Fail unless the column has the right type and no
+  /// Dense double view. Fails unless the column is double-typed with no
   /// nulls.
   FAIRLAW_NODISCARD Result<std::span<const double>> Doubles() const;
-  FAIRLAW_NODISCARD Result<std::span<const int64_t>> Int64s() const;
-  FAIRLAW_NODISCARD Result<std::span<const uint8_t>> Bools() const;
 
   /// A string column's per-slot codes into dictionary(), kNullCode at a
   /// null slot, and its distinct non-null values in first-seen row

@@ -472,10 +472,6 @@ size_t CsvChunkReader::num_chunks() const {
   return (num_rows() + impl_->chunk_rows - 1) / impl_->chunk_rows;
 }
 
-Result<CsvChunkReader> CsvChunkReader::Make(const std::string& path) {
-  return Make(path, Options{});
-}
-
 Result<CsvChunkReader> CsvChunkReader::Make(const std::string& path,
                                             const Options& options) {
   obs::TraceSpan span("csv_open_stream");

@@ -76,7 +76,6 @@ class CsvChunkReader {
   /// rows, unterminated quotes, an empty file, or duplicate header names.
   FAIRLAW_NODISCARD static Result<CsvChunkReader> Make(
       const std::string& path, const Options& options);
-  FAIRLAW_NODISCARD static Result<CsvChunkReader> Make(const std::string& path);
 
   CsvChunkReader(CsvChunkReader&&) noexcept;
   CsvChunkReader& operator=(CsvChunkReader&&) noexcept;

@@ -155,36 +155,4 @@ std::vector<const Statute*> StatutesProtecting(const std::string& attribute,
   return matches;
 }
 
-std::vector<const Statute*> StatutesForSector(const std::string& sector,
-                                              Jurisdiction jurisdiction) {
-  std::vector<const Statute*> matches;
-  for (const Statute& statute : StatutesOf(jurisdiction)) {
-    if (std::find(statute.sectors.begin(), statute.sectors.end(), sector) !=
-            statute.sectors.end() ||
-        std::find(statute.sectors.begin(), statute.sectors.end(),
-                  "general") != statute.sectors.end()) {
-      matches.push_back(&statute);
-    }
-  }
-  return matches;
-}
-
-bool IsProtectedAttribute(const std::string& attribute,
-                          Jurisdiction jurisdiction) {
-  return !StatutesProtecting(attribute, jurisdiction).empty();
-}
-
-std::vector<std::string> ProtectedAttributesOf(Jurisdiction jurisdiction) {
-  std::vector<std::string> attributes;
-  for (const Statute& statute : StatutesOf(jurisdiction)) {
-    attributes.insert(attributes.end(),
-                      statute.protected_attributes.begin(),
-                      statute.protected_attributes.end());
-  }
-  std::sort(attributes.begin(), attributes.end());
-  attributes.erase(std::unique(attributes.begin(), attributes.end()),
-                   attributes.end());
-  return attributes;
-}
-
 }  // namespace fairlaw::legal

@@ -40,19 +40,6 @@ const std::vector<Statute>& StatutesOf(Jurisdiction jurisdiction);
 std::vector<const Statute*> StatutesProtecting(const std::string& attribute,
                                                Jurisdiction jurisdiction);
 
-/// Instruments of `jurisdiction` covering `sector`.
-std::vector<const Statute*> StatutesForSector(const std::string& sector,
-                                              Jurisdiction jurisdiction);
-
-/// True when at least one instrument of the jurisdiction protects the
-/// attribute.
-bool IsProtectedAttribute(const std::string& attribute,
-                          Jurisdiction jurisdiction);
-
-/// Canonical attribute tokens protected in the jurisdiction (union over
-/// instruments, sorted, deduplicated).
-std::vector<std::string> ProtectedAttributesOf(Jurisdiction jurisdiction);
-
 }  // namespace fairlaw::legal
 
 #endif  // FAIRLAW_LEGAL_JURISDICTION_H_

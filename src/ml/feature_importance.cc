@@ -2,56 +2,7 @@
 
 #include <cmath>
 
-#include "ml/model_eval.h"
-
 namespace fairlaw::ml {
-
-Result<std::vector<FeatureImportance>> PermutationImportance(
-    const Classifier& model, const Dataset& data, int repeats,
-    stats::Rng* rng) {
-  FAIRLAW_RETURN_NOT_OK(data.Validate());
-  if (repeats <= 0) {
-    return Status::Invalid("PermutationImportance: repeats must be > 0");
-  }
-  if (rng == nullptr) {
-    return Status::Invalid("PermutationImportance: null rng");
-  }
-
-  FAIRLAW_ASSIGN_OR_RETURN(std::vector<int> base_predictions,
-                           model.PredictBatch(data.features));
-  FAIRLAW_ASSIGN_OR_RETURN(double base_accuracy,
-                           Accuracy(data.labels, base_predictions));
-
-  const size_t d = data.num_features();
-  std::vector<FeatureImportance> importances(d);
-  std::vector<std::vector<double>> permuted = data.features;
-  for (size_t j = 0; j < d; ++j) {
-    importances[j].feature =
-        j < data.feature_names.size() ? data.feature_names[j]
-                                      : std::string("f").append(std::to_string(j));
-    double total_drop = 0.0;
-    for (int r = 0; r < repeats; ++r) {
-      // Permute column j.
-      std::vector<size_t> order(data.size());
-      for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-      rng->Shuffle(&order);
-      for (size_t i = 0; i < data.size(); ++i) {
-        permuted[i][j] = data.features[order[i]][j];
-      }
-      FAIRLAW_ASSIGN_OR_RETURN(std::vector<int> predictions,
-                               model.PredictBatch(permuted));
-      FAIRLAW_ASSIGN_OR_RETURN(double accuracy,
-                               Accuracy(data.labels, predictions));
-      total_drop += base_accuracy - accuracy;
-    }
-    importances[j].importance = total_drop / static_cast<double>(repeats);
-    // Restore column j.
-    for (size_t i = 0; i < data.size(); ++i) {
-      permuted[i][j] = data.features[i][j];
-    }
-  }
-  return importances;
-}
 
 Result<std::vector<FeatureImportance>> LinearAttribution(
     const std::vector<double>& weights, const Dataset& data) {

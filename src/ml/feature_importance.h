@@ -5,8 +5,7 @@
 #include <vector>
 
 #include "base/result.h"
-#include "ml/classifier.h"
-#include "stats/rng.h"
+#include "ml/dataset.h"
 
 namespace fairlaw::ml {
 
@@ -15,16 +14,6 @@ struct FeatureImportance {
   std::string feature;
   double importance = 0.0;
 };
-
-/// Permutation importance: the drop in accuracy on `data` when the values
-/// of one feature are randomly permuted across examples, averaged over
-/// `repeats` permutations. This is the attribution signal the §IV-E
-/// manipulation experiment audits — an adversarially retrained model can
-/// drive the sensitive feature's importance to ~0 while still
-/// discriminating through proxies.
-FAIRLAW_NODISCARD Result<std::vector<FeatureImportance>> PermutationImportance(
-    const Classifier& model, const Dataset& data, int repeats,
-    stats::Rng* rng);
 
 /// Coefficient attributions for a linear model: |weight_j| * stddev of
 /// feature j over `data` (the contribution scale of each feature to the

@@ -1,7 +1,5 @@
 #include "ml/model_eval.h"
 
-#include <algorithm>
-
 #include "base/string_util.h"
 
 namespace fairlaw::ml {
@@ -66,50 +64,6 @@ Result<ConfusionMatrix> MakeConfusionMatrix(
     }
   }
   return cm;
-}
-
-Result<double> AucRoc(std::span<const int> labels,
-                      std::span<const double> scores) {
-  if (labels.size() != scores.size()) {
-    return Status::Invalid("AucRoc: size mismatch");
-  }
-  size_t positives = 0;
-  for (int label : labels) {
-    if (label != 0 && label != 1) {
-      return Status::Invalid("AucRoc: labels must be 0/1");
-    }
-    positives += label == 1 ? 1 : 0;
-  }
-  size_t negatives = labels.size() - positives;
-  if (positives == 0 || negatives == 0) {
-    return Status::Invalid("AucRoc: both classes must be present");
-  }
-
-  // Mann–Whitney U via mid-ranks (correct under ties).
-  std::vector<size_t> order(labels.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(),
-            [&](size_t a, size_t b) { return scores[a] < scores[b]; });
-  std::vector<double> rank(labels.size());
-  size_t i = 0;
-  while (i < order.size()) {
-    size_t j = i;
-    while (j + 1 < order.size() && scores[order[j + 1]] == scores[order[i]]) {
-      ++j;
-    }
-    double mid_rank = (static_cast<double>(i) + static_cast<double>(j)) / 2.0 +
-                      1.0;
-    for (size_t k = i; k <= j; ++k) rank[order[k]] = mid_rank;
-    i = j + 1;
-  }
-  double rank_sum_positive = 0.0;
-  for (size_t k = 0; k < labels.size(); ++k) {
-    if (labels[k] == 1) rank_sum_positive += rank[k];
-  }
-  double u = rank_sum_positive -
-             static_cast<double>(positives) *
-                 (static_cast<double>(positives) + 1.0) / 2.0;
-  return u / (static_cast<double>(positives) * static_cast<double>(negatives));
 }
 
 Result<double> Accuracy(std::span<const int> labels,

@@ -42,11 +42,6 @@ struct ConfusionMatrix {
 FAIRLAW_NODISCARD Result<ConfusionMatrix> MakeConfusionMatrix(std::span<const int> labels,
                                             std::span<const int> predictions);
 
-/// Area under the ROC curve from scores, handling ties by the
-/// rank/Mann–Whitney formulation. Requires both classes present.
-FAIRLAW_NODISCARD Result<double> AucRoc(std::span<const int> labels,
-                      std::span<const double> scores);
-
 /// Fraction of matching entries.
 FAIRLAW_NODISCARD Result<double> Accuracy(std::span<const int> labels,
                         std::span<const int> predictions);

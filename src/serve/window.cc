@@ -25,9 +25,12 @@ WindowRing::WindowRing(const ServeConfig& config)
 
 void WindowRing::Advance(int64_t bucket) {
   // Reset only the slots the new buckets claim: at most num_buckets_
-  // of them, however far the watermark jumps.
+  // of them, however far the watermark jumps. Counted, so no index
+  // steps past `bucket`, which may be INT64_MAX.
   const int64_t first = std::max(watermark_ + 1, bucket - num_buckets_ + 1);
-  for (int64_t index = first; index <= bucket; ++index) {
+  const int64_t claimed = bucket - first + 1;
+  for (int64_t k = 0; k < claimed; ++k) {
+    const int64_t index = first + k;
     Slot& slot = slots_[static_cast<size_t>(index % num_buckets_)];
     slot.bucket_index = index;
     slot.partial = audit::WindowedPartial(sketch_options_);
@@ -75,7 +78,11 @@ std::vector<const audit::WindowedPartial*> WindowRing::LiveBuckets() const {
   std::vector<const audit::WindowedPartial*> buckets;
   if (watermark_ < 0) return buckets;
   buckets.reserve(static_cast<size_t>(num_buckets_));
-  for (int64_t index = window_start(); index <= watermark_; ++index) {
+  // Counted like Advance: the watermark may be INT64_MAX.
+  const int64_t start = window_start();
+  const int64_t live = watermark_ - start + 1;
+  for (int64_t k = 0; k < live; ++k) {
+    const int64_t index = start + k;
     const Slot& slot = slots_[static_cast<size_t>(index % num_buckets_)];
     if (slot.bucket_index == index && slot.partial.num_rows > 0) {
       buckets.push_back(&slot.partial);

@@ -73,15 +73,4 @@ Result<double> ExpectedCalibrationError(std::span<const int> labels,
   return ece;
 }
 
-Result<double> BrierScore(std::span<const int> labels,
-                          std::span<const double> scores) {
-  FAIRLAW_RETURN_NOT_OK(CheckInputs(labels, scores));
-  double total = 0.0;
-  for (size_t i = 0; i < labels.size(); ++i) {
-    double diff = scores[i] - static_cast<double>(labels[i]);
-    total += diff * diff;
-  }
-  return total / static_cast<double>(labels.size());
-}
-
 }  // namespace fairlaw::stats

@@ -30,10 +30,6 @@ FAIRLAW_NODISCARD Result<double> ExpectedCalibrationError(std::span<const int> l
                                         std::span<const double> scores,
                                         size_t num_bins = 10);
 
-/// Brier score: mean squared error of probabilistic predictions.
-FAIRLAW_NODISCARD Result<double> BrierScore(std::span<const int> labels,
-                          std::span<const double> scores);
-
 }  // namespace fairlaw::stats
 
 #endif  // FAIRLAW_STATS_CALIBRATION_H_

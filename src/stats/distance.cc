@@ -106,48 +106,6 @@ Result<double> Hellinger(std::span<const double> p,
   return std::sqrt(std::max(0.0, 1.0 - std::min(1.0, bhattacharyya)));
 }
 
-Result<double> KlDivergence(std::span<const double> p,
-                            std::span<const double> q) {
-  FAIRLAW_RETURN_NOT_OK(CheckAligned(p, q));
-  double total = 0.0;
-  for (size_t i = 0; i < p.size(); ++i) {
-    if (p[i] == 0.0) continue;
-    if (q[i] == 0.0) {
-      return Status::Invalid("KL divergence is infinite: q has a zero where "
-                             "p has mass");
-    }
-    total += p[i] * std::log(p[i] / q[i]);
-  }
-  return total;
-}
-
-Result<double> JensenShannon(std::span<const double> p,
-                             std::span<const double> q) {
-  FAIRLAW_RETURN_NOT_OK(CheckAligned(p, q));
-  std::vector<double> mid(p.size());
-  for (size_t i = 0; i < p.size(); ++i) mid[i] = 0.5 * (p[i] + q[i]);
-  // The midpoint dominates both inputs, so the KL terms are finite.
-  FAIRLAW_ASSIGN_OR_RETURN(double kl_p, KlDivergence(p, mid));
-  FAIRLAW_ASSIGN_OR_RETURN(double kl_q, KlDivergence(q, mid));
-  return 0.5 * kl_p + 0.5 * kl_q;
-}
-
-Result<double> ChiSquareDivergence(std::span<const double> p,
-                                   std::span<const double> q) {
-  FAIRLAW_RETURN_NOT_OK(CheckAligned(p, q));
-  double total = 0.0;
-  for (size_t i = 0; i < p.size(); ++i) {
-    double diff = p[i] - q[i];
-    if (diff == 0.0) continue;
-    if (q[i] == 0.0) {
-      return Status::Invalid("chi-square divergence undefined: q has a zero "
-                             "where p differs");
-    }
-    total += diff * diff / q[i];
-  }
-  return total;
-}
-
 Result<double> Wasserstein1Samples(std::span<const double> x,
                                    std::span<const double> y) {
   if (x.empty() || y.empty()) {
@@ -189,55 +147,6 @@ Result<double> Wasserstein1Binned(const Histogram& p, const Histogram& q) {
   return total;
 }
 
-Result<double> Wasserstein1Discrete(std::span<const double> support_p,
-                                    std::span<const double> p,
-                                    std::span<const double> support_q,
-                                    std::span<const double> q) {
-  if (support_p.size() != p.size() || support_q.size() != q.size()) {
-    return Status::Invalid("Wasserstein1Discrete: support/probability size "
-                           "mismatch");
-  }
-  if (p.empty() || q.empty()) {
-    return Status::Invalid("Wasserstein1Discrete: empty distribution");
-  }
-  for (size_t i = 1; i < support_p.size(); ++i) {
-    if (support_p[i] <= support_p[i - 1]) {
-      return Status::Invalid("Wasserstein1Discrete: support_p not strictly "
-                             "increasing");
-    }
-  }
-  for (size_t i = 1; i < support_q.size(); ++i) {
-    if (support_q[i] <= support_q[i - 1]) {
-      return Status::Invalid("Wasserstein1Discrete: support_q not strictly "
-                             "increasing");
-    }
-  }
-  // W1 on the line = integral over t of |F_p(t) - F_q(t)| dt; sweep the
-  // merged support.
-  std::vector<double> grid;
-  grid.reserve(support_p.size() + support_q.size());
-  grid.insert(grid.end(), support_p.begin(), support_p.end());
-  grid.insert(grid.end(), support_q.begin(), support_q.end());
-  std::sort(grid.begin(), grid.end());
-  grid.erase(std::unique(grid.begin(), grid.end()), grid.end());
-
-  double total = 0.0;
-  double cdf_p = 0.0;
-  double cdf_q = 0.0;
-  size_t ip = 0;
-  size_t iq = 0;
-  for (size_t g = 0; g + 1 < grid.size(); ++g) {
-    while (ip < support_p.size() && support_p[ip] <= grid[g]) {
-      cdf_p += p[ip++];
-    }
-    while (iq < support_q.size() && support_q[iq] <= grid[g]) {
-      cdf_q += q[iq++];
-    }
-    total += std::fabs(cdf_p - cdf_q) * (grid[g + 1] - grid[g]);
-  }
-  return total;
-}
-
 Result<double> KolmogorovSmirnov(std::span<const double> x,
                                  std::span<const double> y) {
   if (x.empty() || y.empty()) {
@@ -259,24 +168,6 @@ Result<double> KolmogorovSmirnovPresorted(std::span<const double> x_sorted,
       CheckSorted(y_sorted, "KolmogorovSmirnovPresorted", "y"));
   obs::TraceSpan span("distance/kolmogorov_smirnov_presorted");
   return KolmogorovSmirnovSortedCore(x_sorted, y_sorted);
-}
-
-Result<double> KolmogorovSmirnovBinned(const Histogram& p,
-                                       const Histogram& q) {
-  FAIRLAW_RETURN_NOT_OK(
-      CheckAlignedHistograms(p, q, "KolmogorovSmirnovBinned"));
-  obs::TraceSpan span("distance/kolmogorov_smirnov_binned");
-  const std::vector<double> pp = p.Probabilities();
-  const std::vector<double> qq = q.Probabilities();
-  double cdf_p = 0.0;
-  double cdf_q = 0.0;
-  double best = 0.0;
-  for (size_t b = 0; b < pp.size(); ++b) {
-    cdf_p += pp[b];
-    cdf_q += qq[b];
-    best = std::max(best, std::fabs(cdf_p - cdf_q));
-  }
-  return best;
 }
 
 }  // namespace fairlaw::stats

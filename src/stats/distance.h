@@ -24,20 +24,6 @@ FAIRLAW_NODISCARD Result<double> TotalVariation(std::span<const double> p,
 /// coefficient, clamped for numerical safety. Range [0, 1].
 FAIRLAW_NODISCARD Result<double> Hellinger(std::span<const double> p, std::span<const double> q);
 
-/// Kullback–Leibler divergence KL(p || q) in nats. Infinite (returns
-/// InvalidArgument) if q_i = 0 < p_i for some i.
-FAIRLAW_NODISCARD Result<double> KlDivergence(std::span<const double> p,
-                            std::span<const double> q);
-
-/// Jensen–Shannon divergence (symmetrized, bounded by ln 2).
-FAIRLAW_NODISCARD Result<double> JensenShannon(std::span<const double> p,
-                             std::span<const double> q);
-
-/// Chi-square divergence sum_i (p_i - q_i)^2 / q_i; requires q_i > 0
-/// wherever p_i > 0 or p_i != q_i.
-FAIRLAW_NODISCARD Result<double> ChiSquareDivergence(std::span<const double> p,
-                                   std::span<const double> q);
-
 /// Exact 1-D Wasserstein-1 (earth mover's) distance between two samples:
 /// the integral of |F_x^{-1} - F_y^{-1}| over [0,1], computed from the
 /// sorted samples. Samples may have different sizes.
@@ -59,13 +45,6 @@ FAIRLAW_NODISCARD Result<double> Wasserstein1Presorted(
 FAIRLAW_NODISCARD Result<double> Wasserstein1Binned(const Histogram& p,
                                                     const Histogram& q);
 
-/// Wasserstein-1 between two discrete distributions on the real line with
-/// the given support points (strictly increasing) and probabilities.
-FAIRLAW_NODISCARD Result<double> Wasserstein1Discrete(std::span<const double> support_p,
-                                    std::span<const double> p,
-                                    std::span<const double> support_q,
-                                    std::span<const double> q);
-
 /// Two-sample Kolmogorov–Smirnov statistic sup_x |F_x - F_y|.
 FAIRLAW_NODISCARD Result<double> KolmogorovSmirnov(std::span<const double> x,
                                  std::span<const double> y);
@@ -74,11 +53,6 @@ FAIRLAW_NODISCARD Result<double> KolmogorovSmirnov(std::span<const double> x,
 /// as Wasserstein1Presorted.
 FAIRLAW_NODISCARD Result<double> KolmogorovSmirnovPresorted(
     std::span<const double> x_sorted, std::span<const double> y_sorted);
-
-/// KS statistic between two aligned histograms (same range and bin
-/// count): the max CDF gap at bin granularity.
-FAIRLAW_NODISCARD Result<double> KolmogorovSmirnovBinned(const Histogram& p,
-                                                         const Histogram& q);
 
 }  // namespace fairlaw::stats
 

@@ -30,36 +30,4 @@ double EmpiricalDistribution::Quantile(double q) const {
   return sorted_[lower] + fraction * (sorted_[upper] - sorted_[lower]);
 }
 
-Result<DiscreteDistribution> DiscreteDistribution::FromMasses(
-    std::span<const double> masses) {
-  if (masses.empty()) {
-    return Status::Invalid("DiscreteDistribution requires >= 1 category");
-  }
-  double total = 0.0;
-  for (double m : masses) {
-    if (m < 0.0) {
-      return Status::Invalid("DiscreteDistribution: negative mass");
-    }
-    total += m;
-  }
-  if (total <= 0.0) {
-    return Status::Invalid("DiscreteDistribution: total mass is zero");
-  }
-  std::vector<double> probs(masses.size());
-  for (size_t i = 0; i < masses.size(); ++i) probs[i] = masses[i] / total;
-  return DiscreteDistribution(std::move(probs));
-}
-
-Result<DiscreteDistribution> DiscreteDistribution::FromCounts(
-    std::span<const int64_t> counts) {
-  std::vector<double> masses(counts.size());
-  for (size_t i = 0; i < counts.size(); ++i) {
-    if (counts[i] < 0) {
-      return Status::Invalid("DiscreteDistribution: negative count");
-    }
-    masses[i] = static_cast<double>(counts[i]);
-  }
-  return FromMasses(masses);
-}
-
 }  // namespace fairlaw::stats

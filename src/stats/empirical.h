@@ -38,29 +38,6 @@ class EmpiricalDistribution {
   std::vector<double> sorted_;
 };
 
-/// Discrete probability distribution over categories 0..k-1.
-class DiscreteDistribution {
- public:
-  /// Builds from non-negative masses with a positive total; masses are
-  /// normalized to sum to 1.
-  FAIRLAW_NODISCARD static Result<DiscreteDistribution> FromMasses(
-      std::span<const double> masses);
-
-  /// Builds from integer counts.
-  FAIRLAW_NODISCARD static Result<DiscreteDistribution> FromCounts(
-      std::span<const int64_t> counts);
-
-  size_t size() const { return probs_.size(); }
-  double prob(size_t i) const { return probs_[i]; }
-  const std::vector<double>& probs() const { return probs_; }
-
- private:
-  explicit DiscreteDistribution(std::vector<double> probs)
-      : probs_(std::move(probs)) {}
-
-  std::vector<double> probs_;
-};
-
 }  // namespace fairlaw::stats
 
 #endif  // FAIRLAW_STATS_EMPIRICAL_H_

@@ -2,26 +2,12 @@
 
 #include <algorithm>
 
-#include "stats/descriptive.h"
-
 namespace fairlaw::stats {
 
 Result<Histogram> Histogram::Make(double lo, double hi, size_t bins) {
   if (!(lo < hi)) return Status::Invalid("Histogram: requires lo < hi");
   if (bins == 0) return Status::Invalid("Histogram: requires bins >= 1");
   return Histogram(lo, hi, bins);
-}
-
-Result<Histogram> Histogram::FromValues(std::span<const double> values,
-                                        size_t bins) {
-  FAIRLAW_ASSIGN_OR_RETURN(double lo, Min(values));
-  FAIRLAW_ASSIGN_OR_RETURN(double hi, Max(values));
-  if (lo == hi) {
-    return Status::Invalid("Histogram::FromValues: constant sample");
-  }
-  FAIRLAW_ASSIGN_OR_RETURN(Histogram hist, Make(lo, hi, bins));
-  hist.AddAll(values);
-  return hist;
 }
 
 size_t Histogram::BinIndex(double value) const {
@@ -55,11 +41,6 @@ std::vector<double> Histogram::Probabilities() const {
   return probs;
 }
 
-double Histogram::BinCenter(size_t i) const {
-  double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  return lo_ + (static_cast<double>(i) + 0.5) * width;
-}
-
 void CategoricalHistogram::Add(const std::string& category, double weight) {
   for (size_t i = 0; i < categories_.size(); ++i) {
     if (categories_[i] == category) {
@@ -89,16 +70,6 @@ std::vector<double> CategoricalHistogram::Probabilities() const {
   }
   for (size_t i = 0; i < counts_.size(); ++i) {
     probs[i] = counts_[i] / total_weight_;
-  }
-  return probs;
-}
-
-std::vector<double> CategoricalHistogram::ProbabilitiesFor(
-    const std::vector<std::string>& order) const {
-  std::vector<double> probs(order.size(), 0.0);
-  if (total_weight_ <= 0.0) return probs;
-  for (size_t i = 0; i < order.size(); ++i) {
-    probs[i] = count(order[i]) / total_weight_;
   }
   return probs;
 }

@@ -21,11 +21,6 @@ class Histogram {
   /// Creates an empty histogram. Requires lo < hi and bins >= 1.
   FAIRLAW_NODISCARD static Result<Histogram> Make(double lo, double hi, size_t bins);
 
-  /// Creates a histogram spanning the min/max of `values` and adds them.
-  /// Requires a non-empty, non-constant sample.
-  FAIRLAW_NODISCARD static Result<Histogram> FromValues(std::span<const double> values,
-                                      size_t bins);
-
   /// Adds one observation (clamped into range) with the given weight.
   void Add(double value, double weight = 1.0);
 
@@ -44,9 +39,6 @@ class Histogram {
   /// vector when the histogram is empty so that distance computations
   /// remain well defined.
   std::vector<double> Probabilities() const;
-
-  /// Midpoint of bin `i`.
-  double BinCenter(size_t i) const;
 
   /// Index of the bin receiving `value`.
   size_t BinIndex(double value) const;
@@ -77,11 +69,6 @@ class CategoricalHistogram {
 
   /// Probabilities aligned with categories(). Uniform when empty.
   std::vector<double> Probabilities() const;
-
-  /// Probabilities aligned with an externally supplied category order;
-  /// unseen categories get probability 0.
-  std::vector<double> ProbabilitiesFor(
-      const std::vector<std::string>& order) const;
 
  private:
   std::vector<std::string> categories_;

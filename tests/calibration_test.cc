@@ -53,16 +53,6 @@ TEST(EceTest, MiscalibratedIsLarge) {
               0.4, 0.03);
 }
 
-TEST(BrierScoreTest, KnownValues) {
-  std::vector<int> labels = {1, 0};
-  std::vector<double> perfect = {1.0, 0.0};
-  std::vector<double> worst = {0.0, 1.0};
-  std::vector<double> hedged = {0.5, 0.5};
-  EXPECT_DOUBLE_EQ(BrierScore(labels, perfect).ValueOrDie(), 0.0);
-  EXPECT_DOUBLE_EQ(BrierScore(labels, worst).ValueOrDie(), 1.0);
-  EXPECT_DOUBLE_EQ(BrierScore(labels, hedged).ValueOrDie(), 0.25);
-}
-
 TEST(CalibrationTest, Validation) {
   std::vector<int> labels = {0, 1};
   std::vector<double> out_of_range = {0.5, 1.5};
@@ -70,8 +60,6 @@ TEST(CalibrationTest, Validation) {
   EXPECT_FALSE(ExpectedCalibrationError(labels, out_of_range).ok());
   EXPECT_FALSE(ExpectedCalibrationError(labels, short_scores).ok());
   EXPECT_FALSE(ReliabilityDiagram(labels, std::vector<double>{0.5, 0.5}, 0).ok());
-  std::vector<int> bad_labels = {0, 3};
-  EXPECT_FALSE(BrierScore(bad_labels, std::vector<double>{0.5, 0.5}).ok());
 }
 
 }  // namespace

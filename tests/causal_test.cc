@@ -146,25 +146,5 @@ TEST(MechanismTest, Threshold) {
   EXPECT_DOUBLE_EQ(threshold(eq), 0.0);  // strict inequality
 }
 
-TEST(CounterfactualSampleTest, FlipsWholeDataset) {
-  Scm scm = MakeChain();
-  Rng rng(17);
-  ScmSample sample = scm.Sample(30, &rng).ValueOrDie();
-  ScmSample cf = CounterfactualSample(scm, sample, "a", 0.0).ValueOrDie();
-  const std::vector<double>& x = *sample.Values("x").ValueOrDie();
-  const std::vector<double>& cf_a = *cf.Values("a").ValueOrDie();
-  const std::vector<double>& cf_x = *cf.Values("x").ValueOrDie();
-  for (size_t i = 0; i < 30; ++i) {
-    EXPECT_DOUBLE_EQ(cf_a[i], 0.0);
-    EXPECT_NEAR(cf_x[i], x[i] - 2.0, 1e-12);
-  }
-  std::vector<double> outcome =
-      CounterfactualOutcome(scm, sample, "a", 0.0, "y").ValueOrDie();
-  const std::vector<double>& y = *sample.Values("y").ValueOrDie();
-  for (size_t i = 0; i < 30; ++i) {
-    EXPECT_NEAR(outcome[i], y[i] - 6.0, 1e-12);
-  }
-}
-
 }  // namespace
 }  // namespace fairlaw::causal

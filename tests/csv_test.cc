@@ -1,7 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <bit>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -169,7 +167,7 @@ TEST(CsvTest, FirstDefectInFileOrderWins) {
   EXPECT_EQ(ReadCsvString(text).status().ToString(), expected);
   const std::string path = WriteTempCsv("fairlaw_csv_first_defect.csv", text);
   EXPECT_EQ(ReadCsvFile(path).status().ToString(), expected);
-  EXPECT_EQ(CsvChunkReader::Make(path).status().ToString(), expected);
+  EXPECT_EQ(CsvChunkReader::Make(path, {}).status().ToString(), expected);
   std::remove(path.c_str());
 }
 
@@ -299,62 +297,6 @@ std::string GenerateCsv(uint64_t seed, char delim, bool header,
   return text;
 }
 
-/// Expects rows [offset, offset + actual.num_rows()) of `expected` to
-/// equal `actual`: same schema, validity, and value bytes; and each
-/// string column's dictionary to hold exactly the distinct non-null
-/// values of those rows in first-seen order.
-void ExpectRowsEqual(const Table& expected, size_t offset,
-                     const Table& actual, const std::string& label) {
-  ASSERT_EQ(expected.schema().fields(), actual.schema().fields()) << label;
-  ASSERT_LE(offset + actual.num_rows(), expected.num_rows()) << label;
-  for (size_t c = 0; c < actual.num_columns(); ++c) {
-    const Column& want = expected.column(c);
-    const Column& got = actual.column(c);
-    if (got.type() == DataType::kString) {
-      std::vector<std::string> first_seen;
-      for (size_t r = 0; r < actual.num_rows(); ++r) {
-        if (!want.IsValid(offset + r)) continue;
-        const std::string value = want.GetString(offset + r).ValueOrDie();
-        if (std::find(first_seen.begin(), first_seen.end(), value) ==
-            first_seen.end()) {
-          first_seen.push_back(value);
-        }
-      }
-      ASSERT_EQ(got.dictionary().keys(), first_seen)
-          << label << " column " << c << " dictionary";
-    }
-    for (size_t r = 0; r < actual.num_rows(); ++r) {
-      const std::string where = label + " column " + std::to_string(c) +
-                                " row " + std::to_string(offset + r);
-      ASSERT_EQ(want.IsValid(offset + r), got.IsValid(r)) << where;
-      if (!got.IsValid(r)) continue;
-      switch (got.type()) {
-        case DataType::kDouble:
-          ASSERT_EQ(std::bit_cast<uint64_t>(
-                        want.GetDouble(offset + r).ValueOrDie()),
-                    std::bit_cast<uint64_t>(got.GetDouble(r).ValueOrDie()))
-              << where;
-          break;
-        case DataType::kInt64:
-          ASSERT_EQ(want.GetInt64(offset + r).ValueOrDie(),
-                    got.GetInt64(r).ValueOrDie())
-              << where;
-          break;
-        case DataType::kString:
-          ASSERT_EQ(want.GetString(offset + r).ValueOrDie(),
-                    got.GetString(r).ValueOrDie())
-              << where;
-          break;
-        case DataType::kBool:
-          ASSERT_EQ(want.GetBool(offset + r).ValueOrDie(),
-                    got.GetBool(r).ValueOrDie())
-              << where;
-          break;
-      }
-    }
-  }
-}
-
 /// Streams `path` in `chunk_rows`-row chunks and expects them to tile the
 /// oracle's table.
 void ExpectChunksMatchOracle(const Table& oracle, const std::string& path,
@@ -376,7 +318,7 @@ void ExpectChunksMatchOracle(const Table& oracle, const std::string& path,
     if (chunk_rows > 0) {
       ASSERT_LE(table.num_rows(), chunk_rows) << label;
     }
-    ExpectRowsEqual(oracle, offset, table, label);
+    ASSERT_EQ(RowsDiffer(oracle, offset, table), "") << label;
     offset += table.num_rows();
   }
   EXPECT_EQ(offset, oracle.num_rows()) << label;
@@ -394,7 +336,7 @@ Status ExpectReadersMatchOracle(const std::string& text,
     EXPECT_EQ(whole.status().ToString(), oracle.status().ToString()) << label;
   } else if (whole.ok()) {
     EXPECT_EQ(whole->num_rows(), oracle->num_rows()) << label;
-    ExpectRowsEqual(*oracle, 0, *whole, label + " ReadCsvString");
+    EXPECT_EQ(RowsDiffer(*oracle, 0, *whole), "") << label << " ReadCsvString";
   } else {
     ADD_FAILURE() << label << ": " << whole.status().ToString();
   }

@@ -54,11 +54,17 @@ TEST(ColumnTest, TypedAppendAndGet) {
   EXPECT_FALSE(column.GetInt64(0).ok());  // type mismatch
 }
 
+Column BoolColumn(std::initializer_list<bool> values) {
+  Column column(DataType::kBool);
+  for (const bool value : values) column.AppendBool(value);
+  return column;
+}
+
 TEST(ColumnTest, Factories) {
   Column doubles = Column::FromDoubles({1.0, 2.0});
   Column ints = Column::FromInt64s({1, 2, 3});
   Column strings = Column::FromStrings({"x"});
-  Column bools = Column::FromBools({true, false});
+  Column bools = BoolColumn({true, false});
   EXPECT_EQ(doubles.size(), 2u);
   EXPECT_EQ(ints.size(), 3u);
   EXPECT_EQ(strings.GetString(0).ValueOrDie(), "x");
@@ -75,7 +81,7 @@ TEST(ColumnTest, DenseViewsRequireNoNulls) {
 TEST(ColumnTest, ToDoublesWidens) {
   EXPECT_EQ(Column::FromInt64s({3, 4}).ToDoubles().ValueOrDie(),
             (std::vector<double>{3.0, 4.0}));
-  EXPECT_EQ(Column::FromBools({true, false}).ToDoubles().ValueOrDie(),
+  EXPECT_EQ(BoolColumn({true, false}).ToDoubles().ValueOrDie(),
             (std::vector<double>{1.0, 0.0}));
   EXPECT_FALSE(Column::FromStrings({"x"}).ToDoubles().ok());
 }
@@ -139,7 +145,7 @@ TEST(ColumnTest, KeyExtractorMatchesRenderedValues) {
   strings.AppendNull();
   Column ints = Column::FromInt64s({7, -2, 7, 0});
   ints.AppendNull();
-  Column bools = Column::FromBools({1, 0, 0});
+  Column bools = BoolColumn({true, false, false});
   Column doubles = Column::FromDoubles({0.5, 1.0 / 3.0, 0.5});
   for (const Column* column : {&strings, &ints, &bools, &doubles}) {
     const ColumnKeys keys = ExtractKeys(*column);

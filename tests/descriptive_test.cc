@@ -25,20 +25,6 @@ TEST(DescriptiveTest, VarianceAndStdDev) {
   EXPECT_FALSE(Variance(std::vector<double>{1.0}).ok());
 }
 
-TEST(DescriptiveTest, WeightedMean) {
-  std::vector<double> values = {1.0, 3.0};
-  std::vector<double> weights = {1.0, 3.0};
-  EXPECT_DOUBLE_EQ(WeightedMean(values, weights).ValueOrDie(), 2.5);
-  EXPECT_FALSE(WeightedMean(values, std::vector<double>{1.0}).ok());
-  EXPECT_FALSE(WeightedMean(values, std::vector<double>{0.0, 0.0}).ok());
-  EXPECT_FALSE(WeightedMean(values, std::vector<double>{-1.0, 2.0}).ok());
-}
-
-TEST(DescriptiveTest, MinMax) {
-  EXPECT_DOUBLE_EQ(Min(kSample).ValueOrDie(), 2.0);
-  EXPECT_DOUBLE_EQ(Max(kSample).ValueOrDie(), 9.0);
-}
-
 TEST(DescriptiveTest, QuantileInterpolates) {
   std::vector<double> values = {1.0, 2.0, 3.0, 4.0};
   EXPECT_DOUBLE_EQ(Quantile(values, 0.0).ValueOrDie(), 1.0);
@@ -83,44 +69,6 @@ TEST(DescriptiveTest, QuantileUnsortedInput) {
 TEST(DescriptiveTest, Median) {
   EXPECT_DOUBLE_EQ(Median(kSample).ValueOrDie(), 4.5);
   EXPECT_DOUBLE_EQ(Median(std::vector<double>{3.0}).ValueOrDie(), 3.0);
-}
-
-TEST(DescriptiveTest, PearsonCorrelationPerfect) {
-  std::vector<double> x = {1.0, 2.0, 3.0, 4.0};
-  std::vector<double> y = {2.0, 4.0, 6.0, 8.0};
-  EXPECT_NEAR(PearsonCorrelation(x, y).ValueOrDie(), 1.0, 1e-12);
-  std::vector<double> neg = {8.0, 6.0, 4.0, 2.0};
-  EXPECT_NEAR(PearsonCorrelation(x, neg).ValueOrDie(), -1.0, 1e-12);
-}
-
-TEST(DescriptiveTest, PearsonCorrelationZeroVarianceFails) {
-  std::vector<double> x = {1.0, 1.0, 1.0};
-  std::vector<double> y = {1.0, 2.0, 3.0};
-  EXPECT_FALSE(PearsonCorrelation(x, y).ok());
-}
-
-TEST(DescriptiveTest, PointBiserial) {
-  std::vector<uint8_t> indicator = {0, 0, 1, 1};
-  std::vector<double> values = {1.0, 2.0, 5.0, 6.0};
-  double r = PointBiserialCorrelation(indicator, values).ValueOrDie();
-  EXPECT_GT(r, 0.9);
-}
-
-TEST(DescriptiveTest, Covariance) {
-  std::vector<double> x = {1.0, 2.0, 3.0};
-  std::vector<double> y = {2.0, 4.0, 6.0};
-  EXPECT_DOUBLE_EQ(Covariance(x, y).ValueOrDie(), 2.0);
-}
-
-TEST(DescriptiveTest, Summarize) {
-  Summary summary = Summarize(kSample).ValueOrDie();
-  EXPECT_EQ(summary.count, 8u);
-  EXPECT_DOUBLE_EQ(summary.mean, 5.0);
-  EXPECT_DOUBLE_EQ(summary.min, 2.0);
-  EXPECT_DOUBLE_EQ(summary.max, 9.0);
-  EXPECT_DOUBLE_EQ(summary.median, 4.5);
-  EXPECT_LE(summary.q25, summary.median);
-  EXPECT_LE(summary.median, summary.q75);
 }
 
 }  // namespace

@@ -1,0 +1,125 @@
+// Fuzz harness over the CSV readers. Each input is one CSV file's bytes,
+// read with the default options. ReadCsvString must give the oracle's
+// table (RowsDiffer in tests/support/csv_oracle.h: same schema,
+// validity, cell values with doubles compared bitwise, and string
+// dictionaries) or fail with the oracle's first-defect error text. A
+// CsvChunkReader streaming the same bytes from a temp file at 1-row and
+// at 3-row chunks must tile that table row for row, or report the same
+// error first.
+//
+// Built with -fsanitize=fuzzer this is a libFuzzer target. Linked with
+// replay_main.cc it is the replay driver csv_fuzz_replay instead.
+#include <unistd.h>
+
+#include <cstddef>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <optional>
+#include <string>
+
+#include "data/csv.h"
+#include "data/table.h"
+#include "support/csv_oracle.h"
+
+namespace {
+
+namespace data = fairlaw::data;
+
+[[noreturn]] void Fail(const std::string& text, const std::string& what) {
+  std::fprintf(stderr, "csv_fuzz: %s\n  input (%zu bytes): %.200s\n",
+               what.c_str(), text.size(), text.c_str());
+  std::abort();
+}
+
+/// Streams `path` at `chunk_rows` and checks it against the oracle's
+/// result.
+void CheckChunks(const std::string& text, const std::string& path,
+                 const fairlaw::Result<data::Table>& oracle,
+                 size_t chunk_rows) {
+  const std::string label = "chunk_rows=" + std::to_string(chunk_rows) + ": ";
+  data::CsvChunkReader::Options options;
+  options.chunk_rows = chunk_rows;
+  fairlaw::Result<data::CsvChunkReader> reader =
+      data::CsvChunkReader::Make(path, options);
+  if (!reader.ok() || !oracle.ok()) {
+    const std::string got = reader.status().ToString();
+    if (got != oracle.status().ToString()) {
+      Fail(text, label + "Make says '" + got + "', the oracle '" +
+                     oracle.status().ToString() + "'");
+    }
+    if (!reader.ok()) return;
+  }
+  size_t offset = 0;
+  for (;;) {
+    fairlaw::Result<std::optional<data::Table>> chunk = reader->Next();
+    if (!chunk.ok()) {
+      // Only a defect the oracle also reports may stop the stream.
+      if (oracle.ok() ||
+          chunk.status().ToString() != oracle.status().ToString()) {
+        Fail(text, label + "Next failed: " + chunk.status().ToString());
+      }
+      return;
+    }
+    if (!chunk->has_value()) break;
+    if (!oracle.ok()) {
+      continue;  // the defect must still surface later in the stream
+    }
+    const data::Table& table = **chunk;
+    if (table.num_rows() == 0 || table.num_rows() > chunk_rows) {
+      Fail(text, label + "a chunk of " + std::to_string(table.num_rows()) +
+                     " rows");
+    }
+    const std::string difference = data::RowsDiffer(*oracle, offset, table);
+    if (!difference.empty()) Fail(text, label + difference);
+    offset += table.num_rows();
+  }
+  if (!oracle.ok()) {
+    Fail(text, label + "the stream ended without the oracle's error '" +
+                   oracle.status().ToString() + "'");
+  }
+  if (offset != oracle->num_rows()) {
+    Fail(text, label + "streamed " + std::to_string(offset) +
+                   " rows, the oracle read " +
+                   std::to_string(oracle->num_rows()));
+  }
+}
+
+}  // namespace
+
+extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
+  const std::string text(reinterpret_cast<const char*>(data), size);
+  const fairlaw::Result<data::Table> oracle = data::ReadCsvOracle(text);
+  const fairlaw::Result<data::Table> whole = data::ReadCsvString(text);
+  if (whole.ok() != oracle.ok() ||
+      whole.status().ToString() != oracle.status().ToString()) {
+    Fail(text, "ReadCsvString says '" + whole.status().ToString() +
+                   "', the oracle '" + oracle.status().ToString() + "'");
+  }
+  if (whole.ok()) {
+    if (whole->num_rows() != oracle->num_rows()) {
+      Fail(text, "ReadCsvString read " + std::to_string(whole->num_rows()) +
+                     " rows, the oracle " +
+                     std::to_string(oracle->num_rows()));
+    }
+    const std::string difference = data::RowsDiffer(*oracle, 0, *whole);
+    if (!difference.empty()) Fail(text, "ReadCsvString: " + difference);
+  }
+
+  // One file per process, rewritten for each input.
+  static const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("fairlaw_csv_fuzz." + std::to_string(::getpid()) + ".csv"))
+          .string();
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(text.data(), static_cast<std::streamsize>(text.size()));
+    if (!out.good()) Fail(text, "cannot write " + path);
+  }
+  CheckChunks(text, path, oracle, 1);
+  CheckChunks(text, path, oracle, 3);
+  std::remove(path.c_str());
+  return 0;
+}

@@ -4,12 +4,12 @@
 // path (JsonValue::Parse + ParseRequest): every line it accepts reads
 // as the same events there, and a Service answering the line through
 // the decoder answers it as one fed the same request through the tree.
+// Each input runs against two window configurations: 10-wide buckets,
+// and 1-wide buckets, where an event time is its own bucket index and
+// t = INT64_MAX reaches the last bucket there is.
 //
-// Built with -fsanitize=fuzzer this is a libFuzzer target. Built with
-// FAIRLAW_FUZZ_REPLAY_MAIN it is a replay driver instead:
-//   serve_line_fuzz_replay FILE_OR_DIR...
-// runs every file (a directory's files in name order) as one input and
-// aborts at the first disagreement, as the fuzzer would.
+// Built with -fsanitize=fuzzer this is a libFuzzer target. Linked with
+// replay_main.cc it is the replay driver serve_line_fuzz_replay instead.
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
@@ -26,9 +26,9 @@ namespace {
 
 namespace serve = fairlaw::serve;
 
-serve::ServeConfig FuzzConfig() {
+serve::ServeConfig FuzzConfig(int64_t bucket_width) {
   serve::ServeConfig config;
-  config.bucket_width = 10;
+  config.bucket_width = bucket_width;
   config.num_buckets = 4;
   config.sketch_k = 8;
   return config;
@@ -40,21 +40,15 @@ serve::ServeConfig FuzzConfig() {
   std::abort();
 }
 
-}  // namespace
-
-extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
-  const std::string_view line(reinterpret_cast<const char*>(data), size);
-  const std::string disagreement = serve::DecoderDisagreement(line);
-  if (!disagreement.empty()) Fail(line, disagreement);
-
-  serve::Service decoded(FuzzConfig());
+void CheckService(std::string_view line, int64_t bucket_width) {
+  serve::Service decoded(FuzzConfig(bucket_width));
   std::vector<serve::Event> events;
   if (!serve::DecodeIngestLine(line, &events)) {
     // The tree path answers: the daemon's one path before the decoder.
     decoded.HandleLine(line);
-    return 0;
+    return;
   }
-  serve::Service tree(FuzzConfig());
+  serve::Service tree(FuzzConfig(bucket_width));
   if (decoded.HandleLine(line) != tree.HandleLine(serve::WithTreeOnlyKey(line))) {
     Fail(line, "the decoder's response differs from the tree path's");
   }
@@ -62,51 +56,15 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   if (decoded.HandleLine(query) != tree.HandleLine(query)) {
     Fail(line, "the window after the decoder differs from the tree path's");
   }
-  return 0;
 }
 
-#ifdef FAIRLAW_FUZZ_REPLAY_MAIN
+}  // namespace
 
-#include <algorithm>
-#include <filesystem>
-#include <fstream>
-#include <iterator>
-
-int main(int argc, char** argv) {
-  namespace fs = std::filesystem;
-  std::vector<fs::path> inputs;
-  for (int i = 1; i < argc; ++i) {
-    const fs::path path = argv[i];
-    if (!fs::is_directory(path)) {
-      inputs.push_back(path);
-      continue;
-    }
-    std::vector<fs::path> files;
-    for (const fs::directory_entry& entry : fs::directory_iterator(path)) {
-      if (entry.is_regular_file()) files.push_back(entry.path());
-    }
-    std::sort(files.begin(), files.end());
-    inputs.insert(inputs.end(), files.begin(), files.end());
-  }
-  if (inputs.empty()) {
-    std::fprintf(stderr, "usage: serve_line_fuzz_replay FILE_OR_DIR...\n");
-    return 2;
-  }
-  for (const fs::path& input : inputs) {
-    std::ifstream in(input, std::ios::binary);
-    const std::string bytes((std::istreambuf_iterator<char>(in)),
-                            std::istreambuf_iterator<char>());
-    if (!in.good() && !in.eof()) {
-      std::fprintf(stderr, "serve_line_fuzz_replay: cannot read %s\n",
-                   input.c_str());
-      return 1;
-    }
-    LLVMFuzzerTestOneInput(reinterpret_cast<const uint8_t*>(bytes.data()),
-                           bytes.size());
-  }
-  std::fprintf(stderr, "serve_line_fuzz_replay: %zu inputs agree\n",
-               inputs.size());
+extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
+  const std::string_view line(reinterpret_cast<const char*>(data), size);
+  const std::string disagreement = serve::DecoderDisagreement(line);
+  if (!disagreement.empty()) Fail(line, disagreement);
+  CheckService(line, 10);
+  CheckService(line, 1);
   return 0;
 }
-
-#endif  // FAIRLAW_FUZZ_REPLAY_MAIN

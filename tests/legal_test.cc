@@ -81,29 +81,10 @@ TEST(JurisdictionTest, RegistryCoversThePaperStatutes) {
   EXPECT_FALSE(
       StatutesProtecting("genetic_information", Jurisdiction::kUs).empty());
   // Sexual orientation is protected in the EU Charter / 2000/78.
-  EXPECT_TRUE(IsProtectedAttribute("sexual_orientation", Jurisdiction::kEu));
+  EXPECT_FALSE(
+      StatutesProtecting("sexual_orientation", Jurisdiction::kEu).empty());
   // Fantasy attribute is not protected.
-  EXPECT_FALSE(IsProtectedAttribute("favorite_color", Jurisdiction::kUs));
-}
-
-TEST(JurisdictionTest, SectorLookupIncludesGeneralInstruments) {
-  auto credit = StatutesForSector("credit", Jurisdiction::kUs);
-  bool ecoa = false;
-  for (const Statute* statute : credit) {
-    if (statute->name.find("ECOA") != std::string::npos) ecoa = true;
-  }
-  EXPECT_TRUE(ecoa);
-  // EU "general" instruments apply to any sector query.
-  auto eu_housing = StatutesForSector("housing", Jurisdiction::kEu);
-  EXPECT_FALSE(eu_housing.empty());
-}
-
-TEST(JurisdictionTest, ProtectedAttributeUnionSortedAndDeduped) {
-  auto attributes = ProtectedAttributesOf(Jurisdiction::kUs);
-  EXPECT_FALSE(attributes.empty());
-  for (size_t i = 1; i < attributes.size(); ++i) {
-    EXPECT_LT(attributes[i - 1], attributes[i]);
-  }
+  EXPECT_TRUE(StatutesProtecting("favorite_color", Jurisdiction::kUs).empty());
 }
 
 metrics::MetricInput Outcomes(int a_selected, int a_total, int b_selected,

@@ -40,42 +40,6 @@ TEST(ConfusionMatrixTest, Validation) {
   EXPECT_FALSE(MakeConfusionMatrix({}, {}).ok());
 }
 
-TEST(AucTest, PerfectAndInvertedRankings) {
-  std::vector<int> labels = {0, 0, 1, 1};
-  std::vector<double> ascending = {0.1, 0.2, 0.8, 0.9};
-  EXPECT_DOUBLE_EQ(AucRoc(labels, ascending).ValueOrDie(), 1.0);
-  std::vector<double> inverted = {0.9, 0.8, 0.2, 0.1};
-  EXPECT_DOUBLE_EQ(AucRoc(labels, inverted).ValueOrDie(), 0.0);
-}
-
-TEST(AucTest, RandomScoresNearHalf) {
-  std::vector<int> labels;
-  std::vector<double> scores;
-  // Deterministic interleaving: equal mass of positives/negatives at the
-  // same score values -> AUC exactly 0.5 under the tie convention.
-  for (int i = 0; i < 50; ++i) {
-    labels.push_back(1);
-    scores.push_back(static_cast<double>(i));
-    labels.push_back(0);
-    scores.push_back(static_cast<double>(i));
-  }
-  EXPECT_NEAR(AucRoc(labels, scores).ValueOrDie(), 0.5, 1e-12);
-}
-
-TEST(AucTest, TiesGetMidrank) {
-  std::vector<int> labels = {0, 1, 0, 1};
-  std::vector<double> scores = {0.5, 0.5, 0.2, 0.9};
-  // Hand computation: pairs (neg,pos): (0.5 vs 0.5)=0.5, (0.5 vs 0.9)=1,
-  // (0.2 vs 0.5)=1, (0.2 vs 0.9)=1 -> AUC = 3.5/4.
-  EXPECT_NEAR(AucRoc(labels, scores).ValueOrDie(), 3.5 / 4.0, 1e-12);
-}
-
-TEST(AucTest, RequiresBothClasses) {
-  std::vector<int> labels = {1, 1};
-  std::vector<double> scores = {0.5, 0.6};
-  EXPECT_FALSE(AucRoc(labels, scores).ok());
-}
-
 TEST(AccuracyTest, Matches) {
   std::vector<int> labels = {1, 0, 1};
   std::vector<int> preds = {1, 1, 1};

@@ -165,27 +165,5 @@ TEST(RepresentationTest, NonFiniteReferenceSharesRejected) {
   }
 }
 
-TEST(RequiredDatasetSizeTest, NonFiniteSharesRejected) {
-  for (const double share : kNonFinite) {
-    SCOPED_TRACE(share);
-    Result<size_t> size = RequiredDatasetSize({{"a", share}, {"b", 0.5}}, 30);
-    ASSERT_FALSE(size.ok());
-    EXPECT_TRUE(size.status().IsInvalid());
-    EXPECT_EQ(size.status().message(),
-              "RequiredDatasetSize: non-finite share");
-  }
-}
-
-TEST(RequiredDatasetSizeTest, DrivenBySmallestGroup) {
-  // Smallest share 10%: need 10x the per-group minimum.
-  EXPECT_EQ(RequiredDatasetSize({{"a", 0.9}, {"b", 0.1}}, 30).ValueOrDie(),
-            300u);
-  EXPECT_EQ(RequiredDatasetSize({{"a", 0.5}, {"b", 0.5}}, 30).ValueOrDie(),
-            60u);
-  EXPECT_FALSE(RequiredDatasetSize({}, 30).ok());
-  EXPECT_FALSE(RequiredDatasetSize({{"a", 1.0}}, 0).ok());
-  EXPECT_FALSE(RequiredDatasetSize({{"a", 0.0}, {"b", 0.0}}, 10).ok());
-}
-
 }  // namespace
 }  // namespace fairlaw::audit

@@ -446,6 +446,49 @@ TEST(ServeServiceTest, IngestAckCountsRejections) {
   EXPECT_NE(ack.find("\"watermark\":9"), std::string::npos);
 }
 
+// With bucket width 1 an event at INT64_MAX lands in bucket INT64_MAX: the
+// window's bucket walks must stop there rather than step past it.
+TEST(ServeServiceTest, EventInTheLastInt64BucketIsServed) {
+  ServeConfig config;
+  config.bucket_width = 1;
+  config.num_buckets = 4;
+  Service service(config);
+
+  const std::string ack = service.HandleLine(
+      R"({"op":"ingest","events":[{"t":9223372036854775807,"group":"a",)"
+      R"("pred":1,"label":1,"score":0.5}]})");
+  EXPECT_NE(ack.find("\"accepted\":1"), std::string::npos) << ack;
+  EXPECT_NE(ack.find("\"watermark\":9223372036854775807"), std::string::npos);
+  const std::string one_group =
+      service.HandleLine(R"({"op":"query","type":"audit"})");
+  EXPECT_NE(one_group.find("\"op\":\"query\""), std::string::npos)
+      << one_group;
+  EXPECT_NE(one_group.find("\"start_bucket\":9223372036854775804,"
+                           "\"watermark\":9223372036854775807,"
+                           "\"events\":1"),
+            std::string::npos)
+      << one_group;
+
+  // A second group in the buckets just below: three live buckets, and
+  // every group has both labels and both predictions, so the audit runs.
+  ASSERT_NE(service
+                .HandleLine(R"({"op":"ingest","events":[)"
+                            R"({"t":9223372036854775806,"group":"a",)"
+                            R"("pred":0,"label":0,"score":0.5},)"
+                            R"({"t":9223372036854775806,"group":"b",)"
+                            R"("pred":0,"label":1,"score":0.25},)"
+                            R"({"t":9223372036854775805,"group":"b",)"
+                            R"("pred":1,"label":0,"score":0.75}]})")
+                .find("\"accepted\":3"),
+            std::string::npos);
+  EXPECT_EQ(service.ring().num_live_buckets(), 3u);
+  const std::string audit =
+      service.HandleLine(R"({"op":"query","type":"audit"})");
+  EXPECT_NE(audit.find("\"op\":\"query\""), std::string::npos) << audit;
+  EXPECT_NE(audit.find("\"events\":4"), std::string::npos) << audit;
+  EXPECT_EQ(audit.find("\"error\""), std::string::npos) << audit;
+}
+
 // ---------------------------------------------------------------------------
 // The ingest decoder (DecodeIngestLine) against its oracle, the tree path
 // JsonValue::Parse + ParseRequest.

@@ -1,5 +1,8 @@
 #include "support/csv_oracle.h"
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <istream>
 #include <optional>
 #include <sstream>
@@ -217,6 +220,66 @@ Result<Table> ReadCsvOracle(const std::string& text,
     }
   }
   return Table::Make(std::move(schema), std::move(columns));
+}
+
+namespace {
+
+bool SameCell(const Column& want, size_t want_row, const Column& got,
+              size_t got_row) {
+  switch (got.type()) {
+    case DataType::kDouble:
+      return std::bit_cast<uint64_t>(want.GetDouble(want_row).ValueOrDie()) ==
+             std::bit_cast<uint64_t>(got.GetDouble(got_row).ValueOrDie());
+    case DataType::kInt64:
+      return want.GetInt64(want_row).ValueOrDie() ==
+             got.GetInt64(got_row).ValueOrDie();
+    case DataType::kString:
+      return want.GetString(want_row).ValueOrDie() ==
+             got.GetString(got_row).ValueOrDie();
+    case DataType::kBool:
+      return want.GetBool(want_row).ValueOrDie() ==
+             got.GetBool(got_row).ValueOrDie();
+  }
+  return false;
+}
+
+}  // namespace
+
+std::string RowsDiffer(const Table& want, size_t offset, const Table& got) {
+  if (!(want.schema() == got.schema())) {
+    return "schema " + got.schema().ToString() + " vs the oracle's " +
+           want.schema().ToString();
+  }
+  if (offset + got.num_rows() > want.num_rows()) {
+    return "more rows than the oracle's " + std::to_string(want.num_rows());
+  }
+  for (size_t c = 0; c < got.num_columns(); ++c) {
+    const Column& expected = want.column(c);
+    const Column& actual = got.column(c);
+    std::vector<std::string> first_seen;
+    for (size_t r = 0; r < got.num_rows(); ++r) {
+      const bool valid = expected.IsValid(offset + r);
+      if (valid != actual.IsValid(r) ||
+          (valid && !SameCell(expected, offset + r, actual, r))) {
+        return "column " + std::to_string(c) + " row " +
+               std::to_string(offset + r) + ": " + actual.ValueToString(r) +
+               " vs the oracle's " + expected.ValueToString(offset + r);
+      }
+      if (valid && actual.type() == DataType::kString) {
+        const std::string value = actual.GetString(r).ValueOrDie();
+        if (std::find(first_seen.begin(), first_seen.end(), value) ==
+            first_seen.end()) {
+          first_seen.push_back(value);
+        }
+      }
+    }
+    if (actual.type() == DataType::kString &&
+        actual.dictionary().keys() != first_seen) {
+      return "column " + std::to_string(c) +
+             ": the dictionary is not the rows' first-seen values";
+    }
+  }
+  return "";
 }
 
 }  // namespace fairlaw::data

@@ -1,6 +1,7 @@
 #ifndef FAIRLAW_TESTS_SUPPORT_CSV_ORACLE_H_
 #define FAIRLAW_TESTS_SUPPORT_CSV_ORACLE_H_
 
+#include <cstddef>
 #include <string>
 
 #include "base/result.h"
@@ -17,6 +18,13 @@ namespace fairlaw::data {
 /// validity and first-defect error text.
 FAIRLAW_NODISCARD Result<Table> ReadCsvOracle(const std::string& text,
                                               const CsvOptions& options = {});
+
+/// Empty when `got` equals rows [offset, offset + got.num_rows()) of
+/// `want`: same schema, validity and values (doubles bitwise), and each
+/// string column's dictionary holding exactly the distinct non-null
+/// values of those rows in first-seen order. Otherwise says where they
+/// first differ.
+std::string RowsDiffer(const Table& want, size_t offset, const Table& got);
 
 }  // namespace fairlaw::data
 

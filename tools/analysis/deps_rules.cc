@@ -35,6 +35,15 @@
 //                       reached x.h also reaches its x.cc); code only
 //                       its own tests call. Silent in a tree with no
 //                       such root files.
+//   unreached-function  a free or static member function declared in a
+//                       src/ header whose name no file under tools/,
+//                       bench/, or examples/, no other src/ file, and
+//                       nothing in its own x.h/x.cc but its declarations
+//                       and definitions spells as an identifier. Names
+//                       are matched as tokens, so all overloads count as
+//                       one name and any same-named symbol counts as a
+//                       use: the rule can miss dead code but never flags
+//                       live code. Silent in a tree with no root files.
 #include <algorithm>
 #include <cctype>
 #include <map>
@@ -512,6 +521,211 @@ void CheckUnreachedModules(const Rule& self, const RuleInput& in,
   }
 }
 
+enum class ScopeKind { kNamespace, kClass, kBody };
+
+/// One `name(` that declares or defines a function at namespace or
+/// class scope.
+struct Declarator {
+  size_t token = 0;         // index of the name token
+  bool reportable = false;  // a free function or a static member
+  std::string qualified;    // e.g. "stats::JensenShannon"
+};
+
+/// Identifiers that can stand before a call but never before a
+/// declarator's name.
+bool IsExpressionKeyword(std::string_view word) {
+  constexpr std::string_view kWords[] = {
+      "return", "case",  "new",      "delete",    "throw",    "else",
+      "do",     "goto",  "sizeof",   "alignof",   "decltype", "noexcept",
+      "if",     "while", "for",      "switch",    "catch",    "typeid",
+      "define", "defined", "co_return", "co_await", "co_yield",
+  };
+  return std::ranges::find(kWords, word) != std::end(kWords);
+}
+
+bool IsMacroName(std::string_view name) {
+  return std::none_of(name.begin(), name.end(), [](char c) {
+    return std::islower(static_cast<unsigned char>(c)) != 0;
+  });
+}
+
+/// Every `name(` at namespace or class scope, outside parentheses and
+/// initializers, whose name (after any `A::B::` qualifier) follows a
+/// type: a declaration or definition rather than a call. Lexical like
+/// the signature index: a class head the scan cannot read makes its
+/// body a function body, which only hides its statics from the rule.
+std::vector<Declarator> FindDeclarators(std::span<const Token> tokens) {
+  struct Scope {
+    ScopeKind kind;
+    std::string name;
+    int parens = 0;
+    bool saw_static = false;  // in the current declaration
+    bool saw_equals = false;  // in the current declaration, at depth 0
+  };
+  std::vector<Scope> scopes = {{ScopeKind::kNamespace, "", 0}};
+  ScopeKind pending = ScopeKind::kBody;
+  std::string pending_name;
+  size_t directive_line = 0;
+  std::vector<Declarator> out;
+  for (size_t i = 0; i < tokens.size(); ++i) {
+    const Token& token = tokens[i];
+    if (token.IsPunct("#") && (i == 0 || tokens[i - 1].line != token.line)) {
+      directive_line = token.line;
+    }
+    if (token.line == directive_line) continue;
+    Scope& scope = scopes.back();
+    if (token.IsPunct("{")) {
+      // Whatever a function body nests is local, never API.
+      const ScopeKind kind =
+          scope.kind == ScopeKind::kBody ? ScopeKind::kBody : pending;
+      scopes.push_back({kind, pending_name, 0});
+      pending = ScopeKind::kBody;
+      pending_name.clear();
+      continue;
+    }
+    if (token.IsPunct("}") || token.IsPunct(";")) {
+      if (token.IsPunct("}") && scopes.size() > 1) scopes.pop_back();
+      scopes.back().saw_static = scopes.back().saw_equals = false;
+      pending = ScopeKind::kBody;
+      pending_name.clear();
+      continue;
+    }
+    if (token.IsPunct("(") || token.IsPunct("[")) ++scope.parens;
+    if (token.IsPunct(")") || token.IsPunct("]")) --scope.parens;
+    if (scope.kind == ScopeKind::kBody || scope.parens != 0) continue;
+    if (token.IsPunct("=")) scope.saw_equals = true;
+    if (token.IsPunct(":") && i > 0 &&
+        (tokens[i - 1].IsIdent("public") || tokens[i - 1].IsIdent("private") ||
+         tokens[i - 1].IsIdent("protected"))) {
+      scope.saw_static = scope.saw_equals = false;
+    }
+    if (token.kind != TokenKind::kIdentifier) continue;
+    if (token.IsIdent("static")) scope.saw_static = true;
+    if (token.IsIdent("namespace")) {
+      size_t j = i + 1;
+      std::string name;
+      while (j < tokens.size() && (tokens[j].kind == TokenKind::kIdentifier ||
+                                   tokens[j].IsPunct("::"))) {
+        name += tokens[j++].text;
+      }
+      if (j < tokens.size() && tokens[j].IsPunct("{")) {
+        pending = ScopeKind::kNamespace;
+        pending_name = name;
+        i = j - 1;
+      }
+      continue;
+    }
+    if ((token.IsIdent("class") || token.IsIdent("struct") ||
+         token.IsIdent("union")) &&
+        !(i > 0 && tokens[i - 1].IsIdent("enum")) && i + 1 < tokens.size() &&
+        tokens[i + 1].kind == TokenKind::kIdentifier) {
+      // A definition reaches '{' before anything that ends a forward
+      // declaration or a template parameter.
+      for (size_t j = i + 2; j < tokens.size(); ++j) {
+        if (tokens[j].IsPunct("{")) {
+          pending = ScopeKind::kClass;
+          pending_name = tokens[i + 1].text;
+          break;
+        }
+        if (tokens[j].IsPunct(";") || tokens[j].IsPunct("=") ||
+            tokens[j].IsPunct(",") || tokens[j].IsPunct(")") ||
+            tokens[j].IsPunct(">") || tokens[j].IsPunct("(")) {
+          break;
+        }
+      }
+      continue;
+    }
+    if (scope.saw_equals || i + 1 >= tokens.size() ||
+        !tokens[i + 1].IsPunct("(") || token.IsIdent("operator") ||
+        IsMacroName(token.text) || IsExpressionKeyword(token.text)) {
+      continue;
+    }
+    size_t before = i;  // skip an `A::B::` qualifier
+    while (before >= 2 && tokens[before - 1].IsPunct("::") &&
+           tokens[before - 2].kind == TokenKind::kIdentifier) {
+      before -= 2;
+    }
+    if (before == 0) continue;
+    const Token& prev = tokens[before - 1];
+    const bool after_type =
+        (prev.kind == TokenKind::kIdentifier &&
+         !IsExpressionKeyword(prev.text)) ||
+        prev.IsPunct(">") || prev.IsPunct(">>") || prev.IsPunct("*") ||
+        prev.IsPunct("&") || prev.IsPunct("&&");
+    if (!after_type) continue;
+    Declarator decl;
+    decl.token = i;
+    decl.reportable = before == i && (scope.kind == ScopeKind::kNamespace ||
+                                      scope.saw_static);
+    for (const Scope& s : scopes) {
+      if (!s.name.empty()) decl.qualified += s.name + "::";
+    }
+    decl.qualified += token.text;
+    if (decl.qualified.starts_with("fairlaw::")) decl.qualified.erase(0, 9);
+    out.push_back(std::move(decl));
+  }
+  return out;
+}
+
+/// True when `file` spells `name` anywhere but at `declarators`.
+bool UsedBeyond(const SourceFile& file,
+                const std::vector<Declarator>& declarators,
+                std::string_view name) {
+  if (!HasIdent(file.idents, name)) return false;
+  const std::span<const Token> tokens = file.tokens();
+  size_t next = 0;  // declarators are in token order
+  for (size_t i = 0; i < tokens.size(); ++i) {
+    while (next < declarators.size() && declarators[next].token < i) ++next;
+    if (next < declarators.size() && declarators[next].token == i) continue;
+    if (tokens[i].IsIdent(name)) return true;
+  }
+  return false;
+}
+
+void CheckUnreachedFunctions(const Rule& self, const RuleInput& in,
+                             Reporter& out) {
+  const std::vector<SourceFile>& files = in.tree.files;
+  const auto is_root = [](const SourceFile& file) {
+    return file.Under("tools/") || file.Under("bench/") ||
+           file.Under("examples/");
+  };
+  if (std::ranges::none_of(files, is_root)) return;
+  const IncludeGraph& graph = in.tree.graph;
+  for (const SourceFile& header : files) {
+    if (!header.Under("src/") || !header.IsHeader()) continue;
+    const auto source_it =
+        graph.files.find(header.rel.substr(0, header.rel.size() - 2) + ".cc");
+    const SourceFile* source =
+        source_it == graph.files.end() ? nullptr : source_it->second.file;
+    const std::vector<Declarator> header_decls =
+        FindDeclarators(header.tokens());
+    const std::vector<Declarator> source_decls =
+        source == nullptr ? std::vector<Declarator>()
+                          : FindDeclarators(source->tokens());
+    std::set<std::string_view> seen;
+    for (const Declarator& decl : header_decls) {
+      const std::string_view name = header.tokens()[decl.token].text;
+      if (!decl.reportable || !seen.insert(name).second) continue;
+      const bool used =
+          std::ranges::any_of(files,
+                              [&](const SourceFile& file) {
+                                return (file.Under("src/") || is_root(file)) &&
+                                       &file != &header && &file != source &&
+                                       HasIdent(file.idents, name);
+                              }) ||
+          UsedBeyond(header, header_decls, name) ||
+          (source != nullptr && UsedBeyond(*source, source_decls, name));
+      if (used) continue;
+      out.Report(self, header, header.tokens()[decl.token].line,
+                 "no file under tools/, bench/ or examples/, no other src/ "
+                 "file, and nothing in its own module beyond its "
+                 "declarations names '" + decl.qualified +
+                     "'; wire it into one of them or delete it with its "
+                     "tests");
+    }
+  }
+}
+
 std::map<std::string, int> FileCounts(const IncludeGraph& graph) {
   std::map<std::string, int> counts;
   for (const auto& [rel, deps] : graph.files) counts[deps.module] += 1;
@@ -532,6 +746,8 @@ constexpr Rule kDepsRules[] = {
      CheckTransitiveUse},
     {"unreached-module", "deps", RuleKind::kIncludeGraph, nullptr,
      CheckUnreachedModules},
+    {"unreached-function", "deps", RuleKind::kIncludeGraph, nullptr,
+     CheckUnreachedFunctions},
 };
 
 }  // namespace

@@ -21,7 +21,8 @@
 //              nodiscard-missing, dcheck-side-effect
 //              (tools/analysis/flow_rules.cc)
 //   deps       unknown-module, layering, include-cycle, module-cycle,
-//              unused-include, transitive-include, unreached-module
+//              unused-include, transitive-include, unreached-module,
+//              unreached-function
 //              (tools/analysis/deps_rules.cc)
 //
 // --rules= takes rule and family names (default: all). Findings print
