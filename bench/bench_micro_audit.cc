@@ -117,7 +117,7 @@ struct HarnessConfig {
 };
 
 /// Peak-RSS growth allowed between the --rows and --big-rows streaming
-/// audits. The streaming window holds a bounded number of 64k-row chunks
+/// audits. The streaming window holds a bounded number of 16k-row chunks
 /// regardless of file size, so the honest slack is allocator noise plus
 /// OS page-cache accounting — not a function of the 10x row growth.
 constexpr double kFlatMemorySlackMb = 200.0;
@@ -171,7 +171,7 @@ int RunHarness(const HarnessConfig& config) {
   const bool flat_memory_ok = rss_growth_mb < kFlatMemorySlackMb;
 
   // Throughput and thread scaling: best-of-reps streaming audits of the
-  // small file in 64k-row chunks, serial vs --threads workers, timed
+  // small file in 16k-row chunks, serial vs --threads workers, timed
   // interleaved so both legs of the ratio see the same machine load.
   // The serial leg also gives rows/sec. On a single-core host the honest
   // ratio is ~1.0; the regression gate compares against the baseline
@@ -210,7 +210,7 @@ int RunHarness(const HarnessConfig& config) {
                           full_config)
           .ValueOrDie().Render();
   bool chunk_identical = true;
-  for (size_t chunk_rows : {size_t{1000}, size_t{65536}}) {
+  for (size_t chunk_rows : {size_t{1000}, size_t{16384}, size_t{65536}}) {
     for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
       audit::AuditConfig variant = full_config;
       variant.chunk_rows = chunk_rows;

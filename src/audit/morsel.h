@@ -5,7 +5,7 @@
 #include <cstddef>
 #include <deque>
 #include <future>
-#include <optional>
+#include <memory>
 #include <type_traits>
 #include <utility>
 
@@ -20,62 +20,73 @@ namespace fairlaw::audit {
 // streams a CSV source through it; an in-memory table is always one
 // chunk and never reaches it.
 
-/// Runs `process(chunk)` on every chunk `reader` emits and hands each
-/// result to `fold` in chunk order, so whatever `fold` builds is the same
-/// for every thread count. With num_threads == 1 or at most one chunk the
-/// loop runs inline. Otherwise min(num_threads, chunks) pool workers (0 =
-/// one per hardware thread) process chunks while this thread reads the
-/// next ones, with at most 2 x workers chunks in flight. A worker frees
-/// its chunk as soon as `process` returns, so a slot waiting for its
-/// in-order fold holds only the partial: a stream's live chunks are
-/// those being processed or queued for a worker, never the whole window.
-/// Returns the first error `reader` reports; `process` reports its own
-/// errors inside its result.
+/// The pool a stream of `num_chunks` chunks runs on: none for one
+/// thread or at most one chunk, else min(num_threads, num_chunks)
+/// workers (0 = one per hardware thread).
+inline std::unique_ptr<ThreadPool> MorselPool(size_t num_threads,
+                                              size_t num_chunks) {
+  if (num_threads == 1 || num_chunks <= 1) return nullptr;
+  return std::make_unique<ThreadPool>(
+      num_threads == 0 ? 0 : std::min(num_threads, num_chunks));
+}
+
+/// Reads every chunk of `reader` (scanned, schema inferred), runs
+/// `process(chunk)` on it, and hands each result to `fold` in chunk
+/// order, so whatever `fold` builds is the same for every thread count.
+/// Without a pool (see MorselPool) the loop runs inline. Otherwise each
+/// task on `pool`, which the loop takes over and joins, reads one chunk
+/// from its own byte range, processes it and frees it, with at most
+/// 2 x workers slots in flight: a queued slot has read nothing yet and
+/// one waiting for its in-order fold holds only the partial. Returns
+/// the lowest chunk's read error; `process` reports its own errors
+/// inside its result.
 template <typename Process, typename Fold>
-FAIRLAW_NODISCARD Status RunMorsels(data::CsvChunkReader& reader,
-                                    size_t num_threads,
-                                    const Process& process,
-                                    const Fold& fold) {
+FAIRLAW_NODISCARD Status RunMorsels(const data::CsvChunkReader& reader,
+                                    std::unique_ptr<ThreadPool> pool,
+                                    const Process& process, const Fold& fold) {
   using Partial = std::invoke_result_t<const Process&, const data::Table&>;
-  if (num_threads == 1 || reader.num_chunks() <= 1) {
-    for (;;) {
-      FAIRLAW_ASSIGN_OR_RETURN(std::optional<data::Table> chunk,
-                               reader.Next());
-      if (!chunk.has_value()) return Status::OK();
-      fold(process(*chunk));
+  const size_t num_chunks = reader.num_chunks();
+  if (pool == nullptr) {
+    for (size_t i = 0; i < num_chunks; ++i) {
+      FAIRLAW_ASSIGN_OR_RETURN(data::Table chunk, reader.ReadChunk(i));
+      fold(process(chunk));
     }
+    return Status::OK();
   }
-  // Deque slots are stable across push/pop at the ends, and the pool is
-  // declared after the deque so its destructor joins the workers before
-  // any slot they might still write goes away.
+  // Deque slots are stable across push/pop at the ends, and the pool
+  // moves into a local declared after the deque, so on every path out
+  // its destructor joins the workers before any slot they might still
+  // write goes away.
   struct InFlight {
-    std::optional<data::Table> chunk;
+    Status status;
     Partial partial;
     std::future<void> done;
   };
   std::deque<InFlight> in_flight;
-  ThreadPool pool(num_threads == 0
-                      ? 0
-                      : std::min(num_threads, reader.num_chunks()));
-  const size_t window = 2 * pool.num_threads();
-  auto fold_front = [&in_flight, &fold] {
-    in_flight.front().done.get();
-    fold(std::move(in_flight.front().partial));
+  const std::unique_ptr<ThreadPool> workers = std::move(pool);
+  const size_t window = 2 * workers->num_threads();
+  Status status;
+  auto fold_front = [&in_flight, &fold, &status] {
+    InFlight& front = in_flight.front();
+    front.done.get();
+    if (status.ok()) status = front.status;
+    if (status.ok()) fold(std::move(front.partial));
     in_flight.pop_front();
   };
-  for (;;) {
-    FAIRLAW_ASSIGN_OR_RETURN(std::optional<data::Table> chunk, reader.Next());
-    if (!chunk.has_value()) break;
+  for (size_t i = 0; i < num_chunks && status.ok(); ++i) {
     if (in_flight.size() >= window) fold_front();
     InFlight& slot = in_flight.emplace_back();
-    slot.chunk = std::move(chunk);
-    slot.done = pool.Submit([&slot, &process] {
-      slot.partial = process(*slot.chunk);
-      slot.chunk.reset();
+    slot.done = workers->Submit([&slot, &reader, &process, i] {
+      Result<data::Table> chunk = reader.ReadChunk(i);
+      if (!chunk.ok()) {
+        slot.status = chunk.status();
+        return;
+      }
+      slot.partial = process(*chunk);
     });
   }
   while (!in_flight.empty()) fold_front();
-  return Status::OK();
+  return status;
 }
 
 }  // namespace fairlaw::audit

@@ -1,5 +1,6 @@
 #include "audit/source.h"
 
+#include <memory>
 #include <string>
 #include <utility>
 
@@ -26,12 +27,14 @@ Result<AuditResult> RunTable(const data::Table& table,
   return EvaluateMergedPartials(merged, config, parent_path);
 }
 
-/// Streams the CSV through the morsel loop: ProcessChunk per chunk,
-/// partials folded in chunk order, then one evaluation of the merged
-/// partials. Peak memory is the in-flight chunks plus the merged
-/// accumulators, never the file. Morsels may run on pool workers whose
-/// span stack is empty; `parent_path`, captured on this thread, keeps
-/// the exported span tree identical for every thread count.
+/// Streams the CSV through the morsel loop: a boundary scan on this
+/// thread, then per-chunk type inference and per-chunk parse plus
+/// ProcessChunk on the pool, partials folded in chunk order, then one
+/// evaluation of the merged partials. Peak memory is the in-flight
+/// chunks plus the merged accumulators, never the file. Morsels may run
+/// on pool workers whose span stack is empty; `parent_path` (and the
+/// reader's own, both captured on this thread) keeps the exported span
+/// tree identical for every thread count.
 Result<AuditResult> RunCsv(const AuditSource::CsvSpec& spec,
                            const AuditConfig& config) {
   obs::TraceSpan run_span("run_audit");
@@ -41,13 +44,16 @@ Result<AuditResult> RunCsv(const AuditSource::CsvSpec& spec,
   reader_options.chunk_rows = config.chunk_rows;
   FAIRLAW_ASSIGN_OR_RETURN(
       data::CsvChunkReader reader,
-      data::CsvChunkReader::Make(spec.path, reader_options));
+      data::CsvChunkReader::Scan(spec.path, reader_options));
+  std::unique_ptr<ThreadPool> pool =
+      MorselPool(config.num_threads, reader.num_chunks());
+  FAIRLAW_RETURN_NOT_OK(reader.InferSchema(pool.get()));
   obs::GetCounter("audit.rows_audited")->Increment(reader.num_rows());
   if (reader.num_rows() == 0) return EmptyAuditError(reader.schema(), config);
   const std::string parent_path = obs::CurrentPath();
   MergedPartials merged;
   FAIRLAW_RETURN_NOT_OK(RunMorsels(
-      reader, config.num_threads,
+      reader, std::move(pool),
       [&config, &parent_path](const data::Table& chunk) {
         return ProcessChunk(chunk, config, parent_path);
       },

@@ -1,6 +1,7 @@
 #include "data/csv.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <cstring>
 #include <fstream>
 #include <memory>
@@ -9,7 +10,9 @@
 #include <string_view>
 #include <utility>
 
+#include "base/check.h"
 #include "base/string_util.h"
+#include "base/thread_pool.h"
 #include "obs/obs.h"
 
 namespace fairlaw::data {
@@ -24,11 +27,14 @@ namespace {
 /// scanned in bulk; an unquoted field is viewed where it lies, and a
 /// field with quotes is unescaped in place over the bytes it was read
 /// from. Honors "" escapes, CR/LF/CRLF newlines and blank-line skipping.
-/// This is the single tokenizer behind both passes of TwoPassReader.
+/// It reads at most `limit` bytes, so a chunk's scanner stops at the end
+/// of the chunk's byte range. This is the single tokenizer behind every
+/// read: the first row, type inference and parsing.
 class RowScanner {
  public:
-  RowScanner(std::istream* input, char delimiter)
-      : input_(input), delimiter_(delimiter) {
+  RowScanner(std::istream* input, char delimiter,
+             uint64_t limit = ~uint64_t{0})
+      : input_(input), delimiter_(delimiter), limit_(limit) {
     for (char c : {delimiter, '"', '\r', '\n'}) {
       special_[static_cast<unsigned char>(c)] = true;
     }
@@ -111,7 +117,11 @@ class RowScanner {
   }
 
   /// Bytes read from the stream so far.
-  size_t bytes_read() const { return bytes_read_; }
+  uint64_t bytes_read() const { return bytes_read_; }
+
+  /// Bytes of the stream the rows returned so far span, up to and
+  /// including the last one's row end.
+  uint64_t consumed() const { return bytes_read_ - (len_ - pos_); }
 
  private:
   static constexpr size_t kBlockSize = size_t{1} << 16;
@@ -151,7 +161,8 @@ class RowScanner {
       buffer_.resize(std::max(2 * buffer_.size(), keep + kBlockSize));
     }
     input_->read(buffer_.data() + len_,
-                 static_cast<std::streamsize>(kBlockSize));
+                 static_cast<std::streamsize>(
+                     std::min<uint64_t>(kBlockSize, limit_ - bytes_read_)));
     const size_t got = static_cast<size_t>(input_->gcount());
     if (got == 0) {
       at_end_ = true;
@@ -164,13 +175,14 @@ class RowScanner {
 
   std::istream* input_;
   char delimiter_;
+  uint64_t limit_;
   bool special_[256] = {};
   std::vector<char> buffer_ = std::vector<char>(2 * kBlockSize);
   std::vector<std::pair<size_t, size_t>> spans_;  // row offsets per field
   size_t row_start_ = 0;  // first byte of the row being scanned
   size_t pos_ = 0;        // next byte to scan
   size_t len_ = 0;        // bytes of buffer_ holding input
-  size_t bytes_read_ = 0;
+  uint64_t bytes_read_ = 0;
   bool at_end_ = false;
 };
 
@@ -224,6 +236,15 @@ struct ColumnTypeFlags {
     if (all_double && !ParseDouble(text).ok()) all_double = false;
   }
 
+  /// Folds in another range's flags: a candidate type survives only if
+  /// it held in both, which is what one pass over both would find.
+  void Merge(const ColumnTypeFlags& other) {
+    all_int = all_int && other.all_int;
+    all_double = all_double && other.all_double;
+    all_bool = all_bool && other.all_bool;
+    any_value = any_value || other.any_value;
+  }
+
   DataType Resolve() const {
     if (!any_value) return DataType::kString;
     if (all_int) return DataType::kInt64;
@@ -248,164 +269,249 @@ std::string EscapeField(const std::string& value, char delimiter) {
   return out;
 }
 
-/// The one CSV reader behind ReadCsvString, ReadCsvFile and
-/// CsvChunkReader. Pass 1 sweeps the stream holding one row of field
-/// views plus O(columns) type flags: it infers the schema, counts the
-/// rows, and reports the first defect in file order (ragged row,
-/// unterminated quote) or, once the sweep is clean, an empty input or a
-/// duplicate header. Pass 2 rewinds the stream and parses rows on demand
-/// straight into typed columns reserved to the chunk's row count, so a
-/// caller holds as many parsed rows as it asks for and never the text.
-class TwoPassReader {
- public:
-  /// Runs pass 1 over `input`, then rewinds it and skips the header so
-  /// ReadRows() starts at the first data row.
-  FAIRLAW_NODISCARD Status Open(std::unique_ptr<std::istream> input,
-                                const CsvOptions& options) {
-    has_header_ = options.has_header;
-    null_tokens_ = NullTokens(options.null_tokens);
-    input_ = std::move(input);
-    RowScanner scanner(input_.get(), options.delimiter);
-    std::vector<std::string_view> row;
-    std::vector<std::string> names;
-    std::vector<ColumnTypeFlags> flags;
-    size_t num_columns = 0;
-    size_t row_index = 0;
-    for (;;) {
-      FAIRLAW_ASSIGN_OR_RETURN(bool has_row, scanner.NextRow(&row));
-      if (!has_row) break;
-      if (row_index == 0) {
-        num_columns = row.size();
-        flags.assign(num_columns, ColumnTypeFlags{});
-        names.resize(num_columns);
-        for (size_t c = 0; c < num_columns; ++c) {
-          names[c] = options.has_header
-                         ? std::string(StripWhitespace(row[c]))
-                         : std::string("c").append(std::to_string(c));
-        }
-      }
-      FAIRLAW_RETURN_NOT_OK(CheckWidth(row.size(), row_index, num_columns));
-      if (!(options.has_header && row_index == 0)) {
-        ++num_rows_;
-        for (size_t c = 0; c < num_columns; ++c) {
-          const std::string_view text = StripWhitespace(row[c]);
-          if (!null_tokens_.Contains(text)) flags[c].Observe(text);
-        }
-      }
-      ++row_index;
-    }
-    if (row_index == 0) return Status::Invalid("CSV: input has no rows");
-    obs::GetCounter("csv.bytes_read")->Increment(scanner.bytes_read());
-
-    std::vector<Field> fields(num_columns);
-    for (size_t c = 0; c < num_columns; ++c) {
-      fields[c] = Field{names[c], flags[c].Resolve()};
-    }
-    FAIRLAW_ASSIGN_OR_RETURN(schema_, Schema::Make(std::move(fields)));
-
-    input_->clear();
-    if (!input_->seekg(0)) {
-      return Status::IOError("CSV: cannot rewind the input for the read "
-                             "pass");
-    }
-    scanner_.emplace(input_.get(), options.delimiter);
-    if (options.has_header) {
-      FAIRLAW_ASSIGN_OR_RETURN(bool has_row, scanner_->NextRow(&row_));
-      if (!has_row) return Shrank();
-    }
-    return Status::OK();
-  }
-
-  const Schema& schema() const { return schema_; }
-  size_t num_rows() const { return num_rows_; }
-  size_t rows_read() const { return rows_read_; }
-
-  /// Pass 2: parses the next min(max_rows, rows left) rows into a table
-  /// (zero rows once the input is exhausted).
-  FAIRLAW_NODISCARD Result<Table> ReadRows(size_t max_rows) {
-    const size_t rows = std::min(max_rows, num_rows_ - rows_read_);
-    const size_t num_columns = schema_.num_fields();
-    std::vector<Column> columns;
-    columns.reserve(num_columns);
-    for (size_t c = 0; c < num_columns; ++c) {
-      columns.emplace_back(schema_.field(c).type);
-      columns.back().Reserve(rows);
-    }
-    for (size_t r = 0; r < rows; ++r) {
-      FAIRLAW_ASSIGN_OR_RETURN(bool has_row, scanner_->NextRow(&row_));
-      if (!has_row) return Shrank();
-      FAIRLAW_RETURN_NOT_OK(CheckWidth(
-          row_.size(), rows_read_ + (has_header_ ? 1 : 0), num_columns));
-      for (size_t c = 0; c < num_columns; ++c) {
-        FAIRLAW_RETURN_NOT_OK(AppendField(row_[c], &columns[c]));
-      }
-      ++rows_read_;
-    }
-    obs::GetCounter("csv.rows_loaded")->Increment(rows);
-    return Table::Make(schema_, std::move(columns));
-  }
-
- private:
-  /// Appends one field to its typed column: null when its stripped text
-  /// is a null token, else its parsed value.
-  Status AppendField(std::string_view raw, Column* column) const {
-    if (null_tokens_.Contains(StripWhitespace(raw))) {
-      column->AppendNull();
-      return Status::OK();
-    }
-    switch (column->type()) {
-      case DataType::kDouble: {
-        FAIRLAW_ASSIGN_OR_RETURN(double value, ParseDouble(raw));
-        column->AppendDouble(value);
-        return Status::OK();
-      }
-      case DataType::kInt64: {
-        FAIRLAW_ASSIGN_OR_RETURN(int64_t value, ParseInt64(raw));
-        column->AppendInt64(value);
-        return Status::OK();
-      }
-      case DataType::kBool: {
-        FAIRLAW_ASSIGN_OR_RETURN(bool value, ParseBool(raw));
-        column->AppendBool(value);
-        return Status::OK();
-      }
-      case DataType::kString:
-        column->AppendString(raw);
-        return Status::OK();
-    }
-    return Status::Internal("CSV: unknown column type");
-  }
-
-  static Status CheckWidth(size_t width, size_t row_index,
-                           size_t num_columns) {
-    if (width == num_columns) return Status::OK();
-    return Status::Invalid("CSV: row " + std::to_string(row_index) + " has " +
-                           std::to_string(width) + " fields, expected " +
-                           std::to_string(num_columns));
-  }
-
-  static Status Shrank() {
-    return Status::IOError("CSV: file shrank between inference and read "
-                           "passes");
-  }
-
-  bool has_header_ = true;
-  NullTokens null_tokens_;
-  std::unique_ptr<std::istream> input_;
-  std::optional<RowScanner> scanner_;  // pass 2, reading from input_
-  std::vector<std::string_view> row_;  // pass 2's row, views into scanner_
-  Schema schema_;
-  size_t num_rows_ = 0;   // data rows in the input
-  size_t rows_read_ = 0;  // data rows parsed by ReadRows so far
+/// What every range of one input is read with: the options and the
+/// column names, which come from the first row (the header, or c0, c1,
+/// ... for its width when there is none).
+struct Layout {
+  char delimiter = ',';
+  NullTokens null_tokens;
+  std::vector<std::string> names;
+  /// Where the data rows begin: after the header's row end, or 0.
+  uint64_t data_start = 0;
+  /// File row index of the first data row: 1 after a header, else 0.
+  size_t first_row = 0;
 };
 
-/// Drains a two-pass read of `input` into one table.
+/// Reads the first row of `input` for the layout. Fails on an input
+/// with no rows or a defect in that row.
+Result<Layout> ReadLayout(std::istream* input, const CsvOptions& options) {
+  RowScanner scanner(input, options.delimiter);
+  std::vector<std::string_view> row;
+  FAIRLAW_ASSIGN_OR_RETURN(bool has_row, scanner.NextRow(&row));
+  if (!has_row) return Status::Invalid("CSV: input has no rows");
+  Layout layout;
+  layout.delimiter = options.delimiter;
+  layout.null_tokens = NullTokens(options.null_tokens);
+  layout.names.resize(row.size());
+  for (size_t c = 0; c < row.size(); ++c) {
+    layout.names[c] = options.has_header
+                          ? std::string(StripWhitespace(row[c]))
+                          : std::string("c").append(std::to_string(c));
+  }
+  layout.data_start = options.has_header ? scanner.consumed() : 0;
+  layout.first_row = options.has_header ? 1 : 0;
+  return layout;
+}
+
+Status CheckWidth(size_t width, size_t row_index, size_t num_columns) {
+  if (width == num_columns) return Status::OK();
+  return Status::Invalid("CSV: row " + std::to_string(row_index) + " has " +
+                         std::to_string(width) + " fields, expected " +
+                         std::to_string(num_columns));
+}
+
+Status Changed() {
+  return Status::IOError("CSV: file changed between the scan and read "
+                         "passes");
+}
+
+/// Positions `input` at byte `offset` for another pass.
+Status Seek(std::istream* input, uint64_t offset) {
+  input->clear();
+  if (!input->seekg(static_cast<std::streamoff>(offset))) {
+    return Status::IOError("CSV: cannot seek the input for the read pass");
+  }
+  return Status::OK();
+}
+
+/// The inference pass over one range: narrows `flags` (one per column)
+/// by every row `scanner` yields and checks each row's width; the first
+/// of those rows is file row `first_row`. Returns the rows read, or the
+/// range's first defect.
+Result<size_t> InferRows(RowScanner* scanner, size_t first_row,
+                         const Layout& layout,
+                         std::vector<ColumnTypeFlags>* flags) {
+  const size_t num_columns = layout.names.size();
+  flags->assign(num_columns, ColumnTypeFlags{});
+  std::vector<std::string_view> row;
+  size_t rows = 0;
+  for (;;) {
+    FAIRLAW_ASSIGN_OR_RETURN(bool has_row, scanner->NextRow(&row));
+    if (!has_row) return rows;
+    FAIRLAW_RETURN_NOT_OK(CheckWidth(row.size(), first_row + rows,
+                                     num_columns));
+    for (size_t c = 0; c < num_columns; ++c) {
+      const std::string_view text = StripWhitespace(row[c]);
+      if (!layout.null_tokens.Contains(text)) (*flags)[c].Observe(text);
+    }
+    ++rows;
+  }
+}
+
+Result<Schema> ResolveSchema(const Layout& layout,
+                             const std::vector<ColumnTypeFlags>& flags) {
+  std::vector<Field> fields(layout.names.size());
+  for (size_t c = 0; c < fields.size(); ++c) {
+    fields[c] = Field{layout.names[c], flags[c].Resolve()};
+  }
+  return Schema::Make(std::move(fields));
+}
+
+/// Appends one field to its typed column: null when its stripped text
+/// is a null token, else its parsed value.
+Status AppendField(std::string_view raw, const NullTokens& null_tokens,
+                   Column* column) {
+  if (null_tokens.Contains(StripWhitespace(raw))) {
+    column->AppendNull();
+    return Status::OK();
+  }
+  switch (column->type()) {
+    case DataType::kDouble: {
+      FAIRLAW_ASSIGN_OR_RETURN(double value, ParseDouble(raw));
+      column->AppendDouble(value);
+      return Status::OK();
+    }
+    case DataType::kInt64: {
+      FAIRLAW_ASSIGN_OR_RETURN(int64_t value, ParseInt64(raw));
+      column->AppendInt64(value);
+      return Status::OK();
+    }
+    case DataType::kBool: {
+      FAIRLAW_ASSIGN_OR_RETURN(bool value, ParseBool(raw));
+      column->AppendBool(value);
+      return Status::OK();
+    }
+    case DataType::kString:
+      column->AppendString(raw);
+      return Status::OK();
+  }
+  return Status::Internal("CSV: unknown column type");
+}
+
+/// The parse pass over one range: parses the `rows` rows `scanner`
+/// yields straight into typed columns reserved to that count, so a
+/// caller holds as many parsed rows as it asks for and never the text.
+Result<Table> ParseRows(RowScanner* scanner, size_t rows, size_t first_row,
+                        const Layout& layout, const Schema& schema) {
+  const size_t num_columns = schema.num_fields();
+  std::vector<Column> columns;
+  columns.reserve(num_columns);
+  for (size_t c = 0; c < num_columns; ++c) {
+    columns.emplace_back(schema.field(c).type);
+    columns.back().Reserve(rows);
+  }
+  std::vector<std::string_view> row;
+  for (size_t r = 0; r < rows; ++r) {
+    FAIRLAW_ASSIGN_OR_RETURN(bool has_row, scanner->NextRow(&row));
+    if (!has_row) return Changed();
+    FAIRLAW_RETURN_NOT_OK(CheckWidth(row.size(), first_row + r, num_columns));
+    for (size_t c = 0; c < num_columns; ++c) {
+      FAIRLAW_RETURN_NOT_OK(
+          AppendField(row[c], layout.null_tokens, &columns[c]));
+    }
+  }
+  obs::GetCounter("csv.rows_loaded")->Increment(rows);
+  return Table::Make(schema, std::move(columns));
+}
+
+/// Reads all of `input` as one range: the first row, then the inference
+/// and the parse pass over the data rows, with no boundary scan.
 Result<Table> ReadAll(std::unique_ptr<std::istream> input,
                       const CsvOptions& options) {
   obs::TraceSpan span("read_csv");
-  TwoPassReader reader;
-  FAIRLAW_RETURN_NOT_OK(reader.Open(std::move(input), options));
-  return reader.ReadRows(reader.num_rows());
+  FAIRLAW_ASSIGN_OR_RETURN(Layout layout, ReadLayout(input.get(), options));
+  FAIRLAW_RETURN_NOT_OK(Seek(input.get(), layout.data_start));
+  std::vector<ColumnTypeFlags> flags;
+  size_t rows = 0;
+  {  // the inference scanner's buffer goes before the parse pass starts
+    RowScanner inference(input.get(), layout.delimiter);
+    FAIRLAW_ASSIGN_OR_RETURN(
+        rows, InferRows(&inference, layout.first_row, layout, &flags));
+    obs::GetCounter("csv.bytes_read")
+        ->Increment(layout.data_start + inference.bytes_read());
+  }
+  FAIRLAW_ASSIGN_OR_RETURN(Schema schema, ResolveSchema(layout, flags));
+  FAIRLAW_RETURN_NOT_OK(Seek(input.get(), layout.data_start));
+  RowScanner parse(input.get(), layout.delimiter);
+  return ParseRows(&parse, rows, layout.first_row, layout, schema);
+}
+
+/// Where a streamed file's chunks begin, found by the boundary scan.
+struct ChunkBounds {
+  size_t num_rows = 0;           // data rows in the file
+  std::vector<uint64_t> starts;  // byte offset of each chunk's range
+  uint64_t end = 0;              // the file's size
+};
+
+/// The boundary scan over `input` from byte `start` to its end. It
+/// follows RowScanner's row rules without splitting fields: outside
+/// quotes a CR or LF ends a row unless the row is empty (a blank line),
+/// every '"' toggles quoting, and a last row cut off by the end of the
+/// input (no row end, or an unterminated quote) still counts. Each
+/// chunk's range begins right after the row end of the previous chunk's
+/// last row, so the LF of a CRLF there is a blank line the chunk skips.
+/// It hops between stop bytes with memchr, so a block with no quote or
+/// CR costs one memchr per row.
+Result<ChunkBounds> ScanChunkBounds(std::istream* input, uint64_t start,
+                                    size_t chunk_rows) {
+  ChunkBounds bounds;
+  bounds.starts.push_back(start);
+  std::vector<char> block(size_t{1} << 16);
+  uint64_t offset = start;               // file offset of block[0]
+  uint64_t row_begin = start;            // where the current line begins
+  size_t rows_to_boundary = chunk_rows;  // rows until the next chunk
+  bool in_quotes = false;
+  for (;;) {
+    input->read(block.data(), static_cast<std::streamsize>(block.size()));
+    const size_t got = static_cast<size_t>(input->gcount());
+    if (got == 0) break;
+    const char* const first = block.data();
+    const char* const last = first + got;
+    auto find = [last](const char* from, char c) {
+      const void* hit = std::memchr(from, c, static_cast<size_t>(last - from));
+      return hit == nullptr ? last : static_cast<const char*>(hit);
+    };
+    // The next '"' at or after p, and the next CR and LF, each searched
+    // for again only once p has passed it (`last` when there is none).
+    const char* p = first;
+    const char* quote = find(p, '"');
+    const char* cr = find(p, '\r');
+    const char* lf = find(p, '\n');
+    for (;;) {
+      if (in_quotes) {
+        if (quote == last) break;
+        p = quote + 1;
+        quote = find(p, '"');
+        in_quotes = false;
+        continue;
+      }
+      if (cr < p) cr = find(p, '\r');
+      if (lf < p) lf = find(p, '\n');
+      const char* const stop = std::min({quote, cr, lf});
+      if (stop == last) break;
+      p = stop + 1;
+      if (stop == quote) {
+        quote = find(p, '"');
+        in_quotes = true;
+        continue;
+      }
+      const uint64_t at = offset + static_cast<uint64_t>(stop - first);
+      if (at != row_begin) {
+        ++bounds.num_rows;
+        if (--rows_to_boundary == 0) {
+          bounds.starts.push_back(at + 1);
+          rows_to_boundary = chunk_rows;
+        }
+      }
+      row_begin = at + 1;
+    }
+    offset += got;
+  }
+  if (input->bad()) return Status::IOError("error reading CSV stream");
+  if (offset != row_begin) ++bounds.num_rows;
+  bounds.starts.resize((bounds.num_rows + chunk_rows - 1) / chunk_rows);
+  bounds.end = offset;
+  return bounds;
 }
 
 }  // namespace
@@ -455,8 +561,40 @@ Status WriteCsvFile(const Table& table, const std::string& path,
 }
 
 struct CsvChunkReader::Impl {
-  TwoPassReader reader;
+  std::string path;
   size_t chunk_rows = kDefaultChunkRows;
+  Layout layout;
+  ChunkBounds bounds;
+  Schema schema;
+  bool inferred = false;
+  std::string parent_path;  // where worker spans nest
+  size_t next_chunk = 0;    // Next()'s cursor
+
+  /// File row index of chunk `chunk`'s first row.
+  size_t FirstRow(size_t chunk) const {
+    return layout.first_row + chunk * chunk_rows;
+  }
+  size_t RowsIn(size_t chunk) const {
+    return std::min(chunk_rows, bounds.num_rows - chunk * chunk_rows);
+  }
+
+  /// Opens chunk `chunk`'s byte range on a stream of its own and runs
+  /// `read` over a scanner limited to that range.
+  template <typename Read>
+  auto WithRange(size_t chunk, const Read& read) const
+      -> decltype(read(std::declval<RowScanner*>())) {
+    const uint64_t begin = bounds.starts[chunk];
+    const uint64_t end =
+        chunk + 1 < bounds.starts.size() ? bounds.starts[chunk + 1]
+                                         : bounds.end;
+    std::ifstream input(path, std::ios::binary);
+    if (!input) {
+      return Status::IOError("cannot open '" + path + "' for reading");
+    }
+    FAIRLAW_RETURN_NOT_OK(Seek(&input, begin));
+    RowScanner scanner(&input, layout.delimiter, end - begin);
+    return read(&scanner);
+  }
 };
 
 CsvChunkReader::CsvChunkReader() : impl_(std::make_unique<Impl>()) {}
@@ -465,32 +603,91 @@ CsvChunkReader& CsvChunkReader::operator=(CsvChunkReader&&) noexcept =
     default;
 CsvChunkReader::~CsvChunkReader() = default;
 
-const Schema& CsvChunkReader::schema() const { return impl_->reader.schema(); }
-size_t CsvChunkReader::num_rows() const { return impl_->reader.num_rows(); }
-size_t CsvChunkReader::rows_read() const { return impl_->reader.rows_read(); }
+const Schema& CsvChunkReader::schema() const { return impl_->schema; }
+size_t CsvChunkReader::num_rows() const { return impl_->bounds.num_rows; }
 size_t CsvChunkReader::num_chunks() const {
-  return (num_rows() + impl_->chunk_rows - 1) / impl_->chunk_rows;
+  return impl_->bounds.starts.size();
 }
 
 Result<CsvChunkReader> CsvChunkReader::Make(const std::string& path,
                                             const Options& options) {
-  obs::TraceSpan span("csv_open_stream");
-  auto input = std::make_unique<std::ifstream>(path, std::ios::binary);
-  if (!*input) return Status::IOError("cannot open '" + path + "' for reading");
-  CsvChunkReader reader;
-  reader.impl_->chunk_rows =
-      options.chunk_rows == 0 ? kDefaultChunkRows : options.chunk_rows;
-  FAIRLAW_RETURN_NOT_OK(reader.impl_->reader.Open(std::move(input),
-                                                  options.csv));
+  FAIRLAW_ASSIGN_OR_RETURN(CsvChunkReader reader, Scan(path, options));
+  FAIRLAW_RETURN_NOT_OK(reader.InferSchema(nullptr));
   return reader;
 }
 
-Result<std::optional<Table>> CsvChunkReader::Next() {
-  TwoPassReader& reader = impl_->reader;
-  if (reader.rows_read() >= reader.num_rows()) return std::optional<Table>();
-  obs::TraceSpan span("csv_chunk");
-  FAIRLAW_ASSIGN_OR_RETURN(Table chunk, reader.ReadRows(impl_->chunk_rows));
+Result<CsvChunkReader> CsvChunkReader::Scan(const std::string& path,
+                                            const Options& options) {
+  CsvChunkReader reader;
+  Impl& impl = *reader.impl_;
+  impl.parent_path = obs::CurrentPath();
+  obs::TraceSpan span("csv_open_stream");
+  std::ifstream input(path, std::ios::binary);
+  if (!input) return Status::IOError("cannot open '" + path + "' for reading");
+  impl.path = path;
+  impl.chunk_rows =
+      options.chunk_rows == 0 ? kDefaultChunkRows : options.chunk_rows;
+  FAIRLAW_ASSIGN_OR_RETURN(impl.layout, ReadLayout(&input, options.csv));
+  FAIRLAW_RETURN_NOT_OK(Seek(&input, impl.layout.data_start));
+  FAIRLAW_ASSIGN_OR_RETURN(
+      impl.bounds,
+      ScanChunkBounds(&input, impl.layout.data_start, impl.chunk_rows));
+  obs::GetCounter("csv.bytes_read")->Increment(impl.bounds.end);
+  return reader;
+}
+
+Status CsvChunkReader::InferSchema(ThreadPool* pool) {
+  obs::TraceSpan span("csv_infer_schema");
+  const Impl& impl = *impl_;
+  struct Inferred {
+    Status status;
+    std::vector<ColumnTypeFlags> flags;
+  };
+  std::vector<Inferred> chunks(num_chunks());
+  auto infer = [&impl, &chunks](size_t i) {
+    Result<size_t> rows = impl.WithRange(i, [&](RowScanner* scanner) {
+      return InferRows(scanner, impl.FirstRow(i), impl.layout,
+                       &chunks[i].flags);
+    });
+    if (!rows.ok()) {
+      chunks[i].status = rows.status();
+    } else if (*rows != impl.RowsIn(i)) {
+      chunks[i].status = Changed();
+    }
+  };
+  if (pool == nullptr) {
+    for (size_t i = 0; i < chunks.size(); ++i) infer(i);
+  } else {
+    pool->ParallelFor(chunks.size(), infer);
+  }
+  std::vector<ColumnTypeFlags> flags(impl.layout.names.size());
+  for (const Inferred& chunk : chunks) {
+    FAIRLAW_RETURN_NOT_OK(chunk.status);
+    for (size_t c = 0; c < flags.size(); ++c) flags[c].Merge(chunk.flags[c]);
+  }
+  FAIRLAW_ASSIGN_OR_RETURN(impl_->schema, ResolveSchema(impl.layout, flags));
+  impl_->inferred = true;
+  return Status::OK();
+}
+
+Result<Table> CsvChunkReader::ReadChunk(size_t index) const {
+  const Impl& impl = *impl_;
+  FAIRLAW_CHECK_MSG(impl.inferred && index < num_chunks(),
+                    "ReadChunk needs InferSchema and a chunk index in range");
+  obs::TraceSpan span("csv_chunk", impl.parent_path);
+  FAIRLAW_ASSIGN_OR_RETURN(
+      Table chunk, impl.WithRange(index, [&](RowScanner* scanner) {
+        return ParseRows(scanner, impl.RowsIn(index), impl.FirstRow(index),
+                         impl.layout, impl.schema);
+      }));
   obs::GetCounter("csv.chunks_streamed")->Increment();
+  return chunk;
+}
+
+Result<std::optional<Table>> CsvChunkReader::Next() {
+  if (impl_->next_chunk >= num_chunks()) return std::optional<Table>();
+  FAIRLAW_ASSIGN_OR_RETURN(Table chunk, ReadChunk(impl_->next_chunk));
+  ++impl_->next_chunk;
   return std::optional<Table>(std::move(chunk));
 }
 

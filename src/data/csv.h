@@ -9,13 +9,17 @@
 #include "base/result.h"
 #include "data/table.h"
 
+namespace fairlaw {
+class ThreadPool;
+}  // namespace fairlaw
+
 namespace fairlaw::data {
 
-/// Default chunk size of the streaming reader: 64k rows keeps a chunk's
-/// numeric columns L2-resident while still amortizing per-morsel
-/// scheduling overhead. Only a streamed CSV is chunked; an in-memory
-/// table is always audited as one chunk (DESIGN.md §14).
-inline constexpr size_t kDefaultChunkRows = 65536;
+/// Default chunk size of the streaming reader: 16k rows keeps the chunks
+/// four workers hold at once to a few MB while still amortizing
+/// per-morsel scheduling overhead. Only a streamed CSV is chunked; an
+/// in-memory table is always audited as one chunk (DESIGN.md §14).
+inline constexpr size_t kDefaultChunkRows = 16384;
 
 /// CSV parsing options.
 struct CsvOptions {
@@ -33,10 +37,11 @@ struct CsvOptions {
 /// non-null cell is true/false, else string. Quoted fields ("a,b" with
 /// embedded delimiters and "" escapes) are supported.
 ///
-/// This and ReadCsvFile drain the same two-pass reader CsvChunkReader
-/// streams (a type-inference pass, then a parse pass over the rewound
-/// input) into one table, so every ingestion path infers the same schema,
-/// parses the same cells and reports the same first defect in file order.
+/// This and ReadCsvFile read the input as CsvChunkReader reads one chunk
+/// (a type-inference pass, then a parse pass over the rewound input),
+/// with the whole input as the one range and no boundary scan, so every
+/// ingestion path infers the same schema, parses the same cells and
+/// reports the same first defect in file order.
 FAIRLAW_NODISCARD Result<Table> ReadCsvString(const std::string& text,
                             const CsvOptions& options = {});
 
@@ -55,15 +60,24 @@ FAIRLAW_NODISCARD Status WriteCsvFile(const Table& table, const std::string& pat
                     const CsvOptions& options = {});
 
 /// Streams a CSV file chunk-at-a-time so ingestion is out-of-core: peak
-/// memory is bounded by the chunk size, never the file size.
+/// memory is bounded by the chunks being read, never the file size.
 ///
-/// Make() runs the inference pass over the whole file (O(columns) state:
-/// per-column all-int/all-double/all-bool trackers plus the ragged-row
-/// check). Next() then parses the rewound file, emitting tables of at most
-/// `chunk_rows` rows until the file is exhausted. Both passes scan each
-/// row into views over one reused buffer (the row plus a 64 KiB read
-/// block) and classify cells without allocating; Next() appends parsed
-/// values straight into typed columns reserved to the chunk's row count.
+/// Reading takes three steps (DESIGN.md §14):
+///   1. Scan() parses the first row (header or first data row) and runs
+///      one quote-aware byte scan over the rest with the row rules of
+///      the tokenizer: CR, LF or CRLF ends a row, blank lines are
+///      skipped, and every '"' toggles quoting. It counts the rows and
+///      keeps each chunk's starting byte offset (O(chunks) memory).
+///   2. InferSchema() reads each chunk's byte range for per-column
+///      all-int/all-double/all-bool flags and ANDs them in chunk order.
+///      The lowest chunk's defect wins, so the first defect in file
+///      order is the one reported.
+///   3. ReadChunk(i) parses chunk i from its own byte range through its
+///      own stream into typed columns with chunk-local dictionaries.
+/// Steps 2 and 3 run per chunk, so the morsel loop runs them on its
+/// workers. Make() is steps 1 and 2 on the calling thread, and Next()
+/// reads the chunks in order: together they are a complete serial
+/// reader.
 class CsvChunkReader {
  public:
   struct Options {
@@ -72,10 +86,21 @@ class CsvChunkReader {
     size_t chunk_rows = kDefaultChunkRows;
   };
 
-  /// Opens `path` and runs the inference pass. Fails on IO errors, ragged
-  /// rows, unterminated quotes, an empty file, or duplicate header names.
+  /// Scan() then InferSchema(nullptr). Fails on IO errors, ragged rows,
+  /// unterminated quotes, an empty file, or duplicate header names.
   FAIRLAW_NODISCARD static Result<CsvChunkReader> Make(
       const std::string& path, const Options& options);
+
+  /// Opens `path` and runs the boundary scan. Fails on IO errors, an
+  /// empty file, or a defect in the first row. InferSchema() must run
+  /// before any chunk is read.
+  FAIRLAW_NODISCARD static Result<CsvChunkReader> Scan(
+      const std::string& path, const Options& options);
+
+  /// Infers the schema chunk by chunk, on `pool`'s workers when it is
+  /// not null. Reports the first defect in file order (ragged row,
+  /// unterminated quote), else duplicate header names.
+  FAIRLAW_NODISCARD Status InferSchema(ThreadPool* pool);
 
   CsvChunkReader(CsvChunkReader&&) noexcept;
   CsvChunkReader& operator=(CsvChunkReader&&) noexcept;
@@ -84,17 +109,17 @@ class CsvChunkReader {
   /// The inferred schema.
   const Schema& schema() const;
 
-  /// Total data rows in the file (known after the inference pass).
+  /// Total data rows in the file (known after the scan).
   size_t num_rows() const;
 
-  /// Data rows emitted by Next() so far.
-  size_t rows_read() const;
-
-  /// Chunks Next() emits in all: num_rows() over the chunk size, rounded
-  /// up.
+  /// Chunks in all: num_rows() over the chunk size, rounded up.
   size_t num_chunks() const;
 
-  /// Parses and returns the next chunk (1..chunk_rows rows), or nullopt
+  /// Parses chunk `index` (< num_chunks()) from its own byte range
+  /// through its own stream. Safe to call from several threads at once.
+  FAIRLAW_NODISCARD Result<Table> ReadChunk(size_t index) const;
+
+  /// Reads the next chunk in file order (1..chunk_rows rows), or nullopt
   /// once the file is exhausted.
   FAIRLAW_NODISCARD Result<std::optional<Table>> Next();
 

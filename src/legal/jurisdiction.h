@@ -13,9 +13,6 @@ struct Statute {
   std::string name;
   Jurisdiction jurisdiction;
   int year;
-  /// Protected sector(s) the instrument covers ("employment", "credit",
-  /// "housing", "goods_and_services", "general", ...).
-  std::vector<std::string> sectors;
   /// Protected attributes the instrument names (canonical lowercase
   /// tokens: "race", "sex", "age", "disability", "religion",
   /// "national_origin", "sexual_orientation", "genetic_information",

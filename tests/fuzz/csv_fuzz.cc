@@ -5,7 +5,10 @@
 // dictionaries) or fail with the oracle's first-defect error text. A
 // CsvChunkReader streaming the same bytes from a temp file at 1-row and
 // at 3-row chunks must tile that table row for row, or report the same
-// error first.
+// error first: read serially (Make, then Next), and with the schema
+// inferred on a 4-worker pool and the chunks read last to first on that
+// pool, so a chunk boundary the scan gets wrong shows as a cell, row
+// count or error text the oracle does not have.
 //
 // Built with -fsanitize=fuzzer this is a libFuzzer target. Linked with
 // replay_main.cc it is the replay driver csv_fuzz_replay instead.
@@ -19,7 +22,9 @@
 #include <fstream>
 #include <optional>
 #include <string>
+#include <vector>
 
+#include "base/thread_pool.h"
 #include "data/csv.h"
 #include "data/table.h"
 #include "support/csv_oracle.h"
@@ -34,12 +39,13 @@ namespace data = fairlaw::data;
   std::abort();
 }
 
-/// Streams `path` at `chunk_rows` and checks it against the oracle's
-/// result.
-void CheckChunks(const std::string& text, const std::string& path,
-                 const fairlaw::Result<data::Table>& oracle,
-                 size_t chunk_rows) {
-  const std::string label = "chunk_rows=" + std::to_string(chunk_rows) + ": ";
+/// Streams `path` at `chunk_rows` through Make and Next and checks it
+/// against the oracle's result.
+void CheckSerialChunks(const std::string& text, const std::string& path,
+                       const fairlaw::Result<data::Table>& oracle,
+                       size_t chunk_rows) {
+  const std::string label =
+      "serial chunk_rows=" + std::to_string(chunk_rows) + ": ";
   data::CsvChunkReader::Options options;
   options.chunk_rows = chunk_rows;
   fairlaw::Result<data::CsvChunkReader> reader =
@@ -87,6 +93,56 @@ void CheckChunks(const std::string& text, const std::string& path,
   }
 }
 
+/// Scans `path` at `chunk_rows`, infers the schema on a 4-worker pool
+/// and reads the chunks last to first on it, then checks them in file
+/// order against the oracle's result.
+void CheckParallelChunks(const std::string& text, const std::string& path,
+                         const fairlaw::Result<data::Table>& oracle,
+                         size_t chunk_rows) {
+  static fairlaw::ThreadPool pool(4);
+  const std::string label =
+      "parallel chunk_rows=" + std::to_string(chunk_rows) + ": ";
+  data::CsvChunkReader::Options options;
+  options.chunk_rows = chunk_rows;
+  fairlaw::Result<data::CsvChunkReader> reader =
+      data::CsvChunkReader::Scan(path, options);
+  fairlaw::Status status = reader.status();
+  if (status.ok()) status = reader->InferSchema(&pool);
+  if (!status.ok() || !oracle.ok()) {
+    // Every defect the oracle reports is found before a chunk is read.
+    if (status.ToString() != oracle.status().ToString()) {
+      Fail(text, label + "Scan/InferSchema say '" + status.ToString() +
+                     "', the oracle '" + oracle.status().ToString() + "'");
+    }
+    return;
+  }
+  const size_t num_chunks = reader->num_chunks();
+  std::vector<fairlaw::Result<data::Table>> chunks(
+      num_chunks, fairlaw::Status::Internal("chunk not read"));
+  pool.ParallelFor(num_chunks, [&](size_t i) {
+    const size_t index = num_chunks - 1 - i;
+    chunks[index] = reader->ReadChunk(index);
+  });
+  size_t offset = 0;
+  for (const fairlaw::Result<data::Table>& chunk : chunks) {
+    if (!chunk.ok()) {
+      Fail(text, label + "ReadChunk failed: " + chunk.status().ToString());
+    }
+    if (chunk->num_rows() == 0 || chunk->num_rows() > chunk_rows) {
+      Fail(text, label + "a chunk of " + std::to_string(chunk->num_rows()) +
+                     " rows");
+    }
+    const std::string difference = data::RowsDiffer(*oracle, offset, *chunk);
+    if (!difference.empty()) Fail(text, label + difference);
+    offset += chunk->num_rows();
+  }
+  if (offset != oracle->num_rows() || reader->num_rows() != offset) {
+    Fail(text, label + "read " + std::to_string(offset) + " rows of " +
+                   std::to_string(reader->num_rows()) + ", the oracle " +
+                   std::to_string(oracle->num_rows()));
+  }
+}
+
 }  // namespace
 
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
@@ -118,8 +174,10 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
     out.write(text.data(), static_cast<std::streamsize>(text.size()));
     if (!out.good()) Fail(text, "cannot write " + path);
   }
-  CheckChunks(text, path, oracle, 1);
-  CheckChunks(text, path, oracle, 3);
+  for (size_t chunk_rows : {size_t{1}, size_t{3}}) {
+    CheckSerialChunks(text, path, oracle, chunk_rows);
+    CheckParallelChunks(text, path, oracle, chunk_rows);
+  }
   std::remove(path.c_str());
   return 0;
 }

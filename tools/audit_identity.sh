@@ -5,8 +5,12 @@
 # to equal the golden file byte for byte. A second leg streams the same
 # CSV out-of-core (metrics and strata only), serially and at four threads
 # over 977-row chunks, and compares both envelopes with the stream
-# golden. A last leg checks that --chunk-rows without --streaming is a
-# flag error (exit 1): an in-memory audit is one chunk. Driven by ctest
+# golden. The obs dumps (--obs-json) of the 977-row stream at one and at
+# four threads must be identical too: chunks are read, inferred and
+# audited on the workers, whose spans nest under the calling thread's
+# path. (The dump counts chunks, so it is compared at one chunk size.)
+# A last leg checks that --chunk-rows without --streaming is a flag
+# error (exit 1): an in-memory audit is one chunk. Driven by ctest
 # (tools_audit_identity, with tests/golden/audit_suite.json and
 # tests/golden/audit_stream.json).
 #
@@ -41,12 +45,17 @@ suite=(--proxies=performance,tenure,race --subgroups=gender,race)
 run "$dir/suite_t1.json" "${suite[@]}" --threads=1
 run "$dir/suite_t4.json" "${suite[@]}" --threads=4
 run "$dir/stream_t1.json" --streaming --threads=1
-run "$dir/stream_t4.json" --streaming --threads=4 --chunk-rows=977
+run "$dir/stream_t4.json" --streaming --threads=4 --chunk-rows=977 \
+    --obs-json="$dir/obs_t4.json"
+run "$dir/stream_t1_977.json" --streaming --threads=1 --chunk-rows=977 \
+    --obs-json="$dir/obs_t1.json"
 
 cmp "$golden" "$dir/suite_t1.json"
 cmp "$golden" "$dir/suite_t4.json"
 cmp "$stream_golden" "$dir/stream_t1.json"
 cmp "$stream_golden" "$dir/stream_t4.json"
+cmp "$stream_golden" "$dir/stream_t1_977.json"
+cmp "$dir/obs_t1.json" "$dir/obs_t4.json"
 
 for flag in --chunk-rows=977 --max-memory-mb=64; do
   rc=0
@@ -59,5 +68,5 @@ for flag in --chunk-rows=977 --max-memory-mb=64; do
   fi
 done
 echo "audit identity ok: both runs equal $golden," \
-    "both streamed runs equal $stream_golden," \
+    "the streamed runs equal $stream_golden with equal obs dumps," \
     "in-memory --chunk-rows/--max-memory-mb rejected"

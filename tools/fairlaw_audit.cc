@@ -4,7 +4,7 @@
 //       [--label=outcome] [--score=probability]
 //       [--strata=dept,level] [--proxies=zip,education]
 //       [--subgroups=gender,race] [--tolerance=0.05] [--json]
-//       [--streaming [--threads=4] [--chunk-rows=65536]
+//       [--streaming [--threads=4] [--chunk-rows=16384]
 //                    [--max-memory-mb=512]]
 //       [--obs-json=PATH] [--obs-timings]
 //
@@ -50,12 +50,15 @@ struct CliOptions {
 };
 
 /// Rows per chunk that keep the streaming engine's bounded in-flight
-/// window under `max_memory_mb`. The window holds ~2*threads chunks plus
-/// the one being read; rows are costed at a conservative flat estimate
-/// (mixed string/double columns) since the schema is unknown before the
-/// first read. --threads=0 means "one per hardware thread", whose count
-/// is unknown here, so the budget assumes a generous 16 workers rather
-/// than querying thread primitives in a flag parser.
+/// window under `max_memory_mb`. The window has at most 2*threads slots,
+/// but a chunk lives only while a worker reads and audits it (a queued
+/// slot has not read its chunk yet, a done one keeps only its partial),
+/// so budgeting 2*threads+1 chunks leaves a wide margin. Rows are costed
+/// at a conservative flat estimate (mixed string/double columns) since
+/// the schema is unknown before the first read. --threads=0 means "one
+/// per hardware thread", whose count is unknown here, so the budget
+/// assumes a generous 16 workers rather than querying thread primitives
+/// in a flag parser.
 size_t ChunkRowsForBudget(size_t max_memory_mb, size_t threads) {
   constexpr size_t kBytesPerRowEstimate = 256;
   const size_t workers = threads == 0 ? 16 : threads;
@@ -129,7 +132,7 @@ fairlaw::Result<CliOptions> Parse(int argc, char** argv, bool* show_help,
             fairlaw::cli::Range<int64_t>{0, 512});
   int64_t chunk_rows = 0;
   flags.Add("chunk-rows", &chunk_rows,
-            "rows per --streaming chunk (0 = the 64k default); the output "
+            "rows per --streaming chunk (0 = the 16k default); the output "
             "is identical for every value",
             fairlaw::cli::Range<int64_t>{0, int64_t{1} << 31});
   int64_t max_memory_mb = 0;
