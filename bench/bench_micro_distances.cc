@@ -12,9 +12,8 @@
 // The sweep doubles as the estimator-tier verification harness: it
 // asserts that the linear-time RFF MMD estimate lands within
 // kRffTolerance of the exact quadratic estimator (exit 1 otherwise), and
-// it reports the SIMD-vs-scalar popcount speedup alongside the active
-// backend so the regression gate can tell a slow kernel from a scalar
-// build.
+// it records the active SIMD backend, which the RFF feature map's cosine
+// runs on.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -29,7 +28,6 @@
 #include "base/simd.h"
 #include "base/string_util.h"
 #include "best_of.h"
-#include "data/bitmap.h"
 #include "obs/obs.h"
 #include "stats/distance.h"
 #include "stats/histogram.h"
@@ -40,7 +38,6 @@
 namespace {
 
 using fairlaw::bench::BestOfNs;
-using fairlaw::data::Bitmap;
 using fairlaw::stats::Histogram;
 using fairlaw::stats::Rng;
 
@@ -135,22 +132,6 @@ void BM_Wasserstein1Presorted(benchmark::State& state) {
 }
 BENCHMARK(BM_Wasserstein1Presorted)->Range(256, 1 << 16)->Complexity();
 
-void BM_BitmapAndCount(benchmark::State& state) {
-  size_t bits = static_cast<size_t>(state.range(0));
-  Rng rng(11);
-  Bitmap a(bits);
-  Bitmap b(bits);
-  for (size_t i = 0; i < bits; ++i) {
-    if ((rng.Next() & 1) != 0) a.Set(i);
-    if ((rng.Next() & 1) != 0) b.Set(i);
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(Bitmap::AndCount(a, b));
-  }
-  state.SetComplexityN(static_cast<int64_t>(bits));
-}
-BENCHMARK(BM_BitmapAndCount)->Range(1 << 10, 1 << 20)->Complexity();
-
 void BM_ExactTransport(benchmark::State& state) {
   size_t k = static_cast<size_t>(state.range(0));  // support size
   Rng rng(9);
@@ -206,19 +187,6 @@ int RunTimings(const std::string& out_path, const std::string& obs_path,
   std::vector<double> y_sorted = y;
   std::sort(x_sorted.begin(), x_sorted.end());
   std::sort(y_sorted.begin(), y_sorted.end());
-
-  // Popcount duel inputs: two half-full megabit bitmaps. The scalar side
-  // calls the reference word kernel directly, so the ratio isolates the
-  // vector backend (it is ~1.0 when the build is scalar).
-  constexpr size_t kPopcountBits = 1 << 20;
-  Rng bit_rng(11);
-  Bitmap bm_a(kPopcountBits);
-  Bitmap bm_b(kPopcountBits);
-  for (size_t i = 0; i < kPopcountBits; ++i) {
-    if ((bit_rng.Next() & 1) != 0) bm_a.Set(i);
-    if ((bit_rng.Next() & 1) != 0) bm_b.Set(i);
-  }
-  constexpr size_t kPopcountIters = 64;
 
   fairlaw::JsonWriter writer;
   writer.BeginObject();
@@ -295,30 +263,6 @@ int RunTimings(const std::string& out_path, const std::string& obs_path,
   }
   writer.EndObject();
 
-  // SIMD-vs-scalar popcount duel: same words, same reduction, only the
-  // backend differs. Reported outside timings_ns so the regression gate
-  // ratio-checks product timings only and applies the speedup floor here.
-  const int64_t simd_popcount_ns = BestOfNs(reps, [&] {
-    uint64_t total = 0;
-    for (size_t it = 0; it < kPopcountIters; ++it) {
-      total += Bitmap::AndCount(bm_a, bm_b);
-    }
-    benchmark::DoNotOptimize(total);
-  });
-  const int64_t scalar_popcount_ns = BestOfNs(reps, [&] {
-    uint64_t total = 0;
-    for (size_t it = 0; it < kPopcountIters; ++it) {
-      total += fairlaw::simd::scalar::AndPopcountWords(
-          bm_a.words().data(), bm_b.words().data(), bm_a.num_words());
-    }
-    benchmark::DoNotOptimize(total);
-  });
-  writer.Key("popcount_timings_ns");
-  writer.BeginObject();
-  writer.Field("bitmap_and_count_simd", simd_popcount_ns);
-  writer.Field("bitmap_and_count_scalar", scalar_popcount_ns);
-  writer.EndObject();
-
   // Estimator-tier verification: the linear-time estimate must agree
   // with the exact quadratic oracle.
   fairlaw::stats::MmdRffOptions verify_options;
@@ -339,11 +283,6 @@ int RunTimings(const std::string& out_path, const std::string& obs_path,
                mmd_rff_d256_ns > 0
                    ? static_cast<double>(mmd_biased_ns) /
                          static_cast<double>(mmd_rff_d256_ns)
-                   : 0.0);
-  writer.Field("simd_popcount_speedup",
-               simd_popcount_ns > 0
-                   ? static_cast<double>(scalar_popcount_ns) /
-                         static_cast<double>(simd_popcount_ns)
                    : 0.0);
   writer.EndObject();
   const std::string json = writer.Finish().ValueOrDie();

@@ -5,8 +5,8 @@
 //   * with any --benchmark_* flag: the usual google-benchmark suite.
 //   * otherwise: a before/after kernel comparison that times the scalar
 //     rowwise enumerator (the pre-kernel implementation, kept as
-//     AuditSubgroupsRowwise) against the bitmap GroupIndex enumerator on
-//     the same table, verifies the findings are identical, and writes a
+//     AuditSubgroupsRowwise) against the cell-tally lattice walk on the
+//     same table, verifies the findings are identical, and writes a
 //     machine-readable JSON record (default BENCH_subgroup.json; see
 //     README "Benchmark JSON output"). Flags: --out=PATH --rows=N
 //     --attrs=N --reps=N.
@@ -112,7 +112,7 @@ BENCHMARK(BM_SubgroupAuditRowwise)->Range(1000, 64000)->Complexity();
 // ---------------------------------------------------------------------------
 // JSON comparison harness (default mode).
 
-/// Bitmap walks per timed call, and the minimum wall time of all the
+/// Lattice walks per timed call, and the minimum wall time of all the
 /// interleaved rounds.
 constexpr size_t kWalkBatch = 32;
 constexpr int64_t kMinRoundsNs = 2'000'000'000;
@@ -154,15 +154,15 @@ int RunComparison(const HarnessConfig& config) {
   audit::SubgroupAuditResult baseline_result =
       audit::AuditSubgroupsRowwise(table, attrs, "pred", options)
           .ValueOrDie();
-  audit::SubgroupAuditResult bitmap_result =
+  audit::SubgroupAuditResult walk_result =
       audit::AuditSubgroups(table, attrs, "pred", options).ValueOrDie();
-  const bool identical = SameFindings(baseline_result, bitmap_result);
+  const bool identical = SameFindings(baseline_result, walk_result);
 
-  // The gate divides the row-wise by the bitmap time, and the probe cost
-  // (DESIGN.md §10 budget: < 2%) compares the bitmap walk with the obs
+  // The gate divides the row-wise by the walk time, and the probe cost
+  // (DESIGN.md §10 budget: < 2%) compares the lattice walk with the obs
   // probes live and disabled through the runtime kill switch, so the
   // three legs run interleaved: at least --reps rounds and kMinRoundsNs
-  // in all. A bitmap call runs kWalkBatch walks, about one row-wise
+  // in all. A walk call runs kWalkBatch walks, about one row-wise
   // pass of work, so every leg samples the machine for as long.
   auto walks = [&] {
     for (size_t b = 0; b < kWalkBatch; ++b) {
@@ -185,10 +185,10 @@ int RunComparison(const HarnessConfig& config) {
        }},
       kMinRoundsNs);
   const int64_t baseline_ns = leg_ns[0];
-  const int64_t bitmap_ns = leg_ns[1] / static_cast<int64_t>(kWalkBatch);
+  const int64_t walk_ns = leg_ns[1] / static_cast<int64_t>(kWalkBatch);
   const int64_t obs_off_ns = leg_ns[2] / static_cast<int64_t>(kWalkBatch);
   const double obs_overhead_pct =
-      obs_off_ns > 0 ? (static_cast<double>(bitmap_ns) -
+      obs_off_ns > 0 ? (static_cast<double>(walk_ns) -
                         static_cast<double>(obs_off_ns)) /
                            static_cast<double>(obs_off_ns) * 100.0
                      : 0.0;
@@ -202,11 +202,11 @@ int RunComparison(const HarnessConfig& config) {
   writer.Field("max_depth", static_cast<int64_t>(options.max_depth));
   writer.Field("reps", static_cast<int64_t>(config.reps));
   writer.Field("subgroups_examined",
-               static_cast<int64_t>(bitmap_result.subgroups_examined));
+               static_cast<int64_t>(walk_result.subgroups_examined));
   writer.Field("baseline_rowwise_ns", baseline_ns);
-  writer.Field("bitmap_ns", bitmap_ns);
+  writer.Field("walk_ns", walk_ns);
   writer.Field("speedup", static_cast<double>(baseline_ns) /
-                              static_cast<double>(bitmap_ns));
+                              static_cast<double>(walk_ns));
   writer.Field("obs_off_ns", obs_off_ns);
   writer.Field("obs_overhead_pct", obs_overhead_pct);
   writer.Field("identical_results", identical);
@@ -222,7 +222,7 @@ int RunComparison(const HarnessConfig& config) {
   }
   std::printf("%s\n", json.c_str());
   if (!identical) {
-    std::fprintf(stderr, "bench_micro_subgroup: rowwise and bitmap results "
+    std::fprintf(stderr, "bench_micro_subgroup: rowwise and walk results "
                          "DIFFER — kernel bug\n");
     return 1;
   }

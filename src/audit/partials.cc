@@ -34,16 +34,6 @@ Result<data::ColumnKeys> GroupKeys(const data::Table& table,
   return data::ExtractKeys(*column);
 }
 
-namespace {
-
-/// Codes for the row pairs (a[row], b[row]): equal pairs share a code,
-/// and codes follow the pairs' first-seen row order. first_rows[code] is
-/// the row where that pair first shows.
-struct PairCodes {
-  std::vector<uint32_t> codes;
-  std::vector<size_t> first_rows;
-};
-
 PairCodes CodePairs(std::span<const uint32_t> a, std::span<const uint32_t> b,
                     size_t b_arity) {
   PairCodes out;
@@ -60,8 +50,6 @@ PairCodes CodePairs(std::span<const uint32_t> a, std::span<const uint32_t> b,
   }
   return out;
 }
-
-}  // namespace
 
 Result<data::ColumnKeys> StrataKeys(
     const data::Table& table,

@@ -2,6 +2,8 @@
 #define FAIRLAW_AUDIT_PARTIALS_H_
 
 #include <array>
+#include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -21,6 +23,18 @@ FAIRLAW_NODISCARD Result<std::vector<int>> BinaryColumn(
     const data::Table& table, const std::string& name);
 FAIRLAW_NODISCARD Result<data::ColumnKeys> GroupKeys(
     const data::Table& table, const std::string& name);
+
+/// Codes for the row pairs (a[row], b[row]), where every b code is below
+/// `b_arity`: equal pairs share a code, and codes follow the pairs'
+/// first-seen row order. first_rows[code] is the row where that pair
+/// first shows. Pairing one key column in at a time codes the tuples of
+/// several columns; the strata and the subgroup audit's cells both do.
+struct PairCodes {
+  std::vector<uint32_t> codes;
+  std::vector<size_t> first_rows;
+};
+PairCodes CodePairs(std::span<const uint32_t> a, std::span<const uint32_t> b,
+                    size_t b_arity);
 
 /// The strata of `strata_columns`: one code per distinct tuple of their
 /// keys in first-seen row order, each keyed by its keys joined with "|".

@@ -3,13 +3,16 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <numeric>
+#include <span>
 #include <utility>
 
 #include "audit/partials.h"
 #include "base/string_util.h"
-#include "data/bitmap.h"
-#include "data/group_index.h"
+#include "data/column.h"
+#include "metrics/fairness_metric.h"
 #include "obs/obs.h"
+#include "stats/mergeable.h"
 
 namespace fairlaw::audit {
 
@@ -82,54 +85,144 @@ void SortFindings(SubgroupAuditResult* result) {
 }
 
 // ---------------------------------------------------------------------------
-// Lattice walk.
+// Cell tally and lattice walk.
 
-/// Kernel statistics, tallied on plain fields while the walk runs and
-/// folded into the obs counters once per audit — the lattice walk is
-/// the hot path, so it never touches an atomic per node.
-struct KernelTally {
-  uint64_t popcount_calls = 0;
-  uint64_t pruned_subtrees = 0;
+/// The cells of the attribute columns: one per distinct tuple of their
+/// values that occurs in the table, in first-seen row order, each with
+/// its (members, positives) tally. Every cell has at least one member.
+struct CellTally {
+  /// Each attribute's keys (data::ExtractKeys: first-seen order, a null
+  /// rendered as "null").
+  std::vector<std::vector<std::string>> values;
+  /// Cell c's code for attribute a sits at codes[c * values.size() + a].
+  std::vector<uint32_t> codes;
+  /// Per cell: count is its members, positive_predictions its positives.
+  std::vector<stats::GroupCounts> counts;
+
+  uint32_t code(size_t cell, size_t attribute) const {
+    return codes[cell * values.size() + attribute];
+  }
 };
 
-/// Scores the conjunction `conditions` (depth >= 1), then walks the
-/// lattice below it. `scratch` holds one preallocated bitmap per depth
-/// level, so the whole walk allocates nothing: the intersection for
-/// depth d is computed into (*scratch)[d] and its popcount falls out of
-/// the same pass (Bitmap::AndInto).
-void EnumerateBitmap(const std::vector<data::AttributeIndex>& attrs,
-                     const data::Bitmap& predictions, double overall_rate,
-                     size_t num_rows, const SubgroupAuditOptions& options,
-                     size_t next_attribute, int depth,
-                     const data::Bitmap& members, size_t member_count,
-                     std::vector<std::pair<std::string, std::string>>*
-                         conditions,
-                     std::vector<data::Bitmap>* scratch,
-                     SubgroupAuditResult* result, KernelTally* tally) {
-  const size_t positives = data::Bitmap::AndCount(members, predictions);
-  ++tally->popcount_calls;
-  RecordFinding(*conditions, member_count, positives, num_rows, overall_rate,
-                options, result);
-  if (depth >= options.max_depth) return;
-  for (size_t a = next_attribute; a < attrs.size(); ++a) {
-    const data::AttributeIndex& attribute = attrs[a];
-    for (size_t v = 0; v < attribute.values.num_keys(); ++v) {
-      data::Bitmap& narrowed = (*scratch)[static_cast<size_t>(depth)];
-      const size_t count =
-          data::Bitmap::AndInto(members, attribute.values.slot(v), &narrowed);
-      ++tally->popcount_calls;
-      if (count == 0) {
-        ++tally->pruned_subtrees;
-        continue;
+/// Codes each row's attribute tuple into a cell by pairing in one
+/// attribute at a time (CodePairs, as StrataKeys does), then tallies the
+/// rows per cell. Only the current attribute's row codes and the rows'
+/// cell codes are alive at once.
+Result<CellTally> TallyCells(const data::Table& table,
+                             const std::vector<std::string>& attributes,
+                             const std::vector<int>& predictions) {
+  CellTally tally;
+  std::vector<uint32_t> row_cells;
+  std::vector<uint32_t> cell_codes;  // the tuples of attributes 0..a-1
+  for (size_t a = 0; a < attributes.size(); ++a) {
+    FAIRLAW_ASSIGN_OR_RETURN(const data::Column* column,
+                             table.GetColumn(attributes[a]));
+    data::ColumnKeys keys = data::ExtractKeys(*column);
+    if (a == 0) {
+      // Every key occurs in some row, so the first attribute's codes
+      // are its cells.
+      cell_codes.resize(keys.keys.size());
+      std::iota(cell_codes.begin(), cell_codes.end(), 0u);
+      row_cells = std::move(keys.codes);
+    } else {
+      PairCodes pairs = CodePairs(row_cells, keys.codes, keys.keys.size());
+      std::vector<uint32_t> tuples;
+      tuples.reserve(pairs.first_rows.size() * (a + 1));
+      for (size_t row : pairs.first_rows) {
+        const auto parent = cell_codes.begin() + row_cells[row] * a;
+        tuples.insert(tuples.end(), parent, parent + a);
+        tuples.push_back(keys.codes[row]);
       }
-      conditions->push_back({attribute.name, attribute.values.keys()[v]});
-      EnumerateBitmap(attrs, predictions, overall_rate, num_rows, options,
-                      a + 1, depth + 1, narrowed, count, conditions, scratch,
-                      result, tally);
-      conditions->pop_back();
+      cell_codes = std::move(tuples);
+      row_cells = std::move(pairs.codes);
+    }
+    tally.values.push_back(std::move(keys.keys));
+  }
+  tally.codes = std::move(cell_codes);
+  tally.counts = metrics::TallyCodes(
+      row_cells, tally.codes.size() / attributes.size(), predictions, {});
+  return tally;
+}
+
+/// Depth-first walk of the conjunction lattice over a cell tally. A
+/// node is a set of cells; its children on attribute a are the node's
+/// cells bucketed by their code for a, so every node costs
+/// O(cells + arity), not O(rows).
+class LatticeWalk {
+ public:
+  LatticeWalk(const std::vector<std::string>& names, const CellTally& cells,
+              const SubgroupAuditOptions& options, size_t num_rows,
+              double overall_rate)
+      : names_(names),
+        cells_(cells),
+        options_(options),
+        num_rows_(num_rows),
+        overall_rate_(overall_rate),
+        // A node at depth d is narrowed on d distinct attributes, and
+        // the walk descends only into nodes with attributes left.
+        sorted_(std::min(static_cast<size_t>(options.max_depth),
+                         names.size())),
+        bucket_ends_(sorted_.size()) {}
+
+  /// Scores each child of `node` (at `depth`, on the attributes from
+  /// `next_attribute` on) and walks below it, in canonical order:
+  /// attributes in argument order, values in first-seen order. An empty
+  /// bucket is a pruned subtree.
+  void Children(std::span<const uint32_t> node, size_t next_attribute,
+                size_t depth) {
+    std::vector<uint32_t>& order = sorted_[depth];
+    std::vector<size_t>& ends = bucket_ends_[depth];
+    order.resize(node.size());
+    for (size_t a = next_attribute; a < names_.size(); ++a) {
+      // Counting sort by the code for a: after the scatter, bucket v is
+      // order[ends[v-1], ends[v]).
+      const std::vector<std::string>& values = cells_.values[a];
+      ends.assign(values.size() + 1, 0);
+      for (uint32_t cell : node) ++ends[cells_.code(cell, a) + 1];
+      for (size_t v = 1; v < ends.size(); ++v) ends[v] += ends[v - 1];
+      for (uint32_t cell : node) order[ends[cells_.code(cell, a)]++] = cell;
+      size_t begin = 0;
+      for (size_t v = 0; v < values.size(); ++v) {
+        const size_t end = ends[v];
+        if (begin == end) {
+          ++pruned_subtrees_;
+          continue;
+        }
+        stats::GroupCounts child;
+        for (size_t i = begin; i < end; ++i) child += cells_.counts[order[i]];
+        conditions_.push_back({names_[a], values[v]});
+        RecordFinding(conditions_, static_cast<size_t>(child.count),
+                      static_cast<size_t>(child.positive_predictions),
+                      num_rows_, overall_rate_, options_, &result_);
+        if (depth + 1 < static_cast<size_t>(options_.max_depth) &&
+            a + 1 < names_.size()) {
+          Children(std::span<const uint32_t>(order).subspan(begin,
+                                                            end - begin),
+                   a + 1, depth + 1);
+        }
+        conditions_.pop_back();
+        begin = end;
+      }
     }
   }
-}
+
+  SubgroupAuditResult& result() { return result_; }
+  uint64_t pruned_subtrees() const { return pruned_subtrees_; }
+
+ private:
+  const std::vector<std::string>& names_;
+  const CellTally& cells_;
+  const SubgroupAuditOptions& options_;
+  const size_t num_rows_;
+  const double overall_rate_;
+  /// One counting-sort buffer per depth, so the walk allocates nothing
+  /// once the first node at each depth has sized them.
+  std::vector<std::vector<uint32_t>> sorted_;
+  std::vector<std::vector<size_t>> bucket_ends_;
+  std::vector<std::pair<std::string, std::string>> conditions_;
+  uint64_t pruned_subtrees_ = 0;
+  SubgroupAuditResult result_;
+};
 
 }  // namespace
 
@@ -146,44 +239,29 @@ Result<SubgroupAuditResult> AuditSubgroups(
   if (table.num_rows() == 0) {
     return Status::Invalid("AuditSubgroups: empty table");
   }
-  // The prediction column is extracted before the index is built, so its
-  // error outranks any attribute column's.
-  FAIRLAW_ASSIGN_OR_RETURN(std::vector<int> prediction_bits,
+  // The prediction column is extracted before the cells are coded, so
+  // its error outranks any attribute column's.
+  FAIRLAW_ASSIGN_OR_RETURN(const std::vector<int> predictions,
                            BinaryColumn(table, prediction_column));
-  const data::Bitmap predictions = data::Bitmap::FromBits(prediction_bits);
-  FAIRLAW_ASSIGN_OR_RETURN(const data::GroupIndex index,
-                           data::GroupIndex::Build(table, attribute_columns));
+  FAIRLAW_ASSIGN_OR_RETURN(const CellTally cells,
+                           TallyCells(table, attribute_columns, predictions));
   const size_t num_rows = table.num_rows();
-  const double overall_rate = static_cast<double>(predictions.Count()) /
-                              static_cast<double>(num_rows);
+  const auto positives =
+      std::count(predictions.begin(), predictions.end(), 1);
+  LatticeWalk walk(
+      attribute_columns, cells, options, num_rows,
+      static_cast<double>(positives) / static_cast<double>(num_rows));
+  std::vector<uint32_t> everyone(cells.counts.size());
+  std::iota(everyone.begin(), everyone.end(), 0u);
+  walk.Children(everyone, /*next_attribute=*/0, /*depth=*/0);
 
-  // Roots in canonical order: attributes in argument order, values in
-  // first-seen order. Depth d intersections land in scratch[d]; a root
-  // set is its index bitmap itself, so levels 1..max_depth-1 suffice.
-  SubgroupAuditResult result;
-  KernelTally tally;
-  std::vector<data::Bitmap> scratch(static_cast<size_t>(options.max_depth) +
-                                    1);
-  std::vector<std::pair<std::string, std::string>> conditions;
-  const std::vector<data::AttributeIndex>& attributes = index.attributes();
-  for (size_t a = 0; a < attributes.size(); ++a) {
-    const data::AttributeIndex& attribute = attributes[a];
-    for (size_t v = 0; v < attribute.values.num_keys(); ++v) {
-      const data::Bitmap& members = attribute.values.slot(v);
-      ++tally.popcount_calls;
-      conditions = {{attribute.name, attribute.values.keys()[v]}};
-      // Index bitmaps are nonempty: every value comes from some row.
-      EnumerateBitmap(attributes, predictions, overall_rate, num_rows,
-                      options, a + 1, /*depth=*/1, members, members.Count(),
-                      &conditions, &scratch, &result, &tally);
-    }
-  }
+  SubgroupAuditResult result = std::move(walk.result());
   obs::GetCounter("subgroup.audits")->Increment();
   obs::GetCounter("subgroup.nodes_visited")
       ->Increment(result.subgroups_examined);
-  obs::GetCounter("subgroup.popcount_calls")->Increment(tally.popcount_calls);
+  obs::GetCounter("subgroup.cells")->Increment(cells.counts.size());
   obs::GetCounter("subgroup.pruned_subtrees")
-      ->Increment(tally.pruned_subtrees);
+      ->Increment(walk.pruned_subtrees());
   SortFindings(&result);
   return result;
 }

@@ -48,7 +48,7 @@ struct SubgroupAuditOptions {
   size_t min_support = 20;
   /// Gap above which a subgroup counts as a violation.
   double tolerance = 0.05;
-  /// Read by nothing: the index build and the lattice walk run serially
+  /// Read by nothing: the cell tally and the lattice walk run serially
   /// on the caller's thread. Kept only because the end-to-end benchmark
   /// harness still assigns it.
   size_t num_threads = 1;
@@ -75,10 +75,11 @@ struct SubgroupAuditResult {
 /// values) up to `options.max_depth` and scores each against the overall
 /// selection rate of `prediction_column` (binary).
 ///
-/// The table gets one data::GroupIndex (each attribute's values in
-/// first-seen row order) and one prediction data::Bitmap. Narrowing a
-/// conjunction by one condition is then a Bitmap AND, and the
-/// member/selected counts are fused popcounts. A bad prediction column's
+/// The rows are tallied once into cells, one per distinct tuple of the
+/// attributes' values (data::ExtractKeys codes, so a null is the value
+/// "null"), each with its member and selected counts. The lattice walk
+/// then narrows a conjunction by one condition by bucketing its cells,
+/// so no node costs a pass over the rows. A bad prediction column's
 /// error outranks a bad attribute column's.
 FAIRLAW_NODISCARD Result<SubgroupAuditResult> AuditSubgroups(
     const data::Table& table,

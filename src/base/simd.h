@@ -11,80 +11,40 @@
 // are a pure function of its configuration.
 //
 // Contract:
-//  * The word-popcount kernels are exact integer computations and return
-//    byte-identical results on every backend — the SIMD and scalar builds
-//    of the Bitmap fused kernels are interchangeable bit for bit.
 //  * CosSumAffine is a floating-point reduction. Within one build it
 //    is deterministic (fixed lane order, fixed tail handling), but
 //    the vectorized polynomial cosine may differ from std::cos by a few
 //    ulps, so cross-backend float results agree only to tolerance.
 //  * The `scalar` nested namespace always provides the reference
-//    implementations regardless of backend, for equivalence tests and
-//    benchmark comparisons.
+//    implementation regardless of backend, for equivalence tests.
 //
 // The fairlaw_check rule simd-intrinsic bans intrinsic identifiers
 // (_mm*/__m*/v*q NEON names, <immintrin.h>, <arm_neon.h>) everywhere
 // outside this header.
 
-#include <bit>
 #include <cmath>
 #include <cstddef>
-#include <cstdint>
 
 #if defined(FAIRLAW_SIMD_AVX2)
 #include <immintrin.h>
-#elif defined(FAIRLAW_SIMD_NEON)
-#include <arm_neon.h>
 #endif
 
 namespace fairlaw::simd {
 
 #if defined(FAIRLAW_SIMD_AVX2)
 inline constexpr const char* kBackendName = "avx2";
-inline constexpr bool kVectorizedPopcount = true;
 inline constexpr bool kVectorizedCos = true;
 #elif defined(FAIRLAW_SIMD_NEON)
 inline constexpr const char* kBackendName = "neon";
-inline constexpr bool kVectorizedPopcount = true;
 inline constexpr bool kVectorizedCos = false;
 #else
 inline constexpr const char* kBackendName = "scalar";
-inline constexpr bool kVectorizedPopcount = false;
 inline constexpr bool kVectorizedCos = false;
 #endif
 
-/// Reference implementations, always available on every backend. The
-/// dispatching functions below must match these bit for bit on the integer
-/// kernels; tests enforce it.
+/// Reference implementations, always available on every backend; tests
+/// hold the dispatching functions below to them.
 namespace scalar {
-
-inline uint64_t PopcountWords(const uint64_t* a, size_t n) {
-  uint64_t count = 0;
-  for (size_t w = 0; w < n; ++w) {
-    count += static_cast<uint64_t>(std::popcount(a[w]));
-  }
-  return count;
-}
-
-inline uint64_t AndPopcountWords(const uint64_t* a, const uint64_t* b,
-                                 size_t n) {
-  uint64_t count = 0;
-  for (size_t w = 0; w < n; ++w) {
-    count += static_cast<uint64_t>(std::popcount(a[w] & b[w]));
-  }
-  return count;
-}
-
-inline uint64_t AndIntoPopcountWords(const uint64_t* a, const uint64_t* b,
-                                     uint64_t* out, size_t n) {
-  uint64_t count = 0;
-  for (size_t w = 0; w < n; ++w) {
-    const uint64_t word = a[w] & b[w];
-    out[w] = word;
-    count += static_cast<uint64_t>(std::popcount(word));
-  }
-  return count;
-}
 
 /// Sum of cos(scale * x[i] + offset) over i in [0, n).
 inline double CosSumAffine(const double* x, size_t n, double scale,
@@ -99,30 +59,6 @@ inline double CosSumAffine(const double* x, size_t n, double scale,
 #if defined(FAIRLAW_SIMD_AVX2)
 
 namespace internal {
-
-/// Per-8-byte-group popcounts of v (Muła): nibble LUT via PSHUFB, then
-/// PSADBW against zero sums the byte counts into the four 64-bit lanes.
-inline __m256i PopcountLanes(__m256i v) {
-  const __m256i lut =
-      _mm256_setr_epi8(0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4, 0, 1,
-                       1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4);
-  const __m256i low_mask = _mm256_set1_epi8(0x0f);
-  const __m256i lo = _mm256_and_si256(v, low_mask);
-  const __m256i hi = _mm256_and_si256(_mm256_srli_epi16(v, 4), low_mask);
-  const __m256i counts = _mm256_add_epi8(_mm256_shuffle_epi8(lut, lo),
-                                         _mm256_shuffle_epi8(lut, hi));
-  return _mm256_sad_epu8(counts, _mm256_setzero_si256());
-}
-
-inline uint64_t HorizontalSumU64(__m256i acc) {
-  alignas(32) uint64_t lanes[4];
-  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), acc);
-  return lanes[0] + lanes[1] + lanes[2] + lanes[3];
-}
-
-inline __m256i LoadWords(const uint64_t* p) {
-  return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
-}
 
 /// Vectorized cos over one 4-lane register: Cody–Waite range reduction
 /// modulo 2*pi, then an even minimax-style polynomial in r^2 (degree 16,
@@ -160,55 +96,6 @@ inline __m256d CosLanes(__m256d arg) {
 
 }  // namespace internal
 
-inline uint64_t PopcountWords(const uint64_t* a, size_t n) {
-  __m256i acc = _mm256_setzero_si256();
-  size_t w = 0;
-  for (; w + 4 <= n; w += 4) {
-    acc = _mm256_add_epi64(acc, internal::PopcountLanes(
-                                    internal::LoadWords(a + w)));
-  }
-  uint64_t count = internal::HorizontalSumU64(acc);
-  for (; w < n; ++w) {
-    count += static_cast<uint64_t>(std::popcount(a[w]));
-  }
-  return count;
-}
-
-inline uint64_t AndPopcountWords(const uint64_t* a, const uint64_t* b,
-                                 size_t n) {
-  __m256i acc = _mm256_setzero_si256();
-  size_t w = 0;
-  for (; w + 4 <= n; w += 4) {
-    const __m256i word = _mm256_and_si256(internal::LoadWords(a + w),
-                                          internal::LoadWords(b + w));
-    acc = _mm256_add_epi64(acc, internal::PopcountLanes(word));
-  }
-  uint64_t count = internal::HorizontalSumU64(acc);
-  for (; w < n; ++w) {
-    count += static_cast<uint64_t>(std::popcount(a[w] & b[w]));
-  }
-  return count;
-}
-
-inline uint64_t AndIntoPopcountWords(const uint64_t* a, const uint64_t* b,
-                                     uint64_t* out, size_t n) {
-  __m256i acc = _mm256_setzero_si256();
-  size_t w = 0;
-  for (; w + 4 <= n; w += 4) {
-    const __m256i word = _mm256_and_si256(internal::LoadWords(a + w),
-                                          internal::LoadWords(b + w));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + w), word);
-    acc = _mm256_add_epi64(acc, internal::PopcountLanes(word));
-  }
-  uint64_t count = internal::HorizontalSumU64(acc);
-  for (; w < n; ++w) {
-    const uint64_t word = a[w] & b[w];
-    out[w] = word;
-    count += static_cast<uint64_t>(std::popcount(word));
-  }
-  return count;
-}
-
 inline double CosSumAffine(const double* x, size_t n, double scale,
                            double offset) {
   const __m256d vscale = _mm256_set1_pd(scale);
@@ -227,89 +114,11 @@ inline double CosSumAffine(const double* x, size_t n, double scale,
   return total;
 }
 
-#elif defined(FAIRLAW_SIMD_NEON)
-
-namespace internal {
-
-/// Popcount of one 16-byte register summed into a uint64x2_t.
-inline uint64x2_t PopcountLanes(uint8x16_t v) {
-  return vpaddlq_u32(vpaddlq_u16(vpaddlq_u8(vcntq_u8(v))));
-}
-
-inline uint8x16_t LoadWords(const uint64_t* p) {
-  return vreinterpretq_u8_u64(vld1q_u64(p));
-}
-
-}  // namespace internal
-
-inline uint64_t PopcountWords(const uint64_t* a, size_t n) {
-  uint64x2_t acc = vdupq_n_u64(0);
-  size_t w = 0;
-  for (; w + 2 <= n; w += 2) {
-    acc = vaddq_u64(acc, internal::PopcountLanes(internal::LoadWords(a + w)));
-  }
-  uint64_t count = vgetq_lane_u64(acc, 0) + vgetq_lane_u64(acc, 1);
-  for (; w < n; ++w) {
-    count += static_cast<uint64_t>(std::popcount(a[w]));
-  }
-  return count;
-}
-
-inline uint64_t AndPopcountWords(const uint64_t* a, const uint64_t* b,
-                                 size_t n) {
-  uint64x2_t acc = vdupq_n_u64(0);
-  size_t w = 0;
-  for (; w + 2 <= n; w += 2) {
-    const uint8x16_t word = vandq_u8(internal::LoadWords(a + w),
-                                     internal::LoadWords(b + w));
-    acc = vaddq_u64(acc, internal::PopcountLanes(word));
-  }
-  uint64_t count = vgetq_lane_u64(acc, 0) + vgetq_lane_u64(acc, 1);
-  for (; w < n; ++w) {
-    count += static_cast<uint64_t>(std::popcount(a[w] & b[w]));
-  }
-  return count;
-}
-
-inline uint64_t AndIntoPopcountWords(const uint64_t* a, const uint64_t* b,
-                                     uint64_t* out, size_t n) {
-  uint64x2_t acc = vdupq_n_u64(0);
-  size_t w = 0;
-  for (; w + 2 <= n; w += 2) {
-    const uint8x16_t word = vandq_u8(internal::LoadWords(a + w),
-                                     internal::LoadWords(b + w));
-    vst1q_u64(out + w, vreinterpretq_u64_u8(word));
-    acc = vaddq_u64(acc, internal::PopcountLanes(word));
-  }
-  uint64_t count = vgetq_lane_u64(acc, 0) + vgetq_lane_u64(acc, 1);
-  for (; w < n; ++w) {
-    const uint64_t word = a[w] & b[w];
-    out[w] = word;
-    count += static_cast<uint64_t>(std::popcount(word));
-  }
-  return count;
-}
+#else  // NEON and scalar
 
 // No vectorized cosine on NEON yet; the feature map falls back to the
 // libm loop (counted by the stats fallback counter).
-inline double CosSumAffine(const double* x, size_t n, double scale,
-                           double offset) {
-  return scalar::CosSumAffine(x, n, scale, offset);
-}
 
-#else  // scalar fallback
-
-inline uint64_t PopcountWords(const uint64_t* a, size_t n) {
-  return scalar::PopcountWords(a, n);
-}
-inline uint64_t AndPopcountWords(const uint64_t* a, const uint64_t* b,
-                                 size_t n) {
-  return scalar::AndPopcountWords(a, b, n);
-}
-inline uint64_t AndIntoPopcountWords(const uint64_t* a, const uint64_t* b,
-                                     uint64_t* out, size_t n) {
-  return scalar::AndIntoPopcountWords(a, b, out, n);
-}
 inline double CosSumAffine(const double* x, size_t n, double scale,
                            double offset) {
   return scalar::CosSumAffine(x, n, scale, offset);

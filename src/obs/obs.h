@@ -13,7 +13,7 @@
 /// Three probe kinds, all registered in a process-wide Registry:
 ///
 ///   * Counter    — monotonically increasing uint64 (rows audited,
-///                  popcount kernel calls, pruned subtrees, ...).
+///                  subgroup cells, pruned subtrees, ...).
 ///   * Histogram  — fixed log2 buckets over uint64 values (batch
 ///                  sizes, ...). No dynamic bucket allocation;
 ///                  bucket b holds values whose bit width is b

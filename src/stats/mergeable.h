@@ -27,7 +27,7 @@ namespace fairlaw::stats {
 /// in global row order.
 ///
 /// Layering note: this lives in stats (below data/metrics) on purpose —
-/// it is plain keyed arithmetic with no table or bitmap dependencies, so
+/// it is plain keyed arithmetic with no table dependencies, so
 /// data, metrics, audit and serve all key their groups through it.
 
 /// Exact integer tallies for one group: the four numbers every group
@@ -103,8 +103,7 @@ template <typename T>
 class FirstSeenMap {
  public:
   /// `prototype` is the payload every new key starts from: a zero
-  /// tally, an empty series, an empty sketch carrying its options, an
-  /// all-zero bitmap.
+  /// tally, an empty series, an empty sketch carrying its options.
   explicit FirstSeenMap(T prototype = T()) : prototype_(std::move(prototype)) {}
 
   /// Slot index for `key`, appending a copy of the prototype (at the end

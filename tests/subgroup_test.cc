@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include "audit/partials.h"
 #include "audit/subgroup.h"
-#include "data/bitmap.h"
 #include "data/csv.h"
 #include "obs/obs.h"
 #include "stats/rng.h"
@@ -116,9 +120,9 @@ TEST(SubgroupAuditTest, Validation) {
   EXPECT_TRUE(SubgroupAuditOptions{}.Validate().ok());
 }
 
-// The subgroup index packs the prediction column through BinaryColumn:
-// bits land on the 1 rows, and a non-binary or missing column is
-// rejected (not truncated) with BinaryColumn's own error.
+// The audit reads the prediction column through BinaryColumn: a 1 row
+// counts as selected, and a non-binary or missing column is rejected
+// (not truncated) with BinaryColumn's own error.
 TEST(SubgroupAuditTest, PredictionColumnPacksAndValidates) {
   data::Table table = data::ReadCsvString(
                           "g,pred,score\n"
@@ -126,8 +130,7 @@ TEST(SubgroupAuditTest, PredictionColumnPacksAndValidates) {
                           .ValueOrDie();
   Result<std::vector<int>> predictions = BinaryColumn(table, "pred");
   ASSERT_TRUE(predictions.ok()) << predictions.status().ToString();
-  EXPECT_EQ(data::Bitmap::FromBits(*predictions).ToIndices(),
-            (std::vector<size_t>{0, 2}));
+  EXPECT_EQ(*predictions, (std::vector<int>{1, 0, 1}));
 
   SubgroupAuditOptions options;
   options.min_support = 1;
@@ -141,7 +144,7 @@ TEST(SubgroupAuditTest, PredictionColumnPacksAndValidates) {
   EXPECT_EQ(result->findings[1].selection_rate, 1.0);
 
   // The prediction column's error outranks the absent attribute
-  // column's: predictions are extracted before the index is built.
+  // column's: predictions are extracted before the cells are coded.
   for (const char* column : {"score", "missing"}) {
     Result<std::vector<int>> direct = BinaryColumn(table, column);
     ASSERT_FALSE(direct.ok()) << column;
@@ -208,18 +211,81 @@ void ExpectIdentical(const SubgroupAuditResult& a,
   }
 }
 
-TEST(SubgroupAuditTest, BitmapEnumeratorMatchesRowwiseReference) {
-  data::Table table = RandomizedTable(2000);
-  std::vector<std::string> attrs = {"a0", "a1", "a2", "a3"};
+/// 2k rows of four arity-12 attributes: at depth 3 most of the 1,728
+/// triples of values hold no row, so many buckets are empty.
+data::Table SparseArityTable() {
+  stats::Rng rng(7);
+  std::string csv = "a0,a1,a2,a3,pred\n";
+  for (int i = 0; i < 2000; ++i) {
+    for (int a = 0; a < 4; ++a) {
+      csv += "v" + std::to_string(rng.UniformInt(12)) + ",";
+    }
+    csv += std::to_string(rng.Bernoulli(0.3) ? 1 : 0) + "\n";
+  }
+  return data::ReadCsvString(csv).ValueOrDie();
+}
+
+/// An int64, a bool and a string attribute whose empty cells read as
+/// nulls, which the audit keys as the value "null".
+data::Table TypedNullTable() {
+  stats::Rng rng(11);
+  std::string csv = "n,flag,s,pred\n";
+  for (int i = 0; i < 600; ++i) {
+    csv += std::to_string(static_cast<int64_t>(rng.UniformInt(4)) - 1) + ",";
+    csv += rng.Bernoulli(0.5) ? "true," : "false,";
+    const uint64_t s = rng.UniformInt(4);
+    csv += s == 0 ? "," : "s" + std::to_string(s) + ",";
+    csv += std::to_string(rng.Bernoulli(0.5) ? 1 : 0) + "\n";
+  }
+  return data::ReadCsvString(csv).ValueOrDie();
+}
+
+TEST(SubgroupAuditTest, CubeWalkMatchesRowwiseReference) {
+  struct Case {
+    const char* name;
+    data::Table table;
+    std::vector<std::string> attrs;
+    int max_depth;
+    size_t min_support;
+  };
+  const std::vector<Case> cases = {
+      {"randomized", RandomizedTable(2000), {"a0", "a1", "a2", "a3"}, 3, 5},
+      {"sparse_arity_12", SparseArityTable(), {"a0", "a1", "a2", "a3"}, 3,
+       2},
+      // Deeper than the attribute count: the walk runs out of
+      // attributes before it runs out of depth.
+      {"typed_with_nulls", TypedNullTable(), {"n", "flag", "s"}, 4, 5},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    SubgroupAuditOptions options;
+    options.max_depth = c.max_depth;
+    options.min_support = c.min_support;
+    SubgroupAuditResult walked =
+        AuditSubgroups(c.table, c.attrs, "pred", options).ValueOrDie();
+    SubgroupAuditResult rowwise =
+        AuditSubgroupsRowwise(c.table, c.attrs, "pred", options)
+            .ValueOrDie();
+    ExpectIdentical(walked, rowwise);
+    EXPECT_GT(walked.findings.size(), 0u);
+  }
+  // The typed table's nulls and non-string values reach the findings
+  // rendered as the rows render them.
   SubgroupAuditOptions options;
-  options.max_depth = 3;
-  options.min_support = 5;
-  SubgroupAuditResult bitmap =
-      AuditSubgroups(table, attrs, "pred", options).ValueOrDie();
-  SubgroupAuditResult rowwise =
-      AuditSubgroupsRowwise(table, attrs, "pred", options).ValueOrDie();
-  ExpectIdentical(bitmap, rowwise);
-  EXPECT_GT(bitmap.findings.size(), 0u);
+  options.max_depth = 1;
+  options.min_support = 1;
+  const SubgroupAuditResult marginals =
+      AuditSubgroups(cases[2].table, cases[2].attrs, "pred", options)
+          .ValueOrDie();
+  std::vector<std::string> rendered;
+  for (const SubgroupFinding& finding : marginals.findings) {
+    rendered.push_back(finding.subgroup.ToString());
+  }
+  for (const char* expected : {"n=-1", "flag=true", "s=null"}) {
+    EXPECT_NE(std::find(rendered.begin(), rendered.end(), expected),
+              rendered.end())
+        << expected;
+  }
 }
 
 /// Table whose third attribute is determined by the first for a third
@@ -234,9 +300,10 @@ data::Table SparseLatticeTable() {
   return data::ReadCsvString(csv).ValueOrDie();
 }
 
-// Exact kernel-counter values of one audit: the walk order, the number
-// of AND/popcount calls and the pruning are part of the contract.
-TEST(SubgroupAuditTest, KernelCountersPinnedOnBothPaths) {
+// Exact walk-counter values of one audit: the cells, the walk order and
+// the pruning are part of the contract. i % 12 fixes (a, b, c), so the
+// table has 12 cells.
+TEST(SubgroupAuditTest, WalkCountersPinned) {
   if (!obs::Enabled()) GTEST_SKIP() << "obs disabled";
   const data::Table table = SparseLatticeTable();
   const std::vector<std::string> attrs = {"a", "b", "c"};
@@ -244,14 +311,14 @@ TEST(SubgroupAuditTest, KernelCountersPinnedOnBothPaths) {
   options.max_depth = 3;
   options.min_support = 5;
   obs::Counter* nodes = obs::GetCounter("subgroup.nodes_visited");
-  obs::Counter* popcounts = obs::GetCounter("subgroup.popcount_calls");
+  obs::Counter* cells = obs::GetCounter("subgroup.cells");
   obs::Counter* pruned = obs::GetCounter("subgroup.pruned_subtrees");
   const uint64_t nodes_before = nodes->Value();
-  const uint64_t popcounts_before = popcounts->Value();
+  const uint64_t cells_before = cells->Value();
   const uint64_t pruned_before = pruned->Value();
   ASSERT_TRUE(AuditSubgroups(table, attrs, "pred", options).ok());
   EXPECT_EQ(nodes->Value() - nodes_before, 47u);
-  EXPECT_EQ(popcounts->Value() - popcounts_before, 126u);
+  EXPECT_EQ(cells->Value() - cells_before, 12u);
   EXPECT_EQ(pruned->Value() - pruned_before, 32u);
 }
 

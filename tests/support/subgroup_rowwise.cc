@@ -76,8 +76,8 @@ void EnumerateRowwise(const std::vector<AttributeColumn>& attributes,
       std::vector<size_t> narrowed;
       narrowed.reserve(member_rows->size());
       for (size_t row : *member_rows) {
-        // The per-row compare is the scalar baseline the bitmap kernels
-        // replace.
+        // The per-row compare is the scalar baseline the cell-tally
+        // walk replaces.
         if (attribute.values[row] == value) narrowed.push_back(row);
       }
       if (narrowed.empty()) continue;

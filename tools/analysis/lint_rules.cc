@@ -18,12 +18,10 @@
 //                     fairlaw::ThreadPool, and synchronization happens on
 //                     state, not wall-clock time.
 //   hot-path          std::vector<bool> is banned (its packed proxies
-//                     defeat spans and word-wise kernels), and per-row
-//                     std::string equality or a ValueToString( call
-//                     inside loops is flagged in src/audit/ and
-//                     src/metrics/, where membership tests belong in
-//                     data::GroupIndex bitmaps and row keys are
-//                     data::ExtractKeys codes.
+//                     defeat spans), and per-row std::string equality or
+//                     a ValueToString( call inside loops is flagged in
+//                     src/audit/ and src/metrics/, where rows are keyed
+//                     and compared by data::ExtractKeys codes.
 //   timing-source     raw std::chrono::steady_clock is banned outside
 //                     src/obs/: measurements flow through
 //                     obs::MonotonicNowNs() / obs::TraceSpan so they share
@@ -237,8 +235,7 @@ void CheckHotPath(const Rule& self, const RuleInput& in, Reporter& out) {
     if (TokenSeqAt(tokens, i, {"std", "::", "vector", "<", "bool", ">"})) {
       out.Report(self, file, tokens[i].line,
                  "std::vector<bool> is banned: its packed proxies defeat "
-                 "spans and word-wise kernels; use std::vector<uint8_t> or "
-                 "data::Bitmap");
+                 "spans; use std::vector<uint8_t>");
     }
   }
 
@@ -295,7 +292,7 @@ void CheckHotPath(const Rule& self, const RuleInput& in, Reporter& out) {
     if (!op.IsPunct("==") && !op.IsPunct("!=")) continue;
     out.Report(self, file, op.line,
                "per-row std::string compare inside a loop: audit/metric "
-               "kernels must test membership via data::GroupIndex bitmaps "
+               "kernels must test membership by data::ExtractKeys codes "
                "(add `lint: allow-hot-path` only for a deliberate scalar "
                "baseline)");
   }

@@ -15,8 +15,8 @@
 // (metric audit only — the table never materializes, so the
 // proxy/subgroup/sampling extras are unavailable); --threads processes
 // its chunks in parallel, --chunk-rows sizes them, and --max-memory-mb
-// caps the derived chunk size so the bounded in-flight window fits the
-// budget. The output is identical for every value of these three.
+// caps the derived chunk size so the chunks the workers hold at once fit
+// the budget. The output is identical for every value of these three.
 // --obs-json additionally dumps the obs probe registry (counters,
 // histograms, trace spans) collected during the run; the dump is
 // byte-identical for every --threads value unless --obs-timings adds the
@@ -49,22 +49,21 @@ struct CliOptions {
   bool obs_timings = false;
 };
 
-/// Rows per chunk that keep the streaming engine's bounded in-flight
-/// window under `max_memory_mb`. The window has at most 2*threads slots,
-/// but a chunk lives only while a worker reads and audits it (a queued
-/// slot has not read its chunk yet, a done one keeps only its partial),
-/// so budgeting 2*threads+1 chunks leaves a wide margin. Rows are costed
-/// at a conservative flat estimate (mixed string/double columns) since
-/// the schema is unknown before the first read. --threads=0 means "one
-/// per hardware thread", whose count is unknown here, so the budget
-/// assumes a generous 16 workers rather than querying thread primitives
-/// in a flag parser.
+/// Rows per chunk that keep the streaming engine's parsed chunks under
+/// `max_memory_mb`. A chunk lives only while a worker reads and audits
+/// it (a queued window slot has not read its chunk yet, a done one keeps
+/// only its partial), and the serial path reads one at a time, so at
+/// most one parsed chunk per worker is alive. Rows are costed at a
+/// conservative flat estimate (mixed string/double columns) since the
+/// schema is unknown before the first read. --threads=0 means "one per
+/// hardware thread", whose count is unknown here, so the budget assumes
+/// a generous 16 workers rather than querying thread primitives in a
+/// flag parser.
 size_t ChunkRowsForBudget(size_t max_memory_mb, size_t threads) {
   constexpr size_t kBytesPerRowEstimate = 256;
   const size_t workers = threads == 0 ? 16 : threads;
-  const size_t window_chunks = 2 * workers + 1;
-  const size_t budget_rows = max_memory_mb * 1024 * 1024 /
-                             (kBytesPerRowEstimate * window_chunks);
+  const size_t budget_rows =
+      max_memory_mb * 1024 * 1024 / (kBytesPerRowEstimate * workers);
   // Never go below a useful morsel: tiny chunks drown in scheduling
   // overhead without buying memory back.
   return std::max<size_t>(budget_rows, 1024);
@@ -138,7 +137,7 @@ fairlaw::Result<CliOptions> Parse(int argc, char** argv, bool* show_help,
   int64_t max_memory_mb = 0;
   flags.Add("max-memory-mb", &max_memory_mb,
             "approximate --streaming memory budget; caps the chunk size so "
-            "the in-flight window fits (0 = no cap)",
+            "the chunks the workers hold fit (0 = no cap)",
             fairlaw::cli::Range<int64_t>{0, int64_t{1} << 31});
   *help_text = flags.Help();
   FAIRLAW_ASSIGN_OR_RETURN(fairlaw::cli::ParseResult parsed,
