@@ -11,9 +11,7 @@
 //
 // The sweep doubles as the estimator-tier verification harness: it
 // asserts that the linear-time RFF MMD estimate lands within
-// kRffTolerance of the exact quadratic estimator (exit 1 otherwise), and
-// it records the active SIMD backend, which the RFF feature map's cosine
-// runs on.
+// kRffTolerance of the exact quadratic estimator (exit 1 otherwise).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -21,11 +19,11 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <string>
 #include <string_view>
 
 #include "base/json_writer.h"
-#include "base/simd.h"
 #include "base/string_util.h"
 #include "best_of.h"
 #include "obs/obs.h"
@@ -37,7 +35,7 @@
 
 namespace {
 
-using fairlaw::bench::BestOfNs;
+using fairlaw::bench::BestOfEachNs;
 using fairlaw::stats::Histogram;
 using fairlaw::stats::Rng;
 
@@ -194,17 +192,24 @@ int RunTimings(const std::string& out_path, const std::string& obs_path,
   writer.Field("n", static_cast<int64_t>(n));
   writer.Field("mmd_n", static_cast<int64_t>(mmd_n));
   writer.Field("reps", static_cast<int64_t>(reps));
-  writer.Key("timings_ns");
-  writer.BeginObject();
-  writer.Field("wasserstein1", BestOfNs(reps, [&] {
+  // Every gate divides two of these times: each kernel's by
+  // binned_total_variation's, and mmd_biased's by mmd_rff_d256's. So all
+  // legs run in the same rounds and see the same machine load.
+  std::vector<std::string> names;
+  std::vector<std::function<void()>> legs;
+  auto leg = [&](std::string name, std::function<void()> fn) {
+    names.push_back(std::move(name));
+    legs.push_back(std::move(fn));
+  };
+  leg("wasserstein1", [&] {
     benchmark::DoNotOptimize(
         fairlaw::stats::Wasserstein1Samples(x, y).ValueOrDie());
-  }));
-  writer.Field("kolmogorov_smirnov", BestOfNs(reps, [&] {
+  });
+  leg("kolmogorov_smirnov", [&] {
     benchmark::DoNotOptimize(
         fairlaw::stats::KolmogorovSmirnov(x, y).ValueOrDie());
-  }));
-  writer.Field("binned_total_variation", BestOfNs(reps, [&] {
+  });
+  leg("binned_total_variation", [&] {
     Histogram hx = Histogram::Make(-5.0, 6.0, 40).ValueOrDie();
     Histogram hy = Histogram::Make(-5.0, 6.0, 40).ValueOrDie();
     hx.AddAll(x);
@@ -213,53 +218,57 @@ int RunTimings(const std::string& out_path, const std::string& obs_path,
         fairlaw::stats::TotalVariation(hx.Probabilities(),
                                        hy.Probabilities())
             .ValueOrDie());
-  }));
-  writer.Field("wasserstein1_presorted", BestOfNs(reps, [&] {
+  });
+  leg("wasserstein1_presorted", [&] {
     benchmark::DoNotOptimize(
         fairlaw::stats::Wasserstein1Presorted(x_sorted, y_sorted)
             .ValueOrDie());
-  }));
-  writer.Field("kolmogorov_smirnov_presorted", BestOfNs(reps, [&] {
+  });
+  leg("kolmogorov_smirnov_presorted", [&] {
     benchmark::DoNotOptimize(
         fairlaw::stats::KolmogorovSmirnovPresorted(x_sorted, y_sorted)
             .ValueOrDie());
-  }));
-  {
-    // The binned kernel serves monitoring paths that already maintain
-    // histograms, so only the distance itself is timed. A single call is
-    // sub-microsecond — too close to timer resolution for the 20% ratio
-    // gate — so the field records the per-call average over an inner
-    // batch.
-    Histogram hx = Histogram::Make(-5.0, 6.0, 40).ValueOrDie();
-    Histogram hy = Histogram::Make(-5.0, 6.0, 40).ValueOrDie();
-    hx.AddAll(x);
-    hy.AddAll(y);
-    constexpr int64_t kBinnedIters = 512;
-    const int64_t batch_ns = BestOfNs(reps, [&] {
-      double total = 0.0;
-      for (int64_t it = 0; it < kBinnedIters; ++it) {
-        total += fairlaw::stats::Wasserstein1Binned(hx, hy).ValueOrDie();
-      }
-      benchmark::DoNotOptimize(total);
-    });
-    writer.Field("wasserstein1_binned", batch_ns / kBinnedIters);
-  }
-  const int64_t mmd_biased_ns = BestOfNs(reps, [&] {
+  });
+  // The binned kernel serves monitoring paths that already maintain
+  // histograms, so only the distance itself is timed. A single call is
+  // sub-microsecond — too close to timer resolution for the 20% ratio
+  // gate — so the field records the per-call average over an inner
+  // batch.
+  Histogram hx = Histogram::Make(-5.0, 6.0, 40).ValueOrDie();
+  Histogram hy = Histogram::Make(-5.0, 6.0, 40).ValueOrDie();
+  hx.AddAll(x);
+  hy.AddAll(y);
+  constexpr int64_t kBinnedIters = 512;
+  leg("wasserstein1_binned", [&] {
+    double total = 0.0;
+    for (int64_t it = 0; it < kBinnedIters; ++it) {
+      total += fairlaw::stats::Wasserstein1Binned(hx, hy).ValueOrDie();
+    }
+    benchmark::DoNotOptimize(total);
+  });
+  leg("mmd_biased", [&] {
     benchmark::DoNotOptimize(
         fairlaw::stats::MmdSquaredBiased1d(xm, ym, 1.0).ValueOrDie());
   });
-  writer.Field("mmd_biased", mmd_biased_ns);
-  int64_t mmd_rff_d256_ns = 0;
   for (const size_t d : {size_t{64}, size_t{256}, size_t{1024}}) {
     fairlaw::stats::MmdRffOptions options;
     options.num_features = d;
-    const int64_t ns = BestOfNs(reps, [&] {
+    leg("mmd_rff_d" + std::to_string(d), [&xm, &ym, options] {
       benchmark::DoNotOptimize(
           fairlaw::stats::MmdSquaredRff1d(xm, ym, 1.0, options)
               .ValueOrDie());
     });
-    if (d == 256) mmd_rff_d256_ns = ns;
-    writer.Field("mmd_rff_d" + std::to_string(d), ns);
+  }
+  std::vector<int64_t> leg_ns = BestOfEachNs(reps, legs);
+  int64_t mmd_biased_ns = 0;
+  int64_t mmd_rff_d256_ns = 0;
+  writer.Key("timings_ns");
+  writer.BeginObject();
+  for (size_t i = 0; i < names.size(); ++i) {
+    if (names[i] == "wasserstein1_binned") leg_ns[i] /= kBinnedIters;
+    if (names[i] == "mmd_biased") mmd_biased_ns = leg_ns[i];
+    if (names[i] == "mmd_rff_d256") mmd_rff_d256_ns = leg_ns[i];
+    writer.Field(names[i], leg_ns[i]);
   }
   writer.EndObject();
 
@@ -275,7 +284,6 @@ int RunTimings(const std::string& out_path, const std::string& obs_path,
   const double abs_err = std::abs(rff - exact);
   const bool within_tolerance = abs_err <= kRffTolerance;
 
-  writer.Field("simd_backend", std::string(fairlaw::simd::kBackendName));
   writer.Field("rff_vs_exact_abs_err", abs_err);
   writer.Field("rff_tolerance", kRffTolerance);
   writer.Field("rff_within_tolerance", within_tolerance);

@@ -33,11 +33,6 @@ inline std::vector<int64_t> BestOfEachNs(
   return best;
 }
 
-/// The fastest of `reps` calls of `fn` (BestOfEachNs with one leg).
-inline int64_t BestOfNs(size_t reps, const std::function<void()>& fn) {
-  return BestOfEachNs(reps, {fn})[0];
-}
-
 }  // namespace fairlaw::bench
 
 #endif  // FAIRLAW_BENCH_BEST_OF_H_

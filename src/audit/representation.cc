@@ -4,14 +4,13 @@
 #include <cmath>
 
 #include "base/string_util.h"
-#include "data/column.h"
 #include "stats/distance.h"
 #include "stats/hypothesis.h"
 
 namespace fairlaw::audit {
 
 Result<RepresentationReport> AuditRepresentation(
-    const data::Table& table, const std::string& column,
+    const std::vector<metrics::GroupStats>& groups,
     const std::map<std::string, double>& reference_shares,
     const RepresentationAuditOptions& options) {
   if (reference_shares.size() < 2) {
@@ -41,16 +40,12 @@ Result<RepresentationReport> AuditRepresentation(
                            "zero");
   }
 
-  FAIRLAW_ASSIGN_OR_RETURN(const data::Column* attribute,
-                           table.GetColumn(column));
-  const data::ColumnKeys keys = data::ExtractKeys(*attribute);
-  std::vector<int64_t> code_counts(keys.keys.size(), 0);
-  for (const uint32_t code : keys.codes) ++code_counts[code];
   std::map<std::string, int64_t> counts;
-  for (size_t code = 0; code < keys.keys.size(); ++code) {
-    counts[keys.keys[code]] = code_counts[code];
+  int64_t total = 0;
+  for (const metrics::GroupStats& group : groups) {
+    counts[group.group] += group.count;
+    total += group.count;
   }
-  const auto total = static_cast<int64_t>(keys.codes.size());
   if (total == 0) return Status::Invalid("AuditRepresentation: empty table");
 
   // Both directions must agree on the category set.

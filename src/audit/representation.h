@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "base/result.h"
-#include "data/table.h"
+#include "metrics/fairness_metric.h"
 
 namespace fairlaw::audit {
 
@@ -48,13 +48,14 @@ struct RepresentationReport {
   std::string detail;
 };
 
-/// Compares the composition of `column` in `table` against
+/// Compares the group sizes of a protected-attribute tally (the audit's
+/// per-group stats; only `group` and `count` are read) against
 /// `reference_shares` (group -> population share; missing groups in
 /// either direction are errors, because silently dropping a category is
 /// itself a representation failure). Shares must be finite and
 /// non-negative; they are normalized internally.
 FAIRLAW_NODISCARD Result<RepresentationReport> AuditRepresentation(
-    const data::Table& table, const std::string& column,
+    const std::vector<metrics::GroupStats>& groups,
     const std::map<std::string, double>& reference_shares,
     const RepresentationAuditOptions& options = {});
 

@@ -95,7 +95,7 @@ Result<SuiteReport> RunFairnessSuite(const data::Table& table,
     if (report.subgroups->any_violation) report.all_clear = false;
   }
 
-  // Both screens read the per-group tallies the audit already made: the
+  // The screens read the per-group tallies the audit already made: the
   // groups of its disparate_impact_ratio report.
   FAIRLAW_ASSIGN_OR_RETURN(const metrics::MetricReport* impact,
                            report.audit.Find("disparate_impact_ratio"));
@@ -115,8 +115,7 @@ Result<SuiteReport> RunFairnessSuite(const data::Table& table,
   if (!config.population_shares.empty()) {
     FAIRLAW_ASSIGN_OR_RETURN(
         report.representation,
-        audit::AuditRepresentation(table, config.audit.protected_column,
-                                   config.population_shares,
+        audit::AuditRepresentation(impact->groups, config.population_shares,
                                    config.representation_options));
     if (!report.representation->composition_ok) report.all_clear = false;
   }

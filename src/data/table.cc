@@ -76,58 +76,4 @@ std::string Table::Preview(size_t max_rows) const {
   return out;
 }
 
-TableBuilder::TableBuilder(Schema schema) : schema_(std::move(schema)) {
-  columns_.reserve(schema_.num_fields());
-  for (size_t i = 0; i < schema_.num_fields(); ++i) {
-    columns_.emplace_back(schema_.field(i).type);
-  }
-}
-
-Status TableBuilder::AppendRow(const std::vector<Cell>& cells) {
-  if (cells.size() != schema_.num_fields()) {
-    return Status::Invalid("AppendRow: expected " +
-                           std::to_string(schema_.num_fields()) +
-                           " cells, got " + std::to_string(cells.size()));
-  }
-  // Validate the whole row before mutating so a failed append leaves the
-  // builder consistent.
-  for (size_t i = 0; i < cells.size(); ++i) {
-    bool matches = false;
-    switch (schema_.field(i).type) {
-      case DataType::kDouble:
-        matches = std::holds_alternative<double>(cells[i]);
-        break;
-      case DataType::kInt64:
-        matches = std::holds_alternative<int64_t>(cells[i]);
-        break;
-      case DataType::kString:
-        matches = std::holds_alternative<std::string>(cells[i]);
-        break;
-      case DataType::kBool:
-        matches = std::holds_alternative<bool>(cells[i]);
-        break;
-    }
-    if (!matches) {
-      return Status::Invalid("AppendRow: cell " + std::to_string(i) +
-                             " does not match field '" +
-                             schema_.field(i).name + "'");
-    }
-  }
-  for (size_t i = 0; i < cells.size(); ++i) {
-    FAIRLAW_RETURN_NOT_OK(columns_[i].AppendCell(cells[i]));
-  }
-  return Status::OK();
-}
-
-Result<Table> TableBuilder::Finish() {
-  Schema schema = schema_;
-  std::vector<Column> columns = std::move(columns_);
-  columns_.clear();
-  columns_.reserve(schema_.num_fields());
-  for (size_t i = 0; i < schema_.num_fields(); ++i) {
-    columns_.emplace_back(schema_.field(i).type);
-  }
-  return Table::Make(std::move(schema), std::move(columns));
-}
-
 }  // namespace fairlaw::data

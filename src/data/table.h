@@ -52,22 +52,6 @@ class Table {
   std::vector<Column> columns_;
 };
 
-/// Incremental row-oriented table builder.
-class TableBuilder {
- public:
-  explicit TableBuilder(Schema schema);
-
-  /// Appends one row; `cells` must match the schema arity and types.
-  FAIRLAW_NODISCARD Status AppendRow(const std::vector<Cell>& cells);
-
-  /// Finalizes into a table; the builder is left empty.
-  FAIRLAW_NODISCARD Result<Table> Finish();
-
- private:
-  Schema schema_;
-  std::vector<Column> columns_;
-};
-
 }  // namespace fairlaw::data
 
 #endif  // FAIRLAW_DATA_TABLE_H_

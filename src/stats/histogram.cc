@@ -41,37 +41,4 @@ std::vector<double> Histogram::Probabilities() const {
   return probs;
 }
 
-void CategoricalHistogram::Add(const std::string& category, double weight) {
-  for (size_t i = 0; i < categories_.size(); ++i) {
-    if (categories_[i] == category) {
-      counts_[i] += weight;
-      total_weight_ += weight;
-      return;
-    }
-  }
-  categories_.push_back(category);
-  counts_.push_back(weight);
-  total_weight_ += weight;
-}
-
-double CategoricalHistogram::count(const std::string& category) const {
-  for (size_t i = 0; i < categories_.size(); ++i) {
-    if (categories_[i] == category) return counts_[i];
-  }
-  return 0.0;
-}
-
-std::vector<double> CategoricalHistogram::Probabilities() const {
-  std::vector<double> probs(counts_.size());
-  if (total_weight_ <= 0.0) {
-    std::fill(probs.begin(), probs.end(),
-              counts_.empty() ? 0.0 : 1.0 / static_cast<double>(counts_.size()));
-    return probs;
-  }
-  for (size_t i = 0; i < counts_.size(); ++i) {
-    probs[i] = counts_[i] / total_weight_;
-  }
-  return probs;
-}
-
 }  // namespace fairlaw::stats

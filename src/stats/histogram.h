@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "base/result.h"
@@ -49,29 +48,6 @@ class Histogram {
 
   double lo_;
   double hi_;
-  std::vector<double> counts_;
-  double total_weight_ = 0.0;
-};
-
-/// Frequency table over categorical values identified by string labels.
-class CategoricalHistogram {
- public:
-  /// Adds one observation of `category` with the given weight.
-  void Add(const std::string& category, double weight = 1.0);
-
-  /// Categories in first-seen order.
-  const std::vector<std::string>& categories() const { return categories_; }
-
-  /// Weight for `category` (0 if unseen).
-  double count(const std::string& category) const;
-
-  double total_weight() const { return total_weight_; }
-
-  /// Probabilities aligned with categories(). Uniform when empty.
-  std::vector<double> Probabilities() const;
-
- private:
-  std::vector<std::string> categories_;
   std::vector<double> counts_;
   double total_weight_ = 0.0;
 };

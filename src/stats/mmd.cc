@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "base/check.h"
-#include "base/simd.h"
 #include "obs/obs.h"
 #include "stats/rng.h"
 
@@ -118,16 +117,64 @@ void RecordRffProbes(const MmdRffOptions& options) {
   obs::GetCounter("stats.mmd.rff_calls")->Increment();
   obs::GetCounter("stats.mmd.rff_features")
       ->Increment(static_cast<uint64_t>(options.num_features));
-  if (!simd::kVectorizedCos) {
-    obs::GetCounter("stats.simd.scalar_fallback")->Increment();
+}
+
+/// cos(arg): Cody–Waite reduction modulo 2*pi, then the Taylor series
+/// of cos to u^10 in u = r^2 (Horner), whose remainder at |r| = pi is
+/// below 1e-10.
+[[gnu::always_inline]] inline double PolyCos(double arg) {
+  constexpr double kInvTwoPi = 0x1.45f306dc9c883p-3;
+  // 2*pi split into a high part exact in 27 bits and two tails, so
+  // arg - k*2pi keeps full precision for |k| up to ~2^26.
+  constexpr double kTwoPiHi = 0x1.921fb54p+2;
+  constexpr double kTwoPiMid = 0x1.10b46118p-28;
+  constexpr double kTwoPiLo = 0x1.313198a2e037p-59;
+  // Adding and subtracting 1.5 * 2^52 rounds to the nearest integer
+  // (ties to even) for |value| < 2^51.
+  constexpr double kRoundShift = 0x1.8p52;
+  const double k = (arg * kInvTwoPi + kRoundShift) - kRoundShift;
+  double r = arg - k * kTwoPiHi;
+  r -= k * kTwoPiMid;
+  r -= k * kTwoPiLo;
+  const double u = r * r;
+  double poly = 4.1103176233121648e-19;
+  poly = poly * u - 1.5619206968586225e-16;
+  poly = poly * u + 4.7794773323873853e-14;
+  poly = poly * u - 1.1470745597729725e-11;
+  poly = poly * u + 2.0876756987868099e-9;
+  poly = poly * u - 2.7557319223985891e-7;
+  poly = poly * u + 2.4801587301587302e-5;
+  poly = poly * u - 1.3888888888888889e-3;
+  poly = poly * u + 4.1666666666666666e-2;
+  poly = poly * u - 0.5;
+  poly = poly * u + 1.0;
+  return poly;
+}
+
+/// The CosSumAffine body. Four accumulators take the elements by
+/// i % 4 and are added (a0 + a1) + (a2 + a3), so the grouping is fixed
+/// and the compiler can keep the four in one vector register.
+[[gnu::always_inline]] inline double CosSumAffineBody(
+    std::span<const double> x, double scale, double offset) {
+  const double* data = x.data();
+  const size_t n = x.size();
+  double acc[4] = {0.0, 0.0, 0.0, 0.0};
+  size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    for (size_t lane = 0; lane < 4; ++lane) {
+      acc[lane] += PolyCos(scale * data[i + lane] + offset);
+    }
   }
+  double total = (acc[0] + acc[1]) + (acc[2] + acc[3]);
+  for (; i < n; ++i) total += PolyCos(scale * data[i] + offset);
+  return total;
 }
 
 /// RFF core over contiguous 1-D samples (validated by the caller).
 /// Feature j draws its frequency w ~ N(0, 1/sigma^2) and phase
 /// b ~ U[0, 2pi) from its own counter-seeded stream, then the feature-map
 /// means are cosine sums over the raw inputs — one affine cosine sweep
-/// per sample, vectorized where the backend allows.
+/// per sample.
 double Rff1dCore(std::span<const double> x, std::span<const double> y,
                  double sigma, const MmdRffOptions& options) {
   const double nx = static_cast<double>(x.size());
@@ -137,14 +184,35 @@ double Rff1dCore(std::span<const double> x, std::span<const double> y,
         Rng rng(StreamSeed(options.seed, j));
         const double w = rng.Normal() / sigma;
         const double b = rng.Uniform() * kTwoPi;
-        const double sum_x = simd::CosSumAffine(x.data(), x.size(), w, b);
-        const double sum_y = simd::CosSumAffine(y.data(), y.size(), w, b);
+        const double sum_x = CosSumAffine(x, w, b);
+        const double sum_y = CosSumAffine(y, w, b);
         return sum_x / nx - sum_y / ny;
       });
   return 2.0 * total / static_cast<double>(options.num_features);
 }
 
 }  // namespace
+
+#if defined(__x86_64__)
+/// The same body compiled for AVX2 and FMA, called only on a CPU that
+/// has both.
+[[gnu::target("arch=x86-64-v3")]] static double CosSumAffineV3(
+    std::span<const double> x, double scale, double offset) {
+  return CosSumAffineBody(x, scale, offset);
+}
+
+double CosSumAffine(std::span<const double> x, double scale, double offset) {
+  // Asked once per process.
+  static const bool has_v3 =
+      __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
+  return has_v3 ? CosSumAffineV3(x, scale, offset)
+                : CosSumAffineBody(x, scale, offset);
+}
+#else
+double CosSumAffine(std::span<const double> x, double scale, double offset) {
+  return CosSumAffineBody(x, scale, offset);
+}
+#endif
 
 double RbfKernel(const Point& x, const Point& y, double sigma) {
   return std::exp(-SquaredDistance(x, y) / (2.0 * sigma * sigma));

@@ -229,19 +229,5 @@ TEST(TableTest, PreviewRendersHeaderAndRows) {
   EXPECT_NE(preview.find("2 more rows"), std::string::npos);
 }
 
-TEST(TableBuilderTest, AppendRowsAndFinish) {
-  Schema schema = Schema::Make({{"x", DataType::kDouble},
-                                {"label", DataType::kInt64}})
-                      .ValueOrDie();
-  TableBuilder builder(schema);
-  EXPECT_TRUE(builder.AppendRow({Cell(1.0), Cell(int64_t{1})}).ok());
-  EXPECT_TRUE(builder.AppendRow({Cell(2.0), Cell(int64_t{0})}).ok());
-  // Arity and type mismatches rejected without corrupting the builder.
-  EXPECT_FALSE(builder.AppendRow({Cell(1.0)}).ok());
-  EXPECT_FALSE(builder.AppendRow({Cell(int64_t{1}), Cell(int64_t{1})}).ok());
-  Table table = builder.Finish().ValueOrDie();
-  EXPECT_EQ(table.num_rows(), 2u);
-}
-
 }  // namespace
 }  // namespace fairlaw::data

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "stats/mmd.h"
 #include "stats/rng.h"
@@ -105,6 +106,38 @@ TEST(MmdRffTest, RffInputValidation) {
   EXPECT_FALSE(MmdSquaredRff1d(two, two, 1.0, no_features).ok());
   EXPECT_FALSE(MmdSquaredRff1d(two, two, 0.0).ok());
   EXPECT_FALSE(MmdSquaredRff1d({}, two, 1.0).ok());
+}
+
+double StdCosSum(const std::vector<double>& x, double scale, double offset) {
+  double total = 0.0;
+  for (const double v : x) total += std::cos(scale * v + offset);
+  return total;
+}
+
+// The kernel's cosine is a polynomial accurate to ~1e-10 per element, so
+// the sum stays within 1e-9 per element of a std::cos loop. The sizes
+// cover the empty input, a tail alone, one full group of four, and both;
+// scale 800 takes arguments to ~1e4, where the range reduction wraps
+// ~1600 times.
+TEST(CosSumAffineTest, WithinToleranceOfStdCos) {
+  for (const double scale : {2.75, 800.0}) {
+    Rng rng(0x106);
+    for (const size_t n : {size_t{0}, size_t{1}, size_t{3}, size_t{4},
+                           size_t{5}, size_t{4096}}) {
+      std::vector<double> xs = Draw(&rng, n, 0.0, 3.0);
+      EXPECT_NEAR(CosSumAffine(xs, scale, 1.25), StdCosSum(xs, scale, 1.25),
+                  1e-9 * static_cast<double>(n + 1))
+          << "scale=" << scale << " n=" << n;
+    }
+  }
+}
+
+// Calling the kernel twice on the same input returns the same bits: no
+// internal state, no input-dependent control flow.
+TEST(CosSumAffineTest, IsAPureFunction) {
+  Rng rng(0x202);
+  const std::vector<double> xs = Draw(&rng, 513, 0.0, 10.0);
+  EXPECT_EQ(CosSumAffine(xs, 1.5, 0.25), CosSumAffine(xs, 1.5, 0.25));
 }
 
 }  // namespace

@@ -6,23 +6,27 @@
 #include <vector>
 
 #include "audit/representation.h"
-#include "data/csv.h"
 
 namespace fairlaw::audit {
 namespace {
 
-data::Table TableWithShares(int a, int b, int c) {
-  std::string csv = "g\n";
-  for (int i = 0; i < a; ++i) csv += "a\n";
-  for (int i = 0; i < b; ++i) csv += "b\n";
-  for (int i = 0; i < c; ++i) csv += "c\n";
-  return data::ReadCsvString(csv).ValueOrDie();
+using Groups = std::vector<metrics::GroupStats>;
+
+/// The tally an audit makes of a column holding `a` a's, `b` b's and `c`
+/// c's: a value that does not occur has no group.
+Groups GroupsWithCounts(int64_t a, int64_t b, int64_t c) {
+  Groups groups;
+  for (const auto& [name, count] :
+       {std::pair<const char*, int64_t>{"a", a}, {"b", b}, {"c", c}}) {
+    if (count > 0) groups.push_back({.group = name, .count = count});
+  }
+  return groups;
 }
 
 TEST(RepresentationTest, MatchedCompositionPasses) {
-  data::Table table = TableWithShares(500, 300, 200);
+  const Groups groups = GroupsWithCounts(500, 300, 200);
   RepresentationReport report =
-      AuditRepresentation(table, "g",
+      AuditRepresentation(groups,
                           {{"a", 0.5}, {"b", 0.3}, {"c", 0.2}})
           .ValueOrDie();
   EXPECT_TRUE(report.composition_ok);
@@ -37,9 +41,9 @@ TEST(RepresentationTest, MatchedCompositionPasses) {
 
 TEST(RepresentationTest, UnderRepresentationFlagged) {
   // Group c should be 20% of the population but is 5% of the data.
-  data::Table table = TableWithShares(600, 350, 50);
+  const Groups groups = GroupsWithCounts(600, 350, 50);
   RepresentationReport report =
-      AuditRepresentation(table, "g",
+      AuditRepresentation(groups,
                           {{"a", 0.5}, {"b", 0.3}, {"c", 0.2}})
           .ValueOrDie();
   EXPECT_FALSE(report.composition_ok);
@@ -58,26 +62,26 @@ TEST(RepresentationTest, UnderRepresentationFlagged) {
 
 TEST(RepresentationTest, ReferenceSharesNormalized) {
   // Shares given as raw census counts rather than probabilities.
-  data::Table table = TableWithShares(500, 500, 0);
-  EXPECT_FALSE(AuditRepresentation(table, "g",
+  const Groups groups = GroupsWithCounts(500, 500, 0);
+  EXPECT_FALSE(AuditRepresentation(groups,
                                    {{"a", 5000.0}, {"b", 5000.0},
                                     {"c", 1.0}})
                    .ok());  // c in reference but not in data
-  data::Table with_c = TableWithShares(495, 495, 10);
+  const Groups with_c = GroupsWithCounts(495, 495, 10);
   RepresentationReport report =
-      AuditRepresentation(with_c, "g",
+      AuditRepresentation(with_c,
                           {{"a", 4950.0}, {"b", 4950.0}, {"c", 100.0}})
           .ValueOrDie();
   EXPECT_TRUE(report.composition_ok);
 }
 
 TEST(RepresentationTest, CategoryMismatchesAreErrors) {
-  data::Table table = TableWithShares(10, 10, 10);
+  const Groups groups = GroupsWithCounts(10, 10, 10);
   // Data group c missing from the reference.
   EXPECT_FALSE(
-      AuditRepresentation(table, "g", {{"a", 0.5}, {"b", 0.5}}).ok());
+      AuditRepresentation(groups, {{"a", 0.5}, {"b", 0.5}}).ok());
   // Reference group d missing from the data.
-  EXPECT_FALSE(AuditRepresentation(table, "g",
+  EXPECT_FALSE(AuditRepresentation(groups,
                                    {{"a", 0.25},
                                     {"b", 0.25},
                                     {"c", 0.25},
@@ -85,67 +89,58 @@ TEST(RepresentationTest, CategoryMismatchesAreErrors) {
                    .ok());
 }
 
-// Non-string columns group by their rendered values, and a null cell is
-// its own group named "null" that the reference must list like any other.
-TEST(RepresentationTest, NonStringColumnsGroupByRenderedValue) {
-  data::Table table = data::ReadCsvString(
-                          "n,b\n"
-                          "7,true\n"
-                          ",false\n"
-                          "10,\n"
-                          "7,true\n"
-                          "-3,\n"
-                          ",true\n"
-                          "7,false\n"
-                          "10,true\n")
-                          .ValueOrDie();
-  ASSERT_EQ(table.GetColumn("n").ValueOrDie()->type(), data::DataType::kInt64);
-  ASSERT_EQ(table.GetColumn("b").ValueOrDie()->type(), data::DataType::kBool);
-
+// Groups are reported in the reference's key order, whatever order the
+// tally lists them in, and every group of the tally must be listed.
+TEST(RepresentationTest, GroupsFollowTheReferenceOrder) {
+  const Groups groups = {{.group = "7", .count = 3},
+                         {.group = "0", .count = 2},
+                         {.group = "10", .count = 2},
+                         {.group = "-3", .count = 1}};
   struct Expected {
     std::string group;
     int64_t count;
     double reference_share;
   };
-  auto check = [&](const std::string& column,
-                   const std::map<std::string, double>& shares,
-                   const std::vector<Expected>& expected) {
-    SCOPED_TRACE(column);
-    RepresentationReport report =
-        AuditRepresentation(table, column, shares).ValueOrDie();
-    ASSERT_EQ(report.groups.size(), expected.size());
-    for (size_t i = 0; i < expected.size(); ++i) {
-      const GroupRepresentation& rep = report.groups[i];
-      EXPECT_EQ(rep.group, expected[i].group);
-      EXPECT_EQ(rep.count, expected[i].count);
-      EXPECT_DOUBLE_EQ(rep.data_share,
-                       static_cast<double>(expected[i].count) / 8.0);
-      EXPECT_DOUBLE_EQ(rep.reference_share, expected[i].reference_share);
-    }
-  };
-  check("n", {{"7", 3.0}, {"null", 2.0}, {"10", 2.0}, {"-3", 1.0}},
-        {{"-3", 1, 0.125}, {"10", 2, 0.25}, {"7", 3, 0.375},
-         {"null", 2, 0.25}});
-  check("b", {{"true", 0.5}, {"false", 0.25}, {"null", 0.25}},
-        {{"false", 2, 0.25}, {"null", 2, 0.25}, {"true", 4, 0.5}});
-  // Each rendering must be listed: an unlisted null group is an error.
-  EXPECT_FALSE(
-      AuditRepresentation(table, "b", {{"true", 0.5}, {"false", 0.5}}).ok());
+  const std::vector<Expected> expected = {{"-3", 1, 0.125},
+                                          {"0", 2, 0.25},
+                                          {"10", 2, 0.25},
+                                          {"7", 3, 0.375}};
+  RepresentationReport report =
+      AuditRepresentation(groups,
+                          {{"7", 3.0}, {"0", 2.0}, {"10", 2.0}, {"-3", 1.0}})
+          .ValueOrDie();
+  ASSERT_EQ(report.groups.size(), expected.size());
+  for (size_t i = 0; i < expected.size(); ++i) {
+    const GroupRepresentation& rep = report.groups[i];
+    EXPECT_EQ(rep.group, expected[i].group);
+    EXPECT_EQ(rep.count, expected[i].count);
+    EXPECT_DOUBLE_EQ(rep.data_share,
+                     static_cast<double>(expected[i].count) / 8.0);
+    EXPECT_DOUBLE_EQ(rep.reference_share, expected[i].reference_share);
+  }
+  // An unlisted group is an error, with the group named.
+  Result<RepresentationReport> unlisted =
+      AuditRepresentation(groups, {{"7", 0.5}, {"10", 0.25}, {"-3", 0.25}});
+  ASSERT_FALSE(unlisted.ok());
+  EXPECT_EQ(unlisted.status().message(),
+            "AuditRepresentation: data contains group '0' absent from "
+            "the reference");
 }
 
 TEST(RepresentationTest, Validation) {
-  data::Table table = TableWithShares(10, 10, 0);
-  EXPECT_FALSE(AuditRepresentation(table, "g", {{"a", 1.0}}).ok());
+  const Groups groups = GroupsWithCounts(10, 10, 0);
+  EXPECT_FALSE(AuditRepresentation(groups, {{"a", 1.0}}).ok());
   EXPECT_FALSE(
-      AuditRepresentation(table, "g", {{"a", -1.0}, {"b", 2.0}}).ok());
+      AuditRepresentation(groups, {{"a", -1.0}, {"b", 2.0}}).ok());
   RepresentationAuditOptions options;
   options.under_representation_threshold = 0.0;
-  EXPECT_FALSE(AuditRepresentation(table, "g", {{"a", 0.5}, {"b", 0.5}},
+  EXPECT_FALSE(AuditRepresentation(groups, {{"a", 0.5}, {"b", 0.5}},
                                    options)
                    .ok());
-  EXPECT_FALSE(AuditRepresentation(table, "missing",
-                                   {{"a", 0.5}, {"b", 0.5}})
-                   .ok());
+  EXPECT_EQ(AuditRepresentation({}, {{"a", 0.5}, {"b", 0.5}})
+                .status()
+                .message(),
+            "AuditRepresentation: empty table");
 }
 
 constexpr double kNonFinite[] = {std::numeric_limits<double>::quiet_NaN(),
@@ -153,11 +148,11 @@ constexpr double kNonFinite[] = {std::numeric_limits<double>::quiet_NaN(),
                                  -std::numeric_limits<double>::infinity()};
 
 TEST(RepresentationTest, NonFiniteReferenceSharesRejected) {
-  data::Table table = TableWithShares(10, 10, 0);
+  const Groups groups = GroupsWithCounts(10, 10, 0);
   for (const double share : kNonFinite) {
     SCOPED_TRACE(share);
     Result<RepresentationReport> report =
-        AuditRepresentation(table, "g", {{"a", share}, {"b", 0.5}});
+        AuditRepresentation(groups, {{"a", share}, {"b", 0.5}});
     ASSERT_FALSE(report.ok());
     EXPECT_TRUE(report.status().IsInvalid());
     EXPECT_EQ(report.status().message(),

@@ -2,6 +2,7 @@
 // pipeline (generate -> train -> predict -> audit everything).
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
 
 #include "audit/auditor.h"
@@ -191,9 +192,15 @@ void ExpectSameSampling(const audit::SamplingReport& a,
 }
 
 // The suite screens the audit's group tallies; the row adapters count a
-// MetricInput of the table. Both must give the same screens.
+// MetricInput of the table. Both must give the same screens. The
+// representation screen names each group by its rendered key, so the
+// reference lists int64 and bool keys as they print.
 TEST(SuiteTest, ScreensEqualTheRowAdaptersOnEveryKeyType) {
   const data::Table table = KeyTypesTable();
+  const std::map<std::string, std::map<std::string, double>> shares = {
+      {"s", {{"north", 5.0}, {"south", 3.0}, {"east", 1.0}}},
+      {"i", {{"7", 5.0}, {"-2", 3.0}, {"40", 1.0}}},
+      {"b", {{"true", 5.0}, {"false", 4.0}}}};
   for (const char* protected_column : {"s", "i", "b"}) {
     for (const char* label_column : {"", "label"}) {
       SCOPED_TRACE(std::string(protected_column) + " label='" +
@@ -204,9 +211,21 @@ TEST(SuiteTest, ScreensEqualTheRowAdaptersOnEveryKeyType) {
       config.audit.label_column = label_column;
       config.sampling_options.min_count = 20;
       config.sampling_options.max_ci_halfwidth = 0.15;
+      config.population_shares = shares.at(protected_column);
       SuiteReport report = RunFairnessSuite(table, config).ValueOrDie();
       ASSERT_TRUE(report.four_fifths.has_value());
       ASSERT_TRUE(report.sampling.has_value());
+      ASSERT_TRUE(report.representation.has_value());
+      // The reference shares are the data's, so every count is its
+      // share of the 90 rows.
+      EXPECT_TRUE(report.representation->composition_ok);
+      ASSERT_EQ(report.representation->groups.size(),
+                config.population_shares.size());
+      for (const audit::GroupRepresentation& rep :
+           report.representation->groups) {
+        const double share = config.population_shares.at(rep.group);
+        EXPECT_EQ(rep.count, static_cast<int64_t>(share * 10.0)) << rep.group;
+      }
 
       const metrics::MetricInput input =
           audit::MetricInputFromTable(table, protected_column, "pred",

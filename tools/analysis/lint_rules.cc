@@ -28,8 +28,9 @@
 //                     one clock and honor the obs kill switch.
 //   simd-intrinsic    vendor SIMD intrinsics (<immintrin.h>/<arm_neon.h>,
 //                     _mm*/__m* identifiers, NEON builtins and vector
-//                     types) live in exactly one header, src/base/simd.h,
-//                     so the scalar and vector paths cannot diverge.
+//                     types) are banned everywhere: a kernel is portable
+//                     C++ the compiler vectorizes, with one body for
+//                     every CPU (see stats::CosSumAffine).
 #include <algorithm>
 #include <cctype>
 #include <string>
@@ -176,8 +177,8 @@ void CheckTimingSource(const Rule& self, const RuleInput& in, Reporter& out) {
   }
 }
 
-void CheckSimdConfinement(const Rule& self, const RuleInput& in,
-                          Reporter& out) {
+void CheckSimdIntrinsics(const Rule& self, const RuleInput& in,
+                         Reporter& out) {
   static constexpr const char* kPrefixes[] = {
       "_mm", "_MM", "__m",                            // x86 SSE/AVX
       "vld1", "vst1", "vcntq", "vpaddl", "vaddq",     // NEON builtins
@@ -200,8 +201,8 @@ void CheckSimdConfinement(const Rule& self, const RuleInput& in,
     }
     out.Report(self, *in.file, token.line,
                "vendor SIMD intrinsic '" + token.text +
-                   "' outside src/base/simd.h: call the fairlaw::simd "
-                   "wrappers so scalar and vector builds stay equivalent");
+                   "': write the kernel in portable C++ and let the "
+                   "compiler vectorize it, so every CPU runs one body");
   }
 }
 
@@ -316,11 +317,8 @@ constexpr Rule kLintRules[] = {
     {"timing-source", "lint", RuleKind::kTokenStream,
      [](const SourceFile& f) { return InLintTrees(f) && !f.Under("src/obs/"); },
      CheckTimingSource},
-    {"simd-intrinsic", "lint", RuleKind::kTokenStream,
-     [](const SourceFile& f) {
-       return InLintTrees(f) && f.rel != "src/base/simd.h";
-     },
-     CheckSimdConfinement},
+    {"simd-intrinsic", "lint", RuleKind::kTokenStream, InLintTrees,
+     CheckSimdIntrinsics},
 };
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Deliberate violations of the simd-intrinsic rule: vendor intrinsics
-// used outside src/base/simd.h. Kernels must go through the
-// fairlaw::simd wrappers instead.
+// are banned in every file. Kernels are portable C++ that the compiler
+// vectorizes instead.
 #include <immintrin.h>
 
 #include <cstdint>
