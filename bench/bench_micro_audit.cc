@@ -10,7 +10,9 @@
 // the --rows stream at --threads workers (default: one per hardware
 // thread, so the ratio is not oversubscribed); and (3) verifies the
 // streamed report is byte-identical across chunk sizes and thread counts
-// to the one-chunk audit of the same rows read as a table. Writes
+// to the one-chunk audit of the same rows read as a table, and so is
+// the audit of that table read whole on a pool; (4) times the serial
+// against the pooled whole-table read (`read_thread_scaling`). Writes
 // BENCH_audit.json (see README "Benchmark JSON output"). Flags:
 // --out=PATH --rows=N --big-rows=N --reps=N --threads=N --obs-json=PATH.
 #include <benchmark/benchmark.h>
@@ -230,6 +232,33 @@ int RunHarness(const HarnessConfig& config) {
           .ValueOrDie().Render();
   const bool streaming_identical = streamed == reference;
 
+  // The whole-table read on a pool gives the table ReadCsvFile gives.
+  bool read_identical = true;
+  for (size_t threads : {size_t{2}, size_t{8}}) {
+    const data::Table pooled =
+        data::ReadCsvFile(full_csv, {}, threads).ValueOrDie();
+    const std::string render =
+        audit::Auditor::Run(audit::AuditSource::FromTable(pooled),
+                            full_config)
+            .ValueOrDie().Render();
+    read_identical = read_identical && render == reference;
+  }
+
+  // Whole-table read scaling: serial vs pooled ReadCsvFile of the same
+  // file, timed interleaved.
+  const std::vector<int64_t> read_ns = BestOfEachNs(
+      config.reps,
+      {[&] {
+         benchmark::DoNotOptimize(
+             data::ReadCsvFile(full_csv).ValueOrDie());
+       },
+       [&] {
+         benchmark::DoNotOptimize(
+             data::ReadCsvFile(full_csv, {}, config.threads).ValueOrDie());
+       }});
+  const double read_thread_scaling =
+      static_cast<double>(read_ns[0]) / static_cast<double>(read_ns[1]);
+
   std::remove(small_csv.c_str());
   std::remove(big_csv.c_str());
   std::remove(full_csv.c_str());
@@ -254,6 +283,10 @@ int RunHarness(const HarnessConfig& config) {
   writer.Field("thread_scaling", thread_scaling);
   writer.Field("chunk_identical", chunk_identical);
   writer.Field("streaming_identical", streaming_identical);
+  writer.Field("read_serial_ns", read_ns[0]);
+  writer.Field("read_parallel_ns", read_ns[1]);
+  writer.Field("read_thread_scaling", read_thread_scaling);
+  writer.Field("read_identical", read_identical);
   writer.EndObject();
   const std::string json = writer.Finish().ValueOrDie();
 
@@ -274,9 +307,10 @@ int RunHarness(const HarnessConfig& config) {
     }
   }
   std::printf("%s\n", json.c_str());
-  if (!chunk_identical || !streaming_identical) {
+  if (!chunk_identical || !streaming_identical || !read_identical) {
     std::fprintf(stderr, "bench_micro_audit: audit output DIFFERS across "
-                         "chunk sizes or ingestion paths — engine bug\n");
+                         "chunk sizes, thread counts or ingestion paths — "
+                         "engine bug\n");
     return 1;
   }
   if (!flat_memory_ok) {

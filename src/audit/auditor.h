@@ -53,10 +53,12 @@ struct AuditConfig {
   /// scale-free, so it gates the verdict; W1 is reported alongside.
   double score_distribution_tolerance = 0.1;
   /// Worker threads for a streamed CSV's chunk morsels (the per-chunk
-  /// partial builds): 1 = serial (default), 0 = one per hardware thread.
-  /// A table source is one chunk and runs serially whatever this says.
-  /// Partials merge in chunk order and metric evaluation is serial, so
-  /// the audit output is byte-identical for every thread count.
+  /// partial builds) and for the score-distribution audit's per-group
+  /// comparisons: 1 = serial (default), 0 = one per hardware thread. A
+  /// table source is still one chunk. Partials merge in chunk order,
+  /// the groups' distances fold in group order and the rest of the
+  /// metric evaluation is serial, so the audit output is byte-identical
+  /// for every thread count.
   size_t num_threads = 1;
   /// Rows per chunk of a streamed CSV (0 = data::kDefaultChunkRows).
   /// Each chunk produces mergeable partials (integer tallies,

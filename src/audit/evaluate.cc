@@ -2,11 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
-#include <iterator>
+#include <memory>
 #include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "base/thread_pool.h"
+#include "data/csv.h"
 #include "data/schema.h"
 #include "metrics/calibration_metric.h"
 #include "metrics/conditional_metrics.h"
@@ -19,14 +22,18 @@ namespace fairlaw::audit {
 namespace {
 
 /// Per-group score-distribution drift: each group's sorted scores against
-/// the multiset difference of the sorted pooled scores (everyone else),
-/// through the presorted W1/KS kernels. `series` holds each group's
-/// scores in global row order (the chunk-order merge guarantees that),
-/// and `scores` is the full score column in row order, so the sorts see
-/// exactly the sequences the old whole-table pass fed them.
+/// everyone else, the multiset difference of the sorted pooled scores
+/// and the group's, walked in place by the presorted W1/KS kernels.
+/// `series` holds each group's scores in global row order (the
+/// chunk-order merge guarantees that), and `scores` is the full score
+/// column in row order, so the sorts see exactly the sequences the old
+/// whole-table pass fed them. The groups are compared on the pool
+/// MorselPool grants `config.num_threads` for the rows in
+/// data::kDefaultChunkRows chunks, and folded in group order; the
+/// kernels' spans nest under `parent_path` on every thread.
 Result<ScoreDistributionReport> ScoreDistributionAudit(
     const stats::GroupedSeries& series, std::span<const double> scores,
-    const AuditConfig& config) {
+    const AuditConfig& config, const std::string& parent_path) {
   ScoreDistributionReport report;
   report.tolerance = config.score_distribution_tolerance;
   for (double s : scores) {
@@ -38,30 +45,44 @@ Result<ScoreDistributionReport> ScoreDistributionAudit(
   std::sort(all_sorted.begin(), all_sorted.end());
   const bool constant =
       !all_sorted.empty() && all_sorted.front() == all_sorted.back();
-  for (size_t g = 0; g < series.num_keys(); ++g) {
+  struct Compared {
+    Status status;
+    GroupScoreDistance distance;
+  };
+  std::vector<Compared> groups(series.num_keys());
+  auto compare = [&](size_t g) -> Status {
     std::vector<double> group_scores = series.slot(g).values;
     std::sort(group_scores.begin(), group_scores.end());
-    // Everyone else = pooled minus this group, linear-time multiset
-    // difference over the two sorted vectors.
-    std::vector<double> rest;
-    rest.reserve(all_sorted.size() - group_scores.size());
-    std::set_difference(all_sorted.begin(), all_sorted.end(),
-                        group_scores.begin(), group_scores.end(),
-                        std::back_inserter(rest));
-    GroupScoreDistance distance;
+    GroupScoreDistance& distance = groups[g].distance;
     distance.group = series.keys()[g];
     distance.count = group_scores.size();
-    if (!rest.empty() && !group_scores.empty() && !constant) {
-      FAIRLAW_ASSIGN_OR_RETURN(
-          distance.wasserstein1,
-          stats::Wasserstein1Presorted(group_scores, rest));
-      FAIRLAW_ASSIGN_OR_RETURN(
-          distance.ks, stats::KolmogorovSmirnovPresorted(group_scores, rest));
+    const stats::SortedDifference rest(all_sorted, group_scores);
+    if (rest.size() == 0 || group_scores.empty() || constant) {
+      return Status::OK();
     }
+    FAIRLAW_ASSIGN_OR_RETURN(
+        distance.wasserstein1,
+        stats::Wasserstein1Presorted(group_scores, rest, parent_path));
+    FAIRLAW_ASSIGN_OR_RETURN(
+        distance.ks,
+        stats::KolmogorovSmirnovPresorted(group_scores, rest, parent_path));
+    return Status::OK();
+  };
+  const std::unique_ptr<ThreadPool> pool = MorselPool(
+      config.num_threads,
+      (scores.size() + data::kDefaultChunkRows - 1) / data::kDefaultChunkRows);
+  if (pool == nullptr) {
+    for (size_t g = 0; g < groups.size(); ++g) groups[g].status = compare(g);
+  } else {
+    pool->ParallelFor(groups.size(),
+                      [&](size_t g) { groups[g].status = compare(g); });
+  }
+  for (Compared& group : groups) {
+    FAIRLAW_RETURN_NOT_OK(group.status);
     report.max_wasserstein1 =
-        std::max(report.max_wasserstein1, distance.wasserstein1);
-    report.max_ks = std::max(report.max_ks, distance.ks);
-    report.groups.push_back(std::move(distance));
+        std::max(report.max_wasserstein1, group.distance.wasserstein1);
+    report.max_ks = std::max(report.max_ks, group.distance.ks);
+    report.groups.push_back(std::move(group.distance));
   }
   report.satisfied = report.max_ks <= report.tolerance;
   return report;
@@ -143,8 +164,8 @@ Result<AuditResult> EvaluateMergedPartials(const MergedPartials& merged,
     obs::TraceSpan span("metric/score_distribution", parent_path);
     FAIRLAW_ASSIGN_OR_RETURN(
         result.score_distribution,
-        ScoreDistributionAudit(merged.score_series(), merged.scores(),
-                               config));
+        ScoreDistributionAudit(merged.score_series(), merged.scores(), config,
+                               obs::CurrentPath()));
     result.all_satisfied =
         result.all_satisfied && result.score_distribution->satisfied;
   }

@@ -1,7 +1,6 @@
 #ifndef FAIRLAW_AUDIT_MORSEL_H_
 #define FAIRLAW_AUDIT_MORSEL_H_
 
-#include <algorithm>
 #include <cstddef>
 #include <deque>
 #include <future>
@@ -17,18 +16,9 @@
 namespace fairlaw::audit {
 
 // The one morsel loop (DESIGN.md §14), internal to audit/. Auditor::Run
-// streams a CSV source through it; an in-memory table is always one
-// chunk and never reaches it.
-
-/// The pool a stream of `num_chunks` chunks runs on: none for one
-/// thread or at most one chunk, else min(num_threads, num_chunks)
-/// workers (0 = one per hardware thread).
-inline std::unique_ptr<ThreadPool> MorselPool(size_t num_threads,
-                                              size_t num_chunks) {
-  if (num_threads == 1 || num_chunks <= 1) return nullptr;
-  return std::make_unique<ThreadPool>(
-      num_threads == 0 ? 0 : std::min(num_threads, num_chunks));
-}
+// streams a CSV source through it, on the pool MorselPool
+// (base/thread_pool.h) grants; an in-memory table is always one chunk
+// and never reaches it.
 
 /// Reads every chunk of `reader` (scanned, schema inferred), runs
 /// `process(chunk)` on it, and hands each result to `fold` in chunk

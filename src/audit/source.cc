@@ -13,7 +13,8 @@ namespace fairlaw::audit {
 namespace {
 
 /// A table is one chunk: one ProcessChunk folded into the merged
-/// partials, then one evaluation, all on this thread.
+/// partials, then one evaluation, on this thread but for the
+/// score-distribution loop, which MorselPool may give a pool.
 Result<AuditResult> RunTable(const data::Table& table,
                              const AuditConfig& config) {
   obs::TraceSpan run_span("run_audit");

@@ -62,6 +62,13 @@ void ThreadPool::ParallelFor(size_t n,
   if (first_error) std::rethrow_exception(first_error);
 }
 
+std::unique_ptr<ThreadPool> MorselPool(size_t num_threads,
+                                       size_t num_chunks) {
+  if (num_threads == 1 || num_chunks <= 1) return nullptr;
+  return std::make_unique<ThreadPool>(
+      num_threads == 0 ? 0 : std::min(num_threads, num_chunks));
+}
+
 void ThreadPool::WorkerLoop() {
   while (true) {
     std::packaged_task<void()> task;

@@ -5,6 +5,7 @@
 #include <deque>
 #include <functional>
 #include <future>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -62,6 +63,13 @@ class ThreadPool {
   bool shutting_down_ FAIRLAW_GUARDED_BY(mu_) = false;
   std::vector<std::thread> workers_;
 };
+
+/// The one rule for when a step that splits its work into `num_chunks`
+/// chunks gets a pool: none for one thread or at most one chunk, else
+/// min(num_threads, num_chunks) workers (0 = one per hardware thread).
+/// The streamed audit's morsel loop, the pooled whole-table CSV read and
+/// the score-distribution loop all ask it.
+std::unique_ptr<ThreadPool> MorselPool(size_t num_threads, size_t num_chunks);
 
 }  // namespace fairlaw
 

@@ -1,5 +1,6 @@
 #include "data/column.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "base/check.h"
@@ -39,27 +40,44 @@ Column Column::FromInt64s(std::vector<int64_t> values) {
 
 Column Column::FromStrings(std::vector<std::string> values) {
   Column column(DataType::kString);
-  column.Reserve(values.size());
+  column.valid_.reserve(values.size());
+  column.codes_.reserve(values.size());
   for (const std::string& value : values) column.AppendString(value);
   return column;
 }
 
-void Column::Reserve(size_t rows) {
-  valid_.reserve(rows);
-  switch (type_) {
+Column::Slots::Slots(DataType type, size_t rows) : valid(rows) {
+  switch (type) {
     case DataType::kDouble:
-      doubles_.reserve(rows);
+      doubles.resize(rows);
       break;
     case DataType::kInt64:
-      int64s_.reserve(rows);
+      int64s.resize(rows);
       break;
     case DataType::kString:
-      codes_.reserve(rows);
+      codes.resize(rows);
       break;
     case DataType::kBool:
-      bools_.reserve(rows);
+      bools.resize(rows);
       break;
   }
+}
+
+Column Column::FromSlots(DataType type, Slots slots) {
+  FAIRLAW_CHECK_MSG(slots.doubles.size() + slots.int64s.size() +
+                            slots.codes.size() + slots.bools.size() ==
+                        slots.valid.size(),
+                    "column slots hold values of another type or count");
+  Column column(type);
+  column.null_count_ = static_cast<size_t>(
+      std::count(slots.valid.begin(), slots.valid.end(), uint8_t{0}));
+  column.valid_ = std::move(slots.valid);
+  column.doubles_ = std::move(slots.doubles);
+  column.int64s_ = std::move(slots.int64s);
+  column.codes_ = std::move(slots.codes);
+  column.bools_ = std::move(slots.bools);
+  column.dictionary_ = std::move(slots.dictionary);
+  return column;
 }
 
 void Column::AppendDouble(double value) {

@@ -51,6 +51,28 @@ class Column {
   static Column FromInt64s(std::vector<int64_t> values);
   static Column FromStrings(std::vector<std::string> values);
 
+  /// A column's slot storage, filled outside the Append calls: one 0/1
+  /// validity byte per slot, and as many values in the vector of the
+  /// column's type (the others stay empty). A string column's codes
+  /// index `dictionary`, with kNullCode at a null slot. The CSV reader
+  /// sizes these once and parses row ranges straight into them, from
+  /// several workers at once when the ranges are disjoint.
+  struct Slots {
+    std::vector<uint8_t> valid;
+    std::vector<double> doubles;
+    std::vector<int64_t> int64s;
+    std::vector<uint32_t> codes;
+    std::vector<uint8_t> bools;
+    stats::FirstSeenMap<std::monostate> dictionary;
+
+    /// `rows` null slots of a `type` column: every byte zero.
+    Slots(DataType type, size_t rows);
+  };
+
+  /// Takes `slots` of a `type` column over as the column; the null count
+  /// is the number of zero validity bytes.
+  static Column FromSlots(DataType type, Slots slots);
+
   DataType type() const { return type_; }
   size_t size() const { return valid_.size(); }
   bool empty() const { return valid_.empty(); }
@@ -58,10 +80,6 @@ class Column {
   /// Number of null slots.
   size_t null_count() const { return null_count_; }
   bool IsValid(size_t row) const { return valid_[row] != 0; }
-
-  /// Reserves storage for `rows` slots, so that many appends do not
-  /// reallocate.
-  void Reserve(size_t rows);
 
   /// Appends a typed value. The overload must match type(); a mismatch is
   /// a programming error and aborts.

@@ -17,8 +17,10 @@ namespace fairlaw::data {
 
 /// Default chunk size of the streaming reader: 16k rows keeps the chunks
 /// four workers hold at once to a few MB while still amortizing
-/// per-morsel scheduling overhead. Only a streamed CSV is chunked; an
-/// in-memory table is always audited as one chunk (DESIGN.md §14).
+/// per-morsel scheduling overhead. The pooled whole-table read splits
+/// the file at the same size, and the score-distribution loop counts
+/// its rows in chunks of it; an in-memory table is still audited as one
+/// chunk (DESIGN.md §14).
 inline constexpr size_t kDefaultChunkRows = 16384;
 
 /// CSV parsing options.
@@ -45,9 +47,17 @@ struct CsvOptions {
 FAIRLAW_NODISCARD Result<Table> ReadCsvString(const std::string& text,
                             const CsvOptions& options = {});
 
-/// Reads and parses a CSV file.
+/// Reads and parses a CSV file, serially, as ReadCsvString does.
 FAIRLAW_NODISCARD Result<Table> ReadCsvFile(const std::string& path,
                           const CsvOptions& options = {});
+
+/// ReadCsvFile on up to `num_threads` workers (0 = one per hardware
+/// thread): CsvChunkReader::ReadTable at the default chunk size. The
+/// table, the error and the obs probes are ReadCsvFile's for every
+/// thread count; one thread is ReadCsvFile itself.
+FAIRLAW_NODISCARD Result<Table> ReadCsvFile(const std::string& path,
+                                            const CsvOptions& options,
+                                            size_t num_threads);
 
 /// Serializes a table to CSV text (header row + data rows; nulls render
 /// as empty fields; strings containing the delimiter, quotes, or newlines
@@ -77,7 +87,7 @@ FAIRLAW_NODISCARD Status WriteCsvFile(const Table& table, const std::string& pat
 /// Steps 2 and 3 run per chunk, so the morsel loop runs them on its
 /// workers. Make() is steps 1 and 2 on the calling thread, and Next()
 /// reads the chunks in order: together they are a complete serial
-/// reader.
+/// reader. ReadTable() runs all three steps into one table.
 class CsvChunkReader {
  public:
   struct Options {
@@ -101,6 +111,23 @@ class CsvChunkReader {
   /// not null. Reports the first defect in file order (ragged row,
   /// unterminated quote), else duplicate header names.
   FAIRLAW_NODISCARD Status InferSchema(ThreadPool* pool);
+
+  /// Reads all of `path` into one table on the pool MorselPool grants
+  /// `num_threads` once the scan has counted the chunks. Without a pool
+  /// (one thread, at most one chunk) it is ReadCsvFile's one-range read,
+  /// with no scan when the file is too small to hold a second chunk.
+  /// With one, each worker infers its chunks' types; then, on columns
+  /// the calling thread allocates once at num_rows(), each parses its
+  /// chunks straight into their row ranges with chunk-local string
+  /// dictionaries. Those merge in chunk order through FirstSeenMap, and
+  /// the codes of each chunk they renumber are remapped on the pool. The
+  /// table (cells, validity, dictionaries in first-seen order) and the
+  /// error (the lowest chunk's first defect) equal ReadCsvFile's, and so
+  /// do the obs probes: one `read_csv` span, `csv.bytes_read` and
+  /// `csv.rows_loaded`.
+  FAIRLAW_NODISCARD static Result<Table> ReadTable(const std::string& path,
+                                                   const Options& options,
+                                                   size_t num_threads);
 
   CsvChunkReader(CsvChunkReader&&) noexcept;
   CsvChunkReader& operator=(CsvChunkReader&&) noexcept;

@@ -43,46 +43,79 @@ Status CheckAlignedHistograms(const Histogram& p, const Histogram& q,
   return Status::OK();
 }
 
+/// Reads a sorted span front to back, as SortedDifference::Walk reads a
+/// difference, so one kernel body serves both.
+class SpanWalk {
+ public:
+  explicit SpanWalk(std::span<const double> values) : at_(values.data()) {}
+  double value() const { return *at_; }
+  void Step() { ++at_; }
+
+ private:
+  const double* at_;
+};
+
 /// Merged-quantile sweep over two ascending samples: the integral of
 /// |F_x^{-1}(u) - F_y^{-1}(u)| du. Each sample point owns a block of
 /// quantile mass, and on the intersection of two blocks both inverse CDFs
-/// are constant.
-double Wasserstein1SortedCore(std::span<const double> xs,
-                              std::span<const double> ys) {
+/// are constant. `ys` walks the `y_size` values of y.
+template <typename Walk>
+double Wasserstein1SortedCore(std::span<const double> xs, size_t y_size,
+                              Walk ys) {
   const double nx = static_cast<double>(xs.size());
-  const double ny = static_cast<double>(ys.size());
+  const double ny = static_cast<double>(y_size);
   size_t i = 0;
   size_t j = 0;
   double cursor = 0.0;  // current quantile level
   double total = 0.0;
-  while (i < xs.size() && j < ys.size()) {
+  while (i < xs.size() && j < y_size) {
     double next_x = static_cast<double>(i + 1) / nx;
     double next_y = static_cast<double>(j + 1) / ny;
     double next = std::min(next_x, next_y);
-    total += (next - cursor) * std::fabs(xs[i] - ys[j]);
+    total += (next - cursor) * std::fabs(xs[i] - ys.value());
     cursor = next;
     if (next_x <= next) ++i;
-    if (next_y <= next) ++j;
+    if (next_y <= next) {
+      ++j;
+      ys.Step();
+    }
   }
   return total;
 }
 
 /// CDF sweep over two ascending samples: sup_t |F_x(t) - F_y(t)|.
-double KolmogorovSmirnovSortedCore(std::span<const double> xs,
-                                   std::span<const double> ys) {
+template <typename Walk>
+double KolmogorovSmirnovSortedCore(std::span<const double> xs, size_t y_size,
+                                   Walk ys) {
   const double nx = static_cast<double>(xs.size());
-  const double ny = static_cast<double>(ys.size());
+  const double ny = static_cast<double>(y_size);
   size_t i = 0;
   size_t j = 0;
   double best = 0.0;
-  while (i < xs.size() && j < ys.size()) {
-    double t = std::min(xs[i], ys[j]);
+  while (i < xs.size() && j < y_size) {
+    double t = std::min(xs[i], ys.value());
     while (i < xs.size() && xs[i] <= t) ++i;
-    while (j < ys.size() && ys[j] <= t) ++j;
+    while (j < y_size && ys.value() <= t) {
+      ++j;
+      ys.Step();
+    }
     best = std::max(best, std::fabs(static_cast<double>(i) / nx -
                                     static_cast<double>(j) / ny));
   }
   return best;
+}
+
+/// The checks of the presorted kernels on a SortedDifference `y`: not
+/// empty, and ascending because all() and removed() are.
+Status CheckSorted(const SortedDifference& y, const char* fn) {
+  if (y.size() == 0) {
+    return Status::Invalid(std::string(fn) + ": empty sample");
+  }
+  if (!std::is_sorted(y.all().begin(), y.all().end()) ||
+      !std::is_sorted(y.removed().begin(), y.removed().end())) {
+    return Status::Invalid(std::string(fn) + ": y is not sorted ascending");
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -116,7 +149,7 @@ Result<double> Wasserstein1Samples(std::span<const double> x,
   std::vector<double> ys(y.begin(), y.end());
   SortDoubles(xs);
   SortDoubles(ys);
-  return Wasserstein1SortedCore(xs, ys);
+  return Wasserstein1SortedCore(xs, ys.size(), SpanWalk(ys));
 }
 
 Result<double> Wasserstein1Presorted(std::span<const double> x_sorted,
@@ -124,7 +157,17 @@ Result<double> Wasserstein1Presorted(std::span<const double> x_sorted,
   FAIRLAW_RETURN_NOT_OK(CheckSorted(x_sorted, "Wasserstein1Presorted", "x"));
   FAIRLAW_RETURN_NOT_OK(CheckSorted(y_sorted, "Wasserstein1Presorted", "y"));
   obs::TraceSpan span("distance/wasserstein1_presorted");
-  return Wasserstein1SortedCore(x_sorted, y_sorted);
+  return Wasserstein1SortedCore(x_sorted, y_sorted.size(), SpanWalk(y_sorted));
+}
+
+Result<double> Wasserstein1Presorted(std::span<const double> x_sorted,
+                                     const SortedDifference& y_sorted,
+                                     std::string_view parent_path) {
+  FAIRLAW_RETURN_NOT_OK(CheckSorted(x_sorted, "Wasserstein1Presorted", "x"));
+  FAIRLAW_RETURN_NOT_OK(CheckSorted(y_sorted, "Wasserstein1Presorted"));
+  obs::TraceSpan span("distance/wasserstein1_presorted", parent_path);
+  return Wasserstein1SortedCore(x_sorted, y_sorted.size(),
+                                SortedDifference::Walk(y_sorted));
 }
 
 Result<double> Wasserstein1Binned(const Histogram& p, const Histogram& q) {
@@ -157,7 +200,7 @@ Result<double> KolmogorovSmirnov(std::span<const double> x,
   std::vector<double> ys(y.begin(), y.end());
   SortDoubles(xs);
   SortDoubles(ys);
-  return KolmogorovSmirnovSortedCore(xs, ys);
+  return KolmogorovSmirnovSortedCore(xs, ys.size(), SpanWalk(ys));
 }
 
 Result<double> KolmogorovSmirnovPresorted(std::span<const double> x_sorted,
@@ -167,7 +210,19 @@ Result<double> KolmogorovSmirnovPresorted(std::span<const double> x_sorted,
   FAIRLAW_RETURN_NOT_OK(
       CheckSorted(y_sorted, "KolmogorovSmirnovPresorted", "y"));
   obs::TraceSpan span("distance/kolmogorov_smirnov_presorted");
-  return KolmogorovSmirnovSortedCore(x_sorted, y_sorted);
+  return KolmogorovSmirnovSortedCore(x_sorted, y_sorted.size(),
+                                     SpanWalk(y_sorted));
+}
+
+Result<double> KolmogorovSmirnovPresorted(std::span<const double> x_sorted,
+                                          const SortedDifference& y_sorted,
+                                          std::string_view parent_path) {
+  FAIRLAW_RETURN_NOT_OK(
+      CheckSorted(x_sorted, "KolmogorovSmirnovPresorted", "x"));
+  FAIRLAW_RETURN_NOT_OK(CheckSorted(y_sorted, "KolmogorovSmirnovPresorted"));
+  obs::TraceSpan span("distance/kolmogorov_smirnov_presorted", parent_path);
+  return KolmogorovSmirnovSortedCore(x_sorted, y_sorted.size(),
+                                     SortedDifference::Walk(y_sorted));
 }
 
 }  // namespace fairlaw::stats

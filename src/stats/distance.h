@@ -1,7 +1,9 @@
 #ifndef FAIRLAW_STATS_DISTANCE_H_
 #define FAIRLAW_STATS_DISTANCE_H_
 
+#include <cstddef>
 #include <span>
+#include <string_view>
 #include <vector>
 
 #include "base/result.h"
@@ -53,6 +55,76 @@ FAIRLAW_NODISCARD Result<double> KolmogorovSmirnov(std::span<const double> x,
 /// as Wasserstein1Presorted.
 FAIRLAW_NODISCARD Result<double> KolmogorovSmirnovPresorted(
     std::span<const double> x_sorted, std::span<const double> y_sorted);
+
+/// The ascending multiset difference `all_sorted` minus
+/// `removed_sorted`, walked in place: the values std::set_difference
+/// writes (a value in `all_sorted` m times and in `removed_sorted` k
+/// times is left m - k times), without a vector to hold them. Both
+/// inputs are ascending and `removed_sorted` is a sub-multiset of
+/// `all_sorted` (one group's scores against all of them), so size() is
+/// the difference of the sizes. Both spans must outlive it.
+class SortedDifference {
+ public:
+  SortedDifference(std::span<const double> all_sorted,
+                   std::span<const double> removed_sorted)
+      : all_(all_sorted), removed_(removed_sorted) {}
+
+  std::span<const double> all() const { return all_; }
+  std::span<const double> removed() const { return removed_; }
+  size_t size() const { return all_.size() - removed_.size(); }
+
+  /// A forward walk over the difference. value() is valid while fewer
+  /// than size() values have been passed by Step().
+  class Walk {
+   public:
+    explicit Walk(const SortedDifference& difference)
+        : at_(difference.all_.data()),
+          end_(at_ + difference.all_.size()),
+          removed_(difference.removed_.data()),
+          removed_end_(removed_ + difference.removed_.size()) {
+      Skip();
+    }
+    double value() const { return *at_; }
+    void Step() {
+      ++at_;
+      Skip();
+    }
+
+   private:
+    /// std::set_difference's step: drops the values a removed one
+    /// matches, and moves past removed values smaller than the next.
+    void Skip() {
+      while (at_ != end_ && removed_ != removed_end_) {
+        if (*at_ < *removed_) return;
+        if (!(*removed_ < *at_)) ++at_;
+        ++removed_;
+      }
+    }
+
+    const double* at_;
+    const double* end_;
+    const double* removed_;
+    const double* removed_end_;
+  };
+
+ private:
+  std::span<const double> all_;
+  std::span<const double> removed_;
+};
+
+/// Wasserstein1Presorted and KolmogorovSmirnovPresorted of `x_sorted`
+/// against a SortedDifference: the same kernel bodies, so each equals
+/// the span overload on the materialized difference, bit for bit. They
+/// check that x_sorted, all() and removed() are ascending and that
+/// x_sorted and the difference are not empty. Their span opens under
+/// `parent_path` (an obs::CurrentPath() captured on the calling thread),
+/// so a call on a pool worker nests where a serial call would.
+FAIRLAW_NODISCARD Result<double> Wasserstein1Presorted(
+    std::span<const double> x_sorted, const SortedDifference& y_sorted,
+    std::string_view parent_path);
+FAIRLAW_NODISCARD Result<double> KolmogorovSmirnovPresorted(
+    std::span<const double> x_sorted, const SortedDifference& y_sorted,
+    std::string_view parent_path);
 
 }  // namespace fairlaw::stats
 

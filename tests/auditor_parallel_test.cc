@@ -1,5 +1,6 @@
 // Parallel audit path: a streamed CSV audited on several workers renders
-// byte-identically to the one-chunk audit of the same rows as a table.
+// byte-identically to the one-chunk audit of the same rows as a table,
+// and a table's score-distribution loop gives the same doubles on a pool.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -68,6 +69,46 @@ TEST(AuditorParallelTest, RenderIsByteIdenticalAcrossThreadCounts) {
     EXPECT_EQ(streamed, reference) << "threads=" << threads;
   }
   std::remove(path.c_str());
+}
+
+TEST(AuditorParallelTest, ScoreDistributionIsIdenticalAcrossThreadCounts) {
+  // Three kDefaultChunkRows chunks of rows, so 2 and 8 threads compare
+  // the groups on a pool. Scores repeat within and across groups.
+  std::ostringstream csv;
+  csv << "group,pred,score\n";
+  const int rows = 3 * static_cast<int>(data::kDefaultChunkRows);
+  for (int i = 0; i < rows; ++i) {
+    const int group = (i * 7) % 11 % 6;
+    csv << 'g' << group << ',' << i % 2 << ','
+        << ((i * 31) % 97 + 5 * group) / 200.0 << '\n';
+  }
+  const data::Table table = data::ReadCsvString(csv.str()).ValueOrDie();
+  AuditConfig config;
+  config.protected_column = "group";
+  config.prediction_column = "pred";
+  config.score_column = "score";
+  config.label_column = "pred";
+  config.audit_score_distribution = true;
+  const AuditResult reference =
+      Auditor::Run(AuditSource::FromTable(table), config).ValueOrDie();
+  ASSERT_TRUE(reference.score_distribution.has_value());
+  ASSERT_EQ(reference.score_distribution->groups.size(), 6u);
+  EXPECT_GT(reference.score_distribution->max_ks, 0.0);
+  for (const size_t threads : {2u, 8u}) {
+    config.num_threads = threads;
+    const AuditResult result =
+        Auditor::Run(AuditSource::FromTable(table), config).ValueOrDie();
+    EXPECT_EQ(result.Render(), reference.Render()) << "threads=" << threads;
+    const ScoreDistributionReport& got = *result.score_distribution;
+    const ScoreDistributionReport& want = *reference.score_distribution;
+    ASSERT_EQ(got.groups.size(), want.groups.size());
+    for (size_t g = 0; g < want.groups.size(); ++g) {
+      EXPECT_EQ(got.groups[g].group, want.groups[g].group);
+      EXPECT_EQ(got.groups[g].count, want.groups[g].count);
+      EXPECT_EQ(got.groups[g].wasserstein1, want.groups[g].wasserstein1);
+      EXPECT_EQ(got.groups[g].ks, want.groups[g].ks);
+    }
+  }
 }
 
 TEST(AuditorParallelTest, ReportOrderMatchesSerialRun) {

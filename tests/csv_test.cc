@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -171,6 +172,88 @@ TEST(CsvTest, FirstDefectInFileOrderWins) {
   std::remove(path.c_str());
 }
 
+/// The pooled whole-table read of `text` at `chunk_rows`-row chunks.
+Result<Table> ReadPooled(const std::string& text, size_t chunk_rows) {
+  const std::string path = WriteTempCsv("fairlaw_csv_pooled.csv", text);
+  CsvChunkReader::Options options;
+  options.chunk_rows = chunk_rows;
+  Result<Table> table = CsvChunkReader::ReadTable(path, options, 4);
+  std::remove(path.c_str());
+  return table;
+}
+
+TEST(CsvPooledReadTest, LateFirstSeenStringsGetTheSerialCodes) {
+  // c and d are first seen in the last 3-row chunk, whose local codes
+  // (c 0, b 1, d 2) the merge renumbers.
+  const std::string text = "g,x\na,1\nb,2\na,3\nc,4\nb,5\nd,6\n";
+  const Table whole = ReadCsvString(text).ValueOrDie();
+  for (size_t chunk_rows : {size_t{1}, size_t{3}}) {
+    const Table pooled = ReadPooled(text, chunk_rows).ValueOrDie();
+    EXPECT_EQ(RowsDiffer(whole, 0, pooled), "") << chunk_rows;
+    const Column& column = pooled.column(0);
+    EXPECT_EQ(column.dictionary().keys(),
+              (std::vector<std::string>{"a", "b", "c", "d"}));
+    const std::span<const uint32_t> codes = column.Codes();
+    EXPECT_EQ(std::vector<uint32_t>(codes.begin(), codes.end()),
+              (std::vector<uint32_t>{0, 1, 0, 2, 1, 3}))
+        << chunk_rows;
+  }
+}
+
+TEST(CsvPooledReadTest, NullStringCellsOnAChunkBoundary) {
+  // Rows 3 and 4 (NA, empty) straddle the first 3-row chunk boundary.
+  const std::string text = "g,x\na,1\nb,2\nNA,3\n,4\nc,5\na,6\n";
+  const Table whole = ReadCsvString(text).ValueOrDie();
+  for (size_t chunk_rows : {size_t{1}, size_t{3}}) {
+    const Table pooled = ReadPooled(text, chunk_rows).ValueOrDie();
+    EXPECT_EQ(RowsDiffer(whole, 0, pooled), "") << chunk_rows;
+    const Column& column = pooled.column(0);
+    EXPECT_EQ(column.null_count(), 2u);
+    EXPECT_EQ(column.dictionary().keys(),
+              (std::vector<std::string>{"a", "b", "c"}));
+    const std::span<const uint32_t> codes = column.Codes();
+    EXPECT_EQ(std::vector<uint32_t>(codes.begin(), codes.end()),
+              (std::vector<uint32_t>{0, 1, Column::kNullCode,
+                                     Column::kNullCode, 2, 0}))
+        << chunk_rows;
+  }
+}
+
+TEST(CsvPooledReadTest, LowestChunkDefectWins) {
+  // A ragged row in the second 3-row chunk ahead of an unterminated
+  // quote in the third.
+  const std::string text = "a,b\n1,2\n3,4\n5,6\n7\n8,9\n1,2\n3,\"x\n";
+  const std::string expected =
+      "invalid argument: CSV: row 4 has 1 fields, expected 2";
+  EXPECT_EQ(ReadCsvString(text).status().ToString(), expected);
+  for (size_t chunk_rows : {size_t{1}, size_t{3}}) {
+    EXPECT_EQ(ReadPooled(text, chunk_rows).status().ToString(), expected)
+        << chunk_rows;
+  }
+}
+
+TEST(CsvPooledReadTest, ProbesAreTheSerialReadsForEveryThreadCount) {
+  const bool was_enabled = obs::Enabled();
+  obs::SetEnabled(true);
+  std::string text = "g,x\n";
+  for (int i = 0; i < 3 * static_cast<int>(kDefaultChunkRows); ++i) {
+    text += "g" + std::to_string(i % 7) + "," + std::to_string(i) + "\n";
+  }
+  const std::string path = WriteTempCsv("fairlaw_csv_pooled_probes.csv", text);
+  obs::ResetAll();
+  const Table serial = ReadCsvFile(path).ValueOrDie();
+  const std::string reference = obs::ExportJson();
+  EXPECT_NE(reference.find("read_csv"), std::string::npos);
+  for (size_t threads : {size_t{1}, size_t{2}, size_t{4}, size_t{0}}) {
+    obs::ResetAll();
+    const Table pooled = ReadCsvFile(path, {}, threads).ValueOrDie();
+    EXPECT_EQ(obs::ExportJson(), reference) << threads;
+    EXPECT_EQ(RowsDiffer(serial, 0, pooled), "") << threads;
+  }
+  std::remove(path.c_str());
+  obs::SetEnabled(was_enabled);
+}
+
 TEST(CsvTest, ReadCsvFileCountsBytesAndRows) {
   const bool was_enabled = obs::Enabled();
   obs::SetEnabled(true);
@@ -324,9 +407,35 @@ void ExpectChunksMatchOracle(const Table& oracle, const std::string& path,
   EXPECT_EQ(offset, oracle.num_rows()) << label;
 }
 
+/// Reads `path` whole on a 4-thread pool at 1- and 3-row chunks: the
+/// table must equal `whole` (ReadCsvString's), or the read fail with
+/// its exact error text.
+void ExpectPooledReadsMatch(const Result<Table>& whole,
+                            const std::string& path, const CsvOptions& options,
+                            const std::string& label) {
+  for (size_t chunk_rows : {size_t{1}, size_t{3}}) {
+    const std::string pooled_label =
+        label + " pooled chunk_rows=" + std::to_string(chunk_rows);
+    CsvChunkReader::Options reader_options;
+    reader_options.csv = options;
+    reader_options.chunk_rows = chunk_rows;
+    const Result<Table> pooled =
+        CsvChunkReader::ReadTable(path, reader_options, 4);
+    if (!whole.ok()) {
+      EXPECT_EQ(pooled.status().ToString(), whole.status().ToString())
+          << pooled_label;
+      continue;
+    }
+    ASSERT_TRUE(pooled.ok()) << pooled_label << ": "
+                             << pooled.status().ToString();
+    EXPECT_EQ(pooled->num_rows(), whole->num_rows()) << pooled_label;
+    EXPECT_EQ(RowsDiffer(*whole, 0, *pooled), "") << pooled_label;
+  }
+}
+
 /// Reads `text` with the oracle, ReadCsvString and CsvChunkReader at
-/// several chunk sizes; every reader must give the oracle's table, or
-/// its exact error text. Returns the oracle's status.
+/// several chunk sizes, and whole on a pool; every reader must give the
+/// oracle's table, or its exact error text. Returns the oracle's status.
 Status ExpectReadersMatchOracle(const std::string& text,
                                 const CsvOptions& options,
                                 const std::string& label) {
@@ -356,6 +465,7 @@ Status ExpectReadersMatchOracle(const std::string& text,
               oracle.status().ToString())
         << chunk_label;
   }
+  ExpectPooledReadsMatch(whole, path, options, label);
   std::remove(path.c_str());
   return oracle.status();
 }

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
+#include <string>
+#include <vector>
 
 #include "stats/distance.h"
 #include "stats/histogram.h"
@@ -189,6 +192,110 @@ TEST(PresortedTest, TiesAndEqualSamplesHandled) {
   EXPECT_DOUBLE_EQ(Wasserstein1Presorted(ties, ties).ValueOrDie(), 0.0);
   EXPECT_DOUBLE_EQ(KolmogorovSmirnovPresorted(ties, ties).ValueOrDie(),
                    0.0);
+}
+
+// --- presorted kernels over a SortedDifference -----------------------------
+
+/// Each group of `groups` (a partition of the pooled values) against
+/// everyone else, as the score-distribution audit compares them: W1 and
+/// KS over the SortedDifference walk must equal the span kernels over
+/// the materialized std::set_difference, to the bit, or fail with the
+/// same error text.
+void ExpectWalkEqualsMaterialized(const std::vector<V>& groups,
+                                  const std::string& label) {
+  V all;
+  for (const V& group : groups) {
+    all.insert(all.end(), group.begin(), group.end());
+  }
+  std::sort(all.begin(), all.end());
+  for (size_t g = 0; g < groups.size(); ++g) {
+    V group = groups[g];
+    std::sort(group.begin(), group.end());
+    V rest;
+    std::set_difference(all.begin(), all.end(), group.begin(), group.end(),
+                        std::back_inserter(rest));
+    const SortedDifference walk(all, group);
+    ASSERT_EQ(walk.size(), rest.size()) << label << " group " << g;
+    const Result<double> w1 = Wasserstein1Presorted(group, rest);
+    const Result<double> w1_walk = Wasserstein1Presorted(group, walk, "");
+    const Result<double> ks = KolmogorovSmirnovPresorted(group, rest);
+    const Result<double> ks_walk =
+        KolmogorovSmirnovPresorted(group, walk, "");
+    ASSERT_EQ(w1_walk.status().ToString(), w1.status().ToString())
+        << label << " group " << g;
+    ASSERT_EQ(ks_walk.status().ToString(), ks.status().ToString())
+        << label << " group " << g;
+    if (w1.ok()) {
+      EXPECT_EQ(*w1_walk, *w1) << label << " group " << g;
+    }
+    if (ks.ok()) {
+      EXPECT_EQ(*ks_walk, *ks) << label << " group " << g;
+    }
+  }
+}
+
+TEST(SortedDifferenceTest, WalkIsTheSetDifference) {
+  const V all = {1, 1, 1, 2, 2, 3, 5, 5};
+  const V removed = {1, 2, 2, 5};
+  const SortedDifference difference(all, removed);
+  V walked;
+  SortedDifference::Walk walk(difference);
+  for (size_t i = 0; i < difference.size(); ++i, walk.Step()) {
+    walked.push_back(walk.value());
+  }
+  EXPECT_EQ(walked, (V{1, 1, 3, 5}));
+}
+
+TEST(SortedDifferenceTest, TiesWithinAndAcrossGroups) {
+  ExpectWalkEqualsMaterialized(
+      {{1, 1, 2, 3, 3}, {1, 2, 2, 3, 4, 4}, {3, 3, 4, 0.5, 1}}, "ties");
+}
+
+TEST(SortedDifferenceTest, OneRowGroupAndAGroupOfEveryRow) {
+  ExpectWalkEqualsMaterialized({{0.25}, {0.5, 0.75, 0.25, 1.0}}, "one row");
+  // The whole pool: everyone else is empty, and both paths say so.
+  ExpectWalkEqualsMaterialized({{0.1, 0.2, 0.2, 0.9}}, "every row");
+  EXPECT_EQ(Wasserstein1Presorted(V{0.5}, SortedDifference(V{0.5}, V{0.5}),
+                                  "")
+                .status()
+                .ToString(),
+            "invalid argument: Wasserstein1Presorted: empty sample");
+}
+
+TEST(SortedDifferenceTest, ConstantScores) {
+  ExpectWalkEqualsMaterialized({V(5, 0.5), V(3, 0.5), V(1, 0.5)},
+                               "constant");
+}
+
+TEST(SortedDifferenceTest, SeededGroupsWithManyTies) {
+  for (uint64_t seed : {1u, 2u, 3u}) {
+    Rng rng(seed);
+    std::vector<V> groups(5);
+    for (int i = 0; i < 3000; ++i) {
+      // Quarter steps: most values repeat within and across groups.
+      const double value = std::round(rng.Normal(0.0, 1.0) * 4.0) / 4.0;
+      groups[rng.UniformInt(groups.size())].push_back(value);
+    }
+    ExpectWalkEqualsMaterialized(groups, "seed " + std::to_string(seed));
+  }
+}
+
+TEST(SortedDifferenceTest, KernelsCheckSortednessAndEmptiness) {
+  const V sorted = {0.0, 1.0, 2.0, 3.0};
+  const V unsorted = {2.0, 0.0, 1.0, 3.0};
+  const V part = {1.0};
+  EXPECT_FALSE(
+      Wasserstein1Presorted(unsorted, SortedDifference(sorted, part), "").ok());
+  EXPECT_FALSE(Wasserstein1Presorted(V{}, SortedDifference(sorted, part), "")
+                   .ok());
+  EXPECT_FALSE(
+      Wasserstein1Presorted(part, SortedDifference(unsorted, part), "").ok());
+  EXPECT_FALSE(KolmogorovSmirnovPresorted(
+                   part, SortedDifference(sorted, V{2.0, 1.0}), "")
+                   .ok());
+  EXPECT_FALSE(
+      KolmogorovSmirnovPresorted(sorted, SortedDifference(sorted, sorted), "")
+          .ok());
 }
 
 // --- binned fast paths ----------------------------------------------------

@@ -8,7 +8,10 @@
 // error first: read serially (Make, then Next), and with the schema
 // inferred on a 4-worker pool and the chunks read last to first on that
 // pool, so a chunk boundary the scan gets wrong shows as a cell, row
-// count or error text the oracle does not have.
+// count or error text the oracle does not have. The same file read
+// whole by CsvChunkReader::ReadTable at 1- and 3-row chunks on 4
+// threads must equal ReadCsvString's table (schema, validity, cells,
+// dictionaries in first-seen order) or fail with its error text.
 //
 // Built with -fsanitize=fuzzer this is a libFuzzer target. Linked with
 // replay_main.cc it is the replay driver csv_fuzz_replay instead.
@@ -143,6 +146,31 @@ void CheckParallelChunks(const std::string& text, const std::string& path,
   }
 }
 
+/// Reads `path` whole at `chunk_rows` on 4 threads and checks it
+/// against ReadCsvString's result.
+void CheckPooledTable(const std::string& text, const std::string& path,
+                      const fairlaw::Result<data::Table>& whole,
+                      size_t chunk_rows) {
+  const std::string label =
+      "pooled chunk_rows=" + std::to_string(chunk_rows) + ": ";
+  data::CsvChunkReader::Options options;
+  options.chunk_rows = chunk_rows;
+  const fairlaw::Result<data::Table> pooled =
+      data::CsvChunkReader::ReadTable(path, options, 4);
+  if (pooled.status().ToString() != whole.status().ToString()) {
+    Fail(text, label + "ReadTable says '" + pooled.status().ToString() +
+                   "', ReadCsvString '" + whole.status().ToString() + "'");
+  }
+  if (!pooled.ok()) return;
+  if (pooled->num_rows() != whole->num_rows()) {
+    Fail(text, label + "read " + std::to_string(pooled->num_rows()) +
+                   " rows, ReadCsvString " +
+                   std::to_string(whole->num_rows()));
+  }
+  const std::string difference = data::RowsDiffer(*whole, 0, *pooled);
+  if (!difference.empty()) Fail(text, label + difference);
+}
+
 }  // namespace
 
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
@@ -177,6 +205,7 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   for (size_t chunk_rows : {size_t{1}, size_t{3}}) {
     CheckSerialChunks(text, path, oracle, chunk_rows);
     CheckParallelChunks(text, path, oracle, chunk_rows);
+    CheckPooledTable(text, path, whole, chunk_rows);
   }
   std::remove(path.c_str());
   return 0;

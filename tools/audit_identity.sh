@@ -9,8 +9,13 @@
 # four threads must be identical too: chunks are read, inferred and
 # audited on the workers, whose spans nest under the calling thread's
 # path. (The dump counts chunks, so it is compared at one chunk size.)
-# A last leg checks that --chunk-rows without --streaming is a flag
-# error (exit 1): an in-memory audit is one chunk. Driven by ctest
+# A large-table leg audits a 60000-row promotion table (four read
+# chunks) with a logistic score column added, the whole suite and the
+# score-distribution audit on, at one and at four threads: the table is
+# read and the groups' score distributions are compared on the pool at
+# four threads, and both the JSON reports and the obs dumps must be
+# equal. A last leg checks that --chunk-rows without --streaming is a
+# flag error (exit 1): an in-memory audit is one chunk. Driven by ctest
 # (tools_audit_identity, with tests/golden/audit_suite.json and
 # tests/golden/audit_stream.json).
 #
@@ -29,17 +34,19 @@ mkdir -p "$dir"
 
 # Exit code 2 means violations were found, which this table has; only
 # 1 (an error) fails the gate before the byte comparison.
-run() {
-  local out="$1"
-  shift
+run_on() {
+  local csv="$1"
+  local out="$2"
+  shift 2
   local rc=0
-  "$audit" "$dir/promotion.csv" --protected=gender --pred=promoted \
+  "$audit" "$csv" --protected=gender --pred=promoted \
       --label=merit --strata=race --json "$@" >"$out" || rc=$?
   if [ "$rc" -ne 0 ] && [ "$rc" -ne 2 ]; then
     echo "fairlaw_audit $* exited $rc" >&2
     exit 1
   fi
 }
+run() { run_on "$dir/promotion.csv" "$@"; }
 
 suite=(--proxies=performance,tenure,race --subgroups=gender,race)
 run "$dir/suite_t1.json" "${suite[@]}" --threads=1
@@ -57,6 +64,20 @@ cmp "$stream_golden" "$dir/stream_t4.json"
 cmp "$stream_golden" "$dir/stream_t1_977.json"
 cmp "$dir/obs_t1.json" "$dir/obs_t4.json"
 
+"$gen" promotion --n=60000 --out="$dir/large.csv"
+awk -F, 'BEGIN { OFS = "," }
+  NR == 1 { print $0, "score"; next }
+  { printf "%s,%.6f\n", $0, 1 / (1 + exp(-$3)) }' \
+    "$dir/large.csv" >"$dir/large_scored.csv"
+large=("${suite[@]}" --score=score --score-dist)
+run_on "$dir/large_scored.csv" "$dir/large_t1.json" "${large[@]}" \
+    --threads=1 --obs-json="$dir/large_obs_t1.json"
+run_on "$dir/large_scored.csv" "$dir/large_t4.json" "${large[@]}" \
+    --threads=4 --obs-json="$dir/large_obs_t4.json"
+grep -q '"score_distribution"' "$dir/large_t1.json"
+cmp "$dir/large_t1.json" "$dir/large_t4.json"
+cmp "$dir/large_obs_t1.json" "$dir/large_obs_t4.json"
+
 for flag in --chunk-rows=977 --max-memory-mb=64; do
   rc=0
   "$audit" "$dir/promotion.csv" --protected=gender --pred=promoted \
@@ -69,4 +90,5 @@ for flag in --chunk-rows=977 --max-memory-mb=64; do
 done
 echo "audit identity ok: both runs equal $golden," \
     "the streamed runs equal $stream_golden with equal obs dumps," \
+    "the large table's reports and obs dumps agree across threads," \
     "in-memory --chunk-rows/--max-memory-mb rejected"

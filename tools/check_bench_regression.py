@@ -8,14 +8,17 @@ comparison here is a within-run ratio:
     baseline measured in the SAME process) must not drop more than the
     threshold below the checked-in value, and `identical_results` must
     stay true.
-  * BENCH_audit.json: the three engine invariants `chunk_identical`,
-    `streaming_identical`, and `flat_memory_ok` must stay true (audit
-    output byte-identical across chunk sizes / thread counts / ingestion
-    paths, and peak RSS flat between the 1M- and 10M-row streaming
-    runs), `thread_scaling` (serial vs parallel wall time in the SAME
-    process) must not drop more than the threshold below the checked-in
-    value — on a single-core runner the baseline itself is ~1.0, so the
-    gate is honest for the machine class — and the big/small streaming
+  * BENCH_audit.json: the four engine invariants `chunk_identical`,
+    `streaming_identical`, `read_identical` and `flat_memory_ok` must
+    stay true (audit output byte-identical across chunk sizes / thread
+    counts / ingestion paths, the pooled whole-table read giving the
+    serial read's table, and peak RSS flat between the 1M- and 10M-row
+    streaming runs), `thread_scaling` (serial vs parallel streamed audit
+    wall time in the SAME process) and `read_thread_scaling` (serial vs
+    pooled whole-table CSV read, likewise) must not drop more than the
+    threshold below the checked-in values — on a single-core runner the
+    baselines themselves are ~1.0, so the gate is honest for the machine
+    class — and the big/small streaming
     time ratio must not grow more than the threshold above the baseline
     ratio (out-of-core cost stays linear in rows). The run must use the
     baseline's `rows`/`big_rows`.
@@ -93,7 +96,8 @@ def check_audit(baseline, current, threshold):
                 "— run the bench at baseline sizes for a valid comparison")
     if failures:
         return failures
-    for key in ("chunk_identical", "streaming_identical", "flat_memory_ok"):
+    for key in ("chunk_identical", "streaming_identical", "read_identical",
+                "flat_memory_ok"):
         if not current.get(key, False):
             failures.append(
                 f"audit: {key} is false — the morsel engine broke its "
@@ -102,18 +106,19 @@ def check_audit(baseline, current, threshold):
         else:
             print(f"bench-regression: audit {key} ok")
 
-    base_scaling = baseline.get("thread_scaling")
-    cur_scaling = current.get("thread_scaling")
-    if base_scaling is None or cur_scaling is None:
-        failures.append("audit: missing field 'thread_scaling'")
-    else:
+    for key in ("thread_scaling", "read_thread_scaling"):
+        base_scaling = baseline.get(key)
+        cur_scaling = current.get(key)
+        if base_scaling is None or cur_scaling is None:
+            failures.append(f"audit: missing field '{key}'")
+            continue
         floor = base_scaling * (1.0 - threshold)
         if cur_scaling < floor:
             failures.append(
-                f"audit: thread_scaling regressed: {cur_scaling:.3f} < "
+                f"audit: {key} regressed: {cur_scaling:.3f} < "
                 f"{floor:.3f} (baseline {base_scaling:.3f} - {threshold:.0%})")
         else:
-            print(f"bench-regression: audit thread_scaling ok: "
+            print(f"bench-regression: audit {key} ok: "
                   f"{cur_scaling:.3f} vs baseline {base_scaling:.3f} "
                   f"(floor {floor:.3f})")
 

@@ -4,15 +4,17 @@
 //       [--label=outcome] [--score=probability]
 //       [--strata=dept,level] [--proxies=zip,education]
 //       [--subgroups=gender,race] [--tolerance=0.05] [--json]
-//       [--streaming [--threads=4] [--chunk-rows=16384]
-//                    [--max-memory-mb=512]]
+//       [--threads=4] [--streaming [--chunk-rows=16384]
+//                                  [--max-memory-mb=512]]
 //       [--obs-json=PATH] [--obs-timings]
 //
 // Reads a CSV, runs the configured fairness suite, and prints either the
 // human-readable report or (with --json) the machine-readable artifact.
-// Without --streaming the CSV is read whole and audited as one table,
-// serially. --streaming audits the CSV out-of-core one chunk at a time
-// (metric audit only — the table never materializes, so the
+// Without --streaming the CSV is read whole and audited as one table:
+// --threads reads the file's chunks and compares the groups' score
+// distributions on a pool, and every other step runs serially.
+// --streaming audits the CSV out-of-core one chunk at a time (metric
+// audit only — the table never materializes, so the
 // proxy/subgroup/sampling extras are unavailable); --threads processes
 // its chunks in parallel, --chunk-rows sizes them, and --max-memory-mb
 // caps the derived chunk size so the chunks the workers hold at once fit
@@ -126,8 +128,9 @@ fairlaw::Result<CliOptions> Parse(int argc, char** argv, bool* show_help,
   int64_t threads = 1;
   fairlaw::cli::FlagSet flags = MakeFlags(&options);
   flags.Add("threads", &threads,
-            "worker threads for the --streaming chunk morsels (0 = one per "
-            "hardware thread); the output is identical for every value",
+            "worker threads for the CSV read and the score-distribution "
+            "comparisons, and for the --streaming chunk morsels (0 = one "
+            "per hardware thread); the output is identical for every value",
             fairlaw::cli::Range<int64_t>{0, 512});
   int64_t chunk_rows = 0;
   flags.Add("chunk-rows", &chunk_rows,
@@ -232,7 +235,8 @@ int main(int argc, char** argv) {
     suite_report.all_clear = suite_report.audit.all_satisfied;
   } else {
     fairlaw::Result<fairlaw::data::Table> table =
-        fairlaw::data::ReadCsvFile(parsed->csv_path);
+        fairlaw::data::ReadCsvFile(parsed->csv_path, {},
+                                   parsed->suite.audit.num_threads);
     if (!table.ok()) {
       std::fprintf(stderr, "error reading '%s': %s\n",
                    parsed->csv_path.c_str(),
