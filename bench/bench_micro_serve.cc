@@ -6,12 +6,15 @@
 //   * with any --benchmark_* flag: the usual google-benchmark suite
 //     (ingest cost vs batch size).
 //   * otherwise: a JSON harness that (1) measures ingest events/sec and
-//     best-of-reps audit/quantiles query latency; (2) replays the same
-//     event sequence at two batch sizes and two thread counts and
-//     verifies the query responses are byte-identical; and (3) checks
-//     the window's per-group KLL sketches against the exact in-window
-//     score arrays — quantile rank error plus sketch-vs-exact KS/W1
-//     distance error within fixed bounds. Writes BENCH_serve.json
+//     best-of-reps audit/quantiles query latency, each timed query
+//     first ingesting one event so it folds the window cold; (2)
+//     replays the same event sequence at two batch sizes and two thread
+//     counts and verifies the query responses are byte-identical, and
+//     that a service answering the query suite twice from its window
+//     snapshot answers as a fresh one does; and (3) checks the window's
+//     per-group KLL sketches against the exact in-window score arrays —
+//     quantile rank error plus sketch-vs-exact KS/W1 distance error
+//     within fixed bounds. Writes BENCH_serve.json
 //     (gated by tools/check_bench_regression.py). Flags: --out=PATH
 //     --events=N --reps=N --threads=N --obs-json=PATH.
 #include <benchmark/benchmark.h>
@@ -116,19 +119,30 @@ serve::ServeConfig MakeConfig(size_t num_threads) {
 
 /// Replays the lines through a fresh daemon (obs reset first — the
 /// schedule-invariant counters embedded in query responses count from
-/// daemon start) and returns the query-suite responses.
+/// daemon start) and returns the query-suite responses, the suite
+/// answered `passes` times in a row.
 std::vector<std::string> ReplayAndQuery(const serve::ServeConfig& config,
-                                        const std::vector<std::string>& lines) {
+                                        const std::vector<std::string>& lines,
+                                        size_t passes = 1) {
   fairlaw::obs::ResetAll();
   serve::Service service(config);
   for (const std::string& line : lines) {
     benchmark::DoNotOptimize(service.HandleLine(line));
   }
   std::vector<std::string> responses;
-  for (const std::string& query : QuerySuite()) {
-    responses.push_back(service.HandleLine(query));
+  for (size_t pass = 0; pass < passes; ++pass) {
+    for (const std::string& query : QuerySuite()) {
+      responses.push_back(service.HandleLine(query));
+    }
   }
   return responses;
+}
+
+/// A query frame without its trailing "obs" member, whose merge count
+/// grows with every query answered before it.
+std::string WithoutObs(const std::string& frame) {
+  const size_t at = frame.find(",\"obs\":{");
+  return at == std::string::npos ? frame : frame.substr(0, at) + "}";
 }
 
 // ---------------------------------------------------------------------------
@@ -181,45 +195,8 @@ int RunHarness(const HarnessConfig& config) {
   for (const std::string& line : lines) {
     benchmark::DoNotOptimize(service.HandleLine(line));
   }
-  // Ingest throughput (a full replay into a fresh daemon) and the two
-  // query legs, timed interleaved: the gated ratios divide each query by
-  // the per-event ingest time, so all three legs see the same load.
-  const std::vector<int64_t> leg_ns = BestOfEachNs(
-      config.reps,
-      {[&] {
-         fairlaw::obs::ResetAll();
-         serve::Service fresh(serial_config);
-         for (const std::string& line : lines) {
-           benchmark::DoNotOptimize(fresh.HandleLine(line));
-         }
-       },
-       [&] {
-         benchmark::DoNotOptimize(
-             service.HandleLine(R"({"op":"query","type":"audit"})"));
-       },
-       [&] {
-         benchmark::DoNotOptimize(service.HandleLine(
-             R"({"op":"query","type":"quantiles","group":"alpha",)"
-             R"("q":[0.25,0.5,0.75]})"));
-       }},
-      kMinTimedNs);
-  const int64_t ingest_ns = leg_ns[0];
-  const int64_t query_audit_ns = leg_ns[1];
-  const int64_t query_quantiles_ns = leg_ns[2];
-  const double events_per_sec = static_cast<double>(config.events) /
-                                (static_cast<double>(ingest_ns) / 1e9);
-  // Within-run cost ratios — the machine-portable numbers the
-  // regression gate compares. A query folds the whole window, so its
-  // honest unit is "how many amortized ingests does one query cost".
-  const double per_event_ingest_ns =
-      static_cast<double>(ingest_ns) / static_cast<double>(config.events);
-  const double audit_query_cost_ratio =
-      static_cast<double>(query_audit_ns) / per_event_ingest_ns;
-  const double quantiles_query_cost_ratio =
-      static_cast<double>(query_quantiles_ns) / per_event_ingest_ns;
-
-  // Sketch-vs-exact agreement on the live window (before the identity
-  // replays disturb anything): per-group quantile rank error and
+  // Sketch-vs-exact agreement on the live window (before the timed
+  // query legs add events to it): per-group quantile rank error and
   // KS/W1 distance error against the exact in-window score arrays.
   const fairlaw::audit::WindowedPartial window =
       service.ring().Window(nullptr);
@@ -276,6 +253,51 @@ int RunHarness(const HarnessConfig& config) {
       sketch_ok && quantile_rank_err <= kQuantileRankErrBound &&
       distance_err <= kDistanceErrBound;
 
+  // Ingest throughput (a full replay into a fresh daemon) and the two
+  // query legs, timed interleaved: the gated ratios divide each query by
+  // the per-event ingest time, so all three legs see the same load. A
+  // query leg first ingests one event at the watermark, so the window
+  // keeps its span but each timed query folds it cold, as the first
+  // query after an ingest does.
+  const std::string touch =
+      R"({"op":"ingest","events":[{"t":)" + std::to_string(config.events - 1) +
+      R"(,"group":"alpha","pred":1,"label":1,"score":0.5}]})";
+  const std::vector<int64_t> leg_ns = BestOfEachNs(
+      config.reps,
+      {[&] {
+         fairlaw::obs::ResetAll();
+         serve::Service fresh(serial_config);
+         for (const std::string& line : lines) {
+           benchmark::DoNotOptimize(fresh.HandleLine(line));
+         }
+       },
+       [&] {
+         benchmark::DoNotOptimize(service.HandleLine(touch));
+         benchmark::DoNotOptimize(
+             service.HandleLine(R"({"op":"query","type":"audit"})"));
+       },
+       [&] {
+         benchmark::DoNotOptimize(service.HandleLine(touch));
+         benchmark::DoNotOptimize(service.HandleLine(
+             R"({"op":"query","type":"quantiles","group":"alpha",)"
+             R"("q":[0.25,0.5,0.75]})"));
+       }},
+      kMinTimedNs);
+  const int64_t ingest_ns = leg_ns[0];
+  const int64_t query_audit_ns = leg_ns[1];
+  const int64_t query_quantiles_ns = leg_ns[2];
+  const double events_per_sec = static_cast<double>(config.events) /
+                                (static_cast<double>(ingest_ns) / 1e9);
+  // Within-run cost ratios — the machine-portable numbers the
+  // regression gate compares. A query folds the whole window, so its
+  // honest unit is "how many amortized ingests does one query cost".
+  const double per_event_ingest_ns =
+      static_cast<double>(ingest_ns) / static_cast<double>(config.events);
+  const double audit_query_cost_ratio =
+      static_cast<double>(query_audit_ns) / per_event_ingest_ns;
+  const double quantiles_query_cost_ratio =
+      static_cast<double>(query_quantiles_ns) / per_event_ingest_ns;
+
   // Identity legs: same events, different batchings / thread counts.
   const std::vector<std::string> rebatched =
       BuildIngestLines(config.events, 977, nullptr);
@@ -285,6 +307,16 @@ int RunHarness(const HarnessConfig& config) {
       reference == ReplayAndQuery(serial_config, rebatched);
   const bool thread_identical =
       reference == ReplayAndQuery(MakeConfig(config.threads), rebatched);
+  // Snapshot leg: one service answers the suite twice, the second pass
+  // wholly from its warm snapshot; frame for frame, but for the merge
+  // counts, both passes must be a fresh service's first answers.
+  const std::vector<std::string> twice =
+      ReplayAndQuery(serial_config, lines, 2);
+  bool snapshot_identical = twice.size() == 2 * reference.size();
+  for (size_t i = 0; snapshot_identical && i < twice.size(); ++i) {
+    snapshot_identical = WithoutObs(twice[i]) ==
+                         WithoutObs(reference[i % reference.size()]);
+  }
 
   fairlaw::JsonWriter writer;
   writer.BeginObject();
@@ -306,6 +338,7 @@ int RunHarness(const HarnessConfig& config) {
   writer.Field("sketch_within_tolerance", sketch_within_tolerance);
   writer.Field("batch_identical", batch_identical);
   writer.Field("thread_identical", thread_identical);
+  writer.Field("snapshot_identical", snapshot_identical);
   writer.EndObject();
   const std::string json = writer.Finish().ValueOrDie();
 
@@ -330,6 +363,12 @@ int RunHarness(const HarnessConfig& config) {
     std::fprintf(stderr,
                  "bench_micro_serve: query responses DIFFER across batch "
                  "sizes or thread counts — daemon determinism bug\n");
+    return 1;
+  }
+  if (!snapshot_identical) {
+    std::fprintf(stderr,
+                 "bench_micro_serve: answers from the window snapshot "
+                 "DIFFER from a fresh service's\n");
     return 1;
   }
   if (!sketch_within_tolerance) {

@@ -59,9 +59,9 @@ void WindowedPartial::MergeFrom(const WindowedPartial& other) {
   num_rows += other.num_rows;
 }
 
-Result<AuditResult> RunWindowedAudit(const WindowedPartial& window,
-                                     const AuditConfig& config,
-                                     const std::string& parent_path) {
+Result<AuditResult> EvaluateWindowMetrics(const WindowedPartial& window,
+                                          const AuditConfig& config,
+                                          const std::string& parent_path) {
   if (window.num_rows == 0) {
     return Status::Invalid("windowed audit: window holds no events");
   }
@@ -73,8 +73,14 @@ Result<AuditResult> RunWindowedAudit(const WindowedPartial& window,
       window.strata_counts.num_keys() > 0 ? &window.strata_counts : nullptr;
   inputs.score_series = nullptr;  // calibration needs row-level pairs
   inputs.has_labels = !config.label_column.empty();
+  return EvaluateMetrics(inputs, config, parent_path);
+}
+
+Result<AuditResult> RunWindowedAudit(const WindowedPartial& window,
+                                     const AuditConfig& config,
+                                     const std::string& parent_path) {
   FAIRLAW_ASSIGN_OR_RETURN(AuditResult result,
-                           EvaluateMetrics(inputs, config, parent_path));
+                           EvaluateWindowMetrics(window, config, parent_path));
   if (config.audit_score_distribution) {
     obs::TraceSpan span("metric/score_distribution_sketch", parent_path);
     FAIRLAW_ASSIGN_OR_RETURN(result.score_distribution,

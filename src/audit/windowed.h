@@ -33,6 +33,15 @@ struct WindowedPartial {
   void MergeFrom(const WindowedPartial& other);
 };
 
+/// The metric rows of RunWindowedAudit alone: every count and
+/// conditional metric over the window's tallies, without the sketch
+/// drift step (which reads the sketches and cannot fail). Reads only
+/// `counts`, `strata_counts` and `num_rows`, so the window's sketches
+/// need not be folded. Invalid when the window holds no events.
+FAIRLAW_NODISCARD Result<AuditResult> EvaluateWindowMetrics(
+    const WindowedPartial& window, const AuditConfig& config,
+    const std::string& parent_path);
+
 /// Evaluates the audit metric suite over a merged window. The count and
 /// conditional metrics are exact (integer tallies); calibration is
 /// skipped (it needs row-level score/label pairs the window does not

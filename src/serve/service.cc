@@ -10,7 +10,6 @@
 #include "audit/auditor.h"
 #include "audit/evaluate.h"
 #include "audit/report_io.h"
-#include "audit/source.h"
 #include "audit/windowed.h"
 #include "base/json_writer.h"
 #include "metrics/fairness_metric.h"
@@ -95,7 +94,10 @@ std::string Service::QueryErrorFrame(const std::string& type,
 }
 
 Service::Service(const ServeConfig& config)
-    : config_(config), ring_(config) {
+    : config_(config),
+      audit_config_(config.ToAuditConfig()),
+      ring_(config),
+      snapshot_(ring_) {
   if (config_.num_threads != 1) {
     pool_ = std::make_unique<ThreadPool>(config_.num_threads);
   }
@@ -194,13 +196,10 @@ std::string Service::HandleIngest(const std::vector<Event>& events) {
 std::string Service::HandleQuery(const QueryRequest& request) {
   obs::TraceSpan span("serve/query");
   window_merges_ += ring_.num_live_buckets();
-  const audit::WindowedPartial window = ring_.Window(pool_.get());
-  const audit::AuditConfig audit_config = config_.ToAuditConfig();
 
-  if (request.type == "audit" || request.type == "four_fifths" ||
-      request.type == "drift") {
-    Result<audit::AuditResult> result = audit::Auditor::Run(
-        audit::AuditSource::FromWindow(window), audit_config);
+  if (request.type == "audit" || request.type == "drift") {
+    const Result<audit::AuditResult>& result =
+        snapshot_.Audit(audit_config_, pool_.get());
     if (!result.ok()) {
       return QueryErrorFrame(request.type, result.status());
     }
@@ -210,14 +209,6 @@ std::string Service::HandleQuery(const QueryRequest& request) {
     if (request.type == "audit") {
       json.Key("findings");
       audit::WriteAuditFindings(&json, audit_result);
-    } else if (request.type == "four_fifths") {
-      Result<const metrics::MetricReport*> report =
-          audit_result.Find("disparate_impact_ratio");
-      if (!report.ok()) {
-        return QueryErrorFrame(request.type, report.status());
-      }
-      json.Key("four_fifths");
-      audit::WriteMetricReport(&json, *report.ValueOrDie());
     } else {
       if (!audit_result.score_distribution.has_value()) {
         return QueryErrorFrame(
@@ -234,8 +225,31 @@ std::string Service::HandleQuery(const QueryRequest& request) {
     return FinishFrame(&json);
   }
 
+  if (request.type == "four_fifths") {
+    // The windowed audit's metric rows without its drift step: that
+    // step only runs sketch kernels on non-empty pairs, so it cannot
+    // fail, and the rows and errors are the full audit's.
+    Result<audit::AuditResult> result = audit::EvaluateWindowMetrics(
+        snapshot_.Tallies(), audit_config_, obs::CurrentPath());
+    if (!result.ok()) {
+      return QueryErrorFrame(request.type, result.status());
+    }
+    Result<const metrics::MetricReport*> report =
+        result.ValueOrDie().Find("disparate_impact_ratio");
+    if (!report.ok()) {
+      return QueryErrorFrame(request.type, report.status());
+    }
+    JsonWriter json;
+    BeginQueryFrame(&json, request.type, ring_);
+    json.Key("four_fifths");
+    audit::WriteMetricReport(&json, *report.ValueOrDie());
+    WriteQueryCounts(&json);
+    return FinishFrame(&json);
+  }
+
   if (request.type == "drilldown") {
-    const stats::StratifiedCountsAccumulator& strata = window.strata_counts;
+    const stats::StratifiedCountsAccumulator& strata =
+        snapshot_.Tallies().strata_counts;
     const size_t index = strata.FindKey(request.stratum);
     if (index == strata.num_keys()) {
       return QueryErrorFrame(
@@ -250,7 +264,7 @@ std::string Service::HandleQuery(const QueryRequest& request) {
     inputs.counts = &strata.stratum(index);
     inputs.has_labels = false;
     Result<audit::AuditResult> result =
-        audit::EvaluateMetrics(inputs, audit_config, obs::CurrentPath());
+        audit::EvaluateMetrics(inputs, audit_config_, obs::CurrentPath());
     if (!result.ok()) {
       return QueryErrorFrame(request.type, result.status());
     }
@@ -264,22 +278,21 @@ std::string Service::HandleQuery(const QueryRequest& request) {
   }
 
   // "quantiles" — QueryRequest::Validate admits nothing else.
-  const size_t slot = window.sketches.FindKey(request.group);
-  if (slot >= window.sketches.num_keys()) {
+  const stats::KllSketch* sketch = snapshot_.Sketch(request.group);
+  if (sketch == nullptr) {
     return QueryErrorFrame(
         request.type,
         Status::NotFound("quantiles: group '" + request.group +
                          "' not present in the window"));
   }
-  const stats::KllSketch& sketch = window.sketches.sketch(slot);
   JsonWriter json;
   BeginQueryFrame(&json, request.type, ring_);
   json.Field("group", request.group);
-  json.Field("count", static_cast<int64_t>(sketch.count()));
+  json.Field("count", static_cast<int64_t>(sketch->count()));
   json.Key("quantiles");
   json.BeginArray();
   for (double q : request.quantiles) {
-    Result<double> value = sketch.Quantile(q);
+    Result<double> value = sketch->Quantile(q);
     if (!value.ok()) {
       return QueryErrorFrame(request.type, value.status());
     }

@@ -8,6 +8,7 @@
 #include <string_view>
 #include <vector>
 
+#include "audit/auditor.h"
 #include "base/json_writer.h"
 #include "base/status.h"
 #include "base/thread_pool.h"
@@ -37,6 +38,9 @@ class Service {
   /// `config` must already Validate(). A worker pool is spun up once
   /// when num_threads != 1 and reused across requests.
   explicit Service(const ServeConfig& config);
+  /// Neither copied nor moved: the snapshot refers to this ring.
+  Service(const Service&) = delete;
+  Service& operator=(const Service&) = delete;
 
   /// Handles one request line, returning the response document
   /// (no trailing newline). Never fails: malformed input produces an
@@ -55,12 +59,18 @@ class Service {
   std::string QueryErrorFrame(const std::string& type,
                               const Status& status) const;
   /// The frame's "obs" object: events accepted, events rejected, and
-  /// buckets merged by queries so far — pure functions of the request
-  /// sequence.
+  /// the live buckets each answered query covered, summed — pure
+  /// functions of the request sequence, however many of those buckets
+  /// the snapshot actually had to fold.
   void WriteQueryCounts(JsonWriter* json) const;
 
   ServeConfig config_;
+  /// The AuditConfig every window evaluation runs under.
+  audit::AuditConfig audit_config_;
   WindowRing ring_;
+  /// What queries read: the window of the ring's current version, each
+  /// part built on first use and rebuilt once the ring has changed.
+  WindowSnapshot snapshot_;
   std::unique_ptr<ThreadPool> pool_;  // null when num_threads == 1
   /// DecodeIngestLine's output, kept so its capacity is reused from one
   /// ingest line to the next.

@@ -4,11 +4,79 @@
 #include <string>
 #include <utility>
 
+#include "audit/auditor.h"
+#include "audit/source.h"
 #include "obs/obs.h"
 #include "stats/mergeable.h"
 #include "stats/kll.h"
 
 namespace fairlaw::serve {
+namespace {
+
+using Buckets = std::vector<const audit::WindowedPartial*>;
+
+/// Adds `buckets` to serve.window_merges, the bucket folds run: one per
+/// live bucket per pass (Window(), a snapshot's tally fold, one group's
+/// chain fold). Looked up on the first fold over a non-empty window, so
+/// the stats export lists it only from then on; registry pointers live
+/// for the process.
+void CountBucketFolds(size_t buckets) {
+  if (buckets == 0) return;
+  static obs::Counter* const merges = obs::GetCounter("serve.window_merges");
+  merges->Increment(buckets);
+}
+
+/// The tally fold: counts, strata and num_rows, cheap integer folds in
+/// ascending bucket order — the fixed fold order every mergeable
+/// accumulator's determinism contract requires.
+void FoldTallies(const Buckets& buckets, audit::WindowedPartial* into) {
+  for (const audit::WindowedPartial* bucket : buckets) {
+    into->counts.MergeFrom(bucket->counts);
+    into->strata_counts.MergeFrom(bucket->strata_counts);
+    into->num_rows += bucket->num_rows;
+  }
+}
+
+/// The canonical sketch key order: first-seen across buckets in
+/// ascending order, exactly what a serial MergeFrom chain would
+/// produce. Every slot starts as the empty prototype.
+void FoldSketchKeys(const Buckets& buckets, stats::GroupedSketches* into) {
+  for (const audit::WindowedPartial* bucket : buckets) {
+    for (const std::string& key : bucket->sketches.keys()) {
+      into->KeyIndex(key);
+    }
+  }
+}
+
+/// The per-group chain fold: the buckets' sketches for key `key_index`,
+/// merged in ascending bucket order into its (empty) slot.
+void FoldChain(const Buckets& buckets, size_t key_index,
+               stats::GroupedSketches* into) {
+  stats::KllSketch* target = into->mutable_slot(key_index);
+  const std::string& key = into->keys()[key_index];
+  for (const audit::WindowedPartial* bucket : buckets) {
+    const size_t slot = bucket->sketches.FindKey(key);
+    if (slot < bucket->sketches.num_keys()) {
+      target->Merge(bucket->sketches.sketch(slot));
+    }
+  }
+}
+
+/// Folds the chains `key_indices` names, over `pool` when given and
+/// there is more than one. Each worker writes only its own slot, and a
+/// chain's merge order is the same whatever the schedule, so the
+/// sketches are identical for every thread count.
+void FoldChains(const Buckets& buckets, const std::vector<size_t>& key_indices,
+                ThreadPool* pool, stats::GroupedSketches* into) {
+  auto fold = [&](size_t i) { FoldChain(buckets, key_indices[i], into); };
+  if (pool == nullptr || key_indices.size() <= 1) {
+    for (size_t i = 0; i < key_indices.size(); ++i) fold(i);
+  } else {
+    pool->ParallelFor(key_indices.size(), fold);
+  }
+}
+
+}  // namespace
 
 WindowRing::WindowRing(const ServeConfig& config)
     : bucket_width_(config.bucket_width),
@@ -59,6 +127,7 @@ Status WindowRing::Ingest(const Event& event) {
   }
   if (event.has_score) partial.sketches[event.group].Add(event.score);
   partial.num_rows += 1;
+  ++version_;
   return Status::OK();
 }
 
@@ -75,7 +144,7 @@ int64_t WindowRing::window_start() const {
 }
 
 std::vector<const audit::WindowedPartial*> WindowRing::LiveBuckets() const {
-  std::vector<const audit::WindowedPartial*> buckets;
+  Buckets buckets;
   if (watermark_ < 0) return buckets;
   buckets.reserve(static_cast<size_t>(num_buckets_));
   // Counted like Advance: the watermark may be INT64_MAX.
@@ -93,53 +162,80 @@ std::vector<const audit::WindowedPartial*> WindowRing::LiveBuckets() const {
 
 audit::WindowedPartial WindowRing::Window(ThreadPool* pool) const {
   audit::WindowedPartial merged(sketch_options_);
-  if (watermark_ < 0) return merged;
-
-  // Ascending absolute order: the fixed fold order every mergeable
-  // accumulator's determinism contract requires.
-  const std::vector<const audit::WindowedPartial*> buckets = LiveBuckets();
-  // Looked up once, on first use (registry pointers live for the
-  // process); a static, not a member, because Window() is const.
-  static obs::Counter* const merges = obs::GetCounter("serve.window_merges");
-  merges->Increment(buckets.size());
-
-  // Counts and strata: cheap integer folds, merged serially.
-  for (const audit::WindowedPartial* bucket : buckets) {
-    merged.counts.MergeFrom(bucket->counts);
-    merged.strata_counts.MergeFrom(bucket->strata_counts);
-    merged.num_rows += bucket->num_rows;
-  }
-
+  const Buckets buckets = LiveBuckets();
+  CountBucketFolds(buckets.size());
+  FoldTallies(buckets, &merged);
   if (!with_scores_) return merged;
-
-  // Sketches: fix the canonical key order serially (first-seen across
-  // buckets in ascending order — exactly what a serial MergeFrom chain
-  // would produce), then fold each group's chain independently. Each
-  // worker writes only its own slot, and a chain's merge order is the
-  // same ascending bucket order regardless of scheduling, so the
-  // merged sketches are identical for every thread count.
-  for (const audit::WindowedPartial* bucket : buckets) {
-    for (const std::string& key : bucket->sketches.keys()) {
-      merged.sketches.KeyIndex(key);
-    }
-  }
-  const std::vector<std::string>& keys = merged.sketches.keys();
-  auto fold_group = [&merged, &buckets](size_t key_index) {
-    stats::KllSketch* target = merged.sketches.mutable_slot(key_index);
-    const std::string& key = merged.sketches.keys()[key_index];
-    for (const audit::WindowedPartial* bucket : buckets) {
-      const size_t slot = bucket->sketches.FindKey(key);
-      if (slot < bucket->sketches.num_keys()) {
-        target->Merge(bucket->sketches.sketch(slot));
-      }
-    }
-  };
-  if (pool == nullptr || keys.size() <= 1) {
-    for (size_t i = 0; i < keys.size(); ++i) fold_group(i);
-  } else {
-    pool->ParallelFor(keys.size(), fold_group);
-  }
+  FoldSketchKeys(buckets, &merged.sketches);
+  std::vector<size_t> chains(merged.sketches.num_keys());
+  for (size_t i = 0; i < chains.size(); ++i) chains[i] = i;
+  FoldChains(buckets, chains, pool, &merged.sketches);
   return merged;
+}
+
+WindowSnapshot::WindowSnapshot(const WindowRing& ring)
+    : ring_(ring),
+      version_(ring.version()),
+      buckets_(ring.LiveBuckets()),
+      window_(ring.sketch_options_) {}
+
+void WindowSnapshot::Sync() {
+  if (version_ == ring_.version()) return;
+  version_ = ring_.version();
+  buckets_ = ring_.LiveBuckets();
+  tallies_folded_ = false;
+  keys_folded_ = false;
+  chain_folded_.clear();
+  window_ = audit::WindowedPartial(ring_.sketch_options_);
+  audit_.reset();
+}
+
+const audit::WindowedPartial& WindowSnapshot::Tallies() {
+  Sync();
+  if (!tallies_folded_) {
+    CountBucketFolds(buckets_.size());
+    FoldTallies(buckets_, &window_);
+    tallies_folded_ = true;
+  }
+  return window_;
+}
+
+void WindowSnapshot::FoldKeys() {
+  if (keys_folded_) return;
+  if (ring_.with_scores_) FoldSketchKeys(buckets_, &window_.sketches);
+  chain_folded_.assign(window_.sketches.num_keys(), 0);
+  keys_folded_ = true;
+}
+
+const stats::KllSketch* WindowSnapshot::Sketch(std::string_view group) {
+  Sync();
+  FoldKeys();
+  const size_t slot = window_.sketches.FindKey(group);
+  if (slot >= window_.sketches.num_keys()) return nullptr;
+  if (!chain_folded_[slot]) {
+    CountBucketFolds(buckets_.size());
+    FoldChain(buckets_, slot, &window_.sketches);
+    chain_folded_[slot] = 1;
+  }
+  return &window_.sketches.sketch(slot);
+}
+
+const Result<audit::AuditResult>& WindowSnapshot::Audit(
+    const audit::AuditConfig& config, ThreadPool* pool) {
+  Tallies();  // syncs first
+  if (!audit_.has_value()) {
+    FoldKeys();
+    std::vector<size_t> missing;
+    for (size_t i = 0; i < chain_folded_.size(); ++i) {
+      if (!chain_folded_[i]) missing.push_back(i);
+    }
+    CountBucketFolds(buckets_.size() * missing.size());
+    FoldChains(buckets_, missing, pool, &window_.sketches);
+    chain_folded_.assign(chain_folded_.size(), 1);
+    audit_.emplace(
+        audit::Auditor::Run(audit::AuditSource::FromWindow(window_), config));
+  }
+  return *audit_;
 }
 
 }  // namespace fairlaw::serve

@@ -489,6 +489,169 @@ TEST(ServeServiceTest, EventInTheLastInt64BucketIsServed) {
   EXPECT_EQ(audit.find("\"error\""), std::string::npos) << audit;
 }
 
+/// A query frame without its trailing "obs" member, the one part that
+/// depends on the queries answered before it.
+std::string WithoutObs(const std::string& frame) {
+  const size_t at = frame.find(",\"obs\":{");
+  return at == std::string::npos ? frame : frame.substr(0, at) + "}";
+}
+
+/// The frame's serve.window_merges value, or -1 when it has none.
+int64_t FrameWindowMerges(const std::string& frame) {
+  const std::string key = "\"serve.window_merges\":";
+  const size_t at = frame.find(key);
+  if (at == std::string::npos) return -1;
+  int64_t value = -1;
+  const char* begin = frame.data() + at + key.size();
+  std::from_chars(begin, frame.data() + frame.size(), value);
+  return value;
+}
+
+/// A request script over every ring change a snapshot must notice, and
+/// over the ones it must not: accepted ingests, an ingest of only
+/// too-late events, one that fails Validate, a watermark jump that
+/// evicts buckets, a late event into an older live bucket and a jump
+/// that evicts all but one bucket. Between them the five query types
+/// run repeated, in rotating orders, including an empty window and an
+/// absent group and stratum. Events carry exactly the fields `config`
+/// declares.
+std::vector<std::string> SnapshotScript(const ServeConfig& config) {
+  auto event = [&config](int64_t t, const std::string& group, int pred,
+                         int label, int score_mil, size_t stratum) {
+    std::string text = "{\"t\":" + std::to_string(t) + ",\"group\":\"" +
+                       group + "\",\"pred\":" + std::to_string(pred) +
+                       ",\"label\":" + std::to_string(label);
+    if (config.with_scores) {
+      std::string mil = std::to_string(score_mil);
+      mil.insert(0, 3 - mil.size(), '0');
+      text += ",\"score\":0." + mil;
+    }
+    if (config.with_strata) text += ",\"stratum\":\"s" +
+                                    std::to_string(stratum) + "\"";
+    return text + "}";
+  };
+  auto ingest = [](const std::vector<std::string>& events) {
+    std::string line = "{\"op\":\"ingest\",\"events\":[";
+    for (size_t i = 0; i < events.size(); ++i) {
+      line += (i > 0 ? "," : "") + events[i];
+    }
+    return line + "]}";
+  };
+  Rng rng(43);
+  const char* groups[] = {"a", "b", "c"};
+  auto accepted = [&](int64_t first_t, int64_t last_t, size_t n) {
+    std::vector<std::string> events;
+    for (size_t i = 0; i < n; ++i) {
+      const int64_t t =
+          first_t + static_cast<int64_t>(rng.UniformInt(
+                        static_cast<uint64_t>(last_t - first_t + 1)));
+      const size_t g = static_cast<size_t>(rng.UniformInt(3));
+      events.push_back(event(t, groups[g], rng.Bernoulli(0.3 + 0.2 * g),
+                             rng.Bernoulli(0.5),
+                             static_cast<int>(rng.UniformInt(1000)),
+                             static_cast<size_t>(rng.UniformInt(3))));
+    }
+    return ingest(events);
+  };
+  const std::vector<std::string> kQueries = {
+      R"({"op":"query","type":"audit"})",
+      R"({"op":"query","type":"four_fifths"})",
+      R"({"op":"query","type":"drift"})",
+      R"({"op":"query","type":"drilldown","stratum":"s1"})",
+      R"({"op":"query","type":"quantiles","group":"a","q":[0.1,0.5,0.9]})",
+      R"({"op":"query","type":"quantiles","group":"c","q":[0.5]})",
+      R"({"op":"query","type":"drilldown","stratum":"s9"})",
+      R"({"op":"query","type":"quantiles","group":"zzz","q":[0.5]})",
+  };
+  size_t rotation = 0;
+  std::vector<std::string> lines;
+  // Every query once in a rotated order, then the rotation's first
+  // three again: each block starts cold on a different part.
+  auto queries = [&]() {
+    for (size_t i = 0; i < kQueries.size() + 3; ++i) {
+      lines.push_back(kQueries[(rotation + i) % kQueries.size()]);
+    }
+    rotation += 3;
+  };
+
+  queries();  // empty window
+  lines.push_back(accepted(0, 59, 80));
+  queries();
+  lines.push_back(accepted(40, 79, 40));
+  queries();
+  // Watermark jump to bucket 9: buckets 0 and 1 slide out.
+  lines.push_back(accepted(90, 99, 20));
+  queries();
+  // Only too-late events: nothing changes.
+  lines.push_back(ingest({event(3, "a", 1, 1, 500, 0),
+                          event(17, "b", 0, 1, 250, 1)}));
+  queries();
+  // Fails Validate: pred out of range, then t negative.
+  lines.push_back(ingest({event(95, "a", 2, 1, 500, 0),
+                          event(-1, "b", 1, 0, 125, 2)}));
+  queries();
+  // A late event into an older live bucket (bucket 3 of 2..9).
+  lines.push_back(ingest({event(33, "c", 1, 0, 875, 1)}));
+  queries();
+  // A jump that leaves one live bucket, holding group b only.
+  lines.push_back(ingest({event(1000, "b", 1, 1, 625, 2),
+                          event(1001, "b", 0, 0, 375, 2)}));
+  queries();
+  return lines;
+}
+
+// The snapshot a long-lived service answers from must be invisible:
+// every query frame, but for its "obs" counts, equals the frame of a
+// fresh service fed only the ingests before that query, and the frame's
+// merge count is the live buckets of every answered query, summed.
+TEST(ServeServiceTest, SnapshotAnswersEqualAColdService) {
+  ServeConfig full;
+  full.bucket_width = 10;
+  full.num_buckets = 8;
+  full.with_strata = true;
+  full.min_stratum_size = 2;
+  ServeConfig no_scores = full;
+  no_scores.with_scores = false;
+  ServeConfig no_strata = full;
+  no_strata.with_strata = false;
+  ServeConfig pooled = full;
+  pooled.num_threads = 3;
+  for (const ServeConfig& config : {full, no_scores, no_strata, pooled}) {
+    ASSERT_TRUE(config.Validate().ok());
+    const std::vector<std::string> script = SnapshotScript(config);
+    Service service(config);
+    std::vector<std::string> ingests;
+    int64_t merges = 0;
+    size_t answered = 0;
+    for (const std::string& line : script) {
+      const bool is_query = line.find("\"op\":\"query\"") != std::string::npos;
+      if (is_query) {
+        const Result<JsonValue> doc = JsonValue::Parse(line);
+        ASSERT_TRUE(doc.ok());
+        if (ParseRequest(doc.ValueOrDie(), config).ok()) {
+          merges += static_cast<int64_t>(service.ring().num_live_buckets());
+        }
+      }
+      const std::string frame = service.HandleLine(line);
+      if (!is_query) {
+        ingests.push_back(line);
+        continue;
+      }
+      Service cold(config);
+      for (const std::string& ingest : ingests) cold.HandleLine(ingest);
+      EXPECT_EQ(WithoutObs(frame), WithoutObs(cold.HandleLine(line)))
+          << line << " after " << ingests.size() << " ingests";
+      const int64_t frame_merges = FrameWindowMerges(frame);
+      if (frame_merges >= 0) {
+        EXPECT_EQ(frame_merges, merges) << line;
+        answered += frame.find("\"error\"") == std::string::npos ? 1 : 0;
+      }
+    }
+    // The script reaches real answers, not only error frames.
+    EXPECT_GT(answered, 20u);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // The ingest decoder (DecodeIngestLine) against its oracle, the tree path
 // JsonValue::Parse + ParseRequest.

@@ -23,10 +23,11 @@ comparison here is a within-run ratio:
     ratio (out-of-core cost stays linear in rows). The run must use the
     baseline's `rows`/`big_rows`.
   * BENCH_serve.json: the daemon invariants `batch_identical`,
-    `thread_identical`, and `sketch_within_tolerance` must stay true
-    (query responses byte-identical across ingest batch sizes and
-    thread counts; window sketches agree with the exact in-window
-    scores), and the two query-cost ratios `audit_query_cost_ratio` /
+    `thread_identical`, `snapshot_identical` and
+    `sketch_within_tolerance` must stay true (query responses
+    byte-identical across ingest batch sizes and thread counts; answers
+    from a warm window snapshot equal a fresh service's; window
+    sketches agree with the exact in-window scores), and the two query-cost ratios `audit_query_cost_ratio` /
     `quantiles_query_cost_ratio` (query latency over amortized
     per-event ingest cost, measured in the SAME process) must not grow
     more than the threshold above the checked-in values. The run must
@@ -150,7 +151,7 @@ def check_serve(baseline, current, threshold):
             f"(baseline {baseline.get('events')}, "
             f"current {current.get('events')}) — run the bench at the "
             "baseline size for a valid comparison"]
-    for key in ("batch_identical", "thread_identical"):
+    for key in ("batch_identical", "thread_identical", "snapshot_identical"):
         if not current.get(key, False):
             failures.append(
                 f"serve: {key} is false — query responses are no longer "
