@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -21,62 +23,132 @@
 namespace fairlaw::audit {
 namespace {
 
+/// The ascending runs runs[offsets[r], offsets[r + 1]) merged into one
+/// ascending vector: a binary min-heap holds each run's next value, and
+/// equal values leave the lower run first, so the result is a pure
+/// function of the runs.
+std::vector<double> MergeRuns(std::span<const double> runs,
+                              std::span<const size_t> offsets) {
+  struct Head {
+    double value;
+    size_t run;
+  };
+  // True when `a` leaves the heap after `b`.
+  auto after = [](const Head& a, const Head& b) {
+    return a.value > b.value || (a.value == b.value && a.run > b.run);
+  };
+  std::vector<size_t> next(offsets.begin(), offsets.end() - 1);
+  std::vector<Head> heap;
+  for (size_t r = 0; r < next.size(); ++r) {
+    if (next[r] < offsets[r + 1]) heap.push_back({runs[next[r]], r});
+  }
+  std::make_heap(heap.begin(), heap.end(), after);
+  std::vector<double> merged;
+  merged.reserve(runs.size());
+  while (!heap.empty()) {
+    const size_t run = heap.front().run;
+    merged.push_back(heap.front().value);
+    if (++next[run] == offsets[run + 1]) {
+      std::pop_heap(heap.begin(), heap.end(), after);
+      heap.pop_back();
+      continue;
+    }
+    // Replace the top with the run's next value and sift it down.
+    const Head moving{runs[next[run]], run};
+    size_t at = 0;
+    for (size_t child = 1; child < heap.size(); child = 2 * at + 1) {
+      if (child + 1 < heap.size() && after(heap[child], heap[child + 1])) {
+        ++child;
+      }
+      if (!after(moving, heap[child])) break;
+      heap[at] = heap[child];
+      at = child;
+    }
+    heap[at] = moving;
+  }
+  return merged;
+}
+
 /// Per-group score-distribution drift: each group's sorted scores against
 /// everyone else, the multiset difference of the sorted pooled scores
 /// and the group's, walked in place by the presorted W1/KS kernels.
 /// `series` holds each group's scores in global row order (the
-/// chunk-order merge guarantees that), and `scores` is the full score
-/// column in row order, so the sorts see exactly the sequences the old
-/// whole-table pass fed them. The groups are compared on the pool
+/// chunk-order merge guarantees that), so each group's sort sees the
+/// sequence the old whole-table pass fed it. Every row's score is in
+/// exactly one group's series, so merging the sorted groups gives the
+/// sorted pooled scores. The groups are checked for finiteness, sorted
+/// into their slices of one buffer and then compared on the pool
 /// MorselPool grants `config.num_threads` for the rows in
-/// data::kDefaultChunkRows chunks, and folded in group order; the
-/// kernels' spans nest under `parent_path` on every thread.
+/// data::kDefaultChunkRows chunks; the distances fold in group order,
+/// and the kernels' spans nest under `parent_path` on every thread.
 Result<ScoreDistributionReport> ScoreDistributionAudit(
-    const stats::GroupedSeries& series, std::span<const double> scores,
-    const AuditConfig& config, const std::string& parent_path) {
+    const stats::GroupedSeries& series, const AuditConfig& config,
+    const std::string& parent_path) {
   ScoreDistributionReport report;
   report.tolerance = config.score_distribution_tolerance;
-  for (double s : scores) {
-    if (!std::isfinite(s)) {
-      return Status::Invalid("score distribution audit: non-finite score");
-    }
+  const size_t num_groups = series.num_keys();
+  std::vector<size_t> offsets(num_groups + 1, 0);
+  for (size_t g = 0; g < num_groups; ++g) {
+    offsets[g + 1] = offsets[g] + series.slot(g).values.size();
   }
-  std::vector<double> all_sorted(scores.begin(), scores.end());
-  std::sort(all_sorted.begin(), all_sorted.end());
+  const size_t rows = offsets.back();
+  std::vector<double> by_group(rows);
+  auto group_scores = [&](size_t g) {
+    return std::span<double>(by_group).subspan(offsets[g],
+                                               offsets[g + 1] - offsets[g]);
+  };
+  const std::unique_ptr<ThreadPool> pool = MorselPool(
+      config.num_threads,
+      (rows + data::kDefaultChunkRows - 1) / data::kDefaultChunkRows);
+  auto for_each_group = [&](const std::function<void(size_t)>& fn) {
+    if (pool == nullptr) {
+      for (size_t g = 0; g < num_groups; ++g) fn(g);
+    } else {
+      pool->ParallelFor(num_groups, fn);
+    }
+  };
+
+  std::vector<uint8_t> finite(num_groups, 1);
+  for_each_group([&](size_t g) {
+    const std::vector<double>& values = series.slot(g).values;
+    const std::span<double> sorted = group_scores(g);
+    for (size_t i = 0; i < values.size(); ++i) {
+      if (!std::isfinite(values[i])) {
+        finite[g] = 0;
+        return;
+      }
+      sorted[i] = values[i];
+    }
+    std::sort(sorted.begin(), sorted.end());
+  });
+  if (std::find(finite.begin(), finite.end(), 0) != finite.end()) {
+    return Status::Invalid("score distribution audit: non-finite score");
+  }
+  const std::vector<double> all_sorted = MergeRuns(by_group, offsets);
   const bool constant =
       !all_sorted.empty() && all_sorted.front() == all_sorted.back();
+
   struct Compared {
     Status status;
     GroupScoreDistance distance;
   };
-  std::vector<Compared> groups(series.num_keys());
+  std::vector<Compared> groups(num_groups);
   auto compare = [&](size_t g) -> Status {
-    std::vector<double> group_scores = series.slot(g).values;
-    std::sort(group_scores.begin(), group_scores.end());
+    const std::span<const double> sorted = group_scores(g);
     GroupScoreDistance& distance = groups[g].distance;
     distance.group = series.keys()[g];
-    distance.count = group_scores.size();
-    const stats::SortedDifference rest(all_sorted, group_scores);
-    if (rest.size() == 0 || group_scores.empty() || constant) {
-      return Status::OK();
-    }
+    distance.count = sorted.size();
+    const stats::SortedDifference rest(all_sorted, sorted);
+    if (rest.size() == 0 || sorted.empty() || constant) return Status::OK();
     FAIRLAW_ASSIGN_OR_RETURN(
         distance.wasserstein1,
-        stats::Wasserstein1Presorted(group_scores, rest, parent_path));
+        stats::Wasserstein1Presorted(sorted, rest, parent_path));
     FAIRLAW_ASSIGN_OR_RETURN(
         distance.ks,
-        stats::KolmogorovSmirnovPresorted(group_scores, rest, parent_path));
+        stats::KolmogorovSmirnovPresorted(sorted, rest, parent_path));
     return Status::OK();
   };
-  const std::unique_ptr<ThreadPool> pool = MorselPool(
-      config.num_threads,
-      (scores.size() + data::kDefaultChunkRows - 1) / data::kDefaultChunkRows);
-  if (pool == nullptr) {
-    for (size_t g = 0; g < groups.size(); ++g) groups[g].status = compare(g);
-  } else {
-    pool->ParallelFor(groups.size(),
-                      [&](size_t g) { groups[g].status = compare(g); });
-  }
+  for_each_group([&](size_t g) { groups[g].status = compare(g); });
   for (Compared& group : groups) {
     FAIRLAW_RETURN_NOT_OK(group.status);
     report.max_wasserstein1 =
@@ -164,7 +236,7 @@ Result<AuditResult> EvaluateMergedPartials(const MergedPartials& merged,
     obs::TraceSpan span("metric/score_distribution", parent_path);
     FAIRLAW_ASSIGN_OR_RETURN(
         result.score_distribution,
-        ScoreDistributionAudit(merged.score_series(), merged.scores(), config,
+        ScoreDistributionAudit(merged.score_series(), config,
                                obs::CurrentPath()));
     result.all_satisfied =
         result.all_satisfied && result.score_distribution->satisfied;

@@ -156,7 +156,6 @@ ChunkPartial ProcessChunk(const data::Table& chunk, const AuditConfig& config,
     for (size_t k = 0; k < series.size(); ++k) {
       partial.score_series[groups.keys[k]] = std::move(series[k]);
     }
-    partial.scores = std::move(scores);
   }
   return partial;
 }
@@ -176,8 +175,6 @@ void MergedPartials::Fold(ChunkPartial&& partial) {
   counts_.MergeFrom(partial.counts);
   strata_counts_.MergeFrom(partial.strata_counts);
   score_series_.MergeFrom(partial.score_series);
-  scores_.insert(scores_.end(), partial.scores.begin(),
-                 partial.scores.end());
 }
 
 }  // namespace fairlaw::audit

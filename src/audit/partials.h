@@ -71,7 +71,6 @@ struct ChunkPartial {
   stats::GroupCountsAccumulator counts;
   stats::StratifiedCountsAccumulator strata_counts;
   stats::GroupedSeries score_series;
-  std::vector<double> scores;
 };
 
 /// Extracts and tallies one chunk. Pure function of (chunk, config), so
@@ -96,14 +95,12 @@ class MergedPartials {
     return strata_counts_;
   }
   const stats::GroupedSeries& score_series() const { return score_series_; }
-  const std::vector<double>& scores() const { return scores_; }
 
  private:
   StepStatuses status_;
   stats::GroupCountsAccumulator counts_;
   stats::StratifiedCountsAccumulator strata_counts_;
   stats::GroupedSeries score_series_;
-  std::vector<double> scores_;
 };
 
 }  // namespace fairlaw::audit

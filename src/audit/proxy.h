@@ -1,6 +1,7 @@
 #ifndef FAIRLAW_AUDIT_PROXY_H_
 #define FAIRLAW_AUDIT_PROXY_H_
 
+#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -41,17 +42,20 @@ struct ProxyDetectionOptions {
 /// Scores every candidate column against the protected column. Candidates
 /// may be numeric (discretized into quantile bins) or categorical.
 /// Findings are sorted by descending Cramér's V.
+///
+/// The protected column is discretized once and shared by every
+/// candidate. On a table of more than data::kDefaultChunkRows rows the
+/// candidates are scored on the pool MorselPool grants `num_threads`
+/// (0 = one per hardware thread) for one task per candidate, each
+/// worker reusing one selection buffer; a smaller table is scored on
+/// the calling thread. Findings fold in candidate order, so they and
+/// the error reported (the first failing candidate's) do not depend on
+/// the thread count. Each candidate opens a "candidate" span under the
+/// caller's current path.
 FAIRLAW_NODISCARD Result<std::vector<ProxyFinding>> DetectProxies(
     const data::Table& table, const std::string& protected_column,
     const std::vector<std::string>& candidate_columns,
-    const ProxyDetectionOptions& options = {});
-
-/// Builds the contingency table of (discretized) `feature_column` x
-/// `protected_column`. Exposed for tests and for custom association
-/// scores.
-FAIRLAW_NODISCARD Result<std::vector<std::vector<int64_t>>> ProxyContingencyTable(
-    const data::Table& table, const std::string& feature_column,
-    const std::string& protected_column, size_t bins);
+    const ProxyDetectionOptions& options = {}, size_t num_threads = 1);
 
 }  // namespace fairlaw::audit
 

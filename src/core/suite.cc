@@ -77,10 +77,12 @@ Result<SuiteReport> RunFairnessSuite(const data::Table& table,
   report.all_clear = report.audit.all_satisfied;
 
   if (!config.proxy_candidates.empty()) {
+    obs::TraceSpan proxies_span("audit_proxies");
     FAIRLAW_ASSIGN_OR_RETURN(
         report.proxies,
         audit::DetectProxies(table, config.audit.protected_column,
-                             config.proxy_candidates, config.proxy_options));
+                             config.proxy_candidates, config.proxy_options,
+                             config.audit.num_threads));
     for (const audit::ProxyFinding& finding : report.proxies) {
       if (finding.flagged) report.all_clear = false;
     }

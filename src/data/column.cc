@@ -246,6 +246,11 @@ Result<std::span<const double>> Column::Doubles() const {
   return std::span<const double>(doubles_);
 }
 
+Result<std::span<const int64_t>> Column::Int64s() const {
+  FAIRLAW_RETURN_NOT_OK(CheckDenseView(*this, DataType::kInt64));
+  return std::span<const int64_t>(int64s_);
+}
+
 Result<std::vector<double>> Column::ToDoubles() const {
   if (null_count_ > 0) {
     return Status::Invalid("ToDoubles: column has nulls");

@@ -106,6 +106,9 @@ class Column {
   /// Dense double view. Fails unless the column is double-typed with no
   /// nulls.
   FAIRLAW_NODISCARD Result<std::span<const double>> Doubles() const;
+  /// Dense int64 view. Fails unless the column is int64-typed with no
+  /// nulls.
+  FAIRLAW_NODISCARD Result<std::span<const int64_t>> Int64s() const;
 
   /// A string column's per-slot codes into dictionary(), kNullCode at a
   /// null slot, and its distinct non-null values in first-seen row

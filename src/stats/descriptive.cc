@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 
 namespace fairlaw::stats {
 
@@ -35,23 +36,63 @@ Result<double> Quantile(std::span<const double> values, double q) {
 
 Result<std::vector<double>> Quantiles(std::span<const double> values,
                                       std::span<const double> levels) {
+  std::vector<double> scratch(values.begin(), values.end());
+  return QuantilesInPlace(scratch, levels);
+}
+
+namespace {
+
+/// Puts the order statistic of each of `ranks` (ascending, distinct,
+/// all in [lo, hi)) at its own index of `values`: nth_element on the
+/// middle rank splits [lo, hi) at it, and each side recurses with the
+/// ranks it holds, so k ranks cost O(n log k) rather than a full sort.
+void SelectRanks(std::span<double> values, size_t lo, size_t hi,
+                 std::span<const size_t> ranks) {
+  if (ranks.empty()) return;
+  const size_t mid = ranks.size() / 2;
+  const size_t rank = ranks[mid];
+  std::nth_element(values.begin() + static_cast<std::ptrdiff_t>(lo),
+                   values.begin() + static_cast<std::ptrdiff_t>(rank),
+                   values.begin() + static_cast<std::ptrdiff_t>(hi));
+  SelectRanks(values, lo, rank, ranks.first(mid));
+  SelectRanks(values, rank + 1, hi, ranks.subspan(mid + 1));
+}
+
+/// The type-7 interpolation position of level q in a sample of n.
+double Position(double q, size_t n) {
+  return q * static_cast<double>(n - 1);
+}
+
+}  // namespace
+
+Result<std::vector<double>> QuantilesInPlace(std::span<double> values,
+                                             std::span<const double> levels) {
   if (values.empty()) return Status::Invalid("Quantile of empty sample");
   for (double q : levels) {
     if (q < 0.0 || q > 1.0) {
       return Status::Invalid("Quantile level must lie in [0,1]");
     }
   }
-  std::vector<double> sorted(values.begin(), values.end());
-  std::sort(sorted.begin(), sorted.end());
+  // The interpolation reads two order statistics per level.
+  std::vector<size_t> ranks;
+  ranks.reserve(2 * levels.size());
+  for (double q : levels) {
+    const double position = Position(q, values.size());
+    ranks.push_back(static_cast<size_t>(std::floor(position)));
+    ranks.push_back(static_cast<size_t>(std::ceil(position)));
+  }
+  std::sort(ranks.begin(), ranks.end());
+  ranks.erase(std::unique(ranks.begin(), ranks.end()), ranks.end());
+  SelectRanks(values, 0, values.size(), ranks);
   std::vector<double> quantiles;
   quantiles.reserve(levels.size());
   for (double q : levels) {
-    const double position = q * static_cast<double>(sorted.size() - 1);
+    const double position = Position(q, values.size());
     const size_t lower = static_cast<size_t>(std::floor(position));
     const size_t upper = static_cast<size_t>(std::ceil(position));
     const double fraction = position - static_cast<double>(lower);
-    quantiles.push_back(sorted[lower] +
-                        fraction * (sorted[upper] - sorted[lower]));
+    quantiles.push_back(values[lower] +
+                        fraction * (values[upper] - values[lower]));
   }
   return quantiles;
 }

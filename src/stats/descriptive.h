@@ -22,10 +22,19 @@ FAIRLAW_NODISCARD Result<double> StdDev(std::span<const double> values);
 /// sorted.
 FAIRLAW_NODISCARD Result<double> Quantile(std::span<const double> values, double q);
 
-/// Quantile at each of `levels` from one sort of `values`; entry i is
-/// bit-identical to Quantile(values, levels[i]).
+/// Quantile at each of `levels` from one copy of `values`; entry i is
+/// bit-identical to Quantile(values, levels[i]). Only the order
+/// statistics the interpolation reads are selected (nth_element), so
+/// the cost is O(n log levels), not a full sort; each value equals the
+/// full sort's up to the sign of a zero, since -0.0 == 0.0 leaves their
+/// order unspecified in either.
 FAIRLAW_NODISCARD Result<std::vector<double>> Quantiles(
     std::span<const double> values, std::span<const double> levels);
+
+/// Quantiles() without the copy: selects in `values` and leaves it
+/// permuted, for callers that reuse one scratch buffer.
+FAIRLAW_NODISCARD Result<std::vector<double>> QuantilesInPlace(
+    std::span<double> values, std::span<const double> levels);
 
 /// Median (Quantile at 0.5).
 FAIRLAW_NODISCARD Result<double> Median(std::span<const double> values);

@@ -1,11 +1,21 @@
 #include "stats/hypothesis.h"
 
+#include <math.h>  // lgamma_r
+
 #include <algorithm>
 #include <cmath>
 #include <numbers>
 
 namespace fairlaw::stats {
 namespace {
+
+// std::lgamma without its store to the global `signgam`, which is a data
+// race when chi-square tails are computed on several threads at once
+// (DetectProxies scores its candidates on a pool). Same values.
+double LogGamma(double s) {
+  int sign = 0;
+  return lgamma_r(s, &sign);
+}
 
 // Series expansion of the lower regularized incomplete gamma P(s, x);
 // converges for x < s + 1. (Numerical Recipes "gser".)
@@ -19,7 +29,7 @@ double GammaPSeries(double s, double x) {
     sum += del;
     if (std::fabs(del) < std::fabs(sum) * 1e-15) break;
   }
-  return sum * std::exp(-x + s * std::log(x) - std::lgamma(s));
+  return sum * std::exp(-x + s * std::log(x) - LogGamma(s));
 }
 
 // Continued fraction for the upper regularized incomplete gamma Q(s, x);
@@ -42,7 +52,7 @@ double GammaQContinuedFraction(double s, double x) {
     h *= del;
     if (std::fabs(del - 1.0) < 1e-15) break;
   }
-  return std::exp(-x + s * std::log(x) - std::lgamma(s)) * h;
+  return std::exp(-x + s * std::log(x) - LogGamma(s)) * h;
 }
 
 }  // namespace

@@ -1,15 +1,22 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "audit/auditor.h"
 #include "audit/partials.h"
 #include "audit/source.h"
 #include "data/csv.h"
+#include "stats/distance.h"
+#include "stats/mergeable.h"
+#include "stats/rng.h"
 
 namespace fairlaw::audit {
 namespace {
@@ -363,6 +370,179 @@ TEST(ScoreDistributionTest, ThreadCountDoesNotChangeReport) {
         << threads << " threads";
   }
   std::remove(path.c_str());
+}
+
+/// Sort-everything reference for the score-distribution audit: sorts
+/// all the scores, and each group's (first-seen order), and measures
+/// each group against the materialized multiset difference with the
+/// span kernels.
+Result<ScoreDistributionReport> ScoreDistributionOracle(
+    const data::Table& table, const AuditConfig& config) {
+  FAIRLAW_ASSIGN_OR_RETURN(const data::Column* group_column,
+                           table.GetColumn(config.protected_column));
+  FAIRLAW_ASSIGN_OR_RETURN(const data::Column* score_column,
+                           table.GetColumn(config.score_column));
+  FAIRLAW_ASSIGN_OR_RETURN(std::vector<double> scores,
+                           score_column->ToDoubles());
+  for (double score : scores) {
+    if (!std::isfinite(score)) {
+      return Status::Invalid("score distribution audit: non-finite score");
+    }
+  }
+  stats::FirstSeenMap<std::vector<double>> by_group;
+  for (size_t row = 0; row < scores.size(); ++row) {
+    by_group[group_column->ValueToString(row)].push_back(scores[row]);
+  }
+  std::vector<double> all_sorted = scores;
+  std::sort(all_sorted.begin(), all_sorted.end());
+  const bool constant =
+      !all_sorted.empty() && all_sorted.front() == all_sorted.back();
+  ScoreDistributionReport report;
+  report.tolerance = config.score_distribution_tolerance;
+  for (size_t g = 0; g < by_group.num_keys(); ++g) {
+    std::vector<double> group = by_group.slot(g);
+    std::sort(group.begin(), group.end());
+    std::vector<double> rest;
+    std::set_difference(all_sorted.begin(), all_sorted.end(), group.begin(),
+                        group.end(), std::back_inserter(rest));
+    GroupScoreDistance distance;
+    distance.group = by_group.keys()[g];
+    distance.count = group.size();
+    if (!rest.empty() && !group.empty() && !constant) {
+      FAIRLAW_ASSIGN_OR_RETURN(distance.wasserstein1,
+                               stats::Wasserstein1Presorted(group, rest));
+      FAIRLAW_ASSIGN_OR_RETURN(distance.ks,
+                               stats::KolmogorovSmirnovPresorted(group, rest));
+    }
+    report.max_wasserstein1 =
+        std::max(report.max_wasserstein1, distance.wasserstein1);
+    report.max_ks = std::max(report.max_ks, distance.ks);
+    report.groups.push_back(distance);
+  }
+  report.satisfied = report.max_ks <= report.tolerance;
+  return report;
+}
+
+/// `rows` scored rows as CSV text: group i of `groups` takes its score
+/// tokens from `tokens` by `pick(rng, group)`. Scores are written as
+/// exact decimal tokens, so the table and the stream parse equal doubles.
+template <typename Pick>
+std::string ScoreDistCsv(size_t rows, size_t groups, Pick pick) {
+  stats::Rng rng(53);
+  std::string csv = "gender,pred,label,score\n";
+  for (size_t row = 0; row < rows; ++row) {
+    const size_t g = row < 4 * groups ? row % groups : rng.UniformInt(groups);
+    csv += std::string(1, static_cast<char>('a' + g)) + "," +
+           std::to_string(row % 2) + "," + std::to_string((row / 2) % 2) +
+           "," + pick(rng, g) + "\n";
+  }
+  return csv;
+}
+
+/// Audits `csv` with the drift audit on, as a contiguous table and as
+/// 4999-row streamed chunks, at one and at four threads; each result is
+/// labelled with its path.
+std::vector<std::pair<std::string, Result<AuditResult>>> AuditScoreDistPaths(
+    const std::string& csv, const std::string& label) {
+  const data::Table table = data::ReadCsvString(csv).ValueOrDie();
+  const std::string path = "auditor_test_score_dist.csv";
+  {
+    std::ofstream out(path, std::ios::trunc | std::ios::binary);
+    out << csv;
+    EXPECT_TRUE(out.good());
+  }
+  std::vector<std::pair<std::string, Result<AuditResult>>> results;
+  AuditConfig config = ScoreDistConfig();
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    for (bool chunked : {false, true}) {
+      config.num_threads = threads;
+      config.chunk_rows = chunked ? 4999 : AuditConfig{}.chunk_rows;
+      results.emplace_back(
+          label + " threads=" + std::to_string(threads) +
+              (chunked ? " chunked" : " contiguous"),
+          chunked ? Auditor::Run(AuditSource::FromCsv(path), config)
+                  : Auditor::Run(AuditSource::FromTable(table), config));
+    }
+  }
+  std::remove(path.c_str());
+  return results;
+}
+
+/// The drift report of `csv` on every path of AuditScoreDistPaths equals
+/// the oracle's (doubles compared with ==, since the order of equal
+/// zeros, and so the sign of a zero, is unspecified in either sort), and
+/// all four reports render identically.
+void ExpectScoreDistMatchesOracle(const std::string& csv,
+                                  const std::string& label) {
+  const ScoreDistributionReport want =
+      ScoreDistributionOracle(data::ReadCsvString(csv).ValueOrDie(),
+                              ScoreDistConfig())
+          .ValueOrDie();
+  std::vector<std::string> renders;
+  for (const auto& [where, got] : AuditScoreDistPaths(csv, label)) {
+    ASSERT_TRUE(got.ok()) << where << ": " << got.status().message();
+    ASSERT_TRUE(got->score_distribution.has_value()) << where;
+    const ScoreDistributionReport& report = *got->score_distribution;
+    ASSERT_EQ(report.groups.size(), want.groups.size()) << where;
+    for (size_t g = 0; g < report.groups.size(); ++g) {
+      EXPECT_EQ(report.groups[g].group, want.groups[g].group) << where;
+      EXPECT_EQ(report.groups[g].count, want.groups[g].count) << where;
+      EXPECT_EQ(report.groups[g].wasserstein1, want.groups[g].wasserstein1)
+          << where << " group " << g;
+      EXPECT_EQ(report.groups[g].ks, want.groups[g].ks)
+          << where << " group " << g;
+    }
+    EXPECT_EQ(report.max_wasserstein1, want.max_wasserstein1) << where;
+    EXPECT_EQ(report.max_ks, want.max_ks) << where;
+    EXPECT_EQ(report.satisfied, want.satisfied) << where;
+    renders.push_back(got->Render());
+  }
+  for (const std::string& render : renders) {
+    EXPECT_EQ(render, renders.front()) << label;
+  }
+}
+
+TEST(ScoreDistributionTest, PooledOrderMatchesSortEverythingOracle) {
+  // More rows than two 16384-row chunks, so four threads get a pool.
+  constexpr size_t kRows = 33000;
+  static constexpr const char* kEighths[] = {
+      "0", "0.125", "0.25", "0.375", "0.5", "0.625", "0.75", "0.875", "1"};
+  auto ties = [](stats::Rng& rng, size_t g) {
+    return std::string(kEighths[rng.UniformInt(g == 1 ? 9 : 5 + g)]);
+  };
+  ExpectScoreDistMatchesOracle(ScoreDistCsv(kRows, 3, ties), "ties");
+  ExpectScoreDistMatchesOracle(
+      ScoreDistCsv(kRows, 4,
+                   [](stats::Rng& rng, size_t g) {
+                     static constexpr const char* kSigned[] = {
+                         "-0.0", "0.0", "0.5", "0.25", "1"};
+                     return std::string(kSigned[rng.UniformInt(g + 2)]);
+                   }),
+      "signed zeros");
+  // The metrics reject a one-group table before the drift audit runs,
+  // so the smallest merge is one group against a four-row one.
+  std::string one_group = ScoreDistCsv(kRows, 1, ties);
+  size_t line = 0;
+  for (int row = 0; row < 4; ++row) {
+    line = one_group.find('\n', line) + 1;
+    one_group[line] = 'b';
+  }
+  ExpectScoreDistMatchesOracle(one_group, "one group and four rows");
+  ExpectScoreDistMatchesOracle(
+      ScoreDistCsv(kRows, 3,
+                   [](stats::Rng&, size_t) { return std::string("0.25"); }),
+      "constant");
+  // The last row's score becomes inf. Calibration reads the scores
+  // before the drift audit and rejects it, with one text on every path.
+  std::string non_finite = ScoreDistCsv(kRows, 3, ties);
+  const size_t score_at = non_finite.rfind(',') + 1;
+  non_finite.replace(score_at, non_finite.size() - 1 - score_at, "inf");
+  for (const auto& [where, got] :
+       AuditScoreDistPaths(non_finite, "non-finite")) {
+    ASSERT_FALSE(got.ok()) << where;
+    EXPECT_EQ(got.status().message(), "calibration: scores must lie in [0,1]")
+        << where;
+  }
 }
 
 TEST(ScoreDistributionTest, OffByDefaultAndValidated) {

@@ -10,11 +10,12 @@
 # audited on the workers, whose spans nest under the calling thread's
 # path. (The dump counts chunks, so it is compared at one chunk size.)
 # A large-table leg audits a 60000-row promotion table (four read
-# chunks) with a logistic score column added, the whole suite and the
-# score-distribution audit on, at one and at four threads: the table is
-# read and the groups' score distributions are compared on the pool at
-# four threads, and both the JSON reports and the obs dumps must be
-# equal. A last leg checks that --chunk-rows without --streaming is a
+# chunks) with a logistic score column added, the whole suite (plus the
+# tie-heavy int64 proxy candidate merit) and the score-distribution
+# audit on, at one and at four threads: the table is read, the proxy
+# candidates are scored and the groups' scores are sorted and compared
+# on the pool at four threads, and both the JSON reports and the obs
+# dumps must be equal. A last leg checks that --chunk-rows without --streaming is a
 # flag error (exit 1): an in-memory audit is one chunk. Driven by ctest
 # (tools_audit_identity, with tests/golden/audit_suite.json and
 # tests/golden/audit_stream.json).
@@ -69,7 +70,10 @@ awk -F, 'BEGIN { OFS = "," }
   NR == 1 { print $0, "score"; next }
   { printf "%s,%.6f\n", $0, 1 / (1 + exp(-$3)) }' \
     "$dir/large.csv" >"$dir/large_scored.csv"
-large=("${suite[@]}" --score=score --score-dist)
+# merit (0/1 int64) is a tie-heavy numeric proxy candidate: its quantile
+# cuts collapse, and its selection and tally run on the pool.
+large=(--proxies=performance,tenure,race,merit --subgroups=gender,race
+       --score=score --score-dist)
 run_on "$dir/large_scored.csv" "$dir/large_t1.json" "${large[@]}" \
     --threads=1 --obs-json="$dir/large_obs_t1.json"
 run_on "$dir/large_scored.csv" "$dir/large_t4.json" "${large[@]}" \
