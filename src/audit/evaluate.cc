@@ -127,6 +127,11 @@ Result<ScoreDistributionReport> ScoreDistributionAudit(
   const std::vector<double> all_sorted = MergeRuns(by_group, offsets);
   const bool constant =
       !all_sorted.empty() && all_sorted.front() == all_sorted.back();
+  // Every buffer is checked ascending once, here and per group below;
+  // each group's walk of the pool then reads it unchecked.
+  FAIRLAW_ASSIGN_OR_RETURN(
+      const stats::AscendingSpan all,
+      stats::AscendingSpan::Make(all_sorted, "score distribution pool"));
 
   struct Compared {
     Status status;
@@ -138,14 +143,16 @@ Result<ScoreDistributionReport> ScoreDistributionAudit(
     GroupScoreDistance& distance = groups[g].distance;
     distance.group = series.keys()[g];
     distance.count = sorted.size();
-    const stats::SortedDifference rest(all_sorted, sorted);
+    FAIRLAW_ASSIGN_OR_RETURN(
+        const stats::AscendingSpan group,
+        stats::AscendingSpan::Make(sorted, "score distribution group"));
+    const stats::SortedDifference rest(all, group);
     if (rest.size() == 0 || sorted.empty() || constant) return Status::OK();
     FAIRLAW_ASSIGN_OR_RETURN(
-        distance.wasserstein1,
-        stats::Wasserstein1Presorted(sorted, rest, parent_path));
-    FAIRLAW_ASSIGN_OR_RETURN(
-        distance.ks,
-        stats::KolmogorovSmirnovPresorted(sorted, rest, parent_path));
+        const stats::SampleDistances distances,
+        stats::Wasserstein1AndKsPresorted(group, rest, parent_path));
+    distance.wasserstein1 = distances.wasserstein1;
+    distance.ks = distances.ks;
     return Status::OK();
   };
   for_each_group([&](size_t g) { groups[g].status = compare(g); });

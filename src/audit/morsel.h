@@ -4,13 +4,12 @@
 #include <cstddef>
 #include <deque>
 #include <future>
-#include <memory>
+#include <optional>
 #include <type_traits>
 #include <utility>
 
 #include "base/result.h"
 #include "base/thread_pool.h"
-#include "data/csv.h"
 #include "data/table.h"
 
 namespace fairlaw::audit {
@@ -20,60 +19,78 @@ namespace fairlaw::audit {
 // (base/thread_pool.h) grants; an in-memory table is always one chunk
 // and never reaches it.
 
-/// Reads every chunk of `reader` (scanned, schema inferred), runs
-/// `process(chunk)` on it, and hands each result to `fold` in chunk
-/// order, so whatever `fold` builds is the same for every thread count.
-/// Without a pool (see MorselPool) the loop runs inline. Otherwise each
-/// task on `pool`, which the loop takes over and joins, reads one chunk
-/// from its own byte range, processes it and frees it, with at most
-/// 2 x workers slots in flight: a queued slot has read nothing yet and
-/// one waiting for its in-order fold holds only the partial. Returns
-/// the lowest chunk's read error; `process` reports its own errors
-/// inside its result.
-template <typename Process, typename Fold>
-FAIRLAW_NODISCARD Status RunMorsels(const data::CsvChunkReader& reader,
-                                    std::unique_ptr<ThreadPool> pool,
-                                    const Process& process, const Fold& fold) {
+/// Reads chunks 0 .. num_chunks - 1 with `read(i)`, a
+/// Result<std::optional<data::Table>> (nullopt: a chunk with nothing to
+/// process), runs `process(chunk)` on each chunk read, and hands each
+/// result to `fold` in chunk order, so whatever `fold` builds is the same
+/// for every thread count. Without a pool (see MorselPool) the loop runs
+/// inline. Otherwise each task on `pool` reads one chunk from its own
+/// byte range, processes it and frees it, with at most 2 x workers slots
+/// in flight: a queued slot has read nothing yet and one waiting for its
+/// in-order fold holds only the partial. Every chunk is read and
+/// processed, past a read error too, so the work done and the obs probes
+/// it bumps do not depend on the thread count; the fold stops at the
+/// first error, and the lowest chunk's read error is returned. `process`
+/// reports its own errors inside its result.
+template <typename Read, typename Process, typename Fold>
+FAIRLAW_NODISCARD Status RunMorsels(size_t num_chunks, ThreadPool* pool,
+                                    const Read& read, const Process& process,
+                                    const Fold& fold) {
   using Partial = std::invoke_result_t<const Process&, const data::Table&>;
-  const size_t num_chunks = reader.num_chunks();
+  struct Morsel {
+    Status status;
+    std::optional<Partial> partial;
+  };
+  auto run = [&read, &process](size_t i, Morsel* morsel) {
+    Result<std::optional<data::Table>> chunk = read(i);
+    if (!chunk.ok()) {
+      morsel->status = chunk.status();
+    } else if (chunk->has_value()) {
+      morsel->partial.emplace(process(**chunk));
+    }
+  };
+  Status status;
+  auto fold_morsel = [&status, &fold](Morsel* morsel) {
+    if (status.ok()) status = morsel->status;
+    if (status.ok() && morsel->partial.has_value()) {
+      fold(std::move(*morsel->partial));
+    }
+  };
   if (pool == nullptr) {
     for (size_t i = 0; i < num_chunks; ++i) {
-      FAIRLAW_ASSIGN_OR_RETURN(data::Table chunk, reader.ReadChunk(i));
-      fold(process(chunk));
+      Morsel morsel;
+      run(i, &morsel);
+      fold_morsel(&morsel);
     }
-    return Status::OK();
+    return status;
   }
-  // Deque slots are stable across push/pop at the ends, and the pool
-  // moves into a local declared after the deque, so on every path out
-  // its destructor joins the workers before any slot they might still
-  // write goes away.
+  // Deque slots are stable across push/pop at the ends, and `join`,
+  // declared after the deque, waits on every path out for the tasks
+  // still running before any slot they might write goes away.
   struct InFlight {
-    Status status;
-    Partial partial;
+    Morsel morsel;
     std::future<void> done;
   };
   std::deque<InFlight> in_flight;
-  const std::unique_ptr<ThreadPool> workers = std::move(pool);
-  const size_t window = 2 * workers->num_threads();
-  Status status;
-  auto fold_front = [&in_flight, &fold, &status] {
+  struct Join {
+    std::deque<InFlight>* slots;
+    ~Join() {
+      for (InFlight& slot : *slots) {
+        if (slot.done.valid()) slot.done.wait();
+      }
+    }
+  } join{&in_flight};
+  const size_t window = 2 * pool->num_threads();
+  auto fold_front = [&in_flight, &fold_morsel] {
     InFlight& front = in_flight.front();
     front.done.get();
-    if (status.ok()) status = front.status;
-    if (status.ok()) fold(std::move(front.partial));
+    fold_morsel(&front.morsel);
     in_flight.pop_front();
   };
-  for (size_t i = 0; i < num_chunks && status.ok(); ++i) {
+  for (size_t i = 0; i < num_chunks; ++i) {
     if (in_flight.size() >= window) fold_front();
     InFlight& slot = in_flight.emplace_back();
-    slot.done = workers->Submit([&slot, &reader, &process, i] {
-      Result<data::Table> chunk = reader.ReadChunk(i);
-      if (!chunk.ok()) {
-        slot.status = chunk.status();
-        return;
-      }
-      slot.partial = process(*chunk);
-    });
+    slot.done = pool->Submit([&slot, &run, i] { run(i, &slot.morsel); });
   }
   while (!in_flight.empty()) fold_front();
   return status;

@@ -1,6 +1,7 @@
 #include "audit/source.h"
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -28,10 +29,13 @@ Result<AuditResult> RunTable(const data::Table& table,
   return EvaluateMergedPartials(merged, config, parent_path);
 }
 
-/// Streams the CSV through the morsel loop: a boundary scan on this
-/// thread, then per-chunk type inference and per-chunk parse plus
+/// Streams the CSV through the morsel loop (DESIGN.md §14): a boundary
+/// scan and a schema guess on this thread, then one pass in which each
+/// chunk is parsed under the guessed schema and run through
 /// ProcessChunk on the pool, partials folded in chunk order, then one
-/// evaluation of the merged partials. Peak memory is the in-flight
+/// evaluation of the merged partials. When the chunks' type flags
+/// resolve another schema, the merged partials are dropped and a second
+/// pass reads every chunk again under it. Peak memory is the in-flight
 /// chunks plus the merged accumulators, never the file. Morsels may run
 /// on pool workers whose span stack is empty; `parent_path` (and the
 /// reader's own, both captured on this thread) keeps the exported span
@@ -46,22 +50,39 @@ Result<AuditResult> RunCsv(const AuditSource::CsvSpec& spec,
   FAIRLAW_ASSIGN_OR_RETURN(
       data::CsvChunkReader reader,
       data::CsvChunkReader::Scan(spec.path, reader_options));
-  std::unique_ptr<ThreadPool> pool =
+  const std::unique_ptr<ThreadPool> pool =
       MorselPool(config.num_threads, reader.num_chunks());
-  FAIRLAW_RETURN_NOT_OK(reader.InferSchema(pool.get()));
-  obs::GetCounter("audit.rows_audited")->Increment(reader.num_rows());
-  if (reader.num_rows() == 0) return EmptyAuditError(reader.schema(), config);
   const std::string parent_path = obs::CurrentPath();
   MergedPartials merged;
-  FAIRLAW_RETURN_NOT_OK(RunMorsels(
-      reader, std::move(pool),
-      [&config, &parent_path](const data::Table& chunk) {
-        return ProcessChunk(chunk, config, parent_path);
-      },
-      [&merged](ChunkPartial partial) {
-        obs::GetCounter("audit.morsels_scheduled")->Increment();
-        merged.Fold(std::move(partial));
-      }));
+  auto process = [&config, &parent_path](const data::Table& chunk) {
+    return ProcessChunk(chunk, config, parent_path);
+  };
+  auto fold = [&merged](ChunkPartial partial) {
+    obs::GetCounter("audit.morsels_scheduled")->Increment();
+    merged.Fold(std::move(partial));
+  };
+  bool guess_held = false;
+  if (reader.has_guess()) {
+    FAIRLAW_RETURN_NOT_OK(RunMorsels(
+        reader.num_chunks(), pool.get(),
+        [&reader](size_t i) { return reader.ReadGuessedChunk(i); }, process,
+        fold));
+    FAIRLAW_ASSIGN_OR_RETURN(guess_held, reader.ConfirmGuess());
+    if (!guess_held) merged = MergedPartials();
+  } else {
+    FAIRLAW_RETURN_NOT_OK(reader.InferSchema(pool.get()));
+  }
+  obs::GetCounter("audit.rows_audited")->Increment(reader.num_rows());
+  if (reader.num_rows() == 0) return EmptyAuditError(reader.schema(), config);
+  if (!guess_held) {
+    FAIRLAW_RETURN_NOT_OK(RunMorsels(
+        reader.num_chunks(), pool.get(),
+        [&reader](size_t i) -> Result<std::optional<data::Table>> {
+          FAIRLAW_ASSIGN_OR_RETURN(data::Table chunk, reader.ReadChunk(i));
+          return std::optional<data::Table>(std::move(chunk));
+        },
+        process, fold));
+  }
   return EvaluateMergedPartials(merged, config, parent_path);
 }
 

@@ -26,14 +26,14 @@ Column::Column(DataType type) : type_(type) {}
 
 Column Column::FromDoubles(std::vector<double> values) {
   Column column(DataType::kDouble);
-  column.doubles_ = std::move(values);
+  column.doubles_.assign(values.begin(), values.end());
   column.valid_.assign(column.doubles_.size(), true);
   return column;
 }
 
 Column Column::FromInt64s(std::vector<int64_t> values) {
   Column column(DataType::kInt64);
-  column.int64s_ = std::move(values);
+  column.int64s_.assign(values.begin(), values.end());
   column.valid_.assign(column.int64s_.size(), true);
   return column;
 }
@@ -258,7 +258,7 @@ Result<std::vector<double>> Column::ToDoubles() const {
   std::vector<double> out(size());
   switch (type_) {
     case DataType::kDouble:
-      out = doubles_;
+      std::copy(doubles_.begin(), doubles_.end(), out.begin());
       return out;
     case DataType::kInt64:
       for (size_t i = 0; i < size(); ++i) {

@@ -4,9 +4,12 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <memory>
+#include <new>
 #include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -22,6 +25,31 @@ using Cell = std::variant<double, int64_t, std::string, bool>;
 
 /// Renders a cell for CSV output / previews.
 std::string CellToString(const Cell& cell);
+
+/// std::allocator, except that a value-initialized element is
+/// default-initialized instead: resizing a vector of numbers through it
+/// leaves the new slots unwritten. The CSV reader sizes a column once on
+/// the calling thread and each worker then writes, and so first touches,
+/// its own rows.
+template <typename T>
+struct DefaultInitAllocator : std::allocator<T> {
+  DefaultInitAllocator() = default;
+  template <typename U>
+  DefaultInitAllocator(const DefaultInitAllocator<U>&) noexcept {}
+
+  template <typename U, typename... Args>
+  void construct(U* at, Args&&... args) {
+    if constexpr (sizeof...(Args) == 0) {
+      ::new (static_cast<void*>(at)) U;
+    } else {
+      ::new (static_cast<void*>(at)) U(std::forward<Args>(args)...);
+    }
+  }
+};
+
+/// A column's per-slot storage (see DefaultInitAllocator).
+template <typename T>
+using SlotVector = std::vector<T, DefaultInitAllocator<T>>;
 
 /// One typed column with a validity mask.
 ///
@@ -58,14 +86,16 @@ class Column {
   /// sizes these once and parses row ranges straight into them, from
   /// several workers at once when the ranges are disjoint.
   struct Slots {
-    std::vector<uint8_t> valid;
-    std::vector<double> doubles;
-    std::vector<int64_t> int64s;
-    std::vector<uint32_t> codes;
-    std::vector<uint8_t> bools;
+    SlotVector<uint8_t> valid;
+    SlotVector<double> doubles;
+    SlotVector<int64_t> int64s;
+    SlotVector<uint32_t> codes;
+    SlotVector<uint8_t> bools;
     stats::FirstSeenMap<std::monostate> dictionary;
 
-    /// `rows` null slots of a `type` column: every byte zero.
+    /// `rows` slots of a `type` column, left unwritten: whoever fills
+    /// them writes every slot's validity byte and value, a null's too
+    /// (0, or kNullCode in a string column).
     Slots(DataType type, size_t rows);
   };
 
@@ -127,13 +157,13 @@ class Column {
 
  private:
   DataType type_;
-  std::vector<uint8_t> valid_;  // 0/1 bytes, one per row slot
+  SlotVector<uint8_t> valid_;  // 0/1 bytes, one per row slot
   size_t null_count_ = 0;
-  std::vector<double> doubles_;
-  std::vector<int64_t> int64s_;
-  std::vector<uint32_t> codes_;  // string slots: dictionary_ codes
+  SlotVector<double> doubles_;
+  SlotVector<int64_t> int64s_;
+  SlotVector<uint32_t> codes_;  // string slots: dictionary_ codes
   stats::FirstSeenMap<std::monostate> dictionary_;
-  std::vector<uint8_t> bools_;  // 0/1 bytes
+  SlotVector<uint8_t> bools_;  // 0/1 bytes
 };
 
 /// A column's rows keyed by their rendered values: keys holds each

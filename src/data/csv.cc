@@ -1,6 +1,7 @@
 #include "data/csv.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
@@ -232,9 +233,50 @@ class NullTokens {
   uint64_t lengths_ = 0;
 };
 
-/// O(1)-memory column type tracker: the inference pass keeps one of these
-/// per column instead of a token matrix. Priority: int64 > double > bool >
-/// string; a column with no non-null values is string.
+/// A string column's dictionary while a range is parsed.
+using StringDictionary = stats::FirstSeenMap<std::monostate>;
+
+/// Interns a string cell's text into slot `slot` of its column.
+void StoreString(std::string_view raw, size_t slot, Column::Slots* column,
+                 StringDictionary* dictionary) {
+  const size_t code = dictionary->KeyIndex(raw);
+  FAIRLAW_CHECK_MSG(code < Column::kNullCode,
+                    "string dictionary would reach the null code");
+  column->codes[slot] = static_cast<uint32_t>(code);
+}
+
+/// Stores a non-null cell (`text` is its stripped view) in slot `slot`
+/// of a `type` column whose type is already known: one parse. False
+/// when it is not a `type` value.
+bool StoreValue(std::string_view raw, std::string_view text, DataType type,
+                size_t slot, Column::Slots* column,
+                StringDictionary* dictionary) {
+  switch (type) {
+    case DataType::kDouble: {
+      const Result<double> value = ParseDouble(text);
+      if (value.ok()) column->doubles[slot] = *value;
+      return value.ok();
+    }
+    case DataType::kInt64: {
+      const Result<int64_t> value = ParseInt64(text);
+      if (value.ok()) column->int64s[slot] = *value;
+      return value.ok();
+    }
+    case DataType::kBool: {
+      const Result<bool> value = ParseBool(text);
+      if (value.ok()) column->bools[slot] = *value ? 1 : 0;
+      return value.ok();
+    }
+    case DataType::kString:
+      StoreString(raw, slot, column, dictionary);
+      return true;
+  }
+  return false;
+}
+
+/// O(1)-memory column type tracker: every read keeps one of these per
+/// column and range instead of a token matrix. Priority: int64 > double >
+/// bool > string; a column with no non-null values is string.
 struct ColumnTypeFlags {
   bool all_int = true;
   bool all_double = true;
@@ -252,6 +294,56 @@ struct ColumnTypeFlags {
       all_int = false;
     }
     if (all_double && !ParseDouble(text).ok()) all_double = false;
+  }
+
+  /// Observe(text), storing the value in `slot` of a `type` column in the
+  /// same visit from the parse Observe makes anyway: an int64 cell takes
+  /// one ParseInt64 call. Only a double column parses an int64 token a
+  /// second time, as a double, since `-0` is 0 as an int64 but -0.0 as a
+  /// double. False when `text` is not a `type` value; the flags then
+  /// rule `type` out.
+  bool ObserveAndStore(std::string_view raw, std::string_view text,
+                       DataType type, size_t slot, Column::Slots* column,
+                       StringDictionary* dictionary) {
+    any_value = true;
+    if (all_bool) {
+      const Result<bool> value = ParseBool(text);
+      if (!value.ok()) {
+        all_bool = false;
+      } else if (type == DataType::kBool) {
+        column->bools[slot] = *value ? 1 : 0;
+      }
+    }
+    bool is_int = false;
+    if (all_int) {
+      const Result<int64_t> value = ParseInt64(text);
+      is_int = value.ok();
+      if (!is_int) {
+        all_int = false;
+      } else if (type == DataType::kInt64) {
+        column->int64s[slot] = *value;
+      }
+    }
+    if (all_double && (!is_int || type == DataType::kDouble)) {
+      const Result<double> value = ParseDouble(text);
+      if (!value.ok()) {
+        all_double = false;
+      } else if (type == DataType::kDouble) {
+        column->doubles[slot] = *value;
+      }
+    }
+    switch (type) {
+      case DataType::kInt64:
+        return all_int;
+      case DataType::kDouble:
+        return all_double;
+      case DataType::kBool:
+        return all_bool;
+      case DataType::kString:
+        StoreString(raw, slot, column, dictionary);
+        return true;
+    }
+    return false;
   }
 
   /// Folds in another range's flags: a candidate type survives only if
@@ -342,30 +434,6 @@ Status Seek(std::istream* input, uint64_t offset) {
   return Status::OK();
 }
 
-/// The inference pass over one range: narrows `flags` (one per column)
-/// by every row `scanner` yields and checks each row's width; the first
-/// of those rows is file row `first_row`. Returns the rows read, or the
-/// range's first defect.
-Result<size_t> InferRows(RowScanner* scanner, size_t first_row,
-                         const Layout& layout,
-                         std::vector<ColumnTypeFlags>* flags) {
-  const size_t num_columns = layout.names.size();
-  flags->assign(num_columns, ColumnTypeFlags{});
-  std::vector<std::string_view> row;
-  size_t rows = 0;
-  for (;;) {
-    FAIRLAW_ASSIGN_OR_RETURN(bool has_row, scanner->NextRow(&row));
-    if (!has_row) return rows;
-    FAIRLAW_RETURN_NOT_OK(CheckWidth(row.size(), first_row + rows,
-                                     num_columns));
-    for (size_t c = 0; c < num_columns; ++c) {
-      const std::string_view text = StripWhitespace(row[c]);
-      if (!layout.null_tokens.Contains(text)) (*flags)[c].Observe(text);
-    }
-    ++rows;
-  }
-}
-
 Result<Schema> ResolveSchema(const Layout& layout,
                              const std::vector<ColumnTypeFlags>& flags) {
   std::vector<Field> fields(layout.names.size());
@@ -375,10 +443,15 @@ Result<Schema> ResolveSchema(const Layout& layout,
   return Schema::Make(std::move(fields));
 }
 
-/// A string column's dictionary while a range is parsed.
-using StringDictionary = stats::FirstSeenMap<std::monostate>;
+/// Whether two schemas of the same columns give each the same type.
+bool SameTypes(const Schema& a, const Schema& b) {
+  for (size_t c = 0; c < a.num_fields(); ++c) {
+    if (a.field(c).type != b.field(c).type) return false;
+  }
+  return true;
+}
 
-/// Zeroed slot storage for `rows` rows of every column of `schema`.
+/// Unwritten slot storage for `rows` rows of every column of `schema`.
 std::vector<Column::Slots> SizeColumns(const Schema& schema, size_t rows) {
   std::vector<Column::Slots> columns;
   columns.reserve(schema.num_fields());
@@ -399,114 +472,115 @@ Result<Table> MakeTable(const Schema& schema,
   return Table::Make(schema, std::move(columns));
 }
 
-/// Stores one field in slot `slot` of its zeroed column: a null when its
-/// stripped text is a null token, else its parsed value. Strings intern
-/// into `dictionary`.
-Status StoreField(std::string_view raw, const NullTokens& null_tokens,
-                  DataType type, size_t slot, Column::Slots* column,
-                  StringDictionary* dictionary) {
-  if (null_tokens.Contains(StripWhitespace(raw))) {
-    if (type == DataType::kString) column->codes[slot] = Column::kNullCode;
-    return Status::OK();
-  }
-  column->valid[slot] = 1;
+/// Writes a null into slot `slot` of a `type` column: validity 0 and a
+/// zero value (kNullCode in a string column).
+void StoreNull(DataType type, size_t slot, Column::Slots* column) {
+  column->valid[slot] = 0;
   switch (type) {
-    case DataType::kDouble: {
-      FAIRLAW_ASSIGN_OR_RETURN(column->doubles[slot], ParseDouble(raw));
-      return Status::OK();
-    }
-    case DataType::kInt64: {
-      FAIRLAW_ASSIGN_OR_RETURN(column->int64s[slot], ParseInt64(raw));
-      return Status::OK();
-    }
-    case DataType::kBool: {
-      FAIRLAW_ASSIGN_OR_RETURN(const bool value, ParseBool(raw));
-      column->bools[slot] = value ? 1 : 0;
-      return Status::OK();
-    }
-    case DataType::kString: {
-      const size_t code = dictionary->KeyIndex(raw);
-      FAIRLAW_CHECK_MSG(code < Column::kNullCode,
-                        "string dictionary would reach the null code");
-      column->codes[slot] = static_cast<uint32_t>(code);
-      return Status::OK();
-    }
+    case DataType::kDouble:
+      column->doubles[slot] = 0.0;
+      return;
+    case DataType::kInt64:
+      column->int64s[slot] = 0;
+      return;
+    case DataType::kBool:
+      column->bools[slot] = 0;
+      return;
+    case DataType::kString:
+      column->codes[slot] = Column::kNullCode;
+      return;
   }
-  return Status::Internal("CSV: unknown column type");
 }
 
-/// The parse pass over one range: parses the `rows` rows `scanner`
-/// yields, the first of them file row `first_row`, straight into slots
-/// [first_slot, first_slot + rows) of `columns`, so a caller holds the
-/// parsed rows and never the text. String cells intern into the range's
-/// own `dictionaries` (one per column).
-Status ParseRows(RowScanner* scanner, size_t rows, size_t first_row,
-                 size_t first_slot, const Layout& layout,
-                 const Schema& schema, std::vector<Column::Slots>* columns,
-                 std::vector<StringDictionary>* dictionaries) {
-  const size_t num_columns = schema.num_fields();
-  std::vector<DataType> types(num_columns);
-  for (size_t c = 0; c < num_columns; ++c) types[c] = schema.field(c).type;
+/// Where a range's rows are stored: slots [first_slot, ...) of
+/// `columns`, whose types are `types`, with string cells interned into
+/// `dictionaries` (one per column).
+struct ParseTarget {
+  std::vector<DataType> types;
+  size_t first_slot = 0;
+  std::vector<Column::Slots>* columns = nullptr;
+  std::vector<StringDictionary>* dictionaries = nullptr;
+  /// Cleared at the first non-null cell that is not a value of its
+  /// column's type. The rows from there on are not stored.
+  bool held = true;
+};
+
+ParseTarget TargetFor(const Schema& schema, size_t first_slot,
+                      std::vector<Column::Slots>* columns,
+                      std::vector<StringDictionary>* dictionaries) {
+  ParseTarget target;
+  target.types.resize(schema.num_fields());
+  for (size_t c = 0; c < target.types.size(); ++c) {
+    target.types[c] = schema.field(c).type;
+  }
+  target.first_slot = first_slot;
+  target.columns = columns;
+  target.dictionaries = dictionaries;
+  dictionaries->resize(target.types.size());
+  return target;
+}
+
+/// The one row loop behind every read. It reads up to `max_rows` rows
+/// from `scanner`, the first of them file row `first_row`, checks each
+/// row's width and, when `flags` is given, narrows them (one per column)
+/// by every non-null cell. With a `target` it also stores each row in
+/// its slot, in the same visit of the cell, for as long as target->held
+/// (a target that starts out not held stores nothing): every slot of a
+/// stored row is written, nulls included. Without `flags` the types are
+/// known, and a cell is parsed only to be stored. Returns the rows read,
+/// or the range's first defect.
+Result<size_t> ParseRows(RowScanner* scanner, size_t max_rows,
+                         size_t first_row, const Layout& layout,
+                         std::vector<ColumnTypeFlags>* flags,
+                         ParseTarget* target) {
+  const size_t num_columns = layout.names.size();
+  if (flags != nullptr) flags->assign(num_columns, ColumnTypeFlags{});
+  bool storing = target != nullptr && target->held;
   std::vector<std::string_view> row;
-  for (size_t r = 0; r < rows; ++r) {
+  size_t rows = 0;
+  for (; rows < max_rows; ++rows) {
     FAIRLAW_ASSIGN_OR_RETURN(bool has_row, scanner->NextRow(&row));
-    if (!has_row) return Changed();
-    FAIRLAW_RETURN_NOT_OK(CheckWidth(row.size(), first_row + r, num_columns));
+    if (!has_row) break;
+    FAIRLAW_RETURN_NOT_OK(CheckWidth(row.size(), first_row + rows,
+                                     num_columns));
     for (size_t c = 0; c < num_columns; ++c) {
-      FAIRLAW_RETURN_NOT_OK(StoreField(row[c], layout.null_tokens, types[c],
-                                       first_slot + r, &(*columns)[c],
-                                       &(*dictionaries)[c]));
+      const std::string_view text = StripWhitespace(row[c]);
+      const bool null = layout.null_tokens.Contains(text);
+      if (!storing) {
+        if (!null && flags != nullptr) (*flags)[c].Observe(text);
+        continue;
+      }
+      const size_t slot = target->first_slot + rows;
+      const DataType type = target->types[c];
+      Column::Slots* const column = &(*target->columns)[c];
+      if (null) {
+        StoreNull(type, slot, column);
+        continue;
+      }
+      column->valid[slot] = 1;
+      StringDictionary* const dictionary = &(*target->dictionaries)[c];
+      const bool stored =
+          flags == nullptr
+              ? StoreValue(row[c], text, type, slot, column, dictionary)
+              : (*flags)[c].ObserveAndStore(row[c], text, type, slot, column,
+                                            dictionary);
+      if (!stored) {
+        storing = false;
+        target->held = false;
+      }
     }
   }
-  obs::GetCounter("csv.rows_loaded")->Increment(rows);
-  return Status::OK();
+  return rows;
 }
 
-/// ParseRows into a table of the range's own.
-Result<Table> ParseTable(RowScanner* scanner, size_t rows, size_t first_row,
-                         const Layout& layout, const Schema& schema) {
-  std::vector<Column::Slots> columns = SizeColumns(schema, rows);
-  std::vector<StringDictionary> dictionaries(columns.size());
-  FAIRLAW_RETURN_NOT_OK(ParseRows(scanner, rows, first_row, 0, layout,
-                                  schema, &columns, &dictionaries));
-  for (size_t c = 0; c < columns.size(); ++c) {
-    columns[c].dictionary = std::move(dictionaries[c]);
-  }
-  return MakeTable(schema, std::move(columns));
-}
-
-/// Reads all of `input` as one range: the first row, then the inference
-/// and the parse pass over the data rows, with no boundary scan.
-Result<Table> ReadAll(std::istream* input, const CsvOptions& options) {
-  FAIRLAW_ASSIGN_OR_RETURN(Layout layout, ReadLayout(input, options));
-  FAIRLAW_RETURN_NOT_OK(Seek(input, layout.data_start));
-  std::vector<ColumnTypeFlags> flags;
-  size_t rows = 0;
-  {  // the inference scanner's buffer goes before the parse pass starts
-    RowScanner inference(input, layout.delimiter);
-    FAIRLAW_ASSIGN_OR_RETURN(
-        rows, InferRows(&inference, layout.first_row, layout, &flags));
-    obs::GetCounter("csv.bytes_read")
-        ->Increment(layout.data_start + inference.bytes_read());
-  }
-  FAIRLAW_ASSIGN_OR_RETURN(Schema schema, ResolveSchema(layout, flags));
-  FAIRLAW_RETURN_NOT_OK(Seek(input, layout.data_start));
-  RowScanner parse(input, layout.delimiter);
-  return ParseTable(&parse, rows, layout.first_row, layout, schema);
-}
-
-/// ReadAll over the file at `path`.
-Result<Table> ReadFile(const std::string& path, const CsvOptions& options) {
-  std::ifstream input(path, std::ios::binary);
-  if (!input) return Status::IOError("cannot open '" + path + "' for reading");
-  return ReadAll(&input, options);
-}
-
-/// Where a streamed file's chunks begin, found by the boundary scan.
+/// Where a file's chunks begin, found by the boundary scan.
 struct ChunkBounds {
   size_t num_rows = 0;           // data rows in the file
   std::vector<uint64_t> starts;  // byte offset of each chunk's range
   uint64_t end = 0;              // the file's size
+  /// Rows whose row end lies in the first read block: the rows the
+  /// schema is guessed from.
+  size_t first_block_rows = 0;
 };
 
 /// The boundary scan over `input` from byte `start` to its end. It
@@ -522,11 +596,12 @@ Result<ChunkBounds> ScanChunkBounds(std::istream* input, uint64_t start,
                                     size_t chunk_rows) {
   ChunkBounds bounds;
   bounds.starts.push_back(start);
-  std::vector<char> block(size_t{1} << 16);
+  std::vector<char> block(RowScanner::kBlockSize);
   uint64_t offset = start;               // file offset of block[0]
   uint64_t row_begin = start;            // where the current line begins
   size_t rows_to_boundary = chunk_rows;  // rows until the next chunk
   bool in_quotes = false;
+  size_t blocks = 0;
   for (;;) {
     input->read(block.data(), static_cast<std::streamsize>(block.size()));
     const size_t got = static_cast<size_t>(input->gcount());
@@ -571,16 +646,336 @@ Result<ChunkBounds> ScanChunkBounds(std::istream* input, uint64_t start,
       }
       row_begin = at + 1;
     }
+    if (blocks++ == 0) bounds.first_block_rows = bounds.num_rows;
     offset += got;
   }
   if (input->bad()) return Status::IOError("error reading CSV stream");
   if (offset != row_begin) ++bounds.num_rows;
+  if (blocks <= 1) bounds.first_block_rows = bounds.num_rows;
   bounds.starts.resize((bounds.num_rows + chunk_rows - 1) / chunk_rows);
   bounds.end = offset;
   return bounds;
 }
 
+/// A CSV input split into chunks by the boundary scan, and every read
+/// over them: CsvChunkReader's state, and the whole-table reads.
+struct ChunkedInput {
+  using Options = CsvChunkReader::Options;
+
+  std::string path;
+  /// The stream a one-thread read reads every range from; null when each
+  /// range opens `path` on a stream of its own.
+  std::istream* stream = nullptr;
+  size_t chunk_rows = kDefaultChunkRows;
+  Layout layout;
+  ChunkBounds bounds;
+  /// The schema guessed from the first read block's rows, unless its
+  /// column names repeat.
+  std::optional<Schema> guess;
+  /// Each chunk's type flags, written by ReadGuessedChunk and folded by
+  /// ConfirmGuess.
+  mutable std::vector<std::vector<ColumnTypeFlags>> guessed_flags;
+  Schema schema;
+  bool inferred = false;
+  std::string parent_path;  // where worker spans nest
+  size_t next_chunk = 0;    // Next()'s cursor
+
+  size_t num_chunks() const { return bounds.starts.size(); }
+  /// File row index of chunk `chunk`'s first row.
+  size_t FirstRow(size_t chunk) const {
+    return layout.first_row + chunk * chunk_rows;
+  }
+  size_t RowsIn(size_t chunk) const {
+    return std::min(chunk_rows, bounds.num_rows - chunk * chunk_rows);
+  }
+
+  /// Runs `read` over a scanner of bytes [begin, end), reading
+  /// `block_size` bytes at a time from `stream`, or else from a stream
+  /// of its own.
+  template <typename Read>
+  auto WithBytes(uint64_t begin, uint64_t end, size_t block_size,
+                 const Read& read) const
+      -> decltype(read(std::declval<RowScanner*>())) {
+    std::ifstream own;
+    std::istream* input = stream;
+    if (input == nullptr) {
+      own.open(path, std::ios::binary);
+      if (!own) {
+        return Status::IOError("cannot open '" + path + "' for reading");
+      }
+      input = &own;
+    }
+    FAIRLAW_RETURN_NOT_OK(Seek(input, begin));
+    RowScanner scanner(input, layout.delimiter, end - begin, block_size);
+    return read(&scanner);
+  }
+
+  /// WithBytes over chunk `chunk`'s byte range.
+  template <typename Read>
+  auto WithRange(size_t chunk, size_t block_size, const Read& read) const
+      -> decltype(read(std::declval<RowScanner*>())) {
+    const uint64_t end = chunk + 1 < num_chunks() ? bounds.starts[chunk + 1]
+                                                  : bounds.end;
+    return WithBytes(bounds.starts[chunk], end, block_size, read);
+  }
+
+  /// Reads the first row, runs the boundary scan and guesses the schema,
+  /// all from `input`.
+  Status Open(std::istream* input, const CsvOptions& options) {
+    FAIRLAW_ASSIGN_OR_RETURN(layout, ReadLayout(input, options));
+    FAIRLAW_RETURN_NOT_OK(Seek(input, layout.data_start));
+    FAIRLAW_ASSIGN_OR_RETURN(
+        bounds, ScanChunkBounds(input, layout.data_start, chunk_rows));
+    // The guess reads no further than the first block's rows. A defect
+    // among them ends it there: the chunk that holds it reports it.
+    FAIRLAW_RETURN_NOT_OK(Seek(input, layout.data_start));
+    RowScanner scanner(input, layout.delimiter,
+                       bounds.end - layout.data_start);
+    std::vector<ColumnTypeFlags> flags;
+    static_cast<void>(ParseRows(&scanner, bounds.first_block_rows,
+                                layout.first_row, layout, &flags, nullptr));
+    Result<Schema> guessed = ResolveSchema(layout, flags);
+    if (guessed.ok()) guess = std::move(guessed).ValueOrDie();
+    return Status::OK();
+  }
+
+  /// Open() over the file at `file`, whose ranges then open streams of
+  /// their own.
+  Status OpenFile(const std::string& file, const Options& options) {
+    std::ifstream input(file, std::ios::binary);
+    if (!input) {
+      return Status::IOError("cannot open '" + file + "' for reading");
+    }
+    path = file;
+    chunk_rows =
+        options.chunk_rows == 0 ? kDefaultChunkRows : options.chunk_rows;
+    return Open(&input, options.csv);
+  }
+
+  /// Parses chunk `chunk` under `types` into a table of its own. Its
+  /// flags go to *flags; nullopt when a cell is not a value of its
+  /// column's type. Without `flags` the types are the schema, and such a
+  /// cell means the file changed.
+  Result<std::optional<Table>> ParseChunk(
+      size_t chunk, const Schema& types,
+      std::vector<ColumnTypeFlags>* flags) const {
+    std::vector<Column::Slots> columns = SizeColumns(types, RowsIn(chunk));
+    std::vector<StringDictionary> dictionaries;
+    ParseTarget target = TargetFor(types, 0, &columns, &dictionaries);
+    FAIRLAW_ASSIGN_OR_RETURN(
+        const size_t rows,
+        WithRange(chunk, RowScanner::kBlockSize, [&](RowScanner* scanner) {
+          return ParseRows(scanner, RowsIn(chunk), FirstRow(chunk), layout,
+                           flags, &target);
+        }));
+    if (rows != RowsIn(chunk) || (flags == nullptr && !target.held)) {
+      return Changed();
+    }
+    obs::GetCounter("csv.chunks_streamed")->Increment();
+    if (!target.held) return std::optional<Table>();
+    for (size_t c = 0; c < columns.size(); ++c) {
+      columns[c].dictionary = std::move(dictionaries[c]);
+    }
+    obs::GetCounter("csv.rows_loaded")->Increment(rows);
+    FAIRLAW_ASSIGN_OR_RETURN(Table table, MakeTable(types, std::move(columns)));
+    return std::optional<Table>(std::move(table));
+  }
+
+  /// What reading one chunk of a whole file left behind.
+  struct ParsedChunk {
+    Status status;
+    bool held = true;
+    std::vector<ColumnTypeFlags> flags;
+    std::vector<StringDictionary> dictionaries;
+    std::vector<std::vector<uint32_t>> remaps;  // empty: codes stay
+  };
+
+  /// InferSchema() without its span: the flags of every chunk, read
+  /// `block_size` bytes at a time, ANDed in chunk order.
+  Status Infer(ThreadPool* pool, size_t block_size) {
+    std::vector<ParsedChunk> chunks(num_chunks());
+    auto infer = [this, &chunks, block_size](size_t i) {
+      Result<size_t> rows = WithRange(i, block_size, [&](RowScanner* scanner) {
+        return ParseRows(scanner, RowsIn(i), FirstRow(i), layout,
+                         &chunks[i].flags, nullptr);
+      });
+      if (!rows.ok()) {
+        chunks[i].status = rows.status();
+      } else if (*rows != RowsIn(i)) {
+        chunks[i].status = Changed();
+      }
+    };
+    if (pool == nullptr) {
+      for (size_t i = 0; i < chunks.size(); ++i) infer(i);
+    } else {
+      pool->ParallelFor(chunks.size(), infer);
+    }
+    std::vector<ColumnTypeFlags> flags(layout.names.size());
+    for (const ParsedChunk& chunk : chunks) {
+      FAIRLAW_RETURN_NOT_OK(chunk.status);
+      for (size_t c = 0; c < flags.size(); ++c) flags[c].Merge(chunk.flags[c]);
+    }
+    FAIRLAW_ASSIGN_OR_RETURN(schema, ResolveSchema(layout, flags));
+    inferred = true;
+    return Status::OK();
+  }
+
+  /// Parses every chunk under `types` into one table's columns, allocated
+  /// here at num_rows and first written by the chunk that owns the rows:
+  /// on `pool`, each chunk with string dictionaries of its own, which
+  /// merge in chunk order, and the chunks whose codes that renumbers are
+  /// remapped on the pool; without one, in order on this thread, all
+  /// into the same dictionaries. The chunks' flags, ANDed in chunk
+  /// order, go to *flags when it is given. nullopt when a cell is not a
+  /// value of its column's type; else the lowest chunk's first defect,
+  /// or the table.
+  Result<std::optional<Table>> ParseAll(ThreadPool* pool, const Schema& types,
+                                        std::vector<ColumnTypeFlags>* flags) {
+    const size_t num_columns = types.num_fields();
+    std::vector<Column::Slots> columns = SizeColumns(types, bounds.num_rows);
+    std::vector<ParsedChunk> chunks(num_chunks());
+    std::vector<StringDictionary> shared;  // the one-thread dictionaries
+    const size_t block_size =
+        pool == nullptr ? RowScanner::kBlockSize : RowScanner::kTableBlockSize;
+    // Once a chunk's cell rules `types` out, the table is dropped: chunks
+    // that start later only narrow their flags.
+    std::atomic<bool> failed{false};
+    auto parse = [&](size_t i) {
+      ParsedChunk& chunk = chunks[i];
+      ParseTarget target =
+          TargetFor(types, i * chunk_rows, &columns,
+                    pool == nullptr ? &shared : &chunk.dictionaries);
+      target.held = !failed.load(std::memory_order_relaxed);
+      Result<size_t> rows = WithRange(i, block_size, [&](RowScanner* scanner) {
+        return ParseRows(scanner, RowsIn(i), FirstRow(i), layout,
+                         flags == nullptr ? nullptr : &chunk.flags, &target);
+      });
+      if (!rows.ok()) {
+        chunk.status = rows.status();
+      } else if (*rows != RowsIn(i)) {
+        chunk.status = Changed();
+      }
+      chunk.held = target.held;
+      if (!target.held) failed.store(true, std::memory_order_relaxed);
+    };
+    if (pool == nullptr) {
+      for (size_t i = 0; i < chunks.size(); ++i) {
+        parse(i);
+        if (!chunks[i].status.ok()) break;
+      }
+    } else {
+      pool->ParallelFor(chunks.size(), parse);
+    }
+    if (flags != nullptr) flags->assign(num_columns, ColumnTypeFlags{});
+    bool held = true;
+    for (const ParsedChunk& chunk : chunks) {
+      FAIRLAW_RETURN_NOT_OK(chunk.status);
+      for (size_t c = 0; flags != nullptr && c < num_columns; ++c) {
+        (*flags)[c].Merge(chunk.flags[c]);
+      }
+      held = held && chunk.held;
+    }
+    if (!held) return std::optional<Table>();
+    if (pool == nullptr) {
+      for (size_t c = 0; c < num_columns && !chunks.empty(); ++c) {
+        columns[c].dictionary = std::move(shared[c]);
+      }
+    } else {
+      MergeDictionaries(pool, types, &columns, &chunks);
+    }
+    FAIRLAW_ASSIGN_OR_RETURN(Table table, MakeTable(types, std::move(columns)));
+    return std::optional<Table>(std::move(table));
+  }
+
+  /// First-seen dictionaries merged in chunk order give the whole file's
+  /// first-seen order (DESIGN.md §14, fact 2); the codes of each chunk
+  /// the merge renumbers are remapped on `pool`.
+  void MergeDictionaries(ThreadPool* pool, const Schema& types,
+                         std::vector<Column::Slots>* columns,
+                         std::vector<ParsedChunk>* chunks) const {
+    const size_t num_columns = types.num_fields();
+    for (ParsedChunk& chunk : *chunks) chunk.remaps.resize(num_columns);
+    for (size_t c = 0; c < num_columns; ++c) {
+      if (types.field(c).type != DataType::kString) continue;
+      StringDictionary& merged = (*columns)[c].dictionary;
+      for (ParsedChunk& chunk : *chunks) {
+        const std::vector<std::string>& keys = chunk.dictionaries[c].keys();
+        std::vector<uint32_t> remap(keys.size());
+        bool renumbered = false;
+        for (size_t k = 0; k < keys.size(); ++k) {
+          const size_t code = merged.KeyIndex(keys[k]);
+          FAIRLAW_CHECK_MSG(code < Column::kNullCode,
+                            "string dictionary would reach the null code");
+          remap[k] = static_cast<uint32_t>(code);
+          renumbered = renumbered || code != k;
+        }
+        if (renumbered) chunk.remaps[c] = std::move(remap);
+      }
+    }
+    pool->ParallelFor(chunks->size(), [&](size_t i) {
+      for (size_t c = 0; c < num_columns; ++c) {
+        const std::vector<uint32_t>& remap = (*chunks)[i].remaps[c];
+        if (remap.empty()) continue;
+        uint32_t* const codes = (*columns)[c].codes.data() + i * chunk_rows;
+        for (size_t r = 0; r < RowsIn(i); ++r) {
+          if (codes[r] != Column::kNullCode) codes[r] = remap[codes[r]];
+        }
+      }
+    });
+  }
+
+  /// Reads the whole file into one table (DESIGN.md §14): one pass under
+  /// the guessed schema, confirmed by the chunks' flags; when the guess
+  /// was wrong, or there is none, a second pass under the schema the
+  /// flags resolve. Counts csv.rows_loaded, and csv.chunks_reparsed for
+  /// the second pass after a wrong guess.
+  Result<Table> ReadTable(ThreadPool* pool) {
+    if (guess.has_value()) {
+      std::vector<ColumnTypeFlags> flags;
+      FAIRLAW_ASSIGN_OR_RETURN(std::optional<Table> table,
+                               ParseAll(pool, *guess, &flags));
+      FAIRLAW_ASSIGN_OR_RETURN(schema, ResolveSchema(layout, flags));
+      if (table.has_value() && SameTypes(schema, *guess)) {
+        obs::GetCounter("csv.rows_loaded")->Increment(bounds.num_rows);
+        return std::move(*table);
+      }
+      obs::GetCounter("csv.chunks_reparsed")->Increment(num_chunks());
+    } else {
+      FAIRLAW_RETURN_NOT_OK(Infer(pool, pool == nullptr
+                                            ? RowScanner::kBlockSize
+                                            : RowScanner::kTableBlockSize));
+    }
+    FAIRLAW_ASSIGN_OR_RETURN(std::optional<Table> table,
+                             ParseAll(pool, schema, nullptr));
+    if (!table.has_value()) return Changed();
+    obs::GetCounter("csv.rows_loaded")->Increment(bounds.num_rows);
+    return std::move(*table);
+  }
+};
+
+/// Reads all of `input` on this thread as CsvChunkReader::ReadTable
+/// reads a file without a pool, at `chunk_rows`-row chunks.
+Result<Table> ReadAll(std::istream* input, const CsvOptions& options,
+                      size_t chunk_rows = kDefaultChunkRows) {
+  ChunkedInput impl;
+  impl.stream = input;
+  impl.chunk_rows = chunk_rows;
+  FAIRLAW_RETURN_NOT_OK(impl.Open(input, options));
+  obs::GetCounter("csv.bytes_read")->Increment(impl.bounds.end);
+  return impl.ReadTable(nullptr);
+}
+
+/// ReadAll over the file at `path`.
+Result<Table> ReadFile(const std::string& path, const CsvOptions& options,
+                       size_t chunk_rows = kDefaultChunkRows) {
+  std::ifstream input(path, std::ios::binary);
+  if (!input) return Status::IOError("cannot open '" + path + "' for reading");
+  return ReadAll(&input, options, chunk_rows);
+}
+
 }  // namespace
+
+struct CsvChunkReader::Impl : ChunkedInput {};
 
 Result<Table> ReadCsvString(const std::string& text,
                             const CsvOptions& options) {
@@ -634,155 +1029,6 @@ Status WriteCsvFile(const Table& table, const std::string& path,
   return Status::OK();
 }
 
-struct CsvChunkReader::Impl {
-  std::string path;
-  size_t chunk_rows = kDefaultChunkRows;
-  Layout layout;
-  ChunkBounds bounds;
-  Schema schema;
-  bool inferred = false;
-  std::string parent_path;  // where worker spans nest
-  size_t next_chunk = 0;    // Next()'s cursor
-
-  /// File row index of chunk `chunk`'s first row.
-  size_t FirstRow(size_t chunk) const {
-    return layout.first_row + chunk * chunk_rows;
-  }
-  size_t RowsIn(size_t chunk) const {
-    return std::min(chunk_rows, bounds.num_rows - chunk * chunk_rows);
-  }
-
-  /// Opens chunk `chunk`'s byte range on a stream of its own and runs
-  /// `read` over a scanner limited to that range, reading `block_size`
-  /// bytes at a time.
-  template <typename Read>
-  auto WithRange(size_t chunk, size_t block_size, const Read& read) const
-      -> decltype(read(std::declval<RowScanner*>())) {
-    const uint64_t begin = bounds.starts[chunk];
-    const uint64_t end =
-        chunk + 1 < bounds.starts.size() ? bounds.starts[chunk + 1]
-                                         : bounds.end;
-    std::ifstream input(path, std::ios::binary);
-    if (!input) {
-      return Status::IOError("cannot open '" + path + "' for reading");
-    }
-    FAIRLAW_RETURN_NOT_OK(Seek(&input, begin));
-    RowScanner scanner(&input, layout.delimiter, end - begin, block_size);
-    return read(&scanner);
-  }
-
-  /// Scan() without its span and counter: the first row and the
-  /// boundary scan.
-  Status Open(const std::string& file, const Options& options) {
-    std::ifstream input(file, std::ios::binary);
-    if (!input) {
-      return Status::IOError("cannot open '" + file + "' for reading");
-    }
-    path = file;
-    chunk_rows =
-        options.chunk_rows == 0 ? kDefaultChunkRows : options.chunk_rows;
-    FAIRLAW_ASSIGN_OR_RETURN(layout, ReadLayout(&input, options.csv));
-    FAIRLAW_RETURN_NOT_OK(Seek(&input, layout.data_start));
-    FAIRLAW_ASSIGN_OR_RETURN(
-        bounds, ScanChunkBounds(&input, layout.data_start, chunk_rows));
-    return Status::OK();
-  }
-
-  /// InferSchema() without its span, reading `block_size` bytes at a
-  /// time.
-  Status Infer(ThreadPool* pool, size_t block_size) {
-    struct Inferred {
-      Status status;
-      std::vector<ColumnTypeFlags> flags;
-    };
-    std::vector<Inferred> chunks(bounds.starts.size());
-    auto infer = [this, &chunks, block_size](size_t i) {
-      Result<size_t> rows = WithRange(i, block_size, [&](RowScanner* scanner) {
-        return InferRows(scanner, FirstRow(i), layout, &chunks[i].flags);
-      });
-      if (!rows.ok()) {
-        chunks[i].status = rows.status();
-      } else if (*rows != RowsIn(i)) {
-        chunks[i].status = Changed();
-      }
-    };
-    if (pool == nullptr) {
-      for (size_t i = 0; i < chunks.size(); ++i) infer(i);
-    } else {
-      pool->ParallelFor(chunks.size(), infer);
-    }
-    std::vector<ColumnTypeFlags> flags(layout.names.size());
-    for (const Inferred& chunk : chunks) {
-      FAIRLAW_RETURN_NOT_OK(chunk.status);
-      for (size_t c = 0; c < flags.size(); ++c) flags[c].Merge(chunk.flags[c]);
-    }
-    FAIRLAW_ASSIGN_OR_RETURN(schema, ResolveSchema(layout, flags));
-    inferred = true;
-    return Status::OK();
-  }
-
-  /// Parses every chunk on `pool` into one table's columns, allocated
-  /// here at num_rows: each chunk fills its own row range and string
-  /// dictionaries, the dictionaries merge in chunk order, and the chunks
-  /// whose codes that renumbers are remapped on the pool.
-  Result<Table> ParseAll(ThreadPool* pool) const {
-    const size_t num_chunks = bounds.starts.size();
-    const size_t num_columns = schema.num_fields();
-    std::vector<Column::Slots> columns = SizeColumns(schema, bounds.num_rows);
-    struct Parsed {
-      Status status;
-      std::vector<StringDictionary> dictionaries;
-      std::vector<std::vector<uint32_t>> remaps;  // empty: codes stay
-    };
-    std::vector<Parsed> chunks(num_chunks);
-    pool->ParallelFor(num_chunks, [this, &columns, &chunks,
-                                   num_columns](size_t i) {
-      Parsed& chunk = chunks[i];
-      chunk.dictionaries.resize(num_columns);
-      chunk.status = WithRange(i, RowScanner::kTableBlockSize,
-                               [&](RowScanner* scanner) {
-        return ParseRows(scanner, RowsIn(i), FirstRow(i), i * chunk_rows,
-                         layout, schema, &columns, &chunk.dictionaries);
-      });
-    });
-    for (Parsed& chunk : chunks) {
-      FAIRLAW_RETURN_NOT_OK(chunk.status);
-      chunk.remaps.resize(num_columns);
-    }
-    // First-seen dictionaries merged in chunk order give the whole
-    // file's first-seen order (DESIGN.md §14, fact 2).
-    for (size_t c = 0; c < num_columns; ++c) {
-      if (schema.field(c).type != DataType::kString) continue;
-      StringDictionary& merged = columns[c].dictionary;
-      for (Parsed& chunk : chunks) {
-        const std::vector<std::string>& keys = chunk.dictionaries[c].keys();
-        std::vector<uint32_t> remap(keys.size());
-        bool renumbered = false;
-        for (size_t k = 0; k < keys.size(); ++k) {
-          const size_t code = merged.KeyIndex(keys[k]);
-          FAIRLAW_CHECK_MSG(code < Column::kNullCode,
-                            "string dictionary would reach the null code");
-          remap[k] = static_cast<uint32_t>(code);
-          renumbered = renumbered || code != k;
-        }
-        if (renumbered) chunk.remaps[c] = std::move(remap);
-      }
-    }
-    pool->ParallelFor(num_chunks, [this, &columns, &chunks,
-                                   num_columns](size_t i) {
-      for (size_t c = 0; c < num_columns; ++c) {
-        const std::vector<uint32_t>& remap = chunks[i].remaps[c];
-        if (remap.empty()) continue;
-        uint32_t* const codes = columns[c].codes.data() + i * chunk_rows;
-        for (size_t r = 0; r < RowsIn(i); ++r) {
-          if (codes[r] != Column::kNullCode) codes[r] = remap[codes[r]];
-        }
-      }
-    });
-    return MakeTable(schema, std::move(columns));
-  }
-};
-
 CsvChunkReader::CsvChunkReader() : impl_(std::make_unique<Impl>()) {}
 CsvChunkReader::CsvChunkReader(CsvChunkReader&&) noexcept = default;
 CsvChunkReader& CsvChunkReader::operator=(CsvChunkReader&&) noexcept =
@@ -791,9 +1037,8 @@ CsvChunkReader::~CsvChunkReader() = default;
 
 const Schema& CsvChunkReader::schema() const { return impl_->schema; }
 size_t CsvChunkReader::num_rows() const { return impl_->bounds.num_rows; }
-size_t CsvChunkReader::num_chunks() const {
-  return impl_->bounds.starts.size();
-}
+size_t CsvChunkReader::num_chunks() const { return impl_->num_chunks(); }
+bool CsvChunkReader::has_guess() const { return impl_->guess.has_value(); }
 
 Result<CsvChunkReader> CsvChunkReader::Make(const std::string& path,
                                             const Options& options) {
@@ -808,7 +1053,8 @@ Result<CsvChunkReader> CsvChunkReader::Scan(const std::string& path,
   Impl& impl = *reader.impl_;
   impl.parent_path = obs::CurrentPath();
   obs::TraceSpan span("csv_open_stream");
-  FAIRLAW_RETURN_NOT_OK(impl.Open(path, options));
+  FAIRLAW_RETURN_NOT_OK(impl.OpenFile(path, options));
+  if (impl.guess.has_value()) impl.guessed_flags.resize(impl.num_chunks());
   obs::GetCounter("csv.bytes_read")->Increment(impl.bounds.end);
   return reader;
 }
@@ -824,38 +1070,60 @@ Result<Table> CsvChunkReader::ReadTable(const std::string& path,
   obs::TraceSpan span("read_csv");
   // Every row but the last takes at least two bytes (content and a row
   // end), so a file of at most 2 * chunk_rows - 1 bytes is at most one
-  // chunk: no pool would be made, and the scan can be skipped.
+  // chunk: no pool would be made.
   const size_t chunk_rows =
       options.chunk_rows == 0 ? kDefaultChunkRows : options.chunk_rows;
   std::error_code size_error;
   const uintmax_t size = std::filesystem::file_size(path, size_error);
   if (num_threads == 1 || (!size_error && size < 2 * chunk_rows)) {
-    return ReadFile(path, options.csv);
+    return ReadFile(path, options.csv, chunk_rows);
   }
   CsvChunkReader reader;
   Impl& impl = *reader.impl_;
-  FAIRLAW_RETURN_NOT_OK(impl.Open(path, options));
+  FAIRLAW_RETURN_NOT_OK(impl.OpenFile(path, options));
   std::unique_ptr<ThreadPool> pool =
-      MorselPool(num_threads, impl.bounds.starts.size());
-  if (pool == nullptr) return ReadFile(path, options.csv);
+      MorselPool(num_threads, impl.num_chunks());
+  if (pool == nullptr) return ReadFile(path, options.csv, chunk_rows);
   obs::GetCounter("csv.bytes_read")->Increment(impl.bounds.end);
-  FAIRLAW_RETURN_NOT_OK(impl.Infer(pool.get(), RowScanner::kTableBlockSize));
-  return impl.ParseAll(pool.get());
+  return impl.ReadTable(pool.get());
 }
 
 Result<Table> CsvChunkReader::ReadChunk(size_t index) const {
   const Impl& impl = *impl_;
   FAIRLAW_CHECK_MSG(impl.inferred && index < num_chunks(),
-                    "ReadChunk needs InferSchema and a chunk index in range");
+                    "ReadChunk needs the schema and a chunk index in range");
   obs::TraceSpan span("csv_chunk", impl.parent_path);
-  FAIRLAW_ASSIGN_OR_RETURN(
-      Table chunk,
-      impl.WithRange(index, RowScanner::kBlockSize, [&](RowScanner* scanner) {
-        return ParseTable(scanner, impl.RowsIn(index), impl.FirstRow(index),
-                          impl.layout, impl.schema);
-      }));
-  obs::GetCounter("csv.chunks_streamed")->Increment();
-  return chunk;
+  FAIRLAW_ASSIGN_OR_RETURN(std::optional<Table> chunk,
+                           impl.ParseChunk(index, impl.schema, nullptr));
+  return std::move(*chunk);
+}
+
+Result<std::optional<Table>> CsvChunkReader::ReadGuessedChunk(
+    size_t index) const {
+  const Impl& impl = *impl_;
+  FAIRLAW_CHECK_MSG(impl.guess.has_value() && index < num_chunks(),
+                    "ReadGuessedChunk needs a guess and a chunk index in "
+                    "range");
+  obs::TraceSpan span("csv_chunk", impl.parent_path);
+  return impl.ParseChunk(index, *impl.guess, &impl.guessed_flags[index]);
+}
+
+Result<bool> CsvChunkReader::ConfirmGuess() {
+  Impl& impl = *impl_;
+  FAIRLAW_CHECK_MSG(impl.guess.has_value(), "ConfirmGuess needs a guess");
+  impl.inferred = true;
+  std::vector<ColumnTypeFlags> flags(impl.layout.names.size());
+  for (const std::vector<ColumnTypeFlags>& chunk : impl.guessed_flags) {
+    FAIRLAW_CHECK_MSG(chunk.size() == flags.size(),
+                      "ConfirmGuess needs every chunk read by "
+                      "ReadGuessedChunk");
+    for (size_t c = 0; c < flags.size(); ++c) flags[c].Merge(chunk[c]);
+  }
+  impl.guessed_flags.clear();
+  FAIRLAW_ASSIGN_OR_RETURN(impl.schema, ResolveSchema(impl.layout, flags));
+  if (SameTypes(impl.schema, *impl.guess)) return true;
+  obs::GetCounter("csv.chunks_reparsed")->Increment(impl.num_chunks());
+  return false;
 }
 
 Result<std::optional<Table>> CsvChunkReader::Next() {

@@ -105,17 +105,67 @@ double KolmogorovSmirnovSortedCore(std::span<const double> xs, size_t y_size,
   return best;
 }
 
-/// The checks of the presorted kernels on a SortedDifference `y`: not
-/// empty, and ascending because all() and removed() are.
-Status CheckSorted(const SortedDifference& y, const char* fn) {
-  if (y.size() == 0) {
-    return Status::Invalid(std::string(fn) + ": empty sample");
+/// Wasserstein1SortedCore and KolmogorovSmirnovSortedCore in one walk
+/// of `ys`. Each y value goes to the W1 sweep, which runs the iterations
+/// its core runs while that value is current, and then to the KS sweep.
+/// A KS step consumes every y equal to its threshold before it scores,
+/// so the KS sweep keeps the threshold pending until a larger y (or the
+/// end) shows the run is over. Both accumulate exactly as their cores do.
+template <typename Walk>
+SampleDistances DistancesSortedCore(std::span<const double> xs,
+                                    size_t y_size, Walk ys) {
+  const size_t x_size = xs.size();
+  const double nx = static_cast<double>(x_size);
+  const double ny = static_cast<double>(y_size);
+  size_t w1_i = 0;
+  double cursor = 0.0;  // W1: current quantile level
+  double total = 0.0;
+  size_t ks_i = 0;
+  double best = 0.0;
+  bool ks_open = true;  // the KS core's loop has not ended
+  bool pending = false;
+  double threshold = 0.0;  // the pending KS threshold
+  auto score = [&](size_t j) {
+    best = std::max(best, std::fabs(static_cast<double>(ks_i) / nx -
+                                    static_cast<double>(j) / ny));
+  };
+  for (size_t j = 0; j < y_size; ++j, ys.Step()) {
+    const double y = ys.value();
+    while (w1_i < x_size) {
+      const double next_x = static_cast<double>(w1_i + 1) / nx;
+      const double next_y = static_cast<double>(j + 1) / ny;
+      const double next = std::min(next_x, next_y);
+      total += (next - cursor) * std::fabs(xs[w1_i] - y);
+      cursor = next;
+      if (next_x <= next) ++w1_i;
+      if (next_y <= next) break;
+    }
+    if (!ks_open) continue;
+    if (pending) {
+      if (!(threshold < y)) continue;  // y joins the pending step
+      score(j);
+      pending = false;
+      if (ks_i == x_size) {
+        ks_open = false;
+        continue;
+      }
+    }
+    // Steps at x thresholds below y consume no y.
+    while (ks_i < x_size && xs[ks_i] < y) {
+      const double t = xs[ks_i];
+      while (ks_i < x_size && xs[ks_i] <= t) ++ks_i;
+      score(j);
+    }
+    if (ks_i == x_size) {
+      ks_open = false;
+      continue;
+    }
+    while (ks_i < x_size && xs[ks_i] <= y) ++ks_i;
+    pending = true;
+    threshold = y;
   }
-  if (!std::is_sorted(y.all().begin(), y.all().end()) ||
-      !std::is_sorted(y.removed().begin(), y.removed().end())) {
-    return Status::Invalid(std::string(fn) + ": y is not sorted ascending");
-  }
-  return Status::OK();
+  if (pending) score(y_size);
+  return SampleDistances{total, best};
 }
 
 }  // namespace
@@ -158,16 +208,6 @@ Result<double> Wasserstein1Presorted(std::span<const double> x_sorted,
   FAIRLAW_RETURN_NOT_OK(CheckSorted(y_sorted, "Wasserstein1Presorted", "y"));
   obs::TraceSpan span("distance/wasserstein1_presorted");
   return Wasserstein1SortedCore(x_sorted, y_sorted.size(), SpanWalk(y_sorted));
-}
-
-Result<double> Wasserstein1Presorted(std::span<const double> x_sorted,
-                                     const SortedDifference& y_sorted,
-                                     std::string_view parent_path) {
-  FAIRLAW_RETURN_NOT_OK(CheckSorted(x_sorted, "Wasserstein1Presorted", "x"));
-  FAIRLAW_RETURN_NOT_OK(CheckSorted(y_sorted, "Wasserstein1Presorted"));
-  obs::TraceSpan span("distance/wasserstein1_presorted", parent_path);
-  return Wasserstein1SortedCore(x_sorted, y_sorted.size(),
-                                SortedDifference::Walk(y_sorted));
 }
 
 Result<double> Wasserstein1Binned(const Histogram& p, const Histogram& q) {
@@ -214,15 +254,23 @@ Result<double> KolmogorovSmirnovPresorted(std::span<const double> x_sorted,
                                      SpanWalk(y_sorted));
 }
 
-Result<double> KolmogorovSmirnovPresorted(std::span<const double> x_sorted,
-                                          const SortedDifference& y_sorted,
-                                          std::string_view parent_path) {
-  FAIRLAW_RETURN_NOT_OK(
-      CheckSorted(x_sorted, "KolmogorovSmirnovPresorted", "x"));
-  FAIRLAW_RETURN_NOT_OK(CheckSorted(y_sorted, "KolmogorovSmirnovPresorted"));
-  obs::TraceSpan span("distance/kolmogorov_smirnov_presorted", parent_path);
-  return KolmogorovSmirnovSortedCore(x_sorted, y_sorted.size(),
-                                     SortedDifference::Walk(y_sorted));
+Result<AscendingSpan> AscendingSpan::Make(std::span<const double> values,
+                                          std::string_view what) {
+  if (!std::is_sorted(values.begin(), values.end())) {
+    return Status::Invalid(std::string(what) + " is not sorted ascending");
+  }
+  return AscendingSpan(values);
+}
+
+Result<SampleDistances> Wasserstein1AndKsPresorted(
+    AscendingSpan x_sorted, const SortedDifference& y_sorted,
+    std::string_view parent_path) {
+  if (x_sorted.values().empty() || y_sorted.size() == 0) {
+    return Status::Invalid("Wasserstein1AndKsPresorted: empty sample");
+  }
+  obs::TraceSpan span("distance/w1_ks_presorted", parent_path);
+  return DistancesSortedCore(x_sorted.values(), y_sorted.size(),
+                             SortedDifference::Walk(y_sorted));
 }
 
 }  // namespace fairlaw::stats

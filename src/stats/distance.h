@@ -56,18 +56,35 @@ FAIRLAW_NODISCARD Result<double> KolmogorovSmirnov(std::span<const double> x,
 FAIRLAW_NODISCARD Result<double> KolmogorovSmirnovPresorted(
     std::span<const double> x_sorted, std::span<const double> y_sorted);
 
+/// A span of doubles checked ascending once, by Make, so the kernels
+/// that read it again and again do not check it again. The values must
+/// outlive it.
+class AscendingSpan {
+ public:
+  /// Fails unless `values` is sorted ascending; `what` names it in the
+  /// error.
+  FAIRLAW_NODISCARD static Result<AscendingSpan> Make(
+      std::span<const double> values, std::string_view what);
+
+  std::span<const double> values() const { return values_; }
+
+ private:
+  explicit AscendingSpan(std::span<const double> values) : values_(values) {}
+
+  std::span<const double> values_;
+};
+
 /// The ascending multiset difference `all_sorted` minus
 /// `removed_sorted`, walked in place: the values std::set_difference
 /// writes (a value in `all_sorted` m times and in `removed_sorted` k
-/// times is left m - k times), without a vector to hold them. Both
-/// inputs are ascending and `removed_sorted` is a sub-multiset of
-/// `all_sorted` (one group's scores against all of them), so size() is
-/// the difference of the sizes. Both spans must outlive it.
+/// times is left m - k times), without a vector to hold them.
+/// `removed_sorted` is a sub-multiset of `all_sorted` (one group's
+/// scores against all of them), so size() is the difference of the
+/// sizes.
 class SortedDifference {
  public:
-  SortedDifference(std::span<const double> all_sorted,
-                   std::span<const double> removed_sorted)
-      : all_(all_sorted), removed_(removed_sorted) {}
+  SortedDifference(AscendingSpan all_sorted, AscendingSpan removed_sorted)
+      : all_(all_sorted.values()), removed_(removed_sorted.values()) {}
 
   std::span<const double> all() const { return all_; }
   std::span<const double> removed() const { return removed_; }
@@ -112,18 +129,23 @@ class SortedDifference {
   std::span<const double> removed_;
 };
 
+/// Two sample distances computed together.
+struct SampleDistances {
+  double wasserstein1 = 0.0;
+  double ks = 0.0;
+};
+
 /// Wasserstein1Presorted and KolmogorovSmirnovPresorted of `x_sorted`
-/// against a SortedDifference: the same kernel bodies, so each equals
-/// the span overload on the materialized difference, bit for bit. They
-/// check that x_sorted, all() and removed() are ascending and that
-/// x_sorted and the difference are not empty. Their span opens under
-/// `parent_path` (an obs::CurrentPath() captured on the calling thread),
-/// so a call on a pool worker nests where a serial call would.
-FAIRLAW_NODISCARD Result<double> Wasserstein1Presorted(
-    std::span<const double> x_sorted, const SortedDifference& y_sorted,
-    std::string_view parent_path);
-FAIRLAW_NODISCARD Result<double> KolmogorovSmirnovPresorted(
-    std::span<const double> x_sorted, const SortedDifference& y_sorted,
+/// against a SortedDifference, in one walk of it: each value of the
+/// difference is handed to both sweeps, which make the steps of their
+/// span kernels in the same order, so each distance equals the span
+/// overload on the materialized difference, bit for bit. The inputs
+/// were checked ascending when their AscendingSpans were made; this
+/// fails only when `x_sorted` or the difference is empty. Its span opens
+/// under `parent_path` (an obs::CurrentPath() captured on the calling
+/// thread), so a call on a pool worker nests where a serial call would.
+FAIRLAW_NODISCARD Result<SampleDistances> Wasserstein1AndKsPresorted(
+    AscendingSpan x_sorted, const SortedDifference& y_sorted,
     std::string_view parent_path);
 
 }  // namespace fairlaw::stats

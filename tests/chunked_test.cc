@@ -25,6 +25,7 @@
 #include "data/csv.h"
 #include "data/table.h"
 #include "metrics/fairness_metric.h"
+#include "obs/obs.h"
 #include "stats/distance.h"
 #include "stats/mergeable.h"
 #include "stats/rng.h"
@@ -434,6 +435,102 @@ TEST(ChunkBoundaryTest, NullsStraddlingChunkEdges) {
               audit_reference)
         << "chunk_rows=" << chunk_rows;
   }
+  std::remove(path.c_str());
+}
+
+// ---------------------------------------------------------------------------
+// A schema guess the file proves wrong, and a defect past the first chunks:
+// the streamed audit reads every chunk under the guessed schema first.
+
+/// The lines of `text`, without their newlines.
+std::vector<std::string> Lines(const std::string& text) {
+  std::vector<std::string> lines;
+  size_t begin = 0;
+  for (size_t end = text.find('\n'); end != std::string::npos;
+       begin = end + 1, end = text.find('\n', begin)) {
+    lines.push_back(text.substr(begin, end - begin));
+  }
+  return lines;
+}
+
+/// MakeAuditCsv's rows with a 600-byte pad column, so the first read
+/// block holds only ~90 of them, and the score printed as the integer 0
+/// or 1 in the first `int_rows`: the schema guessed from that block reads
+/// the score as int64 until a later row shows a double.
+std::string MakePaddedAuditCsv(size_t rows, size_t int_rows, uint64_t seed) {
+  const std::vector<std::string> lines = Lines(MakeAuditCsv(rows, seed));
+  const std::string pad(600, 'q');
+  std::string text = lines[0] + ",pad\n";
+  for (size_t r = 1; r < lines.size(); ++r) {
+    std::string line = lines[r];
+    if (r <= int_rows) {
+      const size_t comma = line.rfind(',');
+      const double score = std::stod(line.substr(comma + 1));
+      line = line.substr(0, comma + 1) + (score < 0.5 ? "0" : "1");
+    }
+    text += line + "," + pad + "\n";
+  }
+  return text;
+}
+
+TEST(ChunkedAuditTest, WrongGuessStreamEqualsTheTableAudit) {
+  const std::string path = "chunked_test_wrong_guess.csv";
+  const std::string text = MakePaddedAuditCsv(300, 150, 21);
+  WriteText(path, text);
+  const Table table = data::ReadCsvString(text).ValueOrDie();
+  ASSERT_EQ(table.schema().field(4).type, data::DataType::kDouble);
+  const std::string reference =
+      AuditOutcome(audit::AuditSource::FromTable(table), FullAuditConfig());
+  ASSERT_EQ(reference.find("invalid argument"), std::string::npos)
+      << reference;
+  const bool was_enabled = obs::Enabled();
+  obs::SetEnabled(true);
+  for (size_t chunk_rows : {size_t{7}, size_t{977}, size_t{0}}) {
+    std::string reference_dump;
+    for (size_t threads : {size_t{1}, size_t{4}}) {
+      obs::ResetAll();
+      AuditConfig config = FullAuditConfig();
+      config.chunk_rows = chunk_rows;
+      config.num_threads = threads;
+      EXPECT_EQ(AuditOutcome(audit::AuditSource::FromCsv(path), config),
+                reference)
+          << "chunk_rows=" << chunk_rows << " threads=" << threads;
+      EXPECT_GT(obs::GetCounter("csv.chunks_reparsed")->Value(), 0u);
+      const std::string dump = obs::ExportJson();
+      if (threads == 1) reference_dump = dump;
+      EXPECT_EQ(dump, reference_dump)
+          << "chunk_rows=" << chunk_rows << " threads=" << threads;
+    }
+  }
+  obs::SetEnabled(was_enabled);
+  std::remove(path.c_str());
+}
+
+TEST(ChunkedAuditTest, LateDefectGivesTheSameErrorAndObsDumpOnAnyThreads) {
+  // Data row 150 lacks its score. Every chunk is read whatever the
+  // thread count, so the probes the readers bump match too.
+  const std::string path = "chunked_test_late_defect.csv";
+  std::vector<std::string> lines = Lines(MakeAuditCsv(200, 23));
+  lines[151] = lines[151].substr(0, lines[151].rfind(','));
+  std::string text;
+  for (const std::string& line : lines) text += line + "\n";
+  WriteText(path, text);
+  const bool was_enabled = obs::Enabled();
+  obs::SetEnabled(true);
+  std::string reference_dump;
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    obs::ResetAll();
+    AuditConfig config = FullAuditConfig();
+    config.chunk_rows = 7;
+    config.num_threads = threads;
+    EXPECT_EQ(AuditOutcome(audit::AuditSource::FromCsv(path), config),
+              "invalid argument: CSV: row 151 has 4 fields, expected 5")
+        << "threads=" << threads;
+    const std::string dump = obs::ExportJson();
+    if (threads == 1) reference_dump = dump;
+    EXPECT_EQ(dump, reference_dump) << "threads=" << threads;
+  }
+  obs::SetEnabled(was_enabled);
   std::remove(path.c_str());
 }
 

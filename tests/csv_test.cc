@@ -1,11 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <functional>
+#include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "base/thread_pool.h"
 #include "data/csv.h"
 #include "obs/obs.h"
 #include "stats/rng.h"
@@ -521,6 +526,269 @@ TEST(CsvDifferentialTest, MutatedTextsGiveTheOracleError) {
   const Status status = ExpectReadersMatchOracle(ragged, {}, "ragged");
   EXPECT_NE(status.ToString().find("fields, expected 8"), std::string::npos)
       << status.ToString();
+}
+
+// ---------------------------------------------------------------------------
+// Wrong guesses: the schema is guessed from the first read block's rows,
+// so a type that changes after them is found only when the chunks' flags
+// are folded, and the chunks are read again.
+
+/// A header and `rows` rows of `cells(r)`, each ending in a 600-byte
+/// `pad` cell, so the first read block holds only the first ~100 rows.
+std::string PaddedCsv(const std::string& header, size_t rows,
+                      const std::function<std::string(size_t)>& cells) {
+  const std::string pad(600, 'p');
+  std::string text = header + ",pad\n";
+  for (size_t r = 0; r < rows; ++r) text += cells(r) + "," + pad + "\n";
+  return text;
+}
+
+/// Streams `path` at `chunk_rows` on `threads` workers as the audit's
+/// morsel loop reads it: every chunk once under the guessed schema, and
+/// again under the resolved one only when ConfirmGuess says the guess
+/// was wrong (*reparsed). Returns the chunks in file order, or the
+/// lowest chunk's error.
+Result<std::vector<Table>> StreamGuessed(const std::string& path,
+                                         size_t chunk_rows, size_t threads,
+                                         bool* reparsed) {
+  CsvChunkReader::Options options;
+  options.chunk_rows = chunk_rows;
+  FAIRLAW_ASSIGN_OR_RETURN(CsvChunkReader reader,
+                           CsvChunkReader::Scan(path, options));
+  const size_t num_chunks = reader.num_chunks();
+  const std::unique_ptr<ThreadPool> pool = MorselPool(threads, num_chunks);
+  std::vector<Status> statuses(num_chunks);
+  std::vector<std::optional<Table>> tables(num_chunks);
+  auto for_each_chunk = [&](const std::function<void(size_t)>& read) {
+    if (pool == nullptr) {
+      for (size_t i = 0; i < num_chunks; ++i) read(i);
+    } else {
+      pool->ParallelFor(num_chunks, read);
+    }
+    for (const Status& status : statuses) FAIRLAW_RETURN_NOT_OK(status);
+    return Status::OK();
+  };
+  *reparsed = false;
+  if (reader.has_guess()) {
+    FAIRLAW_RETURN_NOT_OK(for_each_chunk([&](size_t i) {
+      Result<std::optional<Table>> chunk = reader.ReadGuessedChunk(i);
+      statuses[i] = chunk.status();
+      if (chunk.ok()) tables[i] = std::move(*chunk);
+    }));
+    FAIRLAW_ASSIGN_OR_RETURN(const bool held, reader.ConfirmGuess());
+    *reparsed = !held;
+  } else {
+    FAIRLAW_RETURN_NOT_OK(reader.InferSchema(pool.get()));
+    *reparsed = true;  // read under the inferred schema below
+  }
+  if (*reparsed) {
+    FAIRLAW_RETURN_NOT_OK(for_each_chunk([&](size_t i) {
+      Result<Table> chunk = reader.ReadChunk(i);
+      statuses[i] = chunk.status();
+      if (chunk.ok()) tables[i] = std::move(*chunk);
+    }));
+  }
+  std::vector<Table> chunks;
+  for (std::optional<Table>& table : tables) {
+    if (!table.has_value()) {
+      return Status::Internal("a chunk of a guess that held is missing");
+    }
+    chunks.push_back(std::move(*table));
+  }
+  return chunks;
+}
+
+/// Reads `text` through every path: the oracle differential (oracle,
+/// ReadCsvString, Make/Next, pooled ReadTable), the guessed stream at
+/// 1-, 3-, 977-row and default chunks on 1 and 4 threads, and ReadTable
+/// on 1 and 4 threads. All give ReadCsvString's table, or its error. A
+/// read that succeeds reads the chunks again exactly when `wrong_guess`,
+/// and counts that in csv.chunks_reparsed the same way on every thread
+/// count. Returns ReadCsvString's result.
+Result<Table> ExpectEveryReadAgrees(const std::string& text, bool wrong_guess,
+                                    const std::string& label) {
+  const Status oracle_status = ExpectReadersMatchOracle(text, {}, label);
+  Result<Table> whole = ReadCsvString(text);
+  EXPECT_EQ(whole.status().ToString(), oracle_status.ToString()) << label;
+  const std::string path = WriteTempCsv("fairlaw_csv_guess.csv", text);
+  for (size_t chunk_rows : {size_t{1}, size_t{3}, size_t{977}, size_t{0}}) {
+    for (size_t threads : {size_t{1}, size_t{4}}) {
+      const std::string stream_label =
+          label + " stream chunk_rows=" + std::to_string(chunk_rows) +
+          " threads=" + std::to_string(threads);
+      bool reparsed = false;
+      const Result<std::vector<Table>> chunks =
+          StreamGuessed(path, chunk_rows, threads, &reparsed);
+      if (!whole.ok()) {
+        EXPECT_EQ(chunks.status().ToString(), whole.status().ToString())
+            << stream_label;
+        continue;
+      }
+      if (!chunks.ok()) {
+        ADD_FAILURE() << stream_label << ": " << chunks.status().ToString();
+        continue;
+      }
+      EXPECT_EQ(reparsed, wrong_guess) << stream_label;
+      size_t offset = 0;
+      for (const Table& chunk : *chunks) {
+        const std::string difference = RowsDiffer(*whole, offset, chunk);
+        EXPECT_EQ(difference, "") << stream_label;
+        if (!difference.empty()) break;
+        offset += chunk.num_rows();
+      }
+      EXPECT_EQ(offset, whole->num_rows()) << stream_label;
+    }
+  }
+  const bool was_enabled = obs::Enabled();
+  obs::SetEnabled(true);
+  std::string reference_dump;
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    const std::string table_label =
+        label + " ReadTable threads=" + std::to_string(threads);
+    obs::ResetAll();
+    CsvChunkReader::Options options;
+    options.chunk_rows = 3;  // many chunks, so four threads get a pool
+    const Result<Table> table =
+        CsvChunkReader::ReadTable(path, options, threads);
+    const std::string dump = obs::ExportJson();
+    if (threads == 1) reference_dump = dump;
+    EXPECT_EQ(dump, reference_dump) << table_label;
+    if (!whole.ok()) {
+      EXPECT_EQ(table.status().ToString(), whole.status().ToString())
+          << table_label;
+      continue;
+    }
+    if (!table.ok()) {
+      ADD_FAILURE() << table_label << ": " << table.status().ToString();
+      continue;
+    }
+    EXPECT_EQ(RowsDiffer(*whole, 0, *table), "") << table_label;
+    EXPECT_EQ(obs::GetCounter("csv.chunks_reparsed")->Value() > 0,
+              wrong_guess)
+        << table_label;
+  }
+  obs::SetEnabled(was_enabled);
+  std::remove(path.c_str());
+  return whole;
+}
+
+TEST(CsvGuessTest, IntColumnThatTurnsDoubleInItsLastChunk) {
+  const size_t rows = 200;
+  const std::string text = PaddedCsv("x,y", rows, [&](size_t r) {
+    return (r + 1 == rows ? std::string("2.5") : std::to_string(r)) + "," +
+           std::to_string(3 * r);
+  });
+  const Table table =
+      ExpectEveryReadAgrees(text, true, "late double").ValueOrDie();
+  EXPECT_EQ(table.schema().field(0).type, DataType::kDouble);
+  EXPECT_EQ(table.schema().field(1).type, DataType::kInt64);
+  EXPECT_EQ(table.column(0).GetDouble(rows - 1).ValueOrDie(), 2.5);
+}
+
+TEST(CsvGuessTest, NegativeZeroInIntRowsThenALateDouble) {
+  // `-0` is 0 as an int64 but -0.0 as a double: the guessed int64 values
+  // must not be converted, but parsed again as doubles.
+  const std::string text = PaddedCsv("x", 200, [](size_t r) {
+    if (r == 180) return std::string("1.5");
+    return r % 3 == 0 ? std::string("-0") : std::to_string(r);
+  });
+  const Table table =
+      ExpectEveryReadAgrees(text, true, "negative zero").ValueOrDie();
+  ASSERT_EQ(table.schema().field(0).type, DataType::kDouble);
+  const double zero = table.column(0).GetDouble(0).ValueOrDie();
+  EXPECT_EQ(zero, 0.0);
+  EXPECT_TRUE(std::signbit(zero));
+}
+
+TEST(CsvGuessTest, ColumnNullPastTheGuessBlockThenInts) {
+  const std::string text = PaddedCsv("x,y", 200, [](size_t r) {
+    const std::string y = r < 150 ? (r % 2 == 0 ? "" : "NA")
+                                  : std::to_string(r);
+    return std::to_string(r) + "," + y;
+  });
+  const Table table =
+      ExpectEveryReadAgrees(text, true, "late ints").ValueOrDie();
+  EXPECT_EQ(table.schema().field(1).type, DataType::kInt64);
+  EXPECT_EQ(table.column(1).null_count(), 150u);
+}
+
+TEST(CsvGuessTest, TrueFalseAndZeroOneColumns) {
+  // a: 0/1 in the guess block (int64), true/false later (bool).
+  // b: true/false in the guess block, 0/1 later: bool all along.
+  // c: 0/1 throughout: int64.
+  const std::string text = PaddedCsv("a,b,c", 200, [](size_t r) {
+    const bool late = r >= 150;
+    const std::string a = late ? (r % 2 ? "true" : "false")
+                               : (r % 2 ? "1" : "0");
+    const std::string b = late ? (r % 2 ? "1" : "0")
+                               : (r % 2 ? "TRUE" : "false");
+    return a + "," + b + "," + (r % 3 ? "1" : "0");
+  });
+  const Table table =
+      ExpectEveryReadAgrees(text, true, "bool columns").ValueOrDie();
+  EXPECT_EQ(table.schema().field(0).type, DataType::kBool);
+  EXPECT_EQ(table.schema().field(1).type, DataType::kBool);
+  EXPECT_EQ(table.schema().field(2).type, DataType::kInt64);
+  // Without column a the guess holds.
+  const std::string held = PaddedCsv("b,c", 200, [](size_t r) {
+    return std::string(r >= 150 ? (r % 2 ? "1" : "0")
+                                : (r % 2 ? "true" : "false")) +
+           "," + (r % 3 ? "1" : "0");
+  });
+  EXPECT_TRUE(ExpectEveryReadAgrees(held, false, "guess held").ok());
+}
+
+TEST(CsvGuessTest, RaggedRowAfterAMisguessedChunk) {
+  // Row 150 turns x double; file row 171 (data row 170) lacks its pad.
+  const std::string pad(600, 'p');
+  std::string text = "x,y,pad\n";
+  for (size_t r = 0; r < 200; ++r) {
+    text += r == 150 ? std::string("0.5") : std::to_string(r);
+    text += "," + std::to_string(r);
+    if (r != 170) text += "," + pad;
+    text += "\n";
+  }
+  const Result<Table> whole = ExpectEveryReadAgrees(text, true, "ragged");
+  EXPECT_EQ(whole.status().ToString(),
+            "invalid argument: CSV: row 171 has 2 fields, expected 3");
+}
+
+TEST(CsvGuessTest, DuplicateHeaderAndALaterRaggedRow) {
+  // A repeated name leaves no guess: the flags pass runs first, so the
+  // ragged row still wins over the duplicate name, as it always has.
+  const std::string pad(600, 'p');
+  std::string text = "x,x,pad\n";
+  for (size_t r = 0; r < 200; ++r) {
+    text += std::to_string(r) + "," + std::to_string(r);
+    if (r != 170) text += "," + pad;
+    text += "\n";
+  }
+  EXPECT_EQ(ExpectEveryReadAgrees(text, false, "duplicate ragged")
+                .status()
+                .ToString(),
+            "invalid argument: CSV: row 171 has 2 fields, expected 3");
+  const std::string no_ragged = PaddedCsv("x,x", 200, [](size_t r) {
+    return std::to_string(r) + "," + std::to_string(r);
+  });
+  EXPECT_EQ(ExpectEveryReadAgrees(no_ragged, false, "duplicate")
+                .status()
+                .ToString(),
+            "invalid argument: Schema: duplicate field name 'x'");
+}
+
+TEST(CsvGuessDeathTest, ConfirmGuessNeedsEveryChunkRead) {
+  // A chunk never read (or whose range could not be opened) has no flags
+  // to fold: ConfirmGuess stops rather than read past them.
+  const std::string path =
+      WriteTempCsv("fairlaw_csv_confirm.csv", "x,y\n1,2\n3,4\n5,6\n");
+  CsvChunkReader::Options options;
+  options.chunk_rows = 1;
+  CsvChunkReader reader = CsvChunkReader::Scan(path, options).ValueOrDie();
+  ASSERT_EQ(reader.num_chunks(), 3u);
+  ASSERT_TRUE(reader.ReadGuessedChunk(0).ok());
+  EXPECT_DEATH(static_cast<void>(reader.ConfirmGuess()),
+               "ConfirmGuess needs every chunk read by ReadGuessedChunk");
+  std::remove(path.c_str());
 }
 
 }  // namespace

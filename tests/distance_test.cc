@@ -196,11 +196,16 @@ TEST(PresortedTest, TiesAndEqualSamplesHandled) {
 
 // --- presorted kernels over a SortedDifference -----------------------------
 
+/// `values` as an AscendingSpan; it must be sorted.
+AscendingSpan Ascending(const V& values) {
+  return AscendingSpan::Make(values, "values").ValueOrDie();
+}
+
 /// Each group of `groups` (a partition of the pooled values) against
 /// everyone else, as the score-distribution audit compares them: W1 and
-/// KS over the SortedDifference walk must equal the span kernels over
-/// the materialized std::set_difference, to the bit, or fail with the
-/// same error text.
+/// KS from the one walk of the SortedDifference must equal the span
+/// kernels over the materialized std::set_difference, to the bit, or
+/// fail as they do.
 void ExpectWalkEqualsMaterialized(const std::vector<V>& groups,
                                   const std::string& label) {
   V all;
@@ -214,30 +219,29 @@ void ExpectWalkEqualsMaterialized(const std::vector<V>& groups,
     V rest;
     std::set_difference(all.begin(), all.end(), group.begin(), group.end(),
                         std::back_inserter(rest));
-    const SortedDifference walk(all, group);
+    const SortedDifference walk(Ascending(all), Ascending(group));
     ASSERT_EQ(walk.size(), rest.size()) << label << " group " << g;
     const Result<double> w1 = Wasserstein1Presorted(group, rest);
-    const Result<double> w1_walk = Wasserstein1Presorted(group, walk, "");
     const Result<double> ks = KolmogorovSmirnovPresorted(group, rest);
-    const Result<double> ks_walk =
-        KolmogorovSmirnovPresorted(group, walk, "");
-    ASSERT_EQ(w1_walk.status().ToString(), w1.status().ToString())
-        << label << " group " << g;
-    ASSERT_EQ(ks_walk.status().ToString(), ks.status().ToString())
-        << label << " group " << g;
-    if (w1.ok()) {
-      EXPECT_EQ(*w1_walk, *w1) << label << " group " << g;
+    const Result<SampleDistances> both =
+        Wasserstein1AndKsPresorted(Ascending(group), walk, "");
+    ASSERT_EQ(both.ok(), w1.ok()) << label << " group " << g;
+    ASSERT_EQ(both.ok(), ks.ok()) << label << " group " << g;
+    if (!both.ok()) {
+      EXPECT_EQ(both.status().ToString(),
+                "invalid argument: Wasserstein1AndKsPresorted: empty sample")
+          << label << " group " << g;
+      continue;
     }
-    if (ks.ok()) {
-      EXPECT_EQ(*ks_walk, *ks) << label << " group " << g;
-    }
+    EXPECT_EQ(both->wasserstein1, *w1) << label << " group " << g;
+    EXPECT_EQ(both->ks, *ks) << label << " group " << g;
   }
 }
 
 TEST(SortedDifferenceTest, WalkIsTheSetDifference) {
   const V all = {1, 1, 1, 2, 2, 3, 5, 5};
   const V removed = {1, 2, 2, 5};
-  const SortedDifference difference(all, removed);
+  const SortedDifference difference(Ascending(all), Ascending(removed));
   V walked;
   SortedDifference::Walk walk(difference);
   for (size_t i = 0; i < difference.size(); ++i, walk.Step()) {
@@ -255,11 +259,6 @@ TEST(SortedDifferenceTest, OneRowGroupAndAGroupOfEveryRow) {
   ExpectWalkEqualsMaterialized({{0.25}, {0.5, 0.75, 0.25, 1.0}}, "one row");
   // The whole pool: everyone else is empty, and both paths say so.
   ExpectWalkEqualsMaterialized({{0.1, 0.2, 0.2, 0.9}}, "every row");
-  EXPECT_EQ(Wasserstein1Presorted(V{0.5}, SortedDifference(V{0.5}, V{0.5}),
-                                  "")
-                .status()
-                .ToString(),
-            "invalid argument: Wasserstein1Presorted: empty sample");
 }
 
 TEST(SortedDifferenceTest, ConstantScores) {
@@ -280,22 +279,48 @@ TEST(SortedDifferenceTest, SeededGroupsWithManyTies) {
   }
 }
 
-TEST(SortedDifferenceTest, KernelsCheckSortednessAndEmptiness) {
+TEST(SortedDifferenceTest, InterleavedAndSeparatedGroups) {
+  // Groups that lie wholly below, above, inside and across the others,
+  // with signed zeros: the KS sweep ends on either side first, and a
+  // pending threshold is scored at a larger value or at the end.
+  ExpectWalkEqualsMaterialized({{-3, -2, -1}, {1, 2, 3}, {-0.0, 0.0, 0.0}},
+                               "separated");
+  ExpectWalkEqualsMaterialized({{1, 3, 5, 7}, {2, 4, 6, 8}, {4, 4, 4}},
+                               "interleaved");
+  ExpectWalkEqualsMaterialized({{5}, {1, 2, 3, 4}, {6, 7}}, "one above");
+  for (uint64_t seed : {4u, 5u}) {
+    Rng rng(seed);
+    std::vector<V> groups(7);
+    for (int i = 0; i < 2000; ++i) {
+      const size_t g = rng.UniformInt(groups.size());
+      // Shifted groups with unit steps: long runs of equal values.
+      groups[g].push_back(std::round(rng.Normal(static_cast<double>(g), 2.0)));
+    }
+    ExpectWalkEqualsMaterialized(groups, "shifted " + std::to_string(seed));
+    for (V& group : groups) {
+      for (double& value : group) value += rng.Uniform();  // no ties
+    }
+    ExpectWalkEqualsMaterialized(groups, "distinct " + std::to_string(seed));
+  }
+}
+
+TEST(SortedDifferenceTest, EachBufferIsCheckedOnceAndEmptinessByTheKernel) {
   const V sorted = {0.0, 1.0, 2.0, 3.0};
   const V unsorted = {2.0, 0.0, 1.0, 3.0};
-  const V part = {1.0};
-  EXPECT_FALSE(
-      Wasserstein1Presorted(unsorted, SortedDifference(sorted, part), "").ok());
-  EXPECT_FALSE(Wasserstein1Presorted(V{}, SortedDifference(sorted, part), "")
+  EXPECT_EQ(AscendingSpan::Make(unsorted, "pool").status().ToString(),
+            "invalid argument: pool is not sorted ascending");
+  EXPECT_TRUE(AscendingSpan::Make(V{}, "empty").ok());
+  EXPECT_EQ(Wasserstein1AndKsPresorted(
+                Ascending(V{}), SortedDifference(Ascending(sorted),
+                                                 Ascending(V{1.0})),
+                "")
+                .status()
+                .ToString(),
+            "invalid argument: Wasserstein1AndKsPresorted: empty sample");
+  EXPECT_FALSE(Wasserstein1AndKsPresorted(
+                   Ascending(sorted),
+                   SortedDifference(Ascending(sorted), Ascending(sorted)), "")
                    .ok());
-  EXPECT_FALSE(
-      Wasserstein1Presorted(part, SortedDifference(unsorted, part), "").ok());
-  EXPECT_FALSE(KolmogorovSmirnovPresorted(
-                   part, SortedDifference(sorted, V{2.0, 1.0}), "")
-                   .ok());
-  EXPECT_FALSE(
-      KolmogorovSmirnovPresorted(sorted, SortedDifference(sorted, sorted), "")
-          .ok());
 }
 
 // --- binned fast paths ----------------------------------------------------

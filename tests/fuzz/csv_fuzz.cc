@@ -8,10 +8,13 @@
 // error first: read serially (Make, then Next), and with the schema
 // inferred on a 4-worker pool and the chunks read last to first on that
 // pool, so a chunk boundary the scan gets wrong shows as a cell, row
-// count or error text the oracle does not have. The same file read
-// whole by CsvChunkReader::ReadTable at 1- and 3-row chunks on 4
-// threads must equal ReadCsvString's table (schema, validity, cells,
-// dictionaries in first-seen order) or fail with its error text.
+// count or error text the oracle does not have. It is also read as the
+// streamed audit reads it: each chunk once under the schema guessed from
+// the first read block, and all again when the chunks' flags resolve
+// another schema. The same file read whole by CsvChunkReader::ReadTable
+// at 1- and 3-row chunks on 4 threads must equal ReadCsvString's table
+// (schema, validity, cells, dictionaries in first-seen order) or fail
+// with its error text.
 //
 // Built with -fsanitize=fuzzer this is a libFuzzer target. Linked with
 // replay_main.cc it is the replay driver csv_fuzz_replay instead.
@@ -146,6 +149,77 @@ void CheckParallelChunks(const std::string& text, const std::string& path,
   }
 }
 
+/// Scans `path` at `chunk_rows` and reads it as the streamed audit does,
+/// on a 4-worker pool with the chunks last to first: every chunk once
+/// under the guessed schema, and when ConfirmGuess says the guess was
+/// wrong, every chunk again under the resolved one. The lowest chunk's
+/// error must be the oracle's, and the chunks must tile its table.
+void CheckGuessedChunks(const std::string& text, const std::string& path,
+                        const fairlaw::Result<data::Table>& oracle,
+                        size_t chunk_rows) {
+  static fairlaw::ThreadPool pool(4);
+  const std::string label =
+      "guessed chunk_rows=" + std::to_string(chunk_rows) + ": ";
+  data::CsvChunkReader::Options options;
+  options.chunk_rows = chunk_rows;
+  fairlaw::Result<data::CsvChunkReader> reader =
+      data::CsvChunkReader::Scan(path, options);
+  fairlaw::Status status = reader.status();
+  const size_t num_chunks = status.ok() ? reader->num_chunks() : 0;
+  std::vector<fairlaw::Status> statuses(num_chunks);
+  std::vector<std::optional<data::Table>> chunks(num_chunks);
+  bool held = false;
+  if (status.ok() && reader->has_guess()) {
+    pool.ParallelFor(num_chunks, [&](size_t i) {
+      const size_t index = num_chunks - 1 - i;
+      fairlaw::Result<std::optional<data::Table>> chunk =
+          reader->ReadGuessedChunk(index);
+      statuses[index] = chunk.status();
+      if (chunk.ok()) chunks[index] = std::move(*chunk);
+    });
+    for (const fairlaw::Status& chunk : statuses) {
+      if (status.ok()) status = chunk;
+    }
+    if (status.ok()) {
+      fairlaw::Result<bool> confirmed = reader->ConfirmGuess();
+      status = confirmed.status();
+      held = confirmed.ok() && *confirmed;
+    }
+  } else if (status.ok()) {
+    status = reader->InferSchema(&pool);
+  }
+  if (!status.ok() || !oracle.ok()) {
+    if (status.ToString() != oracle.status().ToString()) {
+      Fail(text, label + "the guessed read says '" + status.ToString() +
+                     "', the oracle '" + oracle.status().ToString() + "'");
+    }
+    return;
+  }
+  if (!held) {
+    pool.ParallelFor(num_chunks, [&](size_t i) {
+      const size_t index = num_chunks - 1 - i;
+      fairlaw::Result<data::Table> chunk = reader->ReadChunk(index);
+      if (!chunk.ok()) {
+        Fail(text, label + "ReadChunk failed: " + chunk.status().ToString());
+      }
+      chunks[index] = std::move(*chunk);
+    });
+  }
+  size_t offset = 0;
+  for (const std::optional<data::Table>& chunk : chunks) {
+    if (!chunk.has_value()) {
+      Fail(text, label + "the guess held but a chunk is missing");
+    }
+    const std::string difference = data::RowsDiffer(*oracle, offset, *chunk);
+    if (!difference.empty()) Fail(text, label + difference);
+    offset += chunk->num_rows();
+  }
+  if (offset != oracle->num_rows()) {
+    Fail(text, label + "read " + std::to_string(offset) + " rows, the oracle " +
+                   std::to_string(oracle->num_rows()));
+  }
+}
+
 /// Reads `path` whole at `chunk_rows` on 4 threads and checks it
 /// against ReadCsvString's result.
 void CheckPooledTable(const std::string& text, const std::string& path,
@@ -205,6 +279,7 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   for (size_t chunk_rows : {size_t{1}, size_t{3}}) {
     CheckSerialChunks(text, path, oracle, chunk_rows);
     CheckParallelChunks(text, path, oracle, chunk_rows);
+    CheckGuessedChunks(text, path, oracle, chunk_rows);
     CheckPooledTable(text, path, whole, chunk_rows);
   }
   std::remove(path.c_str());

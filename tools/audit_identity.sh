@@ -15,8 +15,11 @@
 # audit on, at one and at four threads: the table is read, the proxy
 # candidates are scored and the groups' scores are sorted and compared
 # on the pool at four threads, and both the JSON reports and the obs
-# dumps must be equal. A last leg checks that --chunk-rows without --streaming is a
-# flag error (exit 1): an in-memory audit is one chunk. Driven by ctest
+# dumps must be equal. A wrong-guess leg prints tenure as an integer in
+# the first 3000 rows of that table, so both the stream and the table
+# read parse every chunk twice; their reports and obs dumps must agree
+# across threads. A last leg checks that --chunk-rows without --streaming
+# is a flag error (exit 1): an in-memory audit is one chunk. Driven by ctest
 # (tools_audit_identity, with tests/golden/audit_suite.json and
 # tests/golden/audit_stream.json).
 #
@@ -82,6 +85,31 @@ grep -q '"score_distribution"' "$dir/large_t1.json"
 cmp "$dir/large_t1.json" "$dir/large_t4.json"
 cmp "$dir/large_obs_t1.json" "$dir/large_obs_t4.json"
 
+# A leg whose schema guess is wrong: tenure printed as an integer in the
+# first 3000 rows, more than the first read block holds, so the schema
+# guessed from that block reads it as int64 until a later chunk shows a
+# double, and every chunk is read again. The stream at 977-row chunks
+# and the table read must each give equal reports and obs dumps at one
+# and four threads, and each dump must count the chunks read again.
+awk -F, 'BEGIN { OFS = "," }
+  NR > 1 && NR <= 3001 { $4 = sprintf("%d", $4) } { print }' \
+    "$dir/large.csv" >"$dir/guess.csv"
+for t in 1 4; do
+  run_on "$dir/guess.csv" "$dir/guess_stream_t$t.json" --streaming \
+      --threads=$t --chunk-rows=977 --obs-json="$dir/guess_stream_obs_t$t.json"
+  run_on "$dir/guess.csv" "$dir/guess_table_t$t.json" --proxies=tenure \
+      --threads=$t --obs-json="$dir/guess_table_obs_t$t.json"
+done
+for leg in stream table; do
+  cmp "$dir/guess_${leg}_t1.json" "$dir/guess_${leg}_t4.json"
+  cmp "$dir/guess_${leg}_obs_t1.json" "$dir/guess_${leg}_obs_t4.json"
+  if ! grep -Eq '"name":"csv.chunks_reparsed","value":[1-9]' \
+      "$dir/guess_${leg}_obs_t1.json"; then
+    echo "the $leg read of $dir/guess.csv did not read its chunks again" >&2
+    exit 1
+  fi
+done
+
 for flag in --chunk-rows=977 --max-memory-mb=64; do
   rc=0
   "$audit" "$dir/promotion.csv" --protected=gender --pred=promoted \
@@ -95,4 +123,5 @@ done
 echo "audit identity ok: both runs equal $golden," \
     "the streamed runs equal $stream_golden with equal obs dumps," \
     "the large table's reports and obs dumps agree across threads," \
+    "so do the wrong-guess reads," \
     "in-memory --chunk-rows/--max-memory-mb rejected"
